@@ -29,15 +29,9 @@ import numpy as np
 from .corpus import Vocabulary
 from .counts import CountStore
 from .errors import DataError
-from .extraction import Event, Feature, render_feature
-from .metafeatures import (
-    LinkHasher,
-    Mode,
-    compute_metafeatures,
-    feature_type,
-    fingerprint,
-)
-from .model import SnmModel, materialize, perplexity, renormalize
+from .extraction import Event, Feature
+from .metafeatures import Mode, compute_metafeatures
+from .model import SnmModel, design_of, materialize, perplexity, renormalize
 
 _ADJ_MAGIC = b"SNMADJ\x01"
 _HASH_SCHEME_ID = 1
@@ -208,31 +202,31 @@ def batch_theta_gradient(
 ) -> dict[int, float]:
     """Ascent gradient of the batch log-likelihood w.r.t. the weight table.
 
-    Iterates every stored link of every feature encountered in the batch:
-    the alpha term applies to whole rows, not just links seen as targets.
+    Covers every stored link of every feature encountered in the batch, as
+    the alpha term applies to whole rows, not just links seen as targets,
+    and no link of any other row.
     """
-    grads: dict[int, float] = {}
-    table_size = adj.table_size
-    mode = adj.mode
-    words = vocab.words
-    target_fps: dict[int, int] = {}
-    link_grads = acc.link_grads
-    for f, alpha_f in acc.alpha.items():
-        crow = counts.rows[f]
-        c_f = counts.feature_counts[f]
-        hasher = LinkHasher(render_feature(f, vocab), feature_type(f), c_f, mode)
-        mrow = model.rows[f]
-        for w, m_fw in mrow.items():
-            g_link = link_grads.get((f, w), 0.0) - m_fw * alpha_f
-            if g_link == 0.0:
-                continue
-            fp = target_fps.get(w)
-            if fp is None:
-                fp = target_fps[w] = fingerprint(words[w])
-            for h, wt in hasher.link(fp, crow[w]):
-                k = h % table_size
-                grads[k] = grads.get(k, 0.0) + g_link * wt
-    return grads
+    design = design_of(model, adj, counts, vocab)
+    alpha = acc.alpha
+    if not alpha:
+        return {}
+    rows = design.row_ids(alpha, len(alpha))
+    order = np.argsort(rows)
+    links, lens = design.links_of(rows[order])
+    alpha_f = np.fromiter(alpha.values(), dtype=np.float64, count=len(alpha))[order]
+    g_link = np.zeros(len(links))
+    first = acc.link_grads
+    if first:
+        pos = design.find(
+            links,
+            design.row_ids((f for f, _ in first), len(first)),
+            np.fromiter((w for _, w in first), dtype=np.int64, count=len(first)),
+        )
+        g_link[pos] = np.fromiter(first.values(), dtype=np.float64, count=len(first))
+    g_link -= model.cells[links] * np.repeat(alpha_f, lens)
+    grads = design.push(links, g_link)
+    slots = np.flatnonzero(grads)
+    return dict(zip(slots.tolist(), grads[slots].tolist()))
 
 
 def apply_adagrad(adj: AdjustmentModel, grads: dict[int, float]) -> None:
@@ -317,4 +311,7 @@ def train(
         history.append(stats(epoch))
         if log:
             log(history[-1].format())
+    # The design is training state, over 100 bytes per link, and holds the
+    # count store; the trained model scores without it.
+    model.design = model.cells = None
     return history, model

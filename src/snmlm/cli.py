@@ -191,6 +191,8 @@ def cmd_train(args) -> int:
     for e in dev_events:
         dev_features.update(e.features)
     intersected = store.intersect(dev_features)
+    # Only the dev rows are trained on and saved; the full store can go.
+    del store, dev_features
 
     adj = AdjustmentModel(
         cfg.table_size,

@@ -13,10 +13,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+import numpy as np
+
 from .corpus import UNK_ID, Vocabulary
+from .design import LinkDesign
 from .errors import DataError
 from .extraction import Event, Feature, parse_feature, render_feature
-from .metafeatures import LinkHasher, feature_type, fingerprint
 
 if TYPE_CHECKING:
     from .adjustment import AdjustmentModel
@@ -32,11 +34,18 @@ _LOG_FLOOR = math.log(PROB_FLOOR)
 # An adjustment beyond this indicates divergence rather than a usable model.
 MAX_ABS_ADJUSTMENT = 50.0
 
+# Rows whose cells are converted to Python floats at a time.
+_ROW_GROUP = 2048
+
 
 class SnmModel:
-    """Adjusted matrix rows plus per-feature normalizers."""
+    """Adjusted matrix rows plus per-feature normalizers.
 
-    __slots__ = ("rows", "normalizers", "vocab_size")
+    A materialized model also keeps its link design and the cells in design
+    order, which training reuses; a model read from a file has neither.
+    """
+
+    __slots__ = ("rows", "normalizers", "vocab_size", "design", "cells")
 
     def __init__(
         self,
@@ -47,6 +56,8 @@ class SnmModel:
         self.rows = rows
         self.normalizers = normalizers
         self.vocab_size = vocab_size
+        self.design: LinkDesign | None = None
+        self.cells: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -73,56 +84,59 @@ class EvalReport:
         return self.oov_targets / self.num_events
 
 
-def _adjusted_row(
-    crow: dict[int, int],
-    c_f: int,
-    hasher: LinkHasher,
-    theta,
-    table_size: int,
-    target_fps: dict[int, int],
-    words: list[str],
-    identity: str,
-) -> tuple[dict[int, float], float]:
-    """One adjusted row and its normalizer; shared by materialize/renormalize."""
-    row: dict[int, float] = {}
-    total = 0.0
-    inv_cf = 1.0 / c_f
-    for w, c in crow.items():
-        fp = target_fps.get(w)
-        if fp is None:
-            fp = target_fps[w] = fingerprint(words[w])
-        a = 0.0
-        for h, wt in hasher.link(fp, c):
-            a += theta[h % table_size] * wt
-        if a > MAX_ABS_ADJUSTMENT or a < -MAX_ABS_ADJUSTMENT:
-            raise DataError(
-                f"adjustment diverged: |A|={a:.2f} on link ({identity}, {words[w]})"
-            )
-        value = (c * inv_cf) * math.exp(a)
-        row[w] = value
-        total += value
-    return row, total
+def design_of(
+    model: SnmModel, adj: "AdjustmentModel", counts: "CountStore", vocab: Vocabulary
+) -> LinkDesign:
+    """The model's link design for these counts and hashing setup.
+
+    A model without one (or with one for other counts) gets a new design,
+    and its cells are read off its rows.
+    """
+    design = model.design
+    if design is None or not design.fits(counts, adj.mode, adj.table_size):
+        design = model.design = LinkDesign.build(counts, adj.mode, adj.table_size, vocab)
+        model.cells = design.gather(model.rows)
+    return design
+
+
+def _fill(model: SnmModel, design: LinkDesign, theta: np.ndarray) -> None:
+    """Set every cell M_fw = c(w|f) * exp(A(f,w)) and every row sum."""
+    a = design.adjustments(theta)
+    bound = MAX_ABS_ADJUSTMENT
+    if not (a.max(initial=0.0) <= bound and a.min(initial=0.0) >= -bound):
+        i = int(np.argmin(np.abs(a) <= bound))
+        f, w = design.link(i)
+        raise DataError(
+            f"adjustment diverged: |A|={abs(a[i]):.2f} on link "
+            f"({render_feature(f, design.vocab)}, {design.vocab.words[w]})"
+        )
+    cells = np.exp(a, out=a)
+    cells *= design.rel_freq
+    features = design.features
+    norms = np.bincount(design.row, cells, minlength=len(features)).tolist()
+    off = design.offsets.tolist()
+    rows = model.rows
+    normalizers = model.normalizers
+    # Rows are converted a group at a time: renormalize then frees each old
+    # row soon after its new values exist, instead of holding both at once.
+    for g in range(0, len(features), _ROW_GROUP):
+        end = min(g + _ROW_GROUP, len(features))
+        base = off[g]
+        words = design.words[base : off[end]].tolist()
+        values = cells[base : off[end]].tolist()
+        for r in range(g, end):
+            lo, hi = off[r] - base, off[r + 1] - base
+            rows[features[r]] = dict(zip(words[lo:hi], values[lo:hi]))
+            normalizers[features[r]] = norms[r]
+    model.cells = cells
 
 
 def materialize(counts: "CountStore", adj: "AdjustmentModel", vocab: Vocabulary) -> SnmModel:
     """Build the adjusted matrix M_fw = c(w|f) * exp(A(f,w)) with normalizers."""
-    theta = adj.theta
-    table_size = adj.table_size
-    mode = adj.mode
-    target_fps: dict[int, int] = {}
-    words = vocab.words
-    rows: dict[Feature, dict[int, float]] = {}
-    norms: dict[Feature, float] = {}
-    for f, crow in counts.rows.items():
-        identity = render_feature(f, vocab)
-        hasher = LinkHasher(identity, feature_type(f), counts.feature_counts[f], mode)
-        row, total = _adjusted_row(
-            crow, counts.feature_counts[f], hasher, theta, table_size,
-            target_fps, words, identity,
-        )
-        rows[f] = row
-        norms[f] = total
-    return SnmModel(rows, norms, len(vocab))
+    model = SnmModel({}, {}, len(vocab))
+    model.design = LinkDesign.build(counts, adj.mode, adj.table_size, vocab)
+    _fill(model, model.design, adj.theta)
+    return model
 
 
 def renormalize(
@@ -136,20 +150,7 @@ def renormalize(
     Produces exactly what materialize(counts, adj) would; rows are updated
     in place so existing references observe the refreshed model.
     """
-    theta = adj.theta
-    table_size = adj.table_size
-    mode = adj.mode
-    target_fps: dict[int, int] = {}
-    words = vocab.words
-    for f in model.rows:
-        identity = render_feature(f, vocab)
-        hasher = LinkHasher(identity, feature_type(f), counts.feature_counts[f], mode)
-        row, total = _adjusted_row(
-            counts.rows[f], counts.feature_counts[f], hasher, theta, table_size,
-            target_fps, words, identity,
-        )
-        model.rows[f] = row
-        model.normalizers[f] = total
+    _fill(model, design_of(model, adj, counts, vocab), adj.theta)
     return model
 
 
@@ -235,6 +236,7 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
     in_norms = False
     last_fs: str | None = None
     last_f: Feature | None = None
+    inf = math.inf
 
     def feature_of(fs: str) -> Feature:
         nonlocal last_fs, last_f
@@ -259,14 +261,24 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
                     vocab_size = int(line[len("#vocab-size "):])
                 continue
             parts = line.split("\t")
+            fields = 2 if in_norms else 3
+            if len(parts) != fields:
+                raise DataError(f"{path}:{lineno}: expected {fields} fields")
+            try:
+                value = float(parts[-1])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad value {parts[-1]!r}") from None
+            if not 0.0 <= value < inf:
+                raise DataError(
+                    f"{path}:{lineno}: value must be finite and non-negative, got {parts[-1]}"
+                )
             if in_norms:
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{lineno}: expected 2 fields")
-                norms[feature_of(parts[0])] = float(parts[1])
+                f = feature_of(parts[0])
+                if f not in rows:
+                    raise DataError(f"{path}:{lineno}: normalizer of {parts[0]!r} has no link rows")
+                norms[f] = value
             else:
-                if len(parts) != 3:
-                    raise DataError(f"{path}:{lineno}: expected 3 fields")
-                fs, ws, vs = parts
+                fs, ws, _ = parts
                 wid = vocab.index.get(ws)
                 if wid is None:
                     raise DataError(f"{path}:{lineno}: unknown word {ws!r}")
@@ -274,7 +286,7 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
                 row = rows.get(f)
                 if row is None:
                     row = rows[f] = {}
-                row[wid] = float(vs)
+                row[wid] = value
     missing = set(rows) - set(norms)
     if missing:
         raise DataError(f"{path}: {len(missing)} rows lack a normalizer entry")

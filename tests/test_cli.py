@@ -304,6 +304,47 @@ def test_eval_reports_hand_computed_ppl(pipeline, capsys):
     assert ppl == pytest.approx(expected, rel=1e-4)
 
 
+def _trained_model_lines(wd) -> list[str]:
+    assert main([
+        "train", "--counts", _p(wd / "counts.tsv"), "--dev", _p(wd / "dev.txt"),
+        "--config", _p(wd / "ngram.cfg"), "--vocab", _p(wd / "vocab.txt"),
+        "--epochs", "0", "--table-size", "1024",
+        "--adjustment-out", _p(wd / "adj.bin"), "--model-out", _p(wd / "model.tsv"),
+    ]) == 0
+    return (wd / "model.tsv").read_text(encoding="utf-8").splitlines()
+
+
+def _eval_model(wd) -> int:
+    return main([
+        "eval", "--model", _p(wd / "model.tsv"), "--test", _p(wd / "test.txt"),
+        "--config", _p(wd / "ngram.cfg"), "--vocab", _p(wd / "vocab.txt"),
+    ])
+
+
+def test_eval_rejects_nan_normalizer(pipeline, capsys):
+    wd = pipeline
+    lines = _trained_model_lines(wd)
+    lineno = lines.index("#normalizers") + 2
+    feature = lines[lineno - 1].split("\t")[0]
+    lines[lineno - 1] = f"{feature}\tnan"
+    (wd / "model.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert _eval_model(wd) == 2
+    captured = capsys.readouterr()
+    assert f"model.tsv:{lineno}:" in captured.err
+    assert "ppl" not in captured.out
+
+
+def test_eval_rejects_normalizer_without_link_rows(pipeline, capsys):
+    wd = pipeline
+    lines = _trained_model_lines(wd) + ["[hot tea]\t1.0"]
+    (wd / "model.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert _eval_model(wd) == 2
+    err = capsys.readouterr().err
+    assert f"model.tsv:{len(lines)}:" in err and "no link rows" in err
+
+
 def test_eval_tagged_model_without_tags_exits_2(workdir, capsys):
     wd = workdir
     (wd / "dev.txt").write_text("green tea is cold\n", encoding="utf-8")
