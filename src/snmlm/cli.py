@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .adjustment import AdjustmentModel, train
 from .corpus import TaggedCorpus, Vocabulary, build_vocab, iter_file_tokens
-from .counts import CountStore
+from .counts import CountStore, accumulate
 from .errors import SnmError
 from .extraction import (
     Event,
@@ -109,6 +109,14 @@ def _corpus_events(
     return events
 
 
+def _training_events(paths, tags, vocab: Vocabulary, config: ExtractorConfig):
+    """Stream the events of each training file, with its corpus tag."""
+    for path, tag in zip(paths, tags):
+        corpus = TaggedCorpus.from_file(path, vocab, tag)
+        for sent in corpus.sentences:
+            yield from extract_events(sent, config, tag=tag or None)
+
+
 def _check_tag_consistency(features, tags, source: str) -> None:
     """Tagged rows need --tag for expansion; untagged rows must not get one."""
     has_tagged = any(f.tag is not None for f in features)
@@ -138,12 +146,7 @@ def cmd_count(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     config = load_config(args.config)
     tags = _resolve_tags(args.corpus, args.tag)
-    store = CountStore()
-    for path, tag in zip(args.corpus, tags):
-        corpus = TaggedCorpus.from_file(path, vocab, tag)
-        for sent in corpus.sentences:
-            for e in extract_events(sent, config, tag=tag or None):
-                store.add_event(e)
+    store = accumulate(_training_events(args.corpus, tags, vocab, config))
     store.save(args.output, vocab)
     print(
         f"counts: {len(store)} features, {store.num_links} links, "

@@ -31,7 +31,7 @@ and must not occur as corpus words if feature files are to be re-parsed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import E_ID, S_ID, Vocabulary
@@ -66,6 +66,11 @@ class SkipConfig:
 class ExtractorConfig:
     ngram: NgramConfig | None
     skip: tuple[SkipConfig, ...]
+    # Per-position extraction plan, derived from the fields above (_compile_plan).
+    _plan: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_plan", _compile_plan(self))
 
 
 class Feature(NamedTuple):
@@ -233,6 +238,43 @@ def load_config(path) -> ExtractorConfig:
 # ---------------------------------------------------------------------------
 # Event extraction
 
+def _skip_templates(blk: SkipConfig):
+    """(offset, r, a, skip_len) of every pattern of one block, in emission order.
+
+    A pattern ending right before target position k starts at k - offset,
+    with offset = r + s + a: r remote words, then a gap of s, then a
+    adjacent words.
+    """
+    for a in range(1, blk.max_context_words - blk.min_remote_words + 1):
+        for s in range(blk.min_skip_length, blk.max_skip_length + 1):
+            skip_len = None if blk.tie_skip_length else s
+            r_hi = min(blk.max_remote_words, blk.max_context_words - a)
+            for r in range(blk.min_remote_words, r_hi + 1):
+                yield r + s + a, r, a, skip_len
+
+
+def _compile_plan(config: ExtractorConfig):
+    """Per target position: the n-gram orders and skip templates that fit.
+
+    ``plan[k]`` holds the n-gram orders in [min_n, max_n] that fit in the k
+    tokens before position k, and the skip templates whose whole pattern
+    does, in emission order; positions at or past the longest context share
+    the last entry. The plan depends on the config alone. The second value
+    says whether skip features need de-duplicating: features of one untied
+    block differ in (r, s, a), so only tied skip lengths or several blocks
+    can emit the same feature twice.
+    """
+    lo, hi = (config.ngram.min_n, config.ngram.max_n) if config.ngram else (0, -1)
+    templates = [t for blk in config.skip for t in _skip_templates(blk)]
+    span = max([hi, *(t[0] for t in templates)])
+    plan = tuple(
+        (tuple(range(lo, min(hi, k) + 1)), tuple(t for t in templates if t[0] <= k))
+        for k in range(max(span, 0) + 1)
+    )
+    dedup = len(config.skip) > 1 or any(b.tie_skip_length for b in config.skip)
+    return plan, dedup
+
+
 def extract_events(
     sentence: Sequence[int],
     config: ExtractorConfig,
@@ -241,54 +283,39 @@ def extract_events(
     """One event per position past <S>; <S> itself is never a target.
 
     N-gram features of every order in [min_n, max_n] that fits in the left
-    context are emitted (order 0 is the empty feature). Skip-gram features
-    are emitted for every (r, s, a) tuple admitted by some block, with the
-    whole pattern inside the framed sentence. Duplicate features within an
-    event (e.g. tied skips coinciding) are kept once, in first-seen order.
+    context are emitted first, shortest first (order 0 is the empty
+    feature). Skip-gram features follow, per block in config order, for
+    every (a, s, r) tuple the block admits with the whole pattern inside
+    the framed sentence. Orders and skip templates per position come from
+    the plan compiled with the config (`_compile_plan`). Duplicate skip
+    features within an event (tied skip lengths coinciding, or blocks
+    overlapping) are kept once, in first-seen order; n-gram features are
+    distinct by construction.
     """
-    if (
-        len(sentence) < 2
-        or sentence[0] != S_ID
-        or sentence[-1] != E_ID
-        or S_ID in sentence[1:]
-    ):
+    sent = tuple(sentence)
+    if len(sent) < 2 or sent[0] != S_ID or sent[-1] != E_ID or S_ID in sent[1:]:
         raise DataError("sentence must be framed by <S> ... </S>")
 
-    ngram = config.ngram
+    new = tuple.__new__
+    plan, dedup = config._plan
+    last = len(plan) - 1
     events = []
-    for k in range(1, len(sentence)):
-        feats: list[Feature] = []
-        if ngram is not None:
-            for n in range(ngram.min_n, min(ngram.max_n, k) + 1):
-                feats.append(Feature(tuple(sentence[k - n : k]), tag=tag))
-        for blk in config.skip:
-            a_hi = blk.max_context_words - blk.min_remote_words
-            for a in range(1, a_hi + 1):
-                adjacent = tuple(sentence[k - a : k])
-                for s in range(blk.min_skip_length, blk.max_skip_length + 1):
-                    r_hi = min(
-                        blk.max_remote_words,
-                        blk.max_context_words - a,
-                        k - a - s,
-                    )
-                    skip_len = None if blk.tie_skip_length else s
-                    for r in range(blk.min_remote_words, r_hi + 1):
-                        start = k - a - s - r
-                        feats.append(
-                            Feature(
-                                tuple(sentence[start : start + r]) + adjacent,
-                                skip_pos=r,
-                                skip_len=skip_len,
-                                tag=tag,
-                            )
-                        )
-        feats = list(dict.fromkeys(feats))
+    append = events.append
+    for k in range(1, len(sent)):
+        orders, templates = plan[k if k < last else last]
+        feats = [new(Feature, (sent[k - n : k], None, None, tag)) for n in orders]
+        if templates:
+            skips = [
+                new(Feature, (sent[k - o : k - o + r] + sent[k - a : k], r, s, tag))
+                for o, r, a, s in templates
+            ]
+            feats.extend(dict.fromkeys(skips) if dedup else skips)
         if not feats:
             raise DataError(
                 f"no features for target at position {k}; "
                 "configure an n-gram block with min_n: 0 for full coverage"
             )
-        events.append(Event(features=tuple(feats), target=sentence[k]))
+        append(new(Event, (tuple(feats), sent[k])))
     return events
 
 
@@ -303,8 +330,11 @@ def expand_tags(event: Event, all_tags: Sequence[str]) -> Event:
     for f in event.features:
         if f.tag is not None:
             raise DataError("expand_tags expects untagged features")
+    new = tuple.__new__
     expanded = tuple(
-        f._replace(tag=tag) for f in event.features for tag in all_tags
+        new(Feature, (f.words, f.skip_pos, f.skip_len, tag))
+        for f in event.features
+        for tag in all_tags
     )
     return Event(features=tuple(dict.fromkeys(expanded)), target=event.target)
 

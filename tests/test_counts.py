@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,3 +231,15 @@ def test_merge_files_equals_single_pass(tmp_path):
     merge_files([p1, p2], pm)
     single.save(ps, vocab)
     assert pm.read_bytes() == ps.read_bytes()
+
+
+def test_merge_files_rejects_unsorted_input(tmp_path):
+    # Unchecked, this input merged to [a] b 1, [b] c 1, [a] b 5: one link
+    # split across two lines of an out-of-order file.
+    p1, p2, out = tmp_path / "s1.tsv", tmp_path / "s2.tsv", tmp_path / "merged.tsv"
+    p1.write_text(
+        f"{COUNTS_HEADER}\n#total-events 6\n[b]\tc\t1\n[a]\tb\t5\n", encoding="utf-8"
+    )
+    p2.write_text(f"{COUNTS_HEADER}\n#total-events 1\n[a]\tb\t1\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{p1}:4: rows out of order")):
+        merge_files([p1, p2], out)
