@@ -144,9 +144,11 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_count(args) -> int:
     vocab = Vocabulary.load(args.vocab)
-    config = load_config(args.config)
     tags = _resolve_tags(args.corpus, args.tag)
-    store = accumulate(_training_events(args.corpus, tags, vocab, config))
+    # The config, and with it the features it interned, lives only as long as
+    # the event stream: its tables are freed before the save's peak.
+    events = _training_events(args.corpus, tags, vocab, load_config(args.config))
+    store = accumulate(events)
     store.save(args.output, vocab)
     print(
         f"counts: {len(store)} features, {store.num_links} links, "
@@ -289,13 +291,6 @@ def cmd_inspect(args) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="snmlm", description=__doc__)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="upper bound on worker threads; current stages run with one "
-        "worker so that outputs stay bit-reproducible",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-vocab", help="build a vocabulary from corpus files")
@@ -369,8 +364,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

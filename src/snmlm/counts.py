@@ -8,6 +8,7 @@ can be combined with a sequential merge join.
 from __future__ import annotations
 
 import heapq
+import os
 from typing import Iterable, Iterator
 
 from .corpus import Vocabulary
@@ -128,7 +129,7 @@ class CountStore:
                 fh.write(f"{fs}\t{ws}\t{c}\n")
 
     @classmethod
-    def load(cls, path, vocab: Vocabulary, verify_sorted: bool = True) -> "CountStore":
+    def load(cls, path, vocab: Vocabulary) -> "CountStore":
         store = cls()
         last_fs: str | None = None
         last_f: Feature | None = None
@@ -146,11 +147,10 @@ class CountStore:
                         store.total_events = int(line[len(_TOTAL_PREFIX):])
                     continue
                 fs, ws, c = _parse_count_line(path, lineno, line)
-                if verify_sorted:
-                    key = (fs, ws)
-                    if prev_key is not None and key <= prev_key:
-                        raise DataError(f"{path}:{lineno}: rows out of order")
-                    prev_key = key
+                key = (fs, ws)
+                if prev_key is not None and key <= prev_key:
+                    raise DataError(f"{path}:{lineno}: rows out of order")
+                prev_key = key
                 wid = vocab.index.get(ws)
                 if wid is None:
                     raise DataError(f"{path}:{lineno}: unknown word {ws!r}")
@@ -258,7 +258,9 @@ def merge_files(paths, out_path) -> None:
     """Merge sorted count files into one, summing duplicate links.
 
     A sequential merge join over the inputs: memory use is bounded by the
-    number of files, not their size.
+    number of files, not their size. Rows go to a temporary file next to
+    `out_path` that replaces it only after the last row, so an input rejected
+    part way leaves no partial output and any earlier file as it was.
     """
     streams = []
     grand_total = 0
@@ -266,17 +268,24 @@ def merge_files(paths, out_path) -> None:
         total, gen = _entry_stream(path)
         grand_total += total
         streams.append(gen)
-    with open(out_path, "w", encoding="utf-8") as out:
-        out.write(COUNTS_HEADER + "\n")
-        out.write(f"{_TOTAL_PREFIX}{grand_total}\n")
-        current_key: tuple[str, str] | None = None
-        current = 0
-        for key, c in heapq.merge(*streams):
-            if key == current_key:
-                current += c
-            else:
-                if current_key is not None:
-                    out.write(f"{current_key[0]}\t{current_key[1]}\t{current}\n")
-                current_key, current = key, c
-        if current_key is not None:
-            out.write(f"{current_key[0]}\t{current_key[1]}\t{current}\n")
+    tmp_path = f"{out_path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as out:
+            out.write(COUNTS_HEADER + "\n")
+            out.write(f"{_TOTAL_PREFIX}{grand_total}\n")
+            current_key: tuple[str, str] | None = None
+            current = 0
+            for key, c in heapq.merge(*streams):
+                if key == current_key:
+                    current += c
+                else:
+                    if current_key is not None:
+                        out.write(f"{current_key[0]}\t{current_key[1]}\t{current}\n")
+                    current_key, current = key, c
+            if current_key is not None:
+                out.write(f"{current_key[0]}\t{current_key[1]}\t{current}\n")
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+        raise

@@ -68,9 +68,13 @@ class ExtractorConfig:
     skip: tuple[SkipConfig, ...]
     # Per-position extraction plan, derived from the fields above (_compile_plan).
     _plan: tuple = field(init=False, repr=False, compare=False)
+    # Per tag, the plan bound to that tag's feature tables (_bind_tables); it
+    # holds every distinct feature extracted with this config and that tag.
+    _tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_plan", _compile_plan(self))
+        object.__setattr__(self, "_tables", {})
 
 
 class Feature(NamedTuple):
@@ -275,6 +279,38 @@ def _compile_plan(config: ExtractorConfig):
     return plan, dedup
 
 
+class _FeatureTable(dict):
+    """Context words -> the one `Feature` with these words, skip shape and tag."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, skip_pos: int | None, skip_len: int | None, tag: str | None):
+        self.shape = (skip_pos, skip_len, tag)
+
+    def __missing__(self, words: tuple[int, ...]) -> Feature:
+        self[words] = f = tuple.__new__(Feature, (words,) + self.shape)
+        return f
+
+
+def _bind_tables(config: ExtractorConfig, tag: str | None):
+    """The n-gram table, the plan with skip tables bound, and the de-dup flag.
+
+    ``plan[k]`` becomes (orders, ((offset, r, a, table), ...)). All n-gram
+    orders share one table and each skip shape (r, skip_len) has its own, so
+    within a table the context words alone identify the feature: equal
+    features extracted with this config and tag are one object.
+    """
+    plan, dedup = config._plan
+    ngrams = _FeatureTable(None, None, tag)
+    # The last position's templates are all of them.
+    skips = {(r, s): _FeatureTable(r, s, tag) for _, r, _, s in plan[-1][1]}
+    bound = tuple(
+        (orders, tuple((o, r, a, skips[r, s]) for o, r, a, s in templates))
+        for orders, templates in plan
+    )
+    return ngrams, bound, dedup
+
+
 def extract_events(
     sentence: Sequence[int],
     config: ExtractorConfig,
@@ -291,25 +327,30 @@ def extract_events(
     features within an event (tied skip lengths coinciding, or blocks
     overlapping) are kept once, in first-seen order; n-gram features are
     distinct by construction.
+
+    Features are interned in tables owned by `config`, one set per tag
+    (`_bind_tables`): every call with the same config and tag returns the
+    same `Feature` object for equal features.
     """
     sent = tuple(sentence)
     if len(sent) < 2 or sent[0] != S_ID or sent[-1] != E_ID or S_ID in sent[1:]:
         raise DataError("sentence must be framed by <S> ... </S>")
 
+    tables = config._tables.get(tag)
+    if tables is None:
+        tables = config._tables[tag] = _bind_tables(config, tag)
+    ngrams, plan, dedup = tables
     new = tuple.__new__
-    plan, dedup = config._plan
     last = len(plan) - 1
     events = []
     append = events.append
     for k in range(1, len(sent)):
         orders, templates = plan[k if k < last else last]
-        feats = [new(Feature, (sent[k - n : k], None, None, tag)) for n in orders]
+        feats = [ngrams[sent[k - n : k]] for n in orders]
         if templates:
-            skips = [
-                new(Feature, (sent[k - o : k - o + r] + sent[k - a : k], r, s, tag))
-                for o, r, a, s in templates
-            ]
-            feats.extend(dict.fromkeys(skips) if dedup else skips)
+            skips = [tab[sent[k - o : k - o + r] + sent[k - a : k]] for o, r, a, tab in templates]
+            # Interned, so equal features are identical: de-duplicate by id.
+            feats.extend(dict(zip(map(id, skips), skips)).values() if dedup else skips)
         if not feats:
             raise DataError(
                 f"no features for target at position {k}; "

@@ -232,7 +232,6 @@ def save_model(model: SnmModel, path, vocab: Vocabulary) -> None:
 def load_model(path, vocab: Vocabulary) -> SnmModel:
     rows: dict[Feature, dict[int, float]] = {}
     norms: dict[Feature, float] = {}
-    vocab_size = len(vocab)
     in_norms = False
     last_fs: str | None = None
     last_f: Feature | None = None
@@ -258,7 +257,12 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
                 continue
             if line.startswith("#"):
                 if line.startswith("#vocab-size "):
-                    vocab_size = int(line[len("#vocab-size "):])
+                    size = line[len("#vocab-size "):]
+                    if size != str(len(vocab)):
+                        raise DataError(
+                            f"{path}:{lineno}: model was built with {size} words, "
+                            f"vocab has {len(vocab)}"
+                        )
                 continue
             parts = line.split("\t")
             fields = 2 if in_norms else 3
@@ -290,4 +294,4 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
     missing = set(rows) - set(norms)
     if missing:
         raise DataError(f"{path}: {len(missing)} rows lack a normalizer entry")
-    return SnmModel(rows, norms, vocab_size)
+    return SnmModel(rows, norms, len(vocab))

@@ -345,6 +345,19 @@ def test_eval_rejects_normalizer_without_link_rows(pipeline, capsys):
     assert f"model.tsv:{len(lines)}:" in err and "no link rows" in err
 
 
+def test_eval_rejects_vocab_of_another_size(pipeline, capsys):
+    wd = pipeline
+    _trained_model_lines(wd)
+    vocab = wd / "vocab.txt"
+    vocab.write_text(vocab.read_text(encoding="utf-8") + "extra\n", encoding="utf-8")
+    size = len(Vocabulary.load(vocab))
+    capsys.readouterr()
+    assert _eval_model(wd) == 2
+    captured = capsys.readouterr()
+    assert f"model.tsv:2: model was built with {size - 1} words, vocab has {size}" in captured.err
+    assert "ppl" not in captured.out
+
+
 def test_eval_tagged_model_without_tags_exits_2(workdir, capsys):
     wd = workdir
     (wd / "dev.txt").write_text("green tea is cold\n", encoding="utf-8")
@@ -441,15 +454,6 @@ def test_inspect_fox_link_decomposition(tmp_path, capsys):
     assert "3-gram" in out
     assert "[the quick brown] & fox" in out
     assert "count:2^1" in out
-
-
-def test_threads_flag_validates(workdir):
-    bad = main(["--threads", "0", "build-vocab", _p(workdir / "tiny.txt"),
-                "-o", _p(workdir / "v.txt")])
-    assert bad == 1
-    ok = main(["--threads", "4", "build-vocab", _p(workdir / "tiny.txt"),
-               "-o", _p(workdir / "v.txt")])
-    assert ok == 0
 
 
 # ---------------------------------------------------------------------------

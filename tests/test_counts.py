@@ -210,9 +210,6 @@ def test_load_with_verify_rejects_unsorted(tmp_path, abc_vocab):
     )
     with pytest.raises(DataError, match="out of order"):
         CountStore.load(path, abc_vocab)
-    loaded = CountStore.load(path, abc_vocab, verify_sorted=False)
-    assert loaded.total_events == 0
-    assert len(loaded) == 2
 
 
 def test_merge_files_equals_single_pass(tmp_path):
@@ -243,3 +240,14 @@ def test_merge_files_rejects_unsorted_input(tmp_path):
     p2.write_text(f"{COUNTS_HEADER}\n#total-events 1\n[a]\tb\t1\n", encoding="utf-8")
     with pytest.raises(DataError, match=re.escape(f"{p1}:4: rows out of order")):
         merge_files([p1, p2], out)
+    # The rows merged before the bad one are not left behind, not even in a
+    # temporary file.
+    assert sorted(tmp_path.iterdir()) == [p1, p2]
+
+    # An earlier output keeps its bytes.
+    previous = f"{COUNTS_HEADER}\n#total-events 1\n[a]\tb\t1\n".encode()
+    out.write_bytes(previous)
+    with pytest.raises(DataError, match="rows out of order"):
+        merge_files([p1, p2], out)
+    assert out.read_bytes() == previous
+    assert sorted(tmp_path.iterdir()) == [out, p1, p2]

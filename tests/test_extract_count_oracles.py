@@ -106,22 +106,48 @@ sentences = st.lists(st.integers(3, 6), max_size=16).map(lambda ws: [S_ID, *ws, 
 tags = st.sampled_from([None, "web"])
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-@settings(max_examples=60, deadline=None)
-@given(sentence=sentences, tag=tags)
-def test_extract_events_equals_nested_loop_oracle(name, sentence, tag):
-    config = parse_config(CONFIGS[name])
+def _extract_like_oracle(sentence, config, tag):
+    """The library's events, after checking them against the oracle's.
+
+    None when both raise the same `DataError`.
+    """
     try:
         expected = oracle_extract_events(sentence, config, tag)
     except DataError as exc:
         with pytest.raises(DataError) as got:
             extract_events(sentence, config, tag)
         assert str(got.value) == str(exc)
-        return
+        return None
     events = extract_events(sentence, config, tag)
     assert events == expected
     # repr also compares the types: Event/Feature, tuple words, int targets.
     assert repr(events) == repr(expected)
+    return events
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@settings(max_examples=60, deadline=None)
+@given(corpus=st.lists(st.tuples(sentences, tags), min_size=1, max_size=4))
+def test_extract_events_equals_nested_loop_oracle(name, corpus):
+    config, other = parse_config(CONFIGS[name]), parse_config(CONFIGS[name])
+    events, events_other = [], []
+    for sentence, tag in corpus:
+        got = _extract_like_oracle(sentence, config, tag)
+        if got is not None:
+            assert all(f.tag == tag for e in got for f in e.features)
+            events += got
+            events_other += extract_events(sentence, other, tag)
+    assert events_other == events
+    # Interned: equal features across events and sentences are one object.
+    canonical: dict[Feature, Feature] = {}
+    for e in events:
+        for f in e.features:
+            assert canonical.setdefault(f, f) is f
+    # Another config, even one parsed from the same text, shares no object.
+    mine = {id(f) for f in canonical}
+    assert not any(id(f) in mine for e in events_other for f in e.features)
+    # accumulate keeps the events' own objects as its row keys.
+    assert {id(f) for f in accumulate(events).rows} == mine
 
 
 @pytest.mark.parametrize("name", ["tied", "overlapping-untied", "overlapping-tied"])
