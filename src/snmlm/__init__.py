@@ -11,7 +11,6 @@ from .adjustment import (
     AdjustmentModel,
     BatchAccumulator,
     EpochStats,
-    event_link_gradient,
     process_batch,
     train,
 )
@@ -20,7 +19,6 @@ from .corpus import (
     Vocabulary,
     build_vocab,
     map_tokens,
-    oov_rate,
 )
 from .counts import CountStore, accumulate, merge_files
 from .errors import ConfigError, DataError, SnmError
@@ -40,7 +38,6 @@ from .metafeatures import (
     buckets,
     compute_metafeatures,
     explain_metafeatures,
-    hash_index,
 )
 from .model import (
     EvalReport,

@@ -20,6 +20,7 @@ after every batch instead.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -30,10 +31,12 @@ from .corpus import Vocabulary
 from .counts import CountStore
 from .errors import DataError
 from .extraction import Event, Feature
-from .metafeatures import Mode, compute_metafeatures
+from .metafeatures import Mode
 from .model import SnmModel, design_of, materialize, perplexity, renormalize
 
 _ADJ_MAGIC = b"SNMADJ\x01"
+# table size, gamma, delta0, mode code, hash scheme id
+_ADJ_HEADER = struct.Struct("<QddBB")
 _HASH_SCHEME_ID = 1
 _MODE_CODES = {Mode.FULL: 0, Mode.FEATURE_ONLY: 1, Mode.UNLEXICALIZED: 2}
 _MODE_FROM_CODE = {v: k for k, v in _MODE_CODES.items()}
@@ -77,30 +80,12 @@ class AdjustmentModel:
     def nonzero_params(self) -> int:
         return int(np.count_nonzero(self.theta))
 
-    def link_weights(
-        self, f: Feature, w: int, counts: CountStore, vocab: Vocabulary
-    ) -> list[tuple[int, float]]:
-        """(table index, weight) pairs of the link's meta-features."""
-        mfs = compute_metafeatures(
-            f, w, counts.feature_count(f), counts.link_count(f, w), self.mode, vocab
-        )
-        size = self.table_size
-        return [(mf.hash % size, mf.weight) for mf in mfs]
-
-    def adjust(self, f: Feature, w: int, counts: CountStore, vocab: Vocabulary) -> float:
-        """A(f,w): weighted sum of the link's hashed meta-feature weights."""
-        theta = self.theta
-        return float(
-            sum(theta[k] * wt for k, wt in self.link_weights(f, w, counts, vocab))
-        )
-
     def save(self, path) -> None:
         """Header (table size, gamma, delta0, mode, hash scheme) + weights."""
         with open(path, "wb") as fh:
             fh.write(_ADJ_MAGIC)
             fh.write(
-                struct.pack(
-                    "<QddBB",
+                _ADJ_HEADER.pack(
                     self.table_size,
                     self.gamma,
                     self.delta0,
@@ -116,33 +101,31 @@ class AdjustmentModel:
             magic = fh.read(len(_ADJ_MAGIC))
             if magic != _ADJ_MAGIC:
                 raise DataError(f"{path}: not an adjustment file (bad magic)")
-            table_size, gamma, delta0, mode_code, scheme = struct.unpack(
-                "<QddBB", fh.read(struct.calcsize("<QddBB"))
-            )
+            header = fh.read(_ADJ_HEADER.size)
+            if len(header) != _ADJ_HEADER.size:
+                raise DataError(f"{path}: truncated header")
+            table_size, gamma, delta0, mode_code, scheme = _ADJ_HEADER.unpack(header)
             if scheme != _HASH_SCHEME_ID:
                 raise DataError(f"{path}: unsupported hash scheme {scheme}")
             if mode_code not in _MODE_FROM_CODE:
                 raise DataError(f"{path}: unknown meta-feature mode {mode_code}")
+            if table_size < 1:
+                raise DataError(f"{path}: table size must be >= 1, got {table_size}")
+            if not (0.0 < gamma < math.inf and 0.0 < delta0 < math.inf):
+                raise DataError(
+                    f"{path}: gamma and delta0 must be finite and positive, got {gamma}, {delta0}"
+                )
             data = fh.read()
         expected = table_size * 8
         if len(data) != expected:
             raise DataError(f"{path}: truncated weight vector")
+        theta = np.frombuffer(data, dtype="<f8").astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(theta))
+        if len(bad):
+            raise DataError(f"{path}: non-finite weight {theta[bad[0]]} in slot {bad[0]}")
         adj = cls(table_size, gamma=gamma, delta0=delta0, mode=_MODE_FROM_CODE[mode_code])
-        adj.theta = np.frombuffer(data, dtype="<f8").astype(np.float64)
+        adj.theta = theta
         return adj
-
-
-def event_link_gradient(
-    event: Event, f: Feature, w: int, model: SnmModel, y_t: float, y: float
-) -> float:
-    """d log P(e) / d A_fw for one event and one link of the matrix."""
-    if f not in event.features:
-        return 0.0
-    m_fw = model.rows[f].get(w, 0.0)
-    if m_fw == 0.0:
-        return 0.0
-    indicator = 1.0 if w == event.target else 0.0
-    return m_fw * (indicator / y_t - 1.0 / y)
 
 
 class BatchAccumulator:
@@ -194,19 +177,16 @@ class BatchAccumulator:
 
 
 def batch_theta_gradient(
-    acc: BatchAccumulator,
-    model: SnmModel,
-    adj: AdjustmentModel,
-    counts: CountStore,
-    vocab: Vocabulary,
+    acc: BatchAccumulator, model: SnmModel, adj: AdjustmentModel
 ) -> dict[int, float]:
     """Ascent gradient of the batch log-likelihood w.r.t. the weight table.
 
     Covers every stored link of every feature encountered in the batch, as
     the alpha term applies to whole rows, not just links seen as targets,
-    and no link of any other row.
+    and no link of any other row. The model must come from `materialize`
+    under `adj`'s mode and table size (see `design_of`).
     """
-    design = design_of(model, adj, counts, vocab)
+    design = design_of(model, adj)
     alpha = acc.alpha
     if not alpha:
         return {}
@@ -240,11 +220,7 @@ def apply_adagrad(adj: AdjustmentModel, grads: dict[int, float]) -> None:
 
 
 def process_batch(
-    events: Sequence[Event],
-    model: SnmModel,
-    adj: AdjustmentModel,
-    counts: CountStore,
-    vocab: Vocabulary,
+    events: Sequence[Event], model: SnmModel, adj: AdjustmentModel
 ) -> BatchAccumulator:
     """Accumulate one mini-batch and apply its weight update."""
     if not events:
@@ -252,7 +228,7 @@ def process_batch(
     acc = BatchAccumulator()
     for e in events:
         acc.add_event(e, model)
-    grads = batch_theta_gradient(acc, model, adj, counts, vocab)
+    grads = batch_theta_gradient(acc, model, adj)
     apply_adagrad(adj, grads)
     return acc
 
@@ -303,15 +279,15 @@ def train(
     batch_size = adj.batch_size
     for epoch in range(1, epochs + 1):
         for i in range(0, len(dev_events), batch_size):
-            process_batch(dev_events[i : i + batch_size], model, adj, counts, vocab)
+            process_batch(dev_events[i : i + batch_size], model, adj)
             if renorm_each_batch:
-                renormalize(model, adj, counts, vocab)
+                renormalize(model, adj)
         if not renorm_each_batch:
-            renormalize(model, adj, counts, vocab)
+            renormalize(model, adj)
         history.append(stats(epoch))
         if log:
             log(history[-1].format())
-    # The design is training state, over 100 bytes per link, and holds the
-    # count store; the trained model scores without it.
+    # The design is training state, over 100 bytes per link; the trained
+    # model scores without it.
     model.design = model.cells = None
     return history, model

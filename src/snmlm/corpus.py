@@ -33,9 +33,9 @@ class Vocabulary:
     builds over the same data produce identical id assignments.
     """
 
-    __slots__ = ("words", "index", "min_count")
+    __slots__ = ("words", "index")
 
-    def __init__(self, words: Sequence[str], min_count: int | None = None):
+    def __init__(self, words: Sequence[str]):
         words = list(words)
         if tuple(words[:3]) != SPECIAL_TOKENS:
             raise DataError(
@@ -49,20 +49,9 @@ class Vocabulary:
             index[w] = i
         self.words = words
         self.index = index
-        self.min_count = min_count
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
-    def id(self, token: str) -> int:
-        """Id of `token`, falling back to the <UNK> id."""
-        return self.index.get(token, UNK_ID)
-
-    def word(self, wid: int) -> str:
-        return self.words[wid]
 
     def save(self, path) -> None:
         """One token per line; the line number is the id."""
@@ -89,7 +78,7 @@ def build_vocab(tokens: Iterable[str], min_count: int = 1) -> Vocabulary:
     for special in SPECIAL_TOKENS:
         counts.pop(special, None)
     kept = sorted(w for w, c in counts.items() if c >= min_count)
-    return Vocabulary(list(SPECIAL_TOKENS) + kept, min_count=min_count)
+    return Vocabulary(list(SPECIAL_TOKENS) + kept)
 
 
 def map_tokens(raw_sentence: Sequence[str], vocab: Vocabulary) -> list[int]:
@@ -138,19 +127,3 @@ def iter_file_tokens(paths: Iterable) -> Iterator[str]:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 yield from line.split()
-
-
-def oov_rate(sentences: Iterable[Sequence[int]]) -> float:
-    """Fraction of predicted positions mapped to <UNK>.
-
-    Predicted positions are everything after <S>, including the
-    end-of-sentence marker, matching perplexity accounting.
-    """
-    unk = 0
-    total = 0
-    for sent in sentences:
-        for wid in sent[1:]:
-            total += 1
-            if wid == UNK_ID:
-                unk += 1
-    return unk / total if total else 0.0

@@ -1,14 +1,16 @@
-"""Link and feature count accumulation, relative frequencies, count files.
+"""Link and feature count accumulation and count files.
 
-Counts are exact integers; relative frequencies are computed on demand.
-Count tables persist as sorted TSV so that independently produced shards
-can be combined with a sequential merge join.
+Counts are exact integers; the link design (`snmlm.design`) turns them
+into relative frequencies once per training run. Count tables persist as
+sorted TSV so that independently produced shards can be combined with a
+sequential merge join.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+from contextlib import closing
 from typing import Iterable, Iterator
 
 from .corpus import Vocabulary
@@ -53,31 +55,6 @@ class CountStore:
             row[target] = row.get(target, 0) + 1
             fcounts[f] = fcounts.get(f, 0) + 1
 
-    def link_count(self, f: Feature, w: int) -> int:
-        row = self.rows.get(f)
-        return row.get(w, 0) if row else 0
-
-    def feature_count(self, f: Feature) -> int:
-        return self.feature_counts.get(f, 0)
-
-    def rel_freq(self, f: Feature, w: int) -> float:
-        """c(w|f) = C_fw / C_f*; zero for an absent link."""
-        total = self.feature_counts.get(f)
-        if not total:
-            raise DataError(f"unknown feature {f!r}")
-        return self.rows[f].get(w, 0) / total
-
-    def merge(self, other: "CountStore") -> None:
-        """Add another store's counts into this one."""
-        for f, row in other.rows.items():
-            mine = self.rows.get(f)
-            if mine is None:
-                mine = self.rows[f] = {}
-            for w, c in row.items():
-                mine[w] = mine.get(w, 0) + c
-            self.feature_counts[f] = self.feature_counts.get(f, 0) + other.feature_counts[f]
-        self.total_events += other.total_events
-
     def intersect(self, keep: Iterable[Feature]) -> "CountStore":
         """Sub-store with the full rows of the given features.
 
@@ -107,12 +84,6 @@ class CountStore:
         out.total_events = self.total_events
         return out
 
-    def check_consistency(self) -> None:
-        """Assert the exact row-sum identity; used by tests."""
-        for f, row in self.rows.items():
-            assert self.feature_counts[f] == sum(row.values()), f
-            assert all(c >= 1 for c in row.values()), f
-
     # -- persistence ------------------------------------------------------
 
     def save(self, path, vocab: Vocabulary) -> None:
@@ -131,37 +102,26 @@ class CountStore:
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "CountStore":
         store = cls()
+        rows = store.rows
+        index = vocab.index
         last_fs: str | None = None
-        last_f: Feature | None = None
-        prev_key: tuple[str, str] | None = None
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != COUNTS_HEADER:
-                raise DataError(f"{path}: not a count file (bad header)")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    if line.startswith(_TOTAL_PREFIX):
-                        store.total_events = int(line[len(_TOTAL_PREFIX):])
-                    continue
-                fs, ws, c = _parse_count_line(path, lineno, line)
-                key = (fs, ws)
-                if prev_key is not None and key <= prev_key:
-                    raise DataError(f"{path}:{lineno}: rows out of order")
-                prev_key = key
-                wid = vocab.index.get(ws)
+        row: dict[int, int] = {}
+        with closing(_entry_stream(path)) as entries:
+            store.total_events = next(entries)
+            for fs, ws, c, lineno in entries:
+                wid = index.get(ws)
                 if wid is None:
                     raise DataError(f"{path}:{lineno}: unknown word {ws!r}")
                 if fs != last_fs:
                     last_fs = fs
-                    last_f = parse_feature(fs, vocab)
-                row = store.rows.get(last_f)
-                if row is None:
-                    row = store.rows[last_f] = {}
+                    f = parse_feature(fs, vocab)
+                    row = rows.get(f)
+                    if row is None:
+                        row = rows[f] = {}
                 row[wid] = row.get(wid, 0) + c
-                store.feature_counts[last_f] = store.feature_counts.get(last_f, 0) + c
+        fcounts = store.feature_counts = dict.fromkeys(rows)
+        for f, row in rows.items():
+            fcounts[f] = sum(row.values())
         return store
 
 
@@ -206,52 +166,49 @@ def _parse_count_line(path, lineno: int, line: str) -> tuple[str, str, int]:
     return fs, ws, c
 
 
-def _entry_stream(path) -> tuple[int, Iterator[tuple[tuple[str, str], int]]]:
-    """The file's event total, and its (feature, word) keys with counts.
+def _entry_stream(path) -> Iterator:
+    """The count file's event total, then its rows as (feature, word, count, line).
 
-    Keys must be strictly increasing, as `CountStore.save` writes them; an
-    out-of-order key raises `DataError` when the stream reaches it.
+    The total comes from the one `#total-events` line, which must precede
+    the first row (0 when there is none). Rows must be strictly increasing
+    by (feature, word), as `CountStore.save` writes them. A violation raises
+    `DataError` with the file and line when the stream reaches it. The file
+    is opened on the first `next` and closed when the stream ends or is
+    closed.
     """
-    fh = open(path, encoding="utf-8")
-    header = fh.readline().rstrip("\n")
-    if header != COUNTS_HEADER:
-        fh.close()
-        raise DataError(f"{path}: not a count file (bad header)")
-    lines = enumerate(fh, start=2)
-    total = 0
-    first: tuple[tuple[str, str], int] | None = None
-    for lineno, line in lines:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith(_TOTAL_PREFIX):
-                total = int(line[len(_TOTAL_PREFIX):])
-            continue
-        fs, ws, c = _parse_count_line(path, lineno, line)
-        first = ((fs, ws), c)
-        break
-
-    def gen():
-        try:
-            if first is None:
-                return
-            yield first
-            prev_key = first[0]
-            for lineno, line in lines:
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                fs, ws, c = _parse_count_line(path, lineno, line)
-                key = (fs, ws)
-                if key <= prev_key:
-                    raise DataError(f"{path}:{lineno}: rows out of order")
-                prev_key = key
-                yield key, c
-        finally:
-            fh.close()
-
-    return total, gen()
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().rstrip("\n") != COUNTS_HEADER:
+            raise DataError(f"{path}: not a count file (bad header)")
+        total: int | None = None
+        prev: tuple[str, str] | None = None
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line[0] == "#":
+                if line.startswith(_TOTAL_PREFIX):
+                    if total is not None or prev is not None:
+                        raise DataError(
+                            f"{path}:{lineno}: #total-events must come once, before the first row"
+                        )
+                    text = line[len(_TOTAL_PREFIX):]
+                    try:
+                        total = int(text)
+                    except ValueError:
+                        total = -1
+                    if total < 0:
+                        raise DataError(f"{path}:{lineno}: bad event total {text!r}")
+                continue
+            fs, ws, c = _parse_count_line(path, lineno, line)
+            key = (fs, ws)
+            if prev is None:
+                yield total or 0
+            elif key <= prev:
+                raise DataError(f"{path}:{lineno}: rows out of order")
+            prev = key
+            yield fs, ws, c, lineno
+        if prev is None:
+            yield total or 0
 
 
 def merge_files(paths, out_path) -> None:
@@ -262,30 +219,29 @@ def merge_files(paths, out_path) -> None:
     `out_path` that replaces it only after the last row, so an input rejected
     part way leaves no partial output and any earlier file as it was.
     """
-    streams = []
-    grand_total = 0
-    for path in paths:
-        total, gen = _entry_stream(path)
-        grand_total += total
-        streams.append(gen)
+    streams = [_entry_stream(path) for path in paths]
     tmp_path = f"{out_path}.{os.getpid()}.tmp"
     try:
+        grand_total = sum(next(s) for s in streams)
         with open(tmp_path, "w", encoding="utf-8") as out:
             out.write(COUNTS_HEADER + "\n")
             out.write(f"{_TOTAL_PREFIX}{grand_total}\n")
-            current_key: tuple[str, str] | None = None
+            current_fs = current_ws = None
             current = 0
-            for key, c in heapq.merge(*streams):
-                if key == current_key:
+            for fs, ws, c, _ in heapq.merge(*streams):
+                if ws == current_ws and fs == current_fs:
                     current += c
                 else:
-                    if current_key is not None:
-                        out.write(f"{current_key[0]}\t{current_key[1]}\t{current}\n")
-                    current_key, current = key, c
-            if current_key is not None:
-                out.write(f"{current_key[0]}\t{current_key[1]}\t{current}\n")
+                    if current_fs is not None:
+                        out.write(f"{current_fs}\t{current_ws}\t{current}\n")
+                    current_fs, current_ws, current = fs, ws, c
+            if current_fs is not None:
+                out.write(f"{current_fs}\t{current_ws}\t{current}\n")
         os.replace(tmp_path, out_path)
     except BaseException:
         if os.path.exists(tmp_path):
             os.remove(tmp_path)
         raise
+    finally:
+        for s in streams:
+            s.close()

@@ -102,7 +102,7 @@ class LinkDesign:
     """
 
     __slots__ = (
-        "counts", "mode", "table_size", "vocab", "features", "row_index",
+        "mode", "table_size", "vocab", "features", "row_index",
         "offsets", "row", "words", "rel_freq", "slots",
         "_lcls", "_fcls", "_fw", "_lw", "_fsel", "_lsel", "_cols", "_dtype",
     )
@@ -114,7 +114,7 @@ class LinkDesign:
         if table_size < 1:
             raise ValueError(f"table_size must be >= 1, got {table_size}")
         d = cls()
-        d.counts, d.mode, d.table_size, d.vocab = counts, mode, table_size, vocab
+        d.mode, d.table_size, d.vocab = mode, table_size, vocab
         rows = counts.rows
         d.features = features = list(rows)
         n_rows = len(features)
@@ -192,10 +192,6 @@ class LinkDesign:
     def num_links(self) -> int:
         return len(self.row)
 
-    def fits(self, counts: "CountStore", mode: Mode, table_size: int) -> bool:
-        """Whether this design describes the given store under the given hashing."""
-        return self.counts is counts and self.mode is mode and self.table_size == table_size
-
     def weights(self, links) -> np.ndarray:
         """(columns x len(links)) meta-feature weights of the given links."""
         w = self._fw[self._fcls[self.row[links]]][:, self._fsel].T
@@ -267,17 +263,3 @@ class LinkDesign:
         if len(want) and (pos.max() >= len(have) or not np.array_equal(have[pos], want)):
             raise ValueError("link not among the given links")
         return pos
-
-    def gather(self, rows: dict[Feature, dict[int, float]]) -> np.ndarray:
-        """Per-link values of a dict-of-rows matrix, in design order (absent: 0)."""
-        words = self.words.tolist()
-        off = self.offsets.tolist()
-        return np.fromiter(
-            (
-                rows.get(f, {}).get(w, 0.0)
-                for r, f in enumerate(self.features)
-                for w in words[off[r] : off[r + 1]]
-            ),
-            dtype=np.float64,
-            count=self.num_links,
-        )

@@ -90,12 +90,6 @@ class Feature(NamedTuple):
     skip_len: int | None = None
     tag: str | None = None
 
-    @property
-    def kind(self) -> str:
-        if self.skip_pos is not None:
-            return "skipgram"
-        return "ngram" if self.words else "empty"
-
 
 class Event(NamedTuple):
     """One prediction instance: the target word and its feature set."""

@@ -97,14 +97,6 @@ def buckets(count: int) -> list[tuple[int, float]]:
     return [(lo, hi - ln), (hi, ln - lo)]
 
 
-def hash_index(mf: MetaFeature | int, table_size: int) -> int:
-    """Slot of a meta-feature in a weight table of the given size."""
-    if table_size < 1:
-        raise ValueError(f"table_size must be >= 1, got {table_size}")
-    h = mf.hash if isinstance(mf, MetaFeature) else mf
-    return h % table_size
-
-
 def feature_type(f: Feature) -> str:
     """Type descriptor: "3-gram", "skip-(1,2,3)", "skip-(1,*,3)", ...
 

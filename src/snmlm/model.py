@@ -42,7 +42,8 @@ class SnmModel:
     """Adjusted matrix rows plus per-feature normalizers.
 
     A materialized model also keeps its link design and the cells in design
-    order, which training reuses; a model read from a file has neither.
+    order, which training reuses; a model read from a file has neither and
+    cannot be trained on.
     """
 
     __slots__ = ("rows", "normalizers", "vocab_size", "design", "cells")
@@ -84,18 +85,20 @@ class EvalReport:
         return self.oov_targets / self.num_events
 
 
-def design_of(
-    model: SnmModel, adj: "AdjustmentModel", counts: "CountStore", vocab: Vocabulary
-) -> LinkDesign:
-    """The model's link design for these counts and hashing setup.
+def design_of(model: SnmModel, adj: "AdjustmentModel") -> LinkDesign:
+    """The link design `materialize` built for the model under `adj`'s hashing.
 
-    A model without one (or with one for other counts) gets a new design,
-    and its cells are read off its rows.
+    Raises ValueError for a model without one, such as a model read from a
+    file, or with one for another mode or table size.
     """
     design = model.design
-    if design is None or not design.fits(counts, adj.mode, adj.table_size):
-        design = model.design = LinkDesign.build(counts, adj.mode, adj.table_size, vocab)
-        model.cells = design.gather(model.rows)
+    if design is None:
+        raise ValueError("model has no link design: train only a model built by materialize")
+    if design.mode is not adj.mode or design.table_size != adj.table_size:
+        raise ValueError(
+            f"model's link design is for mode {design.mode.value} and {design.table_size} "
+            f"slots, not {adj.mode.value} and {adj.table_size}"
+        )
     return design
 
 
@@ -139,18 +142,13 @@ def materialize(counts: "CountStore", adj: "AdjustmentModel", vocab: Vocabulary)
     return model
 
 
-def renormalize(
-    model: SnmModel,
-    adj: "AdjustmentModel",
-    counts: "CountStore",
-    vocab: Vocabulary,
-) -> SnmModel:
+def renormalize(model: SnmModel, adj: "AdjustmentModel") -> SnmModel:
     """Recompute every stored M_fw from the current weights, then the row sums.
 
     Produces exactly what materialize(counts, adj) would; rows are updated
     in place so existing references observe the refreshed model.
     """
-    _fill(model, design_of(model, adj, counts, vocab), adj.theta)
+    _fill(model, design_of(model, adj), adj.theta)
     return model
 
 

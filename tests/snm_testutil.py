@@ -1,8 +1,8 @@
 """Shared builders for randomized test instances.
 
-Everything here is seeded and deterministic. The gradient oracles are
-written from the defining formulas, independent of the batch-trick code
-they are used to check.
+Everything here is seeded and deterministic. The per-link and gradient
+oracles are written from the defining formulas, independent of the link
+design and batch-trick code they are used to check.
 """
 
 from __future__ import annotations
@@ -81,6 +81,38 @@ def random_events(
 def random_theta(adj: AdjustmentModel, seed: int, scale: float = 0.3) -> None:
     rs = np.random.RandomState(seed)
     adj.theta = rs.normal(0.0, scale, adj.table_size)
+
+
+def link_weights(adj: AdjustmentModel, f: Feature, w: int, store: CountStore, vocab):
+    """(table slot, weight) pairs of the link's meta-features."""
+    mfs = compute_metafeatures(
+        f, w, store.feature_counts[f], store.rows[f][w], adj.mode, vocab
+    )
+    return [(mf.hash % adj.table_size, mf.weight) for mf in mfs]
+
+
+def adjust(adj: AdjustmentModel, f: Feature, w: int, store: CountStore, vocab) -> float:
+    """A(f,w): weighted sum of the link's hashed meta-feature weights."""
+    return float(sum(adj.theta[k] * wt for k, wt in link_weights(adj, f, w, store, vocab)))
+
+
+def event_link_gradient(event: Event, f: Feature, w: int, model, y_t: float, y: float) -> float:
+    """d log P(e) / d A_fw for one event and one link of the matrix."""
+    if f not in event.features:
+        return 0.0
+    m_fw = model.rows[f].get(w, 0.0)
+    if m_fw == 0.0:
+        return 0.0
+    indicator = 1.0 if w == event.target else 0.0
+    return m_fw * (indicator / y_t - 1.0 / y)
+
+
+def check_consistency(store: CountStore) -> None:
+    """Assert the exact row-sum identity and positive link counts."""
+    for f, row in store.rows.items():
+        assert store.feature_counts[f] == sum(row.values()), f
+        assert all(c >= 1 for c in row.values()), f
+    assert set(store.feature_counts) == set(store.rows)
 
 
 def naive_theta_gradient(events, model, adj, store, vocab) -> dict[int, float]:

@@ -73,7 +73,7 @@ def test_01_gradient_matches_finite_differences():
 
         acc = BatchAccumulator()
         acc.add_event(event, model)
-        analytic = batch_theta_gradient(acc, model, adj, store, vocab)
+        analytic = batch_theta_gradient(acc, model, adj)
 
         eps = 1e-5
         for k in rng.sample(sorted(analytic), min(4, len(analytic))):
@@ -119,7 +119,7 @@ def test_02_batch_trick_equals_naive_summation():
         acc = BatchAccumulator()
         for e in events:
             acc.add_event(e, model)
-        trick = batch_theta_gradient(acc, model, adj, store, vocab)
+        trick = batch_theta_gradient(acc, model, adj)
         naive = naive_theta_gradient(events, model, adj, store, vocab)
 
         for k in set(trick) | set(naive):
@@ -261,7 +261,7 @@ def test_05_probabilities_sum_to_one():
     adj = AdjustmentModel(8192)
     model = materialize(store, adj, vocab)
     random_theta(adj, seed=55, scale=0.4)
-    renormalize(model, adj, store, vocab)
+    renormalize(model, adj)
 
     events = random_events(rng, store, feats, 1000)
     worst = 0.0

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from snmlm.adjustment import (
     BatchAccumulator,
     apply_adagrad,
     batch_theta_gradient,
-    event_link_gradient,
     process_batch,
     train,
 )
@@ -23,7 +24,10 @@ from snmlm.model import materialize, perplexity, score_event
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
     MarkovChain,
+    adjust,
+    event_link_gradient,
     extract_corpus_events,
+    link_weights,
     make_vocab,
     naive_theta_gradient,
     random_events,
@@ -46,7 +50,7 @@ def test_zero_weights_give_zero_adjustment():
     adj = AdjustmentModel(512)
     for f in feats[:3]:
         for w in store.rows[f]:
-            assert adj.adjust(f, w, store, vocab) == 0.0
+            assert adjust(adj, f, w, store, vocab) == 0.0
 
 
 def test_single_weight_flows_through():
@@ -58,7 +62,7 @@ def test_single_weight_flows_through():
     target_mf = compute_metafeatures(f, b, 1, 1, Mode.FULL, vocab)[3]
     assert target_mf.weight == 1.0
     adj.theta[target_mf.hash % adj.table_size] = 0.5
-    assert adj.adjust(f, b, store, vocab) == pytest.approx(0.5)
+    assert adjust(adj, f, b, store, vocab) == pytest.approx(0.5)
 
 
 def test_bucket_split_count_contributes_weighted_sum():
@@ -70,7 +74,7 @@ def test_bucket_split_count_contributes_weighted_sum():
     a, b = vocab.index["a"], vocab.index["b"]
     f = Feature((a,))
     store = accumulate([_ev([f], b)] * 6 + [_ev([f], a)] * 10)
-    assert store.link_count(f, b) == 6 and store.feature_count(f) == 16
+    assert store.rows[f][b] == 6 and store.feature_counts[f] == 16
     adj = AdjustmentModel(1 << 22, mode=Mode.UNLEXICALIZED)
     (lo, w_lo), (hi, w_hi) = buckets(6)
     mfs = compute_metafeatures(f, b, 16, 6, Mode.UNLEXICALIZED, vocab)
@@ -82,7 +86,7 @@ def test_bucket_split_count_contributes_weighted_sum():
     adj.theta[k_lo] = 0.4
     adj.theta[k_hi] = -0.2
     expected = 0.4 * w_lo + (-0.2) * w_hi
-    assert adj.adjust(f, b, store, vocab) == pytest.approx(expected, rel=1e-12)
+    assert adjust(adj, f, b, store, vocab) == pytest.approx(expected, rel=1e-12)
 
 
 def test_weight_tying_under_unlexicalized_mode():
@@ -94,7 +98,7 @@ def test_weight_tying_under_unlexicalized_mode():
     adj = AdjustmentModel(4096, mode=Mode.UNLEXICALIZED)
     random_theta(adj, seed=31)
     values = {
-        adj.adjust(f, w, store, vocab)
+        adjust(adj, f, w, store, vocab)
         for f, w in [(f1, 5), (f1, 6), (f2, 7), (f2, 8)]
     }
     assert len(values) == 1
@@ -173,7 +177,7 @@ def test_batch_of_one_reduces_to_per_link_gradients():
 
     acc = BatchAccumulator()
     acc.add_event(e, model)
-    grads = batch_theta_gradient(acc, model, adj, store, vocab)
+    grads = batch_theta_gradient(acc, model, adj)
 
     expected: dict[int, float] = {}
     for f in e.features:
@@ -181,7 +185,7 @@ def test_batch_of_one_reduces_to_per_link_gradients():
             g = event_link_gradient(e, f, w, model, score.y_t, score.y)
             if g == 0.0:
                 continue
-            for k, wt in adj.link_weights(f, w, store, vocab):
+            for k, wt in link_weights(adj, f, w, store, vocab):
                 expected[k] = expected.get(k, 0.0) + g * wt
     keys = set(grads) | set(expected)
     for k in keys:
@@ -200,7 +204,7 @@ def test_batch_trick_equals_naive_summation():
     acc = BatchAccumulator()
     for e in events:
         acc.add_event(e, model)
-    trick = batch_theta_gradient(acc, model, adj, store, vocab)
+    trick = batch_theta_gradient(acc, model, adj)
     naive = naive_theta_gradient(events, model, adj, store, vocab)
     for k in set(trick) | set(naive):
         assert trick.get(k, 0.0) == pytest.approx(naive.get(k, 0.0), abs=1e-12)
@@ -262,7 +266,7 @@ def test_process_batch_rejects_empty():
     adj = AdjustmentModel(64)
     model = materialize(store, adj, vocab)
     with pytest.raises(DataError):
-        process_batch([], model, adj, store, vocab)
+        process_batch([], model, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +359,28 @@ def test_adjustment_load_rejects_garbage(tmp_path):
     path.write_bytes(b"not an adjustment model")
     with pytest.raises(DataError):
         AdjustmentModel.load(path)
+
+    good = tmp_path / "adj.bin"
+    AdjustmentModel(4, mode=Mode.FEATURE_ONLY).save(good)
+    data = good.read_bytes()
+    magic, header = 7, 26  # header: table size, gamma, delta0, mode, scheme
+    assert len(data) == magic + header + 4 * 8
+    nan_weight = bytearray(data)
+    nan_weight[-8:] = struct.pack("<d", math.nan)
+    zero_table = bytearray(data[: magic + header])
+    zero_table[magic : magic + 8] = struct.pack("<Q", 0)
+    nan_gamma = bytearray(data)
+    nan_gamma[magic + 8 : magic + 16] = struct.pack("<d", math.nan)
+    cases = {
+        "truncated header": data[: magic + header - 1],
+        "non-finite weight nan in slot 3": bytes(nan_weight),
+        "table size must be >= 1, got 0": bytes(zero_table),
+        "gamma and delta0 must be finite and positive, got nan, 1.0": bytes(nan_gamma),
+    }
+    for message, content in cases.items():
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            AdjustmentModel.load(path)
 
 
 def test_nonzero_param_count():

@@ -416,6 +416,19 @@ def test_inspect_unknown_feature_exits_0(pipeline, capsys):
     assert "not found" in capsys.readouterr().out
 
 
+def test_inspect_rejects_a_bad_total_events_line(pipeline, capsys):
+    wd = pipeline
+    bad = wd / "bad.tsv"
+    bad.write_text("#snm-counts v1\n#total-events x7\n[]\ttea\t1\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([
+        "inspect", "[]", "--counts", _p(bad), "--vocab", _p(wd / "vocab.txt"),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert "bad.tsv:2:" in captured.err
+    assert "C_f*" not in captured.out
+
+
 def test_inspect_link_shows_split_buckets(pipeline, capsys):
     # build a corpus where the inspected link count is 6
     wd = pipeline

@@ -4,6 +4,7 @@ import os
 import pytest
 from hypothesis import given, strategies as st
 
+from snmlm.adjustment import AdjustmentModel
 from snmlm.corpus import (
     E_ID,
     E_TOKEN,
@@ -14,9 +15,11 @@ from snmlm.corpus import (
     Vocabulary,
     build_vocab,
     map_tokens,
-    oov_rate,
 )
+from snmlm.counts import accumulate
 from snmlm.errors import DataError
+from snmlm.extraction import extract_events, parse_config
+from snmlm.model import materialize, perplexity
 
 
 def test_threshold_keeps_frequent_words():
@@ -96,12 +99,10 @@ def test_oov_rate_hand_count():
     # predicted positions are those 10 plus </S>, so the rate is 2/11
     vocab = build_vocab(["a", "b", "c"], min_count=1)
     raw = ["a", "b", "xx", "c", "a", "yy", "b", "c", "a", "b"]
-    sent = map_tokens(raw, vocab)
-    assert oov_rate([sent]) == pytest.approx(2 / 11)
-
-
-def test_oov_rate_empty_input_is_zero():
-    assert oov_rate([]) == 0.0
+    config = parse_config("ngram_extractor {\n  min_n: 0\n  max_n: 0\n}\n")
+    events = extract_events(map_tokens(raw, vocab), config)
+    model = materialize(accumulate(events), AdjustmentModel(16), vocab)
+    assert perplexity(model, events).oov_rate == pytest.approx(2 / 11)
 
 
 def test_vocab_roundtrip_bit_exact(tmp_path):

@@ -4,12 +4,16 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import snmlm.counts
+
+from snmlm.adjustment import AdjustmentModel
 from snmlm.corpus import build_vocab, map_tokens
 from snmlm.counts import COUNTS_HEADER, CountStore, accumulate, merge_files
 from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature, extract_events, parse_config
+from snmlm.model import materialize
 
-from snm_testutil import FIVE_GRAM_CONFIG, MarkovChain, extract_corpus_events
+from snm_testutil import FIVE_GRAM_CONFIG, MarkovChain, check_consistency, extract_corpus_events
 
 
 @pytest.fixture
@@ -27,11 +31,10 @@ def test_accumulate_direct_counts(abc_vocab):
     c = abc_vocab.index["c"]
     fa = Feature((a,))
     store = accumulate([_ev([fa], b), _ev([fa], b), _ev([fa], c)])
-    assert store.link_count(fa, b) == 2
-    assert store.link_count(fa, c) == 1
-    assert store.feature_count(fa) == 3
+    assert store.rows == {fa: {b: 2, c: 1}}
+    assert store.feature_counts == {fa: 3}
     assert store.total_events == 3
-    store.check_consistency()
+    check_consistency(store)
 
 
 def test_accumulate_empty_stream():
@@ -41,15 +44,16 @@ def test_accumulate_empty_stream():
 
 
 def test_rel_freq(abc_vocab):
+    # c(w|f) = C_fw / C_f* is the cell of the unadjusted model
     a = abc_vocab.index["a"]
     b = abc_vocab.index["b"]
     c = abc_vocab.index["c"]
     fa = Feature((a,))
     store = accumulate([_ev([fa], b), _ev([fa], b), _ev([fa], c)])
-    assert store.rel_freq(fa, b) == pytest.approx(2 / 3)
-    assert store.rel_freq(fa, a) == 0.0
-    with pytest.raises(DataError):
-        store.rel_freq(Feature((b,)), a)
+    model = materialize(store, AdjustmentModel(64), abc_vocab)
+    assert model.rows[fa][b] == pytest.approx(2 / 3)
+    assert a not in model.rows[fa]
+    assert Feature((b,)) not in model.rows
 
 
 def test_unigram_row_is_target_relative_frequency(abc_vocab):
@@ -60,9 +64,10 @@ def test_unigram_row_is_target_relative_frequency(abc_vocab):
     empty = Feature(())
     targets = [a] * 5 + [b] * 3 + [c] * 2
     store = accumulate([_ev([empty], t) for t in targets])
-    assert store.rel_freq(empty, a) == pytest.approx(0.5)
-    assert store.rel_freq(empty, b) == pytest.approx(0.3)
-    assert store.rel_freq(empty, c) == pytest.approx(0.2)
+    row = materialize(store, AdjustmentModel(64), abc_vocab).rows[empty]
+    assert row[a] == pytest.approx(0.5)
+    assert row[b] == pytest.approx(0.3)
+    assert row[c] == pytest.approx(0.2)
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(3, 6)), max_size=40))
@@ -70,24 +75,12 @@ def test_row_sum_identity_and_order_independence(pairs):
     feats = [Feature(()), Feature((3,)), Feature((4,)), Feature((3, 4))]
     events = [_ev([feats[i]], t) for i, t in pairs]
     store = accumulate(events)
-    store.check_consistency()
+    check_consistency(store)
     shuffled = list(events)
     random.Random(0).shuffle(shuffled)
     other = accumulate(shuffled)
     assert other.rows == store.rows
     assert other.feature_counts == store.feature_counts
-
-
-def test_merge_matches_single_pass():
-    feats = [Feature(()), Feature((3,))]
-    ev1 = [_ev([feats[0]], 3), _ev(feats, 4)]
-    ev2 = [_ev(feats, 3), _ev([feats[1]], 5)]
-    merged = accumulate(ev1)
-    merged.merge(accumulate(ev2))
-    single = accumulate(ev1 + ev2)
-    assert merged.rows == single.rows
-    assert merged.feature_counts == single.feature_counts
-    assert merged.total_events == single.total_events
 
 
 def test_intersect_empty_and_superset(abc_vocab):
@@ -127,8 +120,9 @@ def test_intersect_union_decomposes():
     d2 = set(feats[4:])
     both = store.intersect(d1 | d2)
     left = store.intersect(d1)
-    left.merge(store.intersect(d2 - d1))
-    assert left.rows == both.rows
+    right = store.intersect(d2 - d1)
+    assert {**left.rows, **right.rows} == both.rows
+    assert {**left.feature_counts, **right.feature_counts} == both.feature_counts
 
 
 def test_tagged_counting_pools_to_untagged():
@@ -148,7 +142,7 @@ def test_tagged_counting_pools_to_untagged():
     pooled = accumulate(
         extract_corpus_events(sents_a + sents_b, vocab, cfg)
     )
-    tagged.check_consistency()
+    check_consistency(tagged)
     # per-tag rows are independent: every feature carries exactly one tag
     assert all(f.tag in ("a", "b") for f in tagged.rows)
     stripped = tagged.strip_tags()
@@ -251,3 +245,58 @@ def test_merge_files_rejects_unsorted_input(tmp_path):
         merge_files([p1, p2], out)
     assert out.read_bytes() == previous
     assert sorted(tmp_path.iterdir()) == [out, p1, p2]
+
+
+# A valid file, and files one reader check rejects, with the line it names.
+# The valid file's last row sorts after every bad row, so a merge is still
+# reading it when the bad file is rejected.
+_GOOD = f"{COUNTS_HEADER}\n#total-events 3\n[a]\tb\t2\n[c]\td\t1\n"
+_BAD_FILES = {
+    "header": ("not a count file\n", None),
+    "non-integer total": (f"{COUNTS_HEADER}\n#total-events x7\n[a]\tb\t1\n", 2),
+    "negative total": (f"{COUNTS_HEADER}\n#total-events -4\n[a]\tb\t1\n", 2),
+    "total after the first row": (f"{COUNTS_HEADER}\n[a]\tb\t1\n#total-events 9\n", 3),
+    "second total": (f"{COUNTS_HEADER}\n#total-events 1\n#total-events 1\n[a]\tb\t1\n", 3),
+    "row order": (f"{COUNTS_HEADER}\n#total-events 2\n[b]\tc\t1\n[a]\tb\t1\n", 4),
+}
+
+
+def _where(path, line) -> str:
+    return re.escape(f"{path}:{line}:" if line else f"{path}: not a count file")
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FILES))
+def test_load_and_merge_reject_the_same_files(tmp_path, abc_vocab, case):
+    # CountStore.load and merge_files read count files through one reader,
+    # so they reject a file at the same line.
+    content, line = _BAD_FILES[case]
+    good, bad, out = tmp_path / "good.tsv", tmp_path / "bad.tsv", tmp_path / "out.tsv"
+    good.write_text(_GOOD, encoding="utf-8")
+    bad.write_text(content, encoding="utf-8")
+    with pytest.raises(DataError, match=_where(bad, line)):
+        CountStore.load(bad, abc_vocab)
+    with pytest.raises(DataError, match=_where(bad, line)):
+        merge_files([good, bad], out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["header", "non-integer total", "row order"])
+def test_merge_files_closes_every_input_it_opened(tmp_path, monkeypatch, case):
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        handles.append(fh)
+        return fh
+
+    monkeypatch.setattr(snmlm.counts, "open", recording_open, raising=False)
+    good, bad, out = tmp_path / "good.tsv", tmp_path / "bad.tsv", tmp_path / "out.tsv"
+    good.write_text(_GOOD, encoding="utf-8")
+    bad.write_text(_BAD_FILES[case][0], encoding="utf-8")
+    with pytest.raises(DataError) as rejected:
+        merge_files([good, bad], out)
+    # `rejected` keeps merge_files' frame alive, so the handles must have been
+    # closed by merge_files itself, not by the collection of its generators.
+    assert rejected.traceback
+    assert {fh.name for fh in handles} >= {str(good), str(bad)}
+    assert all(fh.closed for fh in handles)

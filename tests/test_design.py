@@ -17,7 +17,7 @@ from snmlm.counts import CountStore, accumulate
 from snmlm.design import LinkDesign
 from snmlm.extraction import Feature, parse_config
 from snmlm.metafeatures import Mode, compute_metafeatures
-from snmlm.model import load_model, materialize, save_model
+from snmlm.model import load_model, materialize, renormalize, save_model
 
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
@@ -136,7 +136,7 @@ def test_batch_gradient_visits_only_batch_rows(monkeypatch, block_size):
         return push(self, links, g)
 
     monkeypatch.setattr(LinkDesign, "push", recording_push)
-    grads = batch_theta_gradient(acc, model, adj, store, vocab)
+    grads = batch_theta_gradient(acc, model, adj)
 
     design = model.design
     expected = []
@@ -178,8 +178,9 @@ def test_train_builds_the_design_once(monkeypatch, renorm_each_batch):
     assert len(builds) == 1
 
 
-def test_batch_gradient_of_a_model_read_from_file(tmp_path):
-    # a model without a design gets one, with its cells read off its rows
+def test_training_calls_reject_a_model_without_its_design(tmp_path):
+    # Only materialize builds a design; a model read from a file, or hashed
+    # for another mode or table size, cannot be trained on.
     rng = random.Random(31)
     vocab = make_vocab(25)
     store, feats = random_store(rng, vocab, 10)
@@ -188,12 +189,22 @@ def test_batch_gradient_of_a_model_read_from_file(tmp_path):
     model = materialize(store, adj, vocab)
     save_model(model, tmp_path / "model.tsv", vocab)
     loaded = load_model(tmp_path / "model.tsv", vocab)
-    assert loaded.design is None
     events = random_events(rng, store, feats, 6)
-    grads = []
-    for m in (model, loaded):
+    cases = [
+        (loaded, adj, "no link design"),
+        (model, AdjustmentModel(2048, mode=Mode.UNLEXICALIZED), "mode full and 2048 slots"),
+        (model, AdjustmentModel(1024), "mode full and 2048 slots"),
+    ]
+    for m, other, message in cases:
         acc = BatchAccumulator()
         for e in events:
             acc.add_event(e, m)
-        grads.append(batch_theta_gradient(acc, m, adj, store, vocab))
-    assert grads[0] == grads[1]
+        with pytest.raises(ValueError, match=message):
+            batch_theta_gradient(acc, m, other)
+        with pytest.raises(ValueError, match=message):
+            renormalize(m, other)
+    # With the hashing it was built for, the same model trains.
+    acc = BatchAccumulator()
+    for e in events:
+        acc.add_event(e, model)
+    assert batch_theta_gradient(acc, model, adj)

@@ -7,7 +7,6 @@ from snmlm.corpus import build_vocab
 from snmlm.extraction import Feature
 from snmlm.metafeatures import (
     LinkHasher,
-    MetaFeature,
     Mode,
     buckets,
     combine,
@@ -15,7 +14,6 @@ from snmlm.metafeatures import (
     explain_metafeatures,
     feature_type,
     fingerprint,
-    hash_index,
     hash_int,
 )
 
@@ -72,15 +70,6 @@ def test_hash_determinism():
     assert hash_int(3) == hash_int(3)
     assert combine(1, 2) == combine(1, 2)
     assert combine(1, 2) != combine(2, 1)
-
-
-def test_hash_index():
-    mf = MetaFeature(hash=12345, weight=1.0)
-    assert hash_index(mf, 1) == 0
-    assert hash_index(mf, 1000) == 345
-    assert hash_index(mf, 1000) == hash_index(mf, 1000)
-    with pytest.raises(ValueError):
-        hash_index(mf, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def test_renormalize_matches_materialize_exactly():
     adj = AdjustmentModel(2048)
     model = materialize(store, adj, vocab)
     random_theta(adj, seed=21)
-    renormalize(model, adj, store, vocab)
+    renormalize(model, adj)
     fresh = materialize(store, adj, vocab)
     assert model.rows == fresh.rows
     assert model.normalizers == fresh.normalizers
@@ -224,10 +224,10 @@ def test_renormalize_is_idempotent():
     adj = AdjustmentModel(1024)
     random_theta(adj, seed=5)
     model = materialize(store, adj, vocab)
-    renormalize(model, adj, store, vocab)
+    renormalize(model, adj)
     rows = {f: dict(r) for f, r in model.rows.items()}
     norms = dict(model.normalizers)
-    renormalize(model, adj, store, vocab)
+    renormalize(model, adj)
     assert model.rows == rows
     assert model.normalizers == norms
 
@@ -239,7 +239,7 @@ def test_probability_conservation_after_renormalize():
     adj = AdjustmentModel(4096)
     random_theta(adj, seed=11)
     model = materialize(store, adj, vocab)
-    renormalize(model, adj, store, vocab)
+    renormalize(model, adj)
     for e in random_events(rng, store, feats, 50):
         total = math.fsum(
             math.exp(score_event(model, e._replace(target=w)).log_prob)
@@ -260,7 +260,7 @@ def test_increasing_adjustment_increases_probability():
     before = math.exp(score_event(model, _ev([f], b)).log_prob)
     target_mf = compute_metafeatures(f, b, 3, 2, Mode.FULL, vocab)[4]
     adj.theta[target_mf.hash % adj.table_size] = 0.7
-    renormalize(model, adj, store, vocab)
+    renormalize(model, adj)
     after = math.exp(score_event(model, _ev([f], b)).log_prob)
     assert after > before
 
