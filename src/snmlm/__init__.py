@@ -32,13 +32,7 @@ from .extraction import (
     parse_feature,
     render_feature,
 )
-from .metafeatures import (
-    MetaFeature,
-    Mode,
-    buckets,
-    compute_metafeatures,
-    explain_metafeatures,
-)
+from .metafeatures import Mode, buckets
 from .model import (
     EvalReport,
     EventScore,

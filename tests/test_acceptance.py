@@ -35,6 +35,7 @@ from snm_testutil import (
     random_events,
     random_store,
     random_theta,
+    strip_tags,
 )
 
 
@@ -215,7 +216,7 @@ def test_04_corpus_tagged_beats_pooled():
         extract_corpus_events(a_sents, vocab, config, tag="a")
         + extract_corpus_events(b_sents, vocab, config, tag="b")
     )
-    pooled = tagged.strip_tags()
+    pooled = strip_tags(tagged)
 
     dev_plain = extract_corpus_events(dev_sents, vocab, config)
     test_plain = extract_corpus_events(test_sents, vocab, config)

@@ -18,13 +18,14 @@ from snmlm.corpus import build_vocab
 from snmlm.counts import accumulate
 from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature, parse_config
-from snmlm.metafeatures import Mode, buckets, compute_metafeatures
+from snmlm.metafeatures import Mode, buckets
 from snmlm.model import materialize, perplexity, score_event
 
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
     MarkovChain,
     adjust,
+    compute_metafeatures,
     event_link_gradient,
     extract_corpus_events,
     link_weights,
@@ -307,20 +308,6 @@ def test_one_epoch_improves_dev_likelihood():
     assert history[1].dev_log_likelihood > history[0].dev_log_likelihood
     assert history[1].dev_ppl < history[0].dev_ppl
     assert history[-1].dev_ppl == pytest.approx(perplexity(model, dev_events).ppl)
-
-
-def test_renorm_each_batch_flag_runs():
-    chain = MarkovChain(15, seed=13)
-    train_s = chain.sentences(random.Random(4), 200)
-    dev_s = chain.sentences(random.Random(5), 40)
-    vocab = build_vocab((t for s in train_s for t in s), min_count=1)
-    cfg = parse_config(FIVE_GRAM_CONFIG)
-    store = accumulate(extract_corpus_events(train_s, vocab, cfg))
-    dev_events = extract_corpus_events(dev_s, vocab, cfg)
-    inter = store.intersect({f for e in dev_events for f in e.features})
-    adj = AdjustmentModel(16384, batch_size=64)
-    history, _ = train(dev_events, inter, adj, 1, vocab, renorm_each_batch=True)
-    assert history[1].dev_ppl < history[0].dev_ppl
 
 
 def test_theta_zero_history_is_unadjusted_baseline():

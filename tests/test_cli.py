@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from snmlm.cli import PipelineConfig, UsageError, main, parse_table_size
+from snmlm.adjustment import AdjustmentModel
+from snmlm.cli import UsageError, main, parse_table_size
 from snmlm.corpus import Vocabulary
 from snmlm.counts import CountStore
 from snmlm.metafeatures import Mode
@@ -429,6 +430,40 @@ def test_inspect_rejects_a_bad_total_events_line(pipeline, capsys):
     assert "C_f*" not in captured.out
 
 
+def _w_vocab(wd):
+    (wd / "w.txt").write_text("w\n", encoding="utf-8")
+    main(["build-vocab", _p(wd / "w.txt"), "-o", _p(wd / "w-vocab.txt")])
+    return wd / "w-vocab.txt"
+
+
+def test_inspect_names_the_line_of_an_unparsable_feature(workdir, capsys):
+    vocab = _w_vocab(workdir)
+    bad = workdir / "bad.tsv"
+    bad.write_text("#snm-counts v1\n#total-events 1\n[zz]\tw\t1\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["inspect", "[]", "--counts", _p(bad), "--vocab", _p(vocab)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.tsv:3: unknown token 'zz'" in err
+
+
+def test_eval_names_the_line_of_an_unparsable_feature(workdir, capsys):
+    vocab = _w_vocab(workdir)
+    bad = workdir / "bad-model.tsv"
+    bad.write_text(
+        f"#snm-model v1\n#vocab-size {len(Vocabulary.load(vocab))}\n[zz]\tw\t1.0\n"
+        "#normalizers\n[zz]\t1.0\n",
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    assert main([
+        "eval", "--model", _p(bad), "--test", _p(workdir / "tiny.txt"),
+        "--config", _p(workdir / "ngram.cfg"), "--vocab", _p(vocab),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert "bad-model.tsv:3: unknown token 'zz'" in captured.err
+    assert "ppl" not in captured.out
+
+
 def test_inspect_link_shows_split_buckets(pipeline, capsys):
     # build a corpus where the inspected link count is 6
     wd = pipeline
@@ -483,20 +518,39 @@ def test_table_size_suffixes():
 
 @pytest.mark.parametrize("size", ["200K", "20M", "200M"])
 def test_pipeline_config_accepts_published_table_sizes(size):
-    cfg = PipelineConfig(table_size=parse_table_size(size))
-    assert cfg.table_size >= 204800
-    assert cfg.mode is Mode.FULL
+    # AdjustmentModel is the one check of a training run's settings.
+    adj = AdjustmentModel(parse_table_size(size))
+    assert adj.table_size >= 204800
+    assert adj.mode is Mode.FULL
 
 
-def test_pipeline_config_rejects_bad_values():
-    with pytest.raises(UsageError):
-        PipelineConfig(table_size=0)
-    with pytest.raises(UsageError):
-        PipelineConfig(table_size=16, batch_size=0)
-    with pytest.raises(UsageError):
-        PipelineConfig(table_size=16, epochs=-1)
-    with pytest.raises(UsageError):
-        PipelineConfig(table_size=16, tags=("bad tag",))
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--table-size", "0"],
+        ["--batch-size", "0"],
+        ["--epochs", "-1"],
+        ["--tag", "bad tag"],
+        ["--gamma", "nan"],
+        ["--gamma", "inf"],
+        ["--gamma", "0"],
+        ["--delta0", "nan"],
+        ["--delta0", "inf"],
+        ["--delta0", "0"],
+    ],
+    ids=" ".join,
+)
+def test_train_rejects_bad_settings_before_reading_files(tmp_path, capsys, flags):
+    # None of the inputs exist: reading any of them would exit 2, not 1.
+    missing = _p(tmp_path / "missing")
+    rc = main([
+        "train", "--counts", missing, "--dev", missing, "--config", missing,
+        "--vocab", missing, "--adjustment-out", _p(tmp_path / "adj.bin"),
+        "--model-out", _p(tmp_path / "model.tsv"), *flags,
+    ])
+    assert rc == 1
+    assert "snmlm: error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 def test_usage_error_exit_code():

@@ -13,7 +13,13 @@ from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature, extract_events, parse_config
 from snmlm.model import materialize
 
-from snm_testutil import FIVE_GRAM_CONFIG, MarkovChain, check_consistency, extract_corpus_events
+from snm_testutil import (
+    FIVE_GRAM_CONFIG,
+    MarkovChain,
+    check_consistency,
+    extract_corpus_events,
+    strip_tags,
+)
 
 
 @pytest.fixture
@@ -145,7 +151,7 @@ def test_tagged_counting_pools_to_untagged():
     check_consistency(tagged)
     # per-tag rows are independent: every feature carries exactly one tag
     assert all(f.tag in ("a", "b") for f in tagged.rows)
-    stripped = tagged.strip_tags()
+    stripped = strip_tags(tagged)
     assert stripped.rows == pooled.rows
     assert stripped.feature_counts == pooled.feature_counts
 

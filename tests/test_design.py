@@ -1,8 +1,10 @@
 """The link design against the per-link reference hasher.
 
-`compute_metafeatures` (built on `LinkHasher`) is the oracle: the design
-must give every link the same (slot, weight) items, sum them in the same
-order, and push a batch gradient only through the rows of the batch.
+`compute_metafeatures` and `explain_metafeatures` (built on the scalar
+`LinkHasher` in `snm_testutil`) are the oracle: the design must give every
+link the same (slot, weight) items, sum them in the same order, label them
+the same way, and push a batch gradient only through the rows of the batch;
+`snmlm.metafeatures.LinkHasher` must give every link the same items.
 """
 
 import random
@@ -11,17 +13,20 @@ import numpy as np
 import pytest
 
 import snmlm.design
+from snmlm import metafeatures
 from snmlm.adjustment import AdjustmentModel, BatchAccumulator, batch_theta_gradient, train
 from snmlm.corpus import build_vocab
 from snmlm.counts import CountStore, accumulate
-from snmlm.design import LinkDesign
-from snmlm.extraction import Feature, parse_config
-from snmlm.metafeatures import Mode, compute_metafeatures
+from snmlm.design import LinkDesign, explain
+from snmlm.extraction import Feature, parse_config, render_feature
+from snmlm.metafeatures import Mode, feature_type, fingerprint
 from snmlm.model import load_model, materialize, renormalize, save_model
 
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
     MarkovChain,
+    compute_metafeatures,
+    explain_metafeatures,
     extract_corpus_events,
     make_vocab,
     naive_theta_gradient,
@@ -98,6 +103,40 @@ def test_design_items_equal_reference_hasher(mode, table_size, block_size):
     assert seen == {(f, w) for f, row in store.rows.items() for w in row}
 
 
+def _explained_links(vocab):
+    """(f, w, feature count, link count) of every row of the mixed store.
+
+    Each row (n-gram, skip and tagged features) comes with its own counts,
+    then with every pairing of single- and two-bucket feature and link
+    counts.
+    """
+    store = _mixed_store(vocab)
+    pairs = [(1, 1), (8, 2), (8, 5), (13, 8), (13, 6), (1025, 1024)]
+    kinds = {(fc & (fc - 1) == 0, c & (c - 1) == 0) for fc, c in pairs}
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    for f, row in store.rows.items():
+        yield from ((f, w, store.feature_counts[f], c) for w, c in row.items())
+        yield from ((f, next(iter(row)), fc, c) for fc, c in pairs)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_explain_equals_reference_labels_hashes_and_weights(mode):
+    vocab = make_vocab(20)
+    for f, w, fc, c in _explained_links(vocab):
+        got = explain(f, w, fc, c, mode, vocab)
+        assert got == explain_metafeatures(f, w, fc, c, mode, vocab)
+        assert all(type(h) is int and type(wt) is float for _, h, wt in got)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_scalar_link_hasher_equals_reference(mode):
+    vocab = make_vocab(20)
+    for f, w, fc, c in _explained_links(vocab):
+        hasher = metafeatures.LinkHasher(render_feature(f, vocab), feature_type(f), fc, mode)
+        got = hasher.link(fingerprint(vocab.words[w]), c)
+        assert got == [(mf.hash, mf.weight) for mf in compute_metafeatures(f, w, fc, c, mode, vocab)]
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 def test_adjustments_equal_per_link_running_sum(mode, block_size):
     vocab = make_vocab(20)
@@ -150,8 +189,7 @@ def test_batch_gradient_visits_only_batch_rows(monkeypatch, block_size):
         assert grads.get(k, 0.0) == pytest.approx(naive.get(k, 0.0), abs=1e-12)
 
 
-@pytest.mark.parametrize("renorm_each_batch", [False, True])
-def test_train_builds_the_design_once(monkeypatch, renorm_each_batch):
+def test_train_builds_the_design_once(monkeypatch):
     chain = MarkovChain(15, seed=13)
     train_s = chain.sentences(random.Random(4), 200)
     dev_s = chain.sentences(random.Random(5), 40)
@@ -171,9 +209,7 @@ def test_train_builds_the_design_once(monkeypatch, renorm_each_batch):
     monkeypatch.setattr(LinkDesign, "build", classmethod(counting_build))
     adj = AdjustmentModel(16384, batch_size=64)
     assert len(dev_events) > 2 * adj.batch_size
-    history, _ = train(
-        dev_events, inter, adj, 2, vocab, renorm_each_batch=renorm_each_batch
-    )
+    history, _ = train(dev_events, inter, adj, 2, vocab)
     assert len(history) == 3
     assert len(builds) == 1
 

@@ -1,21 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from snmlm.corpus import build_vocab
+from snmlm.design import _combine, explain
 from snmlm.extraction import Feature
-from snmlm.metafeatures import (
-    LinkHasher,
-    Mode,
-    buckets,
-    combine,
-    compute_metafeatures,
-    explain_metafeatures,
-    feature_type,
-    fingerprint,
-    hash_int,
-)
+from snmlm.metafeatures import Mode, buckets, combine, feature_type, fingerprint, hash_int
+
+from snm_testutil import LinkHasher, compute_metafeatures
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +62,15 @@ def test_string_fingerprint_golden():
 def test_hash_determinism():
     assert fingerprint("fox") == fingerprint("fox")
     assert hash_int(3) == hash_int(3)
-    assert combine(1, 2) == combine(1, 2)
-    assert combine(1, 2) != combine(2, 1)
+    one, two = np.array([1], dtype=np.uint64), np.array([2], dtype=np.uint64)
+    assert _combine(one, two)[0] == _combine(one, two)[0]
+    assert _combine(one, two)[0] != _combine(two, one)[0]
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+def test_vectorized_conjunction_equals_scalar_formula(h1, h2):
+    a, b = np.array([h1], dtype=np.uint64), np.array([h2], dtype=np.uint64)
+    assert int(_combine(a, b)[0]) == combine(h1, h2)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +86,10 @@ def test_feature_type_strings():
 
 
 # ---------------------------------------------------------------------------
-# Link decomposition
+# Link decomposition, as the link design explains it
+
+def _hashes(triples):
+    return {h for _, h, _ in triples}
 
 @pytest.fixture
 def fox_vocab():
@@ -101,9 +105,7 @@ def fox_link(fox_vocab):
 
 def test_full_mode_contains_all_elementary_parts(fox_vocab, fox_link):
     f, w = fox_link
-    labels = [
-        lbl for lbl, _, _ in explain_metafeatures(f, w, 12, 6, Mode.FULL, fox_vocab)
-    ]
+    labels = [lbl for lbl, _, _ in explain(f, w, 12, 6, Mode.FULL, fox_vocab)]
     assert "[the quick brown]" in labels
     assert "3-gram" in labels
     assert "fox" in labels
@@ -114,8 +116,7 @@ def test_full_mode_contains_all_elementary_parts(fox_vocab, fox_link):
 
 def test_feature_target_identity_is_a_conjunction(fox_vocab, fox_link):
     f, w = fox_link
-    mfs = compute_metafeatures(f, w, 12, 6, Mode.FULL, fox_vocab)
-    hashes = {mf.hash for mf in mfs}
+    hashes = _hashes(explain(f, w, 12, 6, Mode.FULL, fox_vocab))
     assert combine(fingerprint("[the quick brown]"), fingerprint("fox")) in hashes
 
 
@@ -124,37 +125,37 @@ def test_full_mode_length_bound(fox_vocab, fox_link):
     # itself plus 4 conjunctions, then two link buckets against the 9
     # preceding items: 4 + 5 + 2 * 10 = 29
     f, w = fox_link
-    mfs = compute_metafeatures(f, w, 12, 6, Mode.FULL, fox_vocab)
-    assert len(mfs) == 29
+    assert len(explain(f, w, 12, 6, Mode.FULL, fox_vocab)) == 29
 
 
 def test_integral_counts_emit_single_buckets(fox_vocab, fox_link):
     f, w = fox_link
-    mfs = compute_metafeatures(f, w, 8, 2, Mode.FULL, fox_vocab)
+    triples = explain(f, w, 8, 2, Mode.FULL, fox_vocab)
     # 3 feature-side + (1 + 3) target + (1 + 7) link bucket = 15
-    assert len(mfs) == 15
-    assert all(mf.weight == 1.0 for mf in mfs)
+    assert len(triples) == 15
+    assert all(wt == 1.0 for _, _, wt in triples)
 
 
 def test_feature_only_is_a_prefix_of_full(fox_vocab, fox_link):
     f, w = fox_link
-    full = compute_metafeatures(f, w, 12, 6, Mode.FULL, fox_vocab)
-    fo = compute_metafeatures(f, w, 12, 6, Mode.FEATURE_ONLY, fox_vocab)
+    full = explain(f, w, 12, 6, Mode.FULL, fox_vocab)
+    fo = explain(f, w, 12, 6, Mode.FEATURE_ONLY, fox_vocab)
     assert fo == full[: len(fo)]
     assert len(fo) == 4
     # no target identity and no link-count contribution
-    assert fingerprint("fox") not in {mf.hash for mf in fo}
+    assert fingerprint("fox") not in _hashes(fo)
 
 
 def test_unlexicalized_ignores_word_identities(fox_vocab):
     v = fox_vocab
     f1 = Feature((v.index["the"], v.index["quick"]))
     f2 = Feature((v.index["brown"], v.index["fox"]))
-    a = compute_metafeatures(f1, v.index["brown"], 12, 6, Mode.UNLEXICALIZED, v)
-    b = compute_metafeatures(f2, v.index["the"], 12, 6, Mode.UNLEXICALIZED, v)
+    a = explain(f1, v.index["brown"], 12, 6, Mode.UNLEXICALIZED, v)
+    b = explain(f2, v.index["the"], 12, 6, Mode.UNLEXICALIZED, v)
     assert a == b
     lex = {fingerprint("[the quick]"), fingerprint("brown")}
-    assert not lex & {mf.hash for mf in a}
+    assert not lex & _hashes(a)
+    assert not any("quick" in lbl or "brown" in lbl for lbl, _, _ in a)
 
 
 def test_unlexicalized_differs_across_types_and_buckets(fox_vocab):
@@ -162,22 +163,22 @@ def test_unlexicalized_differs_across_types_and_buckets(fox_vocab):
     f1 = Feature((v.index["the"],))
     f2 = Feature((v.index["the"], v.index["quick"]))
     w = v.index["fox"]
-    assert compute_metafeatures(f1, w, 12, 6, Mode.UNLEXICALIZED, v) != \
-        compute_metafeatures(f2, w, 12, 6, Mode.UNLEXICALIZED, v)
-    assert compute_metafeatures(f1, w, 12, 6, Mode.UNLEXICALIZED, v) != \
-        compute_metafeatures(f1, w, 12, 5, Mode.UNLEXICALIZED, v)
+    assert explain(f1, w, 12, 6, Mode.UNLEXICALIZED, v) != \
+        explain(f2, w, 12, 6, Mode.UNLEXICALIZED, v)
+    assert explain(f1, w, 12, 6, Mode.UNLEXICALIZED, v) != \
+        explain(f1, w, 12, 5, Mode.UNLEXICALIZED, v)
 
 
 def test_compute_is_deterministic(fox_vocab, fox_link):
     f, w = fox_link
-    first = compute_metafeatures(f, w, 12, 6, Mode.FULL, fox_vocab)
-    second = compute_metafeatures(f, w, 12, 6, Mode.FULL, fox_vocab)
+    first = explain(f, w, 12, 6, Mode.FULL, fox_vocab)
+    second = explain(f, w, 12, 6, Mode.FULL, fox_vocab)
     assert first == second
 
 
 def test_conjunction_weights_are_products(fox_vocab, fox_link):
     f, w = fox_link
-    triples = explain_metafeatures(f, w, 12, 6, Mode.FULL, fox_vocab)
+    triples = explain(f, w, 12, 6, Mode.FULL, fox_vocab)
     by_label = {lbl: (h, wt) for lbl, h, wt in triples}
     lo, hi = buckets(6)
     # link bucket conjoined with the weight-1 type descriptor keeps the
@@ -193,10 +194,13 @@ def test_bucket_pair_shares_conjunction_base(fox_vocab, fox_link):
     # the two buckets of one count are a weighted split of one value:
     # the ceiled bucket must not conjoin with the floored bucket
     f, w = fox_link
-    triples = explain_metafeatures(f, w, 8, 6, Mode.FULL, fox_vocab)
+    triples = explain(f, w, 8, 6, Mode.FULL, fox_vocab)
     labels = [lbl for lbl, _, _ in triples]
     assert "count:2^2 & count:2^3" not in labels
 
+
+# The scalar reference's own consistency; `tests/test_design.py` compares it
+# with the link design.
 
 def test_link_hasher_matches_public_function(fox_vocab, fox_link):
     f, w = fox_link

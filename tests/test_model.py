@@ -9,7 +9,7 @@ from snmlm.corpus import build_vocab
 from snmlm.counts import accumulate
 from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature
-from snmlm.metafeatures import Mode, compute_metafeatures
+from snmlm.metafeatures import Mode
 from snmlm.model import (
     PROB_FLOOR,
     SnmModel,
@@ -21,7 +21,13 @@ from snmlm.model import (
     score_event,
 )
 
-from snm_testutil import make_vocab, random_events, random_store, random_theta
+from snm_testutil import (
+    compute_metafeatures,
+    make_vocab,
+    random_events,
+    random_store,
+    random_theta,
+)
 
 
 def _ev(features, target):
