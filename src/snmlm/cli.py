@@ -14,7 +14,7 @@ from .adjustment import AdjustmentModel, train
 from .corpus import TaggedCorpus, Vocabulary, build_vocab, iter_file_tokens
 from .counts import CountStore, accumulate
 from .design import explain
-from .errors import SnmError
+from .errors import DataError, SnmError
 from .extraction import (
     Event,
     ExtractorConfig,
@@ -92,10 +92,18 @@ def _training_events(paths, tags, vocab: Vocabulary, config: ExtractorConfig):
             yield from extract_events(sent, config, tag=tag or None)
 
 
-def _check_tag_consistency(features, tags, source: str) -> None:
-    """Tagged rows need --tag for expansion; untagged rows must not get one."""
-    has_tagged = any(f.tag is not None for f in features)
-    has_untagged = any(f.tag is None for f in features)
+def _dev_features(events: list[Event]) -> set:
+    return {f for e in events for f in e.features}
+
+
+def _check_tag_consistency(feature_tags, tags, source: str) -> None:
+    """Tagged rows need --tag for expansion; untagged rows must not get one.
+
+    `feature_tags` holds the tag of every feature of the source, None for an
+    untagged one.
+    """
+    has_tagged = any(t is not None for t in feature_tags)
+    has_untagged = None in feature_tags
     if has_tagged and not has_untagged and not tags:
         raise SnmError(
             f"{source} uses corpus-tagged features; pass --tag once per "
@@ -135,16 +143,12 @@ def cmd_count(args) -> int:
 def cmd_intersect(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     config = load_config(args.config)
-    store = CountStore.load(args.counts, vocab)
-    _check_tag_consistency(store.rows, tuple(args.tag), args.counts)
     dev_events = _corpus_events(args.dev, vocab, config, tuple(args.tag))
-    dev_features = set()
-    for e in dev_events:
-        dev_features.update(e.features)
-    sub = store.intersect(dev_features)
+    sub = CountStore.load(args.counts, vocab, keep=_dev_features(dev_events))
+    _check_tag_consistency(sub.file_features, tuple(args.tag), args.counts)
     sub.save(args.output, vocab)
     print(
-        f"intersected: {len(sub)}/{len(store)} features kept, "
+        f"intersected: {len(sub)}/{sum(sub.file_features.values())} features kept, "
         f"{sub.num_links} links -> {args.output}"
     )
     return 0
@@ -163,16 +167,16 @@ def cmd_train(args) -> int:
         _check_tag(tag)
     vocab = Vocabulary.load(args.vocab)
     config = load_config(args.config)
-    store = CountStore.load(args.counts, vocab)
-    _check_tag_consistency(store.rows, tags, args.counts)
     dev_events = _corpus_events(args.dev, vocab, config, tags)
+    dev_features = _dev_features(dev_events)
+    # Only the dev rows are trained on and saved, so only they are stored.
+    store = CountStore.load(args.counts, vocab, keep=dev_features)
+    _check_tag_consistency(store.file_features, tags, args.counts)
     if not dev_events:
         raise SnmError(f"{args.dev}: empty development set")
-    dev_features = set()
-    for e in dev_events:
-        dev_features.update(e.features)
+    # A copy of `store`: perfbench/tracing.py captures the training store from
+    # this call. ROADMAP item 1 removes the pin.
     intersected = store.intersect(dev_features)
-    # Only the dev rows are trained on and saved; the full store can go.
     del store, dev_features
 
     # Built after the inputs are read: built before them, the weight table
@@ -201,7 +205,7 @@ def cmd_eval(args) -> int:
     config = load_config(args.config)
     model = load_model(args.model, vocab)
     tags = tuple(args.tag)
-    _check_tag_consistency(model.rows, tags, "model")
+    _check_tag_consistency({f.tag for f in model.rows}, tags, "model")
     events = _corpus_events(args.test, vocab, config, tags)
     report = perplexity(model, events)
     print(f"events: {report.num_events}")
@@ -212,10 +216,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    if args.target is not None and not args.counts:
+        raise UsageError("--target needs --counts: a link's meta-features come from its counts")
     vocab = Vocabulary.load(args.vocab)
     if args.counts:
-        store = CountStore.load(args.counts, vocab)
-        feature = parse_feature(args.feature, vocab)
+        try:
+            feature = parse_feature(args.feature, vocab)
+        except DataError:
+            # A bad count file is reported ahead of a bad feature argument.
+            CountStore.load(args.counts, vocab, keep=())
+            raise
+        # Every line is still validated; only the asked row is stored.
+        store = CountStore.load(args.counts, vocab, keep={feature})
         if feature not in store.rows:
             print(f"feature {args.feature!r} not found in {args.counts}")
             return 0

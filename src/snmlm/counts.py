@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 from .corpus import Vocabulary
 from .errors import DataError
-from .extraction import Event, Feature, parse_feature, render_feature
+from .extraction import Event, Feature, feature_parser, render_feature
 
 COUNTS_HEADER = "#snm-counts v1"
 _TOTAL_PREFIX = "#total-events "
@@ -25,15 +25,18 @@ class CountStore:
     """Link counts C_fw, feature counts C_f*, and the event total.
 
     ``feature_counts[f]`` always equals the exact integer sum of the row
-    ``rows[f]``; absent keys mean count zero.
+    ``rows[f]``; absent keys mean count zero. A store read by `load` also
+    has `file_features`: per corpus tag (None for untagged), the number of
+    features in the file, including rows a filtered load did not keep.
     """
 
-    __slots__ = ("rows", "feature_counts", "total_events")
+    __slots__ = ("rows", "feature_counts", "total_events", "file_features")
 
     def __init__(self):
         self.rows: dict[Feature, dict[int, int]] = {}
         self.feature_counts: dict[Feature, int] = {}
         self.total_events = 0
+        self.file_features: dict[str | None, int] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -86,12 +89,22 @@ class CountStore:
                 fh.write(f"{fs}\t{ws}\t{c}\n")
 
     @classmethod
-    def load(cls, path, vocab: Vocabulary) -> "CountStore":
+    def load(cls, path, vocab: Vocabulary, keep: Iterable[Feature] | None = None) -> "CountStore":
+        """Read a count file, storing only the rows of `keep` when it is given.
+
+        Every line is validated and every feature string parsed, kept or not,
+        so a file is rejected at the same line either way. With `keep` the
+        store equals ``load(path, vocab).intersect(keep)``: the same rows in
+        the same order.
+        """
+        keep = None if keep is None else set(keep)
         store = cls()
         rows = store.rows
+        per_tag = store.file_features
         index = vocab.index
+        parse = feature_parser(vocab)
         last_fs: str | None = None
-        row: dict[int, int] = {}
+        row: dict[int, int] | None = None
         with closing(_entry_stream(path)) as entries:
             store.total_events = next(entries)
             for fs, ws, c, lineno in entries:
@@ -99,15 +112,20 @@ class CountStore:
                 if wid is None:
                     raise DataError(f"{path}:{lineno}: unknown word {ws!r}")
                 if fs != last_fs:
+                    # Rows are sorted and parsing is one-to-one, so a new
+                    # string is a new feature and each (feature, word) comes once.
                     last_fs = fs
                     try:
-                        f = parse_feature(fs, vocab)
+                        f = parse(fs)
                     except DataError as exc:
                         raise DataError(f"{path}:{lineno}: {exc}") from None
-                    row = rows.get(f)
-                    if row is None:
+                    per_tag[f.tag] = per_tag.get(f.tag, 0) + 1
+                    if keep is None or f in keep:
                         row = rows[f] = {}
-                row[wid] = row.get(wid, 0) + c
+                    else:
+                        row = None
+                if row is not None:
+                    row[wid] = c
         fcounts = store.feature_counts = dict.fromkeys(rows)
         for f, row in rows.items():
             fcounts[f] = sum(row.values())

@@ -30,9 +30,8 @@ and must not occur as corpus words if feature files are to be re-parsed.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .corpus import E_ID, S_ID, Vocabulary
 from .errors import ConfigError, DataError
@@ -377,7 +376,10 @@ def expand_tags(event: Event, all_tags: Sequence[str]) -> Event:
 # ---------------------------------------------------------------------------
 # Feature strings
 
-_SKIP_MARKER = re.compile(r"^skip-([1-9][0-9]*|\*)$")
+# Skip markers the fast parser knows, as table values: ``skip-<n>`` is ~n and
+# ``skip-*`` is ~0, below every word id, so ``~value or None`` is the skip
+# length. Longer skips are parsed by `_parse_strict`.
+_MARKERS = {"skip-*": ~0, **{f"skip-{n}": ~n for n in range(1, 65)}}
 
 
 def render_feature(f: Feature, vocab: Vocabulary) -> str:
@@ -393,6 +395,64 @@ def render_feature(f: Feature, vocab: Vocabulary) -> str:
 
 
 def parse_feature(s: str, vocab: Vocabulary) -> Feature:
+    """The feature a canonical string names; DataError if it names none."""
+    return feature_parser(vocab)(s)
+
+
+def feature_parser(vocab: Vocabulary) -> Callable[[str], Feature]:
+    """`parse_feature` for one vocabulary, with its token table built once.
+
+    Each token of the body is looked up in one table: the vocabulary index
+    plus the skip markers. A string that does not fit (an unknown or empty
+    token, a second or trailing marker, a skip longer than the table's, a
+    malformed frame) goes to `_parse_strict`, which parses it or raises the
+    error. So do words that start with ``skip-``, which the table leaves
+    out: the grammar reserves marker-shaped tokens, so a vocabulary word
+    spelled like a marker must still be read as the marker.
+    """
+    tokens = {w: i for w, i in vocab.index.items() if w and not w.startswith("skip-")}
+    tokens.update(_MARKERS)
+    get = tokens.get
+    new = tuple.__new__
+
+    def parse(s: str) -> Feature:
+        if s[:1] == "[":
+            tag, body = None, s
+        else:
+            i = s.find(":[")
+            if i <= 0:
+                return _parse_strict(s, vocab)
+            tag, body = s[:i], s[i + 1 :]
+        if body[-1] != "]":
+            return _parse_strict(s, vocab)
+        if len(body) == 2:
+            return new(Feature, ((), None, None, tag))
+        ids = list(map(get, body[1:-1].split(" ")))
+        if None in ids:
+            return _parse_strict(s, vocab)
+        m = min(ids)
+        if m >= 0:
+            return new(Feature, (tuple(ids), None, None, tag))
+        # A skip feature: one marker, the minimum, and a word after it.
+        pos = ids.index(m)
+        del ids[pos]
+        if pos == len(ids) or min(ids) < 0:
+            return _parse_strict(s, vocab)
+        return new(Feature, (tuple(ids), pos, ~m or None, tag))
+
+    return parse
+
+
+def _is_marker(token: str) -> bool:
+    """Whether a token is a ``skip-<n>`` (n > 0, no leading zero) or ``skip-*`` marker."""
+    n = token[5:]
+    return token.startswith("skip-") and (
+        n == "*" or (n.isascii() and n.isdigit() and n[0] != "0")
+    )
+
+
+def _parse_strict(s: str, vocab: Vocabulary) -> Feature:
+    """Token by token, with every check; the fast parser's fallback."""
     tag: str | None = None
     body = s
     if not s.startswith("["):
@@ -413,19 +473,16 @@ def parse_feature(s: str, vocab: Vocabulary) -> Feature:
     skip_len = None
     words: list[int] = []
     for i, part in enumerate(parts):
-        m = _SKIP_MARKER.match(part)
-        if m:
+        if _is_marker(part):
             if skip_pos is not None:
                 raise DataError(f"multiple skip markers in {s!r}")
             if i == len(parts) - 1:
                 raise DataError(f"skip marker without adjacent words in {s!r}")
             skip_pos = len(words)
-            skip_len = None if m.group(1) == "*" else int(m.group(1))
+            skip_len = None if part == "skip-*" else int(part[5:])
         else:
             wid = vocab.index.get(part)
             if wid is None:
                 raise DataError(f"unknown token {part!r} in feature {s!r}")
             words.append(wid)
-    if skip_pos is None and not words:
-        raise DataError(f"malformed feature string {s!r}")
     return Feature(tuple(words), skip_pos=skip_pos, skip_len=skip_len, tag=tag)

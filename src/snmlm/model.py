@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import UNK_ID, Vocabulary
 from .design import LinkDesign
 from .errors import DataError
-from .extraction import Event, Feature, parse_feature, render_feature
+from .extraction import Event, Feature, feature_parser, render_feature
 
 if TYPE_CHECKING:
     from .adjustment import AdjustmentModel
@@ -230,20 +230,18 @@ def save_model(model: SnmModel, path, vocab: Vocabulary) -> None:
 def load_model(path, vocab: Vocabulary) -> SnmModel:
     rows: dict[Feature, dict[int, float]] = {}
     norms: dict[Feature, float] = {}
+    # Each feature string of the link section, parsed once; the normalizer
+    # section looks its strings up here.
+    features: dict[str, Feature] = {}
+    parse = feature_parser(vocab)
     in_norms = False
-    last_fs: str | None = None
-    last_f: Feature | None = None
     inf = math.inf
 
-    def feature_of(fs: str, lineno: int) -> Feature:
-        nonlocal last_fs, last_f
-        if fs != last_fs:
-            try:
-                last_f = parse_feature(fs, vocab)
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            last_fs = fs
-        return last_f
+    def parse_at(fs: str, lineno: int) -> Feature:
+        try:
+            return parse(fs)
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
 
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -278,8 +276,9 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
                     f"{path}:{lineno}: value must be finite and non-negative, got {parts[-1]}"
                 )
             if in_norms:
-                f = feature_of(parts[0], lineno)
-                if f not in rows:
+                f = features.get(parts[0])
+                if f is None:
+                    parse_at(parts[0], lineno)
                     raise DataError(f"{path}:{lineno}: normalizer of {parts[0]!r} has no link rows")
                 norms[f] = value
             else:
@@ -287,11 +286,11 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
                 wid = vocab.index.get(ws)
                 if wid is None:
                     raise DataError(f"{path}:{lineno}: unknown word {ws!r}")
-                f = feature_of(fs, lineno)
-                row = rows.get(f)
-                if row is None:
-                    row = rows[f] = {}
-                row[wid] = value
+                f = features.get(fs)
+                if f is None:
+                    f = features[fs] = parse_at(fs, lineno)
+                    rows[f] = {}
+                rows[f][wid] = value
     missing = set(rows) - set(norms)
     if missing:
         raise DataError(f"{path}: {len(missing)} rows lack a normalizer entry")

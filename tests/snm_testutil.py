@@ -5,11 +5,13 @@ oracles are written from the defining formulas, independent of the link
 design and batch-trick code they are used to check. `LinkHasher` is the
 scalar reference of a link's meta-features: the items of one link, built
 one by one, that `snmlm.design` must reproduce column by column.
+`parse_feature_oracle` is the reference of the feature-string grammar.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +19,7 @@ import numpy as np
 from snmlm.adjustment import AdjustmentModel
 from snmlm.corpus import Vocabulary, build_vocab, map_tokens
 from snmlm.counts import CountStore
+from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature, extract_events, parse_config, render_feature
 from snmlm.metafeatures import Mode, _bucket_hash, buckets, combine, feature_type, fingerprint
 
@@ -183,6 +186,52 @@ def strip_tags(store: CountStore) -> CountStore:
         out.feature_counts[bare] = out.feature_counts.get(bare, 0) + store.feature_counts[f]
     out.total_events = store.total_events
     return out
+
+
+# ---------------------------------------------------------------------------
+# The regex feature-string parser
+
+_SKIP_MARKER = re.compile(r"^skip-([1-9][0-9]*|\*)$")
+
+
+def parse_feature_oracle(s: str, vocab: Vocabulary) -> Feature:
+    """`snmlm.extraction.parse_feature` as a per-token regex match, token by token."""
+    tag: str | None = None
+    body = s
+    if not s.startswith("["):
+        idx = s.find(":[")
+        if idx <= 0:
+            raise DataError(f"malformed feature string {s!r}")
+        tag, body = s[:idx], s[idx + 1 :]
+    if not (body.startswith("[") and body.endswith("]")):
+        raise DataError(f"malformed feature string {s!r}")
+    inner = body[1:-1]
+    if not inner:
+        return Feature((), tag=tag)
+
+    parts = inner.split(" ")
+    if any(not p for p in parts):
+        raise DataError(f"malformed feature string {s!r}")
+    skip_pos = None
+    skip_len = None
+    words: list[int] = []
+    for i, part in enumerate(parts):
+        m = _SKIP_MARKER.match(part)
+        if m:
+            if skip_pos is not None:
+                raise DataError(f"multiple skip markers in {s!r}")
+            if i == len(parts) - 1:
+                raise DataError(f"skip marker without adjacent words in {s!r}")
+            skip_pos = len(words)
+            skip_len = None if m.group(1) == "*" else int(m.group(1))
+        else:
+            wid = vocab.index.get(part)
+            if wid is None:
+                raise DataError(f"unknown token {part!r} in feature {s!r}")
+            words.append(wid)
+    if skip_pos is None and not words:
+        raise DataError(f"malformed feature string {s!r}")
+    return Feature(tuple(words), skip_pos=skip_pos, skip_len=skip_len, tag=tag)
 
 
 # ---------------------------------------------------------------------------

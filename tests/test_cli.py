@@ -378,6 +378,15 @@ def test_eval_tagged_model_without_tags_exits_2(workdir, capsys):
     ])
     assert rc == 2
     assert "corpus-tagged" in capsys.readouterr().err
+    # Untagged dev features keep no row of a tagged count file; the check
+    # still sees every row.
+    inputs = ["--counts", _p(wd / "counts.tsv"), "--dev", _p(wd / "dev.txt"),
+              "--config", _p(wd / "ngram.cfg"), "--vocab", _p(vocab)]
+    assert main(["intersect", *inputs, "-o", _p(wd / "inter.tsv")]) == 2
+    assert "corpus-tagged" in capsys.readouterr().err
+    assert main(["train", *inputs, "--adjustment-out", _p(wd / "adj2.bin"),
+                 "--model-out", _p(wd / "model2.tsv")]) == 2
+    assert "corpus-tagged" in capsys.readouterr().err
     rc = main([
         "eval", "--model", _p(wd / "model.tsv"), "--test", _p(wd / "tiny.txt"),
         "--config", _p(wd / "ngram.cfg"), "--vocab", _p(vocab), "--tag", "web",
@@ -428,6 +437,11 @@ def test_inspect_rejects_a_bad_total_events_line(pipeline, capsys):
     captured = capsys.readouterr()
     assert "bad.tsv:2:" in captured.err
     assert "C_f*" not in captured.out
+    # The count file is checked ahead of the feature argument.
+    assert main([
+        "inspect", "[zz]", "--counts", _p(bad), "--vocab", _p(wd / "vocab.txt"),
+    ]) == 2
+    assert "bad.tsv:2:" in capsys.readouterr().err
 
 
 def _w_vocab(wd):
@@ -446,13 +460,11 @@ def test_inspect_names_the_line_of_an_unparsable_feature(workdir, capsys):
     assert "bad.tsv:3: unknown token 'zz'" in err
 
 
-def test_eval_names_the_line_of_an_unparsable_feature(workdir, capsys):
+def _eval_bad_model(workdir, capsys, body: str) -> str:
     vocab = _w_vocab(workdir)
     bad = workdir / "bad-model.tsv"
     bad.write_text(
-        f"#snm-model v1\n#vocab-size {len(Vocabulary.load(vocab))}\n[zz]\tw\t1.0\n"
-        "#normalizers\n[zz]\t1.0\n",
-        encoding="utf-8",
+        f"#snm-model v1\n#vocab-size {len(Vocabulary.load(vocab))}\n{body}", encoding="utf-8"
     )
     capsys.readouterr()
     assert main([
@@ -460,8 +472,83 @@ def test_eval_names_the_line_of_an_unparsable_feature(workdir, capsys):
         "--config", _p(workdir / "ngram.cfg"), "--vocab", _p(vocab),
     ]) == 2
     captured = capsys.readouterr()
-    assert "bad-model.tsv:3: unknown token 'zz'" in captured.err
     assert "ppl" not in captured.out
+    return captured.err
+
+
+def test_eval_names_the_line_of_an_unparsable_feature(workdir, capsys):
+    err = _eval_bad_model(workdir, capsys, "[zz]\tw\t1.0\n#normalizers\n[zz]\t1.0\n")
+    assert "bad-model.tsv:3: unknown token 'zz'" in err
+
+
+def test_eval_names_the_line_of_an_unparsable_normalizer(workdir, capsys):
+    # A normalizer string is looked up among the link rows' strings; one that
+    # does not parse is still reported as such, not as a row that is missing.
+    body = "[]\tw\t1.0\n#normalizers\n[]\t1.0\n[zz]\t1.0\n"
+    err = _eval_bad_model(workdir, capsys, body)
+    assert "bad-model.tsv:6: unknown token 'zz'" in err
+
+
+# Each kind of bad count line, put in place of the row "[hot] </S> 1": no
+# dev sentence and no inspected row holds the feature [hot], so a reader
+# that stores only the rows it is asked for still has to reject it.
+_BAD_ROWS = {
+    "unknown word": ("[hot]\tzzz\t1", "unknown word 'zzz'"),
+    "bad count": ("[hot]\t</S>\tx", "bad count 'x'"),
+    "zero count": ("[hot]\t</S>\t0", "count must be positive"),
+    "two fields": ("[hot]\t</S>", "expected 3 tab-separated fields"),
+    "unknown token": ("[hox]\t</S>\t1", "unknown token 'hox'"),
+    "empty token": ("[hot  is]\t</S>\t1", "malformed feature string"),
+    "trailing marker": ("[hot skip-2]\t</S>\t1", "skip marker without adjacent words"),
+    "double marker": ("[hot skip-2 skip-3 is]\t</S>\t1", "multiple skip markers"),
+    "row order": ("[cold]\t</S>\t1", "rows out of order"),
+    "late total": ("#total-events 15", "#total-events must come once"),
+}
+_KEEPING_COMMANDS = {
+    "train": lambda wd, counts: [
+        "train", "--counts", counts, "--dev", _p(wd / "dev.txt"),
+        "--config", _p(wd / "ngram.cfg"), "--vocab", _p(wd / "vocab.txt"),
+        "--epochs", "0", "--table-size", "1024",
+        "--adjustment-out", _p(wd / "adj.bin"), "--model-out", _p(wd / "model.tsv"),
+    ],
+    "intersect": lambda wd, counts: [
+        "intersect", "--counts", counts, "--dev", _p(wd / "dev.txt"),
+        "--config", _p(wd / "ngram.cfg"), "--vocab", _p(wd / "vocab.txt"),
+        "-o", _p(wd / "inter.tsv"),
+    ],
+    "inspect": lambda wd, counts: [
+        "inspect", "[]", "--counts", counts, "--vocab", _p(wd / "vocab.txt"),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_KEEPING_COMMANDS))
+@pytest.mark.parametrize("kind", sorted(_BAD_ROWS))
+def test_bad_count_rows_outside_the_kept_rows_exit_2(pipeline, capsys, command, kind):
+    wd = pipeline
+    lines = (wd / "counts.tsv").read_text(encoding="utf-8").splitlines()
+    lineno = lines.index("[hot]\t</S>\t1") + 1
+    bad_line, message = _BAD_ROWS[kind]
+    lines[lineno - 1] = bad_line
+    bad = wd / "bad.tsv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(_KEEPING_COMMANDS[command](wd, _p(bad))) == 2
+    captured = capsys.readouterr()
+    assert f"bad.tsv:{lineno}: {message}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not any((wd / name).exists() for name in ("model.tsv", "adj.bin", "inter.tsv"))
+
+
+def test_inspect_model_with_target_is_a_usage_error(tmp_path, capsys):
+    # The link decomposition needs the link count, which only a count file
+    # has. None of the files exist: reading any of them would exit 2, not 1.
+    missing = _p(tmp_path / "missing")
+    assert main([
+        "inspect", "[]", "--model", missing, "--vocab", missing, "--target", "tea",
+    ]) == 1
+    assert "--target needs --counts" in capsys.readouterr().err
 
 
 def test_inspect_link_shows_split_buckets(pipeline, capsys):

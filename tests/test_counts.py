@@ -212,6 +212,54 @@ def test_load_with_verify_rejects_unsorted(tmp_path, abc_vocab):
         CountStore.load(path, abc_vocab)
 
 
+_SKIP_CONFIG = """
+ngram_extractor { min_n: 0 max_n: 2 }
+skip_ngram_extractor {
+  max_context_words: 3
+  min_remote_words: 1
+  max_remote_words: 1
+  min_skip_length: 1
+  max_skip_length: 3
+  tie_skip_length: false
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def tagged_count_file(tmp_path_factory):
+    """A count file of n-gram and skip features under two corpus tags."""
+    chain = MarkovChain(8, seed=11)
+    sents = chain.sentences(random.Random(12), 40)
+    vocab = build_vocab((t for s in sents for t in s), min_count=1)
+    cfg = parse_config(_SKIP_CONFIG)
+    events = extract_corpus_events(sents[:25], vocab, cfg, "a")
+    events += extract_corpus_events(sents[25:], vocab, cfg, "b")
+    path = tmp_path_factory.mktemp("counts") / "tagged.tsv"
+    accumulate(events).save(path, vocab)
+    return path, vocab, CountStore.load(path, vocab)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_load_with_keep_equals_intersect(tagged_count_file, data):
+    path, vocab, full = tagged_count_file
+    features = list(full.rows)
+    keep = data.draw(st.lists(st.sampled_from(features), max_size=len(features)))
+    # Features the file does not hold keep nothing.
+    keep += data.draw(st.lists(st.builds(
+        Feature, st.tuples(st.integers(3, len(vocab) - 1)), tag=st.sampled_from(["a", "c", None])
+    ), max_size=3))
+    loaded = CountStore.load(path, vocab, keep=keep)
+    expected = full.intersect(keep)
+    assert list(loaded.rows.items()) == list(expected.rows.items())
+    assert list(loaded.feature_counts.items()) == list(expected.feature_counts.items())
+    assert loaded.total_events == expected.total_events == full.total_events
+    # Every feature of the file is counted, kept or not.
+    assert loaded.file_features == full.file_features
+    assert sum(full.file_features.values()) == len(full)
+    assert set(full.file_features) == {"a", "b"}
+
+
 def test_merge_files_equals_single_pass(tmp_path):
     chain = MarkovChain(10, seed=3)
     sents = chain.sentences(random.Random(4), 30)

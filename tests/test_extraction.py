@@ -15,6 +15,8 @@ from snmlm.extraction import (
     render_feature,
 )
 
+from snm_testutil import parse_feature_oracle
+
 FIVE_GRAM_TEXT = """
 // Sample config generating a straight 5-gram language model.
 ngram_extractor {
@@ -364,27 +366,80 @@ def test_render_tagged_feature(small_vocab):
     assert render_feature(Feature((a, b), tag="web"), small_vocab) == "web:[alpha beta]"
 
 
+# Besides ordinary words, two that contain ``skip-`` without being markers;
+# ``skip-01`` starts like one, so the fast parser leaves it to its strict path.
+_PARSE_WORDS = ["alpha", "beta", "gamma", "delta", "skip-01", "reskip-2"]
+
+
 @st.composite
-def features(draw, n_words=4):
-    n = draw(st.integers(min_value=0, max_value=4))
+def features(draw, n_words=len(_PARSE_WORDS)):
+    n = draw(st.integers(min_value=0, max_value=5))
     words = tuple(draw(st.integers(min_value=3, max_value=2 + n_words)) for _ in range(n))
-    tag = draw(st.one_of(st.none(), st.sampled_from(["web", "target", "x1"])))
-    if n >= 2 and draw(st.booleans()):
-        pos = draw(st.integers(min_value=1, max_value=n - 1))
-        length = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=9)))
+    tag = draw(st.one_of(st.none(), st.sampled_from(["web", "target", "x1", "a:b"])))
+    if n >= 1 and draw(st.booleans()):
+        pos = draw(st.integers(min_value=0, max_value=n - 1))
+        # Past 64 the skip marker is not in the fast parser's table.
+        length = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=9),
+                                st.integers(min_value=60, max_value=10**6)))
         return Feature(words, skip_pos=pos, skip_len=length, tag=tag)
     return Feature(words, tag=tag)
 
 
 @given(features())
 def test_feature_string_roundtrip(f):
-    vocab = build_vocab(["alpha", "beta", "gamma", "delta"], min_count=1)
-    assert parse_feature(render_feature(f, vocab), vocab) == f
+    vocab = build_vocab(_PARSE_WORDS, min_count=1)
+    s = render_feature(f, vocab)
+    assert parse_feature(s, vocab) == f == parse_feature_oracle(s, vocab)
+
+
+# Tokens a damaged feature string may hold: bad markers (skip-0, skip-01,
+# skip-, skip-x), markers that make a second or a trailing one, an empty
+# token, an unknown word, and vocabulary words spelled like markers, one
+# inside the fast parser's marker table and one past it.
+_MUTANT_TOKENS = ["skip-0", "skip-01", "skip-", "skip-x", "skip-*", "skip-7", "skip-64",
+                  "skip-65", "skip-100", "", "omega", "alpha", "skip-3"]
+
+
+@st.composite
+def mutated_feature_strings(draw):
+    vocab = build_vocab(_PARSE_WORDS + ["skip-3", "skip-100"], min_count=1)
+    s = render_feature(draw(features()), vocab)
+    head, _, body = s.rpartition("[")
+    tokens = body[:-1].split(" ") if body != "]" else []
+    op = draw(st.sampled_from(["replace", "insert", "frame"]))
+    if op == "frame":
+        s = draw(st.sampled_from(
+            [s[1:], s[:-1], s[:-1] + ")", ":" + s, "x:" + s, s + "]", s + ":[]", " " + s]
+        ))
+    else:
+        token = draw(st.sampled_from(_MUTANT_TOKENS))
+        i = draw(st.integers(min_value=0, max_value=len(tokens)))
+        if op == "replace" and i < len(tokens):
+            tokens[i] = token
+        else:
+            tokens.insert(i, token)
+        s = f"{head}[{' '.join(tokens)}]"
+    return s, vocab
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_feature_strings())
+def test_parse_feature_rejects_exactly_what_the_oracle_rejects(case):
+    s, vocab = case
+    try:
+        expected = parse_feature_oracle(s, vocab)
+    except DataError as exc:
+        with pytest.raises(DataError) as raised:
+            parse_feature(s, vocab)
+        assert str(raised.value) == str(exc)
+    else:
+        assert parse_feature(s, vocab) == expected
 
 
 def test_parse_feature_rejects_malformed(small_vocab):
     for bad in ["", "[", "alpha]", "[alpha", "x:", "[alpha  beta]", "[skip-2]",
-                "[alpha skip-2]", "[alpha skip-2 skip-3 beta]"]:
+                "[alpha skip-2]", "[alpha skip-2 skip-3 beta]", "[alpha skip-0 beta]",
+                "[alpha skip-01 beta]", "[ alpha]", ":[alpha]"]:
         with pytest.raises(DataError):
             parse_feature(bad, small_vocab)
 
