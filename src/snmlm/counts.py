@@ -76,17 +76,9 @@ class CountStore:
     # -- persistence ------------------------------------------------------
 
     def save(self, path, vocab: Vocabulary) -> None:
-        entries = []
-        for f, row in self.rows.items():
-            fs = render_feature(f, vocab)
-            for w, c in row.items():
-                entries.append((fs, vocab.words[w], c))
-        entries.sort(key=lambda e: (e[0], e[1]))
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(COUNTS_HEADER + "\n")
-            fh.write(f"{_TOTAL_PREFIX}{self.total_events}\n")
-            for fs, ws, c in entries:
-                fh.write(f"{fs}\t{ws}\t{c}\n")
+            fh.write(f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{self.total_events}\n")
+            write_rows(fh, self.rows, vocab)
 
     @classmethod
     def load(cls, path, vocab: Vocabulary, keep: Iterable[Feature] | None = None) -> "CountStore":
@@ -159,18 +151,28 @@ def accumulate(events: Iterable[Event]) -> CountStore:
     return store
 
 
-def _parse_count_line(path, lineno: int, line: str) -> tuple[str, str, int]:
-    parts = line.split("\t")
-    if len(parts) != 3:
-        raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-    fs, ws, cs = parts
-    try:
-        c = int(cs)
-    except ValueError:
-        raise DataError(f"{path}:{lineno}: bad count {cs!r}") from None
-    if c < 1:
-        raise DataError(f"{path}:{lineno}: count must be positive, got {c}")
-    return fs, ws, c
+def write_rows(fh, rows: dict[Feature, dict], vocab: Vocabulary) -> list[str]:
+    """Write every link as ``feature<TAB>word<TAB>value``, sorted by (feature, word).
+
+    The one writer of count and model rows: ``f"{value}"`` renders a count
+    as `str(int)` and a model cell as `repr(float)`. Returns each row's
+    rendered feature, in `rows` order.
+    """
+    words = vocab.words
+    names = [render_feature(f, vocab) for f in rows]
+    entries = [(fs, words[w], v) for fs, row in zip(names, rows.values()) for w, v in row.items()]
+    # Each (feature, word) comes once, so the sort never compares values.
+    entries.sort()
+    for fs, ws, v in entries:
+        fh.write(f"{fs}\t{ws}\t{v}\n")
+    return names
+
+
+def _natural(text: str) -> int:
+    """A count or total: ASCII digits only, where `int` also reads signs, ``_`` and more."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
 
 
 def _entry_stream(path) -> Iterator:
@@ -200,13 +202,20 @@ def _entry_stream(path) -> Iterator:
                         )
                     text = line[len(_TOTAL_PREFIX):]
                     try:
-                        total = int(text)
+                        total = _natural(text)
                     except ValueError:
-                        total = -1
-                    if total < 0:
-                        raise DataError(f"{path}:{lineno}: bad event total {text!r}")
+                        raise DataError(f"{path}:{lineno}: bad event total {text!r}") from None
                 continue
-            fs, ws, c = _parse_count_line(path, lineno, line)
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            fs, ws, cs = parts
+            try:
+                c = _natural(cs)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad count {cs!r}") from None
+            if c < 1:
+                raise DataError(f"{path}:{lineno}: count must be positive, got {c}")
             key = (fs, ws)
             if prev is None:
                 yield total or 0
@@ -231,8 +240,7 @@ def merge_files(paths, out_path) -> None:
     try:
         grand_total = sum(next(s) for s in streams)
         with open(tmp_path, "w", encoding="utf-8") as out:
-            out.write(COUNTS_HEADER + "\n")
-            out.write(f"{_TOTAL_PREFIX}{grand_total}\n")
+            out.write(f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{grand_total}\n")
             current_fs = current_ws = None
             current = 0
             for fs, ws, c, _ in heapq.merge(*streams):

@@ -30,6 +30,7 @@ and must not occur as corpus words if feature files are to be re-parsed.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -100,18 +101,8 @@ class Event(NamedTuple):
 # ---------------------------------------------------------------------------
 # Config parsing
 
-_NGRAM_BLOCK = "ngram_extractor"
-_SKIP_BLOCK = "skip_ngram_extractor"
-_NGRAM_KEYS = {"min_n", "max_n"}
-_SKIP_KEYS = {
-    "max_context_words",
-    "min_remote_words",
-    "max_remote_words",
-    "min_skip_length",
-    "max_skip_length",
-    "tie_skip_length",
-}
-_BOOL_KEYS = {"tie_skip_length"}
+# The blocks a config may hold; a block's keys are its dataclass's fields.
+_BLOCKS = {"ngram_extractor": NgramConfig, "skip_ngram_extractor": SkipConfig}
 
 
 def _tokenize_config(text: str):
@@ -124,47 +115,37 @@ def _tokenize_config(text: str):
 
 def parse_config(text: str) -> ExtractorConfig:
     """Parse extractor configuration text into a validated config."""
-    tokens = list(_tokenize_config(text))
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, -1)
-
-    def take():
-        nonlocal pos
-        tok, ln = peek()
-        pos += 1
-        return tok, ln
-
+    tokens = _tokenize_config(text)
     ngram: NgramConfig | None = None
     skips: list[SkipConfig] = []
 
-    while pos < len(tokens):
-        name, ln = take()
-        if name not in (_NGRAM_BLOCK, _SKIP_BLOCK):
+    for name, ln in tokens:
+        block = _BLOCKS.get(name)
+        if block is None:
             raise ConfigError(f"line {ln}: unknown block {name!r}")
-        brace, bln = take()
+        brace, bln = next(tokens, (None, -1))
         if brace != "{":
             raise ConfigError(f"line {bln}: expected '{{' after {name}")
+        # Annotations are strings here (postponed evaluation).
+        types = {f.name: f.type for f in dataclasses.fields(block)}
         fields: dict[str, object] = {}
-        allowed = _NGRAM_KEYS if name == _NGRAM_BLOCK else _SKIP_KEYS
         while True:
-            key, kln = take()
+            key, kln = next(tokens, (None, -1))
             if key is None:
                 raise ConfigError(f"line {ln}: unterminated block {name}")
             if key == "}":
                 break
-            if key not in allowed:
+            if key not in types:
                 raise ConfigError(f"line {kln}: unknown key {key!r} in {name}")
             if key in fields:
                 raise ConfigError(f"line {kln}: duplicate key {key!r} in {name}")
-            colon, _ = take()
+            colon, _ = next(tokens, (None, -1))
             if colon != ":":
                 raise ConfigError(f"line {kln}: expected ':' after {key}")
-            value, vln = take()
+            value, vln = next(tokens, (None, -1))
             if value is None:
                 raise ConfigError(f"line {kln}: missing value for {key}")
-            if key in _BOOL_KEYS:
+            if types[key] == "bool":
                 if value not in ("true", "false"):
                     raise ConfigError(
                         f"line {vln}: {key} expects true or false, got {value!r}"
@@ -177,12 +158,12 @@ def parse_config(text: str) -> ExtractorConfig:
                     raise ConfigError(
                         f"line {vln}: {key} expects an integer, got {value!r}"
                     ) from None
-        if name == _NGRAM_BLOCK:
-            if ngram is not None:
-                raise ConfigError(f"line {ln}: duplicate {_NGRAM_BLOCK} block")
-            ngram = _finish_ngram(fields, ln)
-        else:
+        if block is SkipConfig:
             skips.append(_finish_skip(fields, ln))
+        elif ngram is not None:
+            raise ConfigError(f"line {ln}: duplicate {name} block")
+        else:
+            ngram = _finish_ngram(fields, ln)
 
     return ExtractorConfig(ngram=ngram, skip=tuple(skips))
 
@@ -190,8 +171,8 @@ def parse_config(text: str) -> ExtractorConfig:
 def _finish_ngram(fields: dict, ln: int) -> NgramConfig:
     for req in ("min_n", "max_n"):
         if req not in fields:
-            raise ConfigError(f"line {ln}: {_NGRAM_BLOCK} requires {req}")
-    cfg = NgramConfig(min_n=fields["min_n"], max_n=fields["max_n"])
+            raise ConfigError(f"line {ln}: ngram_extractor requires {req}")
+    cfg = NgramConfig(**fields)
     if cfg.min_n < 0:
         raise ConfigError(f"line {ln}: min_n < 0")
     if cfg.min_n > cfg.max_n:
@@ -202,16 +183,14 @@ def _finish_ngram(fields: dict, ln: int) -> NgramConfig:
 def _finish_skip(fields: dict, ln: int) -> SkipConfig:
     for req in ("max_context_words", "max_skip_length"):
         if req not in fields:
-            raise ConfigError(f"line {ln}: {_SKIP_BLOCK} requires {req}")
-    ctx = fields["max_context_words"]
-    cfg = SkipConfig(
-        max_context_words=ctx,
-        min_remote_words=fields.get("min_remote_words", 1),
-        max_remote_words=fields.get("max_remote_words", ctx - 1),
-        min_skip_length=fields.get("min_skip_length", 1),
-        max_skip_length=fields["max_skip_length"],
-        tie_skip_length=fields.get("tie_skip_length", False),
-    )
+            raise ConfigError(f"line {ln}: skip_ngram_extractor requires {req}")
+    defaults = {
+        "min_remote_words": 1,
+        "max_remote_words": fields["max_context_words"] - 1,
+        "min_skip_length": 1,
+        "tie_skip_length": False,
+    }
+    cfg = SkipConfig(**{**defaults, **fields})
     if cfg.min_remote_words < 0:
         raise ConfigError(f"line {ln}: min_remote_words < 0")
     if cfg.min_remote_words > cfg.max_remote_words:
@@ -376,9 +355,9 @@ def expand_tags(event: Event, all_tags: Sequence[str]) -> Event:
 # ---------------------------------------------------------------------------
 # Feature strings
 
-# Skip markers the fast parser knows, as table values: ``skip-<n>`` is ~n and
-# ``skip-*`` is ~0, below every word id, so ``~value or None`` is the skip
-# length. Longer skips are parsed by `_parse_strict`.
+# The skip markers as token-table values: ``skip-<n>`` is ~n and ``skip-*``
+# is ~0, below every word id, so ``~value or None`` is the skip length.
+# Longer skips are read token by token (`feature_parser`).
 _MARKERS = {"skip-*": ~0, **{f"skip-{n}": ~n for n in range(1, 65)}}
 
 
@@ -403,14 +382,16 @@ def feature_parser(vocab: Vocabulary) -> Callable[[str], Feature]:
     """`parse_feature` for one vocabulary, with its token table built once.
 
     Each token of the body is looked up in one table: the vocabulary index
-    plus the skip markers. A string that does not fit (an unknown or empty
-    token, a second or trailing marker, a skip longer than the table's, a
-    malformed frame) goes to `_parse_strict`, which parses it or raises the
-    error. So do words that start with ``skip-``, which the table leaves
-    out: the grammar reserves marker-shaped tokens, so a vocabulary word
-    spelled like a marker must still be read as the marker.
+    plus the skip markers up to ``skip-64``. A string whose tokens all hit
+    the table, with at most one marker and a word after it, needs nothing
+    more. Any other string is walked token by token, which reads markers
+    past ``skip-64`` and the vocabulary words that start with ``skip-``, and
+    raises the string's first error. The table leaves those words out
+    because the grammar reserves marker-shaped tokens: a vocabulary word
+    spelled like a marker is read as the marker.
     """
-    tokens = {w: i for w, i in vocab.index.items() if w and not w.startswith("skip-")}
+    index = vocab.index
+    tokens = {w: i for w, i in index.items() if w and not w.startswith("skip-")}
     tokens.update(_MARKERS)
     get = tokens.get
     new = tuple.__new__
@@ -421,68 +402,45 @@ def feature_parser(vocab: Vocabulary) -> Callable[[str], Feature]:
         else:
             i = s.find(":[")
             if i <= 0:
-                return _parse_strict(s, vocab)
+                raise DataError(f"malformed feature string {s!r}")
             tag, body = s[:i], s[i + 1 :]
         if body[-1] != "]":
-            return _parse_strict(s, vocab)
+            raise DataError(f"malformed feature string {s!r}")
         if len(body) == 2:
             return new(Feature, ((), None, None, tag))
-        ids = list(map(get, body[1:-1].split(" ")))
-        if None in ids:
-            return _parse_strict(s, vocab)
-        m = min(ids)
-        if m >= 0:
-            return new(Feature, (tuple(ids), None, None, tag))
-        # A skip feature: one marker, the minimum, and a word after it.
-        pos = ids.index(m)
-        del ids[pos]
-        if pos == len(ids) or min(ids) < 0:
-            return _parse_strict(s, vocab)
-        return new(Feature, (tuple(ids), pos, ~m or None, tag))
+        parts = body[1:-1].split(" ")
+        ids = list(map(get, parts))
+        if None not in ids:
+            m = min(ids)
+            if m >= 0:
+                return new(Feature, (tuple(ids), None, None, tag))
+            # A skip feature: one marker, the minimum, and a word after it.
+            pos = ids.index(m)
+            del ids[pos]
+            if pos < len(ids) and min(ids) >= 0:
+                return new(Feature, (tuple(ids), pos, ~m or None, tag))
+        if "" in parts:
+            raise DataError(f"malformed feature string {s!r}")
+        words: list[int] = []
+        skip_pos = skip_len = None
+        for part in parts:
+            v = get(part)
+            if v is None:
+                n = part[5:]
+                if part[:5] == "skip-" and n.isascii() and n.isdigit() and n[0] != "0":
+                    v = ~int(n)
+                else:
+                    v = index.get(part)
+                    if v is None:
+                        raise DataError(f"unknown token {part!r} in feature {s!r}")
+            if v >= 0:
+                words.append(v)
+            elif skip_pos is not None:
+                raise DataError(f"multiple skip markers in {s!r}")
+            else:
+                skip_pos, skip_len = len(words), ~v or None
+        if skip_pos == len(words):
+            raise DataError(f"skip marker without adjacent words in {s!r}")
+        return new(Feature, (tuple(words), skip_pos, skip_len, tag))
 
     return parse
-
-
-def _is_marker(token: str) -> bool:
-    """Whether a token is a ``skip-<n>`` (n > 0, no leading zero) or ``skip-*`` marker."""
-    n = token[5:]
-    return token.startswith("skip-") and (
-        n == "*" or (n.isascii() and n.isdigit() and n[0] != "0")
-    )
-
-
-def _parse_strict(s: str, vocab: Vocabulary) -> Feature:
-    """Token by token, with every check; the fast parser's fallback."""
-    tag: str | None = None
-    body = s
-    if not s.startswith("["):
-        idx = s.find(":[")
-        if idx <= 0:
-            raise DataError(f"malformed feature string {s!r}")
-        tag, body = s[:idx], s[idx + 1 :]
-    if not (body.startswith("[") and body.endswith("]")):
-        raise DataError(f"malformed feature string {s!r}")
-    inner = body[1:-1]
-    if not inner:
-        return Feature((), tag=tag)
-
-    parts = inner.split(" ")
-    if any(not p for p in parts):
-        raise DataError(f"malformed feature string {s!r}")
-    skip_pos = None
-    skip_len = None
-    words: list[int] = []
-    for i, part in enumerate(parts):
-        if _is_marker(part):
-            if skip_pos is not None:
-                raise DataError(f"multiple skip markers in {s!r}")
-            if i == len(parts) - 1:
-                raise DataError(f"skip marker without adjacent words in {s!r}")
-            skip_pos = len(words)
-            skip_len = None if part == "skip-*" else int(part[5:])
-        else:
-            wid = vocab.index.get(part)
-            if wid is None:
-                raise DataError(f"unknown token {part!r} in feature {s!r}")
-            words.append(wid)
-    return Feature(tuple(words), skip_pos=skip_pos, skip_len=skip_len, tag=tag)

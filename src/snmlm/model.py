@@ -16,13 +16,13 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .corpus import UNK_ID, Vocabulary
+from .counts import CountStore, write_rows
 from .design import LinkDesign
 from .errors import DataError
 from .extraction import Event, Feature, feature_parser, render_feature
 
 if TYPE_CHECKING:
     from .adjustment import AdjustmentModel
-    from .counts import CountStore
 
 MODEL_HEADER = "#snm-model v1"
 _NORM_SECTION = "#normalizers"
@@ -134,7 +134,7 @@ def _fill(model: SnmModel, design: LinkDesign, theta: np.ndarray) -> None:
     model.cells = cells
 
 
-def materialize(counts: "CountStore", adj: "AdjustmentModel", vocab: Vocabulary) -> SnmModel:
+def materialize(counts: CountStore, adj: "AdjustmentModel", vocab: Vocabulary) -> SnmModel:
     """Build the adjusted matrix M_fw = c(w|f) * exp(A(f,w)) with normalizers."""
     model = SnmModel({}, {}, len(vocab))
     model.design = LinkDesign.build(counts, adj.mode, adj.table_size, vocab)
@@ -208,23 +208,13 @@ def perplexity(model: SnmModel, events: Iterable[Event]) -> EvalReport:
 # Persistence
 
 def save_model(model: SnmModel, path, vocab: Vocabulary) -> None:
-    link_lines = []
-    norm_lines = []
-    for f, row in model.rows.items():
-        fs = render_feature(f, vocab)
-        norm_lines.append((fs, model.normalizers[f]))
-        for w, value in row.items():
-            link_lines.append((fs, vocab.words[w], value))
-    link_lines.sort(key=lambda e: (e[0], e[1]))
-    norm_lines.sort(key=lambda e: e[0])
+    norms = model.normalizers
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(MODEL_HEADER + "\n")
-        fh.write(f"#vocab-size {model.vocab_size}\n")
-        for fs, ws, value in link_lines:
-            fh.write(f"{fs}\t{ws}\t{value!r}\n")
+        fh.write(f"{MODEL_HEADER}\n#vocab-size {model.vocab_size}\n")
+        names = write_rows(fh, model.rows, vocab)
         fh.write(_NORM_SECTION + "\n")
-        for fs, value in norm_lines:
-            fh.write(f"{fs}\t{value!r}\n")
+        for fs, f in sorted(zip(names, model.rows)):
+            fh.write(f"{fs}\t{norms[f]}\n")
 
 
 def load_model(path, vocab: Vocabulary) -> SnmModel:
@@ -267,19 +257,25 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
             fields = 2 if in_norms else 3
             if len(parts) != fields:
                 raise DataError(f"{path}:{lineno}: expected {fields} fields")
+            text = parts[-1]
             try:
-                value = float(parts[-1])
+                # float() also reads "1_0", " 1" and non-ASCII digits; no writer does.
+                if not text.isascii() or "_" in text or text.strip() != text:
+                    raise ValueError(text)
+                value = float(text)
             except ValueError:
-                raise DataError(f"{path}:{lineno}: bad value {parts[-1]!r}") from None
+                raise DataError(f"{path}:{lineno}: bad value {text!r}") from None
             if not 0.0 <= value < inf:
                 raise DataError(
-                    f"{path}:{lineno}: value must be finite and non-negative, got {parts[-1]}"
+                    f"{path}:{lineno}: value must be finite and non-negative, got {text}"
                 )
             if in_norms:
                 f = features.get(parts[0])
                 if f is None:
                     parse_at(parts[0], lineno)
                     raise DataError(f"{path}:{lineno}: normalizer of {parts[0]!r} has no link rows")
+                if f in norms:
+                    raise DataError(f"{path}:{lineno}: repeated normalizer of {parts[0]!r}")
                 norms[f] = value
             else:
                 fs, ws, _ = parts
@@ -289,8 +285,12 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
                 f = features.get(fs)
                 if f is None:
                     f = features[fs] = parse_at(fs, lineno)
-                    rows[f] = {}
-                rows[f][wid] = value
+                    row = rows[f] = {}
+                else:
+                    row = rows[f]
+                    if wid in row:
+                        raise DataError(f"{path}:{lineno}: repeated link ({fs}, {ws})")
+                row[wid] = value
     missing = set(rows) - set(norms)
     if missing:
         raise DataError(f"{path}: {len(missing)} rows lack a normalizer entry")

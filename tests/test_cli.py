@@ -489,9 +489,37 @@ def test_eval_names_the_line_of_an_unparsable_normalizer(workdir, capsys):
     assert "bad-model.tsv:6: unknown token 'zz'" in err
 
 
-# Each kind of bad count line, put in place of the row "[hot] </S> 1": no
-# dev sentence and no inspected row holds the feature [hot], so a reader
-# that stores only the rows it is asked for still has to reject it.
+# Bad model bodies (after the header and #vocab-size lines) and the line and
+# message each is rejected with. Values are what `float` reads, less `_`,
+# surrounding whitespace and non-ASCII text; a link or normalizer comes once.
+_BAD_MODEL_LINES = {
+    "underscore value": ("[]\tw\t1_0.5\n#normalizers\n[]\t1.0\n", 3, "bad value '1_0.5'"),
+    "spaced value": ("[]\tw\t 1.0\n#normalizers\n[]\t1.0\n", 3, "bad value ' 1.0'"),
+    "non-ASCII value": ("[]\tw\t\u0661.5\n#normalizers\n[]\t1.0\n", 3,
+                        "bad value '\u0661.5'"),
+    "underscore normalizer": ("[]\tw\t1.0\n#normalizers\n[]\t1_0\n", 5, "bad value '1_0'"),
+    "spaced normalizer": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\x0c\n", 5,
+                          "bad value '1.0\\x0c'"),
+    "repeated link": ("[]\tw\t1.0\n[]\t</S>\t1.0\n[]\tw\t2.0\n#normalizers\n[]\t4.0\n", 5,
+                      "repeated link ([], w)"),
+    "repeated normalizer": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\n[]\t1.0\n", 6,
+                            "repeated normalizer of '[]'"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_MODEL_LINES))
+def test_eval_rejects_bad_model_lines(workdir, capsys, kind):
+    body, lineno, message = _BAD_MODEL_LINES[kind]
+    err = _eval_bad_model(workdir, capsys, body)
+    assert f"bad-model.tsv:{lineno}: {message}" in err
+    assert "Traceback" not in err
+
+
+# Each kind of bad count line, put in place of the row "[hot] </S> 1", or of
+# the line a third item names: no dev sentence and no inspected row holds the
+# feature [hot], so a reader that stores only the rows it is asked for still
+# has to reject it. Counts and totals are ASCII digits only, though `int`
+# reads more.
 _BAD_ROWS = {
     "unknown word": ("[hot]\tzzz\t1", "unknown word 'zzz'"),
     "bad count": ("[hot]\t</S>\tx", "bad count 'x'"),
@@ -503,6 +531,13 @@ _BAD_ROWS = {
     "double marker": ("[hot skip-2 skip-3 is]\t</S>\t1", "multiple skip markers"),
     "row order": ("[cold]\t</S>\t1", "rows out of order"),
     "late total": ("#total-events 15", "#total-events must come once"),
+    "underscore count": ("[hot]\t</S>\t1_000", "bad count '1_000'"),
+    "non-ASCII count": ("[hot]\t</S>\t\u0663", "bad count '\u0663'"),
+    "signed count": ("[hot]\t</S>\t+1", "bad count '+1'"),
+    "spaced count": ("[hot]\t</S>\t1 ", "bad count '1 '"),
+    "underscore total": ("#total-events 1_5", "bad event total '1_5'", "#total-events 15"),
+    "non-ASCII total": ("#total-events \u0661\u0665", "bad event total '\u0661\u0665'",
+                        "#total-events 15"),
 }
 _KEEPING_COMMANDS = {
     "train": lambda wd, counts: [
@@ -527,8 +562,8 @@ _KEEPING_COMMANDS = {
 def test_bad_count_rows_outside_the_kept_rows_exit_2(pipeline, capsys, command, kind):
     wd = pipeline
     lines = (wd / "counts.tsv").read_text(encoding="utf-8").splitlines()
-    lineno = lines.index("[hot]\t</S>\t1") + 1
-    bad_line, message = _BAD_ROWS[kind]
+    bad_line, message, *replaced = _BAD_ROWS[kind]
+    lineno = lines.index(replaced[0] if replaced else "[hot]\t</S>\t1") + 1
     lines[lineno - 1] = bad_line
     bad = wd / "bad.tsv"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")

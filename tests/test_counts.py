@@ -189,6 +189,38 @@ def test_count_file_format(tmp_path, abc_vocab):
     assert lines[2] == "[a]\tb\t2"
 
 
+def test_count_file_golden_bytes(tmp_path, abc_vocab):
+    a, b, c = (abc_vocab.index[t] for t in "abc")
+    store = CountStore()
+    # Rows and links out of file order, tagged and untagged, n-gram and skip.
+    store.rows = {
+        Feature((a,), tag="web"): {c: 12, b: 3},
+        Feature(()): {a: 7, 1: 2},
+        Feature((0, a)): {b: 1},
+        Feature((a, b), skip_pos=1, tag="web"): {c: 1000},
+        Feature((b, a), skip_pos=1, skip_len=2): {c: 5},
+    }
+    store.total_events = 1234
+    path = tmp_path / "counts.tsv"
+    store.save(path, abc_vocab)
+    assert path.read_bytes() == (
+        b"#snm-counts v1\n"
+        b"#total-events 1234\n"
+        b"[<S> a]\tb\t1\n"
+        b"[]\t</S>\t2\n"
+        b"[]\ta\t7\n"
+        b"[b skip-2 a]\tc\t5\n"
+        b"web:[a skip-* b]\tc\t1000\n"
+        b"web:[a]\tb\t3\n"
+        b"web:[a]\tc\t12\n"
+    )
+    loaded = CountStore.load(path, abc_vocab)
+    assert loaded.rows == store.rows
+    again = tmp_path / "again.tsv"
+    loaded.save(again, abc_vocab)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_load_rejects_bad_header(tmp_path, abc_vocab):
     path = tmp_path / "bad.tsv"
     path.write_text("nonsense\n", encoding="utf-8")
@@ -309,6 +341,9 @@ _BAD_FILES = {
     "header": ("not a count file\n", None),
     "non-integer total": (f"{COUNTS_HEADER}\n#total-events x7\n[a]\tb\t1\n", 2),
     "negative total": (f"{COUNTS_HEADER}\n#total-events -4\n[a]\tb\t1\n", 2),
+    "underscore total": (f"{COUNTS_HEADER}\n#total-events 1_0\n[a]\tb\t1\n", 2),
+    "non-ASCII total": (f"{COUNTS_HEADER}\n#total-events \u0663\n[a]\tb\t1\n", 2),
+    "signed total": (f"{COUNTS_HEADER}\n#total-events +3\n[a]\tb\t1\n", 2),
     "total after the first row": (f"{COUNTS_HEADER}\n[a]\tb\t1\n#total-events 9\n", 3),
     "second total": (f"{COUNTS_HEADER}\n#total-events 1\n#total-events 1\n[a]\tb\t1\n", 3),
     "row order": (f"{COUNTS_HEADER}\n#total-events 2\n[b]\tc\t1\n[a]\tb\t1\n", 4),

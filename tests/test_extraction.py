@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -8,6 +9,8 @@ from snmlm.errors import ConfigError, DataError
 from snmlm.extraction import (
     Event,
     Feature,
+    NgramConfig,
+    SkipConfig,
     expand_tags,
     extract_events,
     parse_config,
@@ -106,6 +109,43 @@ def test_bad_skip_invariants():
             "skip_ngram_extractor { max_context_words: 3 "
             "min_skip_length: 4 max_skip_length: 2 }"
         )
+
+
+# A valid value for every field of each block's dataclass, as config text.
+_BLOCK_VALUES = {
+    ("ngram_extractor", NgramConfig): {"min_n": "1", "max_n": "3"},
+    ("skip_ngram_extractor", SkipConfig): {
+        "max_context_words": "4",
+        "min_remote_words": "2",
+        "max_remote_words": "3",
+        "min_skip_length": "2",
+        "max_skip_length": "5",
+        "tie_skip_length": "true",
+    },
+}
+
+
+@pytest.mark.parametrize("block, cls", sorted(_BLOCK_VALUES, key=str))
+def test_every_config_field_is_a_key(block, cls):
+    values = _BLOCK_VALUES[block, cls]
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    assert set(values) == set(types)
+    lines = [f"{key}: {text}" for key, text in values.items()]
+    cfg = parse_config("\n".join([f"{block} {{", *lines, "}"]))
+    parsed = cfg.ngram if cls is NgramConfig else cfg.skip[0]
+    for i, (key, text) in enumerate(values.items()):
+        value = getattr(parsed, key)
+        if types[key] == "bool":
+            assert value is (text == "true")
+            wrong, expects = "1", "true or false"
+        else:
+            assert type(value) is int and value == int(text)
+            wrong, expects = "true", "an integer"
+        # Each key takes only its own type; the error names the value's line.
+        bad = [*lines[:i], f"{key}: {wrong}", *lines[i + 1 :]]
+        with pytest.raises(ConfigError) as raised:
+            parse_config("\n".join([f"{block} {{", *bad, "}"]))
+        assert str(raised.value) == f"line {i + 2}: {key} expects {expects}, got {wrong!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,35 @@ def test_model_file_roundtrip(tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
+def test_model_file_golden_bytes(tmp_path):
+    vocab = build_vocab(["a", "b", "c"], min_count=1)
+    a, b, c = (vocab.index[t] for t in "abc")
+    skip = Feature((a, b), skip_pos=1, skip_len=3, tag="web")
+    empty = Feature((), tag="web")
+    # 0.1 + 0.2 needs all 17 significant digits to read back.
+    rows = {skip: {c: 0.1 + 0.2, b: 1 / 3}, empty: {a: 2.0, 1: 1e-05}}
+    model = SnmModel(rows, {empty: 2.00001, skip: 0.6333333333333333}, len(vocab))
+    path = tmp_path / "model.tsv"
+    save_model(model, path, vocab)
+    assert path.read_bytes() == (
+        b"#snm-model v1\n"
+        b"#vocab-size 6\n"
+        b"web:[]\t</S>\t1e-05\n"
+        b"web:[]\ta\t2.0\n"
+        b"web:[a skip-3 b]\tb\t0.3333333333333333\n"
+        b"web:[a skip-3 b]\tc\t0.30000000000000004\n"
+        b"#normalizers\n"
+        b"web:[]\t2.00001\n"
+        b"web:[a skip-3 b]\t0.6333333333333333\n"
+    )
+    loaded = load_model(path, vocab)
+    assert loaded.rows == rows
+    assert loaded.normalizers == model.normalizers
+    again = tmp_path / "again.tsv"
+    save_model(loaded, again, vocab)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_model_file_rejects_bad_header(tmp_path):
     vocab = make_vocab(3)
     path = tmp_path / "bad.tsv"
