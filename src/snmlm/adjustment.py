@@ -31,7 +31,7 @@ from .counts import CountStore
 from .errors import DataError
 from .extraction import Event, Feature
 from .metafeatures import Mode
-from .model import SnmModel, design_of, materialize, perplexity, renormalize
+from .model import SnmModel, design_of, materialize, perplexity, renormalize, score_event
 
 _ADJ_MAGIC = b"SNMADJ\x01"
 # table size, gamma, delta0, mode code, hash scheme id
@@ -133,9 +133,9 @@ class BatchAccumulator:
 
     `link_grads` holds the first, target-linked term keyed by (f, w) pairs
     that occurred in the batch; `alpha` holds the per-feature sums of
-    1/y(e). Events whose target is unreachable (y_t = 0) are scored at the
-    probability floor, a constant, so they contribute no gradient and are
-    only counted.
+    1/y(e), with y and y_t(e) from `score_event`. Events whose target is
+    unreachable (y_t = 0) are scored at the probability floor, a constant, so
+    they contribute no gradient and are only counted.
     """
 
     __slots__ = ("link_grads", "alpha", "num_events", "floored_events")
@@ -147,30 +147,23 @@ class BatchAccumulator:
         self.floored_events = 0
 
     def add_event(self, event: Event, model: SnmModel) -> None:
-        rows = model.rows
-        normalizers = model.normalizers
-        feats = [f for f in event.features if f in rows]
-        if not feats:
-            raise DataError("event has no features known to the model")
-        target = event.target
-        y = 0.0
-        y_t = 0.0
-        for f in feats:
-            y += normalizers[f]
-            y_t += rows[f].get(target, 0.0)
-        if y <= 0.0:
-            raise DataError("zero normalizer for event")
+        score = score_event(model, event)
         self.num_events += 1
-        if y_t <= 0.0:
+        if score.floored:
             self.floored_events += 1
             return
-        inv_y = 1.0 / y
-        inv_yt = 1.0 / y_t
+        inv_y = 1.0 / score.y
+        inv_yt = 1.0 / score.y_t
+        rows = model.rows
+        target = event.target
         alpha = self.alpha
         link_grads = self.link_grads
-        for f in feats:
+        for f in event.features:
+            row = rows.get(f)
+            if row is None:
+                continue
             alpha[f] = alpha.get(f, 0.0) + inv_y
-            m_ft = rows[f].get(target, 0.0)
+            m_ft = row.get(target, 0.0)
             if m_ft:
                 key = (f, target)
                 link_grads[key] = link_grads.get(key, 0.0) + m_ft * inv_yt

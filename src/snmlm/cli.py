@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .adjustment import AdjustmentModel, train
-from .corpus import TaggedCorpus, Vocabulary, build_vocab, iter_file_tokens
+from .corpus import TaggedCorpus, Vocabulary, build_vocab, iter_file_tokens, natural
 from .counts import CountStore, accumulate
 from .design import explain
 from .errors import DataError, SnmError
@@ -27,6 +27,7 @@ from .metafeatures import Mode
 from .model import load_model, materialize, perplexity, save_model
 
 _MODES = {m.value: m for m in Mode}
+_SUFFIXES = {"k": 1 << 10, "K": 1 << 10, "m": 1 << 20, "M": 1 << 20}
 
 
 class UsageError(Exception):
@@ -41,78 +42,71 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_table_size(text: str) -> int:
-    """Integer with an optional K/M suffix (multiples of 1024)."""
+    """ASCII digits with an optional K/M suffix (multiples of 1024)."""
     text = text.strip()
-    factor = 1
-    if text and text[-1] in "kK":
-        factor, text = 1024, text[:-1]
-    elif text and text[-1] in "mM":
-        factor, text = 1024 * 1024, text[:-1]
+    factor = _SUFFIXES.get(text[-1:], 1)
+    digits = text[:-1] if factor > 1 else text
     try:
-        value = int(text) * factor
+        return natural(digits) * factor
     except ValueError:
-        raise UsageError(f"bad table size {text!r}") from None
-    return value
+        raise UsageError(f"bad table size {digits!r}") from None
 
 
-def _check_tag(tag: str) -> None:
-    if not tag or any(ch.isspace() for ch in tag) or "[" in tag or "]" in tag:
-        raise UsageError(f"bad corpus tag {tag!r}: no whitespace or brackets")
-
-
-def _resolve_tags(files, tags) -> list[str]:
-    if not tags:
-        return [""] * len(files)
-    if len(tags) != len(files):
-        raise UsageError(
-            f"got {len(tags)} --tag values for {len(files)} corpus files"
-        )
+def _tags(args, files=None) -> tuple[str, ...]:
+    """The --tag values, checked before any file is read; one per file of `files`, or none."""
+    tags = tuple(args.tag)
+    if files is not None and tags and len(tags) != len(files):
+        raise UsageError(f"got {len(tags)} --tag values for {len(files)} corpus files")
     for tag in tags:
-        _check_tag(tag)
-    return list(tags)
+        if not tag or any(ch.isspace() for ch in tag) or "[" in tag or "]" in tag:
+            raise UsageError(f"bad corpus tag {tag!r}: no whitespace or brackets")
+    return tags
 
 
-def _corpus_events(
-    path, vocab: Vocabulary, config: ExtractorConfig, tags: tuple[str, ...]
-) -> list[Event]:
+def _corpus_events(path, vocab: Vocabulary, config: ExtractorConfig, tags) -> list[Event]:
     """Extract evaluation-side events, expanding corpus tags when given."""
-    corpus = TaggedCorpus.from_file(path, vocab)
     events: list[Event] = []
-    for sent in corpus.sentences:
+    for sent in TaggedCorpus.from_file(path, vocab).sentences:
         for e in extract_events(sent, config):
             events.append(expand_tags(e, tags) if tags else e)
     return events
 
 
 def _training_events(paths, tags, vocab: Vocabulary, config: ExtractorConfig):
-    """Stream the events of each training file, with its corpus tag."""
-    for path, tag in zip(paths, tags):
-        corpus = TaggedCorpus.from_file(path, vocab, tag)
-        for sent in corpus.sentences:
-            yield from extract_events(sent, config, tag=tag or None)
+    """Stream the events of each training file, with its corpus tag if `tags` has one."""
+    for path, tag in zip(paths, tags or [None] * len(paths)):
+        for sent in TaggedCorpus.from_file(path, vocab).sentences:
+            yield from extract_events(sent, config, tag=tag)
 
 
-def _dev_features(events: list[Event]) -> set:
-    return {f for e in events for f in e.features}
+def _check_tags_cover(feature_tags, tags, source: str) -> None:
+    """Every tag on the source's features must be among `tags`; with no tags, none may be.
 
-
-def _check_tag_consistency(feature_tags, tags, source: str) -> None:
-    """Tagged rows need --tag for expansion; untagged rows must not get one.
-
-    `feature_tags` holds the tag of every feature of the source, None for an
-    untagged one.
+    `feature_tags` holds the tag of each feature, None for an untagged one.
+    Extra tags are allowed: they match no row, and a model keeps only the
+    rows seen on dev, so it can lack a source's tag.
     """
-    has_tagged = any(t is not None for t in feature_tags)
-    has_untagged = None in feature_tags
-    if has_tagged and not has_untagged and not tags:
-        raise SnmError(
-            f"{source} uses corpus-tagged features; pass --tag once per "
-            "training source so features can be expanded"
-        )
-    if has_untagged and not has_tagged and tags:
-        raise SnmError(
-            f"{source} is not corpus-tagged; drop the --tag flags"
-        )
+    feature_tags = set(feature_tags)
+    missing = feature_tags - (set(tags) if tags else {None})
+    if None in feature_tags and len(feature_tags) > 1:
+        raise SnmError(f"{source} mixes untagged and corpus-tagged features; no --tag set fits")
+    if missing and not tags:
+        raise SnmError(f"{source} uses corpus-tagged features; pass --tag once per "
+                       "training source so features can be expanded")
+    if None in missing:
+        raise SnmError(f"{source} is not corpus-tagged; drop the --tag flags")
+    if missing:
+        raise SnmError(f"{source} has features tagged {', '.join(map(repr, sorted(missing)))}"
+                       "; pass --tag for every training source")
+
+
+def _held_out(args, tags: tuple[str, ...]):
+    """The vocab, the dev events, and the count rows of the dev features."""
+    vocab = Vocabulary.load(args.vocab)
+    dev_events = _corpus_events(args.dev, vocab, load_config(args.config), tags)
+    store = CountStore.load(args.counts, vocab, keep={f for e in dev_events for f in e.features})
+    _check_tags_cover(store.file_features, tags, args.counts)
+    return vocab, dev_events, store
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +120,8 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_count(args) -> int:
+    tags = _tags(args, args.corpus)
     vocab = Vocabulary.load(args.vocab)
-    tags = _resolve_tags(args.corpus, args.tag)
     # The config, and with it the features it interned, lives only as long as
     # the event stream: its tables are freed before the save's peak.
     events = _training_events(args.corpus, tags, vocab, load_config(args.config))
@@ -141,11 +135,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_intersect(args) -> int:
-    vocab = Vocabulary.load(args.vocab)
-    config = load_config(args.config)
-    dev_events = _corpus_events(args.dev, vocab, config, tuple(args.tag))
-    sub = CountStore.load(args.counts, vocab, keep=_dev_features(dev_events))
-    _check_tag_consistency(sub.file_features, tuple(args.tag), args.counts)
+    vocab, _, sub = _held_out(args, _tags(args))
     sub.save(args.output, vocab)
     print(
         f"intersected: {len(sub)}/{sum(sub.file_features.values())} features kept, "
@@ -162,22 +152,14 @@ def cmd_train(args) -> int:
         raise UsageError(str(exc)) from None
     if args.epochs < 0:
         raise UsageError("epochs must be >= 0")
-    tags = tuple(args.tag)
-    for tag in tags:
-        _check_tag(tag)
-    vocab = Vocabulary.load(args.vocab)
-    config = load_config(args.config)
-    dev_events = _corpus_events(args.dev, vocab, config, tags)
-    dev_features = _dev_features(dev_events)
     # Only the dev rows are trained on and saved, so only they are stored.
-    store = CountStore.load(args.counts, vocab, keep=dev_features)
-    _check_tag_consistency(store.file_features, tags, args.counts)
+    vocab, dev_events, store = _held_out(args, _tags(args))
     if not dev_events:
         raise SnmError(f"{args.dev}: empty development set")
     # A copy of `store`: perfbench/tracing.py captures the training store from
     # this call. ROADMAP item 1 removes the pin.
-    intersected = store.intersect(dev_features)
-    del store, dev_features
+    intersected = store.intersect(store.rows)
+    del store
 
     # Built after the inputs are read: built before them, the weight table
     # raised the peak RSS of two `train` runs in one process by 5 MB on a
@@ -201,11 +183,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    tags = _tags(args)
     vocab = Vocabulary.load(args.vocab)
     config = load_config(args.config)
     model = load_model(args.model, vocab)
-    tags = tuple(args.tag)
-    _check_tag_consistency({f.tag for f in model.rows}, tags, "model")
+    _check_tags_cover({f.tag for f in model.rows}, tags, "model")
     events = _corpus_events(args.test, vocab, config, tags)
     report = perplexity(model, events)
     print(f"events: {report.num_events}")
@@ -228,38 +210,29 @@ def cmd_inspect(args) -> int:
             raise
         # Every line is still validated; only the asked row is stored.
         store = CountStore.load(args.counts, vocab, keep={feature})
-        if feature not in store.rows:
-            print(f"feature {args.feature!r} not found in {args.counts}")
-            return 0
-        c_f = store.feature_counts[feature]
-        print(f"feature {args.feature}  C_f*={c_f}")
-        row = sorted(
-            store.rows[feature].items(), key=lambda kv: (-kv[1], vocab.words[kv[0]])
-        )
-        for w, c in row:
-            print(f"  {vocab.words[w]}\t{c}\t{c / c_f:.6g}")
-        if args.target is not None:
-            wid = vocab.index.get(args.target)
-            c_fw = store.rows[feature].get(wid, 0) if wid is not None else 0
-            if not c_fw:
-                print(f"link target {args.target!r} not found in this row")
-                return 0
-            print(f"link ({args.feature}, {args.target})  C_fw={c_fw}")
-            mode = _MODES[args.mode]
-            for label, h, wt in explain(feature, wid, c_f, c_fw, mode, vocab):
-                print(f"  {h:016x}  {wt:.6f}  {label}")
+        source, rows, sums, total_name = args.counts, store.rows, store.feature_counts, "C_f*"
     else:
         model = load_model(args.model, vocab)
         feature = parse_feature(args.feature, vocab)
-        if feature not in model.rows:
-            print(f"feature {args.feature!r} not found in {args.model}")
-            return 0
-        print(f"feature {args.feature}  M_f*={model.normalizers[feature]!r}")
-        row = sorted(
-            model.rows[feature].items(), key=lambda kv: (-kv[1], vocab.words[kv[0]])
-        )
-        for w, value in row:
-            print(f"  {vocab.words[w]}\t{value!r}")
+        source, rows, sums, total_name = args.model, model.rows, model.normalizers, "M_f*"
+    if feature not in rows:
+        print(f"feature {args.feature!r} not found in {source}")
+        return 0
+    total = sums[feature]
+    print(f"feature {args.feature}  {total_name}={total!r}")
+    for w, v in sorted(rows[feature].items(), key=lambda kv: (-kv[1], vocab.words[kv[0]])):
+        # A count also shows its share of the row.
+        print(f"  {vocab.words[w]}\t{v!r}" + (f"\t{v / total:.6g}" if args.counts else ""))
+    if args.target is None:
+        return 0
+    wid = vocab.index.get(args.target)
+    c_fw = rows[feature].get(wid, 0)
+    if not c_fw:
+        print(f"link target {args.target!r} not found in this row")
+        return 0
+    print(f"link ({args.feature}, {args.target})  C_fw={c_fw}")
+    for label, h, wt in explain(feature, wid, total, c_fw, _MODES[args.mode], vocab):
+        print(f"  {h:016x}  {wt:.6f}  {label}")
     return 0
 
 

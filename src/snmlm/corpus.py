@@ -124,6 +124,16 @@ def _iter_lines(path) -> Iterator[str]:
 def iter_file_tokens(paths: Iterable) -> Iterator[str]:
     """Stream whitespace tokens from text files, for vocabulary building."""
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                yield from line.split()
+        for line in _iter_lines(path):
+            yield from line.split()
+
+
+def natural(text: str) -> int:
+    """A natural number as every input spells it: ASCII digits only.
+
+    Counts, event totals, config integers and table sizes are read with it;
+    `int` also reads signs, ``_``, outer whitespace and non-ASCII digits.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)

@@ -13,7 +13,7 @@ import os
 from contextlib import closing
 from typing import Iterable, Iterator
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, natural
 from .errors import DataError
 from .extraction import Event, Feature, feature_parser, render_feature
 
@@ -118,9 +118,7 @@ class CountStore:
                         row = None
                 if row is not None:
                     row[wid] = c
-        fcounts = store.feature_counts = dict.fromkeys(rows)
-        for f, row in rows.items():
-            fcounts[f] = sum(row.values())
+        _sum_rows(store)
         return store
 
 
@@ -142,13 +140,18 @@ def accumulate(events: Iterable[Event]) -> CountStore:
                 rows[f] = {target: 1}
             else:
                 row[target] = row.get(target, 0) + 1
-    # Presized from rows: a dict comprehension would grow through resizes and
-    # leave freed tables behind in the heap (about 4.5 MB at 155k features).
-    fcounts = store.feature_counts = dict.fromkeys(rows)
-    for f, row in rows.items():
-        fcounts[f] = sum(row.values())
+    _sum_rows(store)
     store.total_events = total
     return store
+
+
+def _sum_rows(store: CountStore) -> None:
+    """Set every feature count C_f* to its row sum, in row order."""
+    # Presized from rows: a dict comprehension would grow through resizes and
+    # leave freed tables behind in the heap (about 4.5 MB at 155k features).
+    fcounts = store.feature_counts = dict.fromkeys(store.rows)
+    for f, row in store.rows.items():
+        fcounts[f] = sum(row.values())
 
 
 def write_rows(fh, rows: dict[Feature, dict], vocab: Vocabulary) -> list[str]:
@@ -166,13 +169,6 @@ def write_rows(fh, rows: dict[Feature, dict], vocab: Vocabulary) -> list[str]:
     for fs, ws, v in entries:
         fh.write(f"{fs}\t{ws}\t{v}\n")
     return names
-
-
-def _natural(text: str) -> int:
-    """A count or total: ASCII digits only, where `int` also reads signs, ``_`` and more."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(text)
-    return int(text)
 
 
 def _entry_stream(path) -> Iterator:
@@ -202,7 +198,7 @@ def _entry_stream(path) -> Iterator:
                         )
                     text = line[len(_TOTAL_PREFIX):]
                     try:
-                        total = _natural(text)
+                        total = natural(text)
                     except ValueError:
                         raise DataError(f"{path}:{lineno}: bad event total {text!r}") from None
                 continue
@@ -211,7 +207,7 @@ def _entry_stream(path) -> Iterator:
                 raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
             fs, ws, cs = parts
             try:
-                c = _natural(cs)
+                c = natural(cs)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad count {cs!r}") from None
             if c < 1:

@@ -34,7 +34,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .corpus import E_ID, S_ID, Vocabulary
+from .corpus import E_ID, S_ID, Vocabulary, natural
 from .errors import ConfigError, DataError
 
 
@@ -66,14 +66,12 @@ class SkipConfig:
 class ExtractorConfig:
     ngram: NgramConfig | None
     skip: tuple[SkipConfig, ...]
-    # Per-position extraction plan, derived from the fields above (_compile_plan).
-    _plan: tuple = field(init=False, repr=False, compare=False)
-    # Per tag, the plan bound to that tag's feature tables (_bind_tables); it
-    # holds every distinct feature extracted with this config and that tag.
+    # Per tag, the extraction plan bound to that tag's feature tables
+    # (_bind_tables); it holds every distinct feature extracted with this
+    # config and that tag.
     _tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_plan", _compile_plan(self))
         object.__setattr__(self, "_tables", {})
 
 
@@ -153,7 +151,7 @@ def parse_config(text: str) -> ExtractorConfig:
                 fields[key] = value == "true"
             else:
                 try:
-                    fields[key] = int(value)
+                    fields[key] = natural(value)
                 except ValueError:
                     raise ConfigError(
                         f"line {vln}: {key} expects an integer, got {value!r}"
@@ -173,8 +171,6 @@ def _finish_ngram(fields: dict, ln: int) -> NgramConfig:
         if req not in fields:
             raise ConfigError(f"line {ln}: ngram_extractor requires {req}")
     cfg = NgramConfig(**fields)
-    if cfg.min_n < 0:
-        raise ConfigError(f"line {ln}: min_n < 0")
     if cfg.min_n > cfg.max_n:
         raise ConfigError(f"line {ln}: min_n > max_n")
     return cfg
@@ -191,8 +187,6 @@ def _finish_skip(fields: dict, ln: int) -> SkipConfig:
         "tie_skip_length": False,
     }
     cfg = SkipConfig(**{**defaults, **fields})
-    if cfg.min_remote_words < 0:
-        raise ConfigError(f"line {ln}: min_remote_words < 0")
     if cfg.min_remote_words > cfg.max_remote_words:
         raise ConfigError(f"line {ln}: min_remote_words > max_remote_words")
     if cfg.min_skip_length < 1:
@@ -267,12 +261,13 @@ class _FeatureTable(dict):
 def _bind_tables(config: ExtractorConfig, tag: str | None):
     """The n-gram table, the plan with skip tables bound, and the de-dup flag.
 
-    ``plan[k]`` becomes (orders, ((offset, r, a, table), ...)). All n-gram
-    orders share one table and each skip shape (r, skip_len) has its own, so
-    within a table the context words alone identify the feature: equal
-    features extracted with this config and tag are one object.
+    The plan is compiled here, on the tag's first extraction, and ``plan[k]``
+    becomes (orders, ((offset, r, a, table), ...)). All n-gram orders share
+    one table and each skip shape (r, skip_len) has its own, so within a
+    table the context words alone identify the feature: equal features
+    extracted with this config and tag are one object.
     """
-    plan, dedup = config._plan
+    plan, dedup = _compile_plan(config)
     ngrams = _FeatureTable(None, None, tag)
     # The last position's templates are all of them.
     skips = {(r, s): _FeatureTable(r, s, tag) for _, r, _, s in plan[-1][1]}
@@ -295,7 +290,7 @@ def extract_events(
     feature). Skip-gram features follow, per block in config order, for
     every (a, s, r) tuple the block admits with the whole pattern inside
     the framed sentence. Orders and skip templates per position come from
-    the plan compiled with the config (`_compile_plan`). Duplicate skip
+    the plan compiled for the config (`_compile_plan`). Duplicate skip
     features within an event (tied skip lengths coinciding, or blocks
     overlapping) are kept once, in first-seen order; n-gram features are
     distinct by construction.
@@ -357,8 +352,11 @@ def expand_tags(event: Event, all_tags: Sequence[str]) -> Event:
 
 # The skip markers as token-table values: ``skip-<n>`` is ~n and ``skip-*``
 # is ~0, below every word id, so ``~value or None`` is the skip length.
-# Longer skips are read token by token (`feature_parser`).
+# Longer skips are read token by token (`feature_parser`), up to
+# _SKIP_DIGITS digits: no sentence is that long, and `int` refuses strings
+# past a limit of its own.
 _MARKERS = {"skip-*": ~0, **{f"skip-{n}": ~n for n in range(1, 65)}}
+_SKIP_DIGITS = 18
 
 
 def render_feature(f: Feature, vocab: Vocabulary) -> str:
@@ -385,10 +383,10 @@ def feature_parser(vocab: Vocabulary) -> Callable[[str], Feature]:
     plus the skip markers up to ``skip-64``. A string whose tokens all hit
     the table, with at most one marker and a word after it, needs nothing
     more. Any other string is walked token by token, which reads markers
-    past ``skip-64`` and the vocabulary words that start with ``skip-``, and
-    raises the string's first error. The table leaves those words out
-    because the grammar reserves marker-shaped tokens: a vocabulary word
-    spelled like a marker is read as the marker.
+    past ``skip-64`` (up to 18 digits) and the vocabulary words that start
+    with ``skip-``, and raises the string's first error. The table leaves
+    those words out because the grammar reserves marker-shaped tokens: a
+    vocabulary word spelled like a marker is read as the marker.
     """
     index = vocab.index
     tokens = {w: i for w, i in index.items() if w and not w.startswith("skip-")}
@@ -428,6 +426,10 @@ def feature_parser(vocab: Vocabulary) -> Callable[[str], Feature]:
             if v is None:
                 n = part[5:]
                 if part[:5] == "skip-" and n.isascii() and n.isdigit() and n[0] != "0":
+                    if len(n) > _SKIP_DIGITS:
+                        raise DataError(
+                            f"skip length {n[:8]}... has {len(n)} digits, more than {_SKIP_DIGITS}"
+                        )
                     v = ~int(n)
                 else:
                     v = index.get(part)

@@ -406,6 +406,84 @@ def test_train_with_tags_against_untagged_counts_exits_2(pipeline, capsys):
     assert "not corpus-tagged" in capsys.readouterr().err
 
 
+@pytest.fixture
+def tagged(workdir):
+    """Counts of two sources tagged web and tgt, and a model trained on them."""
+    wd = workdir
+    (wd / "other.txt").write_text("red tea is hot\ngreen tea is cold\n", encoding="utf-8")
+    (wd / "dev.txt").write_text("green tea is cold\nred tea is sweet\n", encoding="utf-8")
+    main(["build-vocab", _p(wd / "tiny.txt"), _p(wd / "other.txt"), "-o", _p(wd / "vocab.txt")])
+    assert main([
+        "count", _p(wd / "tiny.txt"), _p(wd / "other.txt"), "--tag", "web", "--tag", "tgt",
+        "--config", _p(wd / "ngram.cfg"), "--vocab", _p(wd / "vocab.txt"),
+        "-o", _p(wd / "counts.tsv"),
+    ]) == 0
+    assert main([*_TAGGED_COMMANDS["train"](wd), "--tag", "web", "--tag", "tgt"]) == 0
+    return wd
+
+
+_TAGGED_COMMANDS = {
+    "train": lambda wd: [
+        "train", "--counts", _p(wd / "counts.tsv"), "--dev", _p(wd / "dev.txt"),
+        "--config", _p(wd / "ngram.cfg"), "--vocab", _p(wd / "vocab.txt"),
+        "--epochs", "0", "--table-size", "1024",
+        "--adjustment-out", _p(wd / "adj.bin"), "--model-out", _p(wd / "model.tsv"),
+    ],
+    "intersect": lambda wd: [
+        "intersect", "--counts", _p(wd / "counts.tsv"), "--dev", _p(wd / "dev.txt"),
+        "--config", _p(wd / "ngram.cfg"), "--vocab", _p(wd / "vocab.txt"),
+        "-o", _p(wd / "inter.tsv"),
+    ],
+    "eval": lambda wd: [
+        "eval", "--model", _p(wd / "model.tsv"), "--test", _p(wd / "tiny.txt"),
+        "--config", _p(wd / "ngram.cfg"), "--vocab", _p(wd / "vocab.txt"),
+    ],
+}
+
+
+@pytest.mark.parametrize("tags", [["web"], ["web", "tgr"]], ids=" ".join)
+@pytest.mark.parametrize("command", sorted(_TAGGED_COMMANDS))
+def test_tag_set_lacking_a_source_tag_exits_2(tagged, capsys, command, tags):
+    # Without the tgt rows, eval printed a perplexity of the web source alone
+    # and train trained on it; the missing tag is named instead.
+    wd = tagged
+    before = {p.name: p.read_bytes() for p in wd.iterdir()}
+    capsys.readouterr()
+    assert main([*_TAGGED_COMMANDS[command](wd), *(a for t in tags for a in ("--tag", t))]) == 2
+    captured = capsys.readouterr()
+    assert "counts.tsv" in captured.err or command == "eval"
+    assert "'tgt'" in captured.err
+    assert captured.out == ""
+    assert {p.name: p.read_bytes() for p in wd.iterdir()} == before
+
+
+@pytest.mark.parametrize("tags", [[], ["web", "tgt"]], ids=str)
+def test_counts_mixing_tagged_and_untagged_rows_exit_2(tagged, capsys, tags):
+    # A merge of a tagged and an untagged count file: no tag set reaches all rows.
+    from snmlm.counts import merge_files
+
+    wd = tagged
+    main(["count", _p(wd / "tiny.txt"), "--config", _p(wd / "ngram.cfg"),
+          "--vocab", _p(wd / "vocab.txt"), "-o", _p(wd / "untagged.tsv")])
+    merge_files([wd / "counts.tsv", wd / "untagged.tsv"], wd / "mixed.tsv")
+    argv = _TAGGED_COMMANDS["intersect"](wd)
+    argv[argv.index("--counts") + 1] = _p(wd / "mixed.tsv")
+    capsys.readouterr()
+    assert main([*argv, *(a for t in tags for a in ("--tag", t))]) == 2
+    assert "mixes untagged and corpus-tagged features" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_TAGGED_COMMANDS))
+def test_extra_tag_matches_no_row_and_is_allowed(tagged, capsys, command):
+    wd = tagged
+    tags = ["--tag", "web", "--tag", "tgt"]
+    capsys.readouterr()
+    assert main([*_TAGGED_COMMANDS[command](wd), *tags]) == 0
+    exact = capsys.readouterr().out
+    assert main([*_TAGGED_COMMANDS[command](wd), *tags, "--tag", "typo"]) == 0
+    assert capsys.readouterr().out == exact
+
+
 def test_inspect_unigram_row(pipeline, capsys):
     wd = pipeline
     assert main([
@@ -538,6 +616,8 @@ _BAD_ROWS = {
     "underscore total": ("#total-events 1_5", "bad event total '1_5'", "#total-events 15"),
     "non-ASCII total": ("#total-events \u0661\u0665", "bad event total '\u0661\u0665'",
                         "#total-events 15"),
+    "long skip marker": ("[hot skip-" + "9" * 5000 + " is]\t</S>\t1",
+                         "skip length 99999999... has 5000 digits, more than 18"),
 }
 _KEEPING_COMMANDS = {
     "train": lambda wd, counts: [
@@ -638,6 +718,13 @@ def test_table_size_suffixes():
         parse_table_size("lots")
 
 
+@pytest.mark.parametrize("size", ["2_0K", "\u0663K", "-5", "+5", " 5 0", "K"])
+def test_table_size_digits_are_ascii(size):
+    # `int` reads the first four.
+    with pytest.raises(UsageError, match="bad table size"):
+        parse_table_size(size)
+
+
 @pytest.mark.parametrize("size", ["200K", "20M", "200M"])
 def test_pipeline_config_accepts_published_table_sizes(size):
     # AdjustmentModel is the one check of a training run's settings.
@@ -672,6 +759,27 @@ def test_train_rejects_bad_settings_before_reading_files(tmp_path, capsys, flags
     ])
     assert rc == 1
     assert "snmlm: error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+_TAG_COMMANDS = {
+    "count": lambda missing, out: ["count", missing, "-o", out],
+    "intersect": lambda missing, out: ["intersect", "--counts", missing, "--dev", missing,
+                                       "-o", out],
+    "train": lambda missing, out: ["train", "--counts", missing, "--dev", missing,
+                                   "--adjustment-out", out, "--model-out", out],
+    "eval": lambda missing, out: ["eval", "--model", missing, "--test", missing],
+}
+
+
+@pytest.mark.parametrize("tag", ["", "a b", "web]"])
+@pytest.mark.parametrize("command", sorted(_TAG_COMMANDS))
+def test_bad_tag_is_a_usage_error_before_reading_files(tmp_path, capsys, command, tag):
+    # None of the inputs exist: reading any of them would exit 2, not 1.
+    missing = _p(tmp_path / "missing")
+    argv = _TAG_COMMANDS[command](missing, _p(tmp_path / "out"))
+    assert main([*argv, "--config", missing, "--vocab", missing, "--tag", tag]) == 1
+    assert f"bad corpus tag {tag!r}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 

@@ -97,6 +97,24 @@ def test_non_integer_value_is_an_error():
         parse_config("ngram_extractor { min_n: zero max_n: 4 }")
 
 
+@pytest.mark.parametrize("key", ["min_n", "max_n"])
+@pytest.mark.parametrize("value", ["\u0663", "1_0", "-1", "+1"])
+def test_config_integers_are_ascii_digits(key, value):
+    # `int` reads all four; the message is the one for any non-integer.
+    values = {"min_n": "0", "max_n": "4", key: value}
+    text = "ngram_extractor {\n" + "".join(f"{k}: {v}\n" for k, v in values.items()) + "}"
+    with pytest.raises(ConfigError) as raised:
+        parse_config(text)
+    line = 2 + list(values).index(key)
+    assert str(raised.value) == f"line {line}: {key} expects an integer, got {value!r}"
+
+
+def test_negative_skip_bounds_are_not_integers():
+    with pytest.raises(ConfigError, match="min_remote_words expects an integer, got '-1'"):
+        parse_config("skip_ngram_extractor { max_context_words: 3 max_skip_length: 2 "
+                     "min_remote_words: -1 }")
+
+
 def test_duplicate_ngram_block_is_an_error():
     text = "ngram_extractor { min_n: 0 max_n: 1 }\n" * 2
     with pytest.raises(ConfigError, match="duplicate"):
