@@ -138,17 +138,15 @@ class BatchAccumulator:
     they contribute no gradient and are only counted.
     """
 
-    __slots__ = ("link_grads", "alpha", "num_events", "floored_events")
+    __slots__ = ("link_grads", "alpha", "floored_events")
 
     def __init__(self):
         self.link_grads: dict[tuple[Feature, int], float] = {}
         self.alpha: dict[Feature, float] = {}
-        self.num_events = 0
         self.floored_events = 0
 
     def add_event(self, event: Event, model: SnmModel) -> None:
         score = score_event(model, event)
-        self.num_events += 1
         if score.floored:
             self.floored_events += 1
             return

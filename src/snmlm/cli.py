@@ -13,7 +13,6 @@ import sys
 from .adjustment import AdjustmentModel, train
 from .corpus import TaggedCorpus, Vocabulary, build_vocab, iter_file_tokens, natural
 from .counts import CountStore, accumulate
-from .design import explain
 from .errors import DataError, SnmError
 from .extraction import (
     Event,
@@ -23,7 +22,7 @@ from .extraction import (
     load_config,
     parse_feature,
 )
-from .metafeatures import Mode
+from .metafeatures import Mode, explain
 from .model import load_model, materialize, perplexity, save_model
 
 _MODES = {m.value: m for m in Mode}

@@ -35,17 +35,21 @@ class Vocabulary:
 
     __slots__ = ("words", "index")
 
-    def __init__(self, words: Sequence[str]):
+    def __init__(self, words: Sequence[str], path=None):
+        """With `path`, the file `words` were read from, errors name its line."""
         words = list(words)
+
+        def error(i: int, message: str) -> DataError:
+            return DataError(message if path is None else f"{path}:{i + 1}: {message}")
+
         if tuple(words[:3]) != SPECIAL_TOKENS:
-            raise DataError(
-                "vocabulary must start with the special tokens "
-                f"{' '.join(SPECIAL_TOKENS)}"
-            )
+            i = next(i for i, s in enumerate(SPECIAL_TOKENS) if words[i:i + 1] != [s])
+            raise error(i, "vocabulary must start with the special tokens "
+                           f"{' '.join(SPECIAL_TOKENS)}")
         index: dict[str, int] = {}
         for i, w in enumerate(words):
             if w in index:
-                raise DataError(f"duplicate vocabulary entry {w!r}")
+                raise error(i, f"duplicate vocabulary entry {w!r}")
             index[w] = i
         self.words = words
         self.index = index
@@ -59,11 +63,20 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        text = Path(path).read_text(encoding="utf-8")
-        words = text.splitlines()
+        """Read what `save` writes: one non-empty entry per line, without whitespace.
+
+        Every error names the file and line.
+        """
+        words = Path(path).read_text(encoding="utf-8").split("\n")
+        if words[-1] == "":
+            words.pop()
         if not words:
             raise DataError(f"{path}: empty vocabulary file")
-        return cls(words)
+        for i, w in enumerate(words):
+            if w.split() != [w]:
+                what = f"entry {w!r} contains whitespace" if w else "entry is empty"
+                raise DataError(f"{path}:{i + 1}: vocabulary {what}")
+        return cls(words, path)
 
 
 def build_vocab(tokens: Iterable[str], min_count: int = 1) -> Vocabulary:

@@ -1,6 +1,6 @@
 """Link and feature count accumulation and count files.
 
-Counts are exact integers; the link design (`snmlm.design`) turns them
+Counts are exact integers; the link design (`snmlm.metafeatures`) turns them
 into relative frequencies once per training run. Count tables persist as
 sorted TSV so that independently produced shards can be combined with a
 sequential merge join.
@@ -19,6 +19,8 @@ from .extraction import Event, Feature, feature_parser, render_feature
 
 COUNTS_HEADER = "#snm-counts v1"
 _TOTAL_PREFIX = "#total-events "
+# Counts and their row sums are int64 in the link design.
+_MAX_COUNT = (1 << 63) - 1
 
 
 class CountStore:
@@ -176,16 +178,17 @@ def _entry_stream(path) -> Iterator:
 
     The total comes from the one `#total-events` line, which must precede
     the first row (0 when there is none). Rows must be strictly increasing
-    by (feature, word), as `CountStore.save` writes them. A violation raises
-    `DataError` with the file and line when the stream reaches it. The file
-    is opened on the first `next` and closed when the stream ends or is
-    closed.
+    by (feature, word), as `CountStore.save` writes them, and each feature's
+    counts must sum to at most 2^63-1. A violation raises `DataError` with
+    the file and line when the stream reaches it. The file is opened on the
+    first `next` and closed when the stream ends or is closed.
     """
     with open(path, encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != COUNTS_HEADER:
             raise DataError(f"{path}: not a count file (bad header)")
         total: int | None = None
         prev: tuple[str, str] | None = None
+        row_fs, row_sum = None, 0
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -218,6 +221,13 @@ def _entry_stream(path) -> Iterator:
             elif key <= prev:
                 raise DataError(f"{path}:{lineno}: rows out of order")
             prev = key
+            if fs == row_fs:
+                row_sum += c
+            else:
+                row_fs, row_sum = fs, c
+            if row_sum > _MAX_COUNT:
+                what = f"count {cs}" if c > _MAX_COUNT else f"row sum of {fs}"
+                raise DataError(f"{path}:{lineno}: {what} is more than 2^63-1")
             yield fs, ws, c, lineno
         if prev is None:
             yield total or 0

@@ -223,28 +223,6 @@ def _skip_templates(blk: SkipConfig):
                 yield r + s + a, r, a, skip_len
 
 
-def _compile_plan(config: ExtractorConfig):
-    """Per target position: the n-gram orders and skip templates that fit.
-
-    ``plan[k]`` holds the n-gram orders in [min_n, max_n] that fit in the k
-    tokens before position k, and the skip templates whose whole pattern
-    does, in emission order; positions at or past the longest context share
-    the last entry. The plan depends on the config alone. The second value
-    says whether skip features need de-duplicating: features of one untied
-    block differ in (r, s, a), so only tied skip lengths or several blocks
-    can emit the same feature twice.
-    """
-    lo, hi = (config.ngram.min_n, config.ngram.max_n) if config.ngram else (0, -1)
-    templates = [t for blk in config.skip for t in _skip_templates(blk)]
-    span = max([hi, *(t[0] for t in templates)])
-    plan = tuple(
-        (tuple(range(lo, min(hi, k) + 1)), tuple(t for t in templates if t[0] <= k))
-        for k in range(max(span, 0) + 1)
-    )
-    dedup = len(config.skip) > 1 or any(b.tie_skip_length for b in config.skip)
-    return plan, dedup
-
-
 class _FeatureTable(dict):
     """Context words -> the one `Feature` with these words, skip shape and tag."""
 
@@ -259,23 +237,32 @@ class _FeatureTable(dict):
 
 
 def _bind_tables(config: ExtractorConfig, tag: str | None):
-    """The n-gram table, the plan with skip tables bound, and the de-dup flag.
+    """The n-gram table, the extraction plan, and whether skip features need de-duplicating.
 
-    The plan is compiled here, on the tag's first extraction, and ``plan[k]``
-    becomes (orders, ((offset, r, a, table), ...)). All n-gram orders share
-    one table and each skip shape (r, skip_len) has its own, so within a
-    table the context words alone identify the feature: equal features
-    extracted with this config and tag are one object.
+    Built on the tag's first extraction. ``plan[k]`` holds the n-gram
+    orders in [min_n, max_n] that fit in the k tokens before target position
+    k, and (offset, r, a, table) for each skip template whose whole pattern
+    does, in emission order; positions at or past the longest context share
+    the last entry. All n-gram orders share one table and each skip shape
+    (r, skip_len) has its own, so within a table the context words alone
+    identify the feature: equal features extracted with this config and tag
+    are one object. Features of one untied block differ in (r, s, a), so
+    only tied skip lengths or several blocks can emit the same feature twice.
     """
-    plan, dedup = _compile_plan(config)
-    ngrams = _FeatureTable(None, None, tag)
-    # The last position's templates are all of them.
-    skips = {(r, s): _FeatureTable(r, s, tag) for _, r, _, s in plan[-1][1]}
-    bound = tuple(
-        (orders, tuple((o, r, a, skips[r, s]) for o, r, a, s in templates))
-        for orders, templates in plan
+    lo, hi = (config.ngram.min_n, config.ngram.max_n) if config.ngram else (0, -1)
+    skips: dict[tuple, _FeatureTable] = {}
+    templates = [
+        (o, r, a, skips.setdefault((r, s), _FeatureTable(r, s, tag)))
+        for blk in config.skip
+        for o, r, a, s in _skip_templates(blk)
+    ]
+    span = max([hi, *(t[0] for t in templates)])
+    plan = tuple(
+        (tuple(range(lo, min(hi, k) + 1)), tuple(t for t in templates if t[0] <= k))
+        for k in range(max(span, 0) + 1)
     )
-    return ngrams, bound, dedup
+    dedup = len(config.skip) > 1 or any(b.tie_skip_length for b in config.skip)
+    return _FeatureTable(None, None, tag), plan, dedup
 
 
 def extract_events(
@@ -290,7 +277,7 @@ def extract_events(
     feature). Skip-gram features follow, per block in config order, for
     every (a, s, r) tuple the block admits with the whole pattern inside
     the framed sentence. Orders and skip templates per position come from
-    the plan compiled for the config (`_compile_plan`). Duplicate skip
+    the plan built for the config and tag (`_bind_tables`). Duplicate skip
     features within an event (tied skip lengths coinciding, or blocks
     overlapping) are kept once, in first-seen order; n-gram features are
     distinct by construction.

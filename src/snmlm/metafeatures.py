@@ -1,18 +1,34 @@
-"""Hashes, count buckets and feature types: what a link's meta-features are built from.
+"""Link meta-features: hashes, count buckets, the column scheme and the link design.
 
-Each link of the count matrix is broken into elementary descriptors: the
-feature identity string, the feature type, the log2-bucketed feature
+Each link (f, w) of the count matrix is broken into elementary descriptors:
+the feature identity string, the feature type, the log2-bucketed feature
 count, the target identity, and the log2-bucketed link count, plus
-conjunctions of these, in the columns `snmlm.design._columns` defines;
-`LinkHasher` evaluates those columns for one link at a time. Every
-descriptor is reduced to a 64-bit hash and its weight; indices into the
-flat weight table are taken modulo the table size. Collisions are allowed
-and simply tie weights together.
+conjunctions of these. `_columns` is the one definition of a link's
+meta-features, which descriptors and conjunctions in which order, and
+`explain` labels them for one link. Every descriptor is reduced to a 64-bit
+hash and its weight; indices into the flat weight table are taken modulo
+the table size. Collisions are allowed and simply tie weights together.
 
 Hashing is fixed and platform-independent: strings are fingerprinted with
 64-bit FNV-1a over UTF-8, integer buckets are FNV-1a over their 8-byte
 little-endian form, and a conjunction of two hashes is
-``((rotl64(h1, 17) ^ h2) * K) mod 2^64`` with an odd mixing constant K.
+``((rotl64(h1, 17) ^ h2) * K) mod 2^64`` with an odd mixing constant K,
+computed on arrays in np.uint64, which wraps mod 2^64.
+
+A link's meta-features depend only on its counts and identities, which are
+fixed for a training run; only the weight table changes. `LinkDesign`
+hashes every link of a count store once, so that the adjusted matrix and
+the batch gradient become array products over it: A = sum_j theta[slot_j]
+* weight_j per link, and the transpose pushes a per-link gradient back
+onto the table with `np.bincount`. Links are grouped by row in count-store
+order and sorted by word id within a row. Every link has the same columns,
+with zero-weight padding where a count has a single log2 bucket. The slots
+of hashes that vary per link are stored in blocks of `_CHUNK` links; a slot
+that depends on the row, the word or the link-count class alone comes from
+a table over that key. Weights are not stored: a column weighs one of the
+row's feature-count bucket weights times one of the link's link-count
+bucket weights, looked up per block in small per-count tables. Each
+distinct feature string, type string and word is fingerprinted once.
 """
 
 from __future__ import annotations
@@ -20,8 +36,14 @@ from __future__ import annotations
 import enum
 import math
 import struct
+from itertools import chain
+from typing import Iterable
 
-from .extraction import Feature
+import numpy as np
+
+from .corpus import Vocabulary
+from .counts import CountStore
+from .extraction import Feature, render_feature
 
 _M64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -63,6 +85,12 @@ def combine(h1: int, h2: int) -> int:
     """Order-sensitive conjunction of two 64-bit hashes."""
     r = ((h1 << 17) | (h1 >> 47)) & _M64
     return ((r ^ h2) * _MIX) & _M64
+
+
+def _combine(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    """Order-sensitive conjunction of two uint64 hash arrays."""
+    r = (h1 << np.uint64(17)) | (h1 >> np.uint64(47))
+    return (r ^ h2) * np.uint64(_MIX)
 
 
 _bucket_hashes: dict[int, int] = {}
@@ -116,29 +144,286 @@ def feature_type(f: Feature) -> str:
     return f"skip-({r},{s},{a})"
 
 
+# Links per block of slots, and per chunk when weighting and pushing: keeps
+# each array at a few hundred KB instead of the size of every (link, slot)
+# pair, which also keeps glibc from raising its mmap threshold to tens of MB.
+_CHUNK = 8192
+
+
+def _bucket_table(values: np.ndarray):
+    """Per distinct count: class of each value, (n, 2) bucket hashes, (n, 3) factors.
+
+    The rows are `bucket_columns` of each distinct count.
+    """
+    uniq, cls = np.unique(values, return_inverse=True)
+    split = [bucket_columns(c) for c in uniq.tolist()]
+    hashes = np.array([(h0, h1) for h0, h1, _ in split], dtype=np.uint64).reshape(-1, 2)
+    factors = np.array([f for _, _, f in split], dtype=np.float64).reshape(-1, 3)
+    return cls.reshape(-1).astype(np.int32), hashes, factors
+
+
+# The key each descriptor of a link depends on alone: its row, word or link-count class.
+_KEYS = {"feature": "row", "type": "row", "count0": "row", "count1": "row",
+         "word": "word", "link0": "class", "link1": "class"}
+
+
+def _descriptors(features, feature_counts, words, link_counts, mode: Mode, vocab: Vocabulary):
+    """({descriptor: hash table over its key}, then class and factors of each count bucket table.
+
+    The word table holds the given words' fingerprints in FULL mode only; the
+    feature identity table is left out in UNLEXICALIZED mode.
+    """
+    fcls, fhash, fw = _bucket_table(feature_counts)
+    lcls, lhash, lw = _bucket_table(link_counts)
+    types = [feature_type(f) for f in features]
+    type_fps = {t: fingerprint(t) for t in set(types)}
+    tables = {
+        "type": np.array([type_fps[t] for t in types], dtype=np.uint64),
+        "count0": fhash[fcls, 0],
+        "count1": fhash[fcls, 1],
+        "word": np.zeros(len(vocab), dtype=np.uint64),
+        "link0": lhash[:, 0],
+        "link1": lhash[:, 1],
+    }
+    if mode is not Mode.UNLEXICALIZED:
+        ids = [fingerprint(render_feature(f, vocab)) for f in features]
+        tables["feature"] = np.array(ids, dtype=np.uint64)
+    if mode is Mode.FULL:
+        used = np.flatnonzero(np.bincount(words, minlength=len(vocab)))
+        fps = [fingerprint(vocab.words[w]) for w in used.tolist()]
+        tables["word"][used] = np.array(fps, dtype=np.uint64)
+    return tables, fcls, fw, lcls, lw
+
+
+def _columns(mode: Mode, desc: dict, combine=_combine):
+    """(value, feature factor, link factor, source) per column, in column order.
+
+    This is the one definition of a link's meta-features: which descriptors
+    and conjunctions, in which order. `desc` maps each descriptor of `_KEYS`
+    to its hashes, or to its label, with a `combine` that conjoins labels.
+    Factor indices select a column of the bucket tables (0 is the constant
+    1.0). A descriptor's own column has its name as source; a conjunction,
+    which varies per link, has source None.
+    """
+    base = [("type", 0), ("count0", 1), ("count1", 2)]
+    if mode is not Mode.UNLEXICALIZED:
+        base.insert(0, ("feature", 0))
+    items = [(desc[k], fs, 0, k) for k, fs in base]
+    if mode is Mode.FEATURE_ONLY:
+        return items
+    if mode is Mode.FULL:
+        target = desc["word"]
+        items += [(target, 0, 0, "word")] + [
+            (combine(h, target), fs, 0, None) for h, fs, _, _ in items
+        ]
+    cols = list(items)
+    # Both link-count buckets conjoin against the items before the first.
+    for j, k in enumerate(("link0", "link1")):
+        bh = desc[k]
+        cols.append((bh, 0, j + 1, k))
+        cols += [(combine(h, bh), fs, j + 1, None) for h, fs, _, _ in items]
+    return cols
+
+
+def explain(
+    f: Feature, w: int, feature_count: int, link_count: int, mode: Mode, vocab: Vocabulary
+) -> list[tuple[str, int, float]]:
+    """(label, hash, weight) of each meta-feature of the link (f, w), in column order.
+
+    Labels name the rendered feature, its type, ``count:2^b`` for a count
+    bucket, the target word, and ``a & b`` for a conjunction. The padding
+    column of a count with a single bucket weighs 0 and is left out.
+    """
+    words = np.array([w])
+    tables, fcls, fw, lcls, lw = _descriptors(
+        [f], np.array([feature_count]), words, np.array([link_count]), mode, vocab
+    )
+    keys = {"row": np.zeros(1, dtype=np.intp), "word": words, "class": lcls}
+    hashes = _columns(mode, {k: t[keys[_KEYS[k]]] for k, t in tables.items()})
+    fb, lb = ([f"count:2^{b}" for b, _ in buckets(c)] for c in (feature_count, link_count))
+    labels = {"feature": render_feature(f, vocab), "type": feature_type(f), "word": vocab.words[w],
+              "count0": fb[0], "count1": fb[-1], "link0": lb[0], "link1": lb[-1]}
+    labeled = _columns(mode, labels, lambda a, b: f"{a} & {b}")
+    out = []
+    for (h, fs, ls, _), (label, _, _, _) in zip(hashes, labeled):
+        wt = float(fw[fcls[0], fs] * lw[lcls[0], ls])
+        if wt:
+            out.append((label, int(h[0]), wt))
+    return out
+
+
 class LinkHasher:
     """(hash, weight) of each meta-feature of the links of one row, one link at a time.
 
-    The scalar form of `snmlm.design.LinkDesign`, for code that walks links
-    one by one, such as the hashing pass of `perfbench/tracing.py`. It
-    evaluates `snmlm.design._columns` on Python ints, so the column order
-    keeps its one definition; zero-weight padding columns are left out.
+    The scalar form of `LinkDesign`, for code that walks links one by one,
+    such as the hashing pass of `perfbench/tracing.py`. It evaluates
+    `_columns` on Python ints with `combine`, so the column order keeps its
+    one definition; zero-weight padding columns are left out.
     """
 
-    __slots__ = ("mode", "_desc", "_fw", "_columns")
+    __slots__ = ("mode", "_desc", "_fw")
 
     def __init__(self, identity: str, type_str: str, feature_count: int, mode: Mode):
-        from .design import _columns  # design imports this module
-
         c0, c1, self._fw = bucket_columns(feature_count)
         self._desc = {"feature": fingerprint(identity), "type": fingerprint(type_str),
                       "count0": c0, "count1": c1}
-        self.mode, self._columns = mode, _columns
+        self.mode = mode
 
     def link(self, target_fp: int, link_count: int) -> list[tuple[int, float]]:
         """The link's items in column order; `target_fp` is fingerprint(target word)."""
         l0, l1, lw = bucket_columns(link_count)
         desc = {**self._desc, "word": target_fp, "link0": l0, "link1": l1}
         fw = self._fw
-        cols = self._columns(self.mode, desc, combine)
-        return [(h, wt) for h, fs, ls, _ in cols if (wt := fw[fs] * lw[ls])]
+        return [(h, wt) for h, fs, ls, _ in _columns(self.mode, desc, combine)
+                if (wt := fw[fs] * lw[ls])]
+
+
+class LinkDesign:
+    """Slots and weights of every link of one count store, for one hashing setup.
+
+    ``row``, ``words`` and ``rel_freq`` are per link, ``offsets`` delimits
+    each row's links, and ``slots`` holds one (per-link columns x links)
+    block per `_CHUNK` links.
+    """
+
+    __slots__ = (
+        "mode", "table_size", "vocab", "features", "row_index",
+        "offsets", "row", "words", "rel_freq", "slots",
+        "_lcls", "_fcls", "_fw", "_lw", "_fsel", "_lsel", "_cols", "_dtype",
+    )
+
+    @classmethod
+    def build(
+        cls, counts: CountStore, mode: Mode, table_size: int, vocab: Vocabulary
+    ) -> LinkDesign:
+        d = cls()
+        d.mode, d.table_size, d.vocab = mode, table_size, vocab
+        rows = counts.rows
+        d.features = features = list(rows)
+        n_rows = len(features)
+        d.row_index = {f: r for r, f in enumerate(features)}
+        lens = np.fromiter(map(len, rows.values()), dtype=np.int64, count=n_rows)
+        d.offsets = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(lens, out=d.offsets[1:])
+        n = int(d.offsets[-1])
+        d.row = row = np.repeat(np.arange(n_rows, dtype=np.int32), lens)
+        words = np.fromiter(chain.from_iterable(rows.values()), dtype=np.int32, count=n)
+        link_counts = np.fromiter(
+            chain.from_iterable(r.values() for r in rows.values()), dtype=np.int64, count=n
+        )
+        order = np.lexsort((words, row))
+        d.words = words = words[order]
+        link_counts = link_counts[order]
+        del order
+        feature_counts = np.fromiter(
+            (counts.feature_counts[f] for f in features), dtype=np.int64, count=n_rows
+        )
+        d.rel_freq = link_counts * (1.0 / feature_counts)[row]
+        tables, d._fcls, d._fw, d._lcls, d._lw = _descriptors(
+            features, feature_counts, words, link_counts, mode, vocab
+        )
+        del link_counts
+
+        def columns(part):
+            keys = {"row": row[part], "word": words[part], "class": d._lcls[part]}
+            return _columns(mode, {k: t[keys[_KEYS[k]]] for k, t in tables.items()})
+
+        d._dtype = dtype = np.int32 if table_size <= np.iinfo(np.int32).max else np.int64
+        size = np.uint64(table_size)
+        spec = columns(slice(0, 0))
+        d._fsel = np.array([fs for _, fs, _, _ in spec], dtype=np.intp)
+        d._lsel = np.array([ls for _, _, ls, _ in spec], dtype=np.intp)
+        d._cols = []
+        per_link = 0
+        for _, _, _, src in spec:
+            if src is None:
+                d._cols.append((None, per_link))
+                per_link += 1
+            else:
+                d._cols.append((_KEYS[src], (tables[src] % size).astype(dtype)))
+        d.slots = []
+        for lo in range(0, n, _CHUNK):
+            part = slice(lo, min(lo + _CHUNK, n))
+            conj = [h for h, _, _, src in columns(part) if src is None]
+            block = np.empty((per_link, part.stop - lo), dtype=dtype)
+            for k, h in enumerate(conj):
+                block[k] = h % size
+            d.slots.append(block)
+        return d
+
+    @property
+    def num_links(self) -> int:
+        return len(self.row)
+
+    def weights(self, links) -> np.ndarray:
+        """(columns x len(links)) meta-feature weights of the given links."""
+        w = self._fw[self._fcls[self.row[links]]][:, self._fsel].T
+        w *= self._lw[self._lcls[links]][:, self._lsel].T
+        return w
+
+    def link_slots(self, links: np.ndarray) -> np.ndarray:
+        """(columns x len(links)) weight-table slots of links within one block."""
+        block = int(links[0]) // _CHUNK
+        keys = {"row": self.row[links], "word": self.words[links], "class": self._lcls[links]}
+        local = links - block * _CHUNK
+        out = np.empty((len(self._cols), len(links)), dtype=self._dtype)
+        for j, (kind, table) in enumerate(self._cols):
+            out[j] = self.slots[block][table, local] if kind is None else table[keys[kind]]
+        return out
+
+    def adjustments(self, theta: np.ndarray) -> np.ndarray:
+        """A(f,w) of every link under the weight table `theta`.
+
+        Columns are added in column order, one at a time, so each value
+        equals a per-link running sum over the link's meta-features bit for
+        bit.
+        """
+        n = self.num_links
+        out = np.empty(n)
+        for lo in range(0, n, _CHUNK):
+            links = np.arange(lo, min(lo + _CHUNK, n))
+            slots = self.link_slots(links)
+            wts = self.weights(links)
+            a = np.zeros(len(links))
+            for j in range(len(slots)):
+                a += theta[slots[j]] * wts[j]
+            out[links] = a
+        return out
+
+    def push(self, links: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Weight-table gradient of per-link gradients `g` on the ascending `links`."""
+        size = self.table_size
+        grads = np.zeros(size)
+        cuts = np.flatnonzero(np.diff(links // _CHUNK)) + 1
+        for part, g_part in zip(np.split(links, cuts), np.split(g, cuts)):
+            if len(part):
+                vals = self.weights(part)
+                vals *= g_part
+                grads += np.bincount(self.link_slots(part).ravel(), vals.ravel(), minlength=size)
+        return grads
+
+    def link(self, i: int) -> tuple[Feature, int]:
+        return self.features[self.row[i]], int(self.words[i])
+
+    def row_ids(self, features: Iterable[Feature], count: int) -> np.ndarray:
+        return np.fromiter(map(self.row_index.__getitem__, features), dtype=np.int64, count=count)
+
+    def links_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of every link of the given rows, concatenated, and each row's length.
+
+        For ascending `rows` the ids ascend too.
+        """
+        starts = self.offsets[rows]
+        lens = self.offsets[rows + 1] - starts
+        shift = starts - (np.cumsum(lens) - lens)
+        return np.arange(int(lens.sum())) + np.repeat(shift, lens), lens
+
+    def find(self, links: np.ndarray, rows: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """Positions in the ascending `links` of the links (rows[i], words[i])."""
+        v = len(self.vocab)
+        have = self.row[links].astype(np.int64) * v + self.words[links]
+        want = rows * v + words
+        pos = np.searchsorted(have, want)
+        if len(want) and (pos.max() >= len(have) or not np.array_equal(have[pos], want)):
+            raise ValueError("link not among the given links")
+        return pos

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
 from .corpus import UNK_ID, Vocabulary
 from .counts import CountStore, write_rows
-from .design import LinkDesign
 from .errors import DataError
 from .extraction import Event, Feature, feature_parser, render_feature
+from .metafeatures import LinkDesign
 
 if TYPE_CHECKING:
     from .adjustment import AdjustmentModel
@@ -61,8 +61,7 @@ class SnmModel:
         self.cells: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class EventScore:
+class EventScore(NamedTuple):
     y_t: float
     y: float
     log_prob: float
@@ -175,7 +174,7 @@ def score_event(model: SnmModel, event: Event) -> EventScore:
     if not known or y <= 0.0:
         raise DataError("event has no features known to the model")
     log_prob = math.log(y_t / y) if y_t > 0.0 else _LOG_FLOOR
-    return EventScore(y_t=y_t, y=y, log_prob=log_prob)
+    return EventScore(y_t, y, log_prob)
 
 
 def perplexity(model: SnmModel, events: Iterable[Event]) -> EvalReport:

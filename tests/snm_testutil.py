@@ -4,7 +4,7 @@ Everything here is seeded and deterministic. The per-link and gradient
 oracles are written from the defining formulas, independent of the link
 design and batch-trick code they are used to check. `LinkHasher` is the
 scalar reference of a link's meta-features: the items of one link, built
-one by one, that `snmlm.design` must reproduce column by column.
+one by one, that `snmlm.metafeatures.LinkDesign` must reproduce column by column.
 `parse_feature_oracle` is the reference of the feature-string grammar.
 """
 

@@ -618,6 +618,8 @@ _BAD_ROWS = {
                         "#total-events 15"),
     "long skip marker": ("[hot skip-" + "9" * 5000 + " is]\t</S>\t1",
                          "skip length 99999999... has 5000 digits, more than 18"),
+    "huge count": ("[hot]\t</S>\t9223372036854775808",
+                   "count 9223372036854775808 is more than 2^63-1"),
 }
 _KEEPING_COMMANDS = {
     "train": lambda wd, counts: [
@@ -653,6 +655,25 @@ def test_bad_count_rows_outside_the_kept_rows_exit_2(pipeline, capsys, command, 
     assert f"bad.tsv:{lineno}: {message}" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+    assert not any((wd / name).exists() for name in ("model.tsv", "adj.bin", "inter.tsv"))
+
+
+def test_row_sum_past_int64_exits_2(pipeline, capsys):
+    # Each count fits in int64; the feature count they sum to does not.
+    wd = pipeline
+    bad = wd / "bad.tsv"
+    bad.write_text(
+        "#snm-counts v1\n[]\tcold\t9223372036854775807\n[]\thot\t9223372036854775807\n",
+        encoding="utf-8",
+    )
+    inspect_target = _KEEPING_COMMANDS["inspect"](wd, _p(bad)) + ["--target", "cold"]
+    for argv in [*(run(wd, _p(bad)) for run in _KEEPING_COMMANDS.values()), inspect_target]:
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "bad.tsv:3: row sum of [] is more than 2^63-1" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
     assert not any((wd / name).exists() for name in ("model.tsv", "adj.bin", "inter.tsv"))
 
 
@@ -786,3 +807,29 @@ def test_bad_tag_is_a_usage_error_before_reading_files(tmp_path, capsys, command
 def test_usage_error_exit_code():
     assert main(["count"]) == 1
     assert main(["definitely-not-a-command"]) == 1
+
+
+# Vocab files a reader must reject, with the line it names.
+_BAD_VOCABS = {
+    "repeated word": ("<S>\n</S>\n<UNK>\ngreen\nred\ngreen\n", 6,
+                      "duplicate vocabulary entry 'green'"),
+    "specials out of order": ("<S>\n<UNK>\n</S>\ngreen\n", 2,
+                              "vocabulary must start with the special tokens <S> </S> <UNK>"),
+    "blank line": ("<S>\n</S>\n<UNK>\ngreen\n\nred\n", 5, "vocabulary entry is empty"),
+    "whitespace": ("<S>\n</S>\n<UNK>\ngreen tea\n", 4,
+                   "vocabulary entry 'green tea' contains whitespace"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_VOCABS))
+def test_count_names_the_line_of_a_bad_vocab_entry(workdir, capsys, kind):
+    text, lineno, message = _BAD_VOCABS[kind]
+    (workdir / "vocab.txt").write_text(text, encoding="utf-8")
+    assert main([
+        "count", _p(workdir / "tiny.txt"), "--config", _p(workdir / "ngram.cfg"),
+        "--vocab", _p(workdir / "vocab.txt"), "-o", _p(workdir / "counts.tsv"),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert f"vocab.txt:{lineno}: {message}" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (workdir / "counts.tsv").exists()

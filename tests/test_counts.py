@@ -389,3 +389,33 @@ def test_merge_files_closes_every_input_it_opened(tmp_path, monkeypatch, case):
     assert rejected.traceback
     assert {fh.name for fh in handles} >= {str(good), str(bad)}
     assert all(fh.closed for fh in handles)
+
+
+_INT64_MAX = (1 << 63) - 1
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    ([(_INT64_MAX + 1, "b")], 2, f"count {_INT64_MAX + 1} is more than 2^63-1"),
+    ([(1, "a"), (_INT64_MAX + 1, "b")], 3, f"count {_INT64_MAX + 1} is more than 2^63-1"),
+    ([(_INT64_MAX, "b"), (1, "c")], 3, "row sum of [a] is more than 2^63-1"),
+], ids=["count", "count in a row", "row sum"])
+def test_load_and_merge_reject_counts_past_int64(tmp_path, abc_vocab, rows, line, message):
+    good, bad, out = tmp_path / "good.tsv", tmp_path / "bad.tsv", tmp_path / "out.tsv"
+    good.write_text(_GOOD, encoding="utf-8")
+    body = "".join(f"[a]\t{w}\t{c}\n" for c, w in rows)
+    bad.write_text(f"{COUNTS_HEADER}\n{body}", encoding="utf-8")
+    for read in (lambda: CountStore.load(bad, abc_vocab), lambda: merge_files([good, bad], out)):
+        with pytest.raises(DataError, match=_where(bad, line) + " " + re.escape(message)):
+            read()
+    assert not out.exists()
+
+
+def test_a_row_summing_to_int64_max_trains(tmp_path, abc_vocab):
+    path = tmp_path / "max.tsv"
+    path.write_text(
+        f"{COUNTS_HEADER}\n[]\ta\t1\n[a]\tb\t{_INT64_MAX - 1}\n[a]\tc\t1\n", encoding="utf-8"
+    )
+    store = CountStore.load(path, abc_vocab)
+    assert store.feature_counts[Feature((abc_vocab.index["a"],))] == _INT64_MAX
+    model = materialize(store, AdjustmentModel(64), abc_vocab)
+    assert model.design.rel_freq.sum() == pytest.approx(2.0)

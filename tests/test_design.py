@@ -12,14 +12,12 @@ import random
 import numpy as np
 import pytest
 
-import snmlm.design
 from snmlm import metafeatures
 from snmlm.adjustment import AdjustmentModel, BatchAccumulator, batch_theta_gradient, train
 from snmlm.corpus import build_vocab
 from snmlm.counts import CountStore, accumulate
-from snmlm.design import LinkDesign, explain
 from snmlm.extraction import Feature, parse_config, render_feature
-from snmlm.metafeatures import Mode, feature_type, fingerprint
+from snmlm.metafeatures import LinkDesign, Mode, explain, feature_type, fingerprint
 from snmlm.model import load_model, materialize, renormalize, save_model
 
 from snm_testutil import (
@@ -42,7 +40,7 @@ _COUNTS = [1, 2, 3, 4, 5, 6, 8, 13, 16, 100, 1024, 1025]
 @pytest.fixture(params=[5, 8192], ids=["blocks-of-5", "one-block"])
 def block_size(request, monkeypatch):
     """Also run with tiny slot blocks, so links span several of them."""
-    monkeypatch.setattr(snmlm.design, "_CHUNK", request.param)
+    monkeypatch.setattr(metafeatures, "_CHUNK", request.param)
     return request.param
 
 

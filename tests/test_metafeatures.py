@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from snmlm.corpus import build_vocab
-from snmlm.design import _combine, explain
 from snmlm.extraction import Feature
-from snmlm.metafeatures import Mode, buckets, combine, feature_type, fingerprint, hash_int
+from snmlm.metafeatures import (
+    Mode, _combine, buckets, combine, explain, feature_type, fingerprint, hash_int,
+)
 
 from snm_testutil import LinkHasher, compute_metafeatures
 
