@@ -5,13 +5,24 @@ of each link. Its weights are fit by maximizing the multinomial
 log-likelihood of held-out events with mini-batch updates and per-weight
 AdaGrad learning rates.
 
-The per-batch gradient uses two maps instead of touching every vocabulary
-word per event: one keyed by (feature, target) links accumulating
-M_ft / y_t(e), and one keyed by feature accumulating alpha_f = sum of
-1/y(e) over the events containing f. At the end of the batch the gradient
-for every stored link of every encountered feature is
-``first_term(f,w) - M_fw * alpha_f``, which is then pushed onto the
-weights through the links' meta-feature weights.
+The dev events and the link design are fixed for a run, so `train`
+compiles the events once into flat arrays (`compile_events`): each feature
+occurrence the design knows, in event order, with its event, its row and
+its link to the event's target. A batch is a contiguous slice of them. The
+batch gradient then never touches every vocabulary word per event:
+`np.bincount` over the slice sums each event's y and y_t, the first term
+M_ft / y_t(e) of each occurring target link, and alpha_f, the sum of
+1/y(e) over the occurrences of f. The gradient of every stored link of
+every touched row is ``first_term(f,w) - M_fw * alpha_f``, pushed onto the
+weights through the links' meta-feature weights. The epoch statistics are
+the same two sums over all events. Every sum adds in the order the
+per-event walk of `score_event` does, so the results equal that walk's bit
+for bit.
+
+`BatchAccumulator` and `batch_theta_gradient` are that per-event walk over
+the model's dicts. Training no longer calls them; they stay as the
+reference the tests compare the array path against, until ROADMAP item 1
+unpins their names from perfbench/tracing.py and deletes them.
 
 The in-memory matrix (cells and normalizers) stays fixed while an epoch
 runs and is recomputed from the updated weights at epoch end.
@@ -22,7 +33,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import chain, repeat
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,8 +42,12 @@ from .corpus import Vocabulary
 from .counts import CountStore
 from .errors import DataError
 from .extraction import Event, Feature
-from .metafeatures import Mode
-from .model import SnmModel, design_of, materialize, perplexity, renormalize, score_event
+from .metafeatures import LinkDesign, Mode
+# `perplexity` is not called here; perfbench/tracing.py looks it up in this
+# module, until ROADMAP item 1 removes the pin.
+from .model import (  # noqa: F401
+    PROB_FLOOR, SnmModel, design_of, materialize, perplexity, renormalize, score_event,
+)
 
 _ADJ_MAGIC = b"SNMADJ\x01"
 # table size, gamma, delta0, mode code, hash scheme id
@@ -200,28 +216,128 @@ def batch_theta_gradient(
     return dict(zip(slots.tolist(), grads[slots].tolist()))
 
 
-def apply_adagrad(adj: AdjustmentModel, grads: dict[int, float]) -> None:
-    """One AdaGrad ascent step from an accumulated batch gradient."""
-    if not grads:
-        return
-    ks = np.fromiter(grads.keys(), dtype=np.int64, count=len(grads))
-    gs = np.fromiter(grads.values(), dtype=np.float64, count=len(grads))
-    adj.grad_sq[ks] += gs * gs
-    adj.theta[ks] += adj.gamma * gs / np.sqrt(adj.delta0 + adj.grad_sq[ks])
+class DevEvents(NamedTuple):
+    """Events compiled against a link design, one entry per known feature occurrence.
+
+    Entries are in event order and, within an event, in feature order:
+    ``event`` is the entry's event id, ``row`` its feature's row, and
+    ``link`` the link (row, target), or -1 when the row has none. ``starts``
+    holds each event's first entry, then the number of entries.
+    """
+
+    event: np.ndarray
+    row: np.ndarray
+    link: np.ndarray
+    starts: np.ndarray
+
+    @property
+    def num_events(self) -> int:
+        return len(self.starts) - 1
+
+    def batch(self, lo: int, hi: int) -> "DevEvents":
+        """Events lo..hi-1, numbered from 0."""
+        a, b = int(self.starts[lo]), int(self.starts[hi])
+        return DevEvents(
+            self.event[a:b] - lo, self.row[a:b], self.link[a:b], self.starts[lo : hi + 1] - a
+        )
 
 
-def process_batch(
-    events: Sequence[Event], model: SnmModel, adj: AdjustmentModel
-) -> BatchAccumulator:
-    """Accumulate one mini-batch and apply its weight update."""
-    if not events:
+def compile_events(events: Sequence[Event], design: LinkDesign) -> DevEvents:
+    """Where each feature occurrence of the events lands in the design.
+
+    Features the design lacks are dropped, as `score_event` drops them; an
+    event left with none raises its `DataError`.
+    """
+    lens = np.fromiter((len(e.features) for e in events), dtype=np.int64, count=len(events))
+    occurrences = chain.from_iterable(e.features for e in events)
+    row = np.fromiter(map(design.row_index.get, occurrences, repeat(-1)), dtype=np.int64,
+                      count=int(lens.sum()))
+    event = np.repeat(np.arange(len(events)), lens)
+    known = row >= 0
+    event, row = event[known], row[known]
+    per_event = np.bincount(event, minlength=len(events))
+    if not per_event.all():
+        raise DataError("event has no features known to the model")
+    starts = np.zeros(len(events) + 1, dtype=np.int64)
+    np.cumsum(per_event, out=starts[1:])
+    target = np.fromiter((e.target for e in events), dtype=np.int64, count=len(events))[event]
+    # Links ascend by (row, word), so by this key; the match is checked on
+    # both, as a target id past the vocabulary would alias the next row.
+    v = len(design.vocab)
+    have = design.row.astype(np.int64) * v + design.words
+    pos = np.minimum(np.searchsorted(have, row * v + target), len(have) - 1)
+    found = (design.row[pos] == row) & (design.words[pos] == target)
+    return DevEvents(event, row, np.where(found, pos, -1), starts)
+
+
+def _event_sums(dev: DevEvents, model: SnmModel) -> tuple[np.ndarray, np.ndarray]:
+    """y and y_t of each event: its features' normalizers and target cells, summed.
+
+    `np.bincount` adds in entry order, so each sum equals `score_event`'s
+    bit for bit.
+    """
+    n = dev.num_events
+    y = np.bincount(dev.event, model.row_sums[dev.row], minlength=n)
+    # Link -1 reads the last cell, which `np.where` then replaces by 0.0.
+    y_t = np.bincount(dev.event, np.where(dev.link >= 0, model.cells[dev.link], 0.0), minlength=n)
+    return y, y_t
+
+
+class BatchGradient(NamedTuple):
+    """Nonzero slots of a batch's weight-table gradient, ascending, and their values."""
+
+    slots: np.ndarray
+    grads: np.ndarray
+    floored_events: int
+
+
+def theta_gradient(batch: DevEvents, model: SnmModel, adj: AdjustmentModel) -> BatchGradient:
+    """Ascent gradient of the batch log-likelihood w.r.t. the weight table.
+
+    For every link of every row that a scored event touches, the gradient is
+    ``first_term(f,w) - M_fw * alpha_f``: the first term sums M_ft / y_t(e)
+    over the batch's occurrences of the link (f, t) with t the event's
+    target, and alpha_f sums 1/y(e) over the occurrences of f. The per-link
+    gradient is pushed onto the weights through each link's meta-feature
+    weights. An event whose target is unreachable (y_t = 0) is scored at
+    the probability floor, a constant, and contributes nothing. The model
+    must come from `materialize` under `adj`'s mode and table size (see
+    `design_of`), and the batch from `compile_events` on its design.
+    """
+    design = design_of(model, adj)
+    y, y_t = _event_sums(batch, model)
+    scored = y_t != 0.0
+    inv_y = 1.0 / y
+    inv_yt = np.divide(1.0, y_t, out=np.zeros_like(y_t), where=scored)
+    live = scored[batch.event]
+    event, row, link = batch.event[live], batch.row[live], batch.link[live]
+    rows, per_row = np.unique(row, return_inverse=True)
+    alpha = np.bincount(per_row, inv_y[event], minlength=len(rows))
+    links, lens = design.links_of(rows)
+    g_link = np.zeros(len(links))
+    linked = link >= 0
+    targets, per_link = np.unique(link[linked], return_inverse=True)
+    first = model.cells[link[linked]] * inv_yt[event[linked]]
+    g_link[np.searchsorted(links, targets)] = np.bincount(per_link, first, minlength=len(targets))
+    g_link -= model.cells[links] * np.repeat(alpha, lens)
+    grads = design.push(links, g_link)
+    slots = np.flatnonzero(grads)
+    return BatchGradient(slots, grads[slots], int(np.count_nonzero(~scored)))
+
+
+def apply_adagrad(adj: AdjustmentModel, slots: np.ndarray, grads: np.ndarray) -> None:
+    """One AdaGrad ascent step on the distinct `slots` from their batch gradients."""
+    adj.grad_sq[slots] += grads * grads
+    adj.theta[slots] += adj.gamma * grads / np.sqrt(adj.delta0 + adj.grad_sq[slots])
+
+
+def process_batch(batch: DevEvents, model: SnmModel, adj: AdjustmentModel) -> BatchGradient:
+    """Compute one mini-batch's gradient and apply its weight update."""
+    if not batch.num_events:
         raise DataError("empty batch")
-    acc = BatchAccumulator()
-    for e in events:
-        acc.add_event(e, model)
-    grads = batch_theta_gradient(acc, model, adj)
-    apply_adagrad(adj, grads)
-    return acc
+    step = theta_gradient(batch, model, adj)
+    apply_adagrad(adj, step.slots, step.grads)
+    return step
 
 
 @dataclass(frozen=True)
@@ -258,23 +374,28 @@ def train(
     model = materialize(counts, adj, vocab)
     if not dev_events:
         return [], model
+    dev = compile_events(dev_events, model.design)
 
     def stats(epoch: int) -> EpochStats:
-        report = perplexity(model, dev_events)
-        return EpochStats(epoch, report.log_prob_sum, report.ppl, adj.nonzero_params)
+        y, y_t = _event_sums(dev, model)
+        floor = math.log(PROB_FLOOR)
+        # math.log, as `score_event` takes it: np.log may differ in the last bit.
+        total = math.fsum([math.log(r) if r > 0.0 else floor for r in (y_t / y).tolist()])
+        return EpochStats(epoch, total, math.exp(-total / len(y)), adj.nonzero_params)
 
     history = [stats(0)]
     if log:
         log(history[0].format())
     batch_size = adj.batch_size
+    n = dev.num_events
     for epoch in range(1, epochs + 1):
-        for i in range(0, len(dev_events), batch_size):
-            process_batch(dev_events[i : i + batch_size], model, adj)
+        for i in range(0, n, batch_size):
+            process_batch(dev.batch(i, min(i + batch_size, n)), model, adj)
         renormalize(model, adj)
         history.append(stats(epoch))
         if log:
             log(history[-1].format())
     # The design is training state, over 100 bytes per link; the trained
     # model scores without it.
-    model.design = model.cells = None
+    model.design = model.cells = model.row_sums = None
     return history, model

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .adjustment import AdjustmentModel, train
 from .corpus import TaggedCorpus, Vocabulary, build_vocab, iter_file_tokens, natural
@@ -99,6 +100,15 @@ def _check_tags_cover(feature_tags, tags, source: str) -> None:
                        "; pass --tag for every training source")
 
 
+def _check_output(path: str) -> None:
+    """Raise SnmError unless `path` names a file that can be created in an existing directory."""
+    out = Path(path)
+    if out.is_dir():
+        raise SnmError(f"{path}: is a directory, not an output file")
+    if not out.parent.is_dir():
+        raise SnmError(f"{path}: directory {str(out.parent)!r} does not exist")
+
+
 def _held_out(args, tags: tuple[str, ...]):
     """The vocab, the dev events, and the count rows of the dev features."""
     vocab = Vocabulary.load(args.vocab)
@@ -151,8 +161,13 @@ def cmd_train(args) -> int:
         raise UsageError(str(exc)) from None
     if args.epochs < 0:
         raise UsageError("epochs must be >= 0")
+    tags = _tags(args)
+    # Before any input is read: a bad output path would otherwise fail only
+    # after the whole run.
+    _check_output(args.adjustment_out)
+    _check_output(args.model_out)
     # Only the dev rows are trained on and saved, so only they are stored.
-    vocab, dev_events, store = _held_out(args, _tags(args))
+    vocab, dev_events, store = _held_out(args, tags)
     if not dev_events:
         raise SnmError(f"{args.dev}: empty development set")
     # A copy of `store`: perfbench/tracing.py captures the training store from

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import os
 from contextlib import closing
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .corpus import Vocabulary, natural
@@ -239,25 +240,41 @@ def merge_files(paths, out_path) -> None:
     A sequential merge join over the inputs: memory use is bounded by the
     number of files, not their size. Rows go to a temporary file next to
     `out_path` that replaces it only after the last row, so an input rejected
-    part way leaves no partial output and any earlier file as it was.
+    part way leaves no partial output and any earlier file as it was. A
+    merged count, row sum or event total past 2^63-1, which no reader
+    accepts, raises `DataError` naming the inputs, and leaves nothing either.
     """
     streams = [_entry_stream(path) for path in paths]
     tmp_path = f"{out_path}.{os.getpid()}.tmp"
+
+    def too_big(what: str) -> DataError:
+        return DataError(f"merging {', '.join(map(str, paths))}: {what} is more than 2^63-1")
+
     try:
         grand_total = sum(next(s) for s in streams)
+        if grand_total > _MAX_COUNT:
+            raise too_big("#total-events")
         with open(tmp_path, "w", encoding="utf-8") as out:
             out.write(f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{grand_total}\n")
             current_fs = current_ws = None
-            current = 0
-            for fs, ws, c, _ in heapq.merge(*streams):
+            current = row_sum = 0
+            # The end marker completes the last link and row. A link or row is
+            # checked once complete: an input failing its own check within it
+            # has failed first, naming its line.
+            for fs, ws, c, _ in chain(heapq.merge(*streams), [(None, None, 0, 0)]):
                 if ws == current_ws and fs == current_fs:
                     current += c
                 else:
                     if current_fs is not None:
+                        if current > _MAX_COUNT:
+                            raise too_big(f"count of ({current_fs}, {current_ws})")
+                        if fs != current_fs:
+                            if row_sum > _MAX_COUNT:
+                                raise too_big(f"row sum of {current_fs}")
+                            row_sum = 0
                         out.write(f"{current_fs}\t{current_ws}\t{current}\n")
                     current_fs, current_ws, current = fs, ws, c
-            if current_fs is not None:
-                out.write(f"{current_fs}\t{current_ws}\t{current}\n")
+                row_sum += c
         os.replace(tmp_path, out_path)
     except BaseException:
         if os.path.exists(tmp_path):

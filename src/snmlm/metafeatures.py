@@ -28,7 +28,8 @@ that depends on the row, the word or the link-count class alone comes from
 a table over that key. Weights are not stored: a column weighs one of the
 row's feature-count bucket weights times one of the link's link-count
 bucket weights, looked up per block in small per-count tables. Each
-distinct feature string, type string and word is fingerprinted once.
+distinct feature string, type string and word is fingerprinted once, the
+feature strings and words all at once by `fingerprints`.
 """
 
 from __future__ import annotations
@@ -71,6 +72,32 @@ def fingerprint(s: str) -> int:
     for b in s.encode("utf-8"):
         h = ((h ^ b) * _FNV_PRIME) & _M64
     return h
+
+
+def fingerprints(strings: list[str]) -> np.ndarray:
+    """`fingerprint` of each string, as np.uint64, one byte column at a time.
+
+    The UTF-8 encodings are laid end to end longest first, so the strings
+    still running at byte j are a prefix of that order: byte j of each is
+    gathered at its start plus j, then xored in and multiplied by the prime
+    over the prefix, wrapping mod 2^64. No string is padded to the longest.
+    """
+    data = [s.encode("utf-8") for s in strings]
+    lens = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
+    order = np.argsort(-lens, kind="stable")
+    lens = lens[order]
+    starts = np.cumsum(lens) - lens
+    flat = np.frombuffer(b"".join([data[i] for i in order.tolist()]), dtype=np.uint8)
+    running = np.searchsorted(-lens, -np.arange(lens.max(initial=0)))
+    h = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for j, k in enumerate(running.tolist()):
+        part = h[:k]
+        part ^= flat[starts[:k] + j]
+        part *= prime
+    out = np.empty_like(h)
+    out[order] = h
+    return out
 
 
 def hash_int(value: int) -> int:
@@ -186,12 +213,10 @@ def _descriptors(features, feature_counts, words, link_counts, mode: Mode, vocab
         "link1": lhash[:, 1],
     }
     if mode is not Mode.UNLEXICALIZED:
-        ids = [fingerprint(render_feature(f, vocab)) for f in features]
-        tables["feature"] = np.array(ids, dtype=np.uint64)
+        tables["feature"] = fingerprints([render_feature(f, vocab) for f in features])
     if mode is Mode.FULL:
         used = np.flatnonzero(np.bincount(words, minlength=len(vocab)))
-        fps = [fingerprint(vocab.words[w]) for w in used.tolist()]
-        tables["word"][used] = np.array(fps, dtype=np.uint64)
+        tables["word"][used] = fingerprints([vocab.words[w] for w in used.tolist()])
     return tables, fcls, fw, lcls, lw
 
 

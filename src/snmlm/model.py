@@ -41,12 +41,12 @@ _ROW_GROUP = 2048
 class SnmModel:
     """Adjusted matrix rows plus per-feature normalizers.
 
-    A materialized model also keeps its link design and the cells in design
-    order, which training reuses; a model read from a file has neither and
-    cannot be trained on.
+    A materialized model also keeps its link design, and the cells and row
+    sums in design order, which training reuses; a model read from a file
+    has none of them and cannot be trained on.
     """
 
-    __slots__ = ("rows", "normalizers", "vocab_size", "design", "cells")
+    __slots__ = ("rows", "normalizers", "vocab_size", "design", "cells", "row_sums")
 
     def __init__(
         self,
@@ -59,6 +59,7 @@ class SnmModel:
         self.vocab_size = vocab_size
         self.design: LinkDesign | None = None
         self.cells: np.ndarray | None = None
+        self.row_sums: np.ndarray | None = None
 
 
 class EventScore(NamedTuple):
@@ -115,7 +116,8 @@ def _fill(model: SnmModel, design: LinkDesign, theta: np.ndarray) -> None:
     cells = np.exp(a, out=a)
     cells *= design.rel_freq
     features = design.features
-    norms = np.bincount(design.row, cells, minlength=len(features)).tolist()
+    row_sums = np.bincount(design.row, cells, minlength=len(features))
+    norms = row_sums.tolist()
     off = design.offsets.tolist()
     rows = model.rows
     normalizers = model.normalizers
@@ -130,7 +132,7 @@ def _fill(model: SnmModel, design: LinkDesign, theta: np.ndarray) -> None:
             lo, hi = off[r] - base, off[r + 1] - base
             rows[features[r]] = dict(zip(words[lo:hi], values[lo:hi]))
             normalizers[features[r]] = norms[r]
-    model.cells = cells
+    model.cells, model.row_sums = cells, row_sums
 
 
 def materialize(counts: CountStore, adj: "AdjustmentModel", vocab: Vocabulary) -> SnmModel:

@@ -2,7 +2,8 @@
 
 Everything here is seeded and deterministic. The per-link and gradient
 oracles are written from the defining formulas, independent of the link
-design and batch-trick code they are used to check. `LinkHasher` is the
+design and batch-trick code they are used to check; `array_theta_gradient`
+wraps the production batch gradient in the same dict form. `LinkHasher` is the
 scalar reference of a link's meta-features: the items of one link, built
 one by one, that `snmlm.metafeatures.LinkDesign` must reproduce column by column.
 `parse_feature_oracle` is the reference of the feature-string grammar.
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from snmlm.adjustment import AdjustmentModel
+from snmlm.adjustment import AdjustmentModel, compile_events, theta_gradient
 from snmlm.corpus import Vocabulary, build_vocab, map_tokens
 from snmlm.counts import CountStore
 from snmlm.errors import DataError
@@ -354,6 +355,15 @@ def naive_theta_gradient(events, model, adj, store, vocab) -> dict[int, float]:
                     k = mf.hash % size
                     grads[k] = grads.get(k, 0.0) + g_link * mf.weight
     return grads
+
+
+def array_theta_gradient(events, model, adj) -> dict[int, float]:
+    """`snmlm.adjustment.theta_gradient` of the events as one batch, as {slot: gradient}.
+
+    The events are compiled against the model's own design.
+    """
+    step = theta_gradient(compile_events(events, model.design), model, adj)
+    return dict(zip(step.slots.tolist(), step.grads.tolist()))
 
 
 # ---------------------------------------------------------------------------

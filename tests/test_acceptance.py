@@ -29,6 +29,7 @@ from snmlm.model import materialize, perplexity, renormalize, score_event
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
     MarkovChain,
+    array_theta_gradient,
     extract_corpus_events,
     make_vocab,
     naive_theta_gradient,
@@ -75,6 +76,8 @@ def test_01_gradient_matches_finite_differences():
         acc = BatchAccumulator()
         acc.add_event(event, model)
         analytic = batch_theta_gradient(acc, model, adj)
+        # The array gradient that training runs, checked at the same slots.
+        array = array_theta_gradient([event], model, adj)
 
         eps = 1e-5
         for k in rng.sample(sorted(analytic), min(4, len(analytic))):
@@ -86,9 +89,10 @@ def test_01_gradient_matches_finite_differences():
             adj.theta[k] = saved
             fd = (hi - lo) / (2 * eps)
             tolerance = 1e-5 * abs(fd) + 1e-7
-            diff = abs(analytic[k] - fd)
-            assert diff <= tolerance, (instance, k, analytic[k], fd)
-            worst = max(worst, diff / tolerance)
+            for g in (analytic[k], array.get(k, 0.0)):
+                diff = abs(g - fd)
+                assert diff <= tolerance, (instance, k, g, fd)
+                worst = max(worst, diff / tolerance)
             checked += 1
     elapsed = time.monotonic() - started
     assert checked >= 100
@@ -121,12 +125,14 @@ def test_02_batch_trick_equals_naive_summation():
         for e in events:
             acc.add_event(e, model)
         trick = batch_theta_gradient(acc, model, adj)
+        array = array_theta_gradient(events, model, adj)
         naive = naive_theta_gradient(events, model, adj, store, vocab)
 
-        for k in set(trick) | set(naive):
-            diff = abs(trick.get(k, 0.0) - naive.get(k, 0.0))
-            worst = max(worst, diff)
-            assert diff <= 1e-12, (batch_no, k, diff)
+        for k in set(trick) | set(array) | set(naive):
+            for g in (trick.get(k, 0.0), array.get(k, 0.0)):
+                diff = abs(g - naive.get(k, 0.0))
+                worst = max(worst, diff)
+                assert diff <= 1e-12, (batch_no, k, diff)
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
     return f"50 batches, worst elementwise diff {worst:.2e}, {elapsed:.1f}s"

@@ -9,22 +9,26 @@ import pytest
 from snmlm.adjustment import (
     AdjustmentModel,
     BatchAccumulator,
+    EpochStats,
     apply_adagrad,
     batch_theta_gradient,
+    compile_events,
     process_batch,
+    theta_gradient,
     train,
 )
 from snmlm.corpus import build_vocab
 from snmlm.counts import accumulate
 from snmlm.errors import DataError
-from snmlm.extraction import Event, Feature, parse_config
+from snmlm.extraction import Event, Feature, expand_tags, parse_config
 from snmlm.metafeatures import Mode, buckets
-from snmlm.model import materialize, perplexity, score_event
+from snmlm.model import materialize, perplexity, renormalize, score_event
 
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
     MarkovChain,
     adjust,
+    array_theta_gradient,
     compute_metafeatures,
     event_link_gradient,
     extract_corpus_events,
@@ -178,7 +182,6 @@ def test_batch_of_one_reduces_to_per_link_gradients():
 
     acc = BatchAccumulator()
     acc.add_event(e, model)
-    grads = batch_theta_gradient(acc, model, adj)
 
     expected: dict[int, float] = {}
     for f in e.features:
@@ -188,9 +191,9 @@ def test_batch_of_one_reduces_to_per_link_gradients():
                 continue
             for k, wt in link_weights(adj, f, w, store, vocab):
                 expected[k] = expected.get(k, 0.0) + g * wt
-    keys = set(grads) | set(expected)
-    for k in keys:
-        assert grads.get(k, 0.0) == pytest.approx(expected.get(k, 0.0), abs=1e-12)
+    for grads in (batch_theta_gradient(acc, model, adj), array_theta_gradient([e], model, adj)):
+        for k in set(grads) | set(expected):
+            assert grads.get(k, 0.0) == pytest.approx(expected.get(k, 0.0), abs=1e-12)
 
 
 def test_batch_trick_equals_naive_summation():
@@ -205,10 +208,32 @@ def test_batch_trick_equals_naive_summation():
     acc = BatchAccumulator()
     for e in events:
         acc.add_event(e, model)
-    trick = batch_theta_gradient(acc, model, adj)
     naive = naive_theta_gradient(events, model, adj, store, vocab)
-    for k in set(trick) | set(naive):
-        assert trick.get(k, 0.0) == pytest.approx(naive.get(k, 0.0), abs=1e-12)
+    for trick in (batch_theta_gradient(acc, model, adj), array_theta_gradient(events, model, adj)):
+        for k in set(trick) | set(naive):
+            assert trick.get(k, 0.0) == pytest.approx(naive.get(k, 0.0), abs=1e-12)
+
+
+def test_array_gradient_equals_dict_gradient_bit_for_bit():
+    # Random batches mixing reachable and unreachable targets, in every mode.
+    rng = random.Random(41)
+    for instance in range(30):
+        vocab = make_vocab(rng.randint(10, 40))
+        store, feats = random_store(rng, vocab, rng.randint(3, 12))
+        adj = AdjustmentModel(rng.choice([64, 2048]), mode=rng.choice(list(Mode)))
+        random_theta(adj, seed=instance, scale=0.3)
+        model = materialize(store, adj, vocab)
+        events = random_events(rng, store, feats, rng.randint(1, 40))
+        events += random_events(rng, store, feats, rng.randint(0, 5), reachable_targets=False)
+        rng.shuffle(events)
+        acc = BatchAccumulator()
+        for e in events:
+            acc.add_event(e, model)
+        step = theta_gradient(compile_events(events, model.design), model, adj)
+        assert step.floored_events == acc.floored_events
+        assert dict(zip(step.slots.tolist(), step.grads.tolist())) == batch_theta_gradient(
+            acc, model, adj
+        )
 
 
 def test_batch_accumulator_keys_are_batch_local():
@@ -236,12 +261,16 @@ def test_unreachable_target_event_contributes_no_gradient():
     acc.add_event(_ev([f], a), model)  # 'a' never follows the context
     assert acc.floored_events == 1
     assert not acc.alpha and not acc.link_grads
+    adj = AdjustmentModel(64)
+    step = theta_gradient(compile_events([_ev([f], a)], model.design), model, adj)
+    assert step.floored_events == 1
+    assert len(step.slots) == 0 and len(step.grads) == 0
 
 
 def test_adagrad_first_step():
     adj = AdjustmentModel(8, gamma=0.1, delta0=1.0)
     g = 0.75
-    apply_adagrad(adj, {3: g})
+    apply_adagrad(adj, np.array([3]), np.array([g]))
     assert adj.grad_sq[3] == pytest.approx(g * g)
     assert adj.theta[3] == pytest.approx(0.1 * g / math.sqrt(1.0 + g * g), rel=1e-12)
 
@@ -251,9 +280,10 @@ def test_adagrad_rates_never_increase():
     adj = AdjustmentModel(16, gamma=0.1, delta0=1.0)
     last_rate = {k: adj.gamma / math.sqrt(adj.delta0) for k in range(16)}
     for _ in range(50):
-        grads = {k: rng.uniform(-2, 2) for k in rng.sample(range(16), 5)}
+        slots = rng.sample(range(16), 5)
+        grads = [rng.uniform(-2, 2) for _ in slots]
         before = adj.grad_sq.copy()
-        apply_adagrad(adj, grads)
+        apply_adagrad(adj, np.array(slots), np.array(grads))
         assert np.all(adj.grad_sq >= before)
         for k in range(16):
             rate = adj.gamma / math.sqrt(adj.delta0 + adj.grad_sq[k])
@@ -266,8 +296,11 @@ def test_process_batch_rejects_empty():
     store, _ = random_store(random.Random(1), vocab, 3)
     adj = AdjustmentModel(64)
     model = materialize(store, adj, vocab)
-    with pytest.raises(DataError):
-        process_batch([], model, adj)
+    events = random_events(random.Random(2), store, list(store.rows), 3)
+    for empty in (compile_events([], model.design), compile_events(events, model.design).batch(1, 1)):
+        with pytest.raises(DataError):
+            process_batch(empty, model, adj)
+    assert not adj.grad_sq.any()
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +356,86 @@ def test_theta_zero_history_is_unadjusted_baseline():
     baseline = perplexity(unadjusted, dev_events)
     history, _ = train(dev_events, inter, AdjustmentModel(16384), 1, vocab)
     assert history[0].dev_ppl == pytest.approx(baseline.ppl, rel=1e-12)
+
+
+def _dict_reference_train(dev_events, counts, adj, epochs, vocab):
+    """`train` as the per-event dict walk it replaced.
+
+    Each batch goes through `BatchAccumulator` and `batch_theta_gradient`,
+    and the gradient dict through the AdaGrad formula; each epoch is scored
+    by `perplexity`, one event at a time.
+    """
+    model = materialize(counts, adj, vocab)
+
+    def stats(epoch):
+        report = perplexity(model, dev_events)
+        return EpochStats(epoch, report.log_prob_sum, report.ppl, adj.nonzero_params)
+
+    history = [stats(0)]
+    for epoch in range(1, epochs + 1):
+        for i in range(0, len(dev_events), adj.batch_size):
+            acc = BatchAccumulator()
+            for e in dev_events[i : i + adj.batch_size]:
+                acc.add_event(e, model)
+            grads = batch_theta_gradient(acc, model, adj)
+            ks = np.fromiter(grads.keys(), dtype=np.int64, count=len(grads))
+            gs = np.fromiter(grads.values(), dtype=np.float64, count=len(grads))
+            adj.grad_sq[ks] += gs * gs
+            adj.theta[ks] += adj.gamma * gs / np.sqrt(adj.delta0 + adj.grad_sq[ks])
+        renormalize(model, adj)
+        history.append(stats(epoch))
+    return history, model
+
+
+def _held_out(tagged: bool):
+    """Counts and dev events of Markov text; some dev words never occur in training."""
+    cfg = parse_config(FIVE_GRAM_CONFIG)
+    tags = ("a", "b") if tagged else (None,)
+    train_s = [MarkovChain(30, seed=50 + i).sentences(random.Random(i), 300)
+               for i in range(len(tags))]
+    dev_s = MarkovChain(30, seed=50).sentences(random.Random(8), 50)
+    # A wider source: its words w030..w035 are targets no training row links to.
+    dev_s += MarkovChain(36, seed=9).sentences(random.Random(9), 12)
+    vocab = build_vocab((t for s in [*sum(train_s, []), *dev_s] for t in s), min_count=1)
+    counts = accumulate(
+        e for tag, sents in zip(tags, train_s) for e in extract_corpus_events(sents, vocab, cfg, tag)
+    )
+    dev = extract_corpus_events(dev_s, vocab, cfg)
+    if tagged:
+        dev = [expand_tags(e, tags) for e in dev]
+    return vocab, counts.intersect({f for e in dev for f in e.features}), dev
+
+
+@pytest.mark.parametrize("tagged", [False, True], ids=["untagged", "tagged"])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_train_equals_dict_reference_bit_for_bit(mode, tagged):
+    vocab, counts, dev = _held_out(tagged)
+    batch_size = 97
+    assert len(dev) > 2 * batch_size and len(dev) % batch_size
+    floored = [e for e in dev if not any(e.target in counts.rows.get(f, ()) for f in e.features)]
+    assert 0 < len(floored) < len(dev)
+    assert all(f.tag for e in dev for f in e.features) == tagged
+
+    ref = AdjustmentModel(1 << 14, batch_size=batch_size, mode=mode)
+    ref_history, ref_model = _dict_reference_train(dev, counts, ref, 2, vocab)
+    adj = AdjustmentModel(1 << 14, batch_size=batch_size, mode=mode)
+    history, model = train(dev, counts, adj, 2, vocab)
+
+    assert history == ref_history
+    assert ref_history[2].dev_ppl < ref_history[0].dev_ppl
+    assert np.array_equal(adj.theta, ref.theta) and adj.nonzero_params > 0
+    assert np.array_equal(adj.grad_sq, ref.grad_sq)
+    assert list(model.rows.items()) == list(ref_model.rows.items())
+    assert list(model.normalizers.items()) == list(ref_model.normalizers.items())
+
+
+def test_train_rejects_an_event_with_no_known_feature():
+    vocab = make_vocab(10)
+    store, feats = random_store(random.Random(4), vocab, 4)
+    events = random_events(random.Random(5), store, feats, 3)
+    events.append(_ev([Feature((9, 9, 9, 9))], 5))
+    with pytest.raises(DataError, match="event has no features known to the model"):
+        train(events, store, AdjustmentModel(64), 1, vocab)
 
 
 # ---------------------------------------------------------------------------

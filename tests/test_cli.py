@@ -783,6 +783,26 @@ def test_train_rejects_bad_settings_before_reading_files(tmp_path, capsys, flags
     assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("which", ["--adjustment-out", "--model-out"])
+@pytest.mark.parametrize("bad", ["no such directory", "a directory"])
+def test_train_rejects_bad_output_paths_before_reading_files(tmp_path, capsys, which, bad):
+    # None of the inputs exist: reading any of them would name them instead.
+    missing = _p(tmp_path / "missing")
+    (tmp_path / "out").mkdir()
+    target = tmp_path / "nowhere" / "file" if bad == "no such directory" else tmp_path / "out"
+    outs = {"--adjustment-out": _p(tmp_path / "adj.bin"), "--model-out": _p(tmp_path / "m.tsv")}
+    outs[which] = _p(target)
+    rc = main([
+        "train", "--counts", missing, "--dev", missing, "--config", missing,
+        "--vocab", missing, *(a for kv in outs.items() for a in kv),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"snmlm: {_p(target)}: ") and "missing" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 _TAG_COMMANDS = {
     "count": lambda missing, out: ["count", missing, "-o", out],
     "intersect": lambda missing, out: ["intersect", "--counts", missing, "--dev", missing,

@@ -410,6 +410,43 @@ def test_load_and_merge_reject_counts_past_int64(tmp_path, abc_vocab, rows, line
     assert not out.exists()
 
 
+_HALF = 5_000_000_000_000_000_000  # two of these pass 2^63-1
+
+
+@pytest.mark.parametrize("files, message", [
+    ([["[]\ta\t" + str(_HALF)], ["[]\ta\t" + str(_HALF)]],
+     "#total-events is more than 2^63-1"),
+    ([["[a]\tb\t" + str(_HALF)], ["[a]\tb\t" + str(_HALF)]],
+     "count of ([a], b) is more than 2^63-1"),
+    ([["[a]\tb\t" + str(_HALF)], ["[a]\tc\t" + str(_HALF)]],
+     "row sum of [a] is more than 2^63-1"),
+], ids=["total", "link count", "row sum"])
+def test_merge_rejects_sums_past_int64(tmp_path, abc_vocab, files, message):
+    paths = [tmp_path / f"part{i}.tsv" for i in range(len(files))]
+    for path, rows in zip(paths, files):
+        # Only the first case counts its events; the others keep the total small.
+        total = _HALF if rows[0].startswith("[]") else 1
+        path.write_text(f"{COUNTS_HEADER}\n#total-events {total}\n" + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        CountStore.load(path, abc_vocab)  # each input alone is readable
+    out = tmp_path / "merged.tsv"
+    names = ", ".join(map(str, paths))
+    with pytest.raises(DataError, match=f"^{re.escape(f'merging {names}: {message}')}$"):
+        merge_files(paths, out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["part0.tsv", "part1.tsv"]
+
+
+def test_merge_keeps_sums_up_to_int64_max(tmp_path, abc_vocab):
+    a, b, out = tmp_path / "a.tsv", tmp_path / "b.tsv", tmp_path / "out.tsv"
+    a.write_text(f"{COUNTS_HEADER}\n#total-events {_INT64_MAX - 1}\n[a]\tb\t{_INT64_MAX - 2}\n",
+                 encoding="utf-8")
+    b.write_text(f"{COUNTS_HEADER}\n#total-events 1\n[a]\tb\t1\n[a]\tc\t1\n", encoding="utf-8")
+    merge_files([a, b], out)
+    store = CountStore.load(out, abc_vocab)
+    assert store.total_events == _INT64_MAX
+    assert store.feature_counts[Feature((abc_vocab.index["a"],))] == _INT64_MAX
+
+
 def test_a_row_summing_to_int64_max_trains(tmp_path, abc_vocab):
     path = tmp_path / "max.tsv"
     path.write_text(

@@ -13,16 +13,20 @@ import numpy as np
 import pytest
 
 from snmlm import metafeatures
-from snmlm.adjustment import AdjustmentModel, BatchAccumulator, batch_theta_gradient, train
+from snmlm.adjustment import (
+    AdjustmentModel, BatchAccumulator, batch_theta_gradient, compile_events, theta_gradient, train,
+)
 from snmlm.corpus import build_vocab
 from snmlm.counts import CountStore, accumulate
-from snmlm.extraction import Feature, parse_config, render_feature
+from snmlm.errors import DataError
+from snmlm.extraction import Event, Feature, parse_config, render_feature
 from snmlm.metafeatures import LinkDesign, Mode, explain, feature_type, fingerprint
 from snmlm.model import load_model, materialize, renormalize, save_model
 
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
     MarkovChain,
+    array_theta_gradient,
     compute_metafeatures,
     explain_metafeatures,
     extract_corpus_events,
@@ -173,18 +177,56 @@ def test_batch_gradient_visits_only_batch_rows(monkeypatch, block_size):
         return push(self, links, g)
 
     monkeypatch.setattr(LinkDesign, "push", recording_push)
-    grads = batch_theta_gradient(acc, model, adj)
-
     design = model.design
     expected = []
     for f in acc.alpha:
         r = design.row_index[f]
         expected.extend(range(design.offsets[r], design.offsets[r + 1]))
-    assert sorted(visited) == sorted(expected)
     assert len(set(acc.alpha)) < len(store.rows)
     naive = naive_theta_gradient(events, model, adj, store, vocab)
-    for k in set(grads) | set(naive):
-        assert grads.get(k, 0.0) == pytest.approx(naive.get(k, 0.0), abs=1e-12)
+    # The dict reference, then the array gradient that training runs.
+    for gradient in (lambda: batch_theta_gradient(acc, model, adj),
+                     lambda: array_theta_gradient(events, model, adj)):
+        visited.clear()
+        grads = gradient()
+        assert sorted(visited) == sorted(expected)
+        for k in set(grads) | set(naive):
+            assert grads.get(k, 0.0) == pytest.approx(naive.get(k, 0.0), abs=1e-12)
+
+
+def test_compiled_events_locate_every_known_occurrence():
+    rng = random.Random(23)
+    vocab = make_vocab(20)
+    store = _mixed_store(vocab)
+    design = LinkDesign.build(store, Mode.FULL, 512, vocab)
+    feats = list(store.rows)
+    unknown = Feature((3, 3, 3, 3))
+    events = []
+    for _ in range(40):
+        fs = rng.sample(feats, rng.randint(1, 4)) + [unknown] * rng.randint(0, 1)
+        rng.shuffle(fs)
+        events.append(Event(tuple(fs), rng.randrange(len(vocab) + 5)))
+    # A target id past the vocabulary must not alias the next row's first link.
+    events.append(Event((feats[0],), len(vocab) + int(design.words[design.offsets[1]])))
+    dev = compile_events(events, design)
+    expected = []
+    for i, e in enumerate(events):
+        for f in e.features:
+            if f in store.rows:
+                r = design.row_index[f]
+                links = range(design.offsets[r], design.offsets[r + 1])
+                hit = [j for j in links if design.words[j] == e.target]
+                expected.append((i, r, hit[0] if hit else -1))
+    assert list(zip(dev.event.tolist(), dev.row.tolist(), dev.link.tolist())) == expected
+    assert 0 < (dev.link >= 0).sum() < len(dev.link)
+    assert dev.num_events == len(events) and dev.starts[-1] == len(expected)
+    part = dev.batch(10, 25)
+    lo, hi = dev.starts[10], dev.starts[25]
+    assert part.num_events == 15 and part.starts[0] == 0
+    assert part.event.tolist() == (dev.event[lo:hi] - 10).tolist()
+    assert part.link.tolist() == dev.link[lo:hi].tolist()
+    with pytest.raises(DataError, match="event has no features known to the model"):
+        compile_events(events + [Event((unknown,), 3)], design)
 
 
 def test_train_builds_the_design_once(monkeypatch):
@@ -229,6 +271,7 @@ def test_training_calls_reject_a_model_without_its_design(tmp_path):
         (model, AdjustmentModel(2048, mode=Mode.UNLEXICALIZED), "mode full and 2048 slots"),
         (model, AdjustmentModel(1024), "mode full and 2048 slots"),
     ]
+    batch = compile_events(events, model.design)
     for m, other, message in cases:
         acc = BatchAccumulator()
         for e in events:
@@ -236,9 +279,12 @@ def test_training_calls_reject_a_model_without_its_design(tmp_path):
         with pytest.raises(ValueError, match=message):
             batch_theta_gradient(acc, m, other)
         with pytest.raises(ValueError, match=message):
+            theta_gradient(batch, m, other)
+        with pytest.raises(ValueError, match=message):
             renormalize(m, other)
     # With the hashing it was built for, the same model trains.
     acc = BatchAccumulator()
     for e in events:
         acc.add_event(e, model)
     assert batch_theta_gradient(acc, model, adj)
+    assert len(theta_gradient(batch, model, adj).slots)

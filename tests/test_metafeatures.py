@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from snmlm.corpus import build_vocab
 from snmlm.extraction import Feature
 from snmlm.metafeatures import (
-    Mode, _combine, buckets, combine, explain, feature_type, fingerprint, hash_int,
+    Mode, _combine, buckets, combine, explain, feature_type, fingerprint, fingerprints, hash_int,
 )
 
 from snm_testutil import LinkHasher, compute_metafeatures
@@ -58,6 +58,24 @@ def test_bucket_weights_sum_to_one_and_are_positive(count):
 def test_string_fingerprint_golden():
     # frozen from the first build of the 64-bit FNV-1a implementation
     assert fingerprint("3-gram") == 0x547FD1C71E6C7E46
+
+
+# Any text UTF-8 can encode: surrogates cannot be encoded, so they are left out.
+_text = st.text(st.characters(blacklist_categories=("Cs",)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.one_of(_text, st.text(max_size=400), st.sampled_from(["", "\0", "a\0", "\0\0b"])),
+    max_size=40,
+))
+@example(["", "\0", "a\0b", "\U0001F600", "\U00010000x", "x" * 256, "\u00e9" * 200, "y"])
+@example(["q" * 1000] + ["", "a", "bc"] * 20 + ["\U0010FFFF" * 70])
+@example([])
+def test_vectorized_fingerprints_equal_the_scalar_one(strings):
+    got = fingerprints(strings)
+    assert got.dtype == np.uint64 and got.shape == (len(strings),)
+    assert got.tolist() == [fingerprint(s) for s in strings]
 
 
 def test_hash_determinism():
