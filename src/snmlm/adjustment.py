@@ -20,12 +20,14 @@ per-event walk of `score_event` does, so the results equal that walk's bit
 for bit.
 
 `BatchAccumulator` and `batch_theta_gradient` are that per-event walk over
-the model's dicts. Training no longer calls them; they stay as the
+a model's dicts. Training no longer calls them; they stay as the
 reference the tests compare the array path against, until ROADMAP item 1
 unpins their names from perfbench/tracing.py and deletes them.
 
-The in-memory matrix (cells and normalizers) stays fixed while an epoch
-runs and is recomputed from the updated weights at epoch end.
+`train` owns the run's state: the design, and the cells and row sums in
+design order (`adjusted_cells`). They stay fixed while an epoch runs and
+are recomputed from the updated weights at epoch end. The scored model,
+with its row dicts, is built once by `materialize`, after the last epoch.
 """
 
 from __future__ import annotations
@@ -43,11 +45,13 @@ from .counts import CountStore
 from .errors import DataError
 from .extraction import Event, Feature
 from .metafeatures import LinkDesign, Mode
-# `perplexity` is not called here; perfbench/tracing.py looks it up in this
-# module, until ROADMAP item 1 removes the pin.
+# `perplexity` and `renormalize` are not called here; perfbench/tracing.py
+# looks them up in this module until ROADMAP item 1 removes the pins. Nothing
+# may call `renormalize`: the tracer's hook on it reads the rows of its result.
 from .model import (  # noqa: F401
-    PROB_FLOOR, SnmModel, design_of, materialize, perplexity, renormalize, score_event,
+    PROB_FLOOR, SnmModel, adjusted_cells, materialize, perplexity, score_event,
 )
+renormalize = materialize
 
 _ADJ_MAGIC = b"SNMADJ\x01"
 # table size, gamma, delta0, mode code, hash scheme id
@@ -184,16 +188,15 @@ class BatchAccumulator:
 
 
 def batch_theta_gradient(
-    acc: BatchAccumulator, model: SnmModel, adj: AdjustmentModel
+    acc: BatchAccumulator, design: LinkDesign, cells: np.ndarray
 ) -> dict[int, float]:
     """Ascent gradient of the batch log-likelihood w.r.t. the weight table.
 
     Covers every stored link of every feature encountered in the batch, as
     the alpha term applies to whole rows, not just links seen as targets,
-    and no link of any other row. The model must come from `materialize`
-    under `adj`'s mode and table size (see `design_of`).
+    and no link of any other row. `acc` holds the events scored by the
+    model `materialize` makes of `design` and `cells`.
     """
-    design = design_of(model, adj)
     alpha = acc.alpha
     if not alpha:
         return {}
@@ -210,7 +213,7 @@ def batch_theta_gradient(
             np.fromiter((w for _, w in first), dtype=np.int64, count=len(first)),
         )
         g_link[pos] = np.fromiter(first.values(), dtype=np.float64, count=len(first))
-    g_link -= model.cells[links] * np.repeat(alpha_f, lens)
+    g_link -= cells[links] * np.repeat(alpha_f, lens)
     grads = design.push(links, g_link)
     slots = np.flatnonzero(grads)
     return dict(zip(slots.tolist(), grads[slots].tolist()))
@@ -270,16 +273,16 @@ def compile_events(events: Sequence[Event], design: LinkDesign) -> DevEvents:
     return DevEvents(event, row, np.where(found, pos, -1), starts)
 
 
-def _event_sums(dev: DevEvents, model: SnmModel) -> tuple[np.ndarray, np.ndarray]:
+def _event_sums(dev: DevEvents, cells: np.ndarray, row_sums: np.ndarray) -> tuple[np.ndarray, ...]:
     """y and y_t of each event: its features' normalizers and target cells, summed.
 
     `np.bincount` adds in entry order, so each sum equals `score_event`'s
     bit for bit.
     """
     n = dev.num_events
-    y = np.bincount(dev.event, model.row_sums[dev.row], minlength=n)
+    y = np.bincount(dev.event, row_sums[dev.row], minlength=n)
     # Link -1 reads the last cell, which `np.where` then replaces by 0.0.
-    y_t = np.bincount(dev.event, np.where(dev.link >= 0, model.cells[dev.link], 0.0), minlength=n)
+    y_t = np.bincount(dev.event, np.where(dev.link >= 0, cells[dev.link], 0.0), minlength=n)
     return y, y_t
 
 
@@ -291,7 +294,9 @@ class BatchGradient(NamedTuple):
     floored_events: int
 
 
-def theta_gradient(batch: DevEvents, model: SnmModel, adj: AdjustmentModel) -> BatchGradient:
+def theta_gradient(
+    batch: DevEvents, design: LinkDesign, cells: np.ndarray, row_sums: np.ndarray
+) -> BatchGradient:
     """Ascent gradient of the batch log-likelihood w.r.t. the weight table.
 
     For every link of every row that a scored event touches, the gradient is
@@ -300,12 +305,11 @@ def theta_gradient(batch: DevEvents, model: SnmModel, adj: AdjustmentModel) -> B
     target, and alpha_f sums 1/y(e) over the occurrences of f. The per-link
     gradient is pushed onto the weights through each link's meta-feature
     weights. An event whose target is unreachable (y_t = 0) is scored at
-    the probability floor, a constant, and contributes nothing. The model
-    must come from `materialize` under `adj`'s mode and table size (see
-    `design_of`), and the batch from `compile_events` on its design.
+    the probability floor, a constant, and contributes nothing. The cells
+    and row sums are `adjusted_cells` of `design`, and the batch comes from
+    `compile_events` on it.
     """
-    design = design_of(model, adj)
-    y, y_t = _event_sums(batch, model)
+    y, y_t = _event_sums(batch, cells, row_sums)
     scored = y_t != 0.0
     inv_y = 1.0 / y
     inv_yt = np.divide(1.0, y_t, out=np.zeros_like(y_t), where=scored)
@@ -317,9 +321,9 @@ def theta_gradient(batch: DevEvents, model: SnmModel, adj: AdjustmentModel) -> B
     g_link = np.zeros(len(links))
     linked = link >= 0
     targets, per_link = np.unique(link[linked], return_inverse=True)
-    first = model.cells[link[linked]] * inv_yt[event[linked]]
+    first = cells[link[linked]] * inv_yt[event[linked]]
     g_link[np.searchsorted(links, targets)] = np.bincount(per_link, first, minlength=len(targets))
-    g_link -= model.cells[links] * np.repeat(alpha, lens)
+    g_link -= cells[links] * np.repeat(alpha, lens)
     grads = design.push(links, g_link)
     slots = np.flatnonzero(grads)
     return BatchGradient(slots, grads[slots], int(np.count_nonzero(~scored)))
@@ -331,11 +335,21 @@ def apply_adagrad(adj: AdjustmentModel, slots: np.ndarray, grads: np.ndarray) ->
     adj.theta[slots] += adj.gamma * grads / np.sqrt(adj.delta0 + adj.grad_sq[slots])
 
 
-def process_batch(batch: DevEvents, model: SnmModel, adj: AdjustmentModel) -> BatchGradient:
-    """Compute one mini-batch's gradient and apply its weight update."""
+def process_batch(
+    batch: DevEvents, design: LinkDesign, cells: np.ndarray, row_sums: np.ndarray,
+    adj: AdjustmentModel,
+) -> BatchGradient:
+    """Compute one mini-batch's gradient and apply its weight update.
+
+    Raises ValueError for a design built for another mode or table size
+    than `adj`'s.
+    """
+    if design.mode is not adj.mode or design.table_size != adj.table_size:
+        raise ValueError(f"link design is for mode {design.mode.value} and {design.table_size} "
+                         f"slots, not {adj.mode.value} and {adj.table_size}")
     if not batch.num_events:
         raise DataError("empty batch")
-    step = theta_gradient(batch, model, adj)
+    step = theta_gradient(batch, design, cells, row_sums)
     apply_adagrad(adj, step.slots, step.grads)
     return step
 
@@ -366,36 +380,31 @@ def train(
 
     Batches follow corpus order with no shuffling; a short final batch is
     processed normally. Epoch 0 statistics describe the unadjusted model.
-    Returns the per-epoch history and the final renormalized matrix.
+    With no dev events or no epochs the weights are left as they are and
+    the history is empty. Returns the history and the model of the final
+    weights.
     """
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     dev_events = list(dev_events)
-    model = materialize(counts, adj, vocab)
-    if not dev_events:
-        return [], model
-    dev = compile_events(dev_events, model.design)
-
-    def stats(epoch: int) -> EpochStats:
-        y, y_t = _event_sums(dev, model)
-        floor = math.log(PROB_FLOOR)
+    design = LinkDesign.build(counts, adj.mode, adj.table_size, vocab)
+    cells, row_sums = adjusted_cells(design, adj.theta)
+    history: list[EpochStats] = []
+    if not (dev_events and epochs):
+        return history, materialize(design, cells, row_sums)
+    dev = compile_events(dev_events, design)
+    n = dev.num_events
+    batch_size = adj.batch_size
+    floor = math.log(PROB_FLOOR)
+    for epoch in range(epochs + 1):
+        if epoch:
+            for i in range(0, n, batch_size):
+                process_batch(dev.batch(i, min(i + batch_size, n)), design, cells, row_sums, adj)
+            cells, row_sums = adjusted_cells(design, adj.theta)
+        y, y_t = _event_sums(dev, cells, row_sums)
         # math.log, as `score_event` takes it: np.log may differ in the last bit.
         total = math.fsum([math.log(r) if r > 0.0 else floor for r in (y_t / y).tolist()])
-        return EpochStats(epoch, total, math.exp(-total / len(y)), adj.nonzero_params)
-
-    history = [stats(0)]
-    if log:
-        log(history[0].format())
-    batch_size = adj.batch_size
-    n = dev.num_events
-    for epoch in range(1, epochs + 1):
-        for i in range(0, n, batch_size):
-            process_batch(dev.batch(i, min(i + batch_size, n)), model, adj)
-        renormalize(model, adj)
-        history.append(stats(epoch))
+        history.append(EpochStats(epoch, total, math.exp(-total / n), adj.nonzero_params))
         if log:
             log(history[-1].format())
-    # The design is training state, over 100 bytes per link; the trained
-    # model scores without it.
-    model.design = model.cells = model.row_sums = None
-    return history, model
+    return history, materialize(design, cells, row_sums)

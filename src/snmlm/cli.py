@@ -20,11 +20,14 @@ from .extraction import (
     ExtractorConfig,
     expand_tags,
     extract_events,
+    is_tag,
     load_config,
     parse_feature,
 )
 from .metafeatures import Mode, explain
-from .model import load_model, materialize, perplexity, save_model
+# `materialize` is not called here; perfbench/tracing.py looks it up in this
+# module until ROADMAP item 1 removes the pin.
+from .model import load_model, materialize, perplexity, save_model  # noqa: F401
 
 _MODES = {m.value: m for m in Mode}
 _SUFFIXES = {"k": 1 << 10, "K": 1 << 10, "m": 1 << 20, "M": 1 << 20}
@@ -58,7 +61,7 @@ def _tags(args, files=None) -> tuple[str, ...]:
     if files is not None and tags and len(tags) != len(files):
         raise UsageError(f"got {len(tags)} --tag values for {len(files)} corpus files")
     for tag in tags:
-        if not tag or any(ch.isspace() for ch in tag) or "[" in tag or "]" in tag:
+        if not is_tag(tag):
             raise UsageError(f"bad corpus tag {tag!r}: no whitespace or brackets")
     return tags
 
@@ -101,7 +104,10 @@ def _check_tags_cover(feature_tags, tags, source: str) -> None:
 
 
 def _check_output(path: str) -> None:
-    """Raise SnmError unless `path` names a file that can be created in an existing directory."""
+    """Raise SnmError unless `path` names a file that can be created in an existing directory.
+
+    Commands run it before reading any input, so a bad path fails at once.
+    """
     out = Path(path)
     if out.is_dir():
         raise SnmError(f"{path}: is a directory, not an output file")
@@ -122,6 +128,7 @@ def _held_out(args, tags: tuple[str, ...]):
 # Subcommands
 
 def cmd_build_vocab(args) -> int:
+    _check_output(args.output)
     vocab = build_vocab(iter_file_tokens(args.corpus), min_count=args.min_count)
     vocab.save(args.output)
     print(f"vocabulary: {len(vocab)} words -> {args.output}")
@@ -130,6 +137,7 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_count(args) -> int:
     tags = _tags(args, args.corpus)
+    _check_output(args.output)
     vocab = Vocabulary.load(args.vocab)
     # The config, and with it the features it interned, lives only as long as
     # the event stream: its tables are freed before the save's peak.
@@ -144,7 +152,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_intersect(args) -> int:
-    vocab, _, sub = _held_out(args, _tags(args))
+    tags = _tags(args)
+    _check_output(args.output)
+    vocab, _, sub = _held_out(args, tags)
     sub.save(args.output, vocab)
     print(
         f"intersected: {len(sub)}/{sum(sub.file_features.values())} features kept, "
@@ -162,8 +172,6 @@ def cmd_train(args) -> int:
     if args.epochs < 0:
         raise UsageError("epochs must be >= 0")
     tags = _tags(args)
-    # Before any input is read: a bad output path would otherwise fail only
-    # after the whole run.
     _check_output(args.adjustment_out)
     _check_output(args.model_out)
     # Only the dev rows are trained on and saved, so only they are stored.
@@ -185,10 +193,7 @@ def cmd_train(args) -> int:
         f"delta0={adj.delta0} batch_size={adj.batch_size} epochs={args.epochs} "
         f"mode={adj.mode.value}"
     )
-    if args.epochs == 0:
-        model = materialize(intersected, adj, vocab)
-    else:
-        _, model = train(dev_events, intersected, adj, args.epochs, vocab, log=print)
+    _, model = train(dev_events, intersected, adj, args.epochs, vocab, log=print)
     adj.save(args.adjustment_out)
     save_model(model, args.model_out, vocab)
     print(f"adjustment -> {args.adjustment_out}")

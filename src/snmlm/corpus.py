@@ -111,20 +111,16 @@ def map_tokens(raw_sentence: Sequence[str], vocab: Vocabulary) -> list[int]:
 
 @dataclass
 class TaggedCorpus:
-    """Framed token-id sentences from one source, with its corpus tag.
+    """Framed token-id sentences from one source.
 
-    An empty tag means untagged counting.
+    Corpus tags reach features through `extract_events`, not through here.
     """
 
     sentences: list[list[int]] = field(default_factory=list)
-    tag: str = ""
 
     @classmethod
-    def from_file(cls, path, vocab: Vocabulary, tag: str = "") -> "TaggedCorpus":
-        sentences = [
-            map_tokens(line.split(), vocab) for line in _iter_lines(path)
-        ]
-        return cls(sentences, tag)
+    def from_file(cls, path, vocab: Vocabulary) -> "TaggedCorpus":
+        return cls([map_tokens(line.split(), vocab) for line in _iter_lines(path)])
 
 
 def _iter_lines(path) -> Iterator[str]:

@@ -346,6 +346,14 @@ _MARKERS = {"skip-*": ~0, **{f"skip-{n}": ~n for n in range(1, 65)}}
 _SKIP_DIGITS = 18
 
 
+def is_tag(text: str) -> bool:
+    """Whether `text` can be a corpus tag: non-empty, no whitespace, no brackets.
+
+    The one tag rule, of `--tag` values and of the tags in feature strings.
+    """
+    return bool(text) and not any(ch.isspace() or ch in "[]" for ch in text)
+
+
 def render_feature(f: Feature, vocab: Vocabulary) -> str:
     """Canonical string form; inverse of parse_feature."""
     parts = [vocab.words[w] for w in f.words]
@@ -380,6 +388,8 @@ def feature_parser(vocab: Vocabulary) -> Callable[[str], Feature]:
     tokens.update(_MARKERS)
     get = tokens.get
     new = tuple.__new__
+    # Tags that passed `is_tag`: a file holds few, on many rows.
+    tags: set[str] = set()
 
     def parse(s: str) -> Feature:
         if s[:1] == "[":
@@ -389,6 +399,10 @@ def feature_parser(vocab: Vocabulary) -> Callable[[str], Feature]:
             if i <= 0:
                 raise DataError(f"malformed feature string {s!r}")
             tag, body = s[:i], s[i + 1 :]
+            if tag not in tags:
+                if not is_tag(tag):
+                    raise DataError(f"bad corpus tag {tag!r} in feature {s!r}")
+                tags.add(tag)
         if body[-1] != "]":
             raise DataError(f"malformed feature string {s!r}")
         if len(body) == 2:

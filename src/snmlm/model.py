@@ -1,31 +1,34 @@
-"""The sparse adjusted matrix: materialization, scoring, perplexity.
+"""The sparse adjusted matrix: its cells, its rows, scoring, perplexity.
 
 A model row holds M_fw = c(w|f) * exp(A(f,w)) for every link counted in
 training; the per-feature normalizer is the exact row sum. An event is
 scored as the ratio of the summed target cells to the summed normalizers
 over its features, which is a properly normalized distribution over the
 vocabulary.
+
+`adjusted_cells` computes the cells and row sums as arrays in the order of
+a `LinkDesign`; training reads only those. `materialize` is the only code
+that turns them into row dicts: it builds the `SnmModel`, the one model
+shape that is scored, saved and loaded.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .corpus import UNK_ID, Vocabulary
-from .counts import CountStore, write_rows
+from .counts import write_rows
 from .errors import DataError
 from .extraction import Event, Feature, feature_parser, render_feature
 from .metafeatures import LinkDesign
 
-if TYPE_CHECKING:
-    from .adjustment import AdjustmentModel
-
 MODEL_HEADER = "#snm-model v1"
 _NORM_SECTION = "#normalizers"
+_SIZE_RULE = "#vocab-size must come once, before the first row"
 
 # Events whose target is unreachable are floored at this probability.
 PROB_FLOOR = 1e-10
@@ -38,28 +41,13 @@ MAX_ABS_ADJUSTMENT = 50.0
 _ROW_GROUP = 2048
 
 
+@dataclass(slots=True)
 class SnmModel:
-    """Adjusted matrix rows plus per-feature normalizers.
+    """Adjusted matrix rows plus per-feature normalizers."""
 
-    A materialized model also keeps its link design, and the cells and row
-    sums in design order, which training reuses; a model read from a file
-    has none of them and cannot be trained on.
-    """
-
-    __slots__ = ("rows", "normalizers", "vocab_size", "design", "cells", "row_sums")
-
-    def __init__(
-        self,
-        rows: dict[Feature, dict[int, float]],
-        normalizers: dict[Feature, float],
-        vocab_size: int,
-    ):
-        self.rows = rows
-        self.normalizers = normalizers
-        self.vocab_size = vocab_size
-        self.design: LinkDesign | None = None
-        self.cells: np.ndarray | None = None
-        self.row_sums: np.ndarray | None = None
+    rows: dict[Feature, dict[int, float]]
+    normalizers: dict[Feature, float]
+    vocab_size: int
 
 
 class EventScore(NamedTuple):
@@ -85,25 +73,8 @@ class EvalReport:
         return self.oov_targets / self.num_events
 
 
-def design_of(model: SnmModel, adj: "AdjustmentModel") -> LinkDesign:
-    """The link design `materialize` built for the model under `adj`'s hashing.
-
-    Raises ValueError for a model without one, such as a model read from a
-    file, or with one for another mode or table size.
-    """
-    design = model.design
-    if design is None:
-        raise ValueError("model has no link design: train only a model built by materialize")
-    if design.mode is not adj.mode or design.table_size != adj.table_size:
-        raise ValueError(
-            f"model's link design is for mode {design.mode.value} and {design.table_size} "
-            f"slots, not {adj.mode.value} and {adj.table_size}"
-        )
-    return design
-
-
-def _fill(model: SnmModel, design: LinkDesign, theta: np.ndarray) -> None:
-    """Set every cell M_fw = c(w|f) * exp(A(f,w)) and every row sum."""
+def adjusted_cells(design: LinkDesign, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell M_fw = c(w|f) * exp(A(f,w)) and every row sum, in design order."""
     a = design.adjustments(theta)
     bound = MAX_ABS_ADJUSTMENT
     if not (a.max(initial=0.0) <= bound and a.min(initial=0.0) >= -bound):
@@ -115,14 +86,17 @@ def _fill(model: SnmModel, design: LinkDesign, theta: np.ndarray) -> None:
         )
     cells = np.exp(a, out=a)
     cells *= design.rel_freq
+    return cells, np.bincount(design.row, cells, minlength=len(design.features))
+
+
+def materialize(design: LinkDesign, cells: np.ndarray, row_sums: np.ndarray) -> SnmModel:
+    """The model of `adjusted_cells`: a dict row per feature, and its row sum as normalizer."""
     features = design.features
-    row_sums = np.bincount(design.row, cells, minlength=len(features))
-    norms = row_sums.tolist()
+    rows: dict[Feature, dict[int, float]] = {}
+    normalizers = dict(zip(features, row_sums.tolist()))
     off = design.offsets.tolist()
-    rows = model.rows
-    normalizers = model.normalizers
-    # Rows are converted a group at a time: renormalize then frees each old
-    # row soon after its new values exist, instead of holding both at once.
+    # Cells are converted to Python floats a group of rows at a time, so no
+    # list of every link's value is held next to the finished rows.
     for g in range(0, len(features), _ROW_GROUP):
         end = min(g + _ROW_GROUP, len(features))
         base = off[g]
@@ -131,26 +105,7 @@ def _fill(model: SnmModel, design: LinkDesign, theta: np.ndarray) -> None:
         for r in range(g, end):
             lo, hi = off[r] - base, off[r + 1] - base
             rows[features[r]] = dict(zip(words[lo:hi], values[lo:hi]))
-            normalizers[features[r]] = norms[r]
-    model.cells, model.row_sums = cells, row_sums
-
-
-def materialize(counts: CountStore, adj: "AdjustmentModel", vocab: Vocabulary) -> SnmModel:
-    """Build the adjusted matrix M_fw = c(w|f) * exp(A(f,w)) with normalizers."""
-    model = SnmModel({}, {}, len(vocab))
-    model.design = LinkDesign.build(counts, adj.mode, adj.table_size, vocab)
-    _fill(model, model.design, adj.theta)
-    return model
-
-
-def renormalize(model: SnmModel, adj: "AdjustmentModel") -> SnmModel:
-    """Recompute every stored M_fw from the current weights, then the row sums.
-
-    Produces exactly what materialize(counts, adj) would; rows are updated
-    in place so existing references observe the refreshed model.
-    """
-    _fill(model, design_of(model, adj), adj.theta)
-    return model
+    return SnmModel(rows, normalizers, len(design.vocab))
 
 
 def score_event(model: SnmModel, event: Event) -> EventScore:
@@ -219,13 +174,22 @@ def save_model(model: SnmModel, path, vocab: Vocabulary) -> None:
 
 
 def load_model(path, vocab: Vocabulary) -> SnmModel:
+    """Read a model file as `save_model` writes it.
+
+    One `#vocab-size` line, naming the size of `vocab`, precedes the first
+    row. Link rows are strictly increasing by (feature, word) and
+    normalizers by feature, and each row has a normalizer.
+    """
     rows: dict[Feature, dict[int, float]] = {}
     norms: dict[Feature, float] = {}
-    # Each feature string of the link section, parsed once; the normalizer
-    # section looks its strings up here.
+    # Each link row's feature; the normalizer section looks its strings up here.
     features: dict[str, Feature] = {}
     parse = feature_parser(vocab)
+    size: str | None = None
     in_norms = False
+    last_link: tuple[str, str] | None = None
+    last_norm: str | None = None
+    row: dict[int, float] = {}
     inf = math.inf
 
     def parse_at(fs: str, lineno: int) -> Feature:
@@ -247,6 +211,8 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
                 continue
             if line.startswith("#"):
                 if line.startswith("#vocab-size "):
+                    if size is not None or features or in_norms:
+                        raise DataError(f"{path}:{lineno}: {_SIZE_RULE}")
                     size = line[len("#vocab-size "):]
                     if size != str(len(vocab)):
                         raise DataError(
@@ -254,6 +220,8 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
                             f"vocab has {len(vocab)}"
                         )
                 continue
+            if size is None:
+                raise DataError(f"{path}:{lineno}: {_SIZE_RULE}")
             parts = line.split("\t")
             fields = 2 if in_norms else 3
             if len(parts) != fields:
@@ -270,28 +238,30 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
                 raise DataError(
                     f"{path}:{lineno}: value must be finite and non-negative, got {text}"
                 )
+            fs = parts[0]
             if in_norms:
-                f = features.get(parts[0])
-                if f is None:
-                    parse_at(parts[0], lineno)
-                    raise DataError(f"{path}:{lineno}: normalizer of {parts[0]!r} has no link rows")
-                if f in norms:
-                    raise DataError(f"{path}:{lineno}: repeated normalizer of {parts[0]!r}")
-                norms[f] = value
-            else:
-                fs, ws, _ = parts
-                wid = vocab.index.get(ws)
-                if wid is None:
-                    raise DataError(f"{path}:{lineno}: unknown word {ws!r}")
+                if last_norm is not None and fs <= last_norm:
+                    raise DataError(f"{path}:{lineno}: normalizers out of order")
+                last_norm = fs
                 f = features.get(fs)
                 if f is None:
-                    f = features[fs] = parse_at(fs, lineno)
-                    row = rows[f] = {}
-                else:
-                    row = rows[f]
-                    if wid in row:
-                        raise DataError(f"{path}:{lineno}: repeated link ({fs}, {ws})")
-                row[wid] = value
+                    parse_at(fs, lineno)
+                    raise DataError(f"{path}:{lineno}: normalizer of {fs!r} has no link rows")
+                norms[f] = value
+                continue
+            key = (fs, parts[1])
+            if last_link is not None and key <= last_link:
+                raise DataError(f"{path}:{lineno}: rows out of order")
+            wid = vocab.index.get(parts[1])
+            if wid is None:
+                raise DataError(f"{path}:{lineno}: unknown word {parts[1]!r}")
+            if last_link is None or fs != last_link[0]:
+                # Rows are sorted and parsing is one-to-one, so a new string
+                # is a new feature.
+                f = features[fs] = parse_at(fs, lineno)
+                row = rows[f] = {}
+            last_link = key
+            row[wid] = value
     missing = set(rows) - set(norms)
     if missing:
         raise DataError(f"{path}: {len(missing)} rows lack a normalizer entry")

@@ -3,9 +3,11 @@
 Everything here is seeded and deterministic. The per-link and gradient
 oracles are written from the defining formulas, independent of the link
 design and batch-trick code they are used to check; `array_theta_gradient`
-wraps the production batch gradient in the same dict form. `LinkHasher` is the
-scalar reference of a link's meta-features: the items of one link, built
-one by one, that `snmlm.metafeatures.LinkDesign` must reproduce column by column.
+wraps the production batch gradient in the same dict form. `build_matrix`
+and `build_model` make what `train` holds and returns for fixed weights.
+`LinkHasher` is the scalar reference of a link's meta-features: the items
+of one link, built one by one, that `snmlm.metafeatures.LinkDesign` must
+reproduce column by column.
 `parse_feature_oracle` is the reference of the feature-string grammar.
 """
 
@@ -22,7 +24,10 @@ from snmlm.corpus import Vocabulary, build_vocab, map_tokens
 from snmlm.counts import CountStore
 from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature, extract_events, parse_config, render_feature
-from snmlm.metafeatures import Mode, _bucket_hash, buckets, combine, feature_type, fingerprint
+from snmlm.metafeatures import (
+    LinkDesign, Mode, _bucket_hash, buckets, combine, feature_type, fingerprint,
+)
+from snmlm.model import SnmModel, adjusted_cells, materialize
 
 FIVE_GRAM_CONFIG = """
 // straight 5-gram features
@@ -204,6 +209,8 @@ def parse_feature_oracle(s: str, vocab: Vocabulary) -> Feature:
         if idx <= 0:
             raise DataError(f"malformed feature string {s!r}")
         tag, body = s[:idx], s[idx + 1 :]
+        if not re.fullmatch(r"[^\s\[\]]+", tag):
+            raise DataError(f"bad corpus tag {tag!r} in feature {s!r}")
     if not (body.startswith("[") and body.endswith("]")):
         raise DataError(f"malformed feature string {s!r}")
     inner = body[1:-1]
@@ -357,12 +364,26 @@ def naive_theta_gradient(events, model, adj, store, vocab) -> dict[int, float]:
     return grads
 
 
-def array_theta_gradient(events, model, adj) -> dict[int, float]:
+def build_matrix(store: CountStore, adj: AdjustmentModel, vocab):
+    """The design of `store` under `adj`'s hashing, and its cells and row sums for `adj`'s weights.
+
+    What `train` holds while an epoch runs.
+    """
+    design = LinkDesign.build(store, adj.mode, adj.table_size, vocab)
+    return (design, *adjusted_cells(design, adj.theta))
+
+
+def build_model(store: CountStore, adj: AdjustmentModel, vocab) -> SnmModel:
+    """The model of `adj`'s weights over `store`, as `train` returns it."""
+    return materialize(*build_matrix(store, adj, vocab))
+
+
+def array_theta_gradient(events, design, cells, row_sums) -> dict[int, float]:
     """`snmlm.adjustment.theta_gradient` of the events as one batch, as {slot: gradient}.
 
-    The events are compiled against the model's own design.
+    The events are compiled against `design`.
     """
-    step = theta_gradient(compile_events(events, model.design), model, adj)
+    step = theta_gradient(compile_events(events, design), design, cells, row_sums)
     return dict(zip(step.slots.tolist(), step.grads.tolist()))
 
 

@@ -24,12 +24,14 @@ from snmlm.corpus import build_vocab
 from snmlm.counts import accumulate
 from snmlm.extraction import Feature, extract_events, parse_config, render_feature
 from snmlm.metafeatures import Mode, buckets
-from snmlm.model import materialize, perplexity, renormalize, score_event
+from snmlm.model import adjusted_cells, materialize, perplexity, score_event
 
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
     MarkovChain,
     array_theta_gradient,
+    build_matrix,
+    build_model,
     extract_corpus_events,
     make_vocab,
     naive_theta_gradient,
@@ -70,22 +72,22 @@ def test_01_gradient_matches_finite_differences():
         )
         adj = AdjustmentModel(4096)
         random_theta(adj, seed=instance, scale=0.3)
-        model = materialize(store, adj, vocab)
+        design, cells, row_sums = build_matrix(store, adj, vocab)
         event = random_events(rng, store, feats, 1, max_features=4)[0]
 
         acc = BatchAccumulator()
-        acc.add_event(event, model)
-        analytic = batch_theta_gradient(acc, model, adj)
+        acc.add_event(event, materialize(design, cells, row_sums))
+        analytic = batch_theta_gradient(acc, design, cells)
         # The array gradient that training runs, checked at the same slots.
-        array = array_theta_gradient([event], model, adj)
+        array = array_theta_gradient([event], design, cells, row_sums)
 
         eps = 1e-5
         for k in rng.sample(sorted(analytic), min(4, len(analytic))):
             saved = adj.theta[k]
             adj.theta[k] = saved + eps
-            hi = score_event(materialize(store, adj, vocab), event).log_prob
+            hi = score_event(build_model(store, adj, vocab), event).log_prob
             adj.theta[k] = saved - eps
-            lo = score_event(materialize(store, adj, vocab), event).log_prob
+            lo = score_event(build_model(store, adj, vocab), event).log_prob
             adj.theta[k] = saved
             fd = (hi - lo) / (2 * eps)
             tolerance = 1e-5 * abs(fd) + 1e-7
@@ -118,14 +120,15 @@ def test_02_batch_trick_equals_naive_summation():
         )
         adj = AdjustmentModel(2048)
         random_theta(adj, seed=batch_no, scale=0.25)
-        model = materialize(store, adj, vocab)
+        design, cells, row_sums = build_matrix(store, adj, vocab)
+        model = materialize(design, cells, row_sums)
         events = random_events(rng, store, feats, rng.randint(1, 64))
 
         acc = BatchAccumulator()
         for e in events:
             acc.add_event(e, model)
-        trick = batch_theta_gradient(acc, model, adj)
-        array = array_theta_gradient(events, model, adj)
+        trick = batch_theta_gradient(acc, design, cells)
+        array = array_theta_gradient(events, design, cells, row_sums)
         naive = naive_theta_gradient(events, model, adj, store, vocab)
 
         for k in set(trick) | set(array) | set(naive):
@@ -162,7 +165,7 @@ def markov_experiment():
     keep = {f for e in dev_events for f in e.features}
     keep.update(f for e in test_events for f in e.features)
     inter = store.intersect(keep)
-    unadjusted = materialize(inter, AdjustmentModel(16), vocab)
+    unadjusted = build_model(inter, AdjustmentModel(16), vocab)
     ppl_unadjusted = perplexity(unadjusted, test_events).ppl
     return {
         "vocab": vocab,
@@ -261,14 +264,14 @@ def test_05_probabilities_sum_to_one():
     vocab = make_vocab(600)
     store, feats = random_store(rng, vocab, 60, max_row=40, max_count=50)
 
-    unadjusted = materialize(store, AdjustmentModel(16), vocab)
+    unadjusted = build_model(store, AdjustmentModel(16), vocab)
     for f, norm in unadjusted.normalizers.items():
         assert abs(norm - 1.0) <= 1e-12
 
     adj = AdjustmentModel(8192)
-    model = materialize(store, adj, vocab)
+    design, _, _ = build_matrix(store, adj, vocab)
     random_theta(adj, seed=55, scale=0.4)
-    renormalize(model, adj)
+    model = materialize(design, *adjusted_cells(design, adj.theta))
 
     events = random_events(rng, store, feats, 1000)
     worst = 0.0
@@ -394,13 +397,13 @@ def test_08_perplexity_identities():
     vocab = make_vocab(4)
     empty = Feature(())
     events = [ev([empty], w) for w in range(3, 7)]
-    model = materialize(accumulate(events), AdjustmentModel(16), vocab)
+    model = build_model(accumulate(events), AdjustmentModel(16), vocab)
     assert perplexity(model, events).ppl == 4.0
 
     for n in (2, 3, 5, 10, 33, 100):
         vocab_n = make_vocab(n)
         events_n = [ev([empty], w) for w in range(3, 3 + n)]
-        model_n = materialize(accumulate(events_n), AdjustmentModel(16), vocab_n)
+        model_n = build_model(accumulate(events_n), AdjustmentModel(16), vocab_n)
         assert perplexity(model_n, events_n).ppl == pytest.approx(n, rel=1e-12)
 
     # two events with probabilities 1/2 and 1/8
@@ -408,7 +411,7 @@ def test_08_perplexity_identities():
     f_half, f_eighth = Feature((3,)), Feature((4,))
     training = [ev([f_half], 5), ev([f_half], 6)]
     training += [ev([f_eighth], w) for w in range(3, 11)]
-    model = materialize(accumulate(training), AdjustmentModel(16), vocab)
+    model = build_model(accumulate(training), AdjustmentModel(16), vocab)
     report = perplexity(model, [ev([f_half], 5), ev([f_eighth], 3)])
     assert report.ppl == pytest.approx(4.0, abs=1e-12)
     return "uniform = V exactly; {1/2, 1/8} case = 4 within 1e-12"

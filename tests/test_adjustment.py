@@ -22,13 +22,15 @@ from snmlm.counts import accumulate
 from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature, expand_tags, parse_config
 from snmlm.metafeatures import Mode, buckets
-from snmlm.model import materialize, perplexity, renormalize, score_event
+from snmlm.model import adjusted_cells, materialize, perplexity, score_event
 
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
     MarkovChain,
     adjust,
     array_theta_gradient,
+    build_matrix,
+    build_model,
     compute_metafeatures,
     event_link_gradient,
     extract_corpus_events,
@@ -118,7 +120,7 @@ def single_feature_setup():
     a, b, c = (vocab.index[t] for t in "abc")
     f = Feature((a,))
     store = accumulate([_ev([f], b), _ev([f], b), _ev([f], c)])
-    model = materialize(store, AdjustmentModel(64), vocab)
+    model = build_model(store, AdjustmentModel(64), vocab)
     return vocab, store, model, f, b, c
 
 
@@ -146,7 +148,7 @@ def test_link_gradient_matches_finite_difference():
     store, feats = random_store(rng, vocab, 6)
     adj = AdjustmentModel(2048)
     random_theta(adj, seed=3, scale=0.2)
-    model = materialize(store, adj, vocab)
+    model = build_model(store, adj, vocab)
     e = random_events(rng, store, feats, 1, max_features=2)[0]
     score = score_event(model, e)
     f = e.features[0]
@@ -176,7 +178,8 @@ def test_batch_of_one_reduces_to_per_link_gradients():
     store, feats = random_store(rng, vocab, 5)
     adj = AdjustmentModel(1024)
     random_theta(adj, seed=8, scale=0.2)
-    model = materialize(store, adj, vocab)
+    design, cells, row_sums = build_matrix(store, adj, vocab)
+    model = materialize(design, cells, row_sums)
     e = random_events(rng, store, feats, 1, max_features=3)[0]
     score = score_event(model, e)
 
@@ -191,7 +194,8 @@ def test_batch_of_one_reduces_to_per_link_gradients():
                 continue
             for k, wt in link_weights(adj, f, w, store, vocab):
                 expected[k] = expected.get(k, 0.0) + g * wt
-    for grads in (batch_theta_gradient(acc, model, adj), array_theta_gradient([e], model, adj)):
+    for grads in (batch_theta_gradient(acc, design, cells),
+                  array_theta_gradient([e], design, cells, row_sums)):
         for k in set(grads) | set(expected):
             assert grads.get(k, 0.0) == pytest.approx(expected.get(k, 0.0), abs=1e-12)
 
@@ -202,14 +206,16 @@ def test_batch_trick_equals_naive_summation():
     store, feats = random_store(rng, vocab, 8)
     adj = AdjustmentModel(2048)
     random_theta(adj, seed=4, scale=0.2)
-    model = materialize(store, adj, vocab)
+    design, cells, row_sums = build_matrix(store, adj, vocab)
+    model = materialize(design, cells, row_sums)
     events = random_events(rng, store, feats, 5)
 
     acc = BatchAccumulator()
     for e in events:
         acc.add_event(e, model)
     naive = naive_theta_gradient(events, model, adj, store, vocab)
-    for trick in (batch_theta_gradient(acc, model, adj), array_theta_gradient(events, model, adj)):
+    for trick in (batch_theta_gradient(acc, design, cells),
+                  array_theta_gradient(events, design, cells, row_sums)):
         for k in set(trick) | set(naive):
             assert trick.get(k, 0.0) == pytest.approx(naive.get(k, 0.0), abs=1e-12)
 
@@ -222,17 +228,18 @@ def test_array_gradient_equals_dict_gradient_bit_for_bit():
         store, feats = random_store(rng, vocab, rng.randint(3, 12))
         adj = AdjustmentModel(rng.choice([64, 2048]), mode=rng.choice(list(Mode)))
         random_theta(adj, seed=instance, scale=0.3)
-        model = materialize(store, adj, vocab)
+        design, cells, row_sums = build_matrix(store, adj, vocab)
+        model = materialize(design, cells, row_sums)
         events = random_events(rng, store, feats, rng.randint(1, 40))
         events += random_events(rng, store, feats, rng.randint(0, 5), reachable_targets=False)
         rng.shuffle(events)
         acc = BatchAccumulator()
         for e in events:
             acc.add_event(e, model)
-        step = theta_gradient(compile_events(events, model.design), model, adj)
+        step = theta_gradient(compile_events(events, design), design, cells, row_sums)
         assert step.floored_events == acc.floored_events
         assert dict(zip(step.slots.tolist(), step.grads.tolist())) == batch_theta_gradient(
-            acc, model, adj
+            acc, design, cells
         )
 
 
@@ -240,7 +247,7 @@ def test_batch_accumulator_keys_are_batch_local():
     rng = random.Random(29)
     vocab = make_vocab(15)
     store, feats = random_store(rng, vocab, 6)
-    model = materialize(store, AdjustmentModel(256), vocab)
+    model = build_model(store, AdjustmentModel(256), vocab)
     events = random_events(rng, store, feats, 10)
     acc = BatchAccumulator()
     for e in events:
@@ -256,13 +263,12 @@ def test_unreachable_target_event_contributes_no_gradient():
     a, b = vocab.index["a"], vocab.index["b"]
     f = Feature((a,))
     store = accumulate([_ev([f], b)])
-    model = materialize(store, AdjustmentModel(64), vocab)
+    design, cells, row_sums = build_matrix(store, AdjustmentModel(64), vocab)
     acc = BatchAccumulator()
-    acc.add_event(_ev([f], a), model)  # 'a' never follows the context
+    acc.add_event(_ev([f], a), materialize(design, cells, row_sums))  # 'a' never follows the context
     assert acc.floored_events == 1
     assert not acc.alpha and not acc.link_grads
-    adj = AdjustmentModel(64)
-    step = theta_gradient(compile_events([_ev([f], a)], model.design), model, adj)
+    step = theta_gradient(compile_events([_ev([f], a)], design), design, cells, row_sums)
     assert step.floored_events == 1
     assert len(step.slots) == 0 and len(step.grads) == 0
 
@@ -295,11 +301,11 @@ def test_process_batch_rejects_empty():
     vocab = make_vocab(5)
     store, _ = random_store(random.Random(1), vocab, 3)
     adj = AdjustmentModel(64)
-    model = materialize(store, adj, vocab)
+    design, cells, row_sums = build_matrix(store, adj, vocab)
     events = random_events(random.Random(2), store, list(store.rows), 3)
-    for empty in (compile_events([], model.design), compile_events(events, model.design).batch(1, 1)):
+    for empty in (compile_events([], design), compile_events(events, design).batch(1, 1)):
         with pytest.raises(DataError):
-            process_batch(empty, model, adj)
+            process_batch(empty, design, cells, row_sums, adj)
     assert not adj.grad_sq.any()
 
 
@@ -313,15 +319,25 @@ def test_empty_dev_set_leaves_model_unchanged():
     history, model = train([], store, adj, 3, vocab)
     assert history == []
     assert adj.nonzero_params == 0
-    fresh = materialize(store, AdjustmentModel(128), vocab)
+    fresh = build_model(store, AdjustmentModel(128), vocab)
     assert model.rows == fresh.rows
 
 
-def test_epochs_must_be_positive():
-    vocab = make_vocab(5)
-    store, _ = random_store(random.Random(3), vocab, 3)
-    with pytest.raises(ValueError):
-        train([], store, AdjustmentModel(64), 0, vocab)
+def test_zero_epochs_give_the_model_of_the_given_weights():
+    rng = random.Random(3)
+    vocab = make_vocab(12)
+    store, feats = random_store(rng, vocab, 5)
+    adj = AdjustmentModel(256)
+    random_theta(adj, seed=12, scale=0.2)
+    theta = adj.theta.copy()
+    history, model = train(random_events(rng, store, feats, 9), store, adj, 0, vocab)
+    assert history == []
+    assert np.array_equal(adj.theta, theta) and not adj.grad_sq.any()
+    fresh = build_model(store, adj, vocab)
+    assert list(model.rows.items()) == list(fresh.rows.items())
+    assert list(model.normalizers.items()) == list(fresh.normalizers.items())
+    with pytest.raises(ValueError, match="epochs must be >= 0, got -1"):
+        train([], store, adj, -1, vocab)
 
 
 def test_one_epoch_improves_dev_likelihood():
@@ -352,7 +368,7 @@ def test_theta_zero_history_is_unadjusted_baseline():
     store = accumulate(extract_corpus_events(train_s, vocab, cfg))
     dev_events = extract_corpus_events(dev_s, vocab, cfg)
     inter = store.intersect({f for e in dev_events for f in e.features})
-    unadjusted = materialize(inter, AdjustmentModel(64), vocab)
+    unadjusted = build_model(inter, AdjustmentModel(64), vocab)
     baseline = perplexity(unadjusted, dev_events)
     history, _ = train(dev_events, inter, AdjustmentModel(16384), 1, vocab)
     assert history[0].dev_ppl == pytest.approx(baseline.ppl, rel=1e-12)
@@ -361,11 +377,13 @@ def test_theta_zero_history_is_unadjusted_baseline():
 def _dict_reference_train(dev_events, counts, adj, epochs, vocab):
     """`train` as the per-event dict walk it replaced.
 
-    Each batch goes through `BatchAccumulator` and `batch_theta_gradient`,
-    and the gradient dict through the AdaGrad formula; each epoch is scored
-    by `perplexity`, one event at a time.
+    Each epoch runs on a dict model that `materialize` builds from the
+    epoch's cells. Each batch goes through `BatchAccumulator` and
+    `batch_theta_gradient`, and the gradient dict through the AdaGrad
+    formula; each epoch is scored by `perplexity`, one event at a time.
     """
-    model = materialize(counts, adj, vocab)
+    design, cells, row_sums = build_matrix(counts, adj, vocab)
+    model = materialize(design, cells, row_sums)
 
     def stats(epoch):
         report = perplexity(model, dev_events)
@@ -377,12 +395,13 @@ def _dict_reference_train(dev_events, counts, adj, epochs, vocab):
             acc = BatchAccumulator()
             for e in dev_events[i : i + adj.batch_size]:
                 acc.add_event(e, model)
-            grads = batch_theta_gradient(acc, model, adj)
+            grads = batch_theta_gradient(acc, design, cells)
             ks = np.fromiter(grads.keys(), dtype=np.int64, count=len(grads))
             gs = np.fromiter(grads.values(), dtype=np.float64, count=len(grads))
             adj.grad_sq[ks] += gs * gs
             adj.theta[ks] += adj.gamma * gs / np.sqrt(adj.delta0 + adj.grad_sq[ks])
-        renormalize(model, adj)
+        cells, row_sums = adjusted_cells(design, adj.theta)
+        model = materialize(design, cells, row_sums)
         history.append(stats(epoch))
     return history, model
 

@@ -338,12 +338,39 @@ def test_eval_rejects_nan_normalizer(pipeline, capsys):
 
 def test_eval_rejects_normalizer_without_link_rows(pipeline, capsys):
     wd = pipeline
-    lines = _trained_model_lines(wd) + ["[hot tea]\t1.0"]
+    lines = _trained_model_lines(wd)
+    # In feature order, as `save_model` writes normalizers.
+    norms = lines.index("#normalizers") + 1
+    lines[norms:] = sorted(lines[norms:] + ["[hot tea]\t1.0"])
     (wd / "model.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert _eval_model(wd) == 2
     err = capsys.readouterr().err
-    assert f"model.tsv:{len(lines)}:" in err and "no link rows" in err
+    lineno = lines.index("[hot tea]\t1.0") + 1
+    assert f"model.tsv:{lineno}:" in err and "no link rows" in err
+
+
+@pytest.mark.parametrize("edit", ["no vocab size", "rows reversed", "normalizers reversed"])
+def test_eval_rejects_a_model_file_that_save_model_never_writes(pipeline, capsys, edit):
+    wd = pipeline
+    lines = _trained_model_lines(wd)
+    norms = lines.index("#normalizers")
+    assert lines[1].startswith("#vocab-size ") and norms > 4 and len(lines) - norms > 2
+    if edit == "no vocab size":
+        del lines[1]
+        lineno, message = 2, "#vocab-size must come once, before the first row"
+    elif edit == "rows reversed":
+        lines[2:norms] = reversed(lines[2:norms])
+        lineno, message = 4, "rows out of order"
+    else:
+        lines[norms + 1 :] = reversed(lines[norms + 1 :])
+        lineno, message = norms + 3, "normalizers out of order"
+    (wd / "model.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert _eval_model(wd) == 2
+    captured = capsys.readouterr()
+    assert f"model.tsv:{lineno}: {message}" in captured.err
+    assert "ppl" not in captured.out
 
 
 def test_eval_rejects_vocab_of_another_size(pipeline, capsys):
@@ -578,10 +605,22 @@ _BAD_MODEL_LINES = {
     "underscore normalizer": ("[]\tw\t1.0\n#normalizers\n[]\t1_0\n", 5, "bad value '1_0'"),
     "spaced normalizer": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\x0c\n", 5,
                           "bad value '1.0\\x0c'"),
-    "repeated link": ("[]\tw\t1.0\n[]\t</S>\t1.0\n[]\tw\t2.0\n#normalizers\n[]\t4.0\n", 5,
-                      "repeated link ([], w)"),
+    "repeated link": ("[]\t</S>\t1.0\n[]\tw\t1.0\n[]\tw\t2.0\n#normalizers\n[]\t4.0\n", 5,
+                      "rows out of order"),
     "repeated normalizer": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\n[]\t1.0\n", 6,
-                            "repeated normalizer of '[]'"),
+                            "normalizers out of order"),
+    "unsorted links": ("[]\tw\t1.0\n[]\t</S>\t1.0\n#normalizers\n[]\t2.0\n", 4,
+                       "rows out of order"),
+    "unsorted rows": ("[w]\tw\t1.0\n[]\tw\t1.0\n#normalizers\n[]\t1.0\n[w]\t1.0\n", 4,
+                      "rows out of order"),
+    "unsorted normalizers": ("[]\tw\t1.0\n[w]\tw\t1.0\n#normalizers\n[w]\t1.0\n[]\t1.0\n", 7,
+                             "normalizers out of order"),
+    "repeated vocab size": ("#vocab-size 4\n[]\tw\t1.0\n#normalizers\n[]\t1.0\n", 3,
+                            "#vocab-size must come once, before the first row"),
+    "late vocab size": ("[]\tw\t1.0\n#vocab-size 4\n#normalizers\n[]\t1.0\n", 4,
+                        "#vocab-size must come once, before the first row"),
+    "spaced tag": ("t x:[]\tw\t1.0\n#normalizers\nt x:[]\t1.0\n", 3,
+                   "bad corpus tag 't x' in feature 't x:[]'"),
 }
 
 
@@ -620,6 +659,8 @@ _BAD_ROWS = {
                          "skip length 99999999... has 5000 digits, more than 18"),
     "huge count": ("[hot]\t</S>\t9223372036854775808",
                    "count 9223372036854775808 is more than 2^63-1"),
+    "spaced tag": ("t x:[hot]\t</S>\t1", "bad corpus tag 't x' in feature 't x:[hot]'"),
+    "bracketed tag": ("a]:[hot]\t</S>\t1", "bad corpus tag 'a]' in feature 'a]:[hot]'"),
 }
 _KEEPING_COMMANDS = {
     "train": lambda wd, counts: [
@@ -783,20 +824,35 @@ def test_train_rejects_bad_settings_before_reading_files(tmp_path, capsys, flags
     assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("which", ["--adjustment-out", "--model-out"])
+# Per output flag, a command that writes it to `out`, reading only `missing`.
+_OUTPUT_FLAGS = {
+    "--adjustment-out": lambda missing, out, wd: [
+        "train", "--counts", missing, "--dev", missing, "--config", missing, "--vocab", missing,
+        "--adjustment-out", out, "--model-out", _p(wd / "m.tsv"),
+    ],
+    "--model-out": lambda missing, out, wd: [
+        "train", "--counts", missing, "--dev", missing, "--config", missing, "--vocab", missing,
+        "--adjustment-out", _p(wd / "adj.bin"), "--model-out", out,
+    ],
+    "count -o": lambda missing, out, wd: [
+        "count", missing, "--config", missing, "--vocab", missing, "-o", out,
+    ],
+    "intersect -o": lambda missing, out, wd: [
+        "intersect", "--counts", missing, "--dev", missing, "--config", missing,
+        "--vocab", missing, "-o", out,
+    ],
+    "build-vocab -o": lambda missing, out, wd: ["build-vocab", missing, "-o", out],
+}
+
+
+@pytest.mark.parametrize("which", list(_OUTPUT_FLAGS))
 @pytest.mark.parametrize("bad", ["no such directory", "a directory"])
 def test_train_rejects_bad_output_paths_before_reading_files(tmp_path, capsys, which, bad):
     # None of the inputs exist: reading any of them would name them instead.
     missing = _p(tmp_path / "missing")
     (tmp_path / "out").mkdir()
     target = tmp_path / "nowhere" / "file" if bad == "no such directory" else tmp_path / "out"
-    outs = {"--adjustment-out": _p(tmp_path / "adj.bin"), "--model-out": _p(tmp_path / "m.tsv")}
-    outs[which] = _p(target)
-    rc = main([
-        "train", "--counts", missing, "--dev", missing, "--config", missing,
-        "--vocab", missing, *(a for kv in outs.items() for a in kv),
-    ])
-    assert rc == 2
+    assert main(_OUTPUT_FLAGS[which](missing, _p(target), tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"snmlm: {_p(target)}: ") and "missing" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]

@@ -19,7 +19,9 @@ from snmlm.corpus import (
 from snmlm.counts import accumulate
 from snmlm.errors import DataError
 from snmlm.extraction import extract_events, parse_config
-from snmlm.model import materialize, perplexity
+from snmlm.model import perplexity
+
+from snm_testutil import build_model
 
 
 def test_threshold_keeps_frequent_words():
@@ -101,7 +103,7 @@ def test_oov_rate_hand_count():
     raw = ["a", "b", "xx", "c", "a", "yy", "b", "c", "a", "b"]
     config = parse_config("ngram_extractor {\n  min_n: 0\n  max_n: 0\n}\n")
     events = extract_events(map_tokens(raw, vocab), config)
-    model = materialize(accumulate(events), AdjustmentModel(16), vocab)
+    model = build_model(accumulate(events), AdjustmentModel(16), vocab)
     assert perplexity(model, events).oov_rate == pytest.approx(2 / 11)
 
 

@@ -11,11 +11,11 @@ from snmlm.corpus import build_vocab, map_tokens
 from snmlm.counts import COUNTS_HEADER, CountStore, accumulate, merge_files
 from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature, extract_events, parse_config
-from snmlm.model import materialize
 
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
     MarkovChain,
+    build_model,
     check_consistency,
     extract_corpus_events,
     strip_tags,
@@ -56,7 +56,7 @@ def test_rel_freq(abc_vocab):
     c = abc_vocab.index["c"]
     fa = Feature((a,))
     store = accumulate([_ev([fa], b), _ev([fa], b), _ev([fa], c)])
-    model = materialize(store, AdjustmentModel(64), abc_vocab)
+    model = build_model(store, AdjustmentModel(64), abc_vocab)
     assert model.rows[fa][b] == pytest.approx(2 / 3)
     assert a not in model.rows[fa]
     assert Feature((b,)) not in model.rows
@@ -70,7 +70,7 @@ def test_unigram_row_is_target_relative_frequency(abc_vocab):
     empty = Feature(())
     targets = [a] * 5 + [b] * 3 + [c] * 2
     store = accumulate([_ev([empty], t) for t in targets])
-    row = materialize(store, AdjustmentModel(64), abc_vocab).rows[empty]
+    row = build_model(store, AdjustmentModel(64), abc_vocab).rows[empty]
     assert row[a] == pytest.approx(0.5)
     assert row[b] == pytest.approx(0.3)
     assert row[c] == pytest.approx(0.2)
@@ -454,5 +454,5 @@ def test_a_row_summing_to_int64_max_trains(tmp_path, abc_vocab):
     )
     store = CountStore.load(path, abc_vocab)
     assert store.feature_counts[Feature((abc_vocab.index["a"],))] == _INT64_MAX
-    model = materialize(store, AdjustmentModel(64), abc_vocab)
-    assert model.design.rel_freq.sum() == pytest.approx(2.0)
+    model = build_model(store, AdjustmentModel(64), abc_vocab)
+    assert sum(model.normalizers.values()) == pytest.approx(2.0)

@@ -14,19 +14,20 @@ import pytest
 
 from snmlm import metafeatures
 from snmlm.adjustment import (
-    AdjustmentModel, BatchAccumulator, batch_theta_gradient, compile_events, theta_gradient, train,
+    AdjustmentModel, BatchAccumulator, batch_theta_gradient, compile_events, process_batch, train,
 )
 from snmlm.corpus import build_vocab
 from snmlm.counts import CountStore, accumulate
 from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature, parse_config, render_feature
 from snmlm.metafeatures import LinkDesign, Mode, explain, feature_type, fingerprint
-from snmlm.model import load_model, materialize, renormalize, save_model
+from snmlm.model import materialize
 
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
     MarkovChain,
     array_theta_gradient,
+    build_matrix,
     compute_metafeatures,
     explain_metafeatures,
     extract_corpus_events,
@@ -163,7 +164,8 @@ def test_batch_gradient_visits_only_batch_rows(monkeypatch, block_size):
     store, feats = random_store(rng, vocab, 12)
     adj = AdjustmentModel(2048)
     random_theta(adj, seed=4, scale=0.2)
-    model = materialize(store, adj, vocab)
+    design, cells, row_sums = build_matrix(store, adj, vocab)
+    model = materialize(design, cells, row_sums)
     events = random_events(rng, store, feats[:6], 4)
     acc = BatchAccumulator()
     for e in events:
@@ -177,7 +179,6 @@ def test_batch_gradient_visits_only_batch_rows(monkeypatch, block_size):
         return push(self, links, g)
 
     monkeypatch.setattr(LinkDesign, "push", recording_push)
-    design = model.design
     expected = []
     for f in acc.alpha:
         r = design.row_index[f]
@@ -185,8 +186,8 @@ def test_batch_gradient_visits_only_batch_rows(monkeypatch, block_size):
     assert len(set(acc.alpha)) < len(store.rows)
     naive = naive_theta_gradient(events, model, adj, store, vocab)
     # The dict reference, then the array gradient that training runs.
-    for gradient in (lambda: batch_theta_gradient(acc, model, adj),
-                     lambda: array_theta_gradient(events, model, adj)):
+    for gradient in (lambda: batch_theta_gradient(acc, design, cells),
+                     lambda: array_theta_gradient(events, design, cells, row_sums)):
         visited.clear()
         grads = gradient()
         assert sorted(visited) == sorted(expected)
@@ -254,37 +255,20 @@ def test_train_builds_the_design_once(monkeypatch):
     assert len(builds) == 1
 
 
-def test_training_calls_reject_a_model_without_its_design(tmp_path):
-    # Only materialize builds a design; a model read from a file, or hashed
-    # for another mode or table size, cannot be trained on.
+def test_process_batch_rejects_a_design_for_other_hashing():
+    # The design fixes the slots every gradient lands in: weights of another
+    # mode or table size cannot be trained on it.
     rng = random.Random(31)
     vocab = make_vocab(25)
     store, feats = random_store(rng, vocab, 10)
     adj = AdjustmentModel(2048)
     random_theta(adj, seed=6, scale=0.2)
-    model = materialize(store, adj, vocab)
-    save_model(model, tmp_path / "model.tsv", vocab)
-    loaded = load_model(tmp_path / "model.tsv", vocab)
-    events = random_events(rng, store, feats, 6)
-    cases = [
-        (loaded, adj, "no link design"),
-        (model, AdjustmentModel(2048, mode=Mode.UNLEXICALIZED), "mode full and 2048 slots"),
-        (model, AdjustmentModel(1024), "mode full and 2048 slots"),
-    ]
-    batch = compile_events(events, model.design)
-    for m, other, message in cases:
-        acc = BatchAccumulator()
-        for e in events:
-            acc.add_event(e, m)
-        with pytest.raises(ValueError, match=message):
-            batch_theta_gradient(acc, m, other)
-        with pytest.raises(ValueError, match=message):
-            theta_gradient(batch, m, other)
-        with pytest.raises(ValueError, match=message):
-            renormalize(m, other)
-    # With the hashing it was built for, the same model trains.
-    acc = BatchAccumulator()
-    for e in events:
-        acc.add_event(e, model)
-    assert batch_theta_gradient(acc, model, adj)
-    assert len(theta_gradient(batch, model, adj).slots)
+    design, cells, row_sums = build_matrix(store, adj, vocab)
+    batch = compile_events(random_events(rng, store, feats, 6), design)
+    for other in (AdjustmentModel(2048, mode=Mode.UNLEXICALIZED), AdjustmentModel(1024)):
+        with pytest.raises(ValueError, match="link design is for mode full and 2048 slots"):
+            process_batch(batch, design, cells, row_sums, other)
+        assert not other.grad_sq.any()
+    # With the hashing it was built for, the same design trains.
+    assert len(process_batch(batch, design, cells, row_sums, adj).slots)
+    assert adj.grad_sq.any()

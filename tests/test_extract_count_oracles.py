@@ -253,7 +253,7 @@ def test_cli_count_equals_oracle_store(tmp_path, capsys):
     events = [
         e
         for path, tag in zip(corpora, ("news", "web"))
-        for s in TaggedCorpus.from_file(path, vocab, tag).sentences
+        for s in TaggedCorpus.from_file(path, vocab).sentences
         for e in oracle_extract_events(s, config, tag)
     ]
     expected = oracle_accumulate(events)

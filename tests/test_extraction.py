@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from snmlm.extraction import (
     SkipConfig,
     expand_tags,
     extract_events,
+    is_tag,
     parse_config,
     parse_feature,
     render_feature,
@@ -467,7 +469,8 @@ def mutated_feature_strings(draw):
     op = draw(st.sampled_from(["replace", "insert", "frame"]))
     if op == "frame":
         s = draw(st.sampled_from(
-            [s[1:], s[:-1], s[:-1] + ")", ":" + s, "x:" + s, s + "]", s + ":[]", " " + s]
+            [s[1:], s[:-1], s[:-1] + ")", ":" + s, "x:" + s, s + "]", s + ":[]", " " + s,
+             "x y:" + s, "x]:" + s, "\u00a0x:" + s]
         ))
     else:
         token = draw(st.sampled_from(_MUTANT_TOKENS))
@@ -500,6 +503,20 @@ def test_parse_feature_rejects_malformed(small_vocab):
                 "[alpha skip-01 beta]", "[ alpha]", ":[alpha]"]:
         with pytest.raises(DataError):
             parse_feature(bad, small_vocab)
+
+
+def test_parse_feature_takes_the_tags_that_tag_flags_take(small_vocab):
+    # One rule, `is_tag`, for --tag values and the tags of feature strings.
+    for tag in ["web", "a:b", ":", "x1", "t\u00e9"]:
+        assert is_tag(tag)
+        assert parse_feature(f"{tag}:[alpha]", small_vocab) == Feature(
+            (small_vocab.index["alpha"],), tag=tag
+        )
+    for tag in ["t x", "a]", "a[b", "x\ty", "x\u00a0", "\u2028"]:
+        assert not is_tag(tag)
+        with pytest.raises(DataError, match=re.escape(f"bad corpus tag {tag!r} in feature")):
+            parse_feature(f"{tag}:[alpha]", small_vocab)
+    assert not is_tag("")
 
 
 def test_parse_feature_rejects_unknown_word(small_vocab):

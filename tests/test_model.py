@@ -13,15 +13,17 @@ from snmlm.metafeatures import Mode
 from snmlm.model import (
     PROB_FLOOR,
     SnmModel,
+    adjusted_cells,
     load_model,
     materialize,
     perplexity,
-    renormalize,
     save_model,
     score_event,
 )
 
 from snm_testutil import (
+    build_matrix,
+    build_model,
     compute_metafeatures,
     make_vocab,
     random_events,
@@ -45,7 +47,7 @@ def abc_store():
 
 def test_unadjusted_model_is_relative_frequencies(abc_store):
     vocab, store, fa = abc_store
-    model = materialize(store, AdjustmentModel(64), vocab)
+    model = build_model(store, AdjustmentModel(64), vocab)
     b = vocab.index["b"]
     c = vocab.index["c"]
     assert model.rows[fa][b] == pytest.approx(2 / 3, rel=1e-15)
@@ -63,7 +65,7 @@ def test_ln2_adjustment_doubles_one_link(abc_store):
     assert target_mf.weight == 1.0
     adj.theta[target_mf.hash % adj.table_size] = math.log(2.0)
     c_b = 2 / 3
-    model = materialize(store, adj, vocab)
+    model = build_model(store, adj, vocab)
     assert model.rows[fa][b] == pytest.approx(2 * c_b, rel=1e-12)
     assert model.normalizers[fa] == pytest.approx(1.0 + c_b, rel=1e-12)
 
@@ -74,7 +76,7 @@ def test_normalizers_match_bruteforce_row_sums():
     store, _ = random_store(rng, vocab, 25)
     adj = AdjustmentModel(4096)
     random_theta(adj, seed=13)
-    model = materialize(store, adj, vocab)
+    model = build_model(store, adj, vocab)
     for f, row in model.rows.items():
         brute = math.fsum(row.values())
         assert abs(model.normalizers[f] - brute) <= 1e-12 * max(brute, 1.0)
@@ -85,12 +87,12 @@ def test_materialize_rejects_divergent_adjustments(abc_store):
     adj = AdjustmentModel(8)
     adj.theta[:] = 30.0  # many colliding descriptors push |A| beyond 50
     with pytest.raises(DataError, match="diverged"):
-        materialize(store, adj, vocab)
+        build_model(store, adj, vocab)
 
 
 def test_score_single_feature_is_relative_frequency(abc_store):
     vocab, store, fa = abc_store
-    model = materialize(store, AdjustmentModel(64), vocab)
+    model = build_model(store, AdjustmentModel(64), vocab)
     b = vocab.index["b"]
     score = score_event(model, _ev([fa], b))
     assert score.log_prob == pytest.approx(math.log(2 / 3), rel=1e-12)
@@ -102,7 +104,7 @@ def test_score_two_features_is_uniform_interpolation():
     a, b = vocab.index["a"], vocab.index["b"]
     f1, f2 = Feature((a,)), Feature((b,))
     events = [_ev([f1], a), _ev([f1], b), _ev([f1], b), _ev([f2], a)]
-    model = materialize(accumulate(events), AdjustmentModel(64), vocab)
+    model = build_model(accumulate(events), AdjustmentModel(64), vocab)
     score = score_event(model, _ev([f1, f2], a))
     c1, c2 = 1 / 3, 1.0
     assert math.exp(score.log_prob) == pytest.approx((c1 + c2) / 2, rel=1e-12)
@@ -114,7 +116,7 @@ def test_adjusted_event_matches_exhaustive_summation():
     store, feats = random_store(rng, vocab, 10)
     adj = AdjustmentModel(2048)
     random_theta(adj, seed=7)
-    model = materialize(store, adj, vocab)
+    model = build_model(store, adj, vocab)
     efeats = tuple(rng.sample(feats, 3))
     target = next(iter(store.rows[efeats[0]]))
     score = score_event(model, _ev(efeats, target))
@@ -129,7 +131,7 @@ def test_unknown_features_are_dropped():
     vocab = build_vocab(["a", "b"], min_count=1)
     a, b = vocab.index["a"], vocab.index["b"]
     f = Feature((a,))
-    model = materialize(accumulate([_ev([f], b)]), AdjustmentModel(64), vocab)
+    model = build_model(accumulate([_ev([f], b)]), AdjustmentModel(64), vocab)
     known = score_event(model, _ev([f], b))
     with_unknown = score_event(model, _ev([f, Feature((b, b))], b))
     assert with_unknown == known
@@ -141,7 +143,7 @@ def test_unreachable_target_is_floored():
     vocab = build_vocab(["a", "b"], min_count=1)
     a, b = vocab.index["a"], vocab.index["b"]
     f = Feature((a,))
-    model = materialize(accumulate([_ev([f], b)]), AdjustmentModel(64), vocab)
+    model = build_model(accumulate([_ev([f], b)]), AdjustmentModel(64), vocab)
     score = score_event(model, _ev([f], a))
     assert score.floored
     assert score.log_prob == math.log(PROB_FLOOR)
@@ -156,7 +158,7 @@ def _uniform_model(n_words):
     vocab = make_vocab(n_words)
     empty = Feature(())
     events = [_ev([empty], w) for w in range(3, 3 + n_words)]
-    model = materialize(accumulate(events), AdjustmentModel(16), vocab)
+    model = build_model(accumulate(events), AdjustmentModel(16), vocab)
     return vocab, model, events
 
 
@@ -176,7 +178,7 @@ def test_certain_model_has_ppl_one():
     vocab = build_vocab(["a"], min_count=1)
     a = vocab.index["a"]
     f = Feature((a,))
-    model = materialize(accumulate([_ev([f], a)] * 3), AdjustmentModel(16), vocab)
+    model = build_model(accumulate([_ev([f], a)] * 3), AdjustmentModel(16), vocab)
     assert perplexity(model, [_ev([f], a)] * 5).ppl == 1.0
 
 
@@ -185,14 +187,14 @@ def test_two_event_half_and_eighth_gives_four():
     f1, f2 = Feature((3,)), Feature((4,))
     events = [_ev([f1], 5), _ev([f1], 6)]
     events += [_ev([f2], w) for w in range(3, 11)]
-    model = materialize(accumulate(events), AdjustmentModel(16), vocab)
+    model = build_model(accumulate(events), AdjustmentModel(16), vocab)
     report = perplexity(model, [_ev([f1], 5), _ev([f2], 3)])
     assert report.ppl == pytest.approx(4.0, abs=1e-12)
 
 
 def test_perplexity_of_empty_stream_is_an_error(abc_store):
     vocab, store, _ = abc_store
-    model = materialize(store, AdjustmentModel(16), vocab)
+    model = build_model(store, AdjustmentModel(16), vocab)
     with pytest.raises(DataError):
         perplexity(model, [])
 
@@ -202,7 +204,7 @@ def test_oov_rate_in_report():
     a = vocab.index["a"]
     empty = Feature(())
     events = [_ev([empty], a), _ev([empty], 2), _ev([empty], a), _ev([empty], 2)]
-    model = materialize(accumulate(events), AdjustmentModel(16), vocab)
+    model = build_model(accumulate(events), AdjustmentModel(16), vocab)
     report = perplexity(model, events)
     assert report.oov_rate == pytest.approx(0.5)
 
@@ -211,31 +213,41 @@ def test_oov_rate_in_report():
 # Renormalization
 
 def test_renormalize_matches_materialize_exactly():
+    # An epoch end recomputes the cells on the design built before the first
+    # epoch; they equal the cells of a design built for the new weights.
     rng = random.Random(3)
     vocab = make_vocab(25)
     store, _ = random_store(rng, vocab, 15)
     adj = AdjustmentModel(2048)
-    model = materialize(store, adj, vocab)
+    design, _, _ = build_matrix(store, adj, vocab)
     random_theta(adj, seed=21)
-    renormalize(model, adj)
-    fresh = materialize(store, adj, vocab)
-    assert model.rows == fresh.rows
-    assert model.normalizers == fresh.normalizers
+    cells, row_sums = adjusted_cells(design, adj.theta)
+    _, fresh_cells, fresh_sums = build_matrix(store, adj, vocab)
+    assert np.array_equal(cells, fresh_cells) and np.array_equal(row_sums, fresh_sums)
+    model = materialize(design, cells, row_sums)
+    fresh = build_model(store, adj, vocab)
+    assert list(model.rows.items()) == list(fresh.rows.items())
+    assert list(model.normalizers.items()) == list(fresh.normalizers.items())
 
 
 def test_renormalize_is_idempotent():
+    # Recomputing the cells, or the model of them, from the same weights
+    # changes nothing, and building the model leaves the cells as they were.
     rng = random.Random(4)
     vocab = make_vocab(20)
     store, _ = random_store(rng, vocab, 10)
     adj = AdjustmentModel(1024)
     random_theta(adj, seed=5)
-    model = materialize(store, adj, vocab)
-    renormalize(model, adj)
-    rows = {f: dict(r) for f, r in model.rows.items()}
-    norms = dict(model.normalizers)
-    renormalize(model, adj)
-    assert model.rows == rows
-    assert model.normalizers == norms
+    design, cells, row_sums = build_matrix(store, adj, vocab)
+    saved = cells.copy(), row_sums.copy()
+    model = materialize(design, cells, row_sums)
+    assert np.array_equal(cells, saved[0]) and np.array_equal(row_sums, saved[1])
+    again_cells, again_sums = adjusted_cells(design, adj.theta)
+    assert np.array_equal(again_cells, cells) and np.array_equal(again_sums, row_sums)
+    again = materialize(design, again_cells, again_sums)
+    assert again.rows == model.rows
+    assert again.normalizers == model.normalizers
+    assert again.vocab_size == model.vocab_size == len(vocab)
 
 
 def test_probability_conservation_after_renormalize():
@@ -244,8 +256,7 @@ def test_probability_conservation_after_renormalize():
     store, feats = random_store(rng, vocab, 20)
     adj = AdjustmentModel(4096)
     random_theta(adj, seed=11)
-    model = materialize(store, adj, vocab)
-    renormalize(model, adj)
+    model = build_model(store, adj, vocab)
     for e in random_events(rng, store, feats, 50):
         total = math.fsum(
             math.exp(score_event(model, e._replace(target=w)).log_prob)
@@ -262,11 +273,12 @@ def test_increasing_adjustment_increases_probability():
     events = [_ev([f], b), _ev([f], b), _ev([f], c)]
     store = accumulate(events)
     adj = AdjustmentModel(1 << 20)
-    model = materialize(store, adj, vocab)
+    design, cells, row_sums = build_matrix(store, adj, vocab)
+    model = materialize(design, cells, row_sums)
     before = math.exp(score_event(model, _ev([f], b)).log_prob)
     target_mf = compute_metafeatures(f, b, 3, 2, Mode.FULL, vocab)[4]
     adj.theta[target_mf.hash % adj.table_size] = 0.7
-    renormalize(model, adj)
+    model = materialize(design, *adjusted_cells(design, adj.theta))
     after = math.exp(score_event(model, _ev([f], b)).log_prob)
     assert after > before
 
@@ -277,7 +289,7 @@ def test_score_event_is_pure():
     store, feats = random_store(rng, vocab, 8)
     adj = AdjustmentModel(512)
     random_theta(adj, seed=2)
-    model = materialize(store, adj, vocab)
+    model = build_model(store, adj, vocab)
     e = random_events(rng, store, feats, 1)[0]
     assert score_event(model, e) == score_event(model, e)
 
@@ -291,7 +303,7 @@ def test_model_file_roundtrip(tmp_path):
     store, _ = random_store(rng, vocab, 8)
     adj = AdjustmentModel(1024)
     random_theta(adj, seed=9)
-    model = materialize(store, adj, vocab)
+    model = build_model(store, adj, vocab)
     path = tmp_path / "model.tsv"
     save_model(model, path, vocab)
     loaded = load_model(path, vocab)
