@@ -44,6 +44,7 @@ from .corpus import Vocabulary
 from .counts import CountStore
 from .errors import DataError
 from .extraction import Event, Feature
+from .files import atomic_write
 from .metafeatures import LinkDesign, Mode
 # `perplexity` and `renormalize` are not called here; perfbench/tracing.py
 # looks them up in this module until ROADMAP item 1 removes the pins. Nothing
@@ -106,7 +107,7 @@ class AdjustmentModel:
 
     def save(self, path) -> None:
         """Header (table size, gamma, delta0, mode, hash scheme) + weights."""
-        with open(path, "wb") as fh:
+        with atomic_write(path, "wb") as fh:
             fh.write(_ADJ_MAGIC)
             fh.write(
                 _ADJ_HEADER.pack(

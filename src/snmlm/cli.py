@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .adjustment import AdjustmentModel, train
 from .corpus import TaggedCorpus, Vocabulary, build_vocab, iter_file_tokens, natural
-from .counts import CountStore, accumulate
+from .counts import CountStore, count_files
 from .errors import DataError, SnmError
 from .extraction import (
     Event,
@@ -62,7 +62,7 @@ def _tags(args, files=None) -> tuple[str, ...]:
         raise UsageError(f"got {len(tags)} --tag values for {len(files)} corpus files")
     for tag in tags:
         if not is_tag(tag):
-            raise UsageError(f"bad corpus tag {tag!r}: no whitespace or brackets")
+            raise UsageError(f"bad corpus tag {tag!r}: no whitespace or brackets, no leading '#'")
     return tags
 
 
@@ -73,13 +73,6 @@ def _corpus_events(path, vocab: Vocabulary, config: ExtractorConfig, tags) -> li
         for e in extract_events(sent, config):
             events.append(expand_tags(e, tags) if tags else e)
     return events
-
-
-def _training_events(paths, tags, vocab: Vocabulary, config: ExtractorConfig):
-    """Stream the events of each training file, with its corpus tag if `tags` has one."""
-    for path, tag in zip(paths, tags or [None] * len(paths)):
-        for sent in TaggedCorpus.from_file(path, vocab).sentences:
-            yield from extract_events(sent, config, tag=tag)
 
 
 def _check_tags_cover(feature_tags, tags, source: str) -> None:
@@ -139,14 +132,12 @@ def cmd_count(args) -> int:
     tags = _tags(args, args.corpus)
     _check_output(args.output)
     vocab = Vocabulary.load(args.vocab)
-    # The config, and with it the features it interned, lives only as long as
-    # the event stream: its tables are freed before the save's peak.
-    events = _training_events(args.corpus, tags, vocab, load_config(args.config))
-    store = accumulate(events)
-    store.save(args.output, vocab)
+    counts = count_files(args.corpus, tags or [None] * len(args.corpus), vocab,
+                         load_config(args.config))
+    counts.save(args.output, vocab)
     print(
-        f"counts: {len(store)} features, {store.num_links} links, "
-        f"{store.total_events} events -> {args.output}"
+        f"counts: {len(counts.names)} features, {len(counts.row)} links, "
+        f"{counts.total_events} events -> {args.output}"
     )
     return 0
 

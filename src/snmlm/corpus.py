@@ -8,11 +8,15 @@ separated by whitespace. No normalization is applied. Sentence frames
 from __future__ import annotations
 
 import collections
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import DataError
+from .files import atomic_write
 
 S_TOKEN = "<S>"
 E_TOKEN = "</S>"
@@ -59,7 +63,8 @@ class Vocabulary:
 
     def save(self, path) -> None:
         """One token per line; the line number is the id."""
-        Path(path).write_text("\n".join(self.words) + "\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write("\n".join(self.words) + "\n")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -121,6 +126,22 @@ class TaggedCorpus:
     @classmethod
     def from_file(cls, path, vocab: Vocabulary) -> "TaggedCorpus":
         return cls([map_tokens(line.split(), vocab) for line in _iter_lines(path)])
+
+
+def framed_ids(path, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """The sentences of a text file as `TaggedCorpus.from_file` reads them, as arrays.
+
+    Returns every framed sentence's ids concatenated into one int32 array,
+    and the sentence lengths. Only the arrays are held, not a list per
+    sentence.
+    """
+    ids = array("i")
+    lengths = array("q")
+    for line in _iter_lines(path):
+        sent = map_tokens(line.split(), vocab)
+        ids.extend(sent)
+        lengths.append(len(sent))
+    return np.asarray(ids, dtype=np.int32), np.asarray(lengths, dtype=np.int64)
 
 
 def _iter_lines(path) -> Iterator[str]:

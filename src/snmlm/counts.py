@@ -1,27 +1,44 @@
-"""Link and feature count accumulation and count files.
+"""Link and feature counts: counting training text, count files, and the in-memory store.
 
 Counts are exact integers; the link design (`snmlm.metafeatures`) turns them
 into relative frequencies once per training run. Count tables persist as
 sorted TSV so that independently produced shards can be combined with a
 sequential merge join.
+
+Training text is counted on integer arrays (`count_files`, which `snmlm
+count` runs): no `Event` or `Feature` object is built, and a feature's
+string is rendered only to write it. `accumulate` counts `Event`s into a
+`CountStore` of dict rows, the in-memory form that `CountStore.load` also
+returns and that training reads. Both write through `write_rows`.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from contextlib import closing
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import Vocabulary, natural
+import numpy as np
+
+from .corpus import S_ID, Vocabulary, framed_ids, natural
 from .errors import DataError
-from .extraction import Event, Feature, feature_parser, render_feature
+from .extraction import (
+    Event,
+    ExtractorConfig,
+    Feature,
+    feature_parser,
+    feature_shapes,
+    render_feature,
+    render_rows,
+)
+from .files import atomic_write
 
 COUNTS_HEADER = "#snm-counts v1"
 _TOTAL_PREFIX = "#total-events "
-# Counts and their row sums are int64 in the link design.
-_MAX_COUNT = (1 << 63) - 1
+# Counts and their row sums are int64 in the link design, and so are the
+# keys `count_files` counts on.
+_INT64_MAX = (1 << 63) - 1
 
 
 class CountStore:
@@ -79,9 +96,8 @@ class CountStore:
     # -- persistence ------------------------------------------------------
 
     def save(self, path, vocab: Vocabulary) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{self.total_events}\n")
-            write_rows(fh, self.rows, vocab)
+        names = [render_feature(f, vocab) for f in self.rows]
+        LinkCounts(names, *dict_links(self.rows, np.int64), self.total_events).save(path, vocab)
 
     @classmethod
     def load(cls, path, vocab: Vocabulary, keep: Iterable[Feature] | None = None) -> "CountStore":
@@ -157,32 +173,194 @@ def _sum_rows(store: CountStore) -> None:
         fcounts[f] = sum(row.values())
 
 
-def write_rows(fh, rows: dict[Feature, dict], vocab: Vocabulary) -> list[str]:
-    """Write every link as ``feature<TAB>word<TAB>value``, sorted by (feature, word).
+class LinkCounts(NamedTuple):
+    """Counted links as arrays.
+
+    Link i is (feature ``names[row[i]]``, word ``word[i]``), seen
+    ``count[i]`` times.
+    """
+
+    names: list[str]
+    row: np.ndarray
+    word: np.ndarray
+    count: np.ndarray
+    total_events: int
+
+    def save(self, path, vocab: Vocabulary) -> None:
+        with atomic_write(path) as fh:
+            fh.write(f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{self.total_events}\n")
+            write_rows(fh, self.names, self.row, self.word, self.count, vocab)
+
+
+def _ranks(strings: Sequence[str]) -> np.ndarray:
+    """Each string's position in `sorted(strings)`."""
+    ranks = np.empty(len(strings), np.int64)
+    ranks[sorted(range(len(strings)), key=strings.__getitem__)] = np.arange(len(strings))
+    return ranks
+
+
+def _rank_key(columns: Sequence[np.ndarray], base: int) -> np.ndarray:
+    """One int64 key per row of `columns` (values below `base`), ordered as the rows are.
+
+    Columns are folded in one at a time as ``key * base + column``. Before
+    a fold could pass int64, the keys are replaced by their ranks among the
+    distinct keys, which keeps their order, so any base and width fit.
+    """
+    key = columns[0].astype(np.int64)
+    bound = base
+    for col in columns[1:]:
+        if bound > _INT64_MAX // base:
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = len(distinct)
+        key = key * base + col
+        bound *= base
+    return key
+
+
+def write_rows(fh, names: list[str], row: np.ndarray, word: np.ndarray, value: np.ndarray,
+               vocab: Vocabulary) -> np.ndarray:
+    """Write link i as ``names[row[i]]<TAB>word<TAB>value[i]``, sorted by (feature, word) string.
 
     The one writer of count and model rows: ``f"{value}"`` renders a count
-    as `str(int)` and a model cell as `repr(float)`. Returns each row's
-    rendered feature, in `rows` order.
+    as `str(int)` and a model cell as `repr(float)`. Feature names and
+    vocabulary words are ranked once each, and the links ordered on one key
+    of the two ranks. Returns the rank of each feature's name.
     """
-    words = vocab.words
-    names = [render_feature(f, vocab) for f in rows]
-    entries = [(fs, words[w], v) for fs, row in zip(names, rows.values()) for w, v in row.items()]
-    # Each (feature, word) comes once, so the sort never compares values.
-    entries.sort()
-    for fs, ws, v in entries:
-        fh.write(f"{fs}\t{ws}\t{v}\n")
-    return names
+    rank = _ranks(names)
+    key = _rank_key([rank[row], _ranks(vocab.words)[word]], max(len(names), len(vocab)))
+    order = np.argsort(key)
+    fs = map(names.__getitem__, row[order].tolist())
+    ws = map(vocab.words.__getitem__, word[order].tolist())
+    write = fh.write
+    for f, w, v in zip(fs, ws, value[order].tolist()):
+        write(f"{f}\t{w}\t{v}\n")
+    return rank
+
+
+def dict_links(rows: dict[Feature, dict], dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The links of dict rows as `write_rows` takes them: row index, word id and value arrays."""
+    lengths = np.fromiter(map(len, rows.values()), np.int64, len(rows))
+    n = int(lengths.sum())
+    return (
+        np.repeat(np.arange(len(rows)), lengths),
+        np.fromiter(chain.from_iterable(rows.values()), np.int64, n),
+        np.fromiter(chain.from_iterable(r.values() for r in rows.values()), dtype, n),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Counting training text on integer arrays
+
+def _links(columns: list[np.ndarray], target: np.ndarray, base: int,
+           weight: np.ndarray | None = None):
+    """The distinct (context, target) links of occurrences, in (context, target) order.
+
+    Returns the links' context columns, targets and counts: the number of
+    occurrences of each, or the sum of their `weight`.
+    """
+    key = _rank_key([*columns, target], base)
+    if weight is None:
+        _, first, count = np.unique(key, return_index=True, return_counts=True)
+    else:
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        count = np.zeros(len(first), np.int64)
+        np.add.at(count, inverse, weight)
+    return [c[first] for c in columns], target[first], count
+
+
+def _source_links(tokens: np.ndarray, lengths: np.ndarray, shapes: dict, base: int):
+    """Per feature shape, the links one source's framed sentences yield.
+
+    Occurrences are taken per n-gram order and skip template at every
+    target position it fits; in shapes that can emit a feature twice in one
+    event, each (event, feature) pair is kept once.
+    """
+    starts = np.cumsum(lengths) - lengths
+    position = np.arange(len(tokens)) - np.repeat(starts, lengths)
+    targets = np.flatnonzero(position >= 1)
+    k = position[targets]
+    for shape, contexts in shapes.items():
+        events = [np.flatnonzero(k >= reach) for reach, _ in contexts]
+        at = [targets[e] for e in events]
+        columns = [np.concatenate([tokens[p - d[j]] for p, (_, d) in zip(at, contexts)])
+                   for j in range(shape[2])]
+        at = np.concatenate(at)
+        if len(contexts) > 1 and len(at):
+            distinct, feature = np.unique(_rank_key(columns, base), return_inverse=True)
+            pair = _rank_key([np.concatenate(events), feature], max(len(k), len(distinct)))
+            _, once = np.unique(pair, return_index=True)
+            columns, at = [c[once] for c in columns], at[once]
+        if len(at):
+            yield shape, _links(columns, tokens[at], base)
+
+
+def count_files(paths, tags: Sequence[str | None], vocab: Vocabulary,
+                config: ExtractorConfig) -> LinkCounts:
+    """Count the links of training text files on integer arrays, file `paths[i]` under `tags[i]`.
+
+    Equal, when saved, to `accumulate` over `extract_events` of every
+    sentence of `TaggedCorpus.from_file`, with the file's tag, and raises the
+    `DataError` that extraction raises first. One file's arrays are held at
+    a time; its links are kept per tag and feature shape, and the links of
+    files sharing a tag are summed at the end.
+    """
+    shapes = feature_shapes(config)
+    base = len(vocab)
+    fits_at_one = any(reach <= 1 for contexts in shapes.values() for reach, _ in contexts)
+    parts: dict[tuple, list] = {}
+    total = 0
+    for path, tag in zip(paths, tags):
+        tokens, lengths = framed_ids(path, vocab)
+        if not len(lengths):
+            continue
+        framed = np.count_nonzero(tokens == S_ID) == len(lengths)
+        # Every sentence has position 1, so the first one raises one error or the other.
+        if not fits_at_one and (framed or S_ID not in tokens[1 : lengths[0]]):
+            raise DataError(
+                "no features for target at position 1; "
+                "configure an n-gram block with min_n: 0 for full coverage"
+            )
+        if not framed:
+            raise DataError("sentence must be framed by <S> ... </S>")
+        total += len(tokens) - len(lengths)
+        for shape, links in _source_links(tokens, lengths, shapes, base):
+            parts.setdefault((tag, shape), []).append(links)
+
+    names: list[str] = []
+    empty = np.zeros(0, np.int64)
+    rows, words, counts = [empty], [empty], [empty]
+    for (tag, shape), group in parts.items():
+        columns, target, count = group[0]
+        if len(group) > 1:
+            # Files that share a tag: sum the counts of the links they share.
+            columns, target, count = _links(
+                [np.concatenate(c) for c in zip(*(part[0] for part in group))],
+                np.concatenate([part[1] for part in group]), base,
+                np.concatenate([part[2] for part in group]),
+            )
+        # Links are in (context, target) order: a new context starts a feature.
+        new = np.zeros(len(target), bool)
+        new[0] = True
+        for c in columns:
+            new[1:] |= c[1:] != c[:-1]
+        rows.append(len(names) + np.cumsum(new) - 1)
+        names += render_rows([c[new] for c in columns], shape, tag, vocab)
+        words.append(target)
+        counts.append(count)
+    return LinkCounts(names, np.concatenate(rows), np.concatenate(words), np.concatenate(counts),
+                      total)
 
 
 def _entry_stream(path) -> Iterator:
     """The count file's event total, then its rows as (feature, word, count, line).
 
     The total comes from the one `#total-events` line, which must precede
-    the first row (0 when there is none). Rows must be strictly increasing
-    by (feature, word), as `CountStore.save` writes them, and each feature's
-    counts must sum to at most 2^63-1. A violation raises `DataError` with
-    the file and line when the stream reaches it. The file is opened on the
-    first `next` and closed when the stream ends or is closed.
+    the first row (0 when there is none); no other ``#`` line is allowed.
+    Rows must be strictly increasing by (feature, word), as `CountStore.save`
+    writes them, and each feature's counts must sum to at most 2^63-1. A
+    violation raises `DataError` with the file and line when the stream
+    reaches it. The file is opened on the first `next` and closed when the
+    stream ends or is closed.
     """
     with open(path, encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != COUNTS_HEADER:
@@ -195,16 +373,17 @@ def _entry_stream(path) -> Iterator:
             if not line:
                 continue
             if line[0] == "#":
-                if line.startswith(_TOTAL_PREFIX):
-                    if total is not None or prev is not None:
-                        raise DataError(
-                            f"{path}:{lineno}: #total-events must come once, before the first row"
-                        )
-                    text = line[len(_TOTAL_PREFIX):]
-                    try:
-                        total = natural(text)
-                    except ValueError:
-                        raise DataError(f"{path}:{lineno}: bad event total {text!r}") from None
+                if not line.startswith(_TOTAL_PREFIX):
+                    raise DataError(f"{path}:{lineno}: unknown directive {line!r}")
+                if total is not None or prev is not None:
+                    raise DataError(
+                        f"{path}:{lineno}: #total-events must come once, before the first row"
+                    )
+                text = line[len(_TOTAL_PREFIX):]
+                try:
+                    total = natural(text)
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: bad event total {text!r}") from None
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
@@ -226,8 +405,8 @@ def _entry_stream(path) -> Iterator:
                 row_sum += c
             else:
                 row_fs, row_sum = fs, c
-            if row_sum > _MAX_COUNT:
-                what = f"count {cs}" if c > _MAX_COUNT else f"row sum of {fs}"
+            if row_sum > _INT64_MAX:
+                what = f"count {cs}" if c > _INT64_MAX else f"row sum of {fs}"
                 raise DataError(f"{path}:{lineno}: {what} is more than 2^63-1")
             yield fs, ws, c, lineno
         if prev is None:
@@ -238,23 +417,22 @@ def merge_files(paths, out_path) -> None:
     """Merge sorted count files into one, summing duplicate links.
 
     A sequential merge join over the inputs: memory use is bounded by the
-    number of files, not their size. Rows go to a temporary file next to
-    `out_path` that replaces it only after the last row, so an input rejected
-    part way leaves no partial output and any earlier file as it was. A
-    merged count, row sum or event total past 2^63-1, which no reader
-    accepts, raises `DataError` naming the inputs, and leaves nothing either.
+    number of files, not their size. The output is written by `atomic_write`,
+    so an input rejected part way leaves no partial output and any earlier
+    file as it was. A merged count, row sum or event total past 2^63-1, which
+    no reader accepts, raises `DataError` naming the inputs, and leaves
+    nothing either.
     """
     streams = [_entry_stream(path) for path in paths]
-    tmp_path = f"{out_path}.{os.getpid()}.tmp"
 
     def too_big(what: str) -> DataError:
         return DataError(f"merging {', '.join(map(str, paths))}: {what} is more than 2^63-1")
 
     try:
         grand_total = sum(next(s) for s in streams)
-        if grand_total > _MAX_COUNT:
+        if grand_total > _INT64_MAX:
             raise too_big("#total-events")
-        with open(tmp_path, "w", encoding="utf-8") as out:
+        with atomic_write(out_path) as out:
             out.write(f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{grand_total}\n")
             current_fs = current_ws = None
             current = row_sum = 0
@@ -266,20 +444,15 @@ def merge_files(paths, out_path) -> None:
                     current += c
                 else:
                     if current_fs is not None:
-                        if current > _MAX_COUNT:
+                        if current > _INT64_MAX:
                             raise too_big(f"count of ({current_fs}, {current_ws})")
                         if fs != current_fs:
-                            if row_sum > _MAX_COUNT:
+                            if row_sum > _INT64_MAX:
                                 raise too_big(f"row sum of {current_fs}")
                             row_sum = 0
                         out.write(f"{current_fs}\t{current_ws}\t{current}\n")
                     current_fs, current_ws, current = fs, ws, c
                 row_sum += c
-        os.replace(tmp_path, out_path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
-        raise
     finally:
         for s in streams:
             s.close()

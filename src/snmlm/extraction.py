@@ -32,7 +32,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import repeat
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .corpus import E_ID, S_ID, Vocabulary, natural
 from .errors import ConfigError, DataError
@@ -223,6 +226,30 @@ def _skip_templates(blk: SkipConfig):
                 yield r + s + a, r, a, skip_len
 
 
+def feature_shapes(config: ExtractorConfig) -> dict[tuple, list[tuple[int, tuple[int, ...]]]]:
+    """Per feature shape, ``(reach, distances)`` of each n-gram order and skip template of it.
+
+    A shape is ``(skip_pos, skip_len, number of words)``, as in `Feature`;
+    within a shape, the context words alone identify a feature. At target
+    position k the feature holds the words at k - d for each of the
+    `distances`, in order, and fits when k >= reach: the order n, or a skip
+    template's whole span with its gap. Templates come from
+    `_skip_templates`, the plan of `extract_events`, so both extract the same
+    features. A shape with one template emits at most one feature per event;
+    one with several, only from tied skip lengths or several blocks, can
+    emit a feature twice.
+    """
+    shapes: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
+    if config.ngram is not None:
+        for n in range(config.ngram.min_n, config.ngram.max_n + 1):
+            shapes[(None, None, n)] = [(n, tuple(range(n, 0, -1)))]
+    for blk in config.skip:
+        for o, r, a, s in _skip_templates(blk):
+            distances = tuple(range(o, o - r, -1)) + tuple(range(a, 0, -1))
+            shapes.setdefault((r, s, r + a), []).append((o, distances))
+    return shapes
+
+
 class _FeatureTable(dict):
     """Context words -> the one `Feature` with these words, skip shape and tag."""
 
@@ -347,11 +374,12 @@ _SKIP_DIGITS = 18
 
 
 def is_tag(text: str) -> bool:
-    """Whether `text` can be a corpus tag: non-empty, no whitespace, no brackets.
+    """Whether `text` can be a corpus tag: non-empty, no whitespace, no brackets, no leading ``#``.
 
     The one tag rule, of `--tag` values and of the tags in feature strings.
+    A row of a tag starting with ``#`` would read as a file directive.
     """
-    return bool(text) and not any(ch.isspace() or ch in "[]" for ch in text)
+    return text[:1] not in ("", "#") and not any(ch.isspace() or ch in "[]" for ch in text)
 
 
 def render_feature(f: Feature, vocab: Vocabulary) -> str:
@@ -364,6 +392,26 @@ def render_feature(f: Feature, vocab: Vocabulary) -> str:
     if f.tag is not None:
         return f"{f.tag}:{body}"
     return body
+
+
+def render_rows(
+    columns: Sequence[np.ndarray], shape: tuple, tag: str | None, vocab: Vocabulary
+) -> list[str]:
+    """`render_feature` of each feature of one shape (`feature_shapes`) and tag.
+
+    Feature i has the context words ``columns[j][i]``; with no columns, the
+    one feature of the shape is the empty context.
+    """
+    skip_pos, skip_len, _ = shape
+    words = np.array(vocab.words, dtype=object)
+    parts: list = [words[col].tolist() for col in columns]
+    head = "[" if tag is None else f"{tag}:["
+    if not parts:
+        return [head + "]"]
+    if skip_pos is not None:
+        marker = "skip-*" if skip_len is None else f"skip-{skip_len}"
+        parts.insert(skip_pos, repeat(marker))
+    return [f"{head}{body}]" for body in map(" ".join, zip(*parts))]
 
 
 def parse_feature(s: str, vocab: Vocabulary) -> Feature:

@@ -21,9 +21,10 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .corpus import UNK_ID, Vocabulary
-from .counts import write_rows
+from .counts import dict_links, write_rows
 from .errors import DataError
 from .extraction import Event, Feature, feature_parser, render_feature
+from .files import atomic_write
 from .metafeatures import LinkDesign
 
 MODEL_HEADER = "#snm-model v1"
@@ -164,20 +165,22 @@ def perplexity(model: SnmModel, events: Iterable[Event]) -> EvalReport:
 # Persistence
 
 def save_model(model: SnmModel, path, vocab: Vocabulary) -> None:
-    norms = model.normalizers
-    with open(path, "w", encoding="utf-8") as fh:
+    names = [render_feature(f, vocab) for f in model.rows]
+    norms = [model.normalizers[f] for f in model.rows]
+    with atomic_write(path) as fh:
         fh.write(f"{MODEL_HEADER}\n#vocab-size {model.vocab_size}\n")
-        names = write_rows(fh, model.rows, vocab)
+        rank = write_rows(fh, names, *dict_links(model.rows, np.float64), vocab)
         fh.write(_NORM_SECTION + "\n")
-        for fs, f in sorted(zip(names, model.rows)):
-            fh.write(f"{fs}\t{norms[f]}\n")
+        for i in np.argsort(rank).tolist():
+            fh.write(f"{names[i]}\t{norms[i]}\n")
 
 
 def load_model(path, vocab: Vocabulary) -> SnmModel:
     """Read a model file as `save_model` writes it.
 
     One `#vocab-size` line, naming the size of `vocab`, precedes the first
-    row. Link rows are strictly increasing by (feature, word) and
+    row, and one `#normalizers` line starts the normalizers; no other ``#``
+    line is allowed. Link rows are strictly increasing by (feature, word) and
     normalizers by feature, and each row has a normalizer.
     """
     rows: dict[Feature, dict[int, float]] = {}
@@ -207,18 +210,21 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
             if not line:
                 continue
             if line == _NORM_SECTION:
+                if in_norms:
+                    raise DataError(f"{path}:{lineno}: {_NORM_SECTION} must come once")
                 in_norms = True
                 continue
             if line.startswith("#"):
-                if line.startswith("#vocab-size "):
-                    if size is not None or features or in_norms:
-                        raise DataError(f"{path}:{lineno}: {_SIZE_RULE}")
-                    size = line[len("#vocab-size "):]
-                    if size != str(len(vocab)):
-                        raise DataError(
-                            f"{path}:{lineno}: model was built with {size} words, "
-                            f"vocab has {len(vocab)}"
-                        )
+                if not line.startswith("#vocab-size "):
+                    raise DataError(f"{path}:{lineno}: unknown directive {line!r}")
+                if size is not None or features or in_norms:
+                    raise DataError(f"{path}:{lineno}: {_SIZE_RULE}")
+                size = line[len("#vocab-size "):]
+                if size != str(len(vocab)):
+                    raise DataError(
+                        f"{path}:{lineno}: model was built with {size} words, "
+                        f"vocab has {len(vocab)}"
+                    )
                 continue
             if size is None:
                 raise DataError(f"{path}:{lineno}: {_SIZE_RULE}")

@@ -209,7 +209,7 @@ def parse_feature_oracle(s: str, vocab: Vocabulary) -> Feature:
         if idx <= 0:
             raise DataError(f"malformed feature string {s!r}")
         tag, body = s[:idx], s[idx + 1 :]
-        if not re.fullmatch(r"[^\s\[\]]+", tag):
+        if not re.fullmatch(r"[^\s\[\]#][^\s\[\]]*", tag):
             raise DataError(f"bad corpus tag {tag!r} in feature {s!r}")
     if not (body.startswith("[") and body.endswith("]")):
         raise DataError(f"malformed feature string {s!r}")

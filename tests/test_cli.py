@@ -621,6 +621,12 @@ _BAD_MODEL_LINES = {
                         "#vocab-size must come once, before the first row"),
     "spaced tag": ("t x:[]\tw\t1.0\n#normalizers\nt x:[]\t1.0\n", 3,
                    "bad corpus tag 't x' in feature 't x:[]'"),
+    "unknown directive": ("[]\tw\t1.0\n#anything at all\n#normalizers\n[]\t1.0\n", 4,
+                          "unknown directive '#anything at all'"),
+    "misspelt normalizers": ("[]\tw\t1.0\n#normalizer\n[]\t1.0\n", 4,
+                             "unknown directive '#normalizer'"),
+    "second normalizers": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\n#normalizers\n", 6,
+                           "#normalizers must come once"),
 }
 
 
@@ -661,6 +667,7 @@ _BAD_ROWS = {
                    "count 9223372036854775808 is more than 2^63-1"),
     "spaced tag": ("t x:[hot]\t</S>\t1", "bad corpus tag 't x' in feature 't x:[hot]'"),
     "bracketed tag": ("a]:[hot]\t</S>\t1", "bad corpus tag 'a]' in feature 'a]:[hot]'"),
+    "unknown directive": ("#anything at all", "unknown directive '#anything at all'"),
 }
 _KEEPING_COMMANDS = {
     "train": lambda wd, counts: [
@@ -869,7 +876,7 @@ _TAG_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("tag", ["", "a b", "web]"])
+@pytest.mark.parametrize("tag", ["", "a b", "web]", "#web"])
 @pytest.mark.parametrize("command", sorted(_TAG_COMMANDS))
 def test_bad_tag_is_a_usage_error_before_reading_files(tmp_path, capsys, command, tag):
     # None of the inputs exist: reading any of them would exit 2, not 1.

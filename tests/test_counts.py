@@ -347,6 +347,9 @@ _BAD_FILES = {
     "total after the first row": (f"{COUNTS_HEADER}\n[a]\tb\t1\n#total-events 9\n", 3),
     "second total": (f"{COUNTS_HEADER}\n#total-events 1\n#total-events 1\n[a]\tb\t1\n", 3),
     "row order": (f"{COUNTS_HEADER}\n#total-events 2\n[b]\tc\t1\n[a]\tb\t1\n", 4),
+    "unknown directive": (f"{COUNTS_HEADER}\n#total-events 3\n#anything at all\n[a]\tb\t1\n", 3),
+    "misspelt total": (f"{COUNTS_HEADER}\n#total-event 3\n[a]\tb\t1\n", 2),
+    "directive after rows": (f"{COUNTS_HEADER}\n#total-events 1\n[a]\tb\t1\n#snm-counts v1\n", 4),
 }
 
 

@@ -5,10 +5,17 @@ n-gram orders and skip-block (a, s, r) tuples, de-duplicating every event;
 `oracle_accumulate` adds one event at a time, updating a row and a feature
 count per occurrence. The library's planned extraction and single-lookup
 counting must return equal events in equal order, and equal stores with the
-same row insertion order.
+same row insertion order. `snmlm count`, which counts on integer arrays,
+must write the bytes `CountStore.save` writes of the oracle's store.
 """
 
 from __future__ import annotations
+
+import contextlib
+import io
+import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -264,3 +271,88 @@ def test_cli_count_equals_oracle_store(tmp_path, capsys):
         f"counts: {len(expected)} features, {expected.num_links} links, "
         f"{expected.total_events} events -> {out}\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# `snmlm count` on integer arrays against the oracle store
+
+# Ids do not follow string order, so the writer's word order is exercised.
+_VOCAB = "<S>\n</S>\n<UNK>\nd\nb\na\nc\n"
+# Mostly words, sometimes a frame token inside a line or an unknown word.
+_line = st.lists(st.sampled_from(["a", "b", "c", "d"] * 6 + ["<S>", "</S>", "zz"]),
+                 max_size=12).map(" ".join)
+
+
+def _run_count(files: list[Path], tags, config_text: str, vocab_text: str, wd: Path):
+    """`snmlm count` on the files against the oracle; returns the printed line."""
+    cfg, vocab_path, out = wd / "snm.cfg", wd / "vocab.txt", wd / "counts.tsv"
+    cfg.write_text(config_text, encoding="utf-8")
+    vocab_path.write_text(vocab_text, encoding="utf-8")
+    vocab, config = Vocabulary.load(vocab_path), parse_config(config_text)
+    argv = ["count", *map(str, files), *(a for t in tags for a in ("--tag", t)),
+            "--config", str(cfg), "--vocab", str(vocab_path), "-o", str(out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    try:
+        events = [
+            e
+            for path, tag in zip(files, tags or [None] * len(files))
+            for s in TaggedCorpus.from_file(path, vocab).sentences
+            for e in oracle_extract_events(s, config, tag)
+        ]
+    except DataError as exc:
+        assert (code, stderr.getvalue(), stdout.getvalue()) == (2, f"snmlm: {exc}\n", "")
+        assert not out.exists()
+        return None
+    assert code == 0, stderr.getvalue()
+    expected = oracle_accumulate(events)
+    expected.save(wd / "expected.tsv", vocab)
+    assert out.read_bytes() == (wd / "expected.tsv").read_bytes()
+    # The reader checks the order both files share.
+    loaded = CountStore.load(out, vocab)
+    assert (loaded.rows, loaded.total_events) == (expected.rows, expected.total_events)
+    assert stdout.getvalue() == (
+        f"counts: {len(expected)} features, {expected.num_links} links, "
+        f"{expected.total_events} events -> {out}\n"
+    )
+    return stdout.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@settings(max_examples=60, deadline=None)
+@given(
+    sources=st.lists(st.lists(_line, max_size=5), min_size=1, max_size=3),
+    tags=st.one_of(st.none(), st.lists(st.sampled_from(["web", "news"]), min_size=3,
+                                       max_size=3)),
+)
+def test_cli_count_writes_the_oracle_store(name, sources, tags):
+    # Repeated tags make files share features, which are summed across files.
+    with tempfile.TemporaryDirectory() as d:
+        wd = Path(d)
+        files = [wd / f"source{i}.txt" for i in range(len(sources))]
+        for path, lines in zip(files, sources):
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        _run_count(files, tags[: len(files)] if tags else [], CONFIGS[name], _VOCAB, wd)
+
+
+def test_cli_count_ranks_contexts_past_int64(tmp_path):
+    # 2^16 words: packed plainly, five words need 80 bits, and the oldest
+    # word's bits would fall out of an int64 key, merging the contexts below.
+    words = [f"w{i:05d}" for i in range(2**16 - 3)]
+    rng = random.Random(11)
+    tail = " ".join(words[-4:])
+    firsts = words[:3] + words[-8:-4]
+    lines = [f"{first} {tail}" for first in firsts]
+    pool = words[:5] + words[-5:] + rng.sample(words, 10)
+    lines += [" ".join(rng.choices(pool, k=rng.randrange(3, 12))) for _ in range(150)]
+    files = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    for path in files:
+        rng.shuffle(lines)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    rng.shuffle(words)
+    vocab_text = "\n".join(["<S>", "</S>", "<UNK>", *words]) + "\n"
+    config = "ngram_extractor { min_n: 0 max_n: 5 }\n" + _skip(5, 1, 3, False, remote=(1, 3))
+    assert _run_count(files, ["web", "web"], config, vocab_text, tmp_path) is not None
+    written = (tmp_path / "counts.tsv").read_text(encoding="utf-8")
+    assert all(f"web:[{first} {tail}]\t</S>\t2\n" in written for first in firsts)

@@ -470,7 +470,7 @@ def mutated_feature_strings(draw):
     if op == "frame":
         s = draw(st.sampled_from(
             [s[1:], s[:-1], s[:-1] + ")", ":" + s, "x:" + s, s + "]", s + ":[]", " " + s,
-             "x y:" + s, "x]:" + s, "\u00a0x:" + s]
+             "x y:" + s, "x]:" + s, "\u00a0x:" + s, "#x:" + s]
         ))
     else:
         token = draw(st.sampled_from(_MUTANT_TOKENS))
@@ -507,12 +507,12 @@ def test_parse_feature_rejects_malformed(small_vocab):
 
 def test_parse_feature_takes_the_tags_that_tag_flags_take(small_vocab):
     # One rule, `is_tag`, for --tag values and the tags of feature strings.
-    for tag in ["web", "a:b", ":", "x1", "t\u00e9"]:
+    for tag in ["web", "a:b", ":", "x1", "t\u00e9", "a#"]:
         assert is_tag(tag)
         assert parse_feature(f"{tag}:[alpha]", small_vocab) == Feature(
             (small_vocab.index["alpha"],), tag=tag
         )
-    for tag in ["t x", "a]", "a[b", "x\ty", "x\u00a0", "\u2028"]:
+    for tag in ["t x", "a]", "a[b", "x\ty", "x\u00a0", "\u2028", "#web", "#"]:
         assert not is_tag(tag)
         with pytest.raises(DataError, match=re.escape(f"bad corpus tag {tag!r} in feature")):
             parse_feature(f"{tag}:[alpha]", small_vocab)

@@ -69,6 +69,8 @@ def run(*argv):
 
 run("build-vocab", wd / "web.txt", wd / "news.txt", "-o", wd / "vocab.txt")
 run("count", wd / "web.txt", wd / "news.txt", *tags, *common, "-o", wd / "counts.tsv")
+run("count", wd / "web.txt", wd / "news.txt", "--tag", "a", "--tag", "b", *common,
+    "-o", wd / "ab-counts.tsv")
 run("intersect", "--counts", wd / "counts.tsv", "--dev", wd / "dev.txt", *tags, *common,
     "-o", wd / "dev-counts.tsv")
 for mode in ("full", "feature_only", "unlexicalized"):
@@ -119,7 +121,7 @@ def test_pipeline_output_is_independent_of_the_hash_seed(tmp_path):
         outputs.append((done.stdout, files))
     (out1, files1), (out2, files2) = outputs
     assert "ppl" in out1 and "C_fw=" in out1 and "M_f*=" in out1
-    assert len(files1) == 14
+    assert len(files1) == 15
     assert out1 == out2
     assert files1.keys() == files2.keys()
     for name in files1:
