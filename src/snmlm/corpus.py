@@ -10,13 +10,12 @@ from __future__ import annotations
 import collections
 from array import array
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .files import atomic_write
+from .files import atomic_write, open_text
 
 S_TOKEN = "<S>"
 E_TOKEN = "</S>"
@@ -72,7 +71,8 @@ class Vocabulary:
 
         Every error names the file and line.
         """
-        words = Path(path).read_text(encoding="utf-8").split("\n")
+        with open_text(path) as fh:
+            words = fh.read().split("\n")
         if words[-1] == "":
             words.pop()
         if not words:
@@ -145,7 +145,7 @@ def framed_ids(path, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _iter_lines(path) -> Iterator[str]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             if line.strip():
                 yield line

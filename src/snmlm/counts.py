@@ -32,7 +32,7 @@ from .extraction import (
     render_feature,
     render_rows,
 )
-from .files import atomic_write
+from .files import atomic_write, open_text
 
 COUNTS_HEADER = "#snm-counts v1"
 _TOTAL_PREFIX = "#total-events "
@@ -351,43 +351,47 @@ def count_files(paths, tags: Sequence[str | None], vocab: Vocabulary,
                       total)
 
 
+def line_error(path, lineno: int, line: str, directive: str, fields: int) -> DataError:
+    """The error for a line that is neither `directive` on line 2 nor a row of `fields` fields."""
+    if lineno == 2 or line.startswith(directive):
+        what = f"{directive.strip()} must come once, before the first row"
+    elif line.startswith("#"):
+        what = f"unknown directive {line!r}"
+    else:
+        what = f"expected {fields} tab-separated fields"
+    return DataError(f"{path}:{lineno}: {what}")
+
+
 def _entry_stream(path) -> Iterator:
     """The count file's event total, then its rows as (feature, word, count, line).
 
-    The total comes from the one `#total-events` line, which must precede
-    the first row (0 when there is none); no other ``#`` line is allowed.
-    Rows must be strictly increasing by (feature, word), as `CountStore.save`
-    writes them, and each feature's counts must sum to at most 2^63-1. A
-    violation raises `DataError` with the file and line when the stream
-    reaches it. The file is opened on the first `next` and closed when the
-    stream ends or is closed.
+    Line 1 is the header, line 2 the `#total-events` line, and every later
+    line a row. Rows must be strictly increasing by (feature, word), as
+    `write_rows` writes them, and each feature's counts must sum to at most
+    2^63-1. Any other line, a blank one included, and any violation raise
+    `DataError` with the file and line when the stream reaches it. The file
+    is opened on the first `next` and closed when the stream ends or is
+    closed.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         if fh.readline().rstrip("\n") != COUNTS_HEADER:
             raise DataError(f"{path}: not a count file (bad header)")
-        total: int | None = None
+        line = fh.readline().rstrip("\n")
+        if not line.startswith(_TOTAL_PREFIX):
+            raise line_error(path, 2, line, _TOTAL_PREFIX, 3)
+        text = line[len(_TOTAL_PREFIX):]
+        try:
+            total = natural(text)
+        except ValueError:
+            raise DataError(f"{path}:2: bad event total {text!r}") from None
+        yield total
         prev: tuple[str, str] | None = None
         row_fs, row_sum = None, 0
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in enumerate(fh, start=3):
             line = line.rstrip("\n")
-            if not line:
-                continue
-            if line[0] == "#":
-                if not line.startswith(_TOTAL_PREFIX):
-                    raise DataError(f"{path}:{lineno}: unknown directive {line!r}")
-                if total is not None or prev is not None:
-                    raise DataError(
-                        f"{path}:{lineno}: #total-events must come once, before the first row"
-                    )
-                text = line[len(_TOTAL_PREFIX):]
-                try:
-                    total = natural(text)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad event total {text!r}") from None
-                continue
             parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            if len(parts) != 3 or line[0] == "#":
+                raise line_error(path, lineno, line, _TOTAL_PREFIX, 3)
             fs, ws, cs = parts
             try:
                 c = natural(cs)
@@ -396,9 +400,7 @@ def _entry_stream(path) -> Iterator:
             if c < 1:
                 raise DataError(f"{path}:{lineno}: count must be positive, got {c}")
             key = (fs, ws)
-            if prev is None:
-                yield total or 0
-            elif key <= prev:
+            if prev is not None and key <= prev:
                 raise DataError(f"{path}:{lineno}: rows out of order")
             prev = key
             if fs == row_fs:
@@ -409,8 +411,6 @@ def _entry_stream(path) -> Iterator:
                 what = f"count {cs}" if c > _INT64_MAX else f"row sum of {fs}"
                 raise DataError(f"{path}:{lineno}: {what} is more than 2^63-1")
             yield fs, ws, c, lineno
-        if prev is None:
-            yield total or 0
 
 
 def merge_files(paths, out_path) -> None:

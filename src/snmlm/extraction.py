@@ -39,6 +39,7 @@ import numpy as np
 
 from .corpus import E_ID, S_ID, Vocabulary, natural
 from .errors import ConfigError, DataError
+from .files import open_text
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ def _finish_skip(fields: dict, ln: int) -> SkipConfig:
 
 
 def load_config(path) -> ExtractorConfig:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_config(fh.read())
 
 

@@ -1,9 +1,41 @@
-"""Output files that appear whole or not at all."""
+"""Text inputs read as UTF-8, and output files that appear whole or not at all."""
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+
+from .errors import DataError
+
+
+@contextmanager
+def open_text(path):
+    """Open a text input for reading as UTF-8; the one way every text input is opened.
+
+    A byte that is not UTF-8 raises `DataError` naming the file and line.
+    Only then is the file read again, as bytes, to find that line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> DataError:
+    """The error naming the first line of `path` that is not UTF-8.
+
+    Lines end at ``\n``, ``\r\n`` or ``\r``, as text readers count them.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as bad:
+            return DataError(f"{path}:{lineno}: byte 0x{line[bad.start]:02x} at column "
+                             f"{bad.start + 1} is not UTF-8 ({bad.reason})")
+    return DataError(f"{path}: {exc}")
 
 
 @contextmanager

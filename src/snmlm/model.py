@@ -21,15 +21,18 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .corpus import UNK_ID, Vocabulary
-from .counts import dict_links, write_rows
+from .counts import dict_links, line_error, write_rows
 from .errors import DataError
 from .extraction import Event, Feature, feature_parser, render_feature
-from .files import atomic_write
+from .files import atomic_write, open_text
 from .metafeatures import LinkDesign
 
 MODEL_HEADER = "#snm-model v1"
 _NORM_SECTION = "#normalizers"
-_SIZE_RULE = "#vocab-size must come once, before the first row"
+_SIZE_PREFIX = "#vocab-size "
+# A normalizer read from a file is its row's sum within this relative
+# tolerance, the one that normalization is checked at.
+_NORM_RTOL = 1e-9
 
 # Events whose target is unreachable are floored at this probability.
 PROB_FLOOR = 1e-10
@@ -48,7 +51,6 @@ class SnmModel:
 
     rows: dict[Feature, dict[int, float]]
     normalizers: dict[Feature, float]
-    vocab_size: int
 
 
 class EventScore(NamedTuple):
@@ -106,7 +108,7 @@ def materialize(design: LinkDesign, cells: np.ndarray, row_sums: np.ndarray) -> 
         for r in range(g, end):
             lo, hi = off[r] - base, off[r + 1] - base
             rows[features[r]] = dict(zip(words[lo:hi], values[lo:hi]))
-    return SnmModel(rows, normalizers, len(design.vocab))
+    return SnmModel(rows, normalizers)
 
 
 def score_event(model: SnmModel, event: Event) -> EventScore:
@@ -168,7 +170,7 @@ def save_model(model: SnmModel, path, vocab: Vocabulary) -> None:
     names = [render_feature(f, vocab) for f in model.rows]
     norms = [model.normalizers[f] for f in model.rows]
     with atomic_write(path) as fh:
-        fh.write(f"{MODEL_HEADER}\n#vocab-size {model.vocab_size}\n")
+        fh.write(f"{MODEL_HEADER}\n{_SIZE_PREFIX}{len(vocab)}\n")
         rank = write_rows(fh, names, *dict_links(model.rows, np.float64), vocab)
         fh.write(_NORM_SECTION + "\n")
         for i in np.argsort(rank).tolist():
@@ -178,17 +180,18 @@ def save_model(model: SnmModel, path, vocab: Vocabulary) -> None:
 def load_model(path, vocab: Vocabulary) -> SnmModel:
     """Read a model file as `save_model` writes it.
 
-    One `#vocab-size` line, naming the size of `vocab`, precedes the first
-    row, and one `#normalizers` line starts the normalizers; no other ``#``
-    line is allowed. Link rows are strictly increasing by (feature, word) and
-    normalizers by feature, and each row has a normalizer.
+    Line 1 is the header and line 2 the `#vocab-size` line, naming the size
+    of `vocab`. Link rows follow, strictly increasing by (feature, word),
+    then one `#normalizers` line and the normalizers, strictly increasing by
+    feature. Each row has a normalizer, and each normalizer is the
+    `math.fsum` of its row within `_NORM_RTOL`. Any other line, a blank one
+    included, is rejected with the file and line.
     """
     rows: dict[Feature, dict[int, float]] = {}
     norms: dict[Feature, float] = {}
     # Each link row's feature; the normalizer section looks its strings up here.
     features: dict[str, Feature] = {}
     parse = feature_parser(vocab)
-    size: str | None = None
     in_norms = False
     last_link: tuple[str, str] | None = None
     last_norm: str | None = None
@@ -201,37 +204,26 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
 
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != MODEL_HEADER:
+    with open_text(path) as fh:
+        if fh.readline().rstrip("\n") != MODEL_HEADER:
             raise DataError(f"{path}: not a model file (bad header)")
-        for lineno, line in enumerate(fh, start=2):
+        line = fh.readline().rstrip("\n")
+        if not line.startswith(_SIZE_PREFIX):
+            raise line_error(path, 2, line, _SIZE_PREFIX, 3)
+        size = line[len(_SIZE_PREFIX):]
+        if size != str(len(vocab)):
+            raise DataError(f"{path}:2: model was built with {size} words, vocab has {len(vocab)}")
+        for lineno, line in enumerate(fh, start=3):
             line = line.rstrip("\n")
-            if not line:
-                continue
             if line == _NORM_SECTION:
                 if in_norms:
                     raise DataError(f"{path}:{lineno}: {_NORM_SECTION} must come once")
                 in_norms = True
                 continue
-            if line.startswith("#"):
-                if not line.startswith("#vocab-size "):
-                    raise DataError(f"{path}:{lineno}: unknown directive {line!r}")
-                if size is not None or features or in_norms:
-                    raise DataError(f"{path}:{lineno}: {_SIZE_RULE}")
-                size = line[len("#vocab-size "):]
-                if size != str(len(vocab)):
-                    raise DataError(
-                        f"{path}:{lineno}: model was built with {size} words, "
-                        f"vocab has {len(vocab)}"
-                    )
-                continue
-            if size is None:
-                raise DataError(f"{path}:{lineno}: {_SIZE_RULE}")
             parts = line.split("\t")
             fields = 2 if in_norms else 3
-            if len(parts) != fields:
-                raise DataError(f"{path}:{lineno}: expected {fields} fields")
+            if len(parts) != fields or line[0] == "#":
+                raise line_error(path, lineno, line, _SIZE_PREFIX, fields)
             text = parts[-1]
             try:
                 # float() also reads "1_0", " 1" and non-ASCII digits; no writer does.
@@ -253,6 +245,15 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
                 if f is None:
                     parse_at(fs, lineno)
                     raise DataError(f"{path}:{lineno}: normalizer of {fs!r} has no link rows")
+                try:
+                    row_sum = math.fsum(rows[f].values())
+                except OverflowError:  # the cells sum past the largest float
+                    row_sum = inf
+                if not math.isclose(value, row_sum, rel_tol=_NORM_RTOL):
+                    raise DataError(
+                        f"{path}:{lineno}: normalizer {text} of {fs!r} is not its row's sum "
+                        f"{row_sum!r}"
+                    )
                 norms[f] = value
                 continue
             key = (fs, parts[1])
@@ -271,4 +272,4 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
     missing = set(rows) - set(norms)
     if missing:
         raise DataError(f"{path}: {len(missing)} rows lack a normalizer entry")
-    return SnmModel(rows, norms, len(vocab))
+    return SnmModel(rows, norms)

@@ -1,11 +1,13 @@
 import math
+import re
 
 import pytest
 
 from snmlm.adjustment import AdjustmentModel
 from snmlm.cli import UsageError, main, parse_table_size
 from snmlm.corpus import Vocabulary
-from snmlm.counts import CountStore
+from snmlm.counts import CountStore, merge_files
+from snmlm.errors import DataError
 from snmlm.metafeatures import Mode
 from snmlm.model import load_model
 
@@ -373,6 +375,44 @@ def test_eval_rejects_a_model_file_that_save_model_never_writes(pipeline, capsys
     assert "ppl" not in captured.out
 
 
+# Each text input, by the file it is read from, and a command that reads it.
+_TEXT_INPUTS = {
+    "counts": ("counts.tsv", lambda wd: [
+        "inspect", "[]", "--counts", _p(wd / "counts.tsv"), "--vocab", _p(wd / "vocab.txt")]),
+    "model": ("model.tsv", lambda wd: [
+        "inspect", "[]", "--model", _p(wd / "model.tsv"), "--vocab", _p(wd / "vocab.txt")]),
+    "vocabulary": ("vocab.txt", lambda wd: [
+        "inspect", "[]", "--counts", _p(wd / "counts.tsv"), "--vocab", _p(wd / "vocab.txt")]),
+    "corpus": ("tiny.txt", lambda wd: [
+        "count", _p(wd / "tiny.txt"), "--config", _p(wd / "ngram.cfg"),
+        "--vocab", _p(wd / "vocab.txt"), "-o", _p(wd / "out.tsv")]),
+    "config": ("ngram.cfg", lambda wd: [
+        "count", _p(wd / "tiny.txt"), "--config", _p(wd / "ngram.cfg"),
+        "--vocab", _p(wd / "vocab.txt"), "-o", _p(wd / "out.tsv")]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TEXT_INPUTS))
+def test_a_byte_that_is_not_utf8_is_reported_with_its_file_and_line(pipeline, capsys, kind):
+    wd = pipeline
+    _trained_model_lines(wd)
+    name, argv = _TEXT_INPUTS[kind]
+    path = wd / name
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+    path.write_bytes(b"\n".join(lines))
+    message = f"{path}:3: byte 0xff at column 2 is not UTF-8 (invalid start byte)"
+    capsys.readouterr()
+    assert main(argv(wd)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"snmlm: {message}\n"
+    assert captured.out == ""
+    assert not (wd / "out.tsv").exists()
+    if kind == "counts":
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            merge_files([path, path], wd / "merged.tsv")
+
+
 def test_eval_rejects_vocab_of_another_size(pipeline, capsys):
     wd = pipeline
     _trained_model_lines(wd)
@@ -565,12 +605,11 @@ def test_inspect_names_the_line_of_an_unparsable_feature(workdir, capsys):
     assert "bad.tsv:3: unknown token 'zz'" in err
 
 
-def _eval_bad_model(workdir, capsys, body: str) -> str:
+def _eval_bad_model(workdir, capsys, body: str, size_line: bool = True) -> str:
     vocab = _w_vocab(workdir)
     bad = workdir / "bad-model.tsv"
-    bad.write_text(
-        f"#snm-model v1\n#vocab-size {len(Vocabulary.load(vocab))}\n{body}", encoding="utf-8"
-    )
+    size = f"#vocab-size {len(Vocabulary.load(vocab))}\n" if size_line else ""
+    bad.write_text(f"#snm-model v1\n{size}{body}", encoding="utf-8")
     capsys.readouterr()
     assert main([
         "eval", "--model", _p(bad), "--test", _p(workdir / "tiny.txt"),
@@ -594,8 +633,9 @@ def test_eval_names_the_line_of_an_unparsable_normalizer(workdir, capsys):
     assert "bad-model.tsv:6: unknown token 'zz'" in err
 
 
-# Bad model bodies (after the header and #vocab-size lines) and the line and
-# message each is rejected with. Values are what `float` reads, less `_`,
+# Bad model bodies (after the header and #vocab-size lines, or after the
+# header alone when a fourth item says so) and the line and message each is
+# rejected with. Values are what `float` reads, less `_`,
 # surrounding whitespace and non-ASCII text; a link or normalizer comes once.
 _BAD_MODEL_LINES = {
     "underscore value": ("[]\tw\t1_0.5\n#normalizers\n[]\t1.0\n", 3, "bad value '1_0.5'"),
@@ -627,13 +667,21 @@ _BAD_MODEL_LINES = {
                              "unknown directive '#normalizer'"),
     "second normalizers": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\n#normalizers\n", 6,
                            "#normalizers must come once"),
+    "no directive line": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\n", 2,
+                          "#vocab-size must come once, before the first row", "no size line"),
+    "blank line": ("[]\tw\t1.0\n\n#normalizers\n[]\t1.0\n", 4,
+                   "expected 3 tab-separated fields"),
+    "normalizer not its row's sum": ("[]\t</S>\t0.5\n[]\tw\t1.0\n#normalizers\n[]\t1.0\n", 6,
+                                     "normalizer 1.0 of '[]' is not its row's sum 1.5"),
+    "blank normalizer line": ("[]\tw\t1.0\n#normalizers\n\n[]\t1.0\n", 5,
+                              "expected 2 tab-separated fields"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_BAD_MODEL_LINES))
 def test_eval_rejects_bad_model_lines(workdir, capsys, kind):
-    body, lineno, message = _BAD_MODEL_LINES[kind]
-    err = _eval_bad_model(workdir, capsys, body)
+    body, lineno, message, *no_size_line = _BAD_MODEL_LINES[kind]
+    err = _eval_bad_model(workdir, capsys, body, size_line=not no_size_line)
     assert f"bad-model.tsv:{lineno}: {message}" in err
     assert "Traceback" not in err
 
@@ -711,7 +759,8 @@ def test_row_sum_past_int64_exits_2(pipeline, capsys):
     wd = pipeline
     bad = wd / "bad.tsv"
     bad.write_text(
-        "#snm-counts v1\n[]\tcold\t9223372036854775807\n[]\thot\t9223372036854775807\n",
+        "#snm-counts v1\n#total-events 2\n"
+        "[]\tcold\t9223372036854775807\n[]\thot\t9223372036854775807\n",
         encoding="utf-8",
     )
     inspect_target = _KEEPING_COMMANDS["inspect"](wd, _p(bad)) + ["--target", "cold"]
@@ -719,7 +768,7 @@ def test_row_sum_past_int64_exits_2(pipeline, capsys):
         capsys.readouterr()
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert "bad.tsv:3: row sum of [] is more than 2^63-1" in captured.err
+        assert "bad.tsv:4: row sum of [] is more than 2^63-1" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
     assert not any((wd / name).exists() for name in ("model.tsv", "adj.bin", "inter.tsv"))

@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import snmlm.counts
+import snmlm.files
 
 from snmlm.adjustment import AdjustmentModel
 from snmlm.corpus import build_vocab, map_tokens
@@ -230,7 +230,7 @@ def test_load_rejects_bad_header(tmp_path, abc_vocab):
 
 def test_load_rejects_malformed_line(tmp_path, abc_vocab):
     path = tmp_path / "bad.tsv"
-    path.write_text(f"{COUNTS_HEADER}\n[a]\tb\n", encoding="utf-8")
+    path.write_text(f"{COUNTS_HEADER}\n#total-events 1\n[a]\tb\n", encoding="utf-8")
     with pytest.raises(DataError, match="3 tab-separated"):
         CountStore.load(path, abc_vocab)
 
@@ -238,7 +238,7 @@ def test_load_rejects_malformed_line(tmp_path, abc_vocab):
 def test_load_with_verify_rejects_unsorted(tmp_path, abc_vocab):
     path = tmp_path / "unsorted.tsv"
     path.write_text(
-        f"{COUNTS_HEADER}\n[b]\ta\t1\n[a]\tb\t1\n", encoding="utf-8"
+        f"{COUNTS_HEADER}\n#total-events 2\n[b]\ta\t1\n[a]\tb\t1\n", encoding="utf-8"
     )
     with pytest.raises(DataError, match="out of order"):
         CountStore.load(path, abc_vocab)
@@ -344,12 +344,15 @@ _BAD_FILES = {
     "underscore total": (f"{COUNTS_HEADER}\n#total-events 1_0\n[a]\tb\t1\n", 2),
     "non-ASCII total": (f"{COUNTS_HEADER}\n#total-events \u0663\n[a]\tb\t1\n", 2),
     "signed total": (f"{COUNTS_HEADER}\n#total-events +3\n[a]\tb\t1\n", 2),
-    "total after the first row": (f"{COUNTS_HEADER}\n[a]\tb\t1\n#total-events 9\n", 3),
+    "total after the first row": (f"{COUNTS_HEADER}\n[a]\tb\t1\n#total-events 9\n", 2),
     "second total": (f"{COUNTS_HEADER}\n#total-events 1\n#total-events 1\n[a]\tb\t1\n", 3),
     "row order": (f"{COUNTS_HEADER}\n#total-events 2\n[b]\tc\t1\n[a]\tb\t1\n", 4),
     "unknown directive": (f"{COUNTS_HEADER}\n#total-events 3\n#anything at all\n[a]\tb\t1\n", 3),
     "misspelt total": (f"{COUNTS_HEADER}\n#total-event 3\n[a]\tb\t1\n", 2),
     "directive after rows": (f"{COUNTS_HEADER}\n#total-events 1\n[a]\tb\t1\n#snm-counts v1\n", 4),
+    "no directive line": (f"{COUNTS_HEADER}\n", 2),
+    "directive with three fields": (f"{COUNTS_HEADER}\n#total-events 1\n#x\ta\t1\n", 3),
+    "blank line": (f"{COUNTS_HEADER}\n#total-events 2\n[a]\tb\t1\n\n[a]\tc\t1\n", 4),
 }
 
 
@@ -381,7 +384,7 @@ def test_merge_files_closes_every_input_it_opened(tmp_path, monkeypatch, case):
         handles.append(fh)
         return fh
 
-    monkeypatch.setattr(snmlm.counts, "open", recording_open, raising=False)
+    monkeypatch.setattr(snmlm.files, "open", recording_open, raising=False)
     good, bad, out = tmp_path / "good.tsv", tmp_path / "bad.tsv", tmp_path / "out.tsv"
     good.write_text(_GOOD, encoding="utf-8")
     bad.write_text(_BAD_FILES[case][0], encoding="utf-8")
@@ -398,15 +401,15 @@ _INT64_MAX = (1 << 63) - 1
 
 
 @pytest.mark.parametrize("rows, line, message", [
-    ([(_INT64_MAX + 1, "b")], 2, f"count {_INT64_MAX + 1} is more than 2^63-1"),
-    ([(1, "a"), (_INT64_MAX + 1, "b")], 3, f"count {_INT64_MAX + 1} is more than 2^63-1"),
-    ([(_INT64_MAX, "b"), (1, "c")], 3, "row sum of [a] is more than 2^63-1"),
+    ([(_INT64_MAX + 1, "b")], 3, f"count {_INT64_MAX + 1} is more than 2^63-1"),
+    ([(1, "a"), (_INT64_MAX + 1, "b")], 4, f"count {_INT64_MAX + 1} is more than 2^63-1"),
+    ([(_INT64_MAX, "b"), (1, "c")], 4, "row sum of [a] is more than 2^63-1"),
 ], ids=["count", "count in a row", "row sum"])
 def test_load_and_merge_reject_counts_past_int64(tmp_path, abc_vocab, rows, line, message):
     good, bad, out = tmp_path / "good.tsv", tmp_path / "bad.tsv", tmp_path / "out.tsv"
     good.write_text(_GOOD, encoding="utf-8")
     body = "".join(f"[a]\t{w}\t{c}\n" for c, w in rows)
-    bad.write_text(f"{COUNTS_HEADER}\n{body}", encoding="utf-8")
+    bad.write_text(f"{COUNTS_HEADER}\n#total-events 1\n{body}", encoding="utf-8")
     for read in (lambda: CountStore.load(bad, abc_vocab), lambda: merge_files([good, bad], out)):
         with pytest.raises(DataError, match=_where(bad, line) + " " + re.escape(message)):
             read()
@@ -453,7 +456,8 @@ def test_merge_keeps_sums_up_to_int64_max(tmp_path, abc_vocab):
 def test_a_row_summing_to_int64_max_trains(tmp_path, abc_vocab):
     path = tmp_path / "max.tsv"
     path.write_text(
-        f"{COUNTS_HEADER}\n[]\ta\t1\n[a]\tb\t{_INT64_MAX - 1}\n[a]\tc\t1\n", encoding="utf-8"
+        f"{COUNTS_HEADER}\n#total-events 1\n[]\ta\t1\n[a]\tb\t{_INT64_MAX - 1}\n[a]\tc\t1\n",
+        encoding="utf-8",
     )
     store = CountStore.load(path, abc_vocab)
     assert store.feature_counts[Feature((abc_vocab.index["a"],))] == _INT64_MAX

@@ -41,6 +41,12 @@ class _FullDisk:
         return self.fh.__exit__(*exc)
 
 
+def _full_disk_open(*args, **kwargs):
+    """`open`, where a file opened for writing fills the disk; inputs read as usual."""
+    fh = open(*args, **kwargs)
+    return _FullDisk(fh) if fh.writable() else fh
+
+
 @pytest.fixture
 def pipeline(tmp_path):
     vocab = build_vocab("the cat sat on the mat".split())
@@ -79,8 +85,7 @@ def test_a_writer_failing_part_way_leaves_the_earlier_file(pipeline, monkeypatch
     _WRITERS[writer](wd, vocab, store, out)
     earlier = out.read_bytes()
     files = sorted(wd.iterdir())
-    monkeypatch.setattr(snmlm.files, "open", lambda *a, **k: _FullDisk(open(*a, **k)),
-                        raising=False)
+    monkeypatch.setattr(snmlm.files, "open", _full_disk_open, raising=False)
     with pytest.raises(OSError, match="No space left|snmlm count exited 2"):
         _WRITERS[writer](wd, vocab, store, out)
     assert out.read_bytes() == earlier

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -247,7 +248,6 @@ def test_renormalize_is_idempotent():
     again = materialize(design, again_cells, again_sums)
     assert again.rows == model.rows
     assert again.normalizers == model.normalizers
-    assert again.vocab_size == model.vocab_size == len(vocab)
 
 
 def test_probability_conservation_after_renormalize():
@@ -309,7 +309,6 @@ def test_model_file_roundtrip(tmp_path):
     loaded = load_model(path, vocab)
     assert loaded.rows == model.rows
     assert loaded.normalizers == model.normalizers
-    assert loaded.vocab_size == model.vocab_size
     again = tmp_path / "model2.tsv"
     save_model(loaded, again, vocab)
     assert path.read_bytes() == again.read_bytes()
@@ -322,7 +321,7 @@ def test_model_file_golden_bytes(tmp_path):
     empty = Feature((), tag="web")
     # 0.1 + 0.2 needs all 17 significant digits to read back.
     rows = {skip: {c: 0.1 + 0.2, b: 1 / 3}, empty: {a: 2.0, 1: 1e-05}}
-    model = SnmModel(rows, {empty: 2.00001, skip: 0.6333333333333333}, len(vocab))
+    model = SnmModel(rows, {empty: 2.00001, skip: 0.6333333333333333})
     path = tmp_path / "model.tsv"
     save_model(model, path, vocab)
     assert path.read_bytes() == (
@@ -349,4 +348,34 @@ def test_model_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("what\n", encoding="utf-8")
     with pytest.raises(DataError, match="header"):
+        load_model(path, vocab)
+
+
+@pytest.mark.parametrize("scale, loads", [
+    (1 + 1e-10, True), (1 - 1e-10, True), (1 + 1e-8, False), (1 - 1e-8, False), (0.5, False),
+])
+def test_model_file_normalizer_is_its_row_sum_within_1e_9(tmp_path, scale, loads):
+    vocab = build_vocab(["a", "b"], min_count=1)
+    path = tmp_path / "model.tsv"
+    norm = (0.1 + 0.2 + 1 / 3) * scale
+    path.write_text(
+        f"#snm-model v1\n#vocab-size {len(vocab)}\n"
+        f"[]\ta\t{0.1 + 0.2!r}\n[]\tb\t{1 / 3!r}\n#normalizers\n[]\t{norm!r}\n",
+        encoding="utf-8",
+    )
+    if loads:
+        assert load_model(path, vocab).normalizers == {Feature(()): norm}
+    else:
+        with pytest.raises(DataError, match=re.escape(f"{path}:6: normalizer {norm!r} of '[]' "
+                                                      "is not its row's sum")):
+            load_model(path, vocab)
+
+
+def test_model_file_rejects_a_row_summing_past_the_largest_float(tmp_path):
+    vocab = build_vocab(["a", "b"], min_count=1)
+    path = tmp_path / "model.tsv"
+    path.write_text(f"#snm-model v1\n#vocab-size {len(vocab)}\n"
+                    "[]\ta\t1e308\n[]\tb\t1e308\n#normalizers\n[]\t1e308\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}:6: normalizer 1e308 of '[]' "
+                                                  "is not its row's sum inf")):
         load_model(path, vocab)

@@ -1,0 +1,162 @@
+"""Mutated count and model files: `snmlm inspect` exits 0, or 2 naming the file and line.
+
+Each example starts from a file a writer produced (`snmlm count`,
+`merge_files`, or `save_model` through `snmlm train`) and applies one
+mutation: delete, duplicate or swap lines, insert a blank line, replace a
+field with any text, overwrite or insert a byte, cut the file short, or
+scale one normalizer. Reading it must then exit 0, or exit 2 with a message
+that starts with ``<file>:<line>:``; only a bad header and rows that lack a
+normalizer are named by the file alone. It must never raise.
+
+Exit 0 is allowed because many mutations leave a file the writers could
+have written: a deleted count row, or a cut at a line boundary, still
+loads, since a count file carries no record count until ROADMAP item 4
+adds a trailer. A model cannot lose a cell that way: its normalizer is no
+longer the row's sum.
+"""
+
+import io
+import re
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from snmlm.cli import main
+from snmlm.counts import merge_files
+
+_SKIP_CONFIG = """\
+ngram_extractor { min_n: 0 max_n: 2 }
+skip_ngram_extractor {
+  max_context_words: 3
+  min_remote_words: 1
+  max_remote_words: 1
+  min_skip_length: 1
+  max_skip_length: 2
+  tie_skip_length: false
+}
+"""
+
+
+def _run(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """The bytes of a tagged count file, a merged count file and a model file."""
+    wd = tmp_path_factory.mktemp("written")
+    (wd / "a.txt").write_text("green tea is hot\nred tea is cold\n", encoding="utf-8")
+    (wd / "b.txt").write_text("green tea is sweet\nhot tea is green\n", encoding="utf-8")
+    (wd / "dev.txt").write_text("red tea is hot\n", encoding="utf-8")
+    (wd / "snm.cfg").write_text(_SKIP_CONFIG, encoding="utf-8")
+    common = ["--config", wd / "snm.cfg", "--vocab", wd / "vocab.txt"]
+    steps = [
+        ["build-vocab", wd / "a.txt", wd / "b.txt", "-o", wd / "vocab.txt"],
+        ["count", wd / "a.txt", *common, "-o", wd / "a.tsv"],
+        ["count", wd / "b.txt", *common, "-o", wd / "b.tsv"],
+        ["count", wd / "a.txt", wd / "b.txt", "--tag", "web", "--tag", "news", *common,
+         "-o", wd / "tagged.tsv"],
+        ["train", "--counts", wd / "tagged.tsv", "--dev", wd / "dev.txt", *common,
+         "--tag", "web", "--tag", "news", "--table-size", "1024", "--batch-size", "2",
+         "--adjustment-out", wd / "adj.bin", "--model-out", wd / "model.tsv"],
+    ]
+    for argv in steps:
+        assert _run(argv) == (0, "")
+    merge_files([wd / "a.tsv", wd / "b.tsv"], wd / "merged.tsv")
+    files = {
+        name: ("model" if name == "model" else "counts", (wd / f"{name}.tsv").read_bytes())
+        for name in ("tagged", "merged", "model")
+    }
+    return wd, files
+
+
+def _mutation(name: str, data: bytes):
+    """A strategy of (mutated bytes, what the reader must report) for one written file.
+
+    What it must report is None when exit 0 is allowed, or the line and a
+    message fragment that exit 2 must carry.
+    """
+    lines = data.decode("utf-8").split("\n")[:-1]
+    n = len(lines)
+
+    def joined(new_lines) -> bytes:
+        return "".join(line + "\n" for line in new_lines).encode("utf-8")
+
+    def delete(i):
+        return joined(lines[:i] + lines[i + 1:]), None
+
+    def duplicate(i):
+        return joined(lines[:i + 1] + lines[i:]), None
+
+    def swap(i, j):
+        new = list(lines)
+        new[i], new[j] = new[j], new[i]
+        return joined(new), None
+
+    def blank(i):
+        # Line 1 blank is a bad header, named by the file alone.
+        return joined(lines[:i] + [""] + lines[i:]), ((i + 1, "") if i else None)
+
+    def field(i, k, text):
+        parts = lines[i].split("\t")
+        parts[k % len(parts)] = text
+        return joined(lines[:i] + ["\t".join(parts)] + lines[i + 1:]), None
+
+    def byte(at, value, insert):
+        mutated = data[:at] + bytes([value]) + data[at + (not insert):]
+        if value != 0xFF:
+            return mutated, None
+        # 0xff is never UTF-8; the line holding it is counted as readers count.
+        return mutated, (len((mutated[:at] + b"x").splitlines()), "byte 0xff at column")
+
+    def cut(at):
+        return data[:at], None
+
+    def scale(i, factor):
+        fs, value = lines[i].split("\t")
+        new = f"{fs}\t{float(value) * factor!r}"
+        return joined(lines[:i] + [new] + lines[i + 1:]), (i + 1, "is not its row's sum")
+
+    index = st.integers(0, n - 1)
+    kinds = [
+        st.builds(delete, index),
+        st.builds(duplicate, index),
+        st.builds(swap, index, index),
+        st.builds(blank, st.integers(0, n)),
+        st.builds(field, index, st.integers(0, 2), st.text(max_size=12)),
+        st.builds(byte, st.integers(0, len(data) - 1),
+                  st.one_of(st.just(0xFF), st.integers(0, 255)), st.booleans()),
+        st.builds(cut, st.integers(0, len(data) - 1)),
+    ]
+    if name == "model":
+        first = lines.index("#normalizers") + 1
+        kinds.append(st.builds(scale, st.integers(first, n - 1),
+                               st.sampled_from([0.0, 0.5, 1 - 1e-6, 1 + 1e-6, 2.0])))
+    return st.one_of(kinds)
+
+
+@pytest.mark.parametrize("name", ["tagged", "merged", "model"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_mutated_file_exits_0_or_names_its_line(written, name, data):
+    wd, files = written
+    source, original = files[name]
+    mutated, expected = data.draw(_mutation(name, original))
+    path = wd / f"mutated-{name}.tsv"
+    path.write_bytes(mutated)
+    code, err = _run(["inspect", "[]", f"--{source}", path, "--vocab", wd / "vocab.txt"])
+    assert code in (0, 2), err
+    named = re.escape(f"snmlm: {path}:") + r"(\d+: | not a \w+ file | \d+ rows lack a normalizer)"
+    if code == 2:
+        assert re.match(named, err), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+    else:
+        assert err == ""
+    if expected is not None:
+        lineno, fragment = expected
+        assert code == 2, f"line {lineno} should have been rejected"
+        assert err.startswith(f"snmlm: {path}:{lineno}: ") and fragment in err, err
