@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -31,6 +32,8 @@ from .model import load_model, materialize, perplexity, save_model  # noqa: F401
 
 _MODES = {m.value: m for m in Mode}
 _SUFFIXES = {"k": 1 << 10, "K": 1 << 10, "m": 1 << 20, "M": 1 << 20}
+# The flags that name files commands read, besides the positional `corpus`.
+_INPUT_FLAGS = ("counts", "dev", "config", "vocab")
 
 
 class UsageError(Exception):
@@ -96,16 +99,34 @@ def _check_tags_cover(feature_tags, tags, source: str) -> None:
                        "; pass --tag for every training source")
 
 
-def _check_output(path: str) -> None:
-    """Raise SnmError unless `path` names a file that can be created in an existing directory.
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file; one that does not exist yet is compared resolved."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return Path(a).resolve() == Path(b).resolve()
 
-    Commands run it before reading any input, so a bad path fails at once.
+
+def _check_outputs(args, *flags: str) -> None:
+    """Check the output paths of `flags` before any input is read, so a bad path fails at once.
+
+    An output must be a file that can be created in an existing directory
+    (else SnmError), and must name neither an input nor another output
+    (else UsageError, naming both flags).
     """
-    out = Path(path)
-    if out.is_dir():
-        raise SnmError(f"{path}: is a directory, not an output file")
-    if not out.parent.is_dir():
-        raise SnmError(f"{path}: directory {str(out.parent)!r} does not exist")
+    named = [("corpus", path) for path in getattr(args, "corpus", ())]
+    named += [(f"--{k}", getattr(args, k)) for k in _INPUT_FLAGS if hasattr(args, k)]
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        out = Path(path)
+        if out.is_dir():
+            raise SnmError(f"{path}: is a directory, not an output file")
+        if not out.parent.is_dir():
+            raise SnmError(f"{path}: directory {str(out.parent)!r} does not exist")
+        for other_flag, other in named:
+            if _same_file(path, other):
+                raise UsageError(f"{flag} and {other_flag} name the same file {path!r}")
+        named.append((flag, path))
 
 
 def _held_out(args, tags: tuple[str, ...]):
@@ -121,7 +142,7 @@ def _held_out(args, tags: tuple[str, ...]):
 # Subcommands
 
 def cmd_build_vocab(args) -> int:
-    _check_output(args.output)
+    _check_outputs(args, "--output")
     vocab = build_vocab(iter_file_tokens(args.corpus), min_count=args.min_count)
     vocab.save(args.output)
     print(f"vocabulary: {len(vocab)} words -> {args.output}")
@@ -130,7 +151,7 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_count(args) -> int:
     tags = _tags(args, args.corpus)
-    _check_output(args.output)
+    _check_outputs(args, "--output")
     vocab = Vocabulary.load(args.vocab)
     counts = count_files(args.corpus, tags or [None] * len(args.corpus), vocab,
                          load_config(args.config))
@@ -144,7 +165,7 @@ def cmd_count(args) -> int:
 
 def cmd_intersect(args) -> int:
     tags = _tags(args)
-    _check_output(args.output)
+    _check_outputs(args, "--output")
     vocab, _, sub = _held_out(args, tags)
     sub.save(args.output, vocab)
     print(
@@ -163,8 +184,7 @@ def cmd_train(args) -> int:
     if args.epochs < 0:
         raise UsageError("epochs must be >= 0")
     tags = _tags(args)
-    _check_output(args.adjustment_out)
-    _check_output(args.model_out)
+    _check_outputs(args, "--adjustment-out", "--model-out")
     # Only the dev rows are trained on and saved, so only they are stored.
     vocab, dev_events, store = _held_out(args, tags)
     if not dev_events:

@@ -362,28 +362,36 @@ def line_error(path, lineno: int, line: str, directive: str, fields: int) -> Dat
     return DataError(f"{path}:{lineno}: {what}")
 
 
+def read_preamble(fh, path, kind: str, header: str, directive: str) -> str:
+    """Check the `header` line and `directive` line of a count or model file; return its value."""
+    if fh.readline().rstrip("\n") != header:
+        raise DataError(f"{path}: not a {kind} file (bad header)")
+    line = fh.readline().rstrip("\n")
+    if not line.startswith(directive):
+        raise line_error(path, 2, line, directive, 3)
+    return line[len(directive):]
+
+
 def _entry_stream(path) -> Iterator:
     """The count file's event total, then its rows as (feature, word, count, line).
 
     Line 1 is the header, line 2 the `#total-events` line, and every later
     line a row. Rows must be strictly increasing by (feature, word), as
-    `write_rows` writes them, and each feature's counts must sum to at most
-    2^63-1. Any other line, a blank one included, and any violation raise
+    `write_rows` writes them. An event counts a feature at most once, so
+    each feature's counts sum to at most the total, itself at most 2^63-1.
+    Any other line, a blank one included, and any violation raise
     `DataError` with the file and line when the stream reaches it. The file
     is opened on the first `next` and closed when the stream ends or is
     closed.
     """
     with open_text(path) as fh:
-        if fh.readline().rstrip("\n") != COUNTS_HEADER:
-            raise DataError(f"{path}: not a count file (bad header)")
-        line = fh.readline().rstrip("\n")
-        if not line.startswith(_TOTAL_PREFIX):
-            raise line_error(path, 2, line, _TOTAL_PREFIX, 3)
-        text = line[len(_TOTAL_PREFIX):]
+        text = read_preamble(fh, path, "count", COUNTS_HEADER, _TOTAL_PREFIX)
         try:
             total = natural(text)
         except ValueError:
             raise DataError(f"{path}:2: bad event total {text!r}") from None
+        if total > _INT64_MAX:
+            raise DataError(f"{path}:2: event total {text} is more than 2^63-1")
         yield total
         prev: tuple[str, str] | None = None
         row_fs, row_sum = None, 0
@@ -407,9 +415,9 @@ def _entry_stream(path) -> Iterator:
                 row_sum += c
             else:
                 row_fs, row_sum = fs, c
-            if row_sum > _INT64_MAX:
-                what = f"count {cs}" if c > _INT64_MAX else f"row sum of {fs}"
-                raise DataError(f"{path}:{lineno}: {what} is more than 2^63-1")
+            if row_sum > total:
+                what = f"count {cs}" if c > total else f"row sum of {fs}"
+                raise DataError(f"{path}:{lineno}: {what} is more than the event total {total}")
             yield fs, ws, c, lineno
 
 
@@ -419,40 +427,28 @@ def merge_files(paths, out_path) -> None:
     A sequential merge join over the inputs: memory use is bounded by the
     number of files, not their size. The output is written by `atomic_write`,
     so an input rejected part way leaves no partial output and any earlier
-    file as it was. A merged count, row sum or event total past 2^63-1, which
-    no reader accepts, raises `DataError` naming the inputs, and leaves
-    nothing either.
+    file as it was. Inputs' rows sum to at most their totals, so merged rows
+    do too: only a merged total past 2^63-1 raises `DataError` naming the
+    inputs, and leaves nothing either.
     """
     streams = [_entry_stream(path) for path in paths]
-
-    def too_big(what: str) -> DataError:
-        return DataError(f"merging {', '.join(map(str, paths))}: {what} is more than 2^63-1")
-
     try:
-        grand_total = sum(next(s) for s in streams)
-        if grand_total > _INT64_MAX:
-            raise too_big("#total-events")
+        total = sum(next(s) for s in streams)
+        if total > _INT64_MAX:
+            raise DataError(f"merging {', '.join(map(str, paths))}: "
+                            "#total-events is more than 2^63-1")
         with atomic_write(out_path) as out:
-            out.write(f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{grand_total}\n")
+            out.write(f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{total}\n")
             current_fs = current_ws = None
-            current = row_sum = 0
-            # The end marker completes the last link and row. A link or row is
-            # checked once complete: an input failing its own check within it
-            # has failed first, naming its line.
+            current = 0
+            # The end marker completes the last link.
             for fs, ws, c, _ in chain(heapq.merge(*streams), [(None, None, 0, 0)]):
                 if ws == current_ws and fs == current_fs:
                     current += c
                 else:
                     if current_fs is not None:
-                        if current > _INT64_MAX:
-                            raise too_big(f"count of ({current_fs}, {current_ws})")
-                        if fs != current_fs:
-                            if row_sum > _INT64_MAX:
-                                raise too_big(f"row sum of {current_fs}")
-                            row_sum = 0
                         out.write(f"{current_fs}\t{current_ws}\t{current}\n")
                     current_fs, current_ws, current = fs, ws, c
-                row_sum += c
     finally:
         for s in streams:
             s.close()

@@ -105,6 +105,10 @@ class Event(NamedTuple):
 
 # The blocks a config may hold; a block's keys are its dataclass's fields.
 _BLOCKS = {"ngram_extractor": NgramConfig, "skip_ngram_extractor": SkipConfig}
+# Bounds on a config integer and on the skip templates of all blocks: larger
+# configs only exhaust memory building the extraction plan.
+_MAX_CONFIG_INT = 255
+_MAX_TEMPLATES = 4096
 
 
 def _tokenize_config(text: str):
@@ -115,75 +119,89 @@ def _tokenize_config(text: str):
             yield tok, lineno
 
 
-def parse_config(text: str) -> ExtractorConfig:
-    """Parse extractor configuration text into a validated config."""
+def parse_config(text: str, path=None) -> ExtractorConfig:
+    """Parse extractor configuration text into a validated config.
+
+    Errors name the line, as ``<path>:<line>`` when `path`, the file the
+    text was read from, is given.
+    """
     tokens = _tokenize_config(text)
     ngram: NgramConfig | None = None
     skips: list[SkipConfig] = []
+    templates = 0
+
+    def at(ln: int) -> str:
+        return f"line {ln}" if path is None else f"{path}:{ln}"
 
     for name, ln in tokens:
         block = _BLOCKS.get(name)
         if block is None:
-            raise ConfigError(f"line {ln}: unknown block {name!r}")
-        brace, bln = next(tokens, (None, -1))
+            raise ConfigError(f"{at(ln)}: unknown block {name!r}")
+        brace, bln = next(tokens, (None, ln))
         if brace != "{":
-            raise ConfigError(f"line {bln}: expected '{{' after {name}")
+            raise ConfigError(f"{at(bln)}: expected '{{' after {name}")
         # Annotations are strings here (postponed evaluation).
         types = {f.name: f.type for f in dataclasses.fields(block)}
         fields: dict[str, object] = {}
         while True:
             key, kln = next(tokens, (None, -1))
             if key is None:
-                raise ConfigError(f"line {ln}: unterminated block {name}")
+                raise ConfigError(f"{at(ln)}: unterminated block {name}")
             if key == "}":
                 break
             if key not in types:
-                raise ConfigError(f"line {kln}: unknown key {key!r} in {name}")
+                raise ConfigError(f"{at(kln)}: unknown key {key!r} in {name}")
             if key in fields:
-                raise ConfigError(f"line {kln}: duplicate key {key!r} in {name}")
+                raise ConfigError(f"{at(kln)}: duplicate key {key!r} in {name}")
             colon, _ = next(tokens, (None, -1))
             if colon != ":":
-                raise ConfigError(f"line {kln}: expected ':' after {key}")
+                raise ConfigError(f"{at(kln)}: expected ':' after {key}")
             value, vln = next(tokens, (None, -1))
             if value is None:
-                raise ConfigError(f"line {kln}: missing value for {key}")
+                raise ConfigError(f"{at(kln)}: missing value for {key}")
             if types[key] == "bool":
                 if value not in ("true", "false"):
-                    raise ConfigError(
-                        f"line {vln}: {key} expects true or false, got {value!r}"
-                    )
+                    raise ConfigError(f"{at(vln)}: {key} expects true or false, got {value!r}")
                 fields[key] = value == "true"
             else:
                 try:
                     fields[key] = natural(value)
                 except ValueError:
                     raise ConfigError(
-                        f"line {vln}: {key} expects an integer, got {value!r}"
+                        f"{at(vln)}: {key} expects an integer, got {value!r}"
                     ) from None
+                if fields[key] > _MAX_CONFIG_INT:
+                    raise ConfigError(f"{at(vln)}: {key} is {value}, more than {_MAX_CONFIG_INT}")
         if block is SkipConfig:
-            skips.append(_finish_skip(fields, ln))
+            skips.append(_finish_skip(fields, at(ln)))
+            templates += _template_count(skips[-1])
+            if templates > _MAX_TEMPLATES:
+                raise ConfigError(f"{at(ln)}: skip blocks admit {templates} templates, "
+                                  f"more than {_MAX_TEMPLATES}")
         elif ngram is not None:
-            raise ConfigError(f"line {ln}: duplicate {name} block")
+            raise ConfigError(f"{at(ln)}: duplicate {name} block")
         else:
-            ngram = _finish_ngram(fields, ln)
+            ngram = _finish_ngram(fields, at(ln))
 
     return ExtractorConfig(ngram=ngram, skip=tuple(skips))
 
 
-def _finish_ngram(fields: dict, ln: int) -> NgramConfig:
+def _finish_ngram(fields: dict, at: str) -> NgramConfig:
+    """The block's config; errors start with `at`, where the block starts."""
     for req in ("min_n", "max_n"):
         if req not in fields:
-            raise ConfigError(f"line {ln}: ngram_extractor requires {req}")
+            raise ConfigError(f"{at}: ngram_extractor requires {req}")
     cfg = NgramConfig(**fields)
     if cfg.min_n > cfg.max_n:
-        raise ConfigError(f"line {ln}: min_n > max_n")
+        raise ConfigError(f"{at}: min_n > max_n")
     return cfg
 
 
-def _finish_skip(fields: dict, ln: int) -> SkipConfig:
+def _finish_skip(fields: dict, at: str) -> SkipConfig:
+    """The block's config; errors start with `at`, where the block starts."""
     for req in ("max_context_words", "max_skip_length"):
         if req not in fields:
-            raise ConfigError(f"line {ln}: skip_ngram_extractor requires {req}")
+            raise ConfigError(f"{at}: skip_ngram_extractor requires {req}")
     defaults = {
         "min_remote_words": 1,
         "max_remote_words": fields["max_context_words"] - 1,
@@ -192,21 +210,19 @@ def _finish_skip(fields: dict, ln: int) -> SkipConfig:
     }
     cfg = SkipConfig(**{**defaults, **fields})
     if cfg.min_remote_words > cfg.max_remote_words:
-        raise ConfigError(f"line {ln}: min_remote_words > max_remote_words")
+        raise ConfigError(f"{at}: min_remote_words > max_remote_words")
     if cfg.min_skip_length < 1:
-        raise ConfigError(f"line {ln}: min_skip_length < 1")
+        raise ConfigError(f"{at}: min_skip_length < 1")
     if cfg.min_skip_length > cfg.max_skip_length:
-        raise ConfigError(f"line {ln}: min_skip_length > max_skip_length")
+        raise ConfigError(f"{at}: min_skip_length > max_skip_length")
     if cfg.max_context_words < cfg.min_remote_words + 1:
-        raise ConfigError(
-            f"line {ln}: max_context_words must be at least min_remote_words + 1"
-        )
+        raise ConfigError(f"{at}: max_context_words must be at least min_remote_words + 1")
     return cfg
 
 
 def load_config(path) -> ExtractorConfig:
     with open_text(path) as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), path)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +241,15 @@ def _skip_templates(blk: SkipConfig):
             r_hi = min(blk.max_remote_words, blk.max_context_words - a)
             for r in range(blk.min_remote_words, r_hi + 1):
                 yield r + s + a, r, a, skip_len
+
+
+def _template_count(blk: SkipConfig) -> int:
+    """How many templates `_skip_templates` yields for `blk`, counted per adjacent-word count."""
+    skips = blk.max_skip_length - blk.min_skip_length + 1
+    return skips * sum(
+        max(0, min(blk.max_remote_words, blk.max_context_words - a) - blk.min_remote_words + 1)
+        for a in range(1, blk.max_context_words - blk.min_remote_words + 1)
+    )
 
 
 def feature_shapes(config: ExtractorConfig) -> dict[tuple, list[tuple[int, tuple[int, ...]]]]:

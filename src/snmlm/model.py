@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .corpus import UNK_ID, Vocabulary
-from .counts import dict_links, line_error, write_rows
+from .counts import dict_links, line_error, read_preamble, write_rows
 from .errors import DataError
 from .extraction import Event, Feature, feature_parser, render_feature
 from .files import atomic_write, open_text
@@ -182,35 +182,22 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
 
     Line 1 is the header and line 2 the `#vocab-size` line, naming the size
     of `vocab`. Link rows follow, strictly increasing by (feature, word),
-    then one `#normalizers` line and the normalizers, strictly increasing by
-    feature. Each row has a normalizer, and each normalizer is the
-    `math.fsum` of its row within `_NORM_RTOL`. Any other line, a blank one
-    included, is rejected with the file and line.
+    then one `#normalizers` line and the normalizers, one per row in row
+    order: the i-th names the i-th row's feature and is the `math.fsum` of
+    that row within `_NORM_RTOL`. Any other line, a blank one included, is
+    rejected with the file and line.
     """
     rows: dict[Feature, dict[int, float]] = {}
     norms: dict[Feature, float] = {}
-    # Each link row's feature; the normalizer section looks its strings up here.
-    features: dict[str, Feature] = {}
+    # Each link row's feature string and feature, in row order.
+    order: list[tuple[str, Feature]] = []
     parse = feature_parser(vocab)
     in_norms = False
     last_link: tuple[str, str] | None = None
-    last_norm: str | None = None
     row: dict[int, float] = {}
     inf = math.inf
-
-    def parse_at(fs: str, lineno: int) -> Feature:
-        try:
-            return parse(fs)
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-
     with open_text(path) as fh:
-        if fh.readline().rstrip("\n") != MODEL_HEADER:
-            raise DataError(f"{path}: not a model file (bad header)")
-        line = fh.readline().rstrip("\n")
-        if not line.startswith(_SIZE_PREFIX):
-            raise line_error(path, 2, line, _SIZE_PREFIX, 3)
-        size = line[len(_SIZE_PREFIX):]
+        size = read_preamble(fh, path, "model", MODEL_HEADER, _SIZE_PREFIX)
         if size != str(len(vocab)):
             raise DataError(f"{path}:2: model was built with {size} words, vocab has {len(vocab)}")
         for lineno, line in enumerate(fh, start=3):
@@ -238,13 +225,12 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
                 )
             fs = parts[0]
             if in_norms:
-                if last_norm is not None and fs <= last_norm:
-                    raise DataError(f"{path}:{lineno}: normalizers out of order")
-                last_norm = fs
-                f = features.get(fs)
-                if f is None:
-                    parse_at(fs, lineno)
-                    raise DataError(f"{path}:{lineno}: normalizer of {fs!r} has no link rows")
+                i = len(norms)
+                if i == len(order) or order[i][0] != fs:
+                    expected = repr(order[i][0]) if i < len(order) else "no more"
+                    raise DataError(f"{path}:{lineno}: normalizers come one per row, in row "
+                                    f"order: expected {expected}, got {fs!r}")
+                f = order[i][1]
                 try:
                     row_sum = math.fsum(rows[f].values())
                 except OverflowError:  # the cells sum past the largest float
@@ -265,11 +251,14 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
             if last_link is None or fs != last_link[0]:
                 # Rows are sorted and parsing is one-to-one, so a new string
                 # is a new feature.
-                f = features[fs] = parse_at(fs, lineno)
+                try:
+                    f = parse(fs)
+                except DataError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                order.append((fs, f))
                 row = rows[f] = {}
             last_link = key
             row[wid] = value
-    missing = set(rows) - set(norms)
-    if missing:
-        raise DataError(f"{path}: {len(missing)} rows lack a normalizer entry")
+    if len(norms) < len(rows):
+        raise DataError(f"{path}: {len(rows) - len(norms)} rows lack a normalizer entry")
     return SnmModel(rows, norms)

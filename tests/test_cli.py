@@ -173,7 +173,7 @@ def test_count_config_parse_failure_exits_2(workdir, capsys):
         "--vocab", _p(vocab), "-o", _p(workdir / "c.tsv"),
     ])
     assert rc == 2
-    assert "min_n" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"snmlm: {workdir / 'bad.cfg'}:1: min_n > max_n\n"
 
 
 def test_untagged_concat_equals_merge_of_per_file_runs(workdir):
@@ -349,7 +349,8 @@ def test_eval_rejects_normalizer_without_link_rows(pipeline, capsys):
     assert _eval_model(wd) == 2
     err = capsys.readouterr().err
     lineno = lines.index("[hot tea]\t1.0") + 1
-    assert f"model.tsv:{lineno}:" in err and "no link rows" in err
+    assert f"model.tsv:{lineno}: normalizers come one per row, in row order: expected " in err
+    assert err.endswith(", got '[hot tea]'\n")
 
 
 @pytest.mark.parametrize("edit", ["no vocab size", "rows reversed", "normalizers reversed"])
@@ -366,7 +367,7 @@ def test_eval_rejects_a_model_file_that_save_model_never_writes(pipeline, capsys
         lineno, message = 4, "rows out of order"
     else:
         lines[norms + 1 :] = reversed(lines[norms + 1 :])
-        lineno, message = norms + 3, "normalizers out of order"
+        lineno, message = norms + 2, "normalizers come one per row, in row order"
     (wd / "model.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert _eval_model(wd) == 2
@@ -626,11 +627,12 @@ def test_eval_names_the_line_of_an_unparsable_feature(workdir, capsys):
 
 
 def test_eval_names_the_line_of_an_unparsable_normalizer(workdir, capsys):
-    # A normalizer string is looked up among the link rows' strings; one that
-    # does not parse is still reported as such, not as a row that is missing.
+    # A normalizer is matched to its row by its string, unparsed: one that
+    # does not parse has no row.
     body = "[]\tw\t1.0\n#normalizers\n[]\t1.0\n[zz]\t1.0\n"
     err = _eval_bad_model(workdir, capsys, body)
-    assert "bad-model.tsv:6: unknown token 'zz'" in err
+    assert "bad-model.tsv:6: normalizers come one per row, in row order: expected no more, " \
+        "got '[zz]'" in err
 
 
 # Bad model bodies (after the header and #vocab-size lines, or after the
@@ -648,13 +650,15 @@ _BAD_MODEL_LINES = {
     "repeated link": ("[]\t</S>\t1.0\n[]\tw\t1.0\n[]\tw\t2.0\n#normalizers\n[]\t4.0\n", 5,
                       "rows out of order"),
     "repeated normalizer": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\n[]\t1.0\n", 6,
-                            "normalizers out of order"),
+                            "normalizers come one per row, in row order: expected no more, "
+                            "got '[]'"),
     "unsorted links": ("[]\tw\t1.0\n[]\t</S>\t1.0\n#normalizers\n[]\t2.0\n", 4,
                        "rows out of order"),
     "unsorted rows": ("[w]\tw\t1.0\n[]\tw\t1.0\n#normalizers\n[]\t1.0\n[w]\t1.0\n", 4,
                       "rows out of order"),
-    "unsorted normalizers": ("[]\tw\t1.0\n[w]\tw\t1.0\n#normalizers\n[w]\t1.0\n[]\t1.0\n", 7,
-                             "normalizers out of order"),
+    "unsorted normalizers": ("[]\tw\t1.0\n[w]\tw\t1.0\n#normalizers\n[w]\t1.0\n[]\t1.0\n", 6,
+                             "normalizers come one per row, in row order: expected '[]', "
+                             "got '[w]'"),
     "repeated vocab size": ("#vocab-size 4\n[]\tw\t1.0\n#normalizers\n[]\t1.0\n", 3,
                             "#vocab-size must come once, before the first row"),
     "late vocab size": ("[]\tw\t1.0\n#vocab-size 4\n#normalizers\n[]\t1.0\n", 4,
@@ -712,7 +716,9 @@ _BAD_ROWS = {
     "long skip marker": ("[hot skip-" + "9" * 5000 + " is]\t</S>\t1",
                          "skip length 99999999... has 5000 digits, more than 18"),
     "huge count": ("[hot]\t</S>\t9223372036854775808",
-                   "count 9223372036854775808 is more than 2^63-1"),
+                   "count 9223372036854775808 is more than the event total 15"),
+    "huge total": ("#total-events 99999999999999999999999",
+                   "event total 99999999999999999999999 is more than 2^63-1", "#total-events 15"),
     "spaced tag": ("t x:[hot]\t</S>\t1", "bad corpus tag 't x' in feature 't x:[hot]'"),
     "bracketed tag": ("a]:[hot]\t</S>\t1", "bad corpus tag 'a]' in feature 'a]:[hot]'"),
     "unknown directive": ("#anything at all", "unknown directive '#anything at all'"),
@@ -759,7 +765,7 @@ def test_row_sum_past_int64_exits_2(pipeline, capsys):
     wd = pipeline
     bad = wd / "bad.tsv"
     bad.write_text(
-        "#snm-counts v1\n#total-events 2\n"
+        "#snm-counts v1\n#total-events 9223372036854775807\n"
         "[]\tcold\t9223372036854775807\n[]\thot\t9223372036854775807\n",
         encoding="utf-8",
     )
@@ -768,10 +774,28 @@ def test_row_sum_past_int64_exits_2(pipeline, capsys):
         capsys.readouterr()
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert "bad.tsv:4: row sum of [] is more than 2^63-1" in captured.err
+        assert ("bad.tsv:4: row sum of [] is more than the event total 9223372036854775807"
+                in captured.err)
         assert "Traceback" not in captured.err
         assert captured.out == ""
     assert not any((wd / name).exists() for name in ("model.tsv", "adj.bin", "inter.tsv"))
+
+
+@pytest.mark.parametrize("command", sorted(_KEEPING_COMMANDS))
+def test_a_total_below_a_row_sum_exits_2_at_that_row(pipeline, capsys, command):
+    # With min_n: 0 the [] row counts every event, so it sums to the total.
+    wd = pipeline
+    lines = (wd / "counts.tsv").read_text(encoding="utf-8").splitlines()
+    assert lines[1] == "#total-events 15"
+    lines[1] = "#total-events 14"
+    lineno = lines.index("[]\ttea\t3") + 1  # the [] row's last link
+    bad = wd / "bad.tsv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(_KEEPING_COMMANDS[command](wd, _p(bad))) == 2
+    assert capsys.readouterr().err == (
+        f"snmlm: {bad}:{lineno}: row sum of [] is more than the event total 14\n"
+    )
 
 
 def test_inspect_model_with_target_is_a_usage_error(tmp_path, capsys):
@@ -913,6 +937,58 @@ def test_train_rejects_bad_output_paths_before_reading_files(tmp_path, capsys, w
     assert err.startswith(f"snmlm: {_p(target)}: ") and "missing" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def _train_to(wd, adjustment, model):
+    return ["train", "--counts", _p(wd / "counts.tsv"), "--dev", _p(wd / "dev.txt"),
+            "--config", _p(wd / "ngram.cfg"), "--vocab", _p(wd / "vocab.txt"),
+            "--adjustment-out", _p(adjustment), "--model-out", _p(model)]
+
+
+# Commands whose output names one of their inputs or another output, in
+# another spelling or through a hard link where the case says so, and the
+# flags the message names.
+_SELF_OVERWRITES = {
+    "train, both outputs": (lambda wd: _train_to(wd, wd / "x", wd / "x"),
+                            "--model-out and --adjustment-out"),
+    "train, model over counts": (lambda wd: _train_to(wd, wd / "adj.bin", wd / "counts.tsv"),
+                                 "--model-out and --counts"),
+    "train, adjustment over config": (
+        lambda wd: _train_to(wd, wd / "sub" / ".." / "ngram.cfg", wd / "model.tsv"),
+        "--adjustment-out and --config"),
+    "count over vocab": (lambda wd: [
+        "count", _p(wd / "tiny.txt"), "--config", _p(wd / "ngram.cfg"),
+        "--vocab", _p(wd / "vocab.txt"), "-o", _p(wd / "vocab.txt"),
+    ], "--output and --vocab"),
+    "count over a corpus file": (lambda wd: [
+        "count", _p(wd / "dev.txt"), _p(wd / "tiny.txt"), "--config", _p(wd / "ngram.cfg"),
+        "--vocab", _p(wd / "vocab.txt"), "-o", _p(wd / "tiny.txt"),
+    ], "--output and corpus"),
+    "intersect over counts, hard-linked": (lambda wd: [
+        "intersect", "--counts", _p(wd / "counts.tsv"), "--dev", _p(wd / "dev.txt"),
+        "--config", _p(wd / "ngram.cfg"), "--vocab", _p(wd / "vocab.txt"),
+        "-o", _p(wd / "link.tsv"),
+    ], "--output and --counts"),
+    "build-vocab over its corpus": (
+        lambda wd: ["build-vocab", _p(wd / "tiny.txt"), "-o", _p(wd / "tiny.txt")],
+        "--output and corpus"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SELF_OVERWRITES))
+def test_no_command_writes_over_its_own_input_or_output(pipeline, capsys, case):
+    wd = pipeline
+    (wd / "sub").mkdir()
+    (wd / "link.tsv").hardlink_to(wd / "counts.tsv")
+    argv, flags = _SELF_OVERWRITES[case]
+    before = {p.name: p.read_bytes() for p in wd.iterdir() if p.is_file()}
+    capsys.readouterr()
+    assert main(argv(wd)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"snmlm: error: {flags} name the same file ")
+    assert captured.out == ""
+    # Every input keeps its bytes, and no output is written.
+    assert {p.name: p.read_bytes() for p in wd.iterdir() if p.is_file()} == before
 
 
 _TAG_COMMANDS = {

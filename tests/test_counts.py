@@ -353,6 +353,8 @@ _BAD_FILES = {
     "no directive line": (f"{COUNTS_HEADER}\n", 2),
     "directive with three fields": (f"{COUNTS_HEADER}\n#total-events 1\n#x\ta\t1\n", 3),
     "blank line": (f"{COUNTS_HEADER}\n#total-events 2\n[a]\tb\t1\n\n[a]\tc\t1\n", 4),
+    "total past int64": (f"{COUNTS_HEADER}\n#total-events 9223372036854775808\n[a]\tb\t1\n", 2),
+    "row sum past the total": (f"{COUNTS_HEADER}\n#total-events 2\n[a]\tb\t1\n[a]\tc\t2\n", 4),
 }
 
 
@@ -400,16 +402,21 @@ def test_merge_files_closes_every_input_it_opened(tmp_path, monkeypatch, case):
 _INT64_MAX = (1 << 63) - 1
 
 
+# The largest total that merges with `_GOOD`'s; it bounds every row.
+_BIG_TOTAL = _INT64_MAX - 3
+_PAST_TOTAL = f"is more than the event total {_BIG_TOTAL}"
+
+
 @pytest.mark.parametrize("rows, line, message", [
-    ([(_INT64_MAX + 1, "b")], 3, f"count {_INT64_MAX + 1} is more than 2^63-1"),
-    ([(1, "a"), (_INT64_MAX + 1, "b")], 4, f"count {_INT64_MAX + 1} is more than 2^63-1"),
-    ([(_INT64_MAX, "b"), (1, "c")], 4, "row sum of [a] is more than 2^63-1"),
+    ([(_INT64_MAX + 1, "b")], 3, f"count {_INT64_MAX + 1} {_PAST_TOTAL}"),
+    ([(1, "a"), (_INT64_MAX + 1, "b")], 4, f"count {_INT64_MAX + 1} {_PAST_TOTAL}"),
+    ([(_BIG_TOTAL, "b"), (1, "c")], 4, f"row sum of [a] {_PAST_TOTAL}"),
 ], ids=["count", "count in a row", "row sum"])
 def test_load_and_merge_reject_counts_past_int64(tmp_path, abc_vocab, rows, line, message):
     good, bad, out = tmp_path / "good.tsv", tmp_path / "bad.tsv", tmp_path / "out.tsv"
     good.write_text(_GOOD, encoding="utf-8")
     body = "".join(f"[a]\t{w}\t{c}\n" for c, w in rows)
-    bad.write_text(f"{COUNTS_HEADER}\n#total-events 1\n{body}", encoding="utf-8")
+    bad.write_text(f"{COUNTS_HEADER}\n#total-events {_BIG_TOTAL}\n{body}", encoding="utf-8")
     for read in (lambda: CountStore.load(bad, abc_vocab), lambda: merge_files([good, bad], out)):
         with pytest.raises(DataError, match=_where(bad, line) + " " + re.escape(message)):
             read()
@@ -423,16 +430,16 @@ _HALF = 5_000_000_000_000_000_000  # two of these pass 2^63-1
     ([["[]\ta\t" + str(_HALF)], ["[]\ta\t" + str(_HALF)]],
      "#total-events is more than 2^63-1"),
     ([["[a]\tb\t" + str(_HALF)], ["[a]\tb\t" + str(_HALF)]],
-     "count of ([a], b) is more than 2^63-1"),
+     "#total-events is more than 2^63-1"),
     ([["[a]\tb\t" + str(_HALF)], ["[a]\tc\t" + str(_HALF)]],
-     "row sum of [a] is more than 2^63-1"),
+     "#total-events is more than 2^63-1"),
 ], ids=["total", "link count", "row sum"])
 def test_merge_rejects_sums_past_int64(tmp_path, abc_vocab, files, message):
+    # Each input's total bounds its rows, so a merged count or row sum past
+    # 2^63-1 comes with a merged total past it, which the merge rejects.
     paths = [tmp_path / f"part{i}.tsv" for i in range(len(files))]
     for path, rows in zip(paths, files):
-        # Only the first case counts its events; the others keep the total small.
-        total = _HALF if rows[0].startswith("[]") else 1
-        path.write_text(f"{COUNTS_HEADER}\n#total-events {total}\n" + "\n".join(rows) + "\n",
+        path.write_text(f"{COUNTS_HEADER}\n#total-events {_HALF}\n" + "\n".join(rows) + "\n",
                         encoding="utf-8")
         CountStore.load(path, abc_vocab)  # each input alone is readable
     out = tmp_path / "merged.tsv"
@@ -444,9 +451,9 @@ def test_merge_rejects_sums_past_int64(tmp_path, abc_vocab, files, message):
 
 def test_merge_keeps_sums_up_to_int64_max(tmp_path, abc_vocab):
     a, b, out = tmp_path / "a.tsv", tmp_path / "b.tsv", tmp_path / "out.tsv"
-    a.write_text(f"{COUNTS_HEADER}\n#total-events {_INT64_MAX - 1}\n[a]\tb\t{_INT64_MAX - 2}\n",
+    a.write_text(f"{COUNTS_HEADER}\n#total-events {_INT64_MAX - 2}\n[a]\tb\t{_INT64_MAX - 2}\n",
                  encoding="utf-8")
-    b.write_text(f"{COUNTS_HEADER}\n#total-events 1\n[a]\tb\t1\n[a]\tc\t1\n", encoding="utf-8")
+    b.write_text(f"{COUNTS_HEADER}\n#total-events 2\n[a]\tb\t1\n[a]\tc\t1\n", encoding="utf-8")
     merge_files([a, b], out)
     store = CountStore.load(out, abc_vocab)
     assert store.total_events == _INT64_MAX
@@ -456,7 +463,8 @@ def test_merge_keeps_sums_up_to_int64_max(tmp_path, abc_vocab):
 def test_a_row_summing_to_int64_max_trains(tmp_path, abc_vocab):
     path = tmp_path / "max.tsv"
     path.write_text(
-        f"{COUNTS_HEADER}\n#total-events 1\n[]\ta\t1\n[a]\tb\t{_INT64_MAX - 1}\n[a]\tc\t1\n",
+        f"{COUNTS_HEADER}\n#total-events {_INT64_MAX}\n[]\ta\t1\n[a]\tb\t{_INT64_MAX - 1}\n"
+        "[a]\tc\t1\n",
         encoding="utf-8",
     )
     store = CountStore.load(path, abc_vocab)

@@ -12,6 +12,8 @@ from snmlm.extraction import (
     Feature,
     NgramConfig,
     SkipConfig,
+    _skip_templates,
+    _template_count,
     expand_tags,
     extract_events,
     is_tag,
@@ -166,6 +168,50 @@ def test_every_config_field_is_a_key(block, cls):
         with pytest.raises(ConfigError) as raised:
             parse_config("\n".join([f"{block} {{", *bad, "}"]))
         assert str(raised.value) == f"line {i + 2}: {key} expects {expects}, got {wrong!r}"
+
+
+def test_config_errors_name_the_file_when_given():
+    with pytest.raises(ConfigError) as raised:
+        parse_config("\nngram_extractor { min_n: 3 max_n: 2 }", path="bad.cfg")
+    assert str(raised.value) == "bad.cfg:2: min_n > max_n"
+    # A block name at the end of the text is reported at its own line.
+    with pytest.raises(ConfigError) as raised:
+        parse_config("\nngram_extractor", path="bad.cfg")
+    assert str(raised.value) == "bad.cfg:2: expected '{' after ngram_extractor"
+
+
+def test_config_integers_are_at_most_255():
+    assert parse_config("ngram_extractor { min_n: 0 max_n: 255 }").ngram.max_n == 255
+    with pytest.raises(ConfigError) as raised:
+        parse_config("ngram_extractor {\n min_n: 0\n max_n: 30000\n}")
+    assert str(raised.value) == "line 3: max_n is 30000, more than 255"
+
+
+def _skip_block(context: int, skip: int, remote=(1, None)) -> str:
+    lo, hi = remote
+    return (f"skip_ngram_extractor {{ max_context_words: {context} max_skip_length: {skip} "
+            f"min_remote_words: {lo} max_remote_words: {context - 1 if hi is None else hi} }}\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(context=st.integers(1, 12), skip=st.tuples(st.integers(1, 6), st.integers(0, 6)),
+       remote=st.tuples(st.integers(0, 12), st.integers(0, 12)))
+def test_template_count_is_the_number_of_templates(context, skip, remote):
+    blk = SkipConfig(context, remote[0], remote[1], skip[0], skip[0] + skip[1], False)
+    assert _template_count(blk) == len(list(_skip_templates(blk)))
+
+
+def test_skip_blocks_admit_at_most_4096_templates():
+    # A block of context 2 has one template per skip length: 16 * 255 fit,
+    # and a 17th block passes 4096.
+    block = _skip_block(2, 255)
+    assert len(parse_config(block * 16).skip) == 16
+    with pytest.raises(ConfigError) as raised:
+        parse_config(block * 17)
+    assert str(raised.value) == "line 17: skip blocks admit 4335 templates, more than 4096"
+    # One block: 2080 templates per skip length, for two lengths.
+    with pytest.raises(ConfigError, match="^line 1: skip blocks admit 4160 templates"):
+        parse_config(_skip_block(65, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,20 @@
-"""Mutated count and model files: `snmlm inspect` exits 0, or 2 naming the file and line.
+"""Mutated input files: reading one exits 0, or 2 naming the file and line.
 
 Each example starts from a file a writer produced (`snmlm count`,
 `merge_files`, or `save_model` through `snmlm train`) and applies one
 mutation: delete, duplicate or swap lines, insert a blank line, replace a
 field with any text, overwrite or insert a byte, cut the file short, or
-scale one normalizer. Reading it must then exit 0, or exit 2 with a message
-that starts with ``<file>:<line>:``; only a bad header and rows that lack a
-normalizer are named by the file alone. It must never raise.
+scale one normalizer. Reading it with `snmlm inspect` must then exit 0, or
+exit 2 with a message that starts with ``<file>:<line>:``; only a bad
+header and rows that lack a normalizer are named by the file alone. It must
+never raise.
+
+The vocabulary and the extractor config that `snmlm count` reads are
+mutated the same way, and a config also has a word replaced by any text or
+number. `snmlm count` must exit 0, or exit 2 naming the mutated file. No
+command reads an adjustment file, so `AdjustmentModel.load` reads a mutated
+one, with a byte or a header field replaced, or cut short; it may raise only
+a `DataError` naming the file.
 
 Exit 0 is allowed because many mutations leave a file the writers could
 have written: a deleted count row, or a cut at a line boundary, still
@@ -16,14 +24,19 @@ longer the row's sum.
 """
 
 import io
+import math
 import re
+import struct
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from snmlm.adjustment import _ADJ_HEADER, _ADJ_MAGIC, AdjustmentModel
 from snmlm.cli import main
 from snmlm.counts import merge_files
+from snmlm.errors import DataError
 
 _SKIP_CONFIG = """\
 ngram_extractor { min_n: 0 max_n: 2 }
@@ -67,10 +80,14 @@ def written(tmp_path_factory):
     for argv in steps:
         assert _run(argv) == (0, "")
     merge_files([wd / "a.tsv", wd / "b.tsv"], wd / "merged.tsv")
+    (wd / "empty.txt").write_bytes(b"")
     files = {
         name: ("model" if name == "model" else "counts", (wd / f"{name}.tsv").read_bytes())
         for name in ("tagged", "merged", "model")
     }
+    files["vocab"] = ("vocab", (wd / "vocab.txt").read_bytes())
+    files["config"] = ("config", (wd / "snm.cfg").read_bytes())
+    files["adjustment"] = ("adjustment", (wd / "adj.bin").read_bytes())
     return wd, files
 
 
@@ -98,8 +115,10 @@ def _mutation(name: str, data: bytes):
         return joined(new), None
 
     def blank(i):
-        # Line 1 blank is a bad header, named by the file alone.
-        return joined(lines[:i] + [""] + lines[i:]), ((i + 1, "") if i else None)
+        # Line 1 blank is a bad header, named by the file alone; a config
+        # may hold blank lines.
+        return joined(lines[:i] + [""] + lines[i:]), ((i + 1, "") if i and name != "config"
+                                                       else None)
 
     def field(i, k, text):
         parts = lines[i].split("\t")
@@ -115,6 +134,11 @@ def _mutation(name: str, data: bytes):
 
     def cut(at):
         return data[:at], None
+
+    def word(i, k, text):
+        words = lines[i].split()
+        words[k % len(words)] = text
+        return joined(lines[:i] + [" ".join(words)] + lines[i + 1:]), None
 
     def scale(i, factor):
         fs, value = lines[i].split("\t")
@@ -132,6 +156,10 @@ def _mutation(name: str, data: bytes):
                   st.one_of(st.just(0xFF), st.integers(0, 255)), st.booleans()),
         st.builds(cut, st.integers(0, len(data) - 1)),
     ]
+    if name == "config":
+        kinds.append(st.builds(word, st.sampled_from([i for i in range(n) if lines[i].split()]),
+                               st.integers(0, 2),
+                               st.one_of(st.text(max_size=12), st.integers(0, 10**6).map(str))))
     if name == "model":
         first = lines.index("#normalizers") + 1
         kinds.append(st.builds(scale, st.integers(first, n - 1),
@@ -160,3 +188,81 @@ def test_a_mutated_file_exits_0_or_names_its_line(written, name, data):
         lineno, fragment = expected
         assert code == 2, f"line {lineno} should have been rejected"
         assert err.startswith(f"snmlm: {path}:{lineno}: ") and fragment in err, err
+
+
+@pytest.mark.parametrize("name", ["vocab", "config"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_mutated_vocab_or_config_exits_0_or_names_its_file(written, name, data):
+    wd, files = written
+    _, original = files[name]
+    mutated, expected = data.draw(_mutation(name, original))
+    path = wd / f"mutated-{name}"
+    path.write_bytes(mutated)
+    # The config is read for an empty corpus: extraction then reports no
+    # error of its own, which would name no file.
+    corpus, config, vocab = {"vocab": (wd / "a.txt", wd / "snm.cfg", path),
+                             "config": (wd / "empty.txt", path, wd / "vocab.txt")}[name]
+    out = wd / "mutated-out.tsv"
+    code, err = _run(["count", corpus, "--config", config, "--vocab", vocab, "-o", out])
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith(f"snmlm: {path}:"), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+    else:
+        assert err == ""
+    if expected is not None:
+        lineno, fragment = expected
+        assert code == 2, f"line {lineno} should have been rejected"
+        assert err.startswith(f"snmlm: {path}:{lineno}: ") and fragment in err, err
+
+
+# Values for each header field: table size, gamma, delta0, mode, hash scheme.
+_FIELD_VALUES = [
+    st.integers(0, 2**64 - 1),
+    st.floats(),
+    st.floats(),
+    st.integers(0, 255),
+    st.integers(0, 255),
+]
+
+
+def _adjustment_mutation(data: bytes):
+    """A strategy of mutated adjustment-file bytes: a byte or a header field replaced, or a cut."""
+    start = len(_ADJ_MAGIC)
+
+    def byte(at, value, insert):
+        return data[:at] + bytes([value]) + data[at + (not insert):]
+
+    def field(k, value):
+        values = list(_ADJ_HEADER.unpack_from(data, start))
+        values[k] = value
+        return data[:start] + _ADJ_HEADER.pack(*values) + data[start + _ADJ_HEADER.size:]
+
+    def weight(slot, value):
+        at = start + _ADJ_HEADER.size + 8 * slot
+        return data[:at] + struct.pack("<d", value) + data[at + 8:]
+
+    slots = (len(data) - start - _ADJ_HEADER.size) // 8
+    return st.one_of(
+        st.builds(byte, st.integers(0, len(data) - 1), st.integers(0, 255), st.booleans()),
+        st.integers(0, 4).flatmap(lambda k: _FIELD_VALUES[k].map(lambda v: field(k, v))),
+        st.builds(weight, st.integers(0, slots - 1), st.floats()),
+        st.builds(lambda at: data[:at], st.integers(0, len(data) - 1)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_mutated_adjustment_file_loads_or_raises_a_data_error_naming_it(written, data):
+    wd, files = written
+    _, original = files["adjustment"]
+    path = wd / "mutated-adj.bin"
+    path.write_bytes(data.draw(_adjustment_mutation(original)))
+    try:
+        adj = AdjustmentModel.load(path)
+    except DataError as exc:
+        assert str(exc).startswith(f"{path}: "), exc
+    else:
+        assert np.isfinite(adj.theta).all() and adj.gamma > 0 and adj.delta0 > 0
+        assert math.isfinite(adj.gamma) and math.isfinite(adj.delta0)
