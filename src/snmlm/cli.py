@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from .adjustment import AdjustmentModel, train
-from .corpus import TaggedCorpus, Vocabulary, build_vocab, iter_file_tokens, natural
+from .corpus import (TaggedCorpus, Vocabulary, build_vocab, corpus_lines, iter_file_tokens,
+                     map_tokens, natural)
 from .counts import CountStore, count_files
 from .errors import DataError, SnmError
 from .extraction import (
@@ -76,6 +77,22 @@ def _corpus_events(path, vocab: Vocabulary, config: ExtractorConfig, tags) -> li
         for e in extract_events(sent, config):
             events.append(expand_tags(e, tags) if tags else e)
     return events
+
+
+def _at_line(exc: DataError, path, vocab: Vocabulary, events: list[Event], known) -> DataError:
+    """`exc` named at the line of `path` holding the first event with no feature in `known`.
+
+    `known` maps a feature to its row's count or normalizer. Called only
+    once scoring has raised, so only then is `path` read again, to count
+    each line's events; with no such event, `exc` is returned as it is.
+    """
+    first = next((i for i, e in enumerate(events)
+                  if not any(known.get(f, 0) > 0 for f in e.features)), None)
+    for lineno, tokens in corpus_lines(path) if first is not None else ():
+        first -= len(map_tokens(tokens, vocab)) - 1
+        if first < 0:
+            return DataError(f"{path}:{lineno}: {exc}")
+    return exc
 
 
 def _check_tags_cover(feature_tags, tags, source: str) -> None:
@@ -142,6 +159,8 @@ def _held_out(args, tags: tuple[str, ...]):
 # Subcommands
 
 def cmd_build_vocab(args) -> int:
+    if args.min_count < 1:
+        raise UsageError(f"--min-count must be >= 1, got {args.min_count}")
     _check_outputs(args, "--output")
     vocab = build_vocab(iter_file_tokens(args.corpus), min_count=args.min_count)
     vocab.save(args.output)
@@ -204,7 +223,10 @@ def cmd_train(args) -> int:
         f"delta0={adj.delta0} batch_size={adj.batch_size} epochs={args.epochs} "
         f"mode={adj.mode.value}"
     )
-    _, model = train(dev_events, intersected, adj, args.epochs, vocab, log=print)
+    try:
+        _, model = train(dev_events, intersected, adj, args.epochs, vocab, log=print)
+    except DataError as exc:
+        raise _at_line(exc, args.dev, vocab, dev_events, intersected.feature_counts) from None
     adj.save(args.adjustment_out)
     save_model(model, args.model_out, vocab)
     print(f"adjustment -> {args.adjustment_out}")
@@ -217,9 +239,14 @@ def cmd_eval(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     config = load_config(args.config)
     model = load_model(args.model, vocab)
-    _check_tags_cover({f.tag for f in model.rows}, tags, "model")
+    _check_tags_cover({f.tag for f in model.rows}, tags, args.model)
     events = _corpus_events(args.test, vocab, config, tags)
-    report = perplexity(model, events)
+    if not events:
+        raise SnmError(f"{args.test}: empty test set")
+    try:
+        report = perplexity(model, events)
+    except DataError as exc:
+        raise _at_line(exc, args.test, vocab, events, model.normalizers) from None
     print(f"events: {report.num_events}")
     print(f"ppl: {report.ppl:.6g}")
     print(f"oov_rate: {report.oov_rate:.6f}")

@@ -2,7 +2,8 @@
 
 Input text is expected to be pre-tokenized: one sentence per line, tokens
 separated by whitespace. No normalization is applied. Sentence frames
-(``<S>`` ... ``</S>``) are added during id mapping when absent.
+(``<S>`` ... ``</S>``) are added during id mapping when absent; a line
+with ``<S>`` after its first token is rejected as it is read.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ class TaggedCorpus:
 
     @classmethod
     def from_file(cls, path, vocab: Vocabulary) -> "TaggedCorpus":
-        return cls([map_tokens(line.split(), vocab) for line in _iter_lines(path)])
+        return cls([map_tokens(tokens, vocab) for _, tokens in corpus_lines(path)])
 
 
 def framed_ids(path, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
@@ -137,25 +138,33 @@ def framed_ids(path, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """
     ids = array("i")
     lengths = array("q")
-    for line in _iter_lines(path):
-        sent = map_tokens(line.split(), vocab)
+    for _, tokens in corpus_lines(path):
+        sent = map_tokens(tokens, vocab)
         ids.extend(sent)
         lengths.append(len(sent))
     return np.asarray(ids, dtype=np.int32), np.asarray(lengths, dtype=np.int64)
 
 
-def _iter_lines(path) -> Iterator[str]:
+def corpus_lines(path) -> Iterator[tuple[int, list[str]]]:
+    """The line number and tokens of each non-blank line of corpus text.
+
+    A line with <S> after its first token is rejected at its line: it has
+    no frame, and `map_tokens` frames every other line.
+    """
     with open_text(path) as fh:
-        for line in fh:
-            if line.strip():
-                yield line
+        for lineno, line in enumerate(fh, start=1):
+            tokens = line.split()
+            if S_TOKEN in line and S_TOKEN in tokens[1:]:
+                raise DataError(f"{path}:{lineno}: <S> inside a sentence")
+            if tokens:
+                yield lineno, tokens
 
 
 def iter_file_tokens(paths: Iterable) -> Iterator[str]:
     """Stream whitespace tokens from text files, for vocabulary building."""
     for path in paths:
-        for line in _iter_lines(path):
-            yield from line.split()
+        for _, tokens in corpus_lines(path):
+            yield from tokens
 
 
 def natural(text: str) -> int:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import S_ID, Vocabulary, framed_ids, natural
+from .corpus import Vocabulary, framed_ids, natural
 from .errors import DataError
 from .extraction import (
     Event,
@@ -299,29 +299,16 @@ def count_files(paths, tags: Sequence[str | None], vocab: Vocabulary,
     """Count the links of training text files on integer arrays, file `paths[i]` under `tags[i]`.
 
     Equal, when saved, to `accumulate` over `extract_events` of every
-    sentence of `TaggedCorpus.from_file`, with the file's tag, and raises the
-    `DataError` that extraction raises first. One file's arrays are held at
-    a time; its links are kept per tag and feature shape, and the links of
-    files sharing a tag are summed at the end.
+    sentence of `TaggedCorpus.from_file`, with the file's tag. One file's
+    arrays are held at a time; its links are kept per tag and feature
+    shape, and the links of files sharing a tag are summed at the end.
     """
     shapes = feature_shapes(config)
     base = len(vocab)
-    fits_at_one = any(reach <= 1 for contexts in shapes.values() for reach, _ in contexts)
     parts: dict[tuple, list] = {}
     total = 0
     for path, tag in zip(paths, tags):
         tokens, lengths = framed_ids(path, vocab)
-        if not len(lengths):
-            continue
-        framed = np.count_nonzero(tokens == S_ID) == len(lengths)
-        # Every sentence has position 1, so the first one raises one error or the other.
-        if not fits_at_one and (framed or S_ID not in tokens[1 : lengths[0]]):
-            raise DataError(
-                "no features for target at position 1; "
-                "configure an n-gram block with min_n: 0 for full coverage"
-            )
-        if not framed:
-            raise DataError("sentence must be framed by <S> ... </S>")
         total += len(tokens) - len(lengths)
         for shape, links in _source_links(tokens, lengths, shapes, base):
             parts.setdefault((tag, shape), []).append(links)

@@ -68,7 +68,7 @@ class SkipConfig:
 
 @dataclass(frozen=True)
 class ExtractorConfig:
-    ngram: NgramConfig | None
+    ngram: NgramConfig
     skip: tuple[SkipConfig, ...]
     # Per tag, the extraction plan bound to that tag's feature tables
     # (_bind_tables); it holds every distinct feature extracted with this
@@ -123,10 +123,12 @@ def parse_config(text: str, path=None) -> ExtractorConfig:
     """Parse extractor configuration text into a validated config.
 
     Errors name the line, as ``<path>:<line>`` when `path`, the file the
-    text was read from, is given.
+    text was read from, is given. The config must give every target a
+    feature: an n-gram block with min_n at most 1 is required.
     """
     tokens = _tokenize_config(text)
     ngram: NgramConfig | None = None
+    ngram_at = path
     skips: list[SkipConfig] = []
     templates = 0
 
@@ -181,8 +183,13 @@ def parse_config(text: str, path=None) -> ExtractorConfig:
         elif ngram is not None:
             raise ConfigError(f"{at(ln)}: duplicate {name} block")
         else:
-            ngram = _finish_ngram(fields, at(ln))
-
+            ngram_at = at(ln)
+            ngram = _finish_ngram(fields, ngram_at)
+    # A skip pattern spans its gap and an adjacent word, so only an n-gram
+    # of order 0 or 1 fits the first target.
+    if ngram is None or ngram.min_n > 1:
+        raise ConfigError(("" if ngram_at is None else f"{ngram_at}: ") + "no feature fits the "
+                          "first target; configure an n-gram block with min_n: 0 for full coverage")
     return ExtractorConfig(ngram=ngram, skip=tuple(skips))
 
 
@@ -265,10 +272,8 @@ def feature_shapes(config: ExtractorConfig) -> dict[tuple, list[tuple[int, tuple
     one with several, only from tied skip lengths or several blocks, can
     emit a feature twice.
     """
-    shapes: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
-    if config.ngram is not None:
-        for n in range(config.ngram.min_n, config.ngram.max_n + 1):
-            shapes[(None, None, n)] = [(n, tuple(range(n, 0, -1)))]
+    shapes = {(None, None, n): [(n, tuple(range(n, 0, -1)))]
+              for n in range(config.ngram.min_n, config.ngram.max_n + 1)}
     for blk in config.skip:
         for o, r, a, s in _skip_templates(blk):
             distances = tuple(range(o, o - r, -1)) + tuple(range(a, 0, -1))
@@ -302,7 +307,7 @@ def _bind_tables(config: ExtractorConfig, tag: str | None):
     are one object. Features of one untied block differ in (r, s, a), so
     only tied skip lengths or several blocks can emit the same feature twice.
     """
-    lo, hi = (config.ngram.min_n, config.ngram.max_n) if config.ngram else (0, -1)
+    lo, hi = config.ngram.min_n, config.ngram.max_n
     skips: dict[tuple, _FeatureTable] = {}
     templates = [
         (o, r, a, skips.setdefault((r, s), _FeatureTable(r, s, tag)))
@@ -312,7 +317,7 @@ def _bind_tables(config: ExtractorConfig, tag: str | None):
     span = max([hi, *(t[0] for t in templates)])
     plan = tuple(
         (tuple(range(lo, min(hi, k) + 1)), tuple(t for t in templates if t[0] <= k))
-        for k in range(max(span, 0) + 1)
+        for k in range(span + 1)
     )
     dedup = len(config.skip) > 1 or any(b.tie_skip_length for b in config.skip)
     return _FeatureTable(None, None, tag), plan, dedup
@@ -358,11 +363,6 @@ def extract_events(
             skips = [tab[sent[k - o : k - o + r] + sent[k - a : k]] for o, r, a, tab in templates]
             # Interned, so equal features are identical: de-duplicate by id.
             feats.extend(dict(zip(map(id, skips), skips)).values() if dedup else skips)
-        if not feats:
-            raise DataError(
-                f"no features for target at position {k}; "
-                "configure an n-gram block with min_n: 0 for full coverage"
-            )
         append(new(Event, (tuple(feats), sent[k])))
     return events
 

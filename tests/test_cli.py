@@ -111,6 +111,15 @@ def test_build_vocab_min_count_one_keeps_all_tokens(workdir):
     assert set(TINY_CORPUS.split()) <= words
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_build_vocab_min_count_below_1_is_a_usage_error(tmp_path, capsys, value):
+    # The corpus does not exist: reading it would exit 2, not 1.
+    assert main(["build-vocab", _p(tmp_path / "missing.txt"), "--min-count", value,
+                 "-o", _p(tmp_path / "vocab.txt")]) == 1
+    assert f"--min-count must be >= 1, got {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_vocab_missing_file_exits_2(workdir, capsys):
     rc = main(["build-vocab", _p(workdir / "nope.txt"), "-o", _p(workdir / "v")])
     assert rc == 2
@@ -271,6 +280,77 @@ def test_train_empty_dev_exits_2(pipeline, capsys):
     ])
     assert rc == 2
     assert "empty" in capsys.readouterr().err
+
+
+# The commands that read corpus text, each reading the file `bad` as one.
+_CORPUS_READERS = {
+    "build-vocab": lambda wd, bad: ["build-vocab", bad, "-o", wd / "out.txt"],
+    "count": lambda wd, bad: ["count", bad, "--config", wd / "ngram.cfg",
+                              "--vocab", wd / "vocab.txt", "-o", wd / "out.tsv"],
+    "intersect --dev": lambda wd, bad: ["intersect", "--counts", wd / "counts.tsv", "--dev", bad,
+                                        "--config", wd / "ngram.cfg", "--vocab", wd / "vocab.txt",
+                                        "-o", wd / "out.tsv"],
+    "train --dev": lambda wd, bad: ["train", "--counts", wd / "counts.tsv", "--dev", bad,
+                                    "--config", wd / "ngram.cfg", "--vocab", wd / "vocab.txt",
+                                    "--adjustment-out", wd / "out.bin", "--model-out",
+                                    wd / "out.tsv"],
+    "eval --test": lambda wd, bad: ["eval", "--model", wd / "model.tsv", "--test", bad,
+                                    "--config", wd / "ngram.cfg", "--vocab", wd / "vocab.txt"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CORPUS_READERS))
+def test_s_inside_a_corpus_line_is_rejected_at_its_line(pipeline, capsys, command):
+    wd = pipeline
+    _trained_model_lines(wd)
+    bad = wd / "bad.txt"
+    # <S> may start a line, which is then framed already.
+    bad.write_text("<S> green tea\n\nred <S> tea\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([_p(a) for a in _CORPUS_READERS[command](wd, bad)]) == 2
+    assert capsys.readouterr() == ("", f"snmlm: {bad}:3: <S> inside a sentence\n")
+    assert not any(wd.glob("out.*"))
+
+
+def test_an_event_with_no_known_feature_is_named_at_its_line(pipeline, capsys):
+    # With min_n 1 no empty feature covers every event: a context never
+    # counted, or never seen on dev, leaves an event with no known feature.
+    wd = pipeline
+    (wd / "one.cfg").write_text("ngram_extractor { min_n: 1 max_n: 2 }\n", encoding="utf-8")
+    common = ["--config", _p(wd / "one.cfg"), "--vocab", _p(wd / "vocab.txt")]
+    assert main(["count", _p(wd / "tiny.txt"), *common, "-o", _p(wd / "one.tsv")]) == 0
+    train = ["train", "--counts", _p(wd / "one.tsv"), "--dev", _p(wd / "dev.txt"), *common,
+             "--table-size", "1024", "--adjustment-out", _p(wd / "adj.bin"),
+             "--model-out", _p(wd / "model.tsv")]
+    message = "event has no features known to the model"
+    # Each line has one event more than it has tokens.
+    (wd / "dev.txt").write_text("green tea is cold\nred tea\n\nzz zz\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(train) == 2
+    assert capsys.readouterr().err == f"snmlm: {wd / 'dev.txt'}:4: {message}\n"
+    assert not (wd / "model.tsv").exists()
+    (wd / "dev.txt").write_text("green tea is cold\n", encoding="utf-8")
+    assert main(train) == 0
+    # [hot] was not on dev, so the model has no row for it.
+    (wd / "test.txt").write_text("green tea is cold\ngreen tea\n\nhot cold\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--model", _p(wd / "model.tsv"), "--test", _p(wd / "test.txt"),
+                 *common]) == 2
+    assert capsys.readouterr() == ("", f"snmlm: {wd / 'test.txt'}:4: {message}\n")
+
+
+def test_eval_names_an_empty_test_file_and_an_untagged_model(pipeline, capsys):
+    wd = pipeline
+    _trained_model_lines(wd)
+    (wd / "test.txt").write_text("\n \n", encoding="utf-8")
+    capsys.readouterr()
+    assert _eval_model(wd) == 2
+    assert capsys.readouterr() == ("", f"snmlm: {wd / 'test.txt'}: empty test set\n")
+    assert main(["eval", "--model", _p(wd / "model.tsv"), "--test", _p(wd / "tiny.txt"),
+                 "--config", _p(wd / "ngram.cfg"), "--vocab", _p(wd / "vocab.txt"),
+                 "--tag", "web"]) == 2
+    assert capsys.readouterr().err == (
+        f"snmlm: {wd / 'model.tsv'} is not corpus-tagged; drop the --tag flags\n")
 
 
 def test_eval_reports_hand_computed_ppl(pipeline, capsys):

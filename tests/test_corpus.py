@@ -1,5 +1,6 @@
 import glob
 import os
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,8 +13,11 @@ from snmlm.corpus import (
     S_TOKEN,
     UNK_ID,
     UNK_TOKEN,
+    TaggedCorpus,
     Vocabulary,
     build_vocab,
+    framed_ids,
+    iter_file_tokens,
     map_tokens,
 )
 from snmlm.counts import accumulate
@@ -107,6 +111,24 @@ def test_oov_rate_hand_count():
     assert perplexity(model, events).oov_rate == pytest.approx(2 / 11)
 
 
+def test_corpus_lines_are_framed_or_rejected_at_their_line(tmp_path):
+    vocab = build_vocab(["a", "b"], min_count=1)
+    path = tmp_path / "t.txt"
+    # Blank lines are skipped and frames added where absent.
+    path.write_text("<S> a\n \n\nb </S>\n<S>\n", encoding="utf-8")
+    sentences = [[S_ID, 3, E_ID], [S_ID, 4, E_ID], [S_ID, E_ID]]
+    assert TaggedCorpus.from_file(path, vocab).sentences == sentences
+    ids, lengths = framed_ids(path, vocab)
+    assert (ids.tolist(), lengths.tolist()) == (sum(sentences, []), [3, 3, 2])
+    # <S> after a line's first token leaves the line unframed.
+    path.write_text("a b\n\n<S> a <S> b\n", encoding="utf-8")
+    message = f"^{re.escape(str(path))}:3: <S> inside a sentence$"
+    for read in (lambda: TaggedCorpus.from_file(path, vocab), lambda: framed_ids(path, vocab),
+                 lambda: list(iter_file_tokens([path]))):
+        with pytest.raises(DataError, match=message):
+            read()
+
+
 def test_vocab_roundtrip_bit_exact(tmp_path):
     vocab = build_vocab(["pear", "apple", "apple", "fig"], min_count=1)
     path = tmp_path / "vocab.txt"
@@ -141,8 +163,6 @@ def test_benchmark_vocabulary_size():
     # documented expectation for anyone with the benchmark on disk: a
     # count-3 threshold over its training set yields 793471 words
     # including the three specials
-    from snmlm.corpus import iter_file_tokens
-
     paths = sorted(glob.glob(_BENCHMARK_GLOB))
     vocab = build_vocab(iter_file_tokens(paths), min_count=3)
     assert len(vocab) == 793471

@@ -23,8 +23,8 @@ from hypothesis import given, settings, strategies as st
 from snmlm.cli import main
 from snmlm.corpus import E_ID, S_ID, TaggedCorpus, Vocabulary
 from snmlm.counts import CountStore, accumulate
-from snmlm.errors import DataError
-from snmlm.extraction import Event, Feature, extract_events, parse_config
+from snmlm.errors import ConfigError, DataError
+from snmlm.extraction import Event, Feature, extract_events, load_config, parse_config
 
 
 def oracle_extract_events(sentence, config, tag=None):
@@ -40,9 +40,8 @@ def oracle_extract_events(sentence, config, tag=None):
     events = []
     for k in range(1, len(sentence)):
         feats: list[Feature] = []
-        if ngram is not None:
-            for n in range(ngram.min_n, min(ngram.max_n, k) + 1):
-                feats.append(Feature(tuple(sentence[k - n : k]), tag=tag))
+        for n in range(ngram.min_n, min(ngram.max_n, k) + 1):
+            feats.append(Feature(tuple(sentence[k - n : k]), tag=tag))
         for blk in config.skip:
             a_hi = blk.max_context_words - blk.min_remote_words
             for a in range(1, a_hi + 1):
@@ -65,11 +64,6 @@ def oracle_extract_events(sentence, config, tag=None):
                             )
                         )
         feats = list(dict.fromkeys(feats))
-        if not feats:
-            raise DataError(
-                f"no features for target at position {k}; "
-                "configure an n-gram block with min_n: 0 for full coverage"
-            )
         events.append(Event(features=tuple(feats), target=sentence[k]))
     return events
 
@@ -105,7 +99,6 @@ CONFIGS = {
     "tied": NGRAM1 + _skip(4, 1, 5, True, remote=(1, 1)),
     "overlapping-untied": NGRAM0 + _skip(3, 1, 2, False) + _skip(4, 2, 3, False),
     "overlapping-tied": NGRAM1 + _skip(4, 1, 4, True) + _skip(3, 2, 6, True, remote=(0, 2)),
-    "ngram-min2-plus-skip": NGRAM2 + _skip(3, 1, 1, False),
 }
 
 # Few distinct words, so that tied skips and overlapping blocks collide.
@@ -189,15 +182,31 @@ def test_framing_error_matches_oracle(sentence):
     assert str(got.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("text", [NGRAM2, _skip(3, 1, 2, True)])
-def test_no_features_error_matches_oracle(text):
-    config = parse_config(text)
-    sentence = [S_ID, 3, 4, 5, E_ID]
-    with pytest.raises(DataError, match="no features") as expected:
-        oracle_extract_events(sentence, config)
-    with pytest.raises(DataError) as got:
-        extract_events(sentence, config)
-    assert str(got.value) == str(expected.value)
+_NO_COVERAGE = ("no feature fits the first target; "
+                "configure an n-gram block with min_n: 0 for full coverage")
+
+
+@pytest.mark.parametrize("text, line", [("// orders 2..4\n" + NGRAM2, 2),
+                                        (_skip(3, 1, 2, True), None)], ids=["min_n-2", "skip-only"])
+def test_a_config_without_coverage_is_rejected_where_read(tmp_path, capsys, text, line):
+    # A skip pattern spans a gap and an adjacent word, so only n-gram orders
+    # 0 and 1 fit the first target; the error names the n-gram block, or the
+    # file when there is none.
+    with pytest.raises(ConfigError) as raised:
+        parse_config(text)
+    assert str(raised.value) == (_NO_COVERAGE if line is None else f"line {line}: {_NO_COVERAGE}")
+    cfg, corpus = tmp_path / "s.cfg", tmp_path / "t.txt"
+    cfg.write_text(text, encoding="utf-8")
+    corpus.write_text("a b\n", encoding="utf-8")
+    at = f"{cfg}" if line is None else f"{cfg}:{line}"
+    with pytest.raises(ConfigError) as raised:
+        load_config(cfg)
+    assert str(raised.value) == f"{at}: {_NO_COVERAGE}"
+    (tmp_path / "v.txt").write_text("<S>\n</S>\n<UNK>\na\nb\n", encoding="utf-8")
+    assert main(["count", str(corpus), "--config", str(cfg), "--vocab", str(tmp_path / "v.txt"),
+                 "-o", str(tmp_path / "c.tsv")]) == 2
+    assert capsys.readouterr().err == f"snmlm: {at}: {_NO_COVERAGE}\n"
+    assert not (tmp_path / "c.tsv").exists()
 
 
 def _assert_same_store(store: CountStore, expected: CountStore) -> None:
@@ -211,7 +220,7 @@ def _assert_same_store(store: CountStore, expected: CountStore) -> None:
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.tuples(sentences, tags), max_size=8),
-    st.sampled_from(sorted(set(CONFIGS) - {"ngram-min2-plus-skip"})),
+    st.sampled_from(sorted(CONFIGS)),
 )
 def test_accumulate_equals_naive_oracle(corpus, name):
     config = parse_config(CONFIGS[name])

@@ -147,13 +147,18 @@ _BLOCK_VALUES = {
 }
 
 
+# Appended after skip blocks, so that every target has a feature.
+_NGRAM_AFTER = "\nngram_extractor { min_n: 0 max_n: 1 }\n"
+
+
 @pytest.mark.parametrize("block, cls", sorted(_BLOCK_VALUES, key=str))
 def test_every_config_field_is_a_key(block, cls):
     values = _BLOCK_VALUES[block, cls]
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     assert set(values) == set(types)
     lines = [f"{key}: {text}" for key, text in values.items()]
-    cfg = parse_config("\n".join([f"{block} {{", *lines, "}"]))
+    after = _NGRAM_AFTER if cls is SkipConfig else ""
+    cfg = parse_config("\n".join([f"{block} {{", *lines, "}"]) + after)
     parsed = cfg.ngram if cls is NgramConfig else cfg.skip[0]
     for i, (key, text) in enumerate(values.items()):
         value = getattr(parsed, key)
@@ -166,7 +171,7 @@ def test_every_config_field_is_a_key(block, cls):
         # Each key takes only its own type; the error names the value's line.
         bad = [*lines[:i], f"{key}: {wrong}", *lines[i + 1 :]]
         with pytest.raises(ConfigError) as raised:
-            parse_config("\n".join([f"{block} {{", *bad, "}"]))
+            parse_config("\n".join([f"{block} {{", *bad, "}"]) + after)
         assert str(raised.value) == f"line {i + 2}: {key} expects {expects}, got {wrong!r}"
 
 
@@ -205,13 +210,13 @@ def test_skip_blocks_admit_at_most_4096_templates():
     # A block of context 2 has one template per skip length: 16 * 255 fit,
     # and a 17th block passes 4096.
     block = _skip_block(2, 255)
-    assert len(parse_config(block * 16).skip) == 16
+    assert len(parse_config(block * 16 + _NGRAM_AFTER).skip) == 16
     with pytest.raises(ConfigError) as raised:
-        parse_config(block * 17)
+        parse_config(block * 17 + _NGRAM_AFTER)
     assert str(raised.value) == "line 17: skip blocks admit 4335 templates, more than 4096"
     # One block: 2080 templates per skip length, for two lengths.
     with pytest.raises(ConfigError, match="^line 1: skip blocks admit 4160 templates"):
-        parse_config(_skip_block(65, 2))
+        parse_config(_skip_block(65, 2) + _NGRAM_AFTER)
 
 
 # ---------------------------------------------------------------------------

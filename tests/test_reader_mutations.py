@@ -11,10 +11,12 @@ never raise.
 
 The vocabulary and the extractor config that `snmlm count` reads are
 mutated the same way, and a config also has a word replaced by any text or
-number. `snmlm count` must exit 0, or exit 2 naming the mutated file. No
-command reads an adjustment file, so `AdjustmentModel.load` reads a mutated
-one, with a byte or a header field replaced, or cut short; it may raise only
-a `DataError` naming the file.
+number. `snmlm count` must exit 0, or exit 2 naming the mutated file. So
+must `count`, `train --dev` and `eval --test` on corpus text with `<S>`
+inserted as a token, a byte overwritten or inserted, a blank line inserted
+or a cut. No command reads an adjustment file, so `AdjustmentModel.load`
+reads a mutated one, with a byte or a header field replaced, or cut short;
+it may raise only a `DataError` naming the file.
 
 Exit 0 is allowed because many mutations leave a file the writers could
 have written: a deleted count row, or a cut at a line boundary, still
@@ -80,7 +82,6 @@ def written(tmp_path_factory):
     for argv in steps:
         assert _run(argv) == (0, "")
     merge_files([wd / "a.tsv", wd / "b.tsv"], wd / "merged.tsv")
-    (wd / "empty.txt").write_bytes(b"")
     files = {
         name: ("model" if name == "model" else "counts", (wd / f"{name}.tsv").read_bytes())
         for name in ("tagged", "merged", "model")
@@ -116,9 +117,9 @@ def _mutation(name: str, data: bytes):
 
     def blank(i):
         # Line 1 blank is a bad header, named by the file alone; a config
-        # may hold blank lines.
-        return joined(lines[:i] + [""] + lines[i:]), ((i + 1, "") if i and name != "config"
-                                                       else None)
+        # and corpus text may hold blank lines.
+        return joined(lines[:i] + [""] + lines[i:]), ((i + 1, "") if i and name not in
+                                                       ("config", "text") else None)
 
     def field(i, k, text):
         parts = lines[i].split("\t")
@@ -140,12 +141,28 @@ def _mutation(name: str, data: bytes):
         words[k % len(words)] = text
         return joined(lines[:i] + [" ".join(words)] + lines[i + 1:]), None
 
+    def frame(i, k):
+        words = lines[i].split()
+        k %= len(words) + 1
+        line = " ".join(words[:k] + ["<S>"] + words[k:])
+        # <S> may start a line, which is then framed already.
+        expected = (i + 1, "<S> inside a sentence") if k else None
+        return joined(lines[:i] + [line] + lines[i + 1:]), expected
+
     def scale(i, factor):
         fs, value = lines[i].split("\t")
         new = f"{fs}\t{float(value) * factor!r}"
         return joined(lines[:i] + [new] + lines[i + 1:]), (i + 1, "is not its row's sum")
 
     index = st.integers(0, n - 1)
+    if name == "text":
+        return st.one_of(
+            st.builds(frame, index, st.integers(0, 10)),
+            st.builds(blank, st.integers(0, n)),
+            st.builds(byte, st.integers(0, len(data) - 1),
+                      st.one_of(st.just(0xFF), st.integers(0, 255)), st.booleans()),
+            st.builds(cut, st.integers(0, len(data) - 1)),
+        )
     kinds = [
         st.builds(delete, index),
         st.builds(duplicate, index),
@@ -190,21 +207,12 @@ def test_a_mutated_file_exits_0_or_names_its_line(written, name, data):
         assert err.startswith(f"snmlm: {path}:{lineno}: ") and fragment in err, err
 
 
-@pytest.mark.parametrize("name", ["vocab", "config"])
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_a_mutated_vocab_or_config_exits_0_or_names_its_file(written, name, data):
-    wd, files = written
-    _, original = files[name]
-    mutated, expected = data.draw(_mutation(name, original))
-    path = wd / f"mutated-{name}"
-    path.write_bytes(mutated)
-    # The config is read for an empty corpus: extraction then reports no
-    # error of its own, which would name no file.
-    corpus, config, vocab = {"vocab": (wd / "a.txt", wd / "snm.cfg", path),
-                             "config": (wd / "empty.txt", path, wd / "vocab.txt")}[name]
-    out = wd / "mutated-out.tsv"
-    code, err = _run(["count", corpus, "--config", config, "--vocab", vocab, "-o", out])
+def _exits_0_or_names(argv, path, expected) -> None:
+    """Run `argv`, which reads the mutated file `path`: exit 0, or exit 2 naming it.
+
+    With `expected`, (line, message fragment), it must exit 2 naming that line.
+    """
+    code, err = _run(argv)
     assert code in (0, 2), err
     if code == 2:
         assert err.startswith(f"snmlm: {path}:"), err
@@ -215,6 +223,46 @@ def test_a_mutated_vocab_or_config_exits_0_or_names_its_file(written, name, data
         lineno, fragment = expected
         assert code == 2, f"line {lineno} should have been rejected"
         assert err.startswith(f"snmlm: {path}:{lineno}: ") and fragment in err, err
+
+
+@pytest.mark.parametrize("name", ["vocab", "config"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_mutated_vocab_or_config_exits_0_or_names_its_file(written, name, data):
+    wd, files = written
+    _, original = files[name]
+    mutated, expected = data.draw(_mutation(name, original))
+    path = wd / f"mutated-{name}"
+    path.write_bytes(mutated)
+    config, vocab = {"vocab": (wd / "snm.cfg", path), "config": (path, wd / "vocab.txt")}[name]
+    _exits_0_or_names(["count", wd / "a.txt", "--config", config, "--vocab", vocab,
+                       "-o", wd / "mutated-out.tsv"], path, expected)
+
+
+# Per command, the corpus text it reads, and its arguments with that text at `path`.
+_TEXT_READERS = {
+    "count": ("a.txt", lambda wd, path: ["count", path, "--config", wd / "snm.cfg",
+                                         "--vocab", wd / "vocab.txt", "-o", wd / "mutated-out.tsv"]),
+    "train --dev": ("dev.txt", lambda wd, path: [
+        "train", "--counts", wd / "tagged.tsv", "--dev", path, "--config", wd / "snm.cfg",
+        "--vocab", wd / "vocab.txt", "--tag", "web", "--tag", "news", "--table-size", "1024",
+        "--adjustment-out", wd / "mutated-adj.bin", "--model-out", wd / "mutated-model.tsv"]),
+    "eval --test": ("b.txt", lambda wd, path: [
+        "eval", "--model", wd / "model.tsv", "--test", path, "--config", wd / "snm.cfg",
+        "--vocab", wd / "vocab.txt", "--tag", "web", "--tag", "news"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TEXT_READERS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mutated_corpus_text_exits_0_or_names_its_file(written, command, data):
+    wd, _ = written
+    name, argv = _TEXT_READERS[command]
+    mutated, expected = data.draw(_mutation("text", (wd / name).read_bytes()))
+    path = wd / "mutated-text.txt"
+    path.write_bytes(mutated)
+    _exits_0_or_names(argv(wd, path), path, expected)
 
 
 # Values for each header field: table size, gamma, delta0, mode, hash scheme.
