@@ -14,9 +14,11 @@ returns and that training reads. Both write through `write_rows`.
 
 from __future__ import annotations
 
-import heapq
-from contextlib import closing
-from itertools import chain
+from bisect import bisect_right
+from collections import Counter
+from contextlib import closing, suppress
+from itertools import chain, compress, islice, repeat
+from operator import eq, lt, ne, not_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -101,42 +103,40 @@ class CountStore:
 
     @classmethod
     def load(cls, path, vocab: Vocabulary, keep: Iterable[Feature] | None = None) -> "CountStore":
-        """Read a count file, storing only the rows of `keep` when it is given.
+        """Read a count file a block at a time, storing only the rows of `keep` when it is given.
 
-        Every line is validated and every feature string parsed, kept or not,
-        so a file is rejected at the same line either way. With `keep` the
-        store equals ``load(path, vocab).intersect(keep)``: the same rows in
-        the same order.
+        Every row is checked, kept or not (`_blocks`), so a file is rejected
+        at the same line either way. A row is kept if its string renders a
+        feature of `keep` and parses back to it: the store equals
+        ``load(path, vocab).intersect(keep)``, rows in the same order.
         """
-        keep = None if keep is None else set(keep)
+        if keep is not None:
+            keep, wanted = set(keep), set()
+            for f in keep:
+                with suppress(IndexError, OverflowError, TypeError):  # no row names it
+                    wanted.add(render_feature(f, vocab))
         store = cls()
-        rows = store.rows
-        per_tag = store.file_features
-        index = vocab.index
-        parse = feature_parser(vocab)
-        last_fs: str | None = None
-        row: dict[int, int] | None = None
-        with closing(_entry_stream(path)) as entries:
-            store.total_events = next(entries)
-            for fs, ws, c, lineno in entries:
-                wid = index.get(ws)
-                if wid is None:
-                    raise DataError(f"{path}:{lineno}: unknown word {ws!r}")
-                if fs != last_fs:
-                    # Rows are sorted and parsing is one-to-one, so a new
-                    # string is a new feature and each (feature, word) comes once.
-                    last_fs = fs
-                    try:
-                        f = parse(fs)
-                    except DataError as exc:
-                        raise DataError(f"{path}:{lineno}: {exc}") from None
-                    per_tag[f.tag] = per_tag.get(f.tag, 0) + 1
-                    if keep is None or f in keep:
-                        row = rows[f] = {}
-                    else:
-                        row = None
+        rows, index, parse = store.rows, vocab.index, feature_parser(vocab)
+        tags: Counter[str | None] = Counter()
+        row = None  # the kept row that the last block ended in
+        with closing(_blocks(path, index, parse)) as blocks:
+            store.total_events = next(blocks)
+            for b in blocks:
+                tags += b.tags
+                bounds = [*b.starts.tolist(), len(b.fs)]
                 if row is not None:
-                    row[wid] = c
+                    row.update(b.links(index, 0, bounds[0]))
+                if len(bounds) == 1:
+                    continue
+                names = list(map(b.fs.__getitem__, bounds[:-1]))
+                row = None
+                for i in range(len(names)) if keep is None else np.flatnonzero(
+                        np.fromiter(map(wanted.__contains__, names), bool, len(names))).tolist():
+                    f = parse(names[i])
+                    if keep is None or f in keep:
+                        rows[f] = b.links(index, bounds[i], bounds[i + 1])
+                        row = rows[f] if i == len(names) - 1 else None
+        store.file_features = dict(tags)
         _sum_rows(store)
         return store
 
@@ -359,17 +359,39 @@ def read_preamble(fh, path, kind: str, header: str, directive: str) -> str:
     return line[len(directive):]
 
 
-def _entry_stream(path) -> Iterator:
-    """The count file's event total, then its rows as (feature, word, count, line).
+# Rows are read and checked this many lines at a time: about 64 KiB of count rows.
+_BLOCK_LINES = 2048
 
-    Line 1 is the header, line 2 the `#total-events` line, and every later
-    line a row. Rows must be strictly increasing by (feature, word), as
-    `write_rows` writes them. An event counts a feature at most once, so
-    each feature's counts sum to at most the total, itself at most 2^63-1.
-    Any other line, a blank one included, and any violation raise
-    `DataError` with the file and line when the stream reaches it. The file
-    is opened on the first `next` and closed when the stream ends or is
-    closed.
+
+class _Block(NamedTuple):
+    """Checked rows: ``lines[i]`` is feature ``fs[i]``, word ``ws[i]`` and ``counts[i]``.
+
+    `starts` indexes the rows that begin a feature; `tags` counts them per tag.
+    """
+
+    lines: list[str]
+    fs: list[str]
+    ws: list[str]
+    counts: np.ndarray
+    starts: np.ndarray
+    tags: Counter
+
+    def links(self, index: dict[str, int], start: int, end: int) -> dict[int, int]:
+        """Rows `start` to `end` as a row dict: word id to count."""
+        return dict(zip(map(index.__getitem__, self.ws[start:end]),
+                        self.counts[start:end].tolist()))
+
+
+def _blocks(path, index=None, parse=None) -> Iterator:
+    """The event total of a count file, then its rows as `_Block`s of `_BLOCK_LINES` lines.
+
+    Line 2 holds the total, at most 2^63-1. Each later line is a row of
+    feature, word and an ASCII count of at least 1; rows strictly increase
+    by (feature, word), and a feature's counts sum to at most the total, as
+    an event counts a feature once. Given the vocabulary `index` and a
+    feature `parse`r, words and feature strings are checked too. Only when
+    a block fails its check (`_check`) are its lines checked one by one
+    (`_first_error`). The file is opened on the first `next`.
     """
     with open_text(path) as fh:
         text = read_preamble(fh, path, "count", COUNTS_HEADER, _TOTAL_PREFIX)
@@ -380,45 +402,117 @@ def _entry_stream(path) -> Iterator:
         if total > _INT64_MAX:
             raise DataError(f"{path}:2: event total {text} is more than 2^63-1")
         yield total
-        prev: tuple[str, str] | None = None
-        row_fs, row_sum = None, 0
-        for lineno, line in enumerate(fh, start=3):
-            line = line.rstrip("\n")
-            parts = line.split("\t")
-            if len(parts) != 3 or line[0] == "#":
-                raise line_error(path, lineno, line, _TOTAL_PREFIX, 3)
-            fs, ws, cs = parts
+        lineno, prev, carry = 3, None, 0
+        while lines := list(islice(fh, _BLOCK_LINES)):
+            if isinstance(checked := _check(lines, prev, carry, total, index, parse), str):
+                raise _first_error(path, lineno, lines, prev, carry, total, index, parse)
+            b, carry = checked
+            yield b
+            lineno, prev = lineno + len(lines), (b.fs[-1], b.ws[-1])
+
+
+def _check(lines: list[str], prev, carry: int, total: int, index, parse):
+    """The `_Block` of `lines` and the count sum of its last feature, or why a row is bad.
+
+    The rows follow the row keyed `prev`, whose feature's counts sum to
+    `carry` so far. All rows are checked at once, with no per-row Python;
+    the reason is a line's error message when `lines` is that one line.
+    """
+    n = len(lines)
+    if lines[-1][-1] != "\n":  # a file's last line may end without one
+        lines[-1] += "\n"
+    text = "".join(lines)
+    # Line k holds tabs 2k and 2k+1: the last comes before line break k, and
+    # no tab follows it there, as line k's count is digits from there on.
+    raw = np.frombuffer(text.encode(), np.uint8)
+    tabs, breaks = np.flatnonzero(raw == 9), np.flatnonzero(raw == 10)
+    if len(tabs) != 2 * n or not (tabs[1::2] < breaks).all() or text[0] == "#" or "\n#" in text:
+        return "expected 3 tab-separated fields"
+    fields = text.replace("\n", "\t").split("\t")
+    fs, ws, cs = fields[0:-1:3], fields[1::3], fields[2::3]
+    # Line k's count is bytes at[k] to breaks[k]. Up to 18 digits fit int64.
+    at = tabs[1::2] + 1
+    width = breaks - at
+    start = np.cumsum(width) - width
+    digit = raw[np.arange(width.sum()) + np.repeat(at - start, width)] - ord("0")
+    if width.min() < 1 or (digit > 9).any():
+        return f"bad count {cs[0]!r}"
+    huge = False
+    if width.max() <= 18:
+        power = np.repeat(start + width, width) - np.arange(len(digit)) - 1
+        counts = np.add.reduceat(digit * 10 ** power, start)
+    else:
+        try:
+            values = list(map(int, cs))
+        except ValueError:  # more digits than `int` reads
+            return f"bad count {cs[0]!r}"
+        # A count past the total is read as the total, so that it fits int64.
+        huge = max(values) > total
+        counts = np.fromiter(map(min, values, repeat(total)), np.int64, n)
+    # Whether each row has the feature of the row before. From the row keyed
+    # `prev` on, features increase from run to run and words within a run.
+    same = list(map(eq, fs, [prev and prev[0], *fs]))
+    names = list(compress(fs, map(not_, same)))
+    runs = [prev[0], *names] if prev else names
+    words = [prev and prev[1], *ws]
+    ordered = all(map(lt, runs, runs[1:])) and all(map(lt, compress(words, same),
+                                                           compress(ws, same)))
+    same = np.array(same)
+    # Feature sums in uint64 wrap only past the first partial sum past the
+    # total, which is below 2^64 as no count is.
+    part = counts.astype(np.uint64)
+    part[0] += np.uint64(carry if same[0] else 0)
+    sums = np.cumsum(part)
+    sums -= (sums - part)[np.maximum.accumulate(np.where(same, 0, np.arange(n)))]
+    if counts.min() < 1:
+        return f"count must be positive, got {counts.min()}"
+    if not ordered:
+        return "rows out of order"
+    if huge or counts.max() > total or sums.max() > total:
+        what = f"count {cs[0]}" if huge or counts.max() > total else f"row sum of {fs[0]}"
+        return f"{what} is more than the event total {total}"
+    starts, tags = np.flatnonzero(~same), Counter()
+    if index is not None:
+        if not index.keys() >= set(ws):
+            return f"unknown word {ws[0]!r}"
+        valid, tag = parse.fast(names)
+        tags[tag] = int(valid.sum())
+        for name in compress(names, ~valid):
             try:
-                c = natural(cs)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad count {cs!r}") from None
-            if c < 1:
-                raise DataError(f"{path}:{lineno}: count must be positive, got {c}")
-            key = (fs, ws)
-            if prev is not None and key <= prev:
-                raise DataError(f"{path}:{lineno}: rows out of order")
-            prev = key
-            if fs == row_fs:
-                row_sum += c
-            else:
-                row_fs, row_sum = fs, c
-            if row_sum > total:
-                what = f"count {cs}" if c > total else f"row sum of {fs}"
-                raise DataError(f"{path}:{lineno}: {what} is more than the event total {total}")
-            yield fs, ws, c, lineno
+                tags[parse(name).tag] += 1
+            except DataError as exc:
+                return str(exc)
+    if not digit[start].all():  # leading zeros: rewrite `lines` as `write_rows` writes rows
+        lines = list(map("{}\t{}\t{}\n".format, fs, ws, counts.tolist()))
+    return _Block(lines, fs, ws, counts, starts, tags), int(sums[-1])
+
+
+def _first_error(path, lineno: int, lines: list[str], prev, carry: int, total: int,
+                 index, parse) -> DataError:
+    """The error of the first bad line of a block that failed `_check`: each line is checked alone."""
+    for lineno, line in enumerate(lines, lineno):
+        text = line.rstrip("\n")
+        if len(text.split("\t")) != 3 or text[0] == "#":
+            return line_error(path, lineno, text, _TOTAL_PREFIX, 3)
+        checked = _check([line], prev, carry, total, index, parse)
+        if isinstance(checked, str):
+            return DataError(f"{path}:{lineno}: {checked}")
+        b, carry = checked
+        prev = (b.fs[0], b.ws[0])
+    raise AssertionError(f"{path}:{lineno}: each line passes the check its block failed")
 
 
 def merge_files(paths, out_path) -> None:
     """Merge sorted count files into one, summing duplicate links.
 
-    A sequential merge join over the inputs: memory use is bounded by the
-    number of files, not their size. The output is written by `atomic_write`,
-    so an input rejected part way leaves no partial output and any earlier
-    file as it was. Inputs' rows sum to at most their totals, so merged rows
-    do too: only a merged total past 2^63-1 raises `DataError` naming the
-    inputs, and leaves nothing either.
+    A merge join holding one `_Block` per input: each round merges the
+    inputs' rows up to the smallest last key of their blocks and writes
+    them as one chunk. Rows are checked as `CountStore.load` checks them,
+    words and feature strings aside, and `atomic_write` leaves no partial
+    output. Inputs' rows sum to at most their totals, so merged rows do
+    too: only a merged total past 2^63-1 raises `DataError`.
     """
-    streams = [_entry_stream(path) for path in paths]
+    streams = [_blocks(path) for path in paths]
     try:
         total = sum(next(s) for s in streams)
         if total > _INT64_MAX:
@@ -426,16 +520,36 @@ def merge_files(paths, out_path) -> None:
                             "#total-events is more than 2^63-1")
         with atomic_write(out_path) as out:
             out.write(f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{total}\n")
-            current_fs = current_ws = None
-            current = 0
-            # The end marker completes the last link.
-            for fs, ws, c, _ in chain(heapq.merge(*streams), [(None, None, 0, 0)]):
-                if ws == current_ws and fs == current_fs:
-                    current += c
-                else:
-                    if current_fs is not None:
-                        out.write(f"{current_fs}\t{current_ws}\t{current}\n")
-                    current_fs, current_ws, current = fs, ws, c
+            pending = [c for s in streams if (c := _cursor(s))]
+            while pending:
+                bound = min(c[2][-1] for c in pending)
+                keys, lines, counts = [], [], []
+                for c in pending:
+                    _, b, block_keys, start = c
+                    c[3] = end = bisect_right(block_keys, bound, start)
+                    keys += block_keys[start:end]
+                    lines += b.lines[start:end]
+                    counts.append(b.counts[start:end])
+                pending = [d for c in pending if (d := c if c[3] < len(c[2]) else _cursor(c[0]))]
+                order = sorted(range(len(keys)), key=keys.__getitem__)
+                keys = list(map(keys.__getitem__, order))
+                lines = list(map(lines.__getitem__, order))
+                first = np.flatnonzero(np.fromiter(map(ne, keys, [None, *keys]), bool, len(keys)))
+                if len(first) < len(keys):  # links of several inputs: write their count sums
+                    several = np.diff(first, append=len(keys)) > 1
+                    sums = np.add.reduceat(np.concatenate(counts)[order], first)[several]
+                    summed = first[several].tolist()
+                    rows = np.array(lines, object)
+                    rows[summed] = list(map("{0[0]}\t{0[1]}\t{1}\n".format,
+                                            map(keys.__getitem__, summed), sums.tolist()))
+                    lines = rows[first].tolist()
+                out.write("".join(lines))
     finally:
         for s in streams:
             s.close()
+
+
+def _cursor(stream) -> list | None:
+    """An input's next block to merge: [stream, block, its keys, its first row not merged]."""
+    b = next(stream, None)
+    return None if b is None else [stream, b, list(zip(b.fs, b.ws)), 0]

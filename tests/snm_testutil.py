@@ -9,21 +9,29 @@ and `build_model` make what `train` holds and returns for fixed weights.
 of one link, built one by one, that `snmlm.metafeatures.LinkDesign` must
 reproduce column by column.
 `parse_feature_oracle` is the reference of the feature-string grammar.
+`oracle_load_counts` and `oracle_merge_counts` are the per-line count-file
+reader and heap merge that the block reader of `snmlm.counts` replaced.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 import re
-from typing import NamedTuple
+from contextlib import closing
+from itertools import chain
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from snmlm.adjustment import AdjustmentModel, compile_events, theta_gradient
-from snmlm.corpus import Vocabulary, build_vocab, map_tokens
-from snmlm.counts import CountStore
+from snmlm.corpus import Vocabulary, build_vocab, map_tokens, natural
+from snmlm.counts import COUNTS_HEADER, CountStore, _sum_rows, line_error, read_preamble
 from snmlm.errors import DataError
-from snmlm.extraction import Event, Feature, extract_events, parse_config, render_feature
+from snmlm.extraction import (
+    Event, Feature, extract_events, feature_parser, parse_config, render_feature,
+)
+from snmlm.files import atomic_write, open_text
 from snmlm.metafeatures import (
     LinkDesign, Mode, _bucket_hash, buckets, combine, feature_type, fingerprint,
 )
@@ -434,3 +442,112 @@ def extract_corpus_events(sentences, vocab, config, tag=None):
         for s in sentences
         for e in extract_events(map_tokens(s, vocab), config, tag=tag)
     ]
+
+
+# ---------------------------------------------------------------------------
+# The per-line count-file reader
+
+_TOTAL_PREFIX = "#total-events "
+_INT64_MAX = (1 << 63) - 1
+
+
+def oracle_count_rows(path) -> Iterator:
+    """A count file's event total, then its rows as (feature, word, count, line), read line by line.
+
+    Raises the `DataError` of the first bad line when the stream reaches it.
+    """
+    with open_text(path) as fh:
+        text = read_preamble(fh, path, "count", COUNTS_HEADER, _TOTAL_PREFIX)
+        try:
+            total = natural(text)
+        except ValueError:
+            raise DataError(f"{path}:2: bad event total {text!r}") from None
+        if total > _INT64_MAX:
+            raise DataError(f"{path}:2: event total {text} is more than 2^63-1")
+        yield total
+        prev: tuple[str, str] | None = None
+        row_fs, row_sum = None, 0
+        for lineno, line in enumerate(fh, start=3):
+            line = line.rstrip("\n")
+            parts = line.split("\t")
+            if len(parts) != 3 or line[0] == "#":
+                raise line_error(path, lineno, line, _TOTAL_PREFIX, 3)
+            fs, ws, cs = parts
+            try:
+                c = natural(cs)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad count {cs!r}") from None
+            if c < 1:
+                raise DataError(f"{path}:{lineno}: count must be positive, got {c}")
+            key = (fs, ws)
+            if prev is not None and key <= prev:
+                raise DataError(f"{path}:{lineno}: rows out of order")
+            prev = key
+            if fs == row_fs:
+                row_sum += c
+            else:
+                row_fs, row_sum = fs, c
+            if row_sum > total:
+                what = f"count {cs}" if c > total else f"row sum of {fs}"
+                raise DataError(f"{path}:{lineno}: {what} is more than the event total {total}")
+            yield fs, ws, c, lineno
+
+
+def outcome(read):
+    """What `read()` returns, or the message of the `DataError` it raises."""
+    try:
+        return read()
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def oracle_load_counts(path, vocab: Vocabulary, keep=None) -> CountStore:
+    """`CountStore.load` as one pass over `oracle_count_rows`, parsing every feature string."""
+    keep = None if keep is None else set(keep)
+    store = CountStore()
+    parse = feature_parser(vocab)
+    last_fs = row = None
+    with closing(oracle_count_rows(path)) as entries:
+        store.total_events = next(entries)
+        for fs, ws, c, lineno in entries:
+            wid = vocab.index.get(ws)
+            if wid is None:
+                raise DataError(f"{path}:{lineno}: unknown word {ws!r}")
+            if fs != last_fs:
+                last_fs = fs
+                try:
+                    f = parse(fs)
+                except DataError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                store.file_features[f.tag] = store.file_features.get(f.tag, 0) + 1
+                row = None
+                if keep is None or f in keep:
+                    row = store.rows[f] = {}
+            if row is not None:
+                row[wid] = c
+    _sum_rows(store)
+    return store
+
+
+def oracle_merge_counts(paths, out_path) -> None:
+    """`merge_files` as a heap merge of `oracle_count_rows`, one link at a time."""
+    streams = [oracle_count_rows(path) for path in paths]
+    try:
+        total = sum(next(s) for s in streams)
+        if total > _INT64_MAX:
+            raise DataError(f"merging {', '.join(map(str, paths))}: "
+                            "#total-events is more than 2^63-1")
+        with atomic_write(out_path) as out:
+            out.write(f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{total}\n")
+            current_fs = current_ws = None
+            current = 0
+            for fs, ws, c, _ in chain(heapq.merge(*streams), [(None, None, 0, 0)]):
+                if ws == current_ws and fs == current_fs:
+                    current += c
+                else:
+                    if current_fs is not None:
+                        out.write(f"{current_fs}\t{current_ws}\t{current}\n")
+                    current_fs, current_ws, current = fs, ws, c
+    finally:
+        for s in streams:
+            s.close()

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import snmlm.counts
 from snmlm.adjustment import AdjustmentModel
 from snmlm.cli import UsageError, main, parse_table_size
 from snmlm.corpus import Vocabulary
@@ -10,6 +11,8 @@ from snmlm.counts import CountStore, merge_files
 from snmlm.errors import DataError
 from snmlm.metafeatures import Mode
 from snmlm.model import load_model
+
+from snm_testutil import oracle_load_counts, oracle_merge_counts, outcome
 
 TINY_CORPUS = """\
 green tea is hot
@@ -838,6 +841,31 @@ def test_bad_count_rows_outside_the_kept_rows_exit_2(pipeline, capsys, command, 
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not any((wd / name).exists() for name in ("model.tsv", "adj.bin", "inter.tsv"))
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_ROWS))
+def test_bad_count_rows_are_named_alike_after_a_block_boundary(pipeline, monkeypatch, kind):
+    # Blocks of 1 and 2 lines, and a first block that ends just before the bad row.
+    wd = pipeline
+    lines = (wd / "counts.tsv").read_text(encoding="utf-8").splitlines()
+    bad_line, message, *replaced = _BAD_ROWS[kind]
+    lineno = lines.index(replaced[0] if replaced else "[hot]\t</S>\t1") + 1
+    lines[lineno - 1] = bad_line
+    bad, out, oracle_out = wd / "bad.tsv", wd / "merged.tsv", wd / "oracle.tsv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    vocab = Vocabulary.load(wd / "vocab.txt")
+    expected = outcome(lambda: oracle_load_counts(bad, vocab))
+    assert expected.startswith(f"DataError: {bad}:{lineno}: {message}")
+    expected_merge = outcome(lambda: oracle_merge_counts([bad], oracle_out))
+    for block_lines in (1, 2, max(lineno - 3, 1)):
+        monkeypatch.setattr(snmlm.counts, "_BLOCK_LINES", block_lines)
+        assert outcome(lambda: CountStore.load(bad, vocab)) == expected
+        assert outcome(lambda: CountStore.load(bad, vocab, keep=())) == expected
+        # A merge reads words and feature strings as text, so it rejects only bad rows.
+        assert outcome(lambda: merge_files([bad], out)) == expected_merge
+        assert out.exists() == oracle_out.exists()
+        if out.exists():
+            assert out.read_bytes() == oracle_out.read_bytes()
 
 
 def test_row_sum_past_int64_exits_2(pipeline, capsys):

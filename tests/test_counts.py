@@ -4,13 +4,14 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import snmlm.counts
 import snmlm.files
 
 from snmlm.adjustment import AdjustmentModel
 from snmlm.corpus import build_vocab, map_tokens
 from snmlm.counts import COUNTS_HEADER, CountStore, accumulate, merge_files
 from snmlm.errors import DataError
-from snmlm.extraction import Event, Feature, extract_events, parse_config
+from snmlm.extraction import Event, Feature, extract_events, parse_config, render_feature
 
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
@@ -18,6 +19,10 @@ from snm_testutil import (
     build_model,
     check_consistency,
     extract_corpus_events,
+    oracle_load_counts,
+    oracle_merge_counts,
+    outcome,
+    parse_feature_oracle,
     strip_tags,
 )
 
@@ -355,6 +360,10 @@ _BAD_FILES = {
     "blank line": (f"{COUNTS_HEADER}\n#total-events 2\n[a]\tb\t1\n\n[a]\tc\t1\n", 4),
     "total past int64": (f"{COUNTS_HEADER}\n#total-events 9223372036854775808\n[a]\tb\t1\n", 2),
     "row sum past the total": (f"{COUNTS_HEADER}\n#total-events 2\n[a]\tb\t1\n[a]\tc\t2\n", 4),
+    "word order": (f"{COUNTS_HEADER}\n#total-events 2\n[a]\tc\t1\n[a]\tb\t1\n", 4),
+    "repeated link": (f"{COUNTS_HEADER}\n#total-events 2\n[a]\tb\t1\n[a]\tb\t1\n", 4),
+    "four fields, then two": (f"{COUNTS_HEADER}\n#total-events 2\n[a]\tb\t1\t1\n[a]\tc\n", 3),
+    "two fields, then four": (f"{COUNTS_HEADER}\n#total-events 2\n[a]\tb\n[a]\tc\t1\t1\n", 3),
 }
 
 
@@ -471,3 +480,153 @@ def test_a_row_summing_to_int64_max_trains(tmp_path, abc_vocab):
     assert store.feature_counts[Feature((abc_vocab.index["a"],))] == _INT64_MAX
     model = build_model(store, AdjustmentModel(64), abc_vocab)
     assert sum(model.normalizers.values()) == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# The block reader against the per-line reader it replaced
+
+def _store_items(store):
+    if isinstance(store, str):
+        return store
+    return (list(store.rows.items()), list(store.feature_counts.items()),
+            list(store.file_features.items()), store.total_events)
+
+
+# Words that start like a skip marker: only `skip-3` reads as one.
+_ODD_WORDS = ["a", "b", "c", "skip-x", "skip-", "skip-07", "skip-3"]
+
+
+@st.composite
+def _count_files(draw, vocab):
+    """Valid count-file rows, features some of them name, and the rows split into two shards.
+
+    Rows are (feature string, word, count, zero padding of the count).
+    """
+    n_words = len(vocab)
+    features, names = [], {}
+    for _ in range(draw(st.integers(1, 8))):
+        words = tuple(draw(st.lists(st.integers(0, n_words - 1), max_size=3)))
+        skip_pos = draw(st.none() | st.integers(0, len(words) - 1)) if words else None
+        skip_len = draw(st.none() | st.integers(1, 70)) if skip_pos is not None else None
+        f = Feature(words, skip_pos, skip_len, draw(st.sampled_from([None, "a", "web"])))
+        features.append(f)
+        name = render_feature(f, vocab)
+        try:
+            parse_feature_oracle(name, vocab)
+        except DataError:  # a vocabulary word read as a second or last marker
+            continue
+        names[name] = f
+    rows, shards = [], ([], [])
+    for name in names:
+        targets = draw(st.lists(st.integers(0, n_words - 1), min_size=1, max_size=3, unique=True))
+        for w in sorted(vocab.words[t] for t in targets):
+            c = draw(st.integers(1, 5))
+            rows.append((name, w, c, draw(st.sampled_from([0, 0, 0, 2]))))
+            split = draw(st.integers(0, c))  # 0 or c: the link is in one shard only
+            for shard, part in zip(shards, (split, c - split)):
+                if part:
+                    shard.append((name, w, part, draw(st.sampled_from([0, 0, 0, 1]))))
+    return rows, shards, features
+
+
+def _write_counts(path, rows, extra=0):
+    sums = {}
+    for name, _, c, _ in rows:
+        sums[name] = sums.get(name, 0) + c
+    body = "".join(f"{f}\t{w}\t{'0' * pad}{c}\n" for f, w, c, pad in sorted(rows))
+    path.write_text(f"{COUNTS_HEADER}\n#total-events {max(sums.values(), default=0) + extra}\n"
+                    + body, encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def odd_vocab():
+    return build_vocab(_ODD_WORDS, min_count=1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_block_reader_equals_the_line_reader(tmp_path_factory, odd_vocab, data):
+    rows, shards, features = data.draw(_count_files(odd_vocab))
+    keep = data.draw(st.lists(st.sampled_from(features), max_size=len(features)))
+    wd = tmp_path_factory.mktemp("blocks")
+    whole, one, two = wd / "whole.tsv", wd / "one.tsv", wd / "two.tsv"
+    _write_counts(whole, rows, extra=data.draw(st.integers(0, 2)))
+    _write_counts(one, shards[0])
+    _write_counts(two, shards[1])
+    expected = [_store_items(outcome(lambda: oracle_load_counts(whole, odd_vocab, k)))
+                for k in (None, keep)]
+    oracle_merge_counts([one, two], wd / "oracle.tsv")
+    for block_lines in (1, 2, 3, snmlm.counts._BLOCK_LINES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(snmlm.counts, "_BLOCK_LINES", block_lines)
+            for k, want in zip((None, keep), expected):
+                assert _store_items(outcome(lambda: CountStore.load(whole, odd_vocab, k))) == want
+            merge_files([one, two], wd / "merged.tsv")
+        assert (wd / "merged.tsv").read_bytes() == (wd / "oracle.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("block_lines", [1, 2])
+@pytest.mark.parametrize("case", sorted(_BAD_FILES))
+def test_bad_files_are_named_alike_after_a_block_boundary(tmp_path, abc_vocab, monkeypatch,
+                                                          case, block_lines):
+    # The line each case names comes after a block boundary when it is a row.
+    monkeypatch.setattr(snmlm.counts, "_BLOCK_LINES", block_lines)
+    good, bad, out = tmp_path / "good.tsv", tmp_path / "bad.tsv", tmp_path / "out.tsv"
+    good.write_text(_GOOD, encoding="utf-8")
+    bad.write_text(_BAD_FILES[case][0], encoding="utf-8")
+    expected = outcome(lambda: oracle_load_counts(bad, abc_vocab))
+    assert expected.startswith(f"DataError: {bad}")
+    assert outcome(lambda: CountStore.load(bad, abc_vocab)) == expected
+    assert outcome(lambda: CountStore.load(bad, abc_vocab, keep=())) == expected
+    assert outcome(lambda: merge_files([good, bad], out)) == expected
+    assert outcome(lambda: oracle_merge_counts([good, bad], out)) == expected
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block_lines", [1, 2])
+@pytest.mark.parametrize("rows", [
+    [(_INT64_MAX + 1, "b")],
+    [(1, "a"), (_INT64_MAX + 1, "b")],
+    [(_BIG_TOTAL, "b"), (1, "c")],
+    [(1, "a"), (_BIG_TOTAL, "b"), (_BIG_TOTAL, "c")],
+], ids=["count", "count in a row", "row sum", "row sum past 2^64"])
+def test_counts_past_int64_are_named_alike_after_a_block_boundary(tmp_path, abc_vocab,
+                                                                  monkeypatch, rows, block_lines):
+    monkeypatch.setattr(snmlm.counts, "_BLOCK_LINES", block_lines)
+    good, bad, out = tmp_path / "good.tsv", tmp_path / "bad.tsv", tmp_path / "out.tsv"
+    good.write_text(_GOOD, encoding="utf-8")
+    body = "".join(f"[a]\t{w}\t{c}\n" for c, w in rows)
+    bad.write_text(f"{COUNTS_HEADER}\n#total-events {_BIG_TOTAL}\n{body}", encoding="utf-8")
+    expected = outcome(lambda: oracle_load_counts(bad, abc_vocab))
+    assert expected.startswith(f"DataError: {bad}:")
+    assert outcome(lambda: CountStore.load(bad, abc_vocab)) == expected
+    assert outcome(lambda: merge_files([good, bad], out)) == expected
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block_lines", [1, 2048])
+def test_a_row_sum_past_2_64_is_rejected_not_wrapped(tmp_path, abc_vocab, monkeypatch,
+                                                     block_lines):
+    # 2 * (2^63 - 4) wraps to -8 in int64 and to 2^64 - 8 in uint64.
+    monkeypatch.setattr(snmlm.counts, "_BLOCK_LINES", block_lines)
+    good, bad, out = tmp_path / "good.tsv", tmp_path / "bad.tsv", tmp_path / "out.tsv"
+    good.write_text(_GOOD, encoding="utf-8")
+    big = _INT64_MAX - 3
+    bad.write_text(f"{COUNTS_HEADER}\n#total-events {big}\n[a]\tb\t{big}\n[a]\tc\t{big}\n",
+                   encoding="utf-8")
+    message = f"{bad}:4: row sum of [a] is more than the event total {big}"
+    for read in (lambda: CountStore.load(bad, abc_vocab), lambda: merge_files([good, bad], out)):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            read()
+    assert not out.exists()
+
+
+def test_merge_rejects_a_directive_line_between_rows(tmp_path):
+    # The row before it sorts below "#", so only the directive check names it.
+    bad, out = tmp_path / "bad.tsv", tmp_path / "out.tsv"
+    bad.write_text(f"{COUNTS_HEADER}\n#total-events 2\n!:[a]\tb\t1\n#x\tc\t1\n",
+                   encoding="utf-8")
+    expected = f"DataError: {bad}:4: unknown directive '#x\\tc\\t1'"
+    assert outcome(lambda: oracle_merge_counts([bad], out)) == expected
+    assert outcome(lambda: merge_files([bad], out)) == expected
+    assert not out.exists()
