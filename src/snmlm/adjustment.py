@@ -5,19 +5,19 @@ of each link. Its weights are fit by maximizing the multinomial
 log-likelihood of held-out events with mini-batch updates and per-weight
 AdaGrad learning rates.
 
-The dev events and the link design are fixed for a run, so `train`
-compiles the events once into flat arrays (`compile_events`): each feature
-occurrence the design knows, in event order, with its event, its row and
-its link to the event's target. A batch is a contiguous slice of them. The
-batch gradient then never touches every vocabulary word per event:
+The dev events (`HeldOut`) and the link design are fixed for a run, so
+`train` compiles the events once into flat arrays (`compile_events`): each
+feature occurrence the design knows, in event order, with its event, its
+row and its link to the event's target. A batch is a contiguous slice of
+them. The batch gradient then never touches every vocabulary word per event:
 `np.bincount` over the slice sums each event's y and y_t, the first term
 M_ft / y_t(e) of each occurring target link, and alpha_f, the sum of
 1/y(e) over the occurrences of f. The gradient of every stored link of
 every touched row is ``first_term(f,w) - M_fw * alpha_f``, pushed onto the
 weights through the links' meta-feature weights. The epoch statistics are
-the same two sums over all events. Every sum adds in the order the
-per-event walk of `score_event` does, so the results equal that walk's bit
-for bit.
+`snmlm.model.evaluate` of all events, the scorer `perplexity` runs. Every
+sum adds in the order the per-event walk of `score_event` does, so the
+results equal that walk's bit for bit.
 
 `BatchAccumulator` and `batch_theta_gradient` are that per-event walk over
 a model's dicts. Training no longer calls them; they stay as the
@@ -26,8 +26,8 @@ unpins their names from perfbench/tracing.py and deletes them.
 
 `train` owns the run's state: the design, and the cells and row sums in
 design order (`adjusted_cells`). They stay fixed while an epoch runs and
-are recomputed from the updated weights at epoch end. The scored model,
-with its row dicts, is built once by `materialize`, after the last epoch.
+are recomputed from the updated weights at epoch end. The returned model
+is those arrays of the last epoch (`materialize`); no row dict is built.
 """
 
 from __future__ import annotations
@@ -35,13 +35,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .corpus import Vocabulary
-from .counts import CountStore
+from .counts import CountStore, HeldOut
 from .errors import DataError
 from .extraction import Event, Feature
 from .files import atomic_write
@@ -50,7 +49,8 @@ from .metafeatures import LinkDesign, Mode
 # looks them up in this module until ROADMAP item 1 removes the pins. Nothing
 # may call `renormalize`: the tracer's hook on it reads the rows of its result.
 from .model import (  # noqa: F401
-    PROB_FLOOR, SnmModel, adjusted_cells, materialize, perplexity, score_event,
+    DevEvents, SnmModel, _event_sums, adjusted_cells, compile_events, evaluate, materialize,
+    perplexity, score_event,
 )
 renormalize = materialize
 
@@ -220,73 +220,6 @@ def batch_theta_gradient(
     return dict(zip(slots.tolist(), grads[slots].tolist()))
 
 
-class DevEvents(NamedTuple):
-    """Events compiled against a link design, one entry per known feature occurrence.
-
-    Entries are in event order and, within an event, in feature order:
-    ``event`` is the entry's event id, ``row`` its feature's row, and
-    ``link`` the link (row, target), or -1 when the row has none. ``starts``
-    holds each event's first entry, then the number of entries.
-    """
-
-    event: np.ndarray
-    row: np.ndarray
-    link: np.ndarray
-    starts: np.ndarray
-
-    @property
-    def num_events(self) -> int:
-        return len(self.starts) - 1
-
-    def batch(self, lo: int, hi: int) -> "DevEvents":
-        """Events lo..hi-1, numbered from 0."""
-        a, b = int(self.starts[lo]), int(self.starts[hi])
-        return DevEvents(
-            self.event[a:b] - lo, self.row[a:b], self.link[a:b], self.starts[lo : hi + 1] - a
-        )
-
-
-def compile_events(events: Sequence[Event], design: LinkDesign) -> DevEvents:
-    """Where each feature occurrence of the events lands in the design.
-
-    Features the design lacks are dropped, as `score_event` drops them; an
-    event left with none raises its `DataError`.
-    """
-    lens = np.fromiter((len(e.features) for e in events), dtype=np.int64, count=len(events))
-    occurrences = chain.from_iterable(e.features for e in events)
-    row = np.fromiter(map(design.row_index.get, occurrences, repeat(-1)), dtype=np.int64,
-                      count=int(lens.sum()))
-    event = np.repeat(np.arange(len(events)), lens)
-    known = row >= 0
-    event, row = event[known], row[known]
-    per_event = np.bincount(event, minlength=len(events))
-    if not per_event.all():
-        raise DataError("event has no features known to the model")
-    starts = np.zeros(len(events) + 1, dtype=np.int64)
-    np.cumsum(per_event, out=starts[1:])
-    target = np.fromiter((e.target for e in events), dtype=np.int64, count=len(events))[event]
-    # Links ascend by (row, word), so by this key; the match is checked on
-    # both, as a target id past the vocabulary would alias the next row.
-    v = len(design.vocab)
-    have = design.row.astype(np.int64) * v + design.words
-    pos = np.minimum(np.searchsorted(have, row * v + target), len(have) - 1)
-    found = (design.row[pos] == row) & (design.words[pos] == target)
-    return DevEvents(event, row, np.where(found, pos, -1), starts)
-
-
-def _event_sums(dev: DevEvents, cells: np.ndarray, row_sums: np.ndarray) -> tuple[np.ndarray, ...]:
-    """y and y_t of each event: its features' normalizers and target cells, summed.
-
-    `np.bincount` adds in entry order, so each sum equals `score_event`'s
-    bit for bit.
-    """
-    n = dev.num_events
-    y = np.bincount(dev.event, row_sums[dev.row], minlength=n)
-    # Link -1 reads the last cell, which `np.where` then replaces by 0.0.
-    y_t = np.bincount(dev.event, np.where(dev.link >= 0, cells[dev.link], 0.0), minlength=n)
-    return y, y_t
-
-
 class BatchGradient(NamedTuple):
     """Nonzero slots of a batch's weight-table gradient, ascending, and their values."""
 
@@ -370,7 +303,7 @@ class EpochStats:
 
 
 def train(
-    dev_events: Iterable[Event],
+    dev_events: HeldOut | Iterable[Event],
     counts: CountStore,
     adj: AdjustmentModel,
     epochs: int,
@@ -387,25 +320,22 @@ def train(
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
-    dev_events = list(dev_events)
+    held = dev_events if isinstance(dev_events, HeldOut) else HeldOut.from_events(list(dev_events))
     design = LinkDesign.build(counts, adj.mode, adj.table_size, vocab)
     cells, row_sums = adjusted_cells(design, adj.theta)
     history: list[EpochStats] = []
-    if not (dev_events and epochs):
+    if not (held.num_events and epochs):
         return history, materialize(design, cells, row_sums)
-    dev = compile_events(dev_events, design)
+    dev = compile_events(held, design)
     n = dev.num_events
     batch_size = adj.batch_size
-    floor = math.log(PROB_FLOOR)
     for epoch in range(epochs + 1):
         if epoch:
             for i in range(0, n, batch_size):
                 process_batch(dev.batch(i, min(i + batch_size, n)), design, cells, row_sums, adj)
             cells, row_sums = adjusted_cells(design, adj.theta)
-        y, y_t = _event_sums(dev, cells, row_sums)
-        # math.log, as `score_event` takes it: np.log may differ in the last bit.
-        total = math.fsum([math.log(r) if r > 0.0 else floor for r in (y_t / y).tolist()])
-        history.append(EpochStats(epoch, total, math.exp(-total / n), adj.nonzero_params))
+        report = evaluate(dev, cells, row_sums, held.target)
+        history.append(EpochStats(epoch, report.log_prob_sum, report.ppl, adj.nonzero_params))
         if log:
             log(history[-1].format())
     return history, materialize(design, cells, row_sums)

@@ -12,23 +12,19 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .adjustment import AdjustmentModel, train
-from .corpus import (TaggedCorpus, Vocabulary, build_vocab, corpus_lines, iter_file_tokens,
-                     map_tokens, natural)
-from .counts import CountStore, count_files
+from .corpus import Vocabulary, build_vocab, iter_file_tokens, natural
+from .counts import CountStore, HeldOut, count_files
 from .errors import DataError, SnmError
-from .extraction import (
-    Event,
-    ExtractorConfig,
-    expand_tags,
-    extract_events,
-    is_tag,
-    load_config,
-    parse_feature,
+# `expand_tags`, `extract_events` and `materialize` are not called here;
+# perfbench/tracing.py looks them up in this module until ROADMAP item 1
+# removes the pins.
+from .extraction import (  # noqa: F401
+    expand_tags, extract_events, is_tag, load_config, parse_feature,
 )
 from .metafeatures import Mode, explain
-# `materialize` is not called here; perfbench/tracing.py looks it up in this
-# module until ROADMAP item 1 removes the pin.
 from .model import load_model, materialize, perplexity, save_model  # noqa: F401
 
 _MODES = {m.value: m for m in Mode}
@@ -70,29 +66,16 @@ def _tags(args, files=None) -> tuple[str, ...]:
     return tags
 
 
-def _corpus_events(path, vocab: Vocabulary, config: ExtractorConfig, tags) -> list[Event]:
-    """Extract evaluation-side events, expanding corpus tags when given."""
-    events: list[Event] = []
-    for sent in TaggedCorpus.from_file(path, vocab).sentences:
-        for e in extract_events(sent, config):
-            events.append(expand_tags(e, tags) if tags else e)
-    return events
+def _at_line(exc: DataError, path, held: HeldOut, sums) -> DataError:
+    """`exc` named at the line of `path` holding the first event with no feature of positive `sums`.
 
-
-def _at_line(exc: DataError, path, vocab: Vocabulary, events: list[Event], known) -> DataError:
-    """`exc` named at the line of `path` holding the first event with no feature in `known`.
-
-    `known` maps a feature to its row's count or normalizer. Called only
-    once scoring has raised, so only then is `path` read again, to count
-    each line's events; with no such event, `exc` is returned as it is.
+    `sums` maps a feature to its row's count or normalizer. With no such
+    event, `exc` is returned as it is.
     """
-    first = next((i for i, e in enumerate(events)
-                  if not any(known.get(f, 0) > 0 for f in e.features)), None)
-    for lineno, tokens in corpus_lines(path) if first is not None else ():
-        first -= len(map_tokens(tokens, vocab)) - 1
-        if first < 0:
-            return DataError(f"{path}:{lineno}: {exc}")
-    return exc
+    known = np.fromiter((sums.get(f, 0) > 0 for f in held.features), bool, len(held.features))
+    first = np.flatnonzero(np.bincount(held.event[known[held.feature]],
+                                       minlength=held.num_events) == 0)
+    return DataError(f"{path}:{held.line[first[0]]}: {exc}") if len(first) else exc
 
 
 def _check_tags_cover(feature_tags, tags, source: str) -> None:
@@ -149,10 +132,10 @@ def _check_outputs(args, *flags: str) -> None:
 def _held_out(args, tags: tuple[str, ...]):
     """The vocab, the dev events, and the count rows of the dev features."""
     vocab = Vocabulary.load(args.vocab)
-    dev_events = _corpus_events(args.dev, vocab, load_config(args.config), tags)
-    store = CountStore.load(args.counts, vocab, keep={f for e in dev_events for f in e.features})
+    dev = HeldOut.read(args.dev, vocab, load_config(args.config), tags)
+    store = CountStore.load(args.counts, vocab, keep=dev.features)
     _check_tags_cover(store.file_features, tags, args.counts)
-    return vocab, dev_events, store
+    return vocab, dev, store
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +188,8 @@ def cmd_train(args) -> int:
     tags = _tags(args)
     _check_outputs(args, "--adjustment-out", "--model-out")
     # Only the dev rows are trained on and saved, so only they are stored.
-    vocab, dev_events, store = _held_out(args, tags)
-    if not dev_events:
+    vocab, dev, store = _held_out(args, tags)
+    if not dev.num_events:
         raise SnmError(f"{args.dev}: empty development set")
     # A copy of `store`: perfbench/tracing.py captures the training store from
     # this call. ROADMAP item 1 removes the pin.
@@ -224,9 +207,9 @@ def cmd_train(args) -> int:
         f"mode={adj.mode.value}"
     )
     try:
-        _, model = train(dev_events, intersected, adj, args.epochs, vocab, log=print)
+        _, model = train(dev, intersected, adj, args.epochs, vocab, log=print)
     except DataError as exc:
-        raise _at_line(exc, args.dev, vocab, dev_events, intersected.feature_counts) from None
+        raise _at_line(exc, args.dev, dev, intersected.feature_counts) from None
     adj.save(args.adjustment_out)
     save_model(model, args.model_out, vocab)
     print(f"adjustment -> {args.adjustment_out}")
@@ -239,14 +222,15 @@ def cmd_eval(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     config = load_config(args.config)
     model = load_model(args.model, vocab)
-    _check_tags_cover({f.tag for f in model.rows}, tags, args.model)
-    events = _corpus_events(args.test, vocab, config, tags)
-    if not events:
+    _check_tags_cover({f.tag for f in model.features}, tags, args.model)
+    test = HeldOut.read(args.test, vocab, config, tags)
+    if not test.num_events:
         raise SnmError(f"{args.test}: empty test set")
     try:
-        report = perplexity(model, events)
+        report = perplexity(model, test)
     except DataError as exc:
-        raise _at_line(exc, args.test, vocab, events, model.normalizers) from None
+        sums = dict(zip(model.features, model.row_sums.tolist()))
+        raise _at_line(exc, args.test, test, sums) from None
     print(f"events: {report.num_events}")
     print(f"ppl: {report.ppl:.6g}")
     print(f"oov_rate: {report.oov_rate:.6f}")
@@ -267,23 +251,27 @@ def cmd_inspect(args) -> int:
             raise
         # Every line is still validated; only the asked row is stored.
         store = CountStore.load(args.counts, vocab, keep={feature})
-        source, rows, sums, total_name = args.counts, store.rows, store.feature_counts, "C_f*"
+        source, row, total_name = args.counts, store.rows.get(feature), "C_f*"
+        total = store.feature_counts.get(feature)
     else:
         model = load_model(args.model, vocab)
         feature = parse_feature(args.feature, vocab)
-        source, rows, sums, total_name = args.model, model.rows, model.normalizers, "M_f*"
-    if feature not in rows:
+        source, row, total_name = args.model, None, "M_f*"
+        if (r := model.row_index.get(feature)) is not None:
+            lo, hi = model.offsets[r : r + 2].tolist()
+            row = dict(zip(model.words[lo:hi].tolist(), model.cells[lo:hi].tolist()))
+            total = model.row_sums[r].item()
+    if row is None:
         print(f"feature {args.feature!r} not found in {source}")
         return 0
-    total = sums[feature]
     print(f"feature {args.feature}  {total_name}={total!r}")
-    for w, v in sorted(rows[feature].items(), key=lambda kv: (-kv[1], vocab.words[kv[0]])):
+    for w, v in sorted(row.items(), key=lambda kv: (-kv[1], vocab.words[kv[0]])):
         # A count also shows its share of the row.
         print(f"  {vocab.words[w]}\t{v!r}" + (f"\t{v / total:.6g}" if args.counts else ""))
     if args.target is None:
         return 0
     wid = vocab.index.get(args.target)
-    c_fw = rows[feature].get(wid, 0)
+    c_fw = row.get(wid, 0)
     if not c_fw:
         print(f"link target {args.target!r} not found in this row")
         return 0

@@ -129,20 +129,23 @@ class TaggedCorpus:
         return cls([map_tokens(tokens, vocab) for _, tokens in corpus_lines(path)])
 
 
-def framed_ids(path, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+def framed_ids(path, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sentences of a text file as `TaggedCorpus.from_file` reads them, as arrays.
 
     Returns every framed sentence's ids concatenated into one int32 array,
-    and the sentence lengths. Only the arrays are held, not a list per
-    sentence.
+    the sentence lengths, and the line number of each sentence. Only the
+    arrays are held, not a list per sentence.
     """
     ids = array("i")
     lengths = array("q")
-    for _, tokens in corpus_lines(path):
+    lines = array("q")
+    for lineno, tokens in corpus_lines(path):
         sent = map_tokens(tokens, vocab)
         ids.extend(sent)
         lengths.append(len(sent))
-    return np.asarray(ids, dtype=np.int32), np.asarray(lengths, dtype=np.int64)
+        lines.append(lineno)
+    return (np.asarray(ids, dtype=np.int32), np.asarray(lengths, dtype=np.int64),
+            np.asarray(lines, dtype=np.int64))
 
 
 def corpus_lines(path) -> Iterator[tuple[int, list[str]]]:

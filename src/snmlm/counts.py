@@ -10,6 +10,10 @@ count` runs): no `Event` or `Feature` object is built, and a feature's
 string is rendered only to write it. `accumulate` counts `Event`s into a
 `CountStore` of dict rows, the in-memory form that `CountStore.load` also
 returns and that training reads. Both write through `write_rows`.
+
+Held-out text takes the same occurrence step (`_occurrences`) into
+`HeldOut`, the arrays that training and evaluation score; only its
+distinct features become `Feature`s.
 """
 
 from __future__ import annotations
@@ -98,8 +102,14 @@ class CountStore:
     # -- persistence ------------------------------------------------------
 
     def save(self, path, vocab: Vocabulary) -> None:
-        names = [render_feature(f, vocab) for f in self.rows]
-        LinkCounts(names, *dict_links(self.rows, np.int64), self.total_events).save(path, vocab)
+        rows = self.rows
+        lengths = np.fromiter(map(len, rows.values()), np.int64, len(rows))
+        n = int(lengths.sum())
+        LinkCounts([render_feature(f, vocab) for f in rows],
+                   np.repeat(np.arange(len(rows)), lengths),
+                   np.fromiter(chain.from_iterable(rows.values()), np.int64, n),
+                   np.fromiter(chain.from_iterable(r.values() for r in rows.values()), np.int64, n),
+                   self.total_events).save(path, vocab)
 
     @classmethod
     def load(cls, path, vocab: Vocabulary, keep: Iterable[Feature] | None = None) -> "CountStore":
@@ -237,17 +247,6 @@ def write_rows(fh, names: list[str], row: np.ndarray, word: np.ndarray, value: n
     return rank
 
 
-def dict_links(rows: dict[Feature, dict], dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The links of dict rows as `write_rows` takes them: row index, word id and value arrays."""
-    lengths = np.fromiter(map(len, rows.values()), np.int64, len(rows))
-    n = int(lengths.sum())
-    return (
-        np.repeat(np.arange(len(rows)), lengths),
-        np.fromiter(chain.from_iterable(rows.values()), np.int64, n),
-        np.fromiter(chain.from_iterable(r.values() for r in rows.values()), dtype, n),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Counting training text on integer arrays
 
@@ -268,30 +267,39 @@ def _links(columns: list[np.ndarray], target: np.ndarray, base: int,
     return [c[first] for c in columns], target[first], count
 
 
-def _source_links(tokens: np.ndarray, lengths: np.ndarray, shapes: dict, base: int):
-    """Per feature shape, the links one source's framed sentences yield.
+def _occurrences(tokens: np.ndarray, lengths: np.ndarray, shapes: dict, base: int):
+    """Per feature shape, its occurrences in one source's framed sentences.
 
     Occurrences are taken per n-gram order and skip template at every
     target position it fits; in shapes that can emit a feature twice in one
-    event, each (event, feature) pair is kept once.
+    event, each (event, feature) pair is kept once, at its first template.
+    Yields each shape that occurs, the occurrences' context columns, their
+    events, numbered across the source in text order, and the emission
+    rank of their templates (`feature_shapes`).
     """
     starts = np.cumsum(lengths) - lengths
     position = np.arange(len(tokens)) - np.repeat(starts, lengths)
     targets = np.flatnonzero(position >= 1)
     k = position[targets]
     for shape, contexts in shapes.items():
-        events = [np.flatnonzero(k >= reach) for reach, _ in contexts]
+        events = [np.flatnonzero(k >= reach) for reach, _, _ in contexts]
         at = [targets[e] for e in events]
-        columns = [np.concatenate([tokens[p - d[j]] for p, (_, d) in zip(at, contexts)])
+        columns = [np.concatenate([tokens[p - d[j]] for p, (_, d, _) in zip(at, contexts)])
                    for j in range(shape[2])]
-        at = np.concatenate(at)
-        if len(contexts) > 1 and len(at):
+        rank = np.repeat([r for _, _, r in contexts], list(map(len, events)))
+        event = np.concatenate(events)
+        if len(contexts) > 1 and len(event):
             distinct, feature = np.unique(_rank_key(columns, base), return_inverse=True)
-            pair = _rank_key([np.concatenate(events), feature], max(len(k), len(distinct)))
+            pair = _rank_key([event, feature], max(len(k), len(distinct)))
             _, once = np.unique(pair, return_index=True)
-            columns, at = [c[once] for c in columns], at[once]
-        if len(at):
-            yield shape, _links(columns, tokens[at], base)
+            columns, event, rank = [c[once] for c in columns], event[once], rank[once]
+        if len(event):
+            yield shape, columns, event, rank
+
+
+def _event_targets(tokens: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The target of each event of framed sentences: every token but a sentence's first."""
+    return np.delete(tokens, np.cumsum(lengths) - lengths)
 
 
 def count_files(paths, tags: Sequence[str | None], vocab: Vocabulary,
@@ -308,10 +316,11 @@ def count_files(paths, tags: Sequence[str | None], vocab: Vocabulary,
     parts: dict[tuple, list] = {}
     total = 0
     for path, tag in zip(paths, tags):
-        tokens, lengths = framed_ids(path, vocab)
-        total += len(tokens) - len(lengths)
-        for shape, links in _source_links(tokens, lengths, shapes, base):
-            parts.setdefault((tag, shape), []).append(links)
+        tokens, lengths, _ = framed_ids(path, vocab)
+        target = _event_targets(tokens, lengths)
+        total += len(target)
+        for shape, columns, event, _ in _occurrences(tokens, lengths, shapes, base):
+            parts.setdefault((tag, shape), []).append(_links(columns, target[event], base))
 
     names: list[str] = []
     empty = np.zeros(0, np.int64)
@@ -336,6 +345,73 @@ def count_files(paths, tags: Sequence[str | None], vocab: Vocabulary,
         counts.append(count)
     return LinkCounts(names, np.concatenate(rows), np.concatenate(words), np.concatenate(counts),
                       total)
+
+
+class HeldOut(NamedTuple):
+    """Held-out events as arrays, in the order `score_event` visits their features.
+
+    Occurrence i is feature ``features[feature[i]]`` of event ``event[i]``;
+    event j predicts word ``target[j]``. Occurrences follow events and,
+    within an event, its features as `extract_events` and `expand_tags`
+    give them. `features` are distinct. Read from text, event j comes from
+    line ``line[j]``.
+    """
+
+    features: list[Feature]
+    event: np.ndarray
+    feature: np.ndarray
+    target: np.ndarray
+    line: np.ndarray | None = None
+
+    @property
+    def num_events(self) -> int:
+        return len(self.target)
+
+    @classmethod
+    def from_events(cls, events: Sequence[Event]) -> "HeldOut":
+        index: dict[Feature, int] = {}
+        lens = np.fromiter(map(len, (e.features for e in events)), np.int64, len(events))
+        # A feature is numbered when first seen.
+        feature = [index.setdefault(f, len(index)) for e in events for f in e.features]
+        return cls(list(index), np.repeat(np.arange(len(events)), lens),
+                   np.array(feature, np.int64),
+                   np.fromiter((e.target for e in events), np.int64, len(events)))
+
+    @classmethod
+    def read(cls, path, vocab: Vocabulary, config: ExtractorConfig,
+             tags: Sequence[str] = ()) -> "HeldOut":
+        """The events of a text file, with each feature expanded to one per tag of `tags`.
+
+        Equal, occurrence for occurrence, to `from_events` of `extract_events`
+        of every sentence of `TaggedCorpus.from_file`, through `expand_tags`
+        when `tags` are given. Occurrences are taken as `count_files` takes
+        them and sorted by event and emission rank; a `Feature` is built once
+        per distinct context and tag.
+        """
+        tokens, lengths, lines = framed_ids(path, vocab)
+        shapes = feature_shapes(config)
+        ranks = 1 + max(r for contexts in shapes.values() for _, _, r in contexts)
+        tagged = tuple(dict.fromkeys(tags)) or (None,)  # a repeated tag once, as `expand_tags`
+        new = tuple.__new__
+        features: list[Feature] = []
+        keys, contexts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        for (skip_pos, skip_len, _), columns, event, rank in _occurrences(
+                tokens, lengths, shapes, len(vocab)):
+            if columns:
+                _, first, context = np.unique(_rank_key(columns, len(vocab)), return_index=True,
+                                              return_inverse=True)
+                words = zip(*(c[first].tolist() for c in columns))
+            else:
+                context, words = np.zeros(len(event), np.int64), [()]
+            keys.append(event * ranks + rank)
+            contexts.append(len(features) // len(tagged) + context)
+            features += [new(Feature, (w, skip_pos, skip_len, t)) for w in words for t in tagged]
+        key = np.concatenate(keys)
+        order = np.argsort(key)
+        # Context c has features c * len(tagged) + t, one per tag t in tag order.
+        feature = np.concatenate(contexts)[order, None] * len(tagged) + np.arange(len(tagged))
+        return cls(features, np.repeat(key[order] // ranks, len(tagged)), feature.ravel(),
+                   _event_targets(tokens, lengths).astype(np.int64), np.repeat(lines, lengths - 1))
 
 
 def line_error(path, lineno: int, line: str, directive: str, fields: int) -> DataError:

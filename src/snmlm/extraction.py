@@ -260,8 +260,8 @@ def _template_count(blk: SkipConfig) -> int:
     )
 
 
-def feature_shapes(config: ExtractorConfig) -> dict[tuple, list[tuple[int, tuple[int, ...]]]]:
-    """Per feature shape, ``(reach, distances)`` of each n-gram order and skip template of it.
+def feature_shapes(config: ExtractorConfig) -> dict[tuple, list[tuple[int, tuple[int, ...], int]]]:
+    """Per feature shape, ``(reach, distances, rank)`` of each n-gram order and skip template of it.
 
     A shape is ``(skip_pos, skip_len, number of words)``, as in `Feature`;
     within a shape, the context words alone identify a feature. At target
@@ -269,16 +269,20 @@ def feature_shapes(config: ExtractorConfig) -> dict[tuple, list[tuple[int, tuple
     `distances`, in order, and fits when k >= reach: the order n, or a skip
     template's whole span with its gap. Templates come from
     `_skip_templates`, the plan of `extract_events`, so both extract the same
-    features. A shape with one template emits at most one feature per event;
-    one with several, only from tied skip lengths or several blocks, can
-    emit a feature twice.
+    features, and `rank` is the place where `extract_events` emits a
+    template's feature: n-gram orders shortest first, then skip templates
+    in plan order. A shape with one template emits at most one feature per
+    event; one with several, only from tied skip lengths or several blocks,
+    can emit a feature twice.
     """
-    shapes = {(None, None, n): [(n, tuple(range(n, 0, -1)))]
-              for n in range(config.ngram.min_n, config.ngram.max_n + 1)}
+    lo, hi = config.ngram.min_n, config.ngram.max_n
+    shapes = {(None, None, n): [(n, tuple(range(n, 0, -1)), n - lo)] for n in range(lo, hi + 1)}
+    rank = hi - lo + 1
     for blk in config.skip:
         for o, r, a, s in _skip_templates(blk):
             distances = tuple(range(o, o - r, -1)) + tuple(range(a, 0, -1))
-            shapes.setdefault((r, s, r + a), []).append((o, distances))
+            shapes.setdefault((r, s, r + a), []).append((o, distances, rank))
+            rank += 1
     return shapes
 
 

@@ -5,6 +5,8 @@ oracles are written from the defining formulas, independent of the link
 design and batch-trick code they are used to check; `array_theta_gradient`
 wraps the production batch gradient in the same dict form. `build_matrix`
 and `build_model` make what `train` holds and returns for fixed weights.
+`model_of` builds a model from dict rows, and `materialized_dicts` is the
+one-link-at-a-time reference of a model's dict views.
 `LinkHasher` is the scalar reference of a link's meta-features: the items
 of one link, built one by one, that `snmlm.metafeatures.LinkDesign` must
 reproduce column by column.
@@ -384,6 +386,34 @@ def build_matrix(store: CountStore, adj: AdjustmentModel, vocab):
 def build_model(store: CountStore, adj: AdjustmentModel, vocab) -> SnmModel:
     """The model of `adj`'s weights over `store`, as `train` returns it."""
     return materialize(*build_matrix(store, adj, vocab))
+
+
+def model_of(rows: dict, normalizers: dict) -> SnmModel:
+    """The model with the given dict rows and normalizers, as arrays in design order.
+
+    Rows keep their order; within a row, links are sorted by word id.
+    """
+    features = list(rows)
+    sorted_rows = [sorted(rows[f].items()) for f in features]
+    offsets = np.cumsum([0, *map(len, sorted_rows)])
+    links = list(chain.from_iterable(sorted_rows))
+    return SnmModel(features, offsets, np.array([w for w, _ in links], dtype=np.int32),
+                    np.array([v for _, v in links], dtype=np.float64),
+                    np.array([normalizers[f] for f in features], dtype=np.float64))
+
+
+def materialized_dicts(design: LinkDesign, cells: np.ndarray, row_sums: np.ndarray):
+    """The row dicts and normalizers of the model of `adjusted_cells`, built one link at a time.
+
+    A row per design feature in design order, each the design's words of
+    that row, ascending, with their cells; the reference `SnmModel.rows`
+    and `SnmModel.normalizers` must equal in order and bit for bit.
+    """
+    rows = {}
+    for r, f in enumerate(design.features):
+        links = range(int(design.offsets[r]), int(design.offsets[r + 1]))
+        rows[f] = {int(design.words[i]): float(cells[i]) for i in links}
+    return rows, {f: float(row_sums[r]) for r, f in enumerate(design.features)}
 
 
 def array_theta_gradient(events, design, cells, row_sums) -> dict[int, float]:

@@ -118,8 +118,9 @@ def test_corpus_lines_are_framed_or_rejected_at_their_line(tmp_path):
     path.write_text("<S> a\n \n\nb </S>\n<S>\n", encoding="utf-8")
     sentences = [[S_ID, 3, E_ID], [S_ID, 4, E_ID], [S_ID, E_ID]]
     assert TaggedCorpus.from_file(path, vocab).sentences == sentences
-    ids, lengths = framed_ids(path, vocab)
+    ids, lengths, lines = framed_ids(path, vocab)
     assert (ids.tolist(), lengths.tolist()) == (sum(sentences, []), [3, 3, 2])
+    assert lines.tolist() == [1, 4, 5]
     # <S> after a line's first token leaves the line unframed.
     path.write_text("a b\n\n<S> a <S> b\n", encoding="utf-8")
     message = f"^{re.escape(str(path))}:3: <S> inside a sentence$"

@@ -6,7 +6,9 @@ n-gram orders and skip-block (a, s, r) tuples, de-duplicating every event;
 count per occurrence. The library's planned extraction and single-lookup
 counting must return equal events in equal order, and equal stores with the
 same row insertion order. `snmlm count`, which counts on integer arrays,
-must write the bytes `CountStore.save` writes of the oracle's store.
+must write the bytes `CountStore.save` writes of the oracle's store, and
+`HeldOut.read`, which takes held-out text through the same templates, must
+give the events `extract_events` and `expand_tags` give, in the same order.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from snmlm.cli import main
-from snmlm.corpus import E_ID, S_ID, TaggedCorpus, Vocabulary
-from snmlm.counts import CountStore, accumulate
+from snmlm.corpus import E_ID, S_ID, TaggedCorpus, Vocabulary, corpus_lines
+from snmlm.counts import CountStore, HeldOut, accumulate
 from snmlm.errors import ConfigError, DataError
-from snmlm.extraction import Event, Feature, extract_events, load_config, parse_config
+from snmlm.extraction import (
+    Event, Feature, expand_tags, extract_events, load_config, parse_config,
+)
 
 
 def oracle_extract_events(sentence, config, tag=None):
@@ -365,3 +369,42 @@ def test_cli_count_ranks_contexts_past_int64(tmp_path):
     assert _run_count(files, ["web", "web"], config, vocab_text, tmp_path) is not None
     written = (tmp_path / "counts.tsv").read_text(encoding="utf-8")
     assert all(f"web:[{first} {tail}]\t</S>\t2\n" in written for first in firsts)
+
+
+# ---------------------------------------------------------------------------
+# Held-out text on integer arrays against extracted events
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@settings(max_examples=25, deadline=None)
+@given(
+    lines=st.lists(st.one_of(_line, st.sampled_from(["", " ", "a", "c b"])), max_size=6),
+    tags=st.sampled_from([(), ("web", "news"), ("news", "web", "news")]),
+)
+def test_held_out_text_equals_extracted_events(name, lines, tags):
+    # Lines shorter than a template's span, blank lines, unknown words and
+    # misplaced frame tokens, read with no tags, two tags, or a tag repeated.
+    config = parse_config(CONFIGS[name])
+    vocab = Vocabulary(_VOCAB.split())
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "held.txt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        try:
+            sentences = TaggedCorpus.from_file(path, vocab).sentences
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                HeldOut.read(path, vocab, config, tags)
+            assert str(got.value) == str(exc)
+            return
+        held = HeldOut.read(path, vocab, config, tags)
+        numbers = [lineno for lineno, _ in corpus_lines(path)]
+    events = [expand_tags(e, tags) if tags else e
+              for s in sentences for e in extract_events(s, config)]
+    expected = HeldOut.from_events(events)
+    assert ([held.features[i] for i in held.feature.tolist()]
+            == [expected.features[i] for i in expected.feature.tolist()])
+    assert len(set(held.features)) == len(held.features)
+    assert {(type(f), type(f.words), *map(type, f.words)) for f in held.features} <= {
+        (Feature, tuple, *[int] * n) for n in range(5)}
+    assert (held.event.tolist(), held.target.tolist()) == (expected.event.tolist(),
+                                                           expected.target.tolist())
+    assert held.line.tolist() == [n for n, s in zip(numbers, sentences) for _ in s[1:]]

@@ -13,7 +13,6 @@ from snmlm.extraction import Event, Feature
 from snmlm.metafeatures import Mode
 from snmlm.model import (
     PROB_FLOOR,
-    SnmModel,
     adjusted_cells,
     load_model,
     materialize,
@@ -27,6 +26,7 @@ from snm_testutil import (
     build_model,
     compute_metafeatures,
     make_vocab,
+    model_of,
     random_events,
     random_store,
     random_theta,
@@ -321,7 +321,7 @@ def test_model_file_golden_bytes(tmp_path):
     empty = Feature((), tag="web")
     # 0.1 + 0.2 needs all 17 significant digits to read back.
     rows = {skip: {c: 0.1 + 0.2, b: 1 / 3}, empty: {a: 2.0, 1: 1e-05}}
-    model = SnmModel(rows, {empty: 2.00001, skip: 0.6333333333333333})
+    model = model_of(rows, {empty: 2.00001, skip: 0.6333333333333333})
     path = tmp_path / "model.tsv"
     save_model(model, path, vocab)
     assert path.read_bytes() == (
