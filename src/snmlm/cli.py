@@ -193,7 +193,7 @@ def cmd_train(args) -> int:
         raise SnmError(f"{args.dev}: empty development set")
     # A copy of `store`: perfbench/tracing.py captures the training store from
     # this call. ROADMAP item 1 removes the pin.
-    intersected = store.intersect(store.rows)
+    intersected = store.intersect(store.features)
     del store
 
     # Built after the inputs are read: built before them, the weight table
@@ -229,8 +229,7 @@ def cmd_eval(args) -> int:
     try:
         report = perplexity(model, test)
     except DataError as exc:
-        sums = dict(zip(model.features, model.row_sums.tolist()))
-        raise _at_line(exc, args.test, test, sums) from None
+        raise _at_line(exc, args.test, test, model.normalizers) from None
     print(f"events: {report.num_events}")
     print(f"ppl: {report.ppl:.6g}")
     print(f"oov_rate: {report.oov_rate:.6f}")

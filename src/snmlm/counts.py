@@ -8,8 +8,9 @@ sequential merge join.
 Training text is counted on integer arrays (`count_files`, which `snmlm
 count` runs): no `Event` or `Feature` object is built, and a feature's
 string is rendered only to write it. `accumulate` counts `Event`s into a
-`CountStore` of dict rows, the in-memory form that `CountStore.load` also
-returns and that training reads. Both write through `write_rows`.
+`CountStore`, the arrays in row order that `CountStore.load` also fills
+and that the link design reads as they are; its dict rows are views built
+only when read. Both write through `write_rows`.
 
 Held-out text takes the same occurrence step (`_occurrences`) into
 `HeldOut`, the arrays that training and evaluation score; only its
@@ -21,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from contextlib import closing, suppress
+from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import eq, lt, ne, not_
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -45,71 +47,92 @@ _TOTAL_PREFIX = "#total-events "
 # Counts and their row sums are int64 in the link design, and so are the
 # keys `count_files` counts on.
 _INT64_MAX = (1 << 63) - 1
+# Rows whose links `row_dicts` converts to Python values at a time.
+_ROW_GROUP = 2048
 
 
 class CountStore:
-    """Link counts C_fw, feature counts C_f*, and the event total.
+    """Link counts C_fw, feature counts C_f* and the event total, as arrays in row order.
 
-    ``feature_counts[f]`` always equals the exact integer sum of the row
-    ``rows[f]``; absent keys mean count zero. A store read by `load` also
-    has `file_features`: per corpus tag (None for untagged), the number of
-    features in the file, including rows a filtered load did not keep.
+    Row r is feature ``features[r]``: links ``offsets[r]`` to ``offsets[r + 1]``
+    to the ascending word ids `words`, seen `counts` times; ``row_sums[r]``
+    is C_f*, their exact sum. No row is empty. Rows come first seen from
+    `accumulate` and in file order from `load`, whose store also has
+    `file_features`: per corpus tag (None for untagged), the number of
+    features in the file, kept or not. `rows` and `feature_counts` are the
+    same as dicts, built the first time they are read.
     """
 
-    __slots__ = ("rows", "feature_counts", "total_events", "file_features")
+    def __init__(self, features: list[Feature], offsets: np.ndarray, words: np.ndarray,
+                 counts: np.ndarray, total_events: int,
+                 file_features: dict[str | None, int] | None = None):
+        self.features = features
+        self.offsets, self.words, self.counts = offsets, words, counts
+        self.row_sums = np.add.reduceat(counts, offsets[:-1])
+        self.total_events = total_events
+        self.file_features = {} if file_features is None else file_features
 
-    def __init__(self):
-        self.rows: dict[Feature, dict[int, int]] = {}
-        self.feature_counts: dict[Feature, int] = {}
-        self.total_events = 0
-        self.file_features: dict[str | None, int] = {}
+    @classmethod
+    def from_rows(cls, rows: dict[Feature, dict[int, int]], total_events: int) -> "CountStore":
+        """The store of dict rows of word id to count, in their order; words go in id order."""
+        lens = np.fromiter(map(len, rows.values()), np.int64, len(rows))
+        n = int(lens.sum())
+        words = np.fromiter(chain.from_iterable(rows.values()), np.int32, n)
+        counts = np.fromiter(chain.from_iterable(r.values() for r in rows.values()), np.int64, n)
+        order = np.lexsort((words, np.repeat(np.arange(len(rows)), lens)))
+        return cls(list(rows), np.concatenate(([0], np.cumsum(lens))), words[order],
+                   counts[order], total_events)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.features)
 
     @property
     def num_links(self) -> int:
-        return sum(len(row) for row in self.rows.values())
+        return len(self.words)
+
+    @cached_property
+    def rows(self) -> dict[Feature, dict[int, int]]:
+        """Each feature's row as a dict from word id to count, in row order."""
+        return row_dicts(self.features, self.offsets, self.words, self.counts)
+
+    @cached_property
+    def feature_counts(self) -> dict[Feature, int]:
+        """Each feature's count C_f*, in row order."""
+        return dict(zip(self.features, self.row_sums.tolist()))
 
     def add_event(self, event: Event) -> None:
-        """Count one event; `accumulate` is the bulk counting loop."""
-        self.total_events += 1
-        target = event.target
-        rows = self.rows
-        fcounts = self.feature_counts
+        """Count one event in place, by rebuilding the store through `from_rows`.
+
+        It copies the whole store per event, and nothing calls it:
+        `accumulate` is the counting loop. It stays only because
+        perfbench/tracing.py wraps it by name; ROADMAP item 1b deletes it.
+        """
+        rows = {f: dict(row) for f, row in self.rows.items()}
         for f in event.features:
-            row = rows.get(f)
-            if row is None:
-                row = rows[f] = {}
-            row[target] = row.get(target, 0) + 1
-            fcounts[f] = fcounts.get(f, 0) + 1
+            row = rows.setdefault(f, {})
+            row[event.target] = row.get(event.target, 0) + 1
+        self.__dict__ = vars(CountStore.from_rows(rows, self.total_events + 1))
 
     def intersect(self, keep: Iterable[Feature]) -> "CountStore":
-        """Sub-store with the full rows of the given features.
+        """Sub-store with the full rows of the given features, in row order.
 
         Features never seen in training simply contribute no row. Feature
         counts keep their full training-data values.
         """
         keep = set(keep)
-        out = CountStore()
-        for f, row in self.rows.items():
-            if f in keep:
-                out.rows[f] = dict(row)
-                out.feature_counts[f] = self.feature_counts[f]
-        out.total_events = self.total_events
-        return out
+        kept = np.fromiter(map(keep.__contains__, self.features), bool, len(self))
+        lens = np.diff(self.offsets)
+        links = np.repeat(kept, lens)
+        return CountStore(list(compress(self.features, kept)),
+                          np.concatenate(([0], np.cumsum(lens[kept]))), self.words[links],
+                          self.counts[links], self.total_events)
 
     # -- persistence ------------------------------------------------------
 
     def save(self, path, vocab: Vocabulary) -> None:
-        rows = self.rows
-        lengths = np.fromiter(map(len, rows.values()), np.int64, len(rows))
-        n = int(lengths.sum())
-        LinkCounts([render_feature(f, vocab) for f in rows],
-                   np.repeat(np.arange(len(rows)), lengths),
-                   np.fromiter(chain.from_iterable(rows.values()), np.int64, n),
-                   np.fromiter(chain.from_iterable(r.values() for r in rows.values()), np.int64, n),
-                   self.total_events).save(path, vocab)
+        LinkCounts([render_feature(f, vocab) for f in self.features],
+                   np.repeat(np.arange(len(self)), np.diff(self.offsets)),
+                   self.words, self.counts, self.total_events).save(path, vocab)
 
     @classmethod
     def load(cls, path, vocab: Vocabulary, keep: Iterable[Feature] | None = None) -> "CountStore":
@@ -125,40 +148,45 @@ class CountStore:
             for f in keep:
                 with suppress(IndexError, OverflowError, TypeError):  # no row names it
                     wanted.add(render_feature(f, vocab))
-        store = cls()
-        rows, index, parse = store.rows, vocab.index, feature_parser(vocab)
+        index, parse = vocab.index, feature_parser(vocab)
         tags: Counter[str | None] = Counter()
-        row = None  # the kept row that the last block ended in
+        features: list[Feature] = []
+        empty = np.zeros(0, np.int64)
+        rows, words, counts = [empty], [empty.astype(np.int32)], [empty]
+        row = -1  # the kept row that the last block ended in, or -1
         with closing(_blocks(path, index, parse)) as blocks:
-            store.total_events = next(blocks)
+            total = next(blocks)
             for b in blocks:
                 tags += b.tags
-                bounds = [*b.starts.tolist(), len(b.fs)]
-                if row is not None:
-                    row.update(b.links(index, 0, bounds[0]))
-                if len(bounds) == 1:
-                    continue
-                names = list(map(b.fs.__getitem__, bounds[:-1]))
-                row = None
+                names = list(map(b.fs.__getitem__, b.starts.tolist()))
+                # The kept row of the lines before the first row start, then of each row.
+                runs = [row] + [-1] * len(names)
                 for i in range(len(names)) if keep is None else np.flatnonzero(
                         np.fromiter(map(wanted.__contains__, names), bool, len(names))).tolist():
                     f = parse(names[i])
                     if keep is None or f in keep:
-                        rows[f] = b.links(index, bounds[i], bounds[i + 1])
-                        row = rows[f] if i == len(names) - 1 else None
-        store.file_features = dict(tags)
-        _sum_rows(store)
-        return store
+                        runs[i + 1] = len(features)
+                        features.append(f)
+                row = runs[-1]
+                line = np.repeat(runs, np.diff(b.starts, prepend=0, append=len(b.fs)))
+                kept = line >= 0
+                rows.append(line[kept])
+                words.append(np.fromiter(map(index.__getitem__, compress(b.ws, kept)), np.int32))
+                counts.append(b.counts[kept])
+        row, words = np.concatenate(rows), np.concatenate(words)
+        order = np.lexsort((words, row))
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(features)))))
+        return cls(features, offsets, words[order], np.concatenate(counts)[order], total,
+                   dict(tags))
 
 
 def accumulate(events: Iterable[Event]) -> CountStore:
     """Count every (feature, target) link over a stream of events.
 
-    One dict lookup per feature occurrence; rows keep first-seen order and
-    feature counts are set once at the end as the row sums.
+    One dict lookup per feature occurrence; the rows, in first-seen order,
+    become the store's arrays once at the end (`CountStore.from_rows`).
     """
-    store = CountStore()
-    rows = store.rows
+    rows: dict[Feature, dict[int, int]] = {}
     get = rows.get
     total = 0
     for features, target in events:
@@ -169,18 +197,27 @@ def accumulate(events: Iterable[Event]) -> CountStore:
                 rows[f] = {target: 1}
             else:
                 row[target] = row.get(target, 0) + 1
-    _sum_rows(store)
-    store.total_events = total
-    return store
+    return CountStore.from_rows(rows, total)
 
 
-def _sum_rows(store: CountStore) -> None:
-    """Set every feature count C_f* to its row sum, in row order."""
-    # Presized from rows: a dict comprehension would grow through resizes and
-    # leave freed tables behind in the heap (about 4.5 MB at 155k features).
-    fcounts = store.feature_counts = dict.fromkeys(store.rows)
-    for f, row in store.rows.items():
-        fcounts[f] = sum(row.values())
+def row_dicts(features: list[Feature], offsets: np.ndarray, words: np.ndarray,
+              values: np.ndarray) -> dict[Feature, dict]:
+    """Row r as ``{features[r]: {word: value}}`` of its links, in row order.
+
+    Values are converted to Python numbers a group of rows at a time, so
+    no list of every link's value is held next to the finished rows.
+    """
+    rows: dict[Feature, dict] = {}
+    off = offsets.tolist()
+    for g in range(0, len(features), _ROW_GROUP):
+        end = min(g + _ROW_GROUP, len(features))
+        base = off[g]
+        ws = words[base : off[end]].tolist()
+        vs = values[base : off[end]].tolist()
+        for r in range(g, end):
+            lo, hi = off[r] - base, off[r + 1] - base
+            rows[features[r]] = dict(zip(ws[lo:hi], vs[lo:hi]))
+    return rows
 
 
 class LinkCounts(NamedTuple):
@@ -451,11 +488,6 @@ class _Block(NamedTuple):
     counts: np.ndarray
     starts: np.ndarray
     tags: Counter
-
-    def links(self, index: dict[str, int], start: int, end: int) -> dict[int, int]:
-        """Rows `start` to `end` as a row dict: word id to count."""
-        return dict(zip(map(index.__getitem__, self.ws[start:end]),
-                        self.counts[start:end].tolist()))
 
 
 def _blocks(path, index=None, parse=None) -> Iterator:

@@ -20,9 +20,10 @@ fixed for a training run; only the weight table changes. `LinkDesign`
 hashes every link of a count store once, so that the adjusted matrix and
 the batch gradient become array products over it: A = sum_j theta[slot_j]
 * weight_j per link, and the transpose pushes a per-link gradient back
-onto the table with `np.bincount`. Links are grouped by row in count-store
-order and sorted by word id within a row. Every link has the same columns,
-with zero-weight padding where a count has a single log2 bucket. The slots
+onto the table with `np.bincount`. The design takes the count store's
+arrays as they are: rows in store order, word ids ascending within a row,
+their counts and row sums. Every link has the same columns, with
+zero-weight padding where a count has a single log2 bucket. The slots
 of hashes that vary per link are stored in blocks of `_CHUNK` links; a slot
 that depends on the row, the word or the link-count class alone comes from
 a table over that key. Weights are not stored: a column weighs one of the
@@ -37,7 +38,6 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -323,31 +323,15 @@ class LinkDesign:
     ) -> LinkDesign:
         d = cls()
         d.mode, d.table_size, d.vocab = mode, table_size, vocab
-        rows = counts.rows
-        d.features = features = list(rows)
-        n_rows = len(features)
+        d.features = features = counts.features
         d.row_index = {f: r for r, f in enumerate(features)}
-        lens = np.fromiter(map(len, rows.values()), dtype=np.int64, count=n_rows)
-        d.offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(lens, out=d.offsets[1:])
-        n = int(d.offsets[-1])
-        d.row = row = np.repeat(np.arange(n_rows, dtype=np.int32), lens)
-        words = np.fromiter(chain.from_iterable(rows.values()), dtype=np.int32, count=n)
-        link_counts = np.fromiter(
-            chain.from_iterable(r.values() for r in rows.values()), dtype=np.int64, count=n
-        )
-        order = np.lexsort((words, row))
-        d.words = words = words[order]
-        link_counts = link_counts[order]
-        del order
-        feature_counts = np.fromiter(
-            (counts.feature_counts[f] for f in features), dtype=np.int64, count=n_rows
-        )
-        d.rel_freq = link_counts * (1.0 / feature_counts)[row]
+        d.offsets, d.words = counts.offsets, counts.words
+        d.row = row = np.repeat(np.arange(len(features), dtype=np.int32), np.diff(d.offsets))
+        words, n = d.words, counts.num_links
+        d.rel_freq = counts.counts * (1.0 / counts.row_sums)[row]
         tables, d._fcls, d._fw, d._lcls, d._lw = _descriptors(
-            features, feature_counts, words, link_counts, mode, vocab
+            features, counts.row_sums, words, counts.counts, mode, vocab
         )
-        del link_counts
 
         def columns(part):
             keys = {"row": row[part], "word": words[part], "class": d._lcls[part]}

@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import UNK_ID, Vocabulary
-from .counts import HeldOut, line_error, read_preamble, write_rows
+from .counts import HeldOut, line_error, read_preamble, row_dicts, write_rows
 from .errors import DataError
 from .extraction import Event, Feature, feature_parser, render_feature
 from .files import atomic_write, open_text
@@ -49,9 +49,6 @@ _LOG_FLOOR = math.log(PROB_FLOOR)
 
 # An adjustment beyond this indicates divergence rather than a usable model.
 MAX_ABS_ADJUSTMENT = 50.0
-
-# Rows whose cells are converted to Python floats at a time.
-_ROW_GROUP = 2048
 
 
 class SnmModel:
@@ -79,20 +76,7 @@ class SnmModel:
     @cached_property
     def rows(self) -> dict[Feature, dict[int, float]]:
         """Each feature's row as a dict from word id to cell, in row order."""
-        features, cells = self.features, self.cells
-        rows: dict[Feature, dict[int, float]] = {}
-        off = self.offsets.tolist()
-        # Cells are converted to Python floats a group of rows at a time, so no
-        # list of every link's value is held next to the finished rows.
-        for g in range(0, len(features), _ROW_GROUP):
-            end = min(g + _ROW_GROUP, len(features))
-            base = off[g]
-            words = self.words[base : off[end]].tolist()
-            values = cells[base : off[end]].tolist()
-            for r in range(g, end):
-                lo, hi = off[r] - base, off[r + 1] - base
-                rows[features[r]] = dict(zip(words[lo:hi], values[lo:hi]))
-        return rows
+        return row_dicts(self.features, self.offsets, self.words, self.cells)
 
     @cached_property
     def normalizers(self) -> dict[Feature, float]:

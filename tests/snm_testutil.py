@@ -28,7 +28,7 @@ import numpy as np
 
 from snmlm.adjustment import AdjustmentModel, compile_events, theta_gradient
 from snmlm.corpus import Vocabulary, build_vocab, map_tokens, natural
-from snmlm.counts import COUNTS_HEADER, CountStore, _sum_rows, line_error, read_preamble
+from snmlm.counts import COUNTS_HEADER, CountStore, line_error, read_preamble
 from snmlm.errors import DataError
 from snmlm.extraction import (
     Event, Feature, extract_events, feature_parser, parse_config, render_feature,
@@ -191,17 +191,12 @@ def explain_metafeatures(
 
 def strip_tags(store: CountStore) -> CountStore:
     """Pool per-tag rows into untagged rows by summing counts."""
-    out = CountStore()
+    rows: dict[Feature, dict[int, int]] = {}
     for f, row in store.rows.items():
-        bare = f._replace(tag=None)
-        mine = out.rows.get(bare)
-        if mine is None:
-            mine = out.rows[bare] = {}
+        mine = rows.setdefault(f._replace(tag=None), {})
         for w, c in row.items():
             mine[w] = mine.get(w, 0) + c
-        out.feature_counts[bare] = out.feature_counts.get(bare, 0) + store.feature_counts[f]
-    out.total_events = store.total_events
-    return out
+    return CountStore.from_rows(rows, store.total_events)
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +271,12 @@ def random_store(
         n = rng.randint(1, 3)
         feats.append(Feature(tuple(rng.choice(word_ids) for _ in range(n))))
     feats = list(dict.fromkeys(feats))
-    store = CountStore()
+    rows = {}
     for f in feats:
         row_words = rng.sample(word_ids, rng.randint(2, min(max_row, len(word_ids))))
-        row = {w: rng.randint(1, max_count) for w in row_words}
-        store.rows[f] = row
-        store.feature_counts[f] = sum(row.values())
-    store.total_events = sum(store.feature_counts.values())
-    return store, feats
+        rows[f] = {w: rng.randint(1, max_count) for w in row_words}
+    total = sum(sum(row.values()) for row in rows.values())
+    return CountStore.from_rows(rows, total), feats
 
 
 def random_events(
@@ -534,11 +527,12 @@ def outcome(read):
 def oracle_load_counts(path, vocab: Vocabulary, keep=None) -> CountStore:
     """`CountStore.load` as one pass over `oracle_count_rows`, parsing every feature string."""
     keep = None if keep is None else set(keep)
-    store = CountStore()
+    rows: dict[Feature, dict[int, int]] = {}
+    file_features: dict[str | None, int] = {}
     parse = feature_parser(vocab)
     last_fs = row = None
     with closing(oracle_count_rows(path)) as entries:
-        store.total_events = next(entries)
+        total = next(entries)
         for fs, ws, c, lineno in entries:
             wid = vocab.index.get(ws)
             if wid is None:
@@ -549,13 +543,14 @@ def oracle_load_counts(path, vocab: Vocabulary, keep=None) -> CountStore:
                     f = parse(fs)
                 except DataError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
-                store.file_features[f.tag] = store.file_features.get(f.tag, 0) + 1
+                file_features[f.tag] = file_features.get(f.tag, 0) + 1
                 row = None
                 if keep is None or f in keep:
-                    row = store.rows[f] = {}
+                    row = rows[f] = {}
             if row is not None:
                 row[wid] = c
-    _sum_rows(store)
+    store = CountStore.from_rows(rows, total)
+    store.file_features = file_features
     return store
 
 

@@ -1,6 +1,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +9,7 @@ import snmlm.counts
 import snmlm.files
 
 from snmlm.adjustment import AdjustmentModel
-from snmlm.corpus import build_vocab, map_tokens
+from snmlm.corpus import E_ID, S_ID, build_vocab, map_tokens
 from snmlm.counts import COUNTS_HEADER, CountStore, accumulate, merge_files
 from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature, extract_events, parse_config, render_feature
@@ -196,16 +197,14 @@ def test_count_file_format(tmp_path, abc_vocab):
 
 def test_count_file_golden_bytes(tmp_path, abc_vocab):
     a, b, c = (abc_vocab.index[t] for t in "abc")
-    store = CountStore()
     # Rows and links out of file order, tagged and untagged, n-gram and skip.
-    store.rows = {
+    store = CountStore.from_rows({
         Feature((a,), tag="web"): {c: 12, b: 3},
         Feature(()): {a: 7, 1: 2},
         Feature((0, a)): {b: 1},
         Feature((a, b), skip_pos=1, tag="web"): {c: 1000},
         Feature((b, a), skip_pos=1, skip_len=2): {c: 5},
-    }
-    store.total_events = 1234
+    }, 1234)
     path = tmp_path / "counts.tsv"
     store.save(path, abc_vocab)
     assert path.read_bytes() == (
@@ -497,11 +496,8 @@ _ODD_WORDS = ["a", "b", "c", "skip-x", "skip-", "skip-07", "skip-3"]
 
 
 @st.composite
-def _count_files(draw, vocab):
-    """Valid count-file rows, features some of them name, and the rows split into two shards.
-
-    Rows are (feature string, word, count, zero padding of the count).
-    """
+def _features(draw, vocab):
+    """Features over `vocab`, and the string of each one whose string parses, mapped to it."""
     n_words = len(vocab)
     features, names = [], {}
     for _ in range(draw(st.integers(1, 8))):
@@ -516,6 +512,17 @@ def _count_files(draw, vocab):
         except DataError:  # a vocabulary word read as a second or last marker
             continue
         names[name] = f
+    return features, names
+
+
+@st.composite
+def _count_files(draw, vocab):
+    """Valid count-file rows, features some of them name, and the rows split into two shards.
+
+    Rows are (feature string, word, count, zero padding of the count).
+    """
+    n_words = len(vocab)
+    features, names = draw(_features(vocab))
     rows, shards = [], ([], [])
     for name in names:
         targets = draw(st.lists(st.integers(0, n_words - 1), min_size=1, max_size=3, unique=True))
@@ -563,6 +570,65 @@ def test_block_reader_equals_the_line_reader(tmp_path_factory, odd_vocab, data):
                 assert _store_items(outcome(lambda: CountStore.load(whole, odd_vocab, k))) == want
             merge_files([one, two], wd / "merged.tsv")
         assert (wd / "merged.tsv").read_bytes() == (wd / "oracle.tsv").read_bytes()
+
+
+def _assert_store_invariants(store: CountStore) -> None:
+    """Rows are non-empty, words ascend within a row, row sums are exact, views equal arrays."""
+    offsets, words, counts = store.offsets, store.words, store.counts
+    assert (offsets.dtype, words.dtype, counts.dtype) == (np.int64, np.int32, np.int64)
+    lens = np.diff(offsets)
+    assert offsets[0] == 0 and offsets[-1] == len(words) == len(counts)
+    assert len(store.features) == len(lens) == len(set(store.features))
+    assert (lens > 0).all() and (counts > 0).all()
+    row = np.repeat(np.arange(len(lens)), lens)
+    same = row[1:] == row[:-1]
+    assert (words[1:][same] > words[:-1][same]).all()
+    assert store.row_sums.tolist() == np.add.reduceat(counts, offsets[:-1]).tolist()
+    assert list(store.feature_counts.items()) == list(zip(store.features,
+                                                          store.row_sums.tolist()))
+    assert list(store.rows) == store.features
+    for f, lo, hi in zip(store.features, offsets.tolist(), offsets[1:].tolist()):
+        assert list(store.rows[f].items()) == list(zip(words[lo:hi].tolist(),
+                                                       counts[lo:hi].tolist()))
+
+
+def _same_arrays(store: CountStore, other: CountStore) -> bool:
+    return (store.features == other.features and store.total_events == other.total_events
+            and all(np.array_equal(getattr(store, a), getattr(other, a))
+                    for a in ("offsets", "words", "counts", "row_sums")))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_every_store_keeps_the_array_invariants(tmp_path_factory, odd_vocab, data):
+    _, names = data.draw(_features(odd_vocab))
+    pool = list(dict.fromkeys([Feature(()), *(f for name, f in names.items()
+                                              if parse_feature_oracle(name, odd_vocab) == f)]))
+    # The empty row links </S> and <S>, whose ids and strings sort apart.
+    events = [Event((Feature(()),), E_ID), Event((Feature(()),), S_ID)]
+    events += data.draw(st.lists(st.builds(
+        Event, st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True).map(tuple),
+        st.integers(0, len(odd_vocab) - 1)), max_size=12))
+    keep = data.draw(st.lists(st.sampled_from(pool), max_size=len(pool)))
+    counted = accumulate(events)
+    # Words out of id order within each row: descending.
+    rows = {f: dict(sorted(row.items(), reverse=True)) for f, row in counted.rows.items()}
+    built = CountStore.from_rows(rows, len(events))
+    added = CountStore.from_rows({}, 0)
+    for e in events:
+        added.add_event(e)
+    assert _same_arrays(built, counted) and _same_arrays(added, counted)
+    stores = [counted, built, added, counted.intersect(keep)]
+    path = tmp_path_factory.mktemp("invariants") / "counts.tsv"
+    counted.save(path, odd_vocab)
+    for block_lines in (1, 2, 3, snmlm.counts._BLOCK_LINES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(snmlm.counts, "_BLOCK_LINES", block_lines)
+            whole, kept = CountStore.load(path, odd_vocab), CountStore.load(path, odd_vocab, keep)
+        assert whole.rows == counted.rows and _same_arrays(kept, whole.intersect(keep))
+        stores += [whole, kept]
+    for store in stores:
+        _assert_store_invariants(store)
 
 
 @pytest.mark.parametrize("block_lines", [1, 2])

@@ -16,7 +16,7 @@ from snmlm import metafeatures
 from snmlm.adjustment import (
     AdjustmentModel, BatchAccumulator, batch_theta_gradient, compile_events, process_batch, train,
 )
-from snmlm.corpus import build_vocab
+from snmlm.corpus import SPECIAL_TOKENS, Vocabulary, build_vocab
 from snmlm.counts import CountStore, accumulate
 from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature, parse_config, render_feature
@@ -63,16 +63,14 @@ def _mixed_store(vocab) -> CountStore:
         Feature((6, 7), skip_pos=1, skip_len=1, tag="web"),
     ]
     rng = random.Random(7)
-    store = CountStore()
+    rows = {}
     for f in feats:
         words = rng.sample(range(3, len(vocab)), rng.randint(1, 6))
-        store.rows[f] = {w: rng.choice(_COUNTS) for w in words}
+        rows[f] = {w: rng.choice(_COUNTS) for w in words}
     # one single-link row per count, so feature counts hit both bucket kinds
     for i, c in enumerate(_COUNTS):
-        store.rows[Feature((8, 3 + i))] = {9: c}
-    for f, row in store.rows.items():
-        store.feature_counts[f] = sum(row.values())
-    return store
+        rows[Feature((8, 3 + i))] = {9: c}
+    return CountStore.from_rows(rows, sum(sum(row.values()) for row in rows.values()))
 
 
 def _design_items(design: LinkDesign, i: int) -> list[tuple[int, float]]:
@@ -104,6 +102,26 @@ def test_design_items_equal_reference_hasher(mode, table_size, block_size):
         seen.add(design.link(i))
         assert _design_items(design, i) == _reference_items(design, store, vocab, i)
     assert seen == {(f, w) for f, row in store.rows.items() for w in row}
+
+
+def test_design_of_a_loaded_store_equals_the_design_of_its_dict_rows(tmp_path, block_size):
+    # Word ids in reverse string order, as a vocabulary file may give them.
+    vocab = Vocabulary([*SPECIAL_TOKENS, *reversed(make_vocab(20).words[3:])])
+    path = tmp_path / "counts.tsv"
+    _mixed_store(vocab).save(path, vocab)
+    loaded = CountStore.load(path, vocab)
+    # The file's rows, in file order: words by string, not by id.
+    rows = {f: dict(sorted(row.items(), key=lambda kv: vocab.words[kv[0]]))
+            for f, row in loaded.rows.items()}
+    assert any(list(row) != sorted(row) for row in rows.values())
+    for mode in Mode:
+        got, want = (LinkDesign.build(s, mode, 4096, vocab)
+                     for s in (loaded, CountStore.from_rows(rows, loaded.total_events)))
+        assert got.features == want.features
+        arrays = [(got.offsets, want.offsets), (got.words, want.words),
+                  (got.rel_freq, want.rel_freq), *zip(got.slots, want.slots, strict=True)]
+        for a, b in arrays:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def _explained_links(vocab):

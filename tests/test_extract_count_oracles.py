@@ -73,14 +73,12 @@ def oracle_extract_events(sentence, config, tag=None):
 
 
 def oracle_accumulate(events) -> CountStore:
-    store = CountStore()
+    rows: dict[Feature, dict[int, int]] = {}
     for event in events:
-        store.total_events += 1
         for f in event.features:
-            row = store.rows.setdefault(f, {})
+            row = rows.setdefault(f, {})
             row[event.target] = row.get(event.target, 0) + 1
-            store.feature_counts[f] = store.feature_counts.get(f, 0) + 1
-    return store
+    return CountStore.from_rows(rows, len(events))
 
 
 def _skip(ctx, skip_lo, skip_hi, tie, remote=None):

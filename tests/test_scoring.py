@@ -3,8 +3,9 @@
 `perplexity` and the epoch statistics of `train` compile held-out events and
 add their sums with `np.bincount`; `_loop_report` is the per-event walk they
 replaced. Both must agree bit for bit, and raise the same errors. `snmlm
-train` and `snmlm eval` must not build a model's dict views, and the views,
-when read, must be the dicts the model's arrays stand for.
+train` and `snmlm eval` must not build the dict views of a model or of a
+count store, and a model's views, when read, must be the dicts its arrays
+stand for.
 """
 
 import contextlib
@@ -60,9 +61,9 @@ def _store_and_events(seed: int):
     rng = random.Random(seed)
     vocab = make_vocab(20)
     store, feats = random_store(rng, vocab, 12)
-    store.rows[Feature(())][UNK_ID] = 3
-    store.feature_counts[Feature(())] += 3
-    store.total_events += 3
+    rows = store.rows
+    rows[Feature(())][UNK_ID] = 3
+    store = CountStore.from_rows(rows, store.total_events + 3)
     unknown = [Feature((4, 4)), Feature((5,), tag="web")]
     events = random_events(rng, store, feats, 30)
     events += random_events(rng, store, feats, 10, reachable_targets=False)
@@ -177,7 +178,13 @@ def test_eval_prints_what_a_score_event_loop_gives(tmp_path, tags):
 
 @pytest.mark.parametrize("tags", [(), ("a", "b")])
 def test_train_and_eval_build_no_dict_views(tmp_path, monkeypatch, tags):
-    models = []
+    models, stores = [], []
+    init = CountStore.__init__
+
+    def new_store(store, *args):
+        init(store, *args)
+        stores.append(store)
+    monkeypatch.setattr(CountStore, "__init__", new_store)
 
     def spy(name):
         run = getattr(snmlm.cli, name)
@@ -192,6 +199,8 @@ def test_train_and_eval_build_no_dict_views(tmp_path, monkeypatch, tags):
     _cli(*_pipeline(tmp_path, tags))
     trained, loaded = models
     assert [m for m in models if {"rows", "normalizers"} & set(vars(m))] == []
+    assert len(stores) == 2  # the dev rows loaded, and their copy that trains
+    assert [s for s in stores if {"rows", "feature_counts"} & set(vars(s))] == []
 
     # The dicts the old `materialize` built, from the count rows of the dev features.
     vocab = Vocabulary.load(tmp_path / "vocab.txt")
