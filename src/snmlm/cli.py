@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .adjustment import AdjustmentModel, train
-from .corpus import Vocabulary, build_vocab, iter_file_tokens, natural
+from .corpus import Vocabulary, build_vocab, corpus_lines, iter_file_tokens, natural
 from .counts import CountStore, HeldOut, count_files
-from .errors import DataError, SnmError
+from .errors import DataError, MarkerWordError, SnmError
 # `expand_tags`, `extract_events` and `materialize` are not called here;
 # perfbench/tracing.py looks them up in this module until ROADMAP item 1
 # removes the pins.
@@ -145,7 +145,12 @@ def cmd_build_vocab(args) -> int:
     if args.min_count < 1:
         raise UsageError(f"--min-count must be >= 1, got {args.min_count}")
     _check_outputs(args, "--output")
-    vocab = build_vocab(iter_file_tokens(args.corpus), min_count=args.min_count)
+    try:
+        vocab = build_vocab(iter_file_tokens(args.corpus), min_count=args.min_count)
+    except MarkerWordError as exc:  # named at the corpus line that first has the word
+        where = next((f"{path}:{lineno}: " for path in args.corpus
+                      for lineno, tokens in corpus_lines(path) if exc.word in tokens), "")
+        raise MarkerWordError(exc.word, where) from None
     vocab.save(args.output)
     print(f"vocabulary: {len(vocab)} words -> {args.output}")
     return 0

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, MarkerWordError
 from .files import atomic_write, open_text
 
 S_TOKEN = "<S>"
@@ -34,7 +34,8 @@ class Vocabulary:
 
     Ids are assigned deterministically: ``<S>``, ``</S>``, ``<UNK>`` get
     ids 0..2 and every other word follows in lexicographic order, so two
-    builds over the same data produce identical id assignments.
+    builds over the same data produce identical id assignments. No word is a
+    skip marker (`is_skip_marker`): feature strings would misread it.
     """
 
     __slots__ = ("words", "index")
@@ -43,17 +44,19 @@ class Vocabulary:
         """With `path`, the file `words` were read from, errors name its line."""
         words = list(words)
 
-        def error(i: int, message: str) -> DataError:
-            return DataError(message if path is None else f"{path}:{i + 1}: {message}")
+        def at(i: int) -> str:
+            return "" if path is None else f"{path}:{i + 1}: "
 
         if tuple(words[:3]) != SPECIAL_TOKENS:
             i = next(i for i, s in enumerate(SPECIAL_TOKENS) if words[i:i + 1] != [s])
-            raise error(i, "vocabulary must start with the special tokens "
-                           f"{' '.join(SPECIAL_TOKENS)}")
+            raise DataError(f"{at(i)}vocabulary must start with the special tokens "
+                            f"{' '.join(SPECIAL_TOKENS)}")
         index: dict[str, int] = {}
         for i, w in enumerate(words):
             if w in index:
-                raise error(i, f"duplicate vocabulary entry {w!r}")
+                raise DataError(f"{at(i)}duplicate vocabulary entry {w!r}")
+            if is_skip_marker(w):
+                raise MarkerWordError(w, at(i))
             index[w] = i
         self.words = words
         self.index = index
@@ -83,6 +86,12 @@ class Vocabulary:
                 what = f"entry {w!r} contains whitespace" if w else "entry is empty"
                 raise DataError(f"{path}:{i + 1}: vocabulary {what}")
         return cls(words, path)
+
+
+def is_skip_marker(word: str) -> bool:
+    """Whether feature strings read `word` as ``skip-*`` or ``skip-`` and a number, no leading 0."""
+    n = word[5:]
+    return word[:5] == "skip-" and (n == "*" or n.isascii() and n.isdigit() and n[0] != "0")
 
 
 def build_vocab(tokens: Iterable[str], min_count: int = 1) -> Vocabulary:

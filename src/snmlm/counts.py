@@ -7,10 +7,11 @@ sequential merge join.
 
 Training text is counted on integer arrays (`count_files`, which `snmlm
 count` runs): no `Event` or `Feature` object is built, and a feature's
-string is rendered only to write it. `accumulate` counts `Event`s into a
-`CountStore`, the arrays in row order that `CountStore.load` also fills
-and that the link design reads as they are; its dict rows are views built
-only when read. Both write through `write_rows`.
+string is rendered only to write it. `accumulate` counts `Event`s per
+shared features tuple, on arrays too (`_links`), into a `CountStore`: the
+arrays in row order that `CountStore.load` also fills and the link design
+reads; its dict rows are views built only when read. Both write through
+`write_rows`.
 
 Held-out text takes the same occurrence step (`_occurrences`) into
 `HeldOut`, the arrays that training and evaluation score; only its
@@ -24,7 +25,7 @@ from collections import Counter
 from contextlib import closing, suppress
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
-from operator import eq, lt, ne, not_
+from operator import eq, itemgetter, lt, ne, not_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -183,21 +184,30 @@ class CountStore:
 def accumulate(events: Iterable[Event]) -> CountStore:
     """Count every (feature, target) link over a stream of events.
 
-    One dict lookup per feature occurrence; the rows, in first-seen order,
-    become the store's arrays once at the end (`CountStore.from_rows`).
+    Events holding one features tuple object (`extract_events` gives equal
+    n-gram contexts one) are counted per (tuple, target) pair, whose counts
+    `_links` then sums into its features' links. Rows are numbered by
+    feature value, first seen first, so equal objects share a row.
     """
-    rows: dict[Feature, dict[int, int]] = {}
-    get = rows.get
-    total = 0
-    for features, target in events:
-        total += 1
-        for f in features:
-            row = get(f)
-            if row is None:
-                rows[f] = {target: 1}
-            else:
-                row[target] = row.get(target, 0) + 1
-    return CountStore.from_rows(rows, total)
+    events = list(events)  # holds every tuple, so that no two share an id()
+    total = len(events)
+    target = np.fromiter(map(itemgetter(1), events), np.int64, total)
+    _, first, group = np.unique(np.fromiter(map(id, map(itemgetter(0), events)), np.uintp, total),
+                                return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct tuples in order of their first event
+    tuples, group = [events[i][0] for i in first[order].tolist()], np.argsort(order)[group]
+    index: dict[Feature, int] = {}
+    row = np.fromiter((index.setdefault(f, len(index)) for t in tuples for f in t), np.int64)
+    features, lens = list(index), np.fromiter(map(len, tuples), np.int64, len(tuples))
+    del events, tuples, index  # the links below set the peak memory
+    base = max(1, len(lens), len(features), int(target.max(initial=0)) + 1)
+    (group,), target, seen = _links([group], target, base)
+    # Pair p gives a link per feature of its tuple, whose rows are a run of `row`.
+    n = lens[group]
+    row = row[np.repeat((np.cumsum(lens) - lens)[group] - np.cumsum(n) + n, n) + np.arange(n.sum())]
+    (row,), words, counts = _links([row], np.repeat(target, n), base, np.repeat(seen, n))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(features)))))
+    return CountStore(features, offsets, words.astype(np.int32), counts, total)
 
 
 def row_dicts(features: list[Feature], offsets: np.ndarray, words: np.ndarray,
@@ -295,12 +305,15 @@ def _links(columns: list[np.ndarray], target: np.ndarray, base: int,
     occurrences of each, or the sum of their `weight`.
     """
     key = _rank_key([*columns, target], base)
-    if weight is None:
-        _, first, count = np.unique(key, return_index=True, return_counts=True)
-    else:
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        count = np.zeros(len(first), np.int64)
-        np.add.at(count, inverse, weight)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.ones(len(key), bool)
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    del key  # before the weights are sorted: the links of `accumulate` set its peak memory
+    first = np.flatnonzero(starts)
+    count = (np.diff(first, append=len(order)) if weight is None
+             else np.add.reduceat(weight[order], first))
+    first = order[first]
     return [c[first] for c in columns], target[first], count
 
 

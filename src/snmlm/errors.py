@@ -11,3 +11,11 @@ class ConfigError(SnmError):
 
 class DataError(SnmError):
     """Malformed or inconsistent data: corpus files, count tables, models."""
+
+
+class MarkerWordError(DataError):
+    """A vocabulary word, `word`, that feature strings would read as a skip marker."""
+
+    def __init__(self, word: str, where: str = ""):
+        super().__init__(f"{where}vocabulary word {word!r} reads as a skip marker")
+        self.word = word

@@ -24,8 +24,8 @@ Config files use a small block grammar::
 Canonical feature strings look like ``[]``, ``[the quick brown]``,
 ``[brown skip-2 over the lazy]`` (or ``skip-*`` when the skip length is
 tied), optionally prefixed with a corpus tag as in ``web:[the quick]``.
-Tokens of the form ``skip-<n>``/``skip-*`` are reserved by this grammar
-and must not occur as corpus words if feature files are to be re-parsed.
+Tokens of the form ``skip-<n>``/``skip-*`` are reserved by this grammar,
+and no `Vocabulary` holds one, so feature strings read back as written.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import E_ID, S_ID, Vocabulary, natural
+from .corpus import E_ID, S_ID, Vocabulary, is_skip_marker, natural
 from .errors import ConfigError, DataError
 from .files import open_text
 
@@ -299,33 +299,48 @@ class _FeatureTable(dict):
         return f
 
 
-def _bind_tables(config: ExtractorConfig, tag: str | None):
-    """The n-gram table, the extraction plan, and whether skip features need de-duplicating.
+class _NgramTable(dict):
+    """Context words -> their n-gram features of orders min_n to ``len(words)``, shortest first."""
 
-    Built on the tag's first extraction. ``plan[k]`` holds the n-gram
-    orders in [min_n, max_n] that fit in the k tokens before target position
-    k, and (offset, r, a, table) for each skip template whose whole pattern
-    does, in emission order; positions at or past the longest context share
-    the last entry. All n-gram orders share one table and each skip shape
-    (r, skip_len) has its own, so within a table the context words alone
-    identify the feature: equal features extracted with this config and tag
-    are one object. Features of one untied block differ in (r, s, a), so
-    only tied skip lengths or several blocks can emit the same feature twice.
+    def __init__(self, min_n: int, tag: str | None):
+        self.min_n, self.tag = min_n, tag
+        self[()] = (tuple.__new__(Feature, ((), None, None, tag)),) if min_n == 0 else ()
+
+    def __missing__(self, words: tuple[int, ...]) -> tuple[Feature, ...]:
+        # Each suffix not held yet, shortest first, extends the one a word shorter.
+        i = next(i for i in range(1, len(words) + 1) if words[i:] in self)  # () is held
+        feats = self[words[i:]]
+        for j in range(i - 1, -1, -1):
+            suffix = words[j:]
+            if len(suffix) >= self.min_n:
+                feats += (tuple.__new__(Feature, (suffix, None, None, self.tag)),)
+            self[suffix] = feats
+        return feats
+
+
+def _bind_tables(config: ExtractorConfig, tag: str | None):
+    """The n-gram table, the skip plan, and whether skip features need de-duplicating.
+
+    Built on the tag's first extraction. ``plan[k]`` holds (offset, r, a,
+    table) for each skip template whose whole pattern fits in the k tokens
+    before target position k, in emission order; positions at or past the
+    longest span share the last entry. The n-gram table holds one tuple per
+    context and each skip shape (r, skip_len) has its own table, so within a
+    table the context words alone identify the feature: equal features
+    extracted with this config and tag are one object. Features of one
+    untied block differ in (r, s, a), so only tied skip lengths or several
+    blocks can emit the same feature twice.
     """
-    lo, hi = config.ngram.min_n, config.ngram.max_n
     skips: dict[tuple, _FeatureTable] = {}
     templates = [
         (o, r, a, skips.setdefault((r, s), _FeatureTable(r, s, tag)))
         for blk in config.skip
         for o, r, a, s in _skip_templates(blk)
     ]
-    span = max([hi, *(t[0] for t in templates)])
-    plan = tuple(
-        (tuple(range(lo, min(hi, k) + 1)), tuple(t for t in templates if t[0] <= k))
-        for k in range(span + 1)
-    )
+    span = max([0, *(t[0] for t in templates)])
+    plan = tuple(tuple(t for t in templates if t[0] <= k) for k in range(span + 1))
     dedup = len(config.skip) > 1 or any(b.tie_skip_length for b in config.skip)
-    return _FeatureTable(None, None, tag), plan, dedup
+    return _NgramTable(config.ngram.min_n, tag), plan, dedup
 
 
 def extract_events(
@@ -337,13 +352,13 @@ def extract_events(
 
     N-gram features of every order in [min_n, max_n] that fits in the left
     context are emitted first, shortest first (order 0 is the empty
-    feature). Skip-gram features follow, per block in config order, for
-    every (a, s, r) tuple the block admits with the whole pattern inside
-    the framed sentence. Orders and skip templates per position come from
-    the plan built for the config and tag (`_bind_tables`). Duplicate skip
-    features within an event (tied skip lengths coinciding, or blocks
-    overlapping) are kept once, in first-seen order; n-gram features are
-    distinct by construction.
+    feature): the n-gram table's tuple of the last ``max_n`` words, which
+    events with equal contexts share unless they have skip features.
+    Skip-gram features follow, per block in config order, for every (a, s, r)
+    tuple the block admits with the whole pattern inside the framed
+    sentence, as the plan gives them per position (`_bind_tables`). Duplicate
+    skip features within an event (tied skip lengths coinciding, or blocks
+    overlapping) are kept once, in first-seen order.
 
     Features are interned in tables owned by `config`, one set per tag
     (`_bind_tables`): every call with the same config and tag returns the
@@ -357,18 +372,19 @@ def extract_events(
     if tables is None:
         tables = config._tables[tag] = _bind_tables(config, tag)
     ngrams, plan, dedup = tables
+    hi = config.ngram.max_n
     new = tuple.__new__
     last = len(plan) - 1
     events = []
     append = events.append
     for k in range(1, len(sent)):
-        orders, templates = plan[k if k < last else last]
-        feats = [ngrams[sent[k - n : k]] for n in orders]
+        feats = ngrams[sent[k - hi if k > hi else 0 : k]]
+        templates = plan[k if k < last else last]
         if templates:
             skips = [tab[sent[k - o : k - o + r] + sent[k - a : k]] for o, r, a, tab in templates]
             # Interned, so equal features are identical: de-duplicate by id.
-            feats.extend(dict(zip(map(id, skips), skips)).values() if dedup else skips)
-        append(new(Event, (tuple(feats), sent[k])))
+            feats += tuple(dict(zip(map(id, skips), skips)).values() if dedup else skips)
+        append(new(Event, (feats, sent[k])))
     return events
 
 
@@ -454,19 +470,16 @@ def feature_parser(vocab: Vocabulary) -> Callable[[str], Feature]:
     """`parse_feature` for one vocabulary, with its token table built once.
 
     Each token of the body is looked up in one table: the vocabulary index
-    plus the skip markers up to ``skip-64``. A string whose tokens all hit
-    the table, with at most one marker and a word after it, needs nothing
+    plus the skip markers up to ``skip-64``, which no vocabulary word is
+    spelled like (`is_skip_marker`). A string whose tokens all hit the
+    table, with at most one marker and a word after it, needs nothing
     more. Any other string is walked token by token, which reads markers
-    past ``skip-64`` (up to 18 digits) and the vocabulary words that start
-    with ``skip-``, and raises the string's first error. The table leaves
-    those words out because the grammar reserves marker-shaped tokens: a
-    vocabulary word spelled like a marker is read as the marker.
+    past ``skip-64`` (up to 18 digits), and raises the string's first error.
 
     The parser's `fast` attribute runs that fast-path test over many
     strings at once (`fast_path`).
     """
-    index = vocab.index
-    tokens = {w: i for w, i in index.items() if w and not w.startswith("skip-")}
+    tokens = {w: i for w, i in vocab.index.items() if w}
     tokens.update(_MARKERS)
     get = tokens.get
     new = tuple.__new__
@@ -507,17 +520,14 @@ def feature_parser(vocab: Vocabulary) -> Callable[[str], Feature]:
         for part in parts:
             v = get(part)
             if v is None:
+                if not is_skip_marker(part):
+                    raise DataError(f"unknown token {part!r} in feature {s!r}")
                 n = part[5:]
-                if part[:5] == "skip-" and n.isascii() and n.isdigit() and n[0] != "0":
-                    if len(n) > _SKIP_DIGITS:
-                        raise DataError(
-                            f"skip length {n[:8]}... has {len(n)} digits, more than {_SKIP_DIGITS}"
-                        )
-                    v = ~int(n)
-                else:
-                    v = index.get(part)
-                    if v is None:
-                        raise DataError(f"unknown token {part!r} in feature {s!r}")
+                if len(n) > _SKIP_DIGITS:
+                    raise DataError(
+                        f"skip length {n[:8]}... has {len(n)} digits, more than {_SKIP_DIGITS}"
+                    )
+                v = ~int(n)
             if v >= 0:
                 words.append(v)
             elif skip_pos is not None:

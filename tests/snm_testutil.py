@@ -11,6 +11,8 @@ one-link-at-a-time reference of a model's dict views.
 of one link, built one by one, that `snmlm.metafeatures.LinkDesign` must
 reproduce column by column.
 `parse_feature_oracle` is the reference of the feature-string grammar.
+`oracle_extract_events` and `oracle_accumulate` are the nested-loop
+extraction and the per-occurrence count of events into a store.
 `oracle_load_counts` and `oracle_merge_counts` are the per-line count-file
 reader and heap merge that the block reader of `snmlm.counts` replaced.
 """
@@ -27,7 +29,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from snmlm.adjustment import AdjustmentModel, compile_events, theta_gradient
-from snmlm.corpus import Vocabulary, build_vocab, map_tokens, natural
+from snmlm.corpus import E_ID, S_ID, Vocabulary, build_vocab, map_tokens, natural
 from snmlm.counts import COUNTS_HEADER, CountStore, line_error, read_preamble
 from snmlm.errors import DataError
 from snmlm.extraction import (
@@ -465,6 +467,59 @@ def extract_corpus_events(sentences, vocab, config, tag=None):
         for s in sentences
         for e in extract_events(map_tokens(s, vocab), config, tag=tag)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Nested-loop extraction and per-occurrence counting
+
+def oracle_extract_events(sentence, config, tag=None):
+    if (
+        len(sentence) < 2
+        or sentence[0] != S_ID
+        or sentence[-1] != E_ID
+        or S_ID in sentence[1:]
+    ):
+        raise DataError("sentence must be framed by <S> ... </S>")
+
+    ngram = config.ngram
+    events = []
+    for k in range(1, len(sentence)):
+        feats: list[Feature] = []
+        for n in range(ngram.min_n, min(ngram.max_n, k) + 1):
+            feats.append(Feature(tuple(sentence[k - n : k]), tag=tag))
+        for blk in config.skip:
+            a_hi = blk.max_context_words - blk.min_remote_words
+            for a in range(1, a_hi + 1):
+                adjacent = tuple(sentence[k - a : k])
+                for s in range(blk.min_skip_length, blk.max_skip_length + 1):
+                    r_hi = min(
+                        blk.max_remote_words,
+                        blk.max_context_words - a,
+                        k - a - s,
+                    )
+                    skip_len = None if blk.tie_skip_length else s
+                    for r in range(blk.min_remote_words, r_hi + 1):
+                        start = k - a - s - r
+                        feats.append(
+                            Feature(
+                                tuple(sentence[start : start + r]) + adjacent,
+                                skip_pos=r,
+                                skip_len=skip_len,
+                                tag=tag,
+                            )
+                        )
+        feats = list(dict.fromkeys(feats))
+        events.append(Event(features=tuple(feats), target=sentence[k]))
+    return events
+
+
+def oracle_accumulate(events) -> CountStore:
+    rows: dict[Feature, dict[int, int]] = {}
+    for event in events:
+        for f in event.features:
+            row = rows.setdefault(f, {})
+            row[event.target] = row.get(event.target, 0) + 1
+    return CountStore.from_rows(rows, len(events))
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,22 @@ def test_build_vocab_missing_file_exits_2(workdir, capsys):
     assert "nope.txt" in capsys.readouterr().err
 
 
+def test_build_vocab_names_where_the_corpus_first_has_a_marker_word(tmp_path, capsys):
+    # Kept, `skip-3` would make the 2-gram `[skip-3 a]` read back as a skip feature.
+    a, b, out = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "vocab.txt"
+    a.write_text("a skip-x skip-07\nskip- a\n", encoding="utf-8")
+    b.write_text("a\n\nskip-3 a\nskip-3\n", encoding="utf-8")
+    assert main(["build-vocab", _p(a), _p(b), "-o", _p(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"snmlm: {b}:3: vocabulary word 'skip-3' reads as a skip marker\n")
+    assert not out.exists()
+    # A word below --min-count is not kept, so it is read as <UNK>.
+    assert main(["build-vocab", _p(a), _p(b), "--min-count", "3", "-o", _p(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "<S>\n</S>\n<UNK>\na\n"
+    assert main(["build-vocab", _p(a), "-o", _p(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "<S>\n</S>\n<UNK>\na\nskip-\nskip-07\nskip-x\n"
+
+
 def test_count_golden(workdir):
     vocab = workdir / "vocab.txt"
     counts = workdir / "counts.tsv"
@@ -1134,6 +1150,10 @@ _BAD_VOCABS = {
     "blank line": ("<S>\n</S>\n<UNK>\ngreen\n\nred\n", 5, "vocabulary entry is empty"),
     "whitespace": ("<S>\n</S>\n<UNK>\ngreen tea\n", 4,
                    "vocabulary entry 'green tea' contains whitespace"),
+    "skip marker": ("<S>\n</S>\n<UNK>\ngreen\nskip-12\n", 5,
+                    "vocabulary word 'skip-12' reads as a skip marker"),
+    "tied skip marker": ("<S>\n</S>\n<UNK>\nskip-*\ngreen\n", 4,
+                         "vocabulary word 'skip-*' reads as a skip marker"),
 }
 
 

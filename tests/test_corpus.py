@@ -17,6 +17,7 @@ from snmlm.corpus import (
     Vocabulary,
     build_vocab,
     framed_ids,
+    is_skip_marker,
     iter_file_tokens,
     map_tokens,
 )
@@ -151,6 +152,26 @@ def test_vocab_load_requires_specials(tmp_path):
 def test_vocab_rejects_duplicates():
     with pytest.raises(DataError):
         Vocabulary(["<S>", "</S>", "<UNK>", "a", "a"])
+
+
+@pytest.mark.parametrize("word, marker", [
+    ("skip-*", True), ("skip-1", True), ("skip-64", True), ("skip-65", True),
+    ("skip-" + "9" * 30, True), ("skip-", False), ("skip-0", False), ("skip-07", False),
+    ("skip-x", False), ("skip-1x", False), ("skip-**", False), ("skip-\u0663", False),
+    ("Skip-3", False), ("reskip-3", False),
+])
+def test_vocab_rejects_exactly_the_words_feature_strings_read_as_markers(tmp_path, word, marker):
+    assert is_skip_marker(word) == marker
+    path = tmp_path / "vocab.txt"
+    path.write_text(f"<S>\n</S>\n<UNK>\na\n{word}\n", encoding="utf-8")
+    if not marker:
+        assert Vocabulary.load(path).words[-1] == word
+        return
+    message = f"vocabulary word {word!r} reads as a skip marker"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        build_vocab(["a", word])
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}:5: {message}')}$"):
+        Vocabulary.load(path)
 
 
 _BENCHMARK_GLOB = os.environ.get("LM_BENCHMARK_TRAIN_GLOB")

@@ -23,7 +23,6 @@ from snm_testutil import (
     oracle_load_counts,
     oracle_merge_counts,
     outcome,
-    parse_feature_oracle,
     strip_tags,
 )
 
@@ -491,13 +490,13 @@ def _store_items(store):
             list(store.file_features.items()), store.total_events)
 
 
-# Words that start like a skip marker: only `skip-3` reads as one.
-_ODD_WORDS = ["a", "b", "c", "skip-x", "skip-", "skip-07", "skip-3"]
+# Words that start like a skip marker and are none: a vocabulary holds no marker.
+_ODD_WORDS = ["a", "b", "c", "skip-x", "skip-", "skip-07"]
 
 
 @st.composite
 def _features(draw, vocab):
-    """Features over `vocab`, and the string of each one whose string parses, mapped to it."""
+    """Features over `vocab`, and the string of each one mapped to it."""
     n_words = len(vocab)
     features, names = [], {}
     for _ in range(draw(st.integers(1, 8))):
@@ -506,12 +505,7 @@ def _features(draw, vocab):
         skip_len = draw(st.none() | st.integers(1, 70)) if skip_pos is not None else None
         f = Feature(words, skip_pos, skip_len, draw(st.sampled_from([None, "a", "web"])))
         features.append(f)
-        name = render_feature(f, vocab)
-        try:
-            parse_feature_oracle(name, vocab)
-        except DataError:  # a vocabulary word read as a second or last marker
-            continue
-        names[name] = f
+        names[render_feature(f, vocab)] = f
     return features, names
 
 
@@ -602,8 +596,7 @@ def _same_arrays(store: CountStore, other: CountStore) -> bool:
 @given(data=st.data())
 def test_every_store_keeps_the_array_invariants(tmp_path_factory, odd_vocab, data):
     _, names = data.draw(_features(odd_vocab))
-    pool = list(dict.fromkeys([Feature(()), *(f for name, f in names.items()
-                                              if parse_feature_oracle(name, odd_vocab) == f)]))
+    pool = list(dict.fromkeys([Feature(()), *names.values()]))
     # The empty row links </S> and <S>, whose ids and strings sort apart.
     events = [Event((Feature(()),), E_ID), Event((Feature(()),), S_ID)]
     events += data.draw(st.lists(st.builds(

@@ -1,11 +1,10 @@
 """Extraction and counting checked against the plain nested-loop versions.
 
-`oracle_extract_events` is the straightforward per-position loop over
-n-gram orders and skip-block (a, s, r) tuples, de-duplicating every event;
-`oracle_accumulate` adds one event at a time, updating a row and a feature
-count per occurrence. The library's planned extraction and single-lookup
-counting must return equal events in equal order, and equal stores with the
-same row insertion order. `snmlm count`, which counts on integer arrays,
+`oracle_extract_events` and `oracle_accumulate` (`snm_testutil`) are the
+per-position loop over n-gram orders and skip-block (a, s, r) tuples, and
+the per-occurrence count. The library's table-driven extraction and its
+per-tuple counting must return equal events in equal order, and equal
+stores with the same row order. `snmlm count`, which counts on integer arrays,
 must write the bytes `CountStore.save` writes of the oracle's store, and
 `HeldOut.read`, which takes held-out text through the same templates, must
 give the events `extract_events` and `expand_tags` give, in the same order.
@@ -15,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import operator
 import random
 import tempfile
 from pathlib import Path
@@ -30,55 +30,7 @@ from snmlm.extraction import (
     Event, Feature, expand_tags, extract_events, load_config, parse_config,
 )
 
-
-def oracle_extract_events(sentence, config, tag=None):
-    if (
-        len(sentence) < 2
-        or sentence[0] != S_ID
-        or sentence[-1] != E_ID
-        or S_ID in sentence[1:]
-    ):
-        raise DataError("sentence must be framed by <S> ... </S>")
-
-    ngram = config.ngram
-    events = []
-    for k in range(1, len(sentence)):
-        feats: list[Feature] = []
-        for n in range(ngram.min_n, min(ngram.max_n, k) + 1):
-            feats.append(Feature(tuple(sentence[k - n : k]), tag=tag))
-        for blk in config.skip:
-            a_hi = blk.max_context_words - blk.min_remote_words
-            for a in range(1, a_hi + 1):
-                adjacent = tuple(sentence[k - a : k])
-                for s in range(blk.min_skip_length, blk.max_skip_length + 1):
-                    r_hi = min(
-                        blk.max_remote_words,
-                        blk.max_context_words - a,
-                        k - a - s,
-                    )
-                    skip_len = None if blk.tie_skip_length else s
-                    for r in range(blk.min_remote_words, r_hi + 1):
-                        start = k - a - s - r
-                        feats.append(
-                            Feature(
-                                tuple(sentence[start : start + r]) + adjacent,
-                                skip_pos=r,
-                                skip_len=skip_len,
-                                tag=tag,
-                            )
-                        )
-        feats = list(dict.fromkeys(feats))
-        events.append(Event(features=tuple(feats), target=sentence[k]))
-    return events
-
-
-def oracle_accumulate(events) -> CountStore:
-    rows: dict[Feature, dict[int, int]] = {}
-    for event in events:
-        for f in event.features:
-            row = rows.setdefault(f, {})
-            row[event.target] = row.get(event.target, 0) + 1
-    return CountStore.from_rows(rows, len(events))
+from snm_testutil import oracle_accumulate, oracle_extract_events
 
 
 def _skip(ctx, skip_lo, skip_hi, tie, remote=None):
@@ -246,6 +198,86 @@ def test_accumulate_equals_naive_oracle(corpus, name):
 def test_accumulate_handmade_events_equals_naive_oracle(pairs):
     events = [Event(features=tuple(fs), target=t) for fs, t in pairs]
     _assert_same_store(accumulate(events), oracle_accumulate(events))
+
+
+def _assert_bit_equal(store: CountStore, expected: CountStore) -> None:
+    """The same rows in the same order, and the same arrays, dtypes included."""
+    assert store.features == expected.features
+    assert store.total_events == expected.total_events
+    for name in ("offsets", "words", "counts", "row_sums"):
+        got, want = getattr(store, name), getattr(expected, name)
+        assert (got.dtype, got.tolist()) == (want.dtype, want.tolist()), name
+
+
+def _copy(event: Event, fresh: int) -> Event:
+    """`event` as it is (0), with a tuple of its own (1), or with its own features too (2)."""
+    if fresh == 0:
+        return event
+    return Event(tuple([Feature(*f) if fresh == 2 else f for f in event.features]), event.target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=st.lists(st.tuples(sentences, tags, st.booleans()), max_size=8),
+       name=st.sampled_from(sorted(CONFIGS)), data=st.data())
+def test_accumulate_is_bit_equal_to_the_oracle(corpus, name, data):
+    # Two configs parsed from one text intern equal features as distinct
+    # objects; some events get a tuple, or features, of their own.
+    configs = parse_config(CONFIGS[name]), parse_config(CONFIGS[name])
+    events = [_copy(e, data.draw(st.integers(0, 2)))
+              for sentence, tag, other in corpus
+              for e in extract_events(sentence, configs[other], tag)]
+    expected = oracle_accumulate(events)
+    _assert_bit_equal(accumulate(events), expected)
+    _assert_bit_equal(accumulate(e for e in events), expected)
+
+
+def test_accumulate_counts_events_that_share_tuples():
+    config, other = parse_config(NGRAM0), parse_config(NGRAM0)
+    sentence = [S_ID, 3, 4, 5, 3, 4, 5, 3, 4, E_ID]
+    events = extract_events(sentence, config) * 3 + extract_events(sentence, other)
+    events.append(_copy(events[4], 1))  # an equal tuple, not the shared one
+    assert len({id(e.features) for e in events}) < len(events)
+    expected = oracle_accumulate(events)
+    _assert_bit_equal(accumulate(events), expected)
+    # Rows are keyed by the first-seen object of each feature.
+    assert list(map(id, accumulate(events).features)) == list(map(id, expected.features))
+    _assert_bit_equal(accumulate([]), oracle_accumulate([]))
+    _assert_bit_equal(accumulate(iter([])), oracle_accumulate([]))
+
+
+def test_equal_ngram_contexts_share_one_tuple_of_the_same_features():
+    config = parse_config(NGRAM0)  # orders 0..3
+    sentence = [S_ID, 3, 4, 5, 6, 4, 5, 6, 4, 5, E_ID]
+    events = extract_events(sentence, config)
+    # Targets 5 and 8 both follow (4, 5, 6); 6 and 9 both follow (5, 6, 4).
+    assert events[4].features is events[7].features
+    assert events[5].features is events[8].features
+    # (3, 4, 5) and (6, 4, 5) differ, and their suffixes' features are the same objects.
+    assert events[3].features is not events[9].features
+    assert all(map(operator.is_, events[3].features[:3], events[9].features[:3]))
+    again = extract_events(sentence, config)
+    assert all(e.features is g.features for e, g in zip(events, again))
+    # With skip-grams, an event's tuple is its own, and its n-gram features are the table's.
+    skips = parse_config(CONFIGS["untied"])
+    mixed = extract_events(sentence, skips)
+    assert mixed[4].features is not mixed[7].features
+    assert all(map(operator.is_, mixed[4].features[:4], mixed[7].features[:4]))
+
+
+def _at_depth(depth: int, call):
+    return _at_depth(depth - 1, call) if depth else call()
+
+
+def test_the_longest_ngram_order_extracts_without_recursion():
+    # Only the last context has no suffix in the table: a chain of 255 new
+    # contexts, each built from the one a word shorter. A miss that recursed
+    # would take two stack levels a word, 510, past what a caller 600 levels
+    # deep leaves of the default limit of 1,000.
+    config = parse_config("ngram_extractor { min_n: 0 max_n: 255 }\n")
+    sentence = [S_ID, *[3] * 297, 4, E_ID]
+    events = _at_depth(600, lambda: extract_events(sentence, config))
+    assert len(sentence) == 300 and len(events[-1].features) == 256
+    assert events == oracle_extract_events(sentence, config)
 
 
 def test_cli_count_equals_oracle_store(tmp_path, capsys):

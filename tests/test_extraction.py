@@ -478,7 +478,7 @@ def test_render_tagged_feature(small_vocab):
 
 
 # Besides ordinary words, two that contain ``skip-`` without being markers;
-# ``skip-01`` starts like one, so the fast parser leaves it to its strict path.
+# ``skip-01`` starts like one, but a leading zero makes it a word.
 _PARSE_WORDS = ["alpha", "beta", "gamma", "delta", "skip-01", "reskip-2"]
 
 
@@ -503,17 +503,17 @@ def test_feature_string_roundtrip(f):
     assert parse_feature(s, vocab) == f == parse_feature_oracle(s, vocab)
 
 
-# Tokens a damaged feature string may hold: bad markers (skip-0, skip-01,
-# skip-, skip-x), markers that make a second or a trailing one, an empty
-# token, an unknown word, and vocabulary words spelled like markers, one
-# inside the fast parser's marker table and one past it.
+# Tokens a damaged feature string may hold: bad markers (skip-0, skip-,
+# skip-x), markers that make a second or a trailing one, an empty token, an
+# unknown word, and vocabulary words that start like a marker and are none
+# (skip-01, skip-y, skip-010). No vocabulary word is spelled like a marker.
 _MUTANT_TOKENS = ["skip-0", "skip-01", "skip-", "skip-x", "skip-*", "skip-7", "skip-64",
-                  "skip-65", "skip-100", "", "omega", "alpha", "skip-3"]
+                  "skip-65", "skip-100", "", "omega", "alpha", "skip-3", "skip-y", "skip-010"]
 
 
 @st.composite
 def mutated_feature_strings(draw):
-    vocab = build_vocab(_PARSE_WORDS + ["skip-3", "skip-100"], min_count=1)
+    vocab = build_vocab(_PARSE_WORDS + ["skip-y", "skip-010"], min_count=1)
     s = render_feature(draw(features()), vocab)
     head, _, body = s.rpartition("[")
     tokens = body[:-1].split(" ") if body != "]" else []
