@@ -16,13 +16,13 @@ import numpy as np
 
 from .adjustment import AdjustmentModel, train
 from .corpus import Vocabulary, build_vocab, corpus_lines, iter_file_tokens, natural
-from .counts import CountStore, HeldOut, count_files
+from .counts import CountStore, HeldOut, HeldText, count_files
 from .errors import DataError, MarkerWordError, SnmError
 # `expand_tags`, `extract_events` and `materialize` are not called here;
 # perfbench/tracing.py looks them up in this module until ROADMAP item 1
 # removes the pins.
 from .extraction import (  # noqa: F401
-    expand_tags, extract_events, is_tag, load_config, parse_feature,
+    expand_tags, extract_events, is_tag, load_config, parse_feature, render_feature,
 )
 from .metafeatures import Mode, explain
 from .model import load_model, materialize, perplexity, save_model  # noqa: F401
@@ -66,14 +66,13 @@ def _tags(args, files=None) -> tuple[str, ...]:
     return tags
 
 
-def _at_line(exc: DataError, path, held: HeldOut, sums) -> DataError:
+def _at_line(exc: DataError, path, held: HeldOut, sums: np.ndarray) -> DataError:
     """`exc` named at the line of `path` holding the first event with no feature of positive `sums`.
 
-    `sums` maps a feature to its row's count or normalizer. With no such
-    event, `exc` is returned as it is.
+    ``sums[r]`` is the count or normalizer of the row ``held.features[r]``.
+    With no such event, `exc` is returned as it is.
     """
-    known = np.fromiter((sums.get(f, 0) > 0 for f in held.features), bool, len(held.features))
-    first = np.flatnonzero(np.bincount(held.event[known[held.feature]],
+    first = np.flatnonzero(np.bincount(held.event[sums[held.feature] > 0],
                                        minlength=held.num_events) == 0)
     return DataError(f"{path}:{held.line[first[0]]}: {exc}") if len(first) else exc
 
@@ -129,13 +128,13 @@ def _check_outputs(args, *flags: str) -> None:
         named.append((flag, path))
 
 
-def _held_out(args, tags: tuple[str, ...]):
-    """The vocab, the dev events, and the count rows of the dev features."""
+def _dev_rows(args, tags: tuple[str, ...]):
+    """The vocab, the dev text, and the count rows of its features."""
     vocab = Vocabulary.load(args.vocab)
-    dev = HeldOut.read(args.dev, vocab, load_config(args.config), tags)
-    store = CountStore.load(args.counts, vocab, keep=dev.features)
+    text = HeldText.read(args.dev, vocab, load_config(args.config), tags)
+    store = CountStore.load(args.counts, vocab, keep=text.names(vocab))
     _check_tags_cover(store.file_features, tags, args.counts)
-    return vocab, dev, store
+    return vocab, text, store
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +172,7 @@ def cmd_count(args) -> int:
 def cmd_intersect(args) -> int:
     tags = _tags(args)
     _check_outputs(args, "--output")
-    vocab, _, sub = _held_out(args, tags)
+    vocab, _, sub = _dev_rows(args, tags)
     sub.save(args.output, vocab)
     print(
         f"intersected: {len(sub)}/{sum(sub.file_features.values())} features kept, "
@@ -193,7 +192,11 @@ def cmd_train(args) -> int:
     tags = _tags(args)
     _check_outputs(args, "--adjustment-out", "--model-out")
     # Only the dev rows are trained on and saved, so only they are stored.
-    vocab, dev, store = _held_out(args, tags)
+    vocab, text, store = _dev_rows(args, tags)
+    dev = text.held_out(store.features)
+    # Freed before training: held on through it, the dev text's arrays made
+    # the benchmark's tagged-wide-train fit 13-20% slower (stages in one process).
+    del text
     if not dev.num_events:
         raise SnmError(f"{args.dev}: empty development set")
     # A copy of `store`: perfbench/tracing.py captures the training store from
@@ -214,7 +217,7 @@ def cmd_train(args) -> int:
     try:
         _, model = train(dev, intersected, adj, args.epochs, vocab, log=print)
     except DataError as exc:
-        raise _at_line(exc, args.dev, dev, intersected.feature_counts) from None
+        raise _at_line(exc, args.dev, dev, intersected.row_sums) from None
     adj.save(args.adjustment_out)
     save_model(model, args.model_out, vocab)
     print(f"adjustment -> {args.adjustment_out}")
@@ -228,13 +231,13 @@ def cmd_eval(args) -> int:
     config = load_config(args.config)
     model = load_model(args.model, vocab)
     _check_tags_cover({f.tag for f in model.features}, tags, args.model)
-    test = HeldOut.read(args.test, vocab, config, tags)
+    test = HeldText.read(args.test, vocab, config, tags).held_out(model.features)
     if not test.num_events:
         raise SnmError(f"{args.test}: empty test set")
     try:
         report = perplexity(model, test)
     except DataError as exc:
-        raise _at_line(exc, args.test, test, model.normalizers) from None
+        raise _at_line(exc, args.test, test, model.row_sums) from None
     print(f"events: {report.num_events}")
     print(f"ppl: {report.ppl:.6g}")
     print(f"oov_rate: {report.oov_rate:.6f}")
@@ -254,7 +257,7 @@ def cmd_inspect(args) -> int:
             CountStore.load(args.counts, vocab, keep=())
             raise
         # Every line is still validated; only the asked row is stored.
-        store = CountStore.load(args.counts, vocab, keep={feature})
+        store = CountStore.load(args.counts, vocab, keep={render_feature(feature, vocab)})
         source, row, total_name = args.counts, store.rows.get(feature), "C_f*"
         total = store.feature_counts.get(feature)
     else:

@@ -14,15 +14,17 @@ reads; its dict rows are views built only when read. Both write through
 `write_rows`.
 
 Held-out text takes the same occurrence step (`_occurrences`) into
-`HeldOut`, the arrays that training and evaluation score; only its
-distinct features become `Feature`s.
+`HeldText`, word-id columns that build no `Feature`: its `names` are the
+row strings that `CountStore.load(keep=)` keeps, and `held_out` matches
+its contexts against the rows that score them, into `HeldOut`, the arrays
+that training and evaluation score. A `Feature` is only ever a row.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from contextlib import closing, suppress
+from contextlib import closing
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import eq, itemgetter, lt, ne, not_
@@ -136,19 +138,17 @@ class CountStore:
                    self.words, self.counts, self.total_events).save(path, vocab)
 
     @classmethod
-    def load(cls, path, vocab: Vocabulary, keep: Iterable[Feature] | None = None) -> "CountStore":
-        """Read a count file a block at a time, storing only the rows of `keep` when it is given.
+    def load(cls, path, vocab: Vocabulary, keep: Iterable[str] | None = None) -> "CountStore":
+        """Read a count file a block at a time, storing only the rows `keep` names when it is given.
 
         Every row is checked, kept or not (`_blocks`), so a file is rejected
-        at the same line either way. A row is kept if its string renders a
-        feature of `keep` and parses back to it: the store equals
-        ``load(path, vocab).intersect(keep)``, rows in the same order.
+        at the same line either way. `keep` holds canonical feature strings,
+        as `render_feature` and `HeldText.names` give them. A row is kept if
+        its string is one of them: the store equals ``load(path, vocab)``
+        intersected with the rows so named, rows in the same order, and a
+        string that names no row, a non-canonical one included, keeps nothing.
         """
-        if keep is not None:
-            keep, wanted = set(keep), set()
-            for f in keep:
-                with suppress(IndexError, OverflowError, TypeError):  # no row names it
-                    wanted.add(render_feature(f, vocab))
+        wanted = None if keep is None else set(keep)
         index, parse = vocab.index, feature_parser(vocab)
         tags: Counter[str | None] = Counter()
         features: list[Feature] = []
@@ -162,12 +162,10 @@ class CountStore:
                 names = list(map(b.fs.__getitem__, b.starts.tolist()))
                 # The kept row of the lines before the first row start, then of each row.
                 runs = [row] + [-1] * len(names)
-                for i in range(len(names)) if keep is None else np.flatnonzero(
-                        np.fromiter(map(wanted.__contains__, names), bool, len(names))).tolist():
-                    f = parse(names[i])
-                    if keep is None or f in keep:
-                        runs[i + 1] = len(features)
-                        features.append(f)
+                for i in range(len(names)) if wanted is None else compress(
+                        range(len(names)), map(wanted.__contains__, names)):
+                    runs[i + 1] = len(features)
+                    features.append(parse(names[i]))
                 row = runs[-1]
                 line = np.repeat(runs, np.diff(b.starts, prepend=0, append=len(b.fs)))
                 kept = line >= 0
@@ -403,8 +401,9 @@ class HeldOut(NamedTuple):
     Occurrence i is feature ``features[feature[i]]`` of event ``event[i]``;
     event j predicts word ``target[j]``. Occurrences follow events and,
     within an event, its features as `extract_events` and `expand_tags`
-    give them. `features` are distinct. Read from text, event j comes from
-    line ``line[j]``.
+    give them. `features` are distinct. From `HeldText.held_out` they are
+    the rows that score the events, the same objects, and only their
+    occurrences are held; event j comes from line ``line[j]``.
     """
 
     features: list[Feature]
@@ -427,41 +426,85 @@ class HeldOut(NamedTuple):
                    np.array(feature, np.int64),
                    np.fromiter((e.target for e in events), np.int64, len(events)))
 
+
+class HeldText(NamedTuple):
+    """Held-out text as word-id columns, before it meets the rows it is scored with.
+
+    `shapes` holds what `_occurrences` gives, per feature shape that
+    occurs: ``(shape, columns, event, rank)``. Each context occurs once per
+    tag of `tags`, which is ``(None,)`` for untagged text; `ranks` bounds
+    the emission ranks. Event j predicts word ``target[j]`` and comes from
+    line ``line[j]``. No `Feature` is built: `names` gives the contexts'
+    strings, and `held_out` matches the contexts against row `Feature`s.
+    """
+
+    shapes: list[tuple]
+    tags: tuple[str | None, ...]
+    ranks: int
+    target: np.ndarray
+    line: np.ndarray
+
     @classmethod
     def read(cls, path, vocab: Vocabulary, config: ExtractorConfig,
-             tags: Sequence[str] = ()) -> "HeldOut":
+             tags: Sequence[str] = ()) -> "HeldText":
         """The events of a text file, with each feature expanded to one per tag of `tags`.
 
-        Equal, occurrence for occurrence, to `from_events` of `extract_events`
-        of every sentence of `TaggedCorpus.from_file`, through `expand_tags`
-        when `tags` are given. Occurrences are taken as `count_files` takes
-        them and sorted by event and emission rank; a `Feature` is built once
-        per distinct context and tag.
+        Occurrences are taken as `count_files` takes them; a repeated tag
+        counts once, as in `expand_tags`.
         """
         tokens, lengths, lines = framed_ids(path, vocab)
         shapes = feature_shapes(config)
-        ranks = 1 + max(r for contexts in shapes.values() for _, _, r in contexts)
-        tagged = tuple(dict.fromkeys(tags)) or (None,)  # a repeated tag once, as `expand_tags`
-        new = tuple.__new__
-        features: list[Feature] = []
-        keys, contexts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-        for (skip_pos, skip_len, _), columns, event, rank in _occurrences(
-                tokens, lengths, shapes, len(vocab)):
+        return cls(list(_occurrences(tokens, lengths, shapes, len(vocab))),
+                   tuple(dict.fromkeys(tags)) or (None,),
+                   1 + max(r for contexts in shapes.values() for _, _, r in contexts),
+                   _event_targets(tokens, lengths).astype(np.int64), np.repeat(lines, lengths - 1))
+
+    def names(self, vocab: Vocabulary) -> list[str]:
+        """The string of each distinct context and tag, rendered as `count_files` renders rows."""
+        names: list[str] = []
+        for shape, columns, _, _ in self.shapes:
             if columns:
-                _, first, context = np.unique(_rank_key(columns, len(vocab)), return_index=True,
-                                              return_inverse=True)
-                words = zip(*(c[first].tolist() for c in columns))
-            else:
-                context, words = np.zeros(len(event), np.int64), [()]
-            keys.append(event * ranks + rank)
-            contexts.append(len(features) // len(tagged) + context)
-            features += [new(Feature, (w, skip_pos, skip_len, t)) for w in words for t in tagged]
+                _, first = np.unique(_rank_key(columns, len(vocab)), return_index=True)
+                columns = [c[first] for c in columns]
+            for tag in self.tags:
+                names += render_rows(columns, shape, tag, vocab)
+        return names
+
+    def held_out(self, features: list[Feature]) -> HeldOut:
+        """The `HeldOut` over the rows `features`, with the occurrences of their contexts.
+
+        Equal, once compiled (`compile_events`) against the rows, to
+        `from_events` of `extract_events` of every sentence of
+        `TaggedCorpus.from_file`, through `expand_tags` when the text is
+        tagged: occurrences of contexts that no row has are dropped, and
+        the rest are sorted by event, emission rank and tag. Per shape and
+        tag, the rows' and the occurrences' columns get one joint
+        `_rank_key`, as re-ranked keys compare only within one call, and
+        the rows' keys are searched for the occurrences' keys.
+        """
+        rows_of: dict[tuple, list[int]] = {}  # per (shape, tag), its rows
+        for r, (words, skip_pos, skip_len, tag) in enumerate(features):
+            rows_of.setdefault(((skip_pos, skip_len, len(words)), tag), []).append(r)
+        keys, rows = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        for shape, columns, event, rank in self.shapes:
+            for t, tag in enumerate(self.tags):
+                row = np.array(rows_of.get((shape, tag), []), np.int64)
+                if not len(row):
+                    continue
+                words = np.array([features[r].words for r in row.tolist()], np.int64)
+                cols = [np.concatenate(c) for c in zip(words.T, columns)]
+                key = (_rank_key(cols, 1 + max(int(c.max()) for c in cols)) if cols
+                       else np.zeros(len(row) + len(event), np.int64))
+                order = np.argsort(key[:len(row)])
+                have, want = key[order], key[len(row):]
+                pos = np.minimum(np.searchsorted(have, want), len(row) - 1)
+                found = have[pos] == want
+                keys.append((event[found] * self.ranks + rank[found]) * len(self.tags) + t)
+                rows.append(row[order[pos[found]]])
         key = np.concatenate(keys)
         order = np.argsort(key)
-        # Context c has features c * len(tagged) + t, one per tag t in tag order.
-        feature = np.concatenate(contexts)[order, None] * len(tagged) + np.arange(len(tagged))
-        return cls(features, np.repeat(key[order] // ranks, len(tagged)), feature.ravel(),
-                   _event_targets(tokens, lengths).astype(np.int64), np.repeat(lines, lengths - 1))
+        return HeldOut(features, key[order] // (self.ranks * len(self.tags)),
+                       np.concatenate(rows)[order], self.target, self.line)
 
 
 def line_error(path, lineno: int, line: str, directive: str, fields: int) -> DataError:

@@ -11,10 +11,11 @@ a `LinkDesign`, and `materialize` wraps them with the design's rows and
 words as an `SnmModel`, the one model shape that is scored, saved and
 loaded. Its row dicts are built only when something reads them.
 
-Held-out events (`HeldOut`) are scored on arrays: `compile_events` finds
-each feature occurrence's row and target link, `_event_sums` adds each
-event's normalizers and target cells in feature order, and `evaluate`
-takes each `math.log` and their `math.fsum`. `perplexity` and the epoch
+Held-out events (`HeldOut`, from `HeldText.held_out` over the rows that
+score them) are scored on arrays: `compile_events` finds each feature
+occurrence's row and target link, `_event_sums` adds each event's
+normalizers and target cells in feature order, and `evaluate` takes each
+`math.log` and their `math.fsum`. `perplexity` and the epoch
 statistics of `train` both go this way, and equal a `score_event` loop
 bit for bit.
 """
@@ -188,7 +189,8 @@ def compile_events(held: HeldOut | Sequence[Event], design: LinkDesign | SnmMode
 
     Each distinct feature is looked up once. Features the design lacks are
     dropped, as `score_event` drops them; an event left with none raises
-    its `DataError`.
+    its `DataError`. From `HeldText.held_out` over the design's rows, the
+    features are those rows and nothing is left to drop.
     """
     if not isinstance(held, HeldOut):
         held = HeldOut.from_events(held)

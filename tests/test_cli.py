@@ -356,6 +356,28 @@ def test_an_event_with_no_known_feature_is_named_at_its_line(pipeline, capsys):
     assert main(["eval", "--model", _p(wd / "model.tsv"), "--test", _p(wd / "test.txt"),
                  *common]) == 2
     assert capsys.readouterr() == ("", f"snmlm: {wd / 'test.txt'}:4: {message}\n")
+    # A count file and a model with no row of any context of the text: the
+    # first event is named. `intersect` scores no event: it keeps no row.
+    (wd / "few.tsv").write_text("#snm-counts v1\n#total-events 3\n[tea]\tis\t3\n",
+                                encoding="utf-8")
+    size = len(Vocabulary.load(wd / "vocab.txt"))
+    (wd / "few.model").write_text(f"#snm-model v1\n#vocab-size {size}\n[tea]\tis\t1.0\n"
+                                  "#normalizers\n[tea]\t1.0\n", encoding="utf-8")
+    (wd / "text.txt").write_text("\nhot cold\nred\n", encoding="utf-8")
+    error = f"snmlm: {wd / 'text.txt'}:2: {message}\n"
+    train[train.index("--counts") + 1], train[train.index("--dev") + 1] = (
+        _p(wd / "few.tsv"), _p(wd / "text.txt"))
+    (wd / "model.tsv").unlink()
+    assert main(train) == 2
+    assert capsys.readouterr().err == error
+    assert not (wd / "model.tsv").exists()
+    assert main(["eval", "--model", _p(wd / "few.model"), "--test", _p(wd / "text.txt"),
+                 *common]) == 2
+    assert capsys.readouterr() == ("", error)
+    assert main(["intersect", "--counts", _p(wd / "few.tsv"), "--dev", _p(wd / "text.txt"),
+                 *common, "-o", _p(wd / "inter.tsv")]) == 0
+    printed = capsys.readouterr().out
+    assert printed == f"intersected: 0/1 features kept, 0 links -> {wd / 'inter.tsv'}\n"
 
 
 def test_eval_names_an_empty_test_file_and_an_untagged_model(pipeline, capsys):

@@ -1,3 +1,4 @@
+import contextlib
 import random
 import re
 
@@ -284,8 +285,14 @@ def test_load_with_keep_equals_intersect(tagged_count_file, data):
     keep += data.draw(st.lists(st.builds(
         Feature, st.tuples(st.integers(3, len(vocab) - 1)), tag=st.sampled_from(["a", "c", None])
     ), max_size=3))
-    loaded = CountStore.load(path, vocab, keep=keep)
-    expected = full.intersect(keep)
+    names = []
+    for f in keep:
+        with contextlib.suppress(OverflowError):  # a skip position past any list: no string
+            names.append(render_feature(f, vocab))
+    loaded = CountStore.load(path, vocab, keep=names)
+    # A drawn feature that no extraction gives, a skip length with no skip,
+    # renders as the string of a row without one, and so keeps that row.
+    expected = full.intersect(f for f in full.features if render_feature(f, vocab) in names)
     assert list(loaded.rows.items()) == list(expected.rows.items())
     assert list(loaded.feature_counts.items()) == list(expected.feature_counts.items())
     assert loaded.total_events == expected.total_events == full.total_events
@@ -561,7 +568,9 @@ def test_block_reader_equals_the_line_reader(tmp_path_factory, odd_vocab, data):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(snmlm.counts, "_BLOCK_LINES", block_lines)
             for k, want in zip((None, keep), expected):
-                assert _store_items(outcome(lambda: CountStore.load(whole, odd_vocab, k))) == want
+                names = None if k is None else [render_feature(f, odd_vocab) for f in k]
+                got = outcome(lambda: CountStore.load(whole, odd_vocab, names))
+                assert _store_items(got) == want
             merge_files([one, two], wd / "merged.tsv")
         assert (wd / "merged.tsv").read_bytes() == (wd / "oracle.tsv").read_bytes()
 
@@ -617,11 +626,43 @@ def test_every_store_keeps_the_array_invariants(tmp_path_factory, odd_vocab, dat
     for block_lines in (1, 2, 3, snmlm.counts._BLOCK_LINES):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(snmlm.counts, "_BLOCK_LINES", block_lines)
-            whole, kept = CountStore.load(path, odd_vocab), CountStore.load(path, odd_vocab, keep)
+            whole = CountStore.load(path, odd_vocab)
+            kept = CountStore.load(path, odd_vocab, [render_feature(f, odd_vocab) for f in keep])
         assert whole.rows == counted.rows and _same_arrays(kept, whole.intersect(keep))
         stores += [whole, kept]
     for store in stores:
         _assert_store_invariants(store)
+
+
+# Strings no count file holds a row as: `write_rows` writes canonical strings.
+_NOT_CANONICAL = (lambda s: s.replace("[", "[ ", 1), lambda s: s[:-1] + " ]",
+                  lambda s: f" {s}", lambda s: f"{s} ")
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_load_keeps_exactly_the_rows_its_strings_name(tmp_path_factory, odd_vocab, data):
+    # Names of rows, names of features the file lacks, and strings that are
+    # not canonical: only a row's own string keeps it.
+    rows, _, _ = data.draw(_count_files(odd_vocab))
+    path = tmp_path_factory.mktemp("keep") / "counts.tsv"
+    _write_counts(path, rows, extra=data.draw(st.integers(0, 2)))
+    whole = CountStore.load(path, odd_vocab)
+    names = sorted({name for name, *_ in rows})
+    assert len(names) == len(whole)
+    named = data.draw(st.lists(st.sampled_from(names), max_size=len(names)))
+    absent = [s for s in data.draw(_features(odd_vocab))[1] if s not in names]
+    odd = ["[a  b]", *(variant(s) for s in named for variant in _NOT_CANONICAL)]
+    keep = data.draw(st.permutations(named + absent + odd))
+    for block_lines in (1, 3, snmlm.counts._BLOCK_LINES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(snmlm.counts, "_BLOCK_LINES", block_lines)
+            loaded = CountStore.load(path, odd_vocab, keep)
+        # `whole` holds the rows in file order, which is string order.
+        assert _same_arrays(loaded, whole.intersect(
+            f for f, name in zip(whole.features, names) if name in named))
+        assert loaded.file_features == whole.file_features
+        _assert_store_invariants(loaded)
 
 
 @pytest.mark.parametrize("block_lines", [1, 2])

@@ -6,8 +6,9 @@ the per-occurrence count. The library's table-driven extraction and its
 per-tuple counting must return equal events in equal order, and equal
 stores with the same row order. `snmlm count`, which counts on integer arrays,
 must write the bytes `CountStore.save` writes of the oracle's store, and
-`HeldOut.read`, which takes held-out text through the same templates, must
-give the events `extract_events` and `expand_tags` give, in the same order.
+`HeldText.read`, which takes held-out text through the same templates, must
+give the events `extract_events` and `expand_tags` give, in the same order,
+once matched against the rows that score them.
 """
 
 from __future__ import annotations
@@ -19,16 +20,18 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from snmlm.cli import main
 from snmlm.corpus import E_ID, S_ID, TaggedCorpus, Vocabulary, corpus_lines
-from snmlm.counts import CountStore, HeldOut, accumulate
+from snmlm.counts import CountStore, HeldOut, HeldText, accumulate
 from snmlm.errors import ConfigError, DataError
 from snmlm.extraction import (
-    Event, Feature, expand_tags, extract_events, load_config, parse_config,
+    Event, Feature, expand_tags, extract_events, load_config, parse_config, render_feature,
 )
+from snmlm.model import SnmModel, compile_events
 
 from snm_testutil import oracle_accumulate, oracle_extract_events
 
@@ -404,15 +407,27 @@ def test_cli_count_ranks_contexts_past_int64(tmp_path):
 # ---------------------------------------------------------------------------
 # Held-out text on integer arrays against extracted events
 
+def _compiled(held: HeldOut, model: SnmModel):
+    """`compile_events` of `held` against `model` as lists with their dtypes, or its error."""
+    try:
+        return [(a.dtype, a.tolist()) for a in compile_events(held, model)]
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 @settings(max_examples=25, deadline=None)
 @given(
     lines=st.lists(st.one_of(_line, st.sampled_from(["", " ", "a", "c b"])), max_size=6),
     tags=st.sampled_from([(), ("web", "news"), ("news", "web", "news")]),
+    rows=st.sampled_from(["all", "none", "half", "foreign"]),
+    data=st.data(),
 )
-def test_held_out_text_equals_extracted_events(name, lines, tags):
+def test_held_out_text_equals_extracted_events(name, lines, tags, rows, data):
     # Lines shorter than a template's span, blank lines, unknown words and
-    # misplaced frame tokens, read with no tags, two tags, or a tag repeated.
+    # misplaced frame tokens, read with no tags, two tags, or a tag repeated,
+    # and matched against every extracted feature's row, none, a random
+    # half, or a random half and the rows of a tag the text lacks.
     config = parse_config(CONFIGS[name])
     vocab = Vocabulary(_VOCAB.split())
     with tempfile.TemporaryDirectory() as d:
@@ -422,19 +437,39 @@ def test_held_out_text_equals_extracted_events(name, lines, tags):
             sentences = TaggedCorpus.from_file(path, vocab).sentences
         except DataError as exc:
             with pytest.raises(DataError) as got:
-                HeldOut.read(path, vocab, config, tags)
+                HeldText.read(path, vocab, config, tags)
             assert str(got.value) == str(exc)
             return
-        held = HeldOut.read(path, vocab, config, tags)
+        text = HeldText.read(path, vocab, config, tags)
         numbers = [lineno for lineno, _ in corpus_lines(path)]
-    events = [expand_tags(e, tags) if tags else e
-              for s in sentences for e in extract_events(s, config)]
+    plain = [e for s in sentences for e in extract_events(s, config)]
+    events = [expand_tags(e, tags) for e in plain] if tags else plain
+    features = list(dict.fromkeys(f for e in events for f in e.features))
+    names = text.names(vocab)
+    assert sorted(names) == sorted(render_feature(f, vocab) for f in features)
+
+    # Rows counted from the events, so that targets have links, in a drawn order.
+    foreign = [expand_tags(e, ("sports",)) for e in plain] + (plain if tags else [])
+    counted = accumulate(events + foreign)
+    chosen = {"all": features, "none": []}.get(rows) or [
+        f for f in features if data.draw(st.booleans())]
+    if rows == "foreign":
+        chosen += list(dict.fromkeys(f for e in foreign for f in e.features))
+    chosen = data.draw(st.permutations(chosen))
+    store = CountStore.from_rows({f: counted.rows[f] for f in chosen}, counted.total_events)
+    model = SnmModel(store.features, store.offsets, store.words,
+                     store.counts.astype(np.float64), store.row_sums.astype(np.float64))
+
+    held = text.held_out(model.features)
     expected = HeldOut.from_events(events)
-    assert ([held.features[i] for i in held.feature.tolist()]
-            == [expected.features[i] for i in expected.feature.tolist()])
-    assert len(set(held.features)) == len(held.features)
-    assert {(type(f), type(f.words), *map(type, f.words)) for f in held.features} <= {
-        (Feature, tuple, *[int] * n) for n in range(5)}
-    assert (held.event.tolist(), held.target.tolist()) == (expected.event.tolist(),
-                                                           expected.target.tolist())
+    assert held.features is model.features
+    known = set(chosen)
+    occurrences = [(e, expected.features[i])
+                   for e, i in zip(expected.event.tolist(), expected.feature.tolist())
+                   if expected.features[i] in known]
+    assert list(zip(held.event.tolist(), [held.features[i] for i in held.feature.tolist()])
+                ) == occurrences
+    assert (held.feature.dtype, held.event.dtype) == (np.int64, np.int64)
+    assert held.target.tolist() == expected.target.tolist()
     assert held.line.tolist() == [n for n, s in zip(numbers, sentences) for _ in s[1:]]
+    assert _compiled(held, model) == _compiled(expected, model)

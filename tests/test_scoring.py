@@ -19,7 +19,7 @@ import snmlm.cli
 from snmlm.adjustment import AdjustmentModel, train
 from snmlm.cli import main
 from snmlm.corpus import UNK_ID, TaggedCorpus, Vocabulary
-from snmlm.counts import CountStore, HeldOut
+from snmlm.counts import CountStore, HeldOut, HeldText
 from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature, expand_tags, extract_events, load_config
 from snmlm.metafeatures import LinkDesign, Mode
@@ -204,8 +204,8 @@ def test_train_and_eval_build_no_dict_views(tmp_path, monkeypatch, tags):
 
     # The dicts the old `materialize` built, from the count rows of the dev features.
     vocab = Vocabulary.load(tmp_path / "vocab.txt")
-    dev = HeldOut.read(tmp_path / "dev.txt", vocab, load_config(tmp_path / "snm.cfg"), tags)
-    store = CountStore.load(tmp_path / "counts.tsv", vocab, keep=dev.features)
+    dev = HeldText.read(tmp_path / "dev.txt", vocab, load_config(tmp_path / "snm.cfg"), tags)
+    store = CountStore.load(tmp_path / "counts.tsv", vocab, keep=dev.names(vocab))
     adj = AdjustmentModel.load(tmp_path / "adj.bin")
     design = LinkDesign.build(store, Mode.FULL, adj.table_size, vocab)
     rows, normalizers = materialized_dicts(design, *adjusted_cells(design, adj.theta))
@@ -215,3 +215,29 @@ def test_train_and_eval_build_no_dict_views(tmp_path, monkeypatch, tags):
         assert list(model.rows) == list(rows)
         assert [list(r.items()) for r in model.rows.values()] == [list(r.items())
                                                                   for r in rows.values()]
+
+
+@pytest.mark.parametrize("tags", [(), ("a", "b")])
+def test_train_and_eval_score_the_rows_own_features(tmp_path, monkeypatch, tags):
+    # Held-out text is matched against the rows that score it: no other
+    # `Feature` is built for it.
+    scored = []
+
+    def spy(name):
+        run = getattr(snmlm.cli, name)
+
+        def wrapper(*args, **kwargs):
+            held, rows = (args[0], args[1]) if name == "train" else (args[1], args[0])
+            scored.append((held, rows))
+            return run(*args, **kwargs)
+        monkeypatch.setattr(snmlm.cli, name, wrapper)
+
+    spy("train")
+    spy("perplexity")
+    _cli(*_pipeline(tmp_path, tags))
+    assert len(scored) == 2
+    for held, rows in scored:
+        assert isinstance(held, HeldOut) and held.num_events > 0 and len(held.feature) > 0
+        assert len(held.features) <= len(rows.features)
+        own = set(map(id, rows.features))
+        assert all(id(f) in own for f in held.features)
