@@ -118,7 +118,7 @@ class AdjustmentModel:
                     _HASH_SCHEME_ID,
                 )
             )
-            fh.write(self.theta.tobytes())
+            fh.write(memoryview(np.ascontiguousarray(self.theta, dtype="<f8")).cast("B"))
 
     @classmethod
     def load(cls, path) -> "AdjustmentModel":
@@ -264,9 +264,20 @@ def theta_gradient(
 
 
 def apply_adagrad(adj: AdjustmentModel, slots: np.ndarray, grads: np.ndarray) -> None:
-    """One AdaGrad ascent step on the distinct `slots` from their batch gradients."""
-    adj.grad_sq[slots] += grads * grads
-    adj.theta[slots] += adj.gamma * grads / np.sqrt(adj.delta0 + adj.grad_sq[slots])
+    """One AdaGrad ascent step on the distinct `slots` from their batch gradients.
+
+    ``grad_sq += g * g``, then ``theta += gamma * g / sqrt(delta0 + grad_sq)``:
+    each table's slots are gathered once and updated in place.
+    """
+    sq = adj.grad_sq[slots]
+    sq += grads * grads
+    adj.grad_sq[slots] = sq
+    sq += adj.delta0
+    step = np.multiply(grads, adj.gamma)
+    step /= np.sqrt(sq, out=sq)
+    theta = adj.theta[slots]
+    theta += step
+    adj.theta[slots] = theta
 
 
 def process_batch(
@@ -315,8 +326,10 @@ def train(
     Batches follow corpus order with no shuffling; a short final batch is
     processed normally. Epoch 0 statistics describe the unadjusted model.
     With no dev events or no epochs the weights are left as they are and
-    the history is empty. Returns the history and the model of the final
-    weights.
+    the history is empty. The design is built once and hashed at most
+    once, when the first batch pushes its gradient or the weights it
+    starts from are not all zero. Returns the history and the model of
+    the final weights.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")

@@ -42,6 +42,7 @@ from .extraction import (
     feature_shapes,
     render_feature,
     render_rows,
+    shape_groups,
 )
 from .files import atomic_write, open_text
 
@@ -62,14 +63,17 @@ class CountStore:
     is C_f*, their exact sum. No row is empty. Rows come first seen from
     `accumulate` and in file order from `load`, whose store also has
     `file_features`: per corpus tag (None for untagged), the number of
-    features in the file, kept or not. `rows` and `feature_counts` are the
-    same as dicts, built the first time they are read.
+    features in the file, kept or not. ``names[r]`` is row r's canonical
+    string when `load` kept rows by name, else `names` is None. `rows` and
+    `feature_counts` are the same as dicts, built the first time they are
+    read.
     """
 
     def __init__(self, features: list[Feature], offsets: np.ndarray, words: np.ndarray,
                  counts: np.ndarray, total_events: int,
-                 file_features: dict[str | None, int] | None = None):
-        self.features = features
+                 file_features: dict[str | None, int] | None = None,
+                 names: list[str] | None = None):
+        self.features, self.names = features, names
         self.offsets, self.words, self.counts = offsets, words, counts
         self.row_sums = np.add.reduceat(counts, offsets[:-1])
         self.total_events = total_events
@@ -128,12 +132,14 @@ class CountStore:
         links = np.repeat(kept, lens)
         return CountStore(list(compress(self.features, kept)),
                           np.concatenate(([0], np.cumsum(lens[kept]))), self.words[links],
-                          self.counts[links], self.total_events)
+                          self.counts[links], self.total_events, None,
+                          None if self.names is None else list(compress(self.names, kept)))
 
     # -- persistence ------------------------------------------------------
 
     def save(self, path, vocab: Vocabulary) -> None:
-        LinkCounts([render_feature(f, vocab) for f in self.features],
+        LinkCounts([render_feature(f, vocab) for f in self.features] if self.names is None
+                   else self.names,
                    np.repeat(np.arange(len(self)), np.diff(self.offsets)),
                    self.words, self.counts, self.total_events).save(path, vocab)
 
@@ -147,11 +153,13 @@ class CountStore:
         its string is one of them: the store equals ``load(path, vocab)``
         intersected with the rows so named, rows in the same order, and a
         string that names no row, a non-canonical one included, keeps nothing.
+        Kept rows keep their strings as `names`.
         """
         wanted = None if keep is None else set(keep)
         index, parse = vocab.index, feature_parser(vocab)
         tags: Counter[str | None] = Counter()
         features: list[Feature] = []
+        kept_names: list[str] = []
         empty = np.zeros(0, np.int64)
         rows, words, counts = [empty], [empty.astype(np.int32)], [empty]
         row = -1  # the kept row that the last block ended in, or -1
@@ -166,6 +174,7 @@ class CountStore:
                         range(len(names)), map(wanted.__contains__, names)):
                     runs[i + 1] = len(features)
                     features.append(parse(names[i]))
+                    kept_names.append(names[i])
                 row = runs[-1]
                 line = np.repeat(runs, np.diff(b.starts, prepend=0, append=len(b.fs)))
                 kept = line >= 0
@@ -176,7 +185,7 @@ class CountStore:
         order = np.lexsort((words, row))
         offsets = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(features)))))
         return cls(features, offsets, words[order], np.concatenate(counts)[order], total,
-                   dict(tags))
+                   dict(tags), None if wanted is None else kept_names)
 
 
 def accumulate(events: Iterable[Event]) -> CountStore:
@@ -482,16 +491,13 @@ class HeldText(NamedTuple):
         `_rank_key`, as re-ranked keys compare only within one call, and
         the rows' keys are searched for the occurrences' keys.
         """
-        rows_of: dict[tuple, list[int]] = {}  # per (shape, tag), its rows
-        for r, (words, skip_pos, skip_len, tag) in enumerate(features):
-            rows_of.setdefault(((skip_pos, skip_len, len(words)), tag), []).append(r)
+        groups = shape_groups(features)
         keys, rows = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
         for shape, columns, event, rank in self.shapes:
             for t, tag in enumerate(self.tags):
-                row = np.array(rows_of.get((shape, tag), []), np.int64)
-                if not len(row):
+                if (shape, tag) not in groups:
                     continue
-                words = np.array([features[r].words for r in row.tolist()], np.int64)
+                row, words = groups[shape, tag]
                 cols = [np.concatenate(c) for c in zip(words.T, columns)]
                 key = (_rank_key(cols, 1 + max(int(c.max()) for c in cols)) if cols
                        else np.zeros(len(row) + len(event), np.int64))

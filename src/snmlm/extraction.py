@@ -461,6 +461,19 @@ def render_rows(
     return [f"{head}{body}]" for body in map(" ".join, zip(*parts))]
 
 
+def shape_groups(features: Sequence[Feature]) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
+    """Per (shape, tag) of `features`, first seen first: their indices and context words.
+
+    A shape is as in `feature_shapes`. Row k of the words matrix holds the
+    words of feature ``indices[k]``; its columns are what `render_rows` takes.
+    """
+    index: dict[tuple, list[int]] = {}
+    for i, (words, skip_pos, skip_len, tag) in enumerate(features):
+        index.setdefault(((skip_pos, skip_len, len(words)), tag), []).append(i)
+    return {key: (np.array(rows, np.int64), np.array([features[i].words for i in rows], np.int64))
+            for key, rows in index.items()}
+
+
 def parse_feature(s: str, vocab: Vocabulary) -> Feature:
     """The feature a canonical string names; DataError if it names none."""
     return feature_parser(vocab)(s)

@@ -17,20 +17,23 @@ computed on arrays in np.uint64, which wraps mod 2^64.
 
 A link's meta-features depend only on its counts and identities, which are
 fixed for a training run; only the weight table changes. `LinkDesign`
-hashes every link of a count store once, so that the adjusted matrix and
-the batch gradient become array products over it: A = sum_j theta[slot_j]
-* weight_j per link, and the transpose pushes a per-link gradient back
-onto the table with `np.bincount`. The design takes the count store's
-arrays as they are: rows in store order, word ids ascending within a row,
-their counts and row sums. Every link has the same columns, with
-zero-weight padding where a count has a single log2 bucket. The slots
-of hashes that vary per link are stored in blocks of `_CHUNK` links; a slot
-that depends on the row, the word or the link-count class alone comes from
-a table over that key. Weights are not stored: a column weighs one of the
-row's feature-count bucket weights times one of the link's link-count
-bucket weights, looked up per block in small per-count tables. Each
-distinct feature string, type string and word is fingerprinted once, the
-feature strings and words all at once by `fingerprints`.
+hashes every link of a count store at most once, the first time its slots
+or weights are read, so that the adjusted matrix and the batch gradient
+become array products over it: A = sum_j theta[slot_j] * weight_j per
+link, and the transpose pushes a per-link gradient back onto the table
+with `np.bincount`. A run whose weight table stays all zero reads neither
+and hashes nothing. The design takes the count store's arrays as they
+are: rows in store order, word ids ascending within a row, their counts
+and row sums. Every link has the same columns, with zero-weight padding
+where a count has a single log2 bucket. The slots of hashes that vary per
+link are stored in blocks of `_CHUNK` links; a slot that depends on the
+row, the word or the link-count class alone comes from a table over that
+key. Weights are not stored: a column weighs one of the row's
+feature-count bucket weights times one of the link's link-count bucket
+weights, looked up per block in small per-count tables. Rows are typed,
+and rendered when the store holds no row strings, once per feature shape
+and tag; each distinct type string is fingerprinted once, and the feature
+strings and words all at once by `fingerprints`.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .counts import CountStore
-from .extraction import Feature, render_feature
+from .extraction import Feature, render_feature, render_rows, shape_groups
 
 _M64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -194,26 +197,33 @@ _KEYS = {"feature": "row", "type": "row", "count0": "row", "count1": "row",
          "word": "word", "link0": "class", "link1": "class"}
 
 
-def _descriptors(features, feature_counts, words, link_counts, mode: Mode, vocab: Vocabulary):
+def _descriptors(features, feature_counts, words, link_counts, mode: Mode, vocab: Vocabulary,
+                 names: list[str] | None = None):
     """({descriptor: hash table over its key}, then class and factors of each count bucket table.
 
     The word table holds the given words' fingerprints in FULL mode only; the
-    feature identity table is left out in UNLEXICALIZED mode.
+    feature identity table is left out in UNLEXICALIZED mode. Each feature's
+    identity is ``names[r]``, or rendered per shape and tag when `names` is
+    None.
     """
     fcls, fhash, fw = _bucket_table(feature_counts)
     lcls, lhash, lw = _bucket_table(link_counts)
-    types = [feature_type(f) for f in features]
-    type_fps = {t: fingerprint(t) for t in set(types)}
     tables = {
-        "type": np.array([type_fps[t] for t in types], dtype=np.uint64),
+        "type": np.zeros(len(features), dtype=np.uint64),
         "count0": fhash[fcls, 0],
         "count1": fhash[fcls, 1],
         "word": np.zeros(len(vocab), dtype=np.uint64),
         "link0": lhash[:, 0],
         "link1": lhash[:, 1],
     }
-    if mode is not Mode.UNLEXICALIZED:
-        tables["feature"] = fingerprints([render_feature(f, vocab) for f in features])
+    lexical = mode is not Mode.UNLEXICALIZED
+    rendered = np.empty(len(features), dtype=object)
+    for (shape, tag), (rows, context) in shape_groups(features).items():
+        tables["type"][rows] = fingerprint(feature_type(features[rows[0]]))
+        if lexical and names is None:
+            rendered[rows] = render_rows(list(context.T), shape, tag, vocab)
+    if lexical:
+        tables["feature"] = fingerprints(rendered.tolist() if names is None else names)
     if mode is Mode.FULL:
         used = np.flatnonzero(np.bincount(words, minlength=len(vocab)))
         tables["word"][used] = fingerprints([vocab.words[w] for w in used.tolist()])
@@ -303,18 +313,26 @@ class LinkHasher:
                 if (wt := fw[fs] * lw[ls])]
 
 
+# The hash state of a `LinkDesign`, built the first time any of it is read.
+_HASH_STATE = frozenset(("slots", "_lcls", "_fcls", "_fw", "_lw", "_fsel", "_lsel", "_cols",
+                         "_dtype"))
+
+
 class LinkDesign:
     """Slots and weights of every link of one count store, for one hashing setup.
 
     ``row``, ``words`` and ``rel_freq`` are per link, ``offsets`` delimits
-    each row's links, and ``slots`` holds one (per-link columns x links)
-    block per `_CHUNK` links.
+    each row's links, and ``names`` holds each row's string when the store
+    has them, else None. The hash state is ``slots``, one (per-link columns
+    x links) block per `_CHUNK` links, and the tables that the other slots
+    and the weights are looked up in. It is built the first time any of it
+    is read, at most once: until then the design holds the store's counts
+    and row sums, and it drops them once it has hashed.
     """
 
     __slots__ = (
-        "mode", "table_size", "vocab", "features", "row_index",
-        "offsets", "row", "words", "rel_freq", "slots",
-        "_lcls", "_fcls", "_fw", "_lw", "_fsel", "_lsel", "_cols", "_dtype",
+        "mode", "table_size", "vocab", "features", "row_index", "names",
+        "offsets", "row", "words", "rel_freq", "_counts", "_row_sums", *sorted(_HASH_STATE),
     )
 
     @classmethod
@@ -323,42 +341,56 @@ class LinkDesign:
     ) -> LinkDesign:
         d = cls()
         d.mode, d.table_size, d.vocab = mode, table_size, vocab
-        d.features = features = counts.features
-        d.row_index = {f: r for r, f in enumerate(features)}
+        d.features, d.names = counts.features, counts.names
+        d.row_index = {f: r for r, f in enumerate(d.features)}
         d.offsets, d.words = counts.offsets, counts.words
-        d.row = row = np.repeat(np.arange(len(features), dtype=np.int32), np.diff(d.offsets))
-        words, n = d.words, counts.num_links
-        d.rel_freq = counts.counts * (1.0 / counts.row_sums)[row]
-        tables, d._fcls, d._fw, d._lcls, d._lw = _descriptors(
-            features, counts.row_sums, words, counts.counts, mode, vocab
+        d.row = np.repeat(np.arange(len(d.features), dtype=np.int32), np.diff(d.offsets))
+        d.rel_freq = counts.counts * (1.0 / counts.row_sums)[d.row]
+        d._counts, d._row_sums = counts.counts, counts.row_sums
+        return d
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute that is not set yet.
+        if name not in _HASH_STATE:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._hash()
+        return object.__getattribute__(self, name)
+
+    def _hash(self) -> None:
+        """Hash every link's meta-features into the hash state, then drop the counts."""
+        mode, row, words, n = self.mode, self.row, self.words, self.num_links
+        tables, self._fcls, self._fw, self._lcls, self._lw = _descriptors(
+            self.features, self._row_sums, words, self._counts, mode, self.vocab, self.names
         )
 
         def columns(part):
-            keys = {"row": row[part], "word": words[part], "class": d._lcls[part]}
+            keys = {"row": row[part], "word": words[part], "class": self._lcls[part]}
             return _columns(mode, {k: t[keys[_KEYS[k]]] for k, t in tables.items()})
 
-        d._dtype = dtype = np.int32 if table_size <= np.iinfo(np.int32).max else np.int64
-        size = np.uint64(table_size)
+        self._dtype = dtype = np.int32 if self.table_size <= np.iinfo(np.int32).max else np.int64
+        size = np.uint64(self.table_size)
         spec = columns(slice(0, 0))
-        d._fsel = np.array([fs for _, fs, _, _ in spec], dtype=np.intp)
-        d._lsel = np.array([ls for _, _, ls, _ in spec], dtype=np.intp)
-        d._cols = []
+        self._fsel = np.array([fs for _, fs, _, _ in spec], dtype=np.intp)
+        self._lsel = np.array([ls for _, _, ls, _ in spec], dtype=np.intp)
+        cols = []
         per_link = 0
         for _, _, _, src in spec:
             if src is None:
-                d._cols.append((None, per_link))
+                cols.append((None, per_link))
                 per_link += 1
             else:
-                d._cols.append((_KEYS[src], (tables[src] % size).astype(dtype)))
-        d.slots = []
+                cols.append((_KEYS[src], (tables[src] % size).astype(dtype)))
+        self._cols = cols
+        slots = []
         for lo in range(0, n, _CHUNK):
             part = slice(lo, min(lo + _CHUNK, n))
             conj = [h for h, _, _, src in columns(part) if src is None]
             block = np.empty((per_link, part.stop - lo), dtype=dtype)
             for k, h in enumerate(conj):
                 block[k] = h % size
-            d.slots.append(block)
-        return d
+            slots.append(block)
+        self.slots = slots
+        del self._counts, self._row_sums
 
     @property
     def num_links(self) -> int:

@@ -58,14 +58,15 @@ class SnmModel:
     Row r is feature ``features[r]`` (``row_index`` maps it back to r): the
     cells ``cells[offsets[r]:offsets[r + 1]]`` of links to the ascending word
     ids ``words[offsets[r]:offsets[r + 1]]``, and normalizer ``row_sums[r]``.
+    ``names[r]`` is its canonical string, or `names` is None when unknown.
     `rows` and `normalizers` are the same as dicts, built the first time
     they are read.
     """
 
     def __init__(self, features: list[Feature], offsets: np.ndarray, words: np.ndarray,
                  cells: np.ndarray, row_sums: np.ndarray,
-                 row_index: dict[Feature, int] | None = None):
-        self.features = features
+                 row_index: dict[Feature, int] | None = None, names: list[str] | None = None):
+        self.features, self.names = features, names
         self.row_index = {f: r for r, f in enumerate(features)} if row_index is None else row_index
         self.offsets, self.words, self.cells, self.row_sums = offsets, words, cells, row_sums
 
@@ -109,7 +110,15 @@ class EvalReport:
 
 
 def adjusted_cells(design: LinkDesign, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every cell M_fw = c(w|f) * exp(A(f,w)) and every row sum, in design order."""
+    """Every cell M_fw = c(w|f) * exp(A(f,w)) and every row sum, in design order.
+
+    An all-zero table gives the relative frequencies, read without hashing
+    the design: each A(f,w) would be a sum of ``0.0 * weight`` terms from
+    +0.0, so +0.0, and each cell ``rel_freq * exp(0.0)``.
+    """
+    if not theta.any():
+        cells = design.rel_freq.copy()
+        return cells, np.bincount(design.row, cells, minlength=len(design.features))
     a = design.adjustments(theta)
     bound = MAX_ABS_ADJUSTMENT
     if not (a.max(initial=0.0) <= bound and a.min(initial=0.0) >= -bound):
@@ -127,7 +136,7 @@ def adjusted_cells(design: LinkDesign, theta: np.ndarray) -> tuple[np.ndarray, n
 def materialize(design: LinkDesign, cells: np.ndarray, row_sums: np.ndarray) -> SnmModel:
     """The model of `adjusted_cells`: the design's rows and words with the cells and row sums."""
     return SnmModel(design.features, design.offsets, design.words, cells, row_sums,
-                    design.row_index)
+                    design.row_index, design.names)
 
 
 def score_event(model: SnmModel, event: Event) -> EventScore:
@@ -256,7 +265,9 @@ def perplexity(model: SnmModel, events: HeldOut | Iterable[Event]) -> EvalReport
 # Persistence
 
 def save_model(model: SnmModel, path, vocab: Vocabulary) -> None:
-    names = [render_feature(f, vocab) for f in model.features]
+    names = model.names
+    if names is None:
+        names = [render_feature(f, vocab) for f in model.features]
     norms = model.row_sums.tolist()
     with atomic_write(path) as fh:
         fh.write(f"{MODEL_HEADER}\n{_SIZE_PREFIX}{len(vocab)}\n")

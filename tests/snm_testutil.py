@@ -10,6 +10,7 @@ one-link-at-a-time reference of a model's dict views.
 `LinkHasher` is the scalar reference of a link's meta-features: the items
 of one link, built one by one, that `snmlm.metafeatures.LinkDesign` must
 reproduce column by column.
+`adagrad_oracle` is the AdaGrad step written as its two formulas.
 `parse_feature_oracle` is the reference of the feature-string grammar.
 `oracle_extract_events` and `oracle_accumulate` are the nested-loop
 extraction and the per-occurrence count of events into a store.
@@ -305,6 +306,12 @@ def random_events(
 def random_theta(adj: AdjustmentModel, seed: int, scale: float = 0.3) -> None:
     rs = np.random.RandomState(seed)
     adj.theta = rs.normal(0.0, scale, adj.table_size)
+
+
+def adagrad_oracle(adj: AdjustmentModel, slots: np.ndarray, grads: np.ndarray) -> None:
+    """The two-line AdaGrad step that `apply_adagrad` replaced with in-place updates."""
+    adj.grad_sq[slots] += grads * grads
+    adj.theta[slots] += adj.gamma * grads / np.sqrt(adj.delta0 + adj.grad_sq[slots])
 
 
 def link_weights(adj: AdjustmentModel, f: Feature, w: int, store: CountStore, vocab):

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snmlm.adjustment import (
     AdjustmentModel,
@@ -27,6 +28,7 @@ from snmlm.model import adjusted_cells, materialize, perplexity, score_event
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
     MarkovChain,
+    adagrad_oracle,
     adjust,
     array_theta_gradient,
     build_matrix,
@@ -295,6 +297,30 @@ def test_adagrad_rates_never_increase():
             rate = adj.gamma / math.sqrt(adj.delta0 + adj.grad_sq[k])
             assert rate <= last_rate[k] + 1e-15
             last_rate[k] = rate
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_apply_adagrad_equals_the_two_line_update_bit_for_bit(data):
+    size = data.draw(st.integers(1, 40), label="table size")
+    slots = np.array(data.draw(st.lists(st.integers(0, size - 1), unique=True), label="slots"),
+                     dtype=np.int64)
+    floats = st.floats(-1e6, 1e6)
+    grads = np.array(data.draw(st.lists(floats, min_size=len(slots), max_size=len(slots)),
+                               label="gradients"), dtype=np.float64)
+    positive = st.floats(1e-8, 1e3)
+    gamma, delta0 = data.draw(positive, label="gamma"), data.draw(positive, label="delta0")
+    want, got = (AdjustmentModel(size, gamma=gamma, delta0=delta0) for _ in range(2))
+    want.theta = np.array(data.draw(st.lists(floats, min_size=size, max_size=size),
+                                    label="theta"), dtype=np.float64)
+    want.grad_sq = np.array(data.draw(st.lists(st.floats(0.0, 1e6), min_size=size,
+                                               max_size=size), label="grad_sq"), dtype=np.float64)
+    got.theta, got.grad_sq = want.theta.copy(), want.grad_sq.copy()
+    for _ in range(data.draw(st.integers(1, 3), label="steps")):
+        adagrad_oracle(want, slots, grads)
+        apply_adagrad(got, slots, grads)
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert got.grad_sq.tobytes() == want.grad_sq.tobytes()
 
 
 def test_process_batch_rejects_empty():

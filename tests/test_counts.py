@@ -296,6 +296,11 @@ def test_load_with_keep_equals_intersect(tagged_count_file, data):
     assert list(loaded.rows.items()) == list(expected.rows.items())
     assert list(loaded.feature_counts.items()) == list(expected.feature_counts.items())
     assert loaded.total_events == expected.total_events == full.total_events
+    # Rows kept by name keep their strings, through `intersect` too.
+    assert full.names is None and expected.names is None
+    assert loaded.names == [render_feature(f, vocab) for f in loaded.features]
+    sub = loaded.intersect(loaded.features[::2])
+    assert sub.names == [render_feature(f, vocab) for f in sub.features]
     # Every feature of the file is counted, kept or not.
     assert loaded.file_features == full.file_features
     assert sum(full.file_features.values()) == len(full)

@@ -4,7 +4,9 @@
 `LinkHasher` in `snm_testutil`) are the oracle: the design must give every
 link the same (slot, weight) items, sum them in the same order, label them
 the same way, and push a batch gradient only through the rows of the batch;
-`snmlm.metafeatures.LinkHasher` must give every link the same items.
+`snmlm.metafeatures.LinkHasher` must give every link the same items. A
+design hashes at most once, and only when its slots or weights are read:
+an all-zero weight table is never hashed.
 """
 
 import random
@@ -16,12 +18,13 @@ from snmlm import metafeatures
 from snmlm.adjustment import (
     AdjustmentModel, BatchAccumulator, batch_theta_gradient, compile_events, process_batch, train,
 )
+from snmlm.cli import main
 from snmlm.corpus import SPECIAL_TOKENS, Vocabulary, build_vocab
 from snmlm.counts import CountStore, accumulate
 from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature, parse_config, render_feature
 from snmlm.metafeatures import LinkDesign, Mode, explain, feature_type, fingerprint
-from snmlm.model import materialize
+from snmlm.model import adjusted_cells, materialize
 
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
@@ -248,7 +251,31 @@ def test_compiled_events_locate_every_known_occurrence():
         compile_events(events + [Event((unknown,), 3)], design)
 
 
-def test_train_builds_the_design_once(monkeypatch):
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_zero_table_gives_the_relative_frequencies_bit_for_bit(monkeypatch, mode, block_size):
+    vocab = make_vocab(20)
+    design = LinkDesign.build(_mixed_store(vocab), mode, 4096, vocab)
+    calls = []
+    adjustments = LinkDesign.adjustments
+
+    def spy(self, theta):
+        calls.append(theta)
+        return adjustments(self, theta)
+
+    monkeypatch.setattr(LinkDesign, "adjustments", spy)
+    one = np.zeros(4096)
+    one[design.link_slots(np.array([0]))[0, 0]] = 0.5
+    for theta, adjusted in ((np.zeros(4096), 0), (np.full(4096, -0.0), 0), (one, 1)):
+        cells, row_sums = adjusted_cells(design, theta)
+        assert len(calls) == adjusted
+        calls.clear()
+        want = np.exp(adjustments(design, theta)) * design.rel_freq
+        want_sums = np.bincount(design.row, want, minlength=len(design.features))
+        assert (cells.tobytes(), row_sums.tobytes()) == (want.tobytes(), want_sums.tobytes())
+    assert not np.array_equal(cells, design.rel_freq)
+
+
+def test_train_builds_the_design_once(monkeypatch, tmp_path):
     chain = MarkovChain(15, seed=13)
     train_s = chain.sentences(random.Random(4), 200)
     dev_s = chain.sentences(random.Random(5), 40)
@@ -266,11 +293,45 @@ def test_train_builds_the_design_once(monkeypatch):
         return build(cls, *args)
 
     monkeypatch.setattr(LinkDesign, "build", classmethod(counting_build))
+    # Hashing a design computes its descriptors once and fingerprints through them.
+    hashes = []
+    for name in ("_descriptors", "fingerprints"):
+        def spy(*args, _run=getattr(metafeatures, name), _name=name):
+            hashes.append(_name)
+            return _run(*args)
+        monkeypatch.setattr(metafeatures, name, spy)
+
     adj = AdjustmentModel(16384, batch_size=64)
     assert len(dev_events) > 2 * adj.batch_size
+    history, _ = train(dev_events, inter, adj, 0, vocab)
+    assert (history, len(builds), hashes) == ([], 1, [])
     history, _ = train(dev_events, inter, adj, 2, vocab)
     assert len(history) == 3
-    assert len(builds) == 1
+    assert len(builds) == 2
+    assert hashes == ["_descriptors", "fingerprints", "fingerprints"]
+
+    hashes.clear()
+    design = LinkDesign.build(inter, Mode.FULL, adj.table_size, vocab)
+    assert hashes == []
+    first = design.adjustments(adj.theta)
+    assert hashes == ["_descriptors", "fingerprints", "fingerprints"]
+    assert design.adjustments(adj.theta).tobytes() == first.tobytes()
+    assert len(hashes) == 3
+
+    # The command line, with no epochs, hashes nothing.
+    for name, sentences in (("train", train_s), ("dev", dev_s)):
+        (tmp_path / f"{name}.txt").write_text("".join(" ".join(s) + "\n" for s in sentences),
+                                              encoding="utf-8")
+    (tmp_path / "snm.cfg").write_text(FIVE_GRAM_CONFIG, encoding="utf-8")
+    common = ["--config", tmp_path / "snm.cfg", "--vocab", tmp_path / "vocab.txt"]
+    for argv in (["build-vocab", tmp_path / "train.txt", "-o", tmp_path / "vocab.txt"],
+                 ["count", tmp_path / "train.txt", *common, "-o", tmp_path / "counts.tsv"],
+                 ["train", "--counts", tmp_path / "counts.tsv", "--dev", tmp_path / "dev.txt",
+                  *common, "--epochs", "0", "--adjustment-out", tmp_path / "adj.bin",
+                  "--model-out", tmp_path / "model.tsv"]):
+        assert main(list(map(str, argv))) == 0
+    assert len(builds) == 4
+    assert len(hashes) == 3
 
 
 def test_process_batch_rejects_a_design_for_other_hashing():

@@ -16,6 +16,10 @@ import random
 import pytest
 
 import snmlm.cli
+import snmlm.counts
+import snmlm.extraction
+import snmlm.metafeatures
+import snmlm.model
 from snmlm.adjustment import AdjustmentModel, train
 from snmlm.cli import main
 from snmlm.corpus import UNK_ID, TaggedCorpus, Vocabulary
@@ -215,6 +219,26 @@ def test_train_and_eval_build_no_dict_views(tmp_path, monkeypatch, tags):
         assert list(model.rows) == list(rows)
         assert [list(r.items()) for r in model.rows.values()] == [list(r.items())
                                                                   for r in rows.values()]
+
+
+@pytest.mark.parametrize("tags", [(), ("a", "b")])
+def test_train_reuses_the_row_strings_it_loaded(tmp_path, monkeypatch, tags):
+    # `snmlm train` hashes and saves the strings `CountStore.load(keep=)`
+    # kept; it renders no feature.
+    rendered, hashed = [], []
+    render = snmlm.extraction.render_feature
+    for module in (snmlm.extraction, snmlm.counts, snmlm.metafeatures, snmlm.model, snmlm.cli):
+        monkeypatch.setattr(module, "render_feature",
+                            lambda f, vocab: rendered.append(f) or render(f, vocab))
+    descriptors = snmlm.metafeatures._descriptors
+    monkeypatch.setattr(snmlm.metafeatures, "_descriptors",
+                        lambda *args: hashed.append(args) or descriptors(*args))
+    _pipeline(tmp_path, tags)
+    assert rendered == []
+    [(features, *_, names)] = hashed  # it trained, so it hashed once
+    vocab = Vocabulary.load(tmp_path / "vocab.txt")
+    assert names == [render(f, vocab) for f in features]
+    assert load_model(tmp_path / "model.tsv", vocab).features == features
 
 
 @pytest.mark.parametrize("tags", [(), ("a", "b")])
