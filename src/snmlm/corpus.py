@@ -9,6 +9,7 @@ with ``<S>`` after its first token is rejected as it is read.
 from __future__ import annotations
 
 import collections
+import hashlib
 from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -38,7 +39,7 @@ class Vocabulary:
     skip marker (`is_skip_marker`): feature strings would misread it.
     """
 
-    __slots__ = ("words", "index")
+    __slots__ = ("words", "index", "digest")
 
     def __init__(self, words: Sequence[str], path=None):
         """With `path`, the file `words` were read from, errors name its line."""
@@ -60,14 +61,19 @@ class Vocabulary:
             index[w] = i
         self.words = words
         self.index = index
+        # The SHA-256 of what `save` writes, which count files name.
+        self.digest = hashlib.sha256(self._text().encode()).hexdigest()
 
     def __len__(self) -> int:
         return len(self.words)
 
+    def _text(self) -> str:
+        return "\n".join(self.words) + "\n"
+
     def save(self, path) -> None:
         """One token per line; the line number is the id."""
         with atomic_write(path) as fh:
-            fh.write("\n".join(self.words) + "\n")
+            fh.write(self._text())
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

@@ -3,7 +3,11 @@
 Counts are exact integers; the link design (`snmlm.metafeatures`) turns them
 into relative frequencies once per training run. Count tables persist as
 sorted TSV so that independently produced shards can be combined with a
-sequential merge join.
+sequential merge join. Every writer seals a count file with a trailer
+(`_Sealer`): the row count, the features per corpus tag, the vocabulary's
+digest and a SHA-256 of all text before it. A read that keeps a few rows
+(`CountStore.load(keep=)`) checks only those and trusts the rest for the
+digest; any other read checks every row, and the trailer too.
 
 Training text is counted on integer arrays (`count_files`, which `snmlm
 count` runs): no `Event` or `Feature` object is built, and a feature's
@@ -22,9 +26,11 @@ that training and evaluation score. A `Feature` is only ever a row.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import hashlib
+import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from contextlib import closing
+from contextlib import closing, suppress
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import eq, itemgetter, lt, ne, not_
@@ -46,8 +52,11 @@ from .extraction import (
 )
 from .files import atomic_write, open_text
 
-COUNTS_HEADER = "#snm-counts v1"
+COUNTS_HEADER = "#snm-counts v2"
 _TOTAL_PREFIX = "#total-events "
+# The key of each kind of trailer line (`_read_seal`), in file order.
+_SEAL_KEYS = {"rows": "#rows", "features": "#features", "vocab": "#vocab-sha256",
+              "sha256": "#sha256"}
 # Counts and their row sums are int64 in the link design, and so are the
 # keys `count_files` counts on.
 _INT64_MAX = (1 << 63) - 1
@@ -63,7 +72,7 @@ class CountStore:
     is C_f*, their exact sum. No row is empty. Rows come first seen from
     `accumulate` and in file order from `load`, whose store also has
     `file_features`: per corpus tag (None for untagged), the number of
-    features in the file, kept or not. ``names[r]`` is row r's canonical
+    features in the file, kept or not, from its trailer. ``names[r]`` is row r's canonical
     string when `load` kept rows by name, else `names` is None. `rows` and
     `feature_counts` are the same as dicts, built the first time they are
     read.
@@ -147,45 +156,51 @@ class CountStore:
     def load(cls, path, vocab: Vocabulary, keep: Iterable[str] | None = None) -> "CountStore":
         """Read a count file a block at a time, storing only the rows `keep` names when it is given.
 
-        Every row is checked, kept or not (`_blocks`), so a file is rejected
-        at the same line either way. `keep` holds canonical feature strings,
-        as `render_feature` and `HeldText.names` give them. A row is kept if
-        its string is one of them: the store equals ``load(path, vocab)``
-        intersected with the rows so named, rows in the same order, and a
-        string that names no row, a non-canonical one included, keeps nothing.
-        Kept rows keep their strings as `names`.
+        `keep` holds canonical feature strings, as `render_feature` and
+        `HeldText.names` give them. A row is kept if its string is one of
+        them: the store equals ``load(path, vocab)`` intersected with the
+        rows so named, rows in the same order, and a string that names no
+        row, a non-canonical one included, keeps nothing. Kept rows keep
+        their strings as `names`.
+
+        With `keep`, only the kept rows are split and checked (`_blocks`):
+        every other row is trusted for the trailer's digest, which the
+        whole file is hashed against, with the trailer's row count and
+        vocabulary digest. If one of them does not match, or a kept row
+        fails its check, the file is read again with every row checked, as
+        it is without `keep`, which names its first bad line, or else the
+        trailer line. `file_features` comes from the trailer.
         """
-        wanted = None if keep is None else set(keep)
         index, parse = vocab.index, feature_parser(vocab)
-        tags: Counter[str | None] = Counter()
-        features: list[Feature] = []
-        kept_names: list[str] = []
-        empty = np.zeros(0, np.int64)
-        rows, words, counts = [empty], [empty.astype(np.int32)], [empty]
-        row = -1  # the kept row that the last block ended in, or -1
-        with closing(_blocks(path, index, parse)) as blocks:
-            total = next(blocks)
-            for b in blocks:
-                tags += b.tags
-                names = list(map(b.fs.__getitem__, b.starts.tolist()))
-                # The kept row of the lines before the first row start, then of each row.
-                runs = [row] + [-1] * len(names)
-                for i in range(len(names)) if wanted is None else compress(
-                        range(len(names)), map(wanted.__contains__, names)):
-                    runs[i + 1] = len(features)
-                    features.append(parse(names[i]))
-                    kept_names.append(names[i])
-                row = runs[-1]
-                line = np.repeat(runs, np.diff(b.starts, prepend=0, append=len(b.fs)))
-                kept = line >= 0
-                rows.append(line[kept])
-                words.append(np.fromiter(map(index.__getitem__, compress(b.ws, kept)), np.int32))
-                counts.append(b.counts[kept])
-        row, words = np.concatenate(rows), np.concatenate(words)
-        order = np.lexsort((words, row))
-        offsets = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(features)))))
-        return cls(features, offsets, words[order], np.concatenate(counts)[order], total,
-                   dict(tags), None if wanted is None else kept_names)
+
+        def read(keep):
+            seal: list[tuple] = []
+            names: list[str] = []
+            empty = np.zeros(0, np.int64)
+            rows, words, counts = [empty], [empty.astype(np.int32)], [empty]
+            with closing(_blocks(path, index, parse, vocab.digest, keep, seal)) as blocks:
+                total = next(blocks)
+                for b in blocks:
+                    # A block's first row may go on with the last row of the block before.
+                    new = np.zeros(len(b.fs), np.int64)
+                    new[b.starts] = 1
+                    rows.append(np.cumsum(new) + (len(names) - 1))
+                    names += map(b.fs.__getitem__, b.starts.tolist())
+                    words.append(np.fromiter(map(index.__getitem__, b.ws), np.int32, len(b.ws)))
+                    counts.append(b.counts)
+            row, words = np.concatenate(rows), np.concatenate(words)
+            order = np.lexsort((words, row))
+            offsets = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(names)))))
+            return cls(list(map(parse, names)), offsets, words[order],
+                       np.concatenate(counts)[order], total, seal[0][0],
+                       None if keep is None else names)
+
+        if keep is None:
+            return read(None)
+        with suppress(DataError):
+            return read(sorted(set(keep)))
+        read(None)  # raises the error of the first bad line, or of the trailer
+        raise AssertionError(f"{path}: the full check passes where the kept rows failed theirs")
 
 
 def accumulate(events: Iterable[Event]) -> CountStore:
@@ -252,8 +267,48 @@ class LinkCounts(NamedTuple):
 
     def save(self, path, vocab: Vocabulary) -> None:
         with atomic_write(path) as fh:
-            fh.write(f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{self.total_events}\n")
-            write_rows(fh, self.names, self.row, self.word, self.count, vocab)
+            out = _Sealer(fh, self.total_events)
+            rank = write_rows(out, self.names, self.row, self.word, self.count, vocab)
+            ordered = np.empty(len(rank), object)
+            ordered[rank] = self.names
+            out.seal(len(self.row), _features_per_tag(ordered.tolist()), vocab.digest)
+
+
+def _features_per_tag(names: Sequence[str]) -> dict[str | None, int]:
+    """Per corpus tag (None untagged), how many of the sorted feature strings `names` it has.
+
+    The strings of a tag start ``tag:[`` (untagged ``[``), as no other
+    tag's strings do, so in sorted order they are one run, which ends
+    before ``tag:\\``.
+    """
+    tags: dict[str | None, int] = {}
+    i = 0
+    while i < len(names):
+        head = names[i][:names[i].find("[")]
+        j = bisect_left(names, head + "\\", i)  # "\\" follows "["
+        tags[head[:-1] or None] = j - i
+        i = j
+    return tags
+
+
+class _Sealer:
+    """A count file as written: preamble and rows, hashed as they are written, then the trailer."""
+
+    def __init__(self, fh, total: int):
+        self.fh, self.sha = fh, hashlib.sha256()
+        self.write(f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{total}\n")
+
+    def write(self, text: str) -> None:
+        self.sha.update(text.encode())
+        self.fh.write(text)
+
+    def seal(self, rows: int, tags: dict[str | None, int], vocab: str) -> None:
+        """Write the trailer of `rows` rows, features per tag and the vocabulary digest."""
+        self.write("".join([f"#rows {rows}\n",
+                            *(f"#features {'' if t is None else t + ' '}{n}\n"
+                              for t, n in tags.items()),
+                            f"#vocab-sha256 {vocab}\n"]))
+        self.fh.write(f"#sha256 {self.sha.hexdigest()}\n")
 
 
 def _ranks(strings: Sequence[str]) -> np.ndarray:
@@ -288,16 +343,17 @@ def write_rows(fh, names: list[str], row: np.ndarray, word: np.ndarray, value: n
     The one writer of count and model rows: ``f"{value}"`` renders a count
     as `str(int)` and a model cell as `repr(float)`. Feature names and
     vocabulary words are ranked once each, and the links ordered on one key
-    of the two ranks. Returns the rank of each feature's name.
+    of the two ranks; rows are written `_BLOCK_LINES` at a time. Returns
+    the rank of each feature's name.
     """
     rank = _ranks(names)
     key = _rank_key([rank[row], _ranks(vocab.words)[word]], max(len(names), len(vocab)))
     order = np.argsort(key)
-    fs = map(names.__getitem__, row[order].tolist())
-    ws = map(vocab.words.__getitem__, word[order].tolist())
-    write = fh.write
-    for f, w, v in zip(fs, ws, value[order].tolist()):
-        write(f"{f}\t{w}\t{v}\n")
+    for lo in range(0, len(order), _BLOCK_LINES):
+        at = order[lo : lo + _BLOCK_LINES]
+        fs = map(names.__getitem__, row[at].tolist())
+        ws = map(vocab.words.__getitem__, word[at].tolist())
+        fh.write("".join([f"{f}\t{w}\t{v}\n" for f, w, v in zip(fs, ws, value[at].tolist())]))
     return rank
 
 
@@ -524,11 +580,11 @@ def line_error(path, lineno: int, line: str, directive: str, fields: int) -> Dat
     return DataError(f"{path}:{lineno}: {what}")
 
 
-def read_preamble(fh, path, kind: str, header: str, directive: str) -> str:
-    """Check the `header` line and `directive` line of a count or model file; return its value."""
-    if fh.readline().rstrip("\n") != header:
-        raise DataError(f"{path}: not a {kind} file (bad header)")
-    line = fh.readline().rstrip("\n")
+def read_preamble(head: list[str], path, kind: str, header: str, directive: str) -> str:
+    """Check lines 1 and 2 of a count or model file, `header` and `directive`; return its value."""
+    if head[0].rstrip("\n") != header:
+        raise DataError(f"{path}:1: not a {kind} file (bad header)")
+    line = head[1].rstrip("\n")
     if not line.startswith(directive):
         raise line_error(path, 2, line, directive, 3)
     return line[len(directive):]
@@ -541,7 +597,8 @@ _BLOCK_LINES = 2048
 class _Block(NamedTuple):
     """Checked rows: ``lines[i]`` is feature ``fs[i]``, word ``ws[i]`` and ``counts[i]``.
 
-    `starts` indexes the rows that begin a feature; `tags` counts them per tag.
+    `starts` indexes the rows that begin a feature; `plain` is whether no
+    character is below the tab.
     """
 
     lines: list[str]
@@ -549,22 +606,111 @@ class _Block(NamedTuple):
     ws: list[str]
     counts: np.ndarray
     starts: np.ndarray
-    tags: Counter
+    plain: bool
 
 
-def _blocks(path, index=None, parse=None) -> Iterator:
-    """The event total of a count file, then its rows as `_Block`s of `_BLOCK_LINES` lines.
+# A trailer line, named by the kind of its value.
+_SEAL_LINE = re.compile(r"#(?:rows (?P<rows>\d+)|features (?:(?P<tag>[^ ]+) )?(?P<features>\d+)"
+                        r"|vocab-sha256 (?P<vocab>[0-9a-f]{64})|sha256 (?P<sha256>[0-9a-f]{64}))\n",
+                        re.ASCII)
+
+
+def _read_seal(path, lineno: int, lines: Iterable[str], sha, vocab: str | None):
+    """The features per tag, vocabulary digest and its line of the trailer at line `lineno`.
+
+    The trailer is `lines`, to the end of the file: ``#rows R``,
+    ``#features N`` untagged and ``#features TAG N`` per tag,
+    ``#vocab-sha256 HEX``, and last ``#sha256 HEX``, each line ending in a
+    newline. The first line that breaks this, or the end of the file
+    before the last one, raises `DataError` naming it. So does a trailer
+    that does not seal the rows before it: the last line must be the
+    SHA-256 of all text before it, which `sha` has hashed up to `lines`,
+    R the number of rows, and HEX `vocab` if it is given.
+    """
+    rows, tags, digest = None, {}, None
+    it = chain(lines, [""])
+    for n, line in enumerate(it, lineno):
+        m = _SEAL_LINE.fullmatch(line)
+        kind = m and m.lastgroup
+        want = ["rows"] if rows is None else ["features", "vocab"] if digest is None else ["sha256"]
+        if kind not in want:
+            text = line.rstrip("\n")
+            if not line:
+                raise DataError(f"{path}:{n}: no trailer: the file ends before its #sha256 line")
+            if text[:1] == "#" and text.split(" ")[0] not in _SEAL_KEYS.values():
+                raise line_error(path, n, text, _TOTAL_PREFIX, 3)
+            want = " or ".join(_SEAL_KEYS[k] for k in want)
+            raise DataError(f"{path}:{n}: expected a {want} line of the trailer, got {text!r}")
+        if kind == "sha256":
+            break
+        sha.update(line.encode())
+        if kind == "rows":
+            rows = int(m["rows"])
+        elif kind == "features":
+            tags[m["tag"]] = int(m["features"])
+        else:
+            digest = m["vocab"]
+    if next(it):
+        raise DataError(f"{path}:{n + 1}: the file goes on after its #sha256 line")
+    if m["sha256"] != sha.hexdigest():
+        raise DataError(f"{path}:{n}: changed after it was written: "
+                        "the lines before this one do not have this SHA-256")
+    if rows != lineno - 3:
+        raise DataError(f"{path}:{lineno}: the file has {lineno - 3} rows, not {rows}")
+    if vocab not in (None, digest):
+        raise DataError(f"{path}:{n - 1}: written with another vocabulary")
+    return tags, digest, n - 1
+
+
+def _feature(line: str) -> str:
+    return line[:line.find("\t")]
+
+
+def _pick(lines: list[str], keep: list[str]) -> list[str]:
+    """The lines, rows sorted by feature, whose feature is one of the sorted strings `keep`.
+
+    Each kept feature's first row is bisected for on the feature field
+    alone, as a character below the tab sorts a whole line apart from its
+    feature; its other rows follow it.
+    """
+    picked, at = [], 0
+    for name in keep[bisect_left(keep, _feature(lines[0])) :
+                     bisect_right(keep, _feature(lines[-1]))]:
+        end = at = bisect_left(lines, name, at, key=_feature)
+        head = name + "\t"
+        while end < len(lines) and lines[end].startswith(head):
+            end += 1
+        picked += lines[at:end]
+        at = end
+    return picked
+
+
+def _blocks(path, index=None, parse=None, vocab: str | None = None,
+            keep: list[str] | None = None, seal: list | None = None) -> Iterator:
+    """The event total of a count file, then its rows as checked `_Block`s of `_BLOCK_LINES` lines.
 
     Line 2 holds the total, at most 2^63-1. Each later line is a row of
     feature, word and an ASCII count of at least 1; rows strictly increase
-    by (feature, word), and a feature's counts sum to at most the total, as
-    an event counts a feature once. Given the vocabulary `index` and a
-    feature `parse`r, words and feature strings are checked too. Only when
-    a block fails its check (`_check`) are its lines checked one by one
-    (`_first_error`). The file is opened on the first `next`.
+    by (feature, word), and a feature's counts sum to at most the total,
+    as an event counts a feature once. Given the vocabulary `index` and a
+    feature `parse`r, words and feature strings are checked too. Only
+    when a block fails its check (`_check`) are its lines checked one by
+    one (`_first_error`). Lines are read as written, with no line ending
+    translated, and hashed. The rows end at the first line that starts
+    with ``#``: the trailer (`_read_seal`), which must seal them, under
+    the vocabulary digest `vocab` if given; what `_read_seal` returns is
+    appended to `seal`. The file is opened on the first `next`.
+
+    With `keep`, sorted feature strings, only the rows of those features
+    are split and checked (`_pick`), and a kept row that fails its check
+    raises its reason: only the check of every row names the first bad
+    line.
     """
-    with open_text(path) as fh:
-        text = read_preamble(fh, path, "count", COUNTS_HEADER, _TOTAL_PREFIX)
+    with open_text(path, newline="\n") as fh:
+        head = [fh.readline(), fh.readline()]
+        if head[0] == "#snm-counts v1\n":
+            raise DataError(f"{path}:1: a v1 count file has no trailer; count it again")
+        text = read_preamble(head, path, "count", COUNTS_HEADER, _TOTAL_PREFIX)
         try:
             total = natural(text)
         except ValueError:
@@ -572,13 +718,31 @@ def _blocks(path, index=None, parse=None) -> Iterator:
         if total > _INT64_MAX:
             raise DataError(f"{path}:2: event total {text} is more than 2^63-1")
         yield total
+        sha = hashlib.sha256("".join(head).encode())
         lineno, prev, carry = 3, None, 0
         while lines := list(islice(fh, _BLOCK_LINES)):
-            if isinstance(checked := _check(lines, prev, carry, total, index, parse), str):
-                raise _first_error(path, lineno, lines, prev, carry, total, index, parse)
-            b, carry = checked
-            yield b
-            lineno, prev = lineno + len(lines), (b.fs[-1], b.ws[-1])
+            text = "".join(lines)
+            cut = 0 if text[0] == "#" else text.find("\n#") + 1 or len(text)
+            sha.update(text[:cut].encode())
+            rows = lines if cut == len(text) else lines[:text.count("\n", 0, cut)]
+            block = _pick(rows, keep) if keep is not None and rows else rows
+            if block:
+                if isinstance(checked := _check(block, prev, carry, total, index, parse), str):
+                    if keep is not None:
+                        raise DataError(checked)
+                    raise _first_error(path, lineno, block, prev, carry, total, index, parse)
+                b, carry = checked
+                yield b
+                prev = (b.fs[-1], b.ws[-1])
+            if rows is not lines:
+                found = _read_seal(path, lineno + len(rows), chain(lines[len(rows):], fh), sha,
+                                   vocab)
+                break
+            lineno += len(lines)
+        else:
+            raise DataError(f"{path}:{lineno}: no trailer: the file ends after its rows")
+    if seal is not None:
+        seal.append(found)
 
 
 def _check(lines: list[str], prev, carry: int, total: int, index, parse):
@@ -596,7 +760,7 @@ def _check(lines: list[str], prev, carry: int, total: int, index, parse):
     # no tab follows it there, as line k's count is digits from there on.
     raw = np.frombuffer(text.encode(), np.uint8)
     tabs, breaks = np.flatnonzero(raw == 9), np.flatnonzero(raw == 10)
-    if len(tabs) != 2 * n or not (tabs[1::2] < breaks).all() or text[0] == "#" or "\n#" in text:
+    if len(tabs) != 2 * n or not (tabs[1::2] < breaks).all():
         return "expected 3 tab-separated fields"
     fields = text.replace("\n", "\t").split("\t")
     fs, ws, cs = fields[0:-1:3], fields[1::3], fields[2::3]
@@ -641,20 +805,17 @@ def _check(lines: list[str], prev, carry: int, total: int, index, parse):
     if huge or counts.max() > total or sums.max() > total:
         what = f"count {cs[0]}" if huge or counts.max() > total else f"row sum of {fs[0]}"
         return f"{what} is more than the event total {total}"
-    starts, tags = np.flatnonzero(~same), Counter()
     if index is not None:
         if not index.keys() >= set(ws):
             return f"unknown word {ws[0]!r}"
-        valid, tag = parse.fast(names)
-        tags[tag] = int(valid.sum())
-        for name in compress(names, ~valid):
+        for name in compress(names, ~parse.fast(names)):
             try:
-                tags[parse(name).tag] += 1
+                parse(name)
             except DataError as exc:
                 return str(exc)
     if not digit[start].all():  # leading zeros: rewrite `lines` as `write_rows` writes rows
         lines = list(map("{}\t{}\t{}\n".format, fs, ws, counts.tolist()))
-    return _Block(lines, fs, ws, counts, starts, tags), int(sums[-1])
+    return _Block(lines, fs, ws, counts, np.flatnonzero(~same), raw.min() > 8), int(sums[-1])
 
 
 def _first_error(path, lineno: int, lines: list[str], prev, carry: int, total: int,
@@ -662,7 +823,7 @@ def _first_error(path, lineno: int, lines: list[str], prev, carry: int, total: i
     """The error of the first bad line of a block that failed `_check`: each line is checked alone."""
     for lineno, line in enumerate(lines, lineno):
         text = line.rstrip("\n")
-        if len(text.split("\t")) != 3 or text[0] == "#":
+        if len(text.split("\t")) != 3:
             return line_error(path, lineno, text, _TOTAL_PREFIX, 3)
         checked = _check([line], prev, carry, total, index, parse)
         if isinstance(checked, str):
@@ -673,53 +834,79 @@ def _first_error(path, lineno: int, lines: list[str], prev, carry: int, total: i
 
 
 def merge_files(paths, out_path) -> None:
-    """Merge sorted count files into one, summing duplicate links.
+    """Merge sorted count files into one sealed file, summing duplicate links.
 
     A merge join holding one `_Block` per input: each round merges the
     inputs' rows up to the smallest last key of their blocks and writes
     them as one chunk. Rows are checked as `CountStore.load` checks them,
-    words and feature strings aside, and `atomic_write` leaves no partial
-    output. Inputs' rows sum to at most their totals, so merged rows do
-    too: only a merged total past 2^63-1 raises `DataError`.
+    words and feature strings aside; each input's trailer must seal its
+    rows, and all under one vocabulary digest, which the output's trailer
+    carries. `atomic_write` leaves no partial output. Inputs' rows sum to
+    at most their totals, so merged rows do too: only a merged total past
+    2^63-1 raises `DataError`.
     """
-    streams = [_blocks(path) for path in paths]
+    if not paths:
+        raise ValueError("merge_files needs at least one input")
+    seals: list[list[tuple]] = [[] for _ in paths]
+    streams = [_blocks(path, seal=seal) for path, seal in zip(paths, seals)]
     try:
         total = sum(next(s) for s in streams)
         if total > _INT64_MAX:
             raise DataError(f"merging {', '.join(map(str, paths))}: "
                             "#total-events is more than 2^63-1")
-        with atomic_write(out_path) as out:
-            out.write(f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{total}\n")
+        with atomic_write(out_path) as fh:
+            out = _Sealer(fh, total)
+            written, tags, last = 0, Counter(), None
             pending = [c for s in streams if (c := _cursor(s))]
             while pending:
-                bound = min(c[2][-1] for c in pending)
-                keys, lines, counts = [], [], []
+                bound = min(c[2] for c in pending)
+                lines, fs, ws, counts, plain = [], [], [], [], True
                 for c in pending:
-                    _, b, block_keys, start = c
-                    c[3] = end = bisect_right(block_keys, bound, start)
-                    keys += block_keys[start:end]
+                    _, b, _, start = c
+                    c[3] = end = bisect_right(b.lines, bound, start, key=_link)
                     lines += b.lines[start:end]
+                    fs += b.fs[start:end]
+                    ws += b.ws[start:end]
                     counts.append(b.counts[start:end])
-                pending = [d for c in pending if (d := c if c[3] < len(c[2]) else _cursor(c[0]))]
-                order = sorted(range(len(keys)), key=keys.__getitem__)
-                keys = list(map(keys.__getitem__, order))
-                lines = list(map(lines.__getitem__, order))
-                first = np.flatnonzero(np.fromiter(map(ne, keys, [None, *keys]), bool, len(keys)))
-                if len(first) < len(keys):  # links of several inputs: write their count sums
-                    several = np.diff(first, append=len(keys)) > 1
+                    plain &= b.plain
+                pending = [d for c in pending
+                           if (d := c if c[3] < len(c[1].lines) else _cursor(c[0]))]
+                # With no character below the tab, lines sort as their (feature, word) keys.
+                n = len(lines)
+                order = sorted(range(n), key=(lines if plain else list(zip(fs, ws))).__getitem__)
+                fs, ws, lines = (list(map(x.__getitem__, order)) for x in (fs, ws, lines))
+                # The rows that start a feature, and those that start a link.
+                new = np.fromiter(map(ne, fs, [last, *fs]), bool, n)
+                first = np.flatnonzero(new | np.fromiter(map(ne, ws, [None, *ws]), bool, n))
+                if len(first) < n:  # links of several inputs: write their count sums
+                    several = np.diff(first, append=n) > 1
                     sums = np.add.reduceat(np.concatenate(counts)[order], first)[several]
                     summed = first[several].tolist()
                     rows = np.array(lines, object)
-                    rows[summed] = list(map("{0[0]}\t{0[1]}\t{1}\n".format,
-                                            map(keys.__getitem__, summed), sums.tolist()))
+                    rows[summed] = list(map("{}\t{}\t{}\n".format, map(fs.__getitem__, summed),
+                                            map(ws.__getitem__, summed), sums.tolist()))
                     lines = rows[first].tolist()
                 out.write("".join(lines))
+                written += len(lines)
+                tags.update(_features_per_tag(list(compress(fs, new))))
+                last = fs[-1]
+            vocab = seals[0][0][1]
+            for path, [(_, other, at)] in zip(paths, seals):
+                if other != vocab:
+                    raise DataError(f"{path}:{at}: written with another vocabulary")
+            out.seal(written, tags, vocab)
     finally:
         for s in streams:
             s.close()
 
 
+def _link(line: str) -> tuple[str, str]:
+    """The (feature, word) key of a row."""
+    f, w, _ = line.split("\t", 2)
+    return f, w
+
+
 def _cursor(stream) -> list | None:
-    """An input's next block to merge: [stream, block, its keys, its first row not merged]."""
+    """An input's next block to merge: [stream, block, its last key, its first row not merged]."""
     b = next(stream, None)
-    return None if b is None else [stream, b, list(zip(b.fs, b.ws)), 0]
+    return None if b is None else [stream, b, (b.fs[-1], b.ws[-1]), 0]

@@ -567,8 +567,8 @@ class _Table(dict):
         return _UNKNOWN
 
 
-def fast_path(strings: Sequence[str], table: dict) -> tuple[np.ndarray, str | None]:
-    """Which of the sorted, distinct `strings` the fast path of `parse` reads, and their tag.
+def fast_path(strings: Sequence[str], table: dict) -> np.ndarray:
+    """Which of the sorted, distinct `strings` the fast path of `parse` reads.
 
     Only strings with the first one's head (its text before ``[``, "" or a
     tag and ``:``) may pass: their bodies are joined, split on spaces and
@@ -590,4 +590,4 @@ def fast_path(strings: Sequence[str], table: dict) -> tuple[np.ndarray, str | No
             last = ids[np.append(breaks, len(ids)) - 1]
             # No unknown token, and one marker at most, with a word after it.
             ok[:j] = (unknown == 0) & (markers <= 1) & (last >= 0)
-    return ok, head[:-1] or None
+    return ok

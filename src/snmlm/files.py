@@ -9,13 +9,15 @@ from .errors import DataError
 
 
 @contextmanager
-def open_text(path):
+def open_text(path, newline=None):
     """Open a text input for reading as UTF-8; the one way every text input is opened.
 
-    A byte that is not UTF-8 raises `DataError` naming the file and line.
-    Only then is the file read again, as bytes, to find that line.
+    `newline` is `open`'s: ``"\\n"`` reads lines as they are written, with
+    no line ending translated. A byte that is not UTF-8 raises `DataError`
+    naming the file and line. Only then is the file read again, as bytes,
+    to find that line.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

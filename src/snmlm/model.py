@@ -300,7 +300,8 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
     last_link: tuple[str, str] | None = None
     inf = math.inf
     with open_text(path) as fh:
-        size = read_preamble(fh, path, "model", MODEL_HEADER, _SIZE_PREFIX)
+        size = read_preamble([fh.readline(), fh.readline()], path, "model", MODEL_HEADER,
+                             _SIZE_PREFIX)
         if size != str(len(vocab)):
             raise DataError(f"{path}:2: model was built with {size} words, vocab has {len(vocab)}")
         for lineno, line in enumerate(fh, start=3):

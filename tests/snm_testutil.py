@@ -15,11 +15,14 @@ reproduce column by column.
 `oracle_extract_events` and `oracle_accumulate` are the nested-loop
 extraction and the per-occurrence count of events into a store.
 `oracle_load_counts` and `oracle_merge_counts` are the per-line count-file
-reader and heap merge that the block reader of `snmlm.counts` replaced.
+reader and heap merge that the block reader of `snmlm.counts` replaced;
+`oracle_trailer` reads a count file's trailer line by line, and `seal`
+ends a hand-written count file with the trailer a writer would add.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import random
 import re
@@ -534,15 +537,81 @@ def oracle_accumulate(events) -> CountStore:
 
 _TOTAL_PREFIX = "#total-events "
 _INT64_MAX = (1 << 63) - 1
+# Each trailer line's key and the pattern of its value, in file order.
+_TRAILER = {"#rows ": "[0-9]+", "#features ": "(?:[^ ]+ )?[0-9]+",
+            "#vocab-sha256 ": "[0-9a-f]{64}", "#sha256 ": "[0-9a-f]{64}"}
 
 
-def oracle_count_rows(path) -> Iterator:
+def seal(text: str, vocab: Vocabulary | str) -> str:
+    """A count file's `text`, header to last row, with the trailer a writer ends it with.
+
+    `vocab` is the vocabulary the rows were counted with, or its digest.
+    The trailer counts the rows and each tag's features, names the
+    vocabulary's SHA-256 and ends with the SHA-256 of all text before it.
+    """
+    digest = vocab if isinstance(vocab, str) else vocab.digest
+    tags: dict[str | None, int] = {}
+    last = None
+    rows = text.split("\n")[2:-1]
+    for line in rows:
+        fs = line.split("\t")[0]
+        if fs != last:
+            tag = fs[:fs.index("[")][:-1] or None
+            tags[tag] = tags.get(tag, 0) + 1
+            last = fs
+    text += f"#rows {len(rows)}\n" + "".join(
+        f"#features {n}\n" if tag is None else f"#features {tag} {n}\n" for tag, n in tags.items()
+    ) + f"#vocab-sha256 {digest}\n"
+    return text + f"#sha256 {hashlib.sha256(text.encode()).hexdigest()}\n"
+
+
+def oracle_trailer(path, lineno: int, lines: list[str]) -> tuple[int, dict, str, str]:
+    """The row count, features per tag, vocabulary digest and digest of the trailer `lines`.
+
+    `lines` run from line `lineno`, the first after the rows, to the end of
+    the file, with their line breaks. The first line that is not the one
+    the trailer format expects raises its `DataError`.
+    """
+    values: list[tuple[str, str]] = []
+    for n, line in enumerate(lines, lineno):
+        text = line.rstrip("\n")
+        last = values[-1][0] if values else None
+        if last == "#sha256 ":
+            raise DataError(f"{path}:{n}: the file goes on after its #sha256 line")
+        keys = (["#rows "] if last is None else ["#sha256 "] if last == "#vocab-sha256 "
+                else ["#features ", "#vocab-sha256 "])
+        key = next((k for k in keys if line.startswith(k)), None)
+        if key is None or not line.endswith("\n") or not re.fullmatch(_TRAILER[key],
+                                                                     text[len(key):]):
+            if text.startswith("#") and text.split(" ")[0] not in [k.strip() for k in _TRAILER]:
+                raise line_error(path, n, text, _TOTAL_PREFIX, 3)
+            raise DataError(f"{path}:{n}: expected a {' or '.join(k.strip() for k in keys)} "
+                            f"line of the trailer, got {text!r}")
+        values.append((key, text[len(key):]))
+    if not values or values[-1][0] != "#sha256 ":
+        raise DataError(f"{path}:{lineno + len(lines)}: no trailer: the file ends before its "
+                        "#sha256 line")
+    tags = {}
+    for key, value in values[1:-2]:
+        *tag, n = value.split(" ")
+        tags[tag[0] if tag else None] = int(n)
+    return int(values[0][1]), tags, values[-2][1], values[-1][1]
+
+
+def oracle_count_rows(path, vocab_digest: str | None = None, seal_out: list | None = None
+                      ) -> Iterator:
     """A count file's event total, then its rows as (feature, word, count, line), read line by line.
 
-    Raises the `DataError` of the first bad line when the stream reaches it.
+    Raises the `DataError` of the first bad line when the stream reaches
+    it. After the rows, the trailer must hold the SHA-256 of the file's
+    bytes before its last line, the number of rows, and `vocab_digest` if
+    given; its features per tag and vocabulary digest go to `seal_out`.
     """
-    with open_text(path) as fh:
-        text = read_preamble(fh, path, "count", COUNTS_HEADER, _TOTAL_PREFIX)
+    with open_text(path, newline="\n") as fh:
+        head = [fh.readline(), fh.readline()]
+        if head[0] == "#snm-counts v1\n":
+            raise DataError(f"{path}:1: a v1 count file has no trailer; count it again")
+        text = read_preamble(head, path, "count", COUNTS_HEADER, _TOTAL_PREFIX)
         try:
             total = natural(text)
         except ValueError:
@@ -552,10 +621,14 @@ def oracle_count_rows(path) -> Iterator:
         yield total
         prev: tuple[str, str] | None = None
         row_fs, row_sum = None, 0
+        lineno = 2
         for lineno, line in enumerate(fh, start=3):
+            if line.startswith("#"):
+                trailer = [line, *fh]
+                break
             line = line.rstrip("\n")
             parts = line.split("\t")
-            if len(parts) != 3 or line[0] == "#":
+            if len(parts) != 3:
                 raise line_error(path, lineno, line, _TOTAL_PREFIX, 3)
             fs, ws, cs = parts
             try:
@@ -576,6 +649,21 @@ def oracle_count_rows(path) -> Iterator:
                 what = f"count {cs}" if c > total else f"row sum of {fs}"
                 raise DataError(f"{path}:{lineno}: {what} is more than the event total {total}")
             yield fs, ws, c, lineno
+        else:
+            raise DataError(f"{path}:{lineno + 1}: no trailer: the file ends after its rows")
+    rows, tags, vocab, digest = oracle_trailer(path, lineno, trailer)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    at = lineno + len(tags) + 1  # the vocabulary line
+    if hashlib.sha256(data[:data.rindex(b"#sha256 ")]).hexdigest() != digest:
+        raise DataError(f"{path}:{at + 1}: changed after it was written: "
+                        "the lines before this one do not have this SHA-256")
+    if rows != lineno - 3:
+        raise DataError(f"{path}:{lineno}: the file has {lineno - 3} rows, not {rows}")
+    if vocab_digest is not None and vocab != vocab_digest:
+        raise DataError(f"{path}:{at}: written with another vocabulary")
+    if seal_out is not None:
+        seal_out.append((tags, vocab, at))
 
 
 def outcome(read):
@@ -593,7 +681,7 @@ def oracle_load_counts(path, vocab: Vocabulary, keep=None) -> CountStore:
     file_features: dict[str | None, int] = {}
     parse = feature_parser(vocab)
     last_fs = row = None
-    with closing(oracle_count_rows(path)) as entries:
+    with closing(oracle_count_rows(path, vocab.digest)) as entries:
         total = next(entries)
         for fs, ws, c, lineno in entries:
             wid = vocab.index.get(ws)
@@ -618,23 +706,29 @@ def oracle_load_counts(path, vocab: Vocabulary, keep=None) -> CountStore:
 
 def oracle_merge_counts(paths, out_path) -> None:
     """`merge_files` as a heap merge of `oracle_count_rows`, one link at a time."""
-    streams = [oracle_count_rows(path) for path in paths]
+    seals: list[list] = [[] for _ in paths]
+    streams = [oracle_count_rows(path, seal_out=out) for path, out in zip(paths, seals)]
     try:
         total = sum(next(s) for s in streams)
         if total > _INT64_MAX:
             raise DataError(f"merging {', '.join(map(str, paths))}: "
                             "#total-events is more than 2^63-1")
+        text = [f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{total}\n"]
+        current_fs = current_ws = None
+        current = 0
+        for fs, ws, c, _ in chain(heapq.merge(*streams), [(None, None, 0, 0)]):
+            if ws == current_ws and fs == current_fs:
+                current += c
+            else:
+                if current_fs is not None:
+                    text.append(f"{current_fs}\t{current_ws}\t{current}\n")
+                current_fs, current_ws, current = fs, ws, c
+        vocab = seals[0][0][1]
+        for path, [(_, other, at)] in zip(paths, seals):
+            if other != vocab:
+                raise DataError(f"{path}:{at}: written with another vocabulary")
         with atomic_write(out_path) as out:
-            out.write(f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{total}\n")
-            current_fs = current_ws = None
-            current = 0
-            for fs, ws, c, _ in chain(heapq.merge(*streams), [(None, None, 0, 0)]):
-                if ws == current_ws and fs == current_fs:
-                    current += c
-                else:
-                    if current_fs is not None:
-                        out.write(f"{current_fs}\t{current_ws}\t{current}\n")
-                    current_fs, current_ws, current = fs, ws, c
+            out.write(seal("".join(text), vocab))
     finally:
         for s in streams:
             s.close()

@@ -12,7 +12,7 @@ from snmlm.errors import DataError
 from snmlm.metafeatures import Mode
 from snmlm.model import load_model
 
-from snm_testutil import oracle_load_counts, oracle_merge_counts, outcome
+from snm_testutil import oracle_load_counts, oracle_merge_counts, outcome, seal
 
 TINY_CORPUS = """\
 green tea is hot
@@ -41,8 +41,8 @@ sweet
 tea
 """
 
-GOLDEN_COUNTS = """\
-#snm-counts v1
+GOLDEN_COUNTS = seal("""\
+#snm-counts v2
 #total-events 15
 [<S> green tea is]\thot\t1
 [<S> green tea is]\tsweet\t1
@@ -87,7 +87,7 @@ GOLDEN_COUNTS = """\
 [tea is]\thot\t1
 [tea is]\tsweet\t1
 [tea]\tis\t3
-"""
+""", Vocabulary(GOLDEN_VOCAB.splitlines()))
 
 
 @pytest.fixture
@@ -358,8 +358,8 @@ def test_an_event_with_no_known_feature_is_named_at_its_line(pipeline, capsys):
     assert capsys.readouterr() == ("", f"snmlm: {wd / 'test.txt'}:4: {message}\n")
     # A count file and a model with no row of any context of the text: the
     # first event is named. `intersect` scores no event: it keeps no row.
-    (wd / "few.tsv").write_text("#snm-counts v1\n#total-events 3\n[tea]\tis\t3\n",
-                                encoding="utf-8")
+    (wd / "few.tsv").write_text(seal("#snm-counts v2\n#total-events 3\n[tea]\tis\t3\n",
+                                     Vocabulary.load(wd / "vocab.txt")), encoding="utf-8")
     size = len(Vocabulary.load(wd / "vocab.txt"))
     (wd / "few.model").write_text(f"#snm-model v1\n#vocab-size {size}\n[tea]\tis\t1.0\n"
                                   "#normalizers\n[tea]\t1.0\n", encoding="utf-8")
@@ -696,7 +696,7 @@ def test_inspect_unknown_feature_exits_0(pipeline, capsys):
 def test_inspect_rejects_a_bad_total_events_line(pipeline, capsys):
     wd = pipeline
     bad = wd / "bad.tsv"
-    bad.write_text("#snm-counts v1\n#total-events x7\n[]\ttea\t1\n", encoding="utf-8")
+    bad.write_text("#snm-counts v2\n#total-events x7\n[]\ttea\t1\n", encoding="utf-8")
     capsys.readouterr()
     assert main([
         "inspect", "[]", "--counts", _p(bad), "--vocab", _p(wd / "vocab.txt"),
@@ -720,7 +720,7 @@ def _w_vocab(wd):
 def test_inspect_names_the_line_of_an_unparsable_feature(workdir, capsys):
     vocab = _w_vocab(workdir)
     bad = workdir / "bad.tsv"
-    bad.write_text("#snm-counts v1\n#total-events 1\n[zz]\tw\t1\n", encoding="utf-8")
+    bad.write_text("#snm-counts v2\n#total-events 1\n[zz]\tw\t1\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["inspect", "[]", "--counts", _p(bad), "--vocab", _p(vocab)]) == 2
     err = capsys.readouterr().err
@@ -911,7 +911,7 @@ def test_row_sum_past_int64_exits_2(pipeline, capsys):
     wd = pipeline
     bad = wd / "bad.tsv"
     bad.write_text(
-        "#snm-counts v1\n#total-events 9223372036854775807\n"
+        "#snm-counts v2\n#total-events 9223372036854775807\n"
         "[]\tcold\t9223372036854775807\n[]\thot\t9223372036854775807\n",
         encoding="utf-8",
     )
@@ -942,6 +942,25 @@ def test_a_total_below_a_row_sum_exits_2_at_that_row(pipeline, capsys, command):
     assert capsys.readouterr().err == (
         f"snmlm: {bad}:{lineno}: row sum of [] is more than the event total 14\n"
     )
+
+
+@pytest.mark.parametrize("command", sorted(_KEEPING_COMMANDS))
+def test_a_v1_or_other_vocabulary_count_file_exits_2(pipeline, capsys, command):
+    # A v1 file has no trailer; a sealed file names the vocabulary it was
+    # counted with, and one with an extra word reads every row alike.
+    wd = pipeline
+    lines = (wd / "counts.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    old = wd / "old.tsv"
+    old.write_text("#snm-counts v1\n" + "".join(lines[1:-5]), encoding="utf-8")
+    capsys.readouterr()
+    assert main(_KEEPING_COMMANDS[command](wd, _p(old))) == 2
+    assert capsys.readouterr().err == (
+        f"snmlm: {old}:1: a v1 count file has no trailer; count it again\n")
+    (wd / "vocab.txt").write_text(GOLDEN_VOCAB + "zebra\n", encoding="utf-8")
+    assert main(_KEEPING_COMMANDS[command](wd, _p(wd / "counts.tsv"))) == 2
+    assert capsys.readouterr().err == (
+        f"snmlm: {wd / 'counts.tsv'}:{len(lines) - 1}: written with another vocabulary\n")
+    assert not any((wd / name).exists() for name in ("model.tsv", "adj.bin", "inter.tsv"))
 
 
 def test_inspect_model_with_target_is_a_usage_error(tmp_path, capsys):

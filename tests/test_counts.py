@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import random
 import re
 
@@ -24,6 +25,7 @@ from snm_testutil import (
     oracle_load_counts,
     oracle_merge_counts,
     outcome,
+    seal,
     strip_tags,
 )
 
@@ -207,8 +209,8 @@ def test_count_file_golden_bytes(tmp_path, abc_vocab):
     }, 1234)
     path = tmp_path / "counts.tsv"
     store.save(path, abc_vocab)
-    assert path.read_bytes() == (
-        b"#snm-counts v1\n"
+    rows = (
+        b"#snm-counts v2\n"
         b"#total-events 1234\n"
         b"[<S> a]\tb\t1\n"
         b"[]\t</S>\t2\n"
@@ -218,6 +220,16 @@ def test_count_file_golden_bytes(tmp_path, abc_vocab):
         b"web:[a]\tb\t3\n"
         b"web:[a]\tc\t12\n"
     )
+    # The trailer: rows, features per tag (untagged first, as the rows
+    # come), the SHA-256 of the vocabulary file, and that of all before it.
+    vocab_sha = "f3e84989aa3270122823c711427c1dec340f8114a135bb79c2230223e3b21972"
+    assert hashlib.sha256(b"<S>\n</S>\n<UNK>\na\nb\nc\n").hexdigest() == vocab_sha
+    sealed = rows + (b"#rows 7\n#features 3\n#features web 2\n"
+                     b"#vocab-sha256 " + vocab_sha.encode() + b"\n")
+    assert path.read_bytes() == sealed + (
+        b"#sha256 714e3587a1bf62da3103551c97bb215694c1cbafb62a0dc539b9c05e18b5bef4\n")
+    assert hashlib.sha256(sealed).hexdigest() == "714e3587a1bf62da3103551c97bb2156" \
+                                                 "94c1cbafb62a0dc539b9c05e18b5bef4"
     loaded = CountStore.load(path, abc_vocab)
     assert loaded.rows == store.rows
     again = tmp_path / "again.tsv"
@@ -332,7 +344,8 @@ def test_merge_files_rejects_unsorted_input(tmp_path):
     p1.write_text(
         f"{COUNTS_HEADER}\n#total-events 6\n[b]\tc\t1\n[a]\tb\t5\n", encoding="utf-8"
     )
-    p2.write_text(f"{COUNTS_HEADER}\n#total-events 1\n[a]\tb\t1\n", encoding="utf-8")
+    p2.write_text(seal(f"{COUNTS_HEADER}\n#total-events 1\n[a]\tb\t1\n", _ABCD),
+                  encoding="utf-8")
     with pytest.raises(DataError, match=re.escape(f"{p1}:4: rows out of order")):
         merge_files([p1, p2], out)
     # The rows merged before the bad one are not left behind, not even in a
@@ -350,10 +363,12 @@ def test_merge_files_rejects_unsorted_input(tmp_path):
 
 # A valid file, and files one reader check rejects, with the line it names.
 # The valid file's last row sorts after every bad row, so a merge is still
-# reading it when the bad file is rejected.
-_GOOD = f"{COUNTS_HEADER}\n#total-events 3\n[a]\tb\t2\n[c]\td\t1\n"
+# reading it when the bad file is rejected. Bad files have no trailer: the
+# bad line is named first.
+_ABCD = build_vocab(["a", "b", "c", "d"])
+_GOOD = seal(f"{COUNTS_HEADER}\n#total-events 3\n[a]\tb\t2\n[c]\td\t1\n", _ABCD)
 _BAD_FILES = {
-    "header": ("not a count file\n", None),
+    "header": ("not a count file\n", 1),
     "non-integer total": (f"{COUNTS_HEADER}\n#total-events x7\n[a]\tb\t1\n", 2),
     "negative total": (f"{COUNTS_HEADER}\n#total-events -4\n[a]\tb\t1\n", 2),
     "underscore total": (f"{COUNTS_HEADER}\n#total-events 1_0\n[a]\tb\t1\n", 2),
@@ -378,7 +393,7 @@ _BAD_FILES = {
 
 
 def _where(path, line) -> str:
-    return re.escape(f"{path}:{line}:" if line else f"{path}: not a count file")
+    return re.escape(f"{path}:{line}:")
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_FILES))
@@ -458,8 +473,8 @@ def test_merge_rejects_sums_past_int64(tmp_path, abc_vocab, files, message):
     # 2^63-1 comes with a merged total past it, which the merge rejects.
     paths = [tmp_path / f"part{i}.tsv" for i in range(len(files))]
     for path, rows in zip(paths, files):
-        path.write_text(f"{COUNTS_HEADER}\n#total-events {_HALF}\n" + "\n".join(rows) + "\n",
-                        encoding="utf-8")
+        path.write_text(seal(f"{COUNTS_HEADER}\n#total-events {_HALF}\n" + "\n".join(rows) + "\n",
+                             abc_vocab), encoding="utf-8")
         CountStore.load(path, abc_vocab)  # each input alone is readable
     out = tmp_path / "merged.tsv"
     names = ", ".join(map(str, paths))
@@ -470,9 +485,10 @@ def test_merge_rejects_sums_past_int64(tmp_path, abc_vocab, files, message):
 
 def test_merge_keeps_sums_up_to_int64_max(tmp_path, abc_vocab):
     a, b, out = tmp_path / "a.tsv", tmp_path / "b.tsv", tmp_path / "out.tsv"
-    a.write_text(f"{COUNTS_HEADER}\n#total-events {_INT64_MAX - 2}\n[a]\tb\t{_INT64_MAX - 2}\n",
+    a.write_text(seal(f"{COUNTS_HEADER}\n#total-events {_INT64_MAX - 2}\n"
+                      f"[a]\tb\t{_INT64_MAX - 2}\n", abc_vocab), encoding="utf-8")
+    b.write_text(seal(f"{COUNTS_HEADER}\n#total-events 2\n[a]\tb\t1\n[a]\tc\t1\n", abc_vocab),
                  encoding="utf-8")
-    b.write_text(f"{COUNTS_HEADER}\n#total-events 2\n[a]\tb\t1\n[a]\tc\t1\n", encoding="utf-8")
     merge_files([a, b], out)
     store = CountStore.load(out, abc_vocab)
     assert store.total_events == _INT64_MAX
@@ -481,9 +497,9 @@ def test_merge_keeps_sums_up_to_int64_max(tmp_path, abc_vocab):
 
 def test_a_row_summing_to_int64_max_trains(tmp_path, abc_vocab):
     path = tmp_path / "max.tsv"
-    path.write_text(
+    path.write_text(seal(
         f"{COUNTS_HEADER}\n#total-events {_INT64_MAX}\n[]\ta\t1\n[a]\tb\t{_INT64_MAX - 1}\n"
-        "[a]\tc\t1\n",
+        "[a]\tc\t1\n", abc_vocab),
         encoding="utf-8",
     )
     store = CountStore.load(path, abc_vocab)
@@ -503,7 +519,9 @@ def _store_items(store):
 
 
 # Words that start like a skip marker and are none: a vocabulary holds no marker.
-_ODD_WORDS = ["a", "b", "c", "skip-x", "skip-", "skip-07"]
+_ODD_WORDS = ["a", "b", "c", "skip-x", "skip-", "skip-07",
+              # A "]" and a character below the tab: `[a]\x01]` sorts before `[a]` as a line.
+              "a]\x01", "b]"]
 
 
 @st.composite
@@ -542,13 +560,14 @@ def _count_files(draw, vocab):
     return rows, shards, features
 
 
-def _write_counts(path, rows, extra=0):
+def _write_counts(path, rows, vocab, extra=0):
     sums = {}
     for name, _, c, _ in rows:
         sums[name] = sums.get(name, 0) + c
     body = "".join(f"{f}\t{w}\t{'0' * pad}{c}\n" for f, w, c, pad in sorted(rows))
-    path.write_text(f"{COUNTS_HEADER}\n#total-events {max(sums.values(), default=0) + extra}\n"
-                    + body, encoding="utf-8")
+    path.write_text(seal(f"{COUNTS_HEADER}\n#total-events "
+                         f"{max(sums.values(), default=0) + extra}\n" + body, vocab),
+                    encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -563,9 +582,9 @@ def test_block_reader_equals_the_line_reader(tmp_path_factory, odd_vocab, data):
     keep = data.draw(st.lists(st.sampled_from(features), max_size=len(features)))
     wd = tmp_path_factory.mktemp("blocks")
     whole, one, two = wd / "whole.tsv", wd / "one.tsv", wd / "two.tsv"
-    _write_counts(whole, rows, extra=data.draw(st.integers(0, 2)))
-    _write_counts(one, shards[0])
-    _write_counts(two, shards[1])
+    _write_counts(whole, rows, odd_vocab, extra=data.draw(st.integers(0, 2)))
+    _write_counts(one, shards[0], odd_vocab)
+    _write_counts(two, shards[1], odd_vocab)
     expected = [_store_items(outcome(lambda: oracle_load_counts(whole, odd_vocab, k)))
                 for k in (None, keep)]
     oracle_merge_counts([one, two], wd / "oracle.tsv")
@@ -651,7 +670,7 @@ def test_load_keeps_exactly_the_rows_its_strings_name(tmp_path_factory, odd_voca
     # not canonical: only a row's own string keeps it.
     rows, _, _ = data.draw(_count_files(odd_vocab))
     path = tmp_path_factory.mktemp("keep") / "counts.tsv"
-    _write_counts(path, rows, extra=data.draw(st.integers(0, 2)))
+    _write_counts(path, rows, odd_vocab, extra=data.draw(st.integers(0, 2)))
     whole = CountStore.load(path, odd_vocab)
     names = sorted({name for name, *_ in rows})
     assert len(names) == len(whole)
@@ -668,6 +687,111 @@ def test_load_keeps_exactly_the_rows_its_strings_name(tmp_path_factory, odd_voca
             f for f, name in zip(whole.features, names) if name in named))
         assert loaded.file_features == whole.file_features
         _assert_store_invariants(loaded)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_keyed_read_checks_only_the_kept_rows(tmp_path_factory, odd_vocab, data):
+    # On a sealed file only the kept rows are checked, and the store is the
+    # full read's restricted to them; a changed byte fails as in the full read.
+    rows, _, _ = data.draw(_count_files(odd_vocab))
+    wd = tmp_path_factory.mktemp("keyed")
+    path, changed = wd / "counts.tsv", wd / "changed.tsv"
+    _write_counts(path, rows, odd_vocab, extra=data.draw(st.integers(0, 2)))
+    names = sorted({name for name, *_ in rows})
+    absent = [s for s in data.draw(_features(odd_vocab))[1] if s not in names]
+    keep = data.draw(st.lists(st.sampled_from(names), max_size=len(names))) + absent
+    text = path.read_bytes()
+    at = data.draw(st.integers(0, len(text) - 1))
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != text[at]))
+    changed.write_bytes(text[:at] + bytes([byte]) + text[at + 1:])
+    for block_lines in (1, 2, 3, snmlm.counts._BLOCK_LINES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(snmlm.counts, "_BLOCK_LINES", block_lines)
+            whole = CountStore.load(path, odd_vocab)
+            checked = []
+            check = snmlm.counts._check
+
+            def spy(lines, *args):
+                checked.extend(lines)
+                return check(lines, *args)
+
+            mp.setattr(snmlm.counts, "_check", spy)
+            kept = CountStore.load(path, odd_vocab, keep)
+            assert {line.split("\t")[0] for line in checked} <= set(keep)
+            assert len(checked) == kept.num_links
+            # `whole` holds the rows in file order, which is string order.
+            assert _same_arrays(kept, whole.intersect(
+                f for f, name in zip(whole.features, names) if name in keep))
+            assert kept.names == [name for name in names if name in keep]
+            assert kept.file_features == whole.file_features
+            full = outcome(lambda: CountStore.load(changed, odd_vocab))
+            assert full.startswith(f"DataError: {changed}:")
+            assert outcome(lambda: CountStore.load(changed, odd_vocab, keep)) == full
+
+
+def _sealed_pair(tmp_path, vocab):
+    """A sealed count file of two features, and its lines."""
+    path = tmp_path / "counts.tsv"
+    path.write_text(seal(f"{COUNTS_HEADER}\n#total-events 3\n[a]\tb\t2\n[a]\tc\t1\n"
+                         "[b]\ta\t1\n", vocab), encoding="utf-8")
+    return path, path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("keep", [None, ["[b]"]])
+def test_a_deleted_row_a_cut_and_another_vocabulary_are_named_at_the_trailer(
+        tmp_path, abc_vocab, keep):
+    path, lines = _sealed_pair(tmp_path, abc_vocab)
+    assert len(lines) == 9 and lines[-1].startswith("#sha256 ")
+    bad = tmp_path / "bad.tsv"
+    cases = {
+        "deleted row": ("".join(lines[:3] + lines[4:]), 8, "changed after it was written"),
+        "cut after a row": ("".join(lines[:4]), 5, "no trailer: the file ends after its rows"),
+        "cut in the trailer": ("".join(lines[:7]), 8, "no trailer: the file ends before"),
+        "line after the digest": ("".join(lines) + "\n", 10,
+                                  "the file goes on after its #sha256 line"),
+        "rows line out of place": ("".join(lines[:5] + [lines[6], lines[5]] + lines[7:]), 6,
+                                   "expected a #rows line of the trailer"),
+        "v1 header": ("#snm-counts v1\n" + "".join(lines[1:5]), 1,
+                      "a v1 count file has no trailer; count it again"),
+    }
+    for content, line, message in cases.values():
+        bad.write_text(content, encoding="utf-8")
+        expected = f"DataError: {bad}:{line}: {message}"
+        assert outcome(lambda: CountStore.load(bad, abc_vocab, keep)).startswith(expected)
+        assert outcome(lambda: oracle_load_counts(bad, abc_vocab)).startswith(expected)
+    # Rows the vocabulary reads, written with another one.
+    other = build_vocab(["a", "b", "c", "d"])
+    assert outcome(lambda: CountStore.load(path, other, keep)) == (
+        f"DataError: {path}:8: written with another vocabulary")
+
+
+def test_merge_rejects_a_damaged_shard_and_leaves_no_output(tmp_path, abc_vocab):
+    # A shard that lost a row would merge into a file that looks whole.
+    good, lines = _sealed_pair(tmp_path, abc_vocab)
+    damaged, out = tmp_path / "damaged.tsv", tmp_path / "out.tsv"
+    damaged.write_text("".join(lines[:3] + lines[4:]), encoding="utf-8")
+    for paths in ([good, damaged], [damaged, good]):
+        expected = f"DataError: {damaged}:8: changed after it was written"
+        assert outcome(lambda: merge_files(paths, out)).startswith(expected)
+        assert outcome(lambda: oracle_merge_counts(paths, out)).startswith(expected)
+        assert sorted(tmp_path.iterdir()) == sorted([good, damaged])
+
+
+def test_merge_rejects_shards_of_two_vocabularies_and_leaves_no_output(tmp_path, abc_vocab):
+    one, _ = _sealed_pair(tmp_path, abc_vocab)
+    two, three, out = tmp_path / "two.tsv", tmp_path / "three.tsv", tmp_path / "out.tsv"
+    two.write_text(seal(f"{COUNTS_HEADER}\n#total-events 1\n[c]\ta\t1\n", _ABCD),
+                   encoding="utf-8")
+    three.write_text(seal(f"{COUNTS_HEADER}\n#total-events 1\n[b]\tb\t1\n", _ABCD),
+                     encoding="utf-8")
+    # The first input that differs from the first one is named, at its vocabulary line.
+    expected = f"DataError: {two}:6: written with another vocabulary"
+    assert outcome(lambda: merge_files([one, two, three], out)) == expected
+    assert outcome(lambda: oracle_merge_counts([one, two, three], out)) == expected
+    assert sorted(tmp_path.iterdir()) == sorted([one, two, three])
+    merge_files([two, three], out)
+    assert CountStore.load(out, _ABCD).total_events == 2
 
 
 @pytest.mark.parametrize("block_lines", [1, 2])

@@ -5,9 +5,11 @@ Each example starts from a file a writer produced (`snmlm count`,
 mutation: delete, duplicate or swap lines, insert a blank line, replace a
 field with any text, overwrite or insert a byte, cut the file short, or
 scale one normalizer. Reading it with `snmlm inspect` must then exit 0, or
-exit 2 with a message that starts with ``<file>:<line>:``; only a bad
-header and rows that lack a normalizer are named by the file alone. It must
-never raise.
+exit 2 with a message that starts with ``<file>:<line>:``; only rows that
+lack a normalizer are named by the file alone. It must never raise. A count
+file is also read by `snmlm train --dev`, which checks only the dev rows
+when the trailer seals the file, and both commands must exit 2 on any
+mutation that changed its bytes: the trailer's digest covers every row.
 
 The vocabulary and the extractor config that `snmlm count` reads are
 mutated the same way, and a config also has a word replaced by any text or
@@ -18,11 +20,9 @@ or a cut. No command reads an adjustment file, so `AdjustmentModel.load`
 reads a mutated one, with a byte or a header field replaced, or cut short;
 it may raise only a `DataError` naming the file.
 
-Exit 0 is allowed because many mutations leave a file the writers could
-have written: a deleted count row, or a cut at a line boundary, still
-loads, since a count file carries no record count until ROADMAP item 4
-adds a trailer. A model cannot lose a cell that way: its normalizer is no
-longer the row's sum.
+A model file may still exit 0 after a mutation that leaves a file the
+writer could have written. It cannot lose a cell that way, though: its
+normalizer is no longer the row's sum.
 """
 
 import io
@@ -193,18 +193,28 @@ def test_a_mutated_file_exits_0_or_names_its_line(written, name, data):
     mutated, expected = data.draw(_mutation(name, original))
     path = wd / f"mutated-{name}.tsv"
     path.write_bytes(mutated)
-    code, err = _run(["inspect", "[]", f"--{source}", path, "--vocab", wd / "vocab.txt"])
-    assert code in (0, 2), err
-    named = re.escape(f"snmlm: {path}:") + r"(\d+: | not a \w+ file | \d+ rows lack a normalizer)"
-    if code == 2:
-        assert re.match(named, err), err
-        assert err.count("\n") == 1 and "Traceback" not in err
-    else:
-        assert err == ""
-    if expected is not None:
-        lineno, fragment = expected
-        assert code == 2, f"line {lineno} should have been rejected"
-        assert err.startswith(f"snmlm: {path}:{lineno}: ") and fragment in err, err
+    readers = [["inspect", "[]", f"--{source}", path, "--vocab", wd / "vocab.txt"]]
+    if source == "counts":
+        tags = ["--tag", "web", "--tag", "news"] if name == "tagged" else []
+        readers.append(["train", "--counts", path, "--dev", wd / "dev.txt",
+                        "--config", wd / "snm.cfg", "--vocab", wd / "vocab.txt", *tags,
+                        "--table-size", "1024", "--adjustment-out", wd / "mutated-adj.bin",
+                        "--model-out", wd / "mutated-model.tsv"])
+    named = re.escape(f"snmlm: {path}:") + r"(\d+: | \d+ rows lack a normalizer)"
+    for argv in readers:
+        code, err = _run(argv)
+        assert code in (0, 2), err
+        if code == 2:
+            assert re.match(named, err), err
+            assert err.count("\n") == 1 and "Traceback" not in err
+        else:
+            assert err == ""
+        if source == "counts" and mutated != original:
+            assert code == 2, f"{argv[0]} read a changed count file"
+        if expected is not None:
+            lineno, fragment = expected
+            assert code == 2, f"line {lineno} should have been rejected"
+            assert err.startswith(f"snmlm: {path}:{lineno}: ") and fragment in err, err
 
 
 def _exits_0_or_names(argv, path, expected) -> None:
