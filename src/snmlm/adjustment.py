@@ -27,7 +27,8 @@ unpins their names from perfbench/tracing.py and deletes them.
 `train` owns the run's state: the design, and the cells and row sums in
 design order (`adjusted_cells`). They stay fixed while an epoch runs and
 are recomputed from the updated weights at epoch end. The returned model
-is those arrays of the last epoch (`materialize`); no row dict is built.
+is the last epoch's arrays on the store's own `Rows` (`materialize`); no
+row dict is built.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def batch_theta_gradient(
         return {}
     rows = design.row_ids(alpha, len(alpha))
     order = np.argsort(rows)
-    links, lens = design.links_of(rows[order])
+    links, lens = design.layout.links_of(rows[order])
     alpha_f = np.fromiter(alpha.values(), dtype=np.float64, count=len(alpha))[order]
     g_link = np.zeros(len(links))
     first = acc.link_grads
@@ -251,7 +252,7 @@ def theta_gradient(
     event, row, link = batch.event[live], batch.row[live], batch.link[live]
     rows, per_row = np.unique(row, return_inverse=True)
     alpha = np.bincount(per_row, inv_y[event], minlength=len(rows))
-    links, lens = design.links_of(rows)
+    links, lens = design.layout.links_of(rows)
     g_link = np.zeros(len(links))
     linked = link >= 0
     targets, per_link = np.unique(link[linked], return_inverse=True)
@@ -339,7 +340,7 @@ def train(
     history: list[EpochStats] = []
     if not (held.num_events and epochs):
         return history, materialize(design, cells, row_sums)
-    dev = compile_events(held, design)
+    dev = compile_events(held, design.layout)
     n = dev.num_events
     batch_size = adj.batch_size
     for epoch in range(epochs + 1):

@@ -163,7 +163,7 @@ def cmd_count(args) -> int:
                          load_config(args.config))
     counts.save(args.output, vocab)
     print(
-        f"counts: {len(counts.names)} features, {len(counts.row)} links, "
+        f"counts: {len(counts)} features, {counts.num_links} links, "
         f"{counts.total_events} events -> {args.output}"
     )
     return 0
@@ -193,7 +193,7 @@ def cmd_train(args) -> int:
     _check_outputs(args, "--adjustment-out", "--model-out")
     # Only the dev rows are trained on and saved, so only they are stored.
     vocab, text, store = _dev_rows(args, tags)
-    dev = text.held_out(store.features)
+    dev = text.held_out(store.layout.features)
     # Freed before training: held on through it, the dev text's arrays made
     # the benchmark's tagged-wide-train fit 13-20% slower (stages in one process).
     del text
@@ -201,7 +201,7 @@ def cmd_train(args) -> int:
         raise SnmError(f"{args.dev}: empty development set")
     # A copy of `store`: perfbench/tracing.py captures the training store from
     # this call. ROADMAP item 1 removes the pin.
-    intersected = store.intersect(store.features)
+    intersected = store.intersect(store.layout.features)
     del store
 
     # Built after the inputs are read: built before them, the weight table
@@ -230,8 +230,8 @@ def cmd_eval(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     config = load_config(args.config)
     model = load_model(args.model, vocab)
-    _check_tags_cover({f.tag for f in model.features}, tags, args.model)
-    test = HeldText.read(args.test, vocab, config, tags).held_out(model.features)
+    _check_tags_cover({f.tag for f in model.layout.features}, tags, args.model)
+    test = HeldText.read(args.test, vocab, config, tags).held_out(model.layout.features)
     if not test.num_events:
         raise SnmError(f"{args.test}: empty test set")
     try:
@@ -264,9 +264,9 @@ def cmd_inspect(args) -> int:
         model = load_model(args.model, vocab)
         feature = parse_feature(args.feature, vocab)
         source, row, total_name = args.model, None, "M_f*"
-        if (r := model.row_index.get(feature)) is not None:
-            lo, hi = model.offsets[r : r + 2].tolist()
-            row = dict(zip(model.words[lo:hi].tolist(), model.cells[lo:hi].tolist()))
+        if (r := model.layout.row_index.get(feature)) is not None:
+            lo, hi = model.layout.offsets[r : r + 2].tolist()
+            row = dict(zip(model.layout.words[lo:hi].tolist(), model.cells[lo:hi].tolist()))
             total = model.row_sums[r].item()
     if row is None:
         print(f"feature {args.feature!r} not found in {source}")

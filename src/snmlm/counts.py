@@ -12,10 +12,10 @@ digest; any other read checks every row, and the trailer too.
 Training text is counted on integer arrays (`count_files`, which `snmlm
 count` runs): no `Event` or `Feature` object is built, and a feature's
 string is rendered only to write it. `accumulate` counts `Event`s per
-shared features tuple, on arrays too (`_links`), into a `CountStore`: the
-arrays in row order that `CountStore.load` also fills and the link design
-reads; its dict rows are views built only when read. Both write through
-`write_rows`.
+shared features tuple, on arrays too (`_links`). Both give a `CountStore`,
+counts on a `Rows` layout that `CountStore.load` also fills, the link
+design and the model share, and `save` hands to `write_rows`; its dict
+rows are views built only when read.
 
 Held-out text takes the same occurrence step (`_occurrences`) into
 `HeldText`, word-id columns that build no `Feature`: its `names` are the
@@ -60,32 +60,97 @@ _SEAL_KEYS = {"rows": "#rows", "features": "#features", "vocab": "#vocab-sha256"
 # Counts and their row sums are int64 in the link design, and so are the
 # keys `count_files` counts on.
 _INT64_MAX = (1 << 63) - 1
-# Rows whose links `row_dicts` converts to Python values at a time.
+# Rows whose links `Rows.dicts` converts to Python values at a time.
 _ROW_GROUP = 2048
 
 
-class CountStore:
-    """Link counts C_fw, feature counts C_f* and the event total, as arrays in row order.
+class Rows:
+    """Links in row order as CSR arrays: the one layout of count, design and model rows.
 
     Row r is feature ``features[r]``: links ``offsets[r]`` to ``offsets[r + 1]``
-    to the ascending word ids `words`, seen `counts` times; ``row_sums[r]``
-    is C_f*, their exact sum. No row is empty. Rows come first seen from
-    `accumulate` and in file order from `load`, whose store also has
-    `file_features`: per corpus tag (None for untagged), the number of
-    features in the file, kept or not, from its trailer. ``names[r]`` is row r's canonical
-    string when `load` kept rows by name, else `names` is None. `rows` and
-    `feature_counts` are the same as dicts, built the first time they are
-    read.
+    to the ascending word ids `words`. No row is empty. ``names[r]`` is row
+    r's canonical string when it is known, else `names` is None. `row`, the
+    row of each link, and `row_index`, the row of each feature, are built
+    the first time each is read, once for every store, design and model
+    that holds these rows. The rows of `count_files` have names but no
+    `Feature`s (`features` is None): they are only saved.
     """
 
-    def __init__(self, features: list[Feature], offsets: np.ndarray, words: np.ndarray,
-                 counts: np.ndarray, total_events: int,
-                 file_features: dict[str | None, int] | None = None,
+    def __init__(self, features: list[Feature] | None, offsets: np.ndarray, words: np.ndarray,
                  names: list[str] | None = None):
-        self.features, self.names = features, names
-        self.offsets, self.words, self.counts = offsets, words, counts
-        self.row_sums = np.add.reduceat(counts, offsets[:-1])
-        self.total_events = total_events
+        self.features, self.offsets, self.words, self.names = features, offsets, words, names
+
+    @classmethod
+    def sort_words(cls, features: list[Feature], offsets: np.ndarray, words: np.ndarray,
+                   names: list[str] | None = None) -> tuple["Rows", np.ndarray]:
+        """Rows of links that come row by row, and the order that sorts each row's links by word."""
+        rows = cls(features, offsets, words, names)
+        order = np.lexsort((words, rows.row))
+        rows.words = words[order]
+        return rows, order
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        """The row of each link."""
+        return np.repeat(np.arange(len(self), dtype=np.int32), np.diff(self.offsets))
+
+    @cached_property
+    def row_index(self) -> dict[Feature, int]:
+        """The row of each feature."""
+        return {f: r for r, f in enumerate(self.features)}
+
+    def strings(self, vocab: Vocabulary) -> list[str]:
+        """Each row's canonical string: `names`, or else each feature rendered."""
+        return (self.names if self.names is not None
+                else [render_feature(f, vocab) for f in self.features])
+
+    def links_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of every link of the given rows, concatenated, and each row's length.
+
+        For ascending `rows` the ids ascend too.
+        """
+        starts = self.offsets[rows]
+        lens = self.offsets[rows + 1] - starts
+        shift = starts - (np.cumsum(lens) - lens)
+        return np.arange(int(lens.sum())) + np.repeat(shift, lens), lens
+
+    def dicts(self, values: np.ndarray) -> dict[Feature, dict]:
+        """Row r as ``{features[r]: {word: value}}`` of its links' `values`, in row order.
+
+        Values are converted to Python numbers a group of rows at a time, so
+        no list of every link's value is held next to the finished rows.
+        """
+        rows: dict[Feature, dict] = {}
+        off = self.offsets.tolist()
+        for g in range(0, len(self), _ROW_GROUP):
+            end = min(g + _ROW_GROUP, len(self))
+            base = off[g]
+            ws = self.words[base : off[end]].tolist()
+            vs = values[base : off[end]].tolist()
+            for r in range(g, end):
+                lo, hi = off[r] - base, off[r + 1] - base
+                rows[self.features[r]] = dict(zip(ws[lo:hi], vs[lo:hi]))
+        return rows
+
+
+class CountStore:
+    """Link counts C_fw, feature counts C_f* and the event total, over one `Rows` layout.
+
+    Link i of `layout` was seen ``counts[i]`` times; ``row_sums[r]`` is
+    C_f*, row r's exact sum, computed the first time it is read. Rows come
+    first seen from `accumulate` and `count_files` and in file order from
+    `load`, whose store also has `file_features`: per corpus tag (None for
+    untagged), the number of features in the file, kept or not, from its
+    trailer; its rows have names when it kept rows by name. `rows` and
+    `feature_counts` are the same as dicts, built the first time they are read.
+    """
+
+    def __init__(self, layout: Rows, counts: np.ndarray, total_events: int,
+                 file_features: dict[str | None, int] | None = None):
+        self.layout, self.counts, self.total_events = layout, counts, total_events
         self.file_features = {} if file_features is None else file_features
 
     @classmethod
@@ -95,26 +160,29 @@ class CountStore:
         n = int(lens.sum())
         words = np.fromiter(chain.from_iterable(rows.values()), np.int32, n)
         counts = np.fromiter(chain.from_iterable(r.values() for r in rows.values()), np.int64, n)
-        order = np.lexsort((words, np.repeat(np.arange(len(rows)), lens)))
-        return cls(list(rows), np.concatenate(([0], np.cumsum(lens))), words[order],
-                   counts[order], total_events)
+        layout, order = Rows.sort_words(list(rows), np.concatenate(([0], np.cumsum(lens))), words)
+        return cls(layout, counts[order], total_events)
 
     def __len__(self) -> int:
-        return len(self.features)
+        return len(self.layout)
 
     @property
     def num_links(self) -> int:
-        return len(self.words)
+        return len(self.layout.words)
+
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        return np.add.reduceat(self.counts, self.layout.offsets[:-1])
 
     @cached_property
     def rows(self) -> dict[Feature, dict[int, int]]:
         """Each feature's row as a dict from word id to count, in row order."""
-        return row_dicts(self.features, self.offsets, self.words, self.counts)
+        return self.layout.dicts(self.counts)
 
     @cached_property
     def feature_counts(self) -> dict[Feature, int]:
         """Each feature's count C_f*, in row order."""
-        return dict(zip(self.features, self.row_sums.tolist()))
+        return dict(zip(self.layout.features, self.row_sums.tolist()))
 
     def add_event(self, event: Event) -> None:
         """Count one event in place, by rebuilding the store through `from_rows`.
@@ -136,21 +204,25 @@ class CountStore:
         counts keep their full training-data values.
         """
         keep = set(keep)
-        kept = np.fromiter(map(keep.__contains__, self.features), bool, len(self))
-        lens = np.diff(self.offsets)
+        rows = self.layout
+        kept = np.fromiter(map(keep.__contains__, rows.features), bool, len(self))
+        lens = np.diff(rows.offsets)
         links = np.repeat(kept, lens)
-        return CountStore(list(compress(self.features, kept)),
-                          np.concatenate(([0], np.cumsum(lens[kept]))), self.words[links],
-                          self.counts[links], self.total_events, None,
-                          None if self.names is None else list(compress(self.names, kept)))
+        return CountStore(Rows(list(compress(rows.features, kept)),
+                               np.concatenate(([0], np.cumsum(lens[kept]))), rows.words[links],
+                               None if rows.names is None else list(compress(rows.names, kept))),
+                          self.counts[links], self.total_events)
 
     # -- persistence ------------------------------------------------------
 
     def save(self, path, vocab: Vocabulary) -> None:
-        LinkCounts([render_feature(f, vocab) for f in self.features] if self.names is None
-                   else self.names,
-                   np.repeat(np.arange(len(self)), np.diff(self.offsets)),
-                   self.words, self.counts, self.total_events).save(path, vocab)
+        names = self.layout.strings(vocab)
+        with atomic_write(path) as fh:
+            out = _Sealer(fh, self.total_events)
+            rank = write_rows(out, names, self.layout.row, self.layout.words, self.counts, vocab)
+            ordered = np.empty(len(rank), object)
+            ordered[rank] = names
+            out.seal(self.num_links, _features_per_tag(ordered.tolist()), vocab.digest)
 
     @classmethod
     def load(cls, path, vocab: Vocabulary, keep: Iterable[str] | None = None) -> "CountStore":
@@ -177,23 +249,19 @@ class CountStore:
             seal: list[tuple] = []
             names: list[str] = []
             empty = np.zeros(0, np.int64)
-            rows, words, counts = [empty], [empty.astype(np.int32)], [empty]
+            firsts, words, counts = [], [empty.astype(np.int32)], [empty]
             with closing(_blocks(path, index, parse, vocab.digest, keep, seal)) as blocks:
                 total = next(blocks)
                 for b in blocks:
                     # A block's first row may go on with the last row of the block before.
-                    new = np.zeros(len(b.fs), np.int64)
-                    new[b.starts] = 1
-                    rows.append(np.cumsum(new) + (len(names) - 1))
-                    names += map(b.fs.__getitem__, b.starts.tolist())
+                    firsts.append(b.first)
+                    names += compress(b.fs, b.first.tolist())
                     words.append(np.fromiter(map(index.__getitem__, b.ws), np.int32, len(b.ws)))
                     counts.append(b.counts)
-            row, words = np.concatenate(rows), np.concatenate(words)
-            order = np.lexsort((words, row))
-            offsets = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(names)))))
-            return cls(list(map(parse, names)), offsets, words[order],
-                       np.concatenate(counts)[order], total, seal[0][0],
-                       None if keep is None else names)
+            offsets = np.flatnonzero(np.concatenate([*firsts, [True]]))
+            layout, order = Rows.sort_words(list(map(parse, names)), offsets, np.concatenate(words),
+                                            None if keep is None else names)
+            return cls(layout, np.concatenate(counts)[order], total, seal[0][0])
 
         if keep is None:
             return read(None)
@@ -229,49 +297,7 @@ def accumulate(events: Iterable[Event]) -> CountStore:
     row = row[np.repeat((np.cumsum(lens) - lens)[group] - np.cumsum(n) + n, n) + np.arange(n.sum())]
     (row,), words, counts = _links([row], np.repeat(target, n), base, np.repeat(seen, n))
     offsets = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(features)))))
-    return CountStore(features, offsets, words.astype(np.int32), counts, total)
-
-
-def row_dicts(features: list[Feature], offsets: np.ndarray, words: np.ndarray,
-              values: np.ndarray) -> dict[Feature, dict]:
-    """Row r as ``{features[r]: {word: value}}`` of its links, in row order.
-
-    Values are converted to Python numbers a group of rows at a time, so
-    no list of every link's value is held next to the finished rows.
-    """
-    rows: dict[Feature, dict] = {}
-    off = offsets.tolist()
-    for g in range(0, len(features), _ROW_GROUP):
-        end = min(g + _ROW_GROUP, len(features))
-        base = off[g]
-        ws = words[base : off[end]].tolist()
-        vs = values[base : off[end]].tolist()
-        for r in range(g, end):
-            lo, hi = off[r] - base, off[r + 1] - base
-            rows[features[r]] = dict(zip(ws[lo:hi], vs[lo:hi]))
-    return rows
-
-
-class LinkCounts(NamedTuple):
-    """Counted links as arrays.
-
-    Link i is (feature ``names[row[i]]``, word ``word[i]``), seen
-    ``count[i]`` times.
-    """
-
-    names: list[str]
-    row: np.ndarray
-    word: np.ndarray
-    count: np.ndarray
-    total_events: int
-
-    def save(self, path, vocab: Vocabulary) -> None:
-        with atomic_write(path) as fh:
-            out = _Sealer(fh, self.total_events)
-            rank = write_rows(out, self.names, self.row, self.word, self.count, vocab)
-            ordered = np.empty(len(rank), object)
-            ordered[rank] = self.names
-            out.seal(len(self.row), _features_per_tag(ordered.tolist()), vocab.digest)
+    return CountStore(Rows(features, offsets, words.astype(np.int32)), counts, total)
 
 
 def _features_per_tag(names: Sequence[str]) -> dict[str | None, int]:
@@ -416,7 +442,7 @@ def _event_targets(tokens: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def count_files(paths, tags: Sequence[str | None], vocab: Vocabulary,
-                config: ExtractorConfig) -> LinkCounts:
+                config: ExtractorConfig) -> CountStore:
     """Count the links of training text files on integer arrays, file `paths[i]` under `tags[i]`.
 
     Equal, when saved, to `accumulate` over `extract_events` of every
@@ -437,7 +463,7 @@ def count_files(paths, tags: Sequence[str | None], vocab: Vocabulary,
 
     names: list[str] = []
     empty = np.zeros(0, np.int64)
-    rows, words, counts = [empty], [empty], [empty]
+    firsts, words, counts = [], [empty.astype(np.int32)], [empty]
     for (tag, shape), group in parts.items():
         columns, target, count = group[0]
         if len(group) > 1:
@@ -452,11 +478,12 @@ def count_files(paths, tags: Sequence[str | None], vocab: Vocabulary,
         new[0] = True
         for c in columns:
             new[1:] |= c[1:] != c[:-1]
-        rows.append(len(names) + np.cumsum(new) - 1)
+        firsts.append(new)
         names += render_rows([c[new] for c in columns], shape, tag, vocab)
         words.append(target)
         counts.append(count)
-    return LinkCounts(names, np.concatenate(rows), np.concatenate(words), np.concatenate(counts),
+    offsets = np.flatnonzero(np.concatenate([*firsts, [True]]))
+    return CountStore(Rows(None, offsets, np.concatenate(words), names), np.concatenate(counts),
                       total)
 
 
@@ -597,7 +624,7 @@ _BLOCK_LINES = 2048
 class _Block(NamedTuple):
     """Checked rows: ``lines[i]`` is feature ``fs[i]``, word ``ws[i]`` and ``counts[i]``.
 
-    `starts` indexes the rows that begin a feature; `plain` is whether no
+    ``first[i]`` is whether row i begins a feature; `plain` is whether no
     character is below the tab.
     """
 
@@ -605,7 +632,7 @@ class _Block(NamedTuple):
     fs: list[str]
     ws: list[str]
     counts: np.ndarray
-    starts: np.ndarray
+    first: np.ndarray
     plain: bool
 
 
@@ -815,7 +842,7 @@ def _check(lines: list[str], prev, carry: int, total: int, index, parse):
                 return str(exc)
     if not digit[start].all():  # leading zeros: rewrite `lines` as `write_rows` writes rows
         lines = list(map("{}\t{}\t{}\n".format, fs, ws, counts.tolist()))
-    return _Block(lines, fs, ws, counts, np.flatnonzero(~same), raw.min() > 8), int(sums[-1])
+    return _Block(lines, fs, ws, counts, ~same, raw.min() > 8), int(sums[-1])
 
 
 def _first_error(path, lineno: int, lines: list[str], prev, carry: int, total: int,

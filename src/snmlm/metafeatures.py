@@ -22,18 +22,18 @@ or weights are read, so that the adjusted matrix and the batch gradient
 become array products over it: A = sum_j theta[slot_j] * weight_j per
 link, and the transpose pushes a per-link gradient back onto the table
 with `np.bincount`. A run whose weight table stays all zero reads neither
-and hashes nothing. The design takes the count store's arrays as they
-are: rows in store order, word ids ascending within a row, their counts
-and row sums. Every link has the same columns, with zero-weight padding
-where a count has a single log2 bucket. The slots of hashes that vary per
-link are stored in blocks of `_CHUNK` links; a slot that depends on the
-row, the word or the link-count class alone comes from a table over that
-key. Weights are not stored: a column weighs one of the row's
-feature-count bucket weights times one of the link's link-count bucket
-weights, looked up per block in small per-count tables. Rows are typed,
-and rendered when the store holds no row strings, once per feature shape
-and tag; each distinct type string is fingerprinted once, and the feature
-strings and words all at once by `fingerprints`.
+and hashes nothing. The design holds the count store and its `Rows`, which
+the model made of it shares: rows in store order, word ids ascending within
+a row, their counts and row sums. Every link has the same columns, with
+zero-weight padding where a count has a single log2 bucket. The slots of
+hashes that vary per link are stored in blocks of `_CHUNK` links; a slot
+that depends on the row, the word or the link-count class alone comes
+from a table over that key. Weights are not stored: a column weighs one
+of the row's feature-count bucket weights times one of the link's
+link-count bucket weights, looked up per block in small per-count tables.
+Rows are typed, and rendered when the rows have no names, once per
+feature shape and tag; each distinct type string is fingerprinted once,
+and the feature strings and words all at once by `fingerprints`.
 """
 
 from __future__ import annotations
@@ -321,19 +321,16 @@ _HASH_STATE = frozenset(("slots", "_lcls", "_fcls", "_fw", "_lw", "_fsel", "_lse
 class LinkDesign:
     """Slots and weights of every link of one count store, for one hashing setup.
 
-    ``row``, ``words`` and ``rel_freq`` are per link, ``offsets`` delimits
-    each row's links, and ``names`` holds each row's string when the store
-    has them, else None. The hash state is ``slots``, one (per-link columns
+    The design holds the store and its `layout`, the rows it shares with
+    the store and with the model made of it, and ``rel_freq``, each link's
+    relative frequency. The hash state is ``slots``, one (per-link columns
     x links) block per `_CHUNK` links, and the tables that the other slots
-    and the weights are looked up in. It is built the first time any of it
-    is read, at most once: until then the design holds the store's counts
-    and row sums, and it drops them once it has hashed.
+    and the weights are looked up in. It is built from the store's counts
+    and row sums the first time any of it is read, at most once.
     """
 
-    __slots__ = (
-        "mode", "table_size", "vocab", "features", "row_index", "names",
-        "offsets", "row", "words", "rel_freq", "_counts", "_row_sums", *sorted(_HASH_STATE),
-    )
+    __slots__ = ("mode", "table_size", "vocab", "store", "layout", "rel_freq",
+                 *sorted(_HASH_STATE))
 
     @classmethod
     def build(
@@ -341,12 +338,8 @@ class LinkDesign:
     ) -> LinkDesign:
         d = cls()
         d.mode, d.table_size, d.vocab = mode, table_size, vocab
-        d.features, d.names = counts.features, counts.names
-        d.row_index = {f: r for r, f in enumerate(d.features)}
-        d.offsets, d.words = counts.offsets, counts.words
-        d.row = np.repeat(np.arange(len(d.features), dtype=np.int32), np.diff(d.offsets))
-        d.rel_freq = counts.counts * (1.0 / counts.row_sums)[d.row]
-        d._counts, d._row_sums = counts.counts, counts.row_sums
+        d.store, d.layout = counts, counts.layout
+        d.rel_freq = counts.counts * (1.0 / counts.row_sums)[d.layout.row]
         return d
 
     def __getattr__(self, name: str):
@@ -357,10 +350,11 @@ class LinkDesign:
         return object.__getattribute__(self, name)
 
     def _hash(self) -> None:
-        """Hash every link's meta-features into the hash state, then drop the counts."""
-        mode, row, words, n = self.mode, self.row, self.words, self.num_links
+        """Hash every link's meta-features into the hash state."""
+        mode, layout, store, n = self.mode, self.layout, self.store, self.num_links
+        row, words = layout.row, layout.words
         tables, self._fcls, self._fw, self._lcls, self._lw = _descriptors(
-            self.features, self._row_sums, words, self._counts, mode, self.vocab, self.names
+            layout.features, store.row_sums, words, store.counts, mode, self.vocab, layout.names
         )
 
         def columns(part):
@@ -390,22 +384,22 @@ class LinkDesign:
                 block[k] = h % size
             slots.append(block)
         self.slots = slots
-        del self._counts, self._row_sums
 
     @property
     def num_links(self) -> int:
-        return len(self.row)
+        return len(self.layout.words)
 
     def weights(self, links) -> np.ndarray:
         """(columns x len(links)) meta-feature weights of the given links."""
-        w = self._fw[self._fcls[self.row[links]]][:, self._fsel].T
+        w = self._fw[self._fcls[self.layout.row[links]]][:, self._fsel].T
         w *= self._lw[self._lcls[links]][:, self._lsel].T
         return w
 
     def link_slots(self, links: np.ndarray) -> np.ndarray:
         """(columns x len(links)) weight-table slots of links within one block."""
         block = int(links[0]) // _CHUNK
-        keys = {"row": self.row[links], "word": self.words[links], "class": self._lcls[links]}
+        layout = self.layout
+        keys = {"row": layout.row[links], "word": layout.words[links], "class": self._lcls[links]}
         local = links - block * _CHUNK
         out = np.empty((len(self._cols), len(links)), dtype=self._dtype)
         for j, (kind, table) in enumerate(self._cols):
@@ -444,25 +438,15 @@ class LinkDesign:
         return grads
 
     def link(self, i: int) -> tuple[Feature, int]:
-        return self.features[self.row[i]], int(self.words[i])
+        return self.layout.features[self.layout.row[i]], int(self.layout.words[i])
 
     def row_ids(self, features: Iterable[Feature], count: int) -> np.ndarray:
-        return np.fromiter(map(self.row_index.__getitem__, features), dtype=np.int64, count=count)
-
-    def links_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ids of every link of the given rows, concatenated, and each row's length.
-
-        For ascending `rows` the ids ascend too.
-        """
-        starts = self.offsets[rows]
-        lens = self.offsets[rows + 1] - starts
-        shift = starts - (np.cumsum(lens) - lens)
-        return np.arange(int(lens.sum())) + np.repeat(shift, lens), lens
+        return np.fromiter(map(self.layout.row_index.__getitem__, features), np.int64, count)
 
     def find(self, links: np.ndarray, rows: np.ndarray, words: np.ndarray) -> np.ndarray:
         """Positions in the ascending `links` of the links (rows[i], words[i])."""
         v = len(self.vocab)
-        have = self.row[links].astype(np.int64) * v + self.words[links]
+        have = self.layout.row[links].astype(np.int64) * v + self.layout.words[links]
         want = rows * v + words
         pos = np.searchsorted(have, want)
         if len(want) and (pos.max() >= len(have) or not np.array_equal(have[pos], want)):

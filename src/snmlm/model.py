@@ -7,9 +7,9 @@ over its features, which is a properly normalized distribution over the
 vocabulary.
 
 `adjusted_cells` computes the cells and row sums as arrays in the order of
-a `LinkDesign`, and `materialize` wraps them with the design's rows and
-words as an `SnmModel`, the one model shape that is scored, saved and
-loaded. Its row dicts are built only when something reads them.
+a `LinkDesign`, and `materialize` puts them on the design's `Rows` as an
+`SnmModel`, the one model shape that is scored, saved and loaded. Its row
+dicts are built only when something reads them.
 
 Held-out events (`HeldOut`, from `HeldText.held_out` over the rows that
 score them) are scored on arrays: `compile_events` finds each feature
@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import UNK_ID, Vocabulary
-from .counts import HeldOut, line_error, read_preamble, row_dicts, write_rows
+from .counts import HeldOut, Rows, line_error, read_preamble, write_rows
 from .errors import DataError
 from .extraction import Event, Feature, feature_parser, render_feature
 from .files import atomic_write, open_text
@@ -53,37 +53,26 @@ MAX_ABS_ADJUSTMENT = 50.0
 
 
 class SnmModel:
-    """The adjusted matrix as arrays in design order, with its row sums as normalizers.
+    """The adjusted matrix over a `Rows` layout, with its row sums as normalizers.
 
-    Row r is feature ``features[r]`` (``row_index`` maps it back to r): the
-    cells ``cells[offsets[r]:offsets[r + 1]]`` of links to the ascending word
-    ids ``words[offsets[r]:offsets[r + 1]]``, and normalizer ``row_sums[r]``.
-    ``names[r]`` is its canonical string, or `names` is None when unknown.
-    `rows` and `normalizers` are the same as dicts, built the first time
-    they are read.
+    Link i of `layout` has the cell ``cells[i]``, and row r the normalizer
+    ``row_sums[r]``. A trained model shares its layout with the design and
+    the count store it was made of. `rows` and `normalizers` are the same
+    as dicts, built the first time they are read.
     """
 
-    def __init__(self, features: list[Feature], offsets: np.ndarray, words: np.ndarray,
-                 cells: np.ndarray, row_sums: np.ndarray,
-                 row_index: dict[Feature, int] | None = None, names: list[str] | None = None):
-        self.features, self.names = features, names
-        self.row_index = {f: r for r, f in enumerate(features)} if row_index is None else row_index
-        self.offsets, self.words, self.cells, self.row_sums = offsets, words, cells, row_sums
-
-    @cached_property
-    def row(self) -> np.ndarray:
-        """The row of each link."""
-        return np.repeat(np.arange(len(self.features), dtype=np.int32), np.diff(self.offsets))
+    def __init__(self, layout: Rows, cells: np.ndarray, row_sums: np.ndarray):
+        self.layout, self.cells, self.row_sums = layout, cells, row_sums
 
     @cached_property
     def rows(self) -> dict[Feature, dict[int, float]]:
         """Each feature's row as a dict from word id to cell, in row order."""
-        return row_dicts(self.features, self.offsets, self.words, self.cells)
+        return self.layout.dicts(self.cells)
 
     @cached_property
     def normalizers(self) -> dict[Feature, float]:
         """Each feature's normalizer, in row order."""
-        return dict(zip(self.features, self.row_sums.tolist()))
+        return dict(zip(self.layout.features, self.row_sums.tolist()))
 
 
 class EventScore(NamedTuple):
@@ -118,7 +107,7 @@ def adjusted_cells(design: LinkDesign, theta: np.ndarray) -> tuple[np.ndarray, n
     """
     if not theta.any():
         cells = design.rel_freq.copy()
-        return cells, np.bincount(design.row, cells, minlength=len(design.features))
+        return cells, np.bincount(design.layout.row, cells, minlength=len(design.layout))
     a = design.adjustments(theta)
     bound = MAX_ABS_ADJUSTMENT
     if not (a.max(initial=0.0) <= bound and a.min(initial=0.0) >= -bound):
@@ -130,13 +119,12 @@ def adjusted_cells(design: LinkDesign, theta: np.ndarray) -> tuple[np.ndarray, n
         )
     cells = np.exp(a, out=a)
     cells *= design.rel_freq
-    return cells, np.bincount(design.row, cells, minlength=len(design.features))
+    return cells, np.bincount(design.layout.row, cells, minlength=len(design.layout))
 
 
 def materialize(design: LinkDesign, cells: np.ndarray, row_sums: np.ndarray) -> SnmModel:
-    """The model of `adjusted_cells`: the design's rows and words with the cells and row sums."""
-    return SnmModel(design.features, design.offsets, design.words, cells, row_sums,
-                    design.row_index, design.names)
+    """The model of `adjusted_cells`: the design's layout with the cells and row sums."""
+    return SnmModel(design.layout, cells, row_sums)
 
 
 def score_event(model: SnmModel, event: Event) -> EventScore:
@@ -168,7 +156,7 @@ def score_event(model: SnmModel, event: Event) -> EventScore:
 
 
 class DevEvents(NamedTuple):
-    """Events compiled against a link design or model, one entry per known feature occurrence.
+    """Events compiled against the rows of a design or model, an entry per known feature occurrence.
 
     Entries are in event order and, within an event, in feature order:
     ``event`` is the entry's event id, ``row`` its feature's row, and
@@ -193,17 +181,17 @@ class DevEvents(NamedTuple):
         )
 
 
-def compile_events(held: HeldOut | Sequence[Event], design: LinkDesign | SnmModel) -> DevEvents:
-    """Where each feature occurrence of held-out events lands in a design or model.
+def compile_events(held: HeldOut | Sequence[Event], layout: Rows) -> DevEvents:
+    """Where each feature occurrence of held-out events lands in the rows of a design or model.
 
-    Each distinct feature is looked up once. Features the design lacks are
+    Each distinct feature is looked up once. Features the rows lack are
     dropped, as `score_event` drops them; an event left with none raises
-    its `DataError`. From `HeldText.held_out` over the design's rows, the
+    its `DataError`. From `HeldText.held_out` over these rows, the
     features are those rows and nothing is left to drop.
     """
     if not isinstance(held, HeldOut):
         held = HeldOut.from_events(held)
-    rows = np.fromiter(map(design.row_index.get, held.features, repeat(-1)), np.int64,
+    rows = np.fromiter(map(layout.row_index.get, held.features, repeat(-1)), np.int64,
                        len(held.features))
     row = rows[held.feature]
     known = row >= 0
@@ -216,9 +204,9 @@ def compile_events(held: HeldOut | Sequence[Event], design: LinkDesign | SnmMode
     target = held.target[event]
     # Links ascend by (row, word), so by this key. `v` exceeds every word and
     # target id, so a target past the vocabulary cannot alias another row.
-    words = design.words
+    words = layout.words
     v = int(max(words.max(initial=0), target.max(initial=0))) + 1
-    have = design.row.astype(np.int64) * v + words
+    have = layout.row.astype(np.int64) * v + words
     want = row * v + target
     pos = np.minimum(np.searchsorted(have, want), len(have) - 1)
     return DevEvents(event, row, np.where(have[pos] == want, pos, -1), starts)
@@ -258,20 +246,18 @@ def perplexity(model: SnmModel, events: HeldOut | Iterable[Event]) -> EvalReport
     held = events if isinstance(events, HeldOut) else HeldOut.from_events(list(events))
     if not held.num_events:
         raise DataError("perplexity undefined on an empty event stream")
-    return evaluate(compile_events(held, model), model.cells, model.row_sums, held.target)
+    return evaluate(compile_events(held, model.layout), model.cells, model.row_sums, held.target)
 
 
 # ---------------------------------------------------------------------------
 # Persistence
 
 def save_model(model: SnmModel, path, vocab: Vocabulary) -> None:
-    names = model.names
-    if names is None:
-        names = [render_feature(f, vocab) for f in model.features]
+    names = model.layout.strings(vocab)
     norms = model.row_sums.tolist()
     with atomic_write(path) as fh:
         fh.write(f"{MODEL_HEADER}\n{_SIZE_PREFIX}{len(vocab)}\n")
-        rank = write_rows(fh, names, model.row, model.words, model.cells, vocab)
+        rank = write_rows(fh, names, model.layout.row, model.layout.words, model.cells, vocab)
         fh.write(_NORM_SECTION + "\n")
         for i in np.argsort(rank).tolist():
             fh.write(f"{names[i]}\t{norms[i]}\n")
@@ -367,7 +353,6 @@ def load_model(path, vocab: Vocabulary) -> SnmModel:
     if len(norms) < len(names):
         raise DataError(f"{path}: {len(names) - len(norms)} rows lack a normalizer entry")
     offsets = np.array([*starts[: len(names)], len(cells)], dtype=np.int64)
-    row = np.repeat(np.arange(len(names)), np.diff(offsets))
-    order = np.lexsort((words, row))
-    return SnmModel(features, offsets, np.array(words, dtype=np.int32)[order],
-                    np.array(cells, dtype=np.float64)[order], np.array(norms, dtype=np.float64))
+    layout, order = Rows.sort_words(features, offsets, np.array(words, dtype=np.int32))
+    return SnmModel(layout, np.array(cells, dtype=np.float64)[order],
+                    np.array(norms, dtype=np.float64))

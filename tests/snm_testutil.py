@@ -34,7 +34,7 @@ import numpy as np
 
 from snmlm.adjustment import AdjustmentModel, compile_events, theta_gradient
 from snmlm.corpus import E_ID, S_ID, Vocabulary, build_vocab, map_tokens, natural
-from snmlm.counts import COUNTS_HEADER, CountStore, line_error, read_preamble
+from snmlm.counts import COUNTS_HEADER, CountStore, Rows, line_error, read_preamble
 from snmlm.errors import DataError
 from snmlm.extraction import (
     Event, Feature, extract_events, feature_parser, parse_config, render_feature,
@@ -402,7 +402,7 @@ def model_of(rows: dict, normalizers: dict) -> SnmModel:
     sorted_rows = [sorted(rows[f].items()) for f in features]
     offsets = np.cumsum([0, *map(len, sorted_rows)])
     links = list(chain.from_iterable(sorted_rows))
-    return SnmModel(features, offsets, np.array([w for w, _ in links], dtype=np.int32),
+    return SnmModel(Rows(features, offsets, np.array([w for w, _ in links], dtype=np.int32)),
                     np.array([v for _, v in links], dtype=np.float64),
                     np.array([normalizers[f] for f in features], dtype=np.float64))
 
@@ -415,10 +415,11 @@ def materialized_dicts(design: LinkDesign, cells: np.ndarray, row_sums: np.ndarr
     and `SnmModel.normalizers` must equal in order and bit for bit.
     """
     rows = {}
-    for r, f in enumerate(design.features):
-        links = range(int(design.offsets[r]), int(design.offsets[r + 1]))
-        rows[f] = {int(design.words[i]): float(cells[i]) for i in links}
-    return rows, {f: float(row_sums[r]) for r, f in enumerate(design.features)}
+    layout = design.layout
+    for r, f in enumerate(layout.features):
+        links = range(int(layout.offsets[r]), int(layout.offsets[r + 1]))
+        rows[f] = {int(layout.words[i]): float(cells[i]) for i in links}
+    return rows, {f: float(row_sums[r]) for r, f in enumerate(layout.features)}
 
 
 def array_theta_gradient(events, design, cells, row_sums) -> dict[int, float]:
@@ -426,7 +427,7 @@ def array_theta_gradient(events, design, cells, row_sums) -> dict[int, float]:
 
     The events are compiled against `design`.
     """
-    step = theta_gradient(compile_events(events, design), design, cells, row_sums)
+    step = theta_gradient(compile_events(events, design.layout), design, cells, row_sums)
     return dict(zip(step.slots.tolist(), step.grads.tolist()))
 
 

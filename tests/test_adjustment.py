@@ -238,7 +238,7 @@ def test_array_gradient_equals_dict_gradient_bit_for_bit():
         acc = BatchAccumulator()
         for e in events:
             acc.add_event(e, model)
-        step = theta_gradient(compile_events(events, design), design, cells, row_sums)
+        step = theta_gradient(compile_events(events, design.layout), design, cells, row_sums)
         assert step.floored_events == acc.floored_events
         assert dict(zip(step.slots.tolist(), step.grads.tolist())) == batch_theta_gradient(
             acc, design, cells
@@ -270,7 +270,7 @@ def test_unreachable_target_event_contributes_no_gradient():
     acc.add_event(_ev([f], a), materialize(design, cells, row_sums))  # 'a' never follows the context
     assert acc.floored_events == 1
     assert not acc.alpha and not acc.link_grads
-    step = theta_gradient(compile_events([_ev([f], a)], design), design, cells, row_sums)
+    step = theta_gradient(compile_events([_ev([f], a)], design.layout), design, cells, row_sums)
     assert step.floored_events == 1
     assert len(step.slots) == 0 and len(step.grads) == 0
 
@@ -329,7 +329,8 @@ def test_process_batch_rejects_empty():
     adj = AdjustmentModel(64)
     design, cells, row_sums = build_matrix(store, adj, vocab)
     events = random_events(random.Random(2), store, list(store.rows), 3)
-    for empty in (compile_events([], design), compile_events(events, design).batch(1, 1)):
+    for empty in (compile_events([], design.layout),
+                  compile_events(events, design.layout).batch(1, 1)):
         with pytest.raises(DataError):
             process_batch(empty, design, cells, row_sums, adj)
     assert not adj.grad_sq.any()

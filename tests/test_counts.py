@@ -304,15 +304,15 @@ def test_load_with_keep_equals_intersect(tagged_count_file, data):
     loaded = CountStore.load(path, vocab, keep=names)
     # A drawn feature that no extraction gives, a skip length with no skip,
     # renders as the string of a row without one, and so keeps that row.
-    expected = full.intersect(f for f in full.features if render_feature(f, vocab) in names)
+    expected = full.intersect(f for f in full.layout.features if render_feature(f, vocab) in names)
     assert list(loaded.rows.items()) == list(expected.rows.items())
     assert list(loaded.feature_counts.items()) == list(expected.feature_counts.items())
     assert loaded.total_events == expected.total_events == full.total_events
     # Rows kept by name keep their strings, through `intersect` too.
-    assert full.names is None and expected.names is None
-    assert loaded.names == [render_feature(f, vocab) for f in loaded.features]
-    sub = loaded.intersect(loaded.features[::2])
-    assert sub.names == [render_feature(f, vocab) for f in sub.features]
+    assert full.layout.names is None and expected.layout.names is None
+    assert loaded.layout.names == [render_feature(f, vocab) for f in loaded.layout.features]
+    sub = loaded.intersect(loaded.layout.features[::2])
+    assert sub.layout.names == [render_feature(f, vocab) for f in sub.layout.features]
     # Every feature of the file is counted, kept or not.
     assert loaded.file_features == full.file_features
     assert sum(full.file_features.values()) == len(full)
@@ -601,28 +601,31 @@ def test_block_reader_equals_the_line_reader(tmp_path_factory, odd_vocab, data):
 
 def _assert_store_invariants(store: CountStore) -> None:
     """Rows are non-empty, words ascend within a row, row sums are exact, views equal arrays."""
-    offsets, words, counts = store.offsets, store.words, store.counts
+    features, offsets, words, counts = (store.layout.features, store.layout.offsets,
+                                        store.layout.words, store.counts)
     assert (offsets.dtype, words.dtype, counts.dtype) == (np.int64, np.int32, np.int64)
     lens = np.diff(offsets)
     assert offsets[0] == 0 and offsets[-1] == len(words) == len(counts)
-    assert len(store.features) == len(lens) == len(set(store.features))
+    assert len(features) == len(lens) == len(set(features))
     assert (lens > 0).all() and (counts > 0).all()
     row = np.repeat(np.arange(len(lens)), lens)
     same = row[1:] == row[:-1]
     assert (words[1:][same] > words[:-1][same]).all()
     assert store.row_sums.tolist() == np.add.reduceat(counts, offsets[:-1]).tolist()
-    assert list(store.feature_counts.items()) == list(zip(store.features,
-                                                          store.row_sums.tolist()))
-    assert list(store.rows) == store.features
-    for f, lo, hi in zip(store.features, offsets.tolist(), offsets[1:].tolist()):
+    assert list(store.feature_counts.items()) == list(zip(features, store.row_sums.tolist()))
+    assert list(store.rows) == features
+    for f, lo, hi in zip(features, offsets.tolist(), offsets[1:].tolist()):
         assert list(store.rows[f].items()) == list(zip(words[lo:hi].tolist(),
                                                        counts[lo:hi].tolist()))
 
 
 def _same_arrays(store: CountStore, other: CountStore) -> bool:
-    return (store.features == other.features and store.total_events == other.total_events
+    return (store.layout.features == other.layout.features
+            and store.total_events == other.total_events
+            and all(np.array_equal(getattr(store.layout, a), getattr(other.layout, a))
+                    for a in ("offsets", "words"))
             and all(np.array_equal(getattr(store, a), getattr(other, a))
-                    for a in ("offsets", "words", "counts", "row_sums")))
+                    for a in ("counts", "row_sums")))
 
 
 @settings(max_examples=30, deadline=None)
@@ -684,7 +687,7 @@ def test_load_keeps_exactly_the_rows_its_strings_name(tmp_path_factory, odd_voca
             loaded = CountStore.load(path, odd_vocab, keep)
         # `whole` holds the rows in file order, which is string order.
         assert _same_arrays(loaded, whole.intersect(
-            f for f, name in zip(whole.features, names) if name in named))
+            f for f, name in zip(whole.layout.features, names) if name in named))
         assert loaded.file_features == whole.file_features
         _assert_store_invariants(loaded)
 
@@ -722,8 +725,8 @@ def test_a_keyed_read_checks_only_the_kept_rows(tmp_path_factory, odd_vocab, dat
             assert len(checked) == kept.num_links
             # `whole` holds the rows in file order, which is string order.
             assert _same_arrays(kept, whole.intersect(
-                f for f, name in zip(whole.features, names) if name in keep))
-            assert kept.names == [name for name in names if name in keep]
+                f for f, name in zip(whole.layout.features, names) if name in keep))
+            assert kept.layout.names == [name for name in names if name in keep]
             assert kept.file_features == whole.file_features
             full = outcome(lambda: CountStore.load(changed, odd_vocab))
             assert full.startswith(f"DataError: {changed}:")

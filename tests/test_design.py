@@ -10,6 +10,7 @@ an all-zero weight table is never hashed.
 """
 
 import random
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -20,11 +21,11 @@ from snmlm.adjustment import (
 )
 from snmlm.cli import main
 from snmlm.corpus import SPECIAL_TOKENS, Vocabulary, build_vocab
-from snmlm.counts import CountStore, accumulate
+from snmlm.counts import CountStore, Rows, accumulate
 from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature, parse_config, render_feature
 from snmlm.metafeatures import LinkDesign, Mode, explain, feature_type, fingerprint
-from snmlm.model import adjusted_cells, materialize
+from snmlm.model import adjusted_cells, load_model, materialize, perplexity, save_model
 
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
@@ -120,8 +121,8 @@ def test_design_of_a_loaded_store_equals_the_design_of_its_dict_rows(tmp_path, b
     for mode in Mode:
         got, want = (LinkDesign.build(s, mode, 4096, vocab)
                      for s in (loaded, CountStore.from_rows(rows, loaded.total_events)))
-        assert got.features == want.features
-        arrays = [(got.offsets, want.offsets), (got.words, want.words),
+        assert got.layout.features == want.layout.features
+        arrays = [(got.layout.offsets, want.layout.offsets), (got.layout.words, want.layout.words),
                   (got.rel_freq, want.rel_freq), *zip(got.slots, want.slots, strict=True)]
         for a, b in arrays:
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
@@ -202,8 +203,8 @@ def test_batch_gradient_visits_only_batch_rows(monkeypatch, block_size):
     monkeypatch.setattr(LinkDesign, "push", recording_push)
     expected = []
     for f in acc.alpha:
-        r = design.row_index[f]
-        expected.extend(range(design.offsets[r], design.offsets[r + 1]))
+        r = design.layout.row_index[f]
+        expected.extend(range(design.layout.offsets[r], design.layout.offsets[r + 1]))
     assert len(set(acc.alpha)) < len(store.rows)
     naive = naive_theta_gradient(events, model, adj, store, vocab)
     # The dict reference, then the array gradient that training runs.
@@ -229,15 +230,16 @@ def test_compiled_events_locate_every_known_occurrence():
         rng.shuffle(fs)
         events.append(Event(tuple(fs), rng.randrange(len(vocab) + 5)))
     # A target id past the vocabulary must not alias the next row's first link.
-    events.append(Event((feats[0],), len(vocab) + int(design.words[design.offsets[1]])))
-    dev = compile_events(events, design)
+    layout = design.layout
+    events.append(Event((feats[0],), len(vocab) + int(layout.words[layout.offsets[1]])))
+    dev = compile_events(events, layout)
     expected = []
     for i, e in enumerate(events):
         for f in e.features:
             if f in store.rows:
-                r = design.row_index[f]
-                links = range(design.offsets[r], design.offsets[r + 1])
-                hit = [j for j in links if design.words[j] == e.target]
+                r = layout.row_index[f]
+                links = range(layout.offsets[r], layout.offsets[r + 1])
+                hit = [j for j in links if layout.words[j] == e.target]
                 expected.append((i, r, hit[0] if hit else -1))
     assert list(zip(dev.event.tolist(), dev.row.tolist(), dev.link.tolist())) == expected
     assert 0 < (dev.link >= 0).sum() < len(dev.link)
@@ -248,7 +250,7 @@ def test_compiled_events_locate_every_known_occurrence():
     assert part.event.tolist() == (dev.event[lo:hi] - 10).tolist()
     assert part.link.tolist() == dev.link[lo:hi].tolist()
     with pytest.raises(DataError, match="event has no features known to the model"):
-        compile_events(events + [Event((unknown,), 3)], design)
+        compile_events(events + [Event((unknown,), 3)], layout)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -270,7 +272,7 @@ def test_a_zero_table_gives_the_relative_frequencies_bit_for_bit(monkeypatch, mo
         assert len(calls) == adjusted
         calls.clear()
         want = np.exp(adjustments(design, theta)) * design.rel_freq
-        want_sums = np.bincount(design.row, want, minlength=len(design.features))
+        want_sums = np.bincount(design.layout.row, want, minlength=len(design.layout.features))
         assert (cells.tobytes(), row_sums.tobytes()) == (want.tobytes(), want_sums.tobytes())
     assert not np.array_equal(cells, design.rel_freq)
 
@@ -334,6 +336,43 @@ def test_train_builds_the_design_once(monkeypatch, tmp_path):
     assert len(hashes) == 3
 
 
+def _count_row_builds(monkeypatch) -> dict[str, int]:
+    """How many times each `Rows` array built on first read is built, from now on."""
+    built = {"row": 0, "row_index": 0}
+    for name in built:
+        def counted(rows, _build=vars(Rows)[name].func, _name=name):
+            built[_name] += 1
+            return _build(rows)
+        spy = cached_property(counted)
+        spy.__set_name__(Rows, name)
+        monkeypatch.setattr(Rows, name, spy)
+    return built
+
+
+def test_a_run_shares_one_layout_and_builds_each_row_array_once(monkeypatch, tmp_path):
+    # The count store, its design and the trained model hold one `Rows`, so
+    # the rows of the links and of the features are each built once in a
+    # run, and once for a model read back from its file.
+    rng = random.Random(41)
+    vocab = make_vocab(15)
+    built = _count_row_builds(monkeypatch)
+    store, feats = random_store(rng, vocab, 8)
+    events = random_events(rng, store, feats, 12)
+    adj = AdjustmentModel(1024, batch_size=4)
+    assert LinkDesign.build(store, adj.mode, adj.table_size, vocab).layout is store.layout
+    _, model = train(events, store, adj, 1, vocab)
+    assert model.layout is store.layout
+    save_model(model, tmp_path / "model.tsv", vocab)
+    assert built == {"row": 1, "row_index": 1}
+
+    built.update(row=0, row_index=0)
+    loaded = load_model(tmp_path / "model.tsv", vocab)
+    assert perplexity(loaded, events).ppl == perplexity(model, events).ppl
+    save_model(loaded, tmp_path / "again.tsv", vocab)
+    assert built == {"row": 1, "row_index": 1}
+    assert (tmp_path / "again.tsv").read_bytes() == (tmp_path / "model.tsv").read_bytes()
+
+
 def test_process_batch_rejects_a_design_for_other_hashing():
     # The design fixes the slots every gradient lands in: weights of another
     # mode or table size cannot be trained on it.
@@ -343,7 +382,7 @@ def test_process_batch_rejects_a_design_for_other_hashing():
     adj = AdjustmentModel(2048)
     random_theta(adj, seed=6, scale=0.2)
     design, cells, row_sums = build_matrix(store, adj, vocab)
-    batch = compile_events(random_events(rng, store, feats, 6), design)
+    batch = compile_events(random_events(rng, store, feats, 6), design.layout)
     for other in (AdjustmentModel(2048, mode=Mode.UNLEXICALIZED), AdjustmentModel(1024)):
         with pytest.raises(ValueError, match="link design is for mode full and 2048 slots"):
             process_batch(batch, design, cells, row_sums, other)

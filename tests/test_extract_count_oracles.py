@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from snmlm.cli import main
 from snmlm.corpus import E_ID, S_ID, TaggedCorpus, Vocabulary, corpus_lines
-from snmlm.counts import CountStore, HeldOut, HeldText, accumulate
+from snmlm.counts import CountStore, HeldOut, HeldText, Rows, accumulate
 from snmlm.errors import ConfigError, DataError
 from snmlm.extraction import (
     Event, Feature, expand_tags, extract_events, load_config, parse_config, render_feature,
@@ -205,10 +205,12 @@ def test_accumulate_handmade_events_equals_naive_oracle(pairs):
 
 def _assert_bit_equal(store: CountStore, expected: CountStore) -> None:
     """The same rows in the same order, and the same arrays, dtypes included."""
-    assert store.features == expected.features
+    assert store.layout.features == expected.layout.features
     assert store.total_events == expected.total_events
     for name in ("offsets", "words", "counts", "row_sums"):
-        got, want = getattr(store, name), getattr(expected, name)
+        owner, other = (store, expected) if name in ("counts", "row_sums") else (
+            store.layout, expected.layout)
+        got, want = getattr(owner, name), getattr(other, name)
         assert (got.dtype, got.tolist()) == (want.dtype, want.tolist()), name
 
 
@@ -243,7 +245,8 @@ def test_accumulate_counts_events_that_share_tuples():
     expected = oracle_accumulate(events)
     _assert_bit_equal(accumulate(events), expected)
     # Rows are keyed by the first-seen object of each feature.
-    assert list(map(id, accumulate(events).features)) == list(map(id, expected.features))
+    assert list(map(id, accumulate(events).layout.features)) == list(
+        map(id, expected.layout.features))
     _assert_bit_equal(accumulate([]), oracle_accumulate([]))
     _assert_bit_equal(accumulate(iter([])), oracle_accumulate([]))
 
@@ -410,7 +413,7 @@ def test_cli_count_ranks_contexts_past_int64(tmp_path):
 def _compiled(held: HeldOut, model: SnmModel):
     """`compile_events` of `held` against `model` as lists with their dtypes, or its error."""
     try:
-        return [(a.dtype, a.tolist()) for a in compile_events(held, model)]
+        return [(a.dtype, a.tolist()) for a in compile_events(held, model.layout)]
     except DataError as exc:
         return f"DataError: {exc}"
 
@@ -457,12 +460,13 @@ def test_held_out_text_equals_extracted_events(name, lines, tags, rows, data):
         chosen += list(dict.fromkeys(f for e in foreign for f in e.features))
     chosen = data.draw(st.permutations(chosen))
     store = CountStore.from_rows({f: counted.rows[f] for f in chosen}, counted.total_events)
-    model = SnmModel(store.features, store.offsets, store.words,
+    layout = store.layout
+    model = SnmModel(Rows(layout.features, layout.offsets, layout.words),
                      store.counts.astype(np.float64), store.row_sums.astype(np.float64))
 
-    held = text.held_out(model.features)
+    held = text.held_out(model.layout.features)
     expected = HeldOut.from_events(events)
-    assert held.features is model.features
+    assert held.features is model.layout.features
     known = set(chosen)
     occurrences = [(e, expected.features[i])
                    for e, i in zip(expected.event.tolist(), expected.feature.tolist())

@@ -203,7 +203,8 @@ def test_train_and_eval_build_no_dict_views(tmp_path, monkeypatch, tags):
     _cli(*_pipeline(tmp_path, tags))
     trained, loaded = models
     assert [m for m in models if {"rows", "normalizers"} & set(vars(m))] == []
-    assert len(stores) == 2  # the dev rows loaded, and their copy that trains
+    # The counted rows that `snmlm count` saves, the dev rows loaded, and their copy that trains.
+    assert len(stores) == 3
     assert [s for s in stores if {"rows", "feature_counts"} & set(vars(s))] == []
 
     # The dicts the old `materialize` built, from the count rows of the dev features.
@@ -238,7 +239,7 @@ def test_train_reuses_the_row_strings_it_loaded(tmp_path, monkeypatch, tags):
     [(features, *_, names)] = hashed  # it trained, so it hashed once
     vocab = Vocabulary.load(tmp_path / "vocab.txt")
     assert names == [render(f, vocab) for f in features]
-    assert load_model(tmp_path / "model.tsv", vocab).features == features
+    assert load_model(tmp_path / "model.tsv", vocab).layout.features == features
 
 
 @pytest.mark.parametrize("tags", [(), ("a", "b")])
@@ -262,6 +263,6 @@ def test_train_and_eval_score_the_rows_own_features(tmp_path, monkeypatch, tags)
     assert len(scored) == 2
     for held, rows in scored:
         assert isinstance(held, HeldOut) and held.num_events > 0 and len(held.feature) > 0
-        assert len(held.features) <= len(rows.features)
-        own = set(map(id, rows.features))
+        assert len(held.features) <= len(rows.layout.features)
+        own = set(map(id, rows.layout.features))
         assert all(id(f) in own for f in held.features)
