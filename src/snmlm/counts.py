@@ -235,7 +235,7 @@ class CountStore:
         row, a non-canonical one included, keeps nothing. Kept rows keep
         their strings as `names`.
 
-        With `keep`, only the kept rows are split and checked (`_blocks`):
+        With `keep`, only the kept rows are split and checked (`row_blocks`):
         every other row is trusted for the trailer's digest, which the
         whole file is hashed against, with the trailer's row count and
         vocabulary digest. If one of them does not match, or a kept row
@@ -243,25 +243,14 @@ class CountStore:
         it is without `keep`, which names its first bad line, or else the
         trailer line. `file_features` comes from the trailer.
         """
-        index, parse = vocab.index, feature_parser(vocab)
+        parse = feature_parser(vocab)
 
         def read(keep):
             seal: list[tuple] = []
-            names: list[str] = []
-            empty = np.zeros(0, np.int64)
-            firsts, words, counts = [], [empty.astype(np.int32)], [empty]
-            with closing(_blocks(path, index, parse, vocab.digest, keep, seal)) as blocks:
+            with closing(_blocks(path, vocab.index, parse, vocab.digest, keep, seal)) as blocks:
                 total = next(blocks)
-                for b in blocks:
-                    # A block's first row may go on with the last row of the block before.
-                    firsts.append(b.first)
-                    names += compress(b.fs, b.first.tolist())
-                    words.append(np.fromiter(map(index.__getitem__, b.ws), np.int32, len(b.ws)))
-                    counts.append(b.counts)
-            offsets = np.flatnonzero(np.concatenate([*firsts, [True]]))
-            layout, order = Rows.sort_words(list(map(parse, names)), offsets, np.concatenate(words),
-                                            None if keep is None else names)
-            return cls(layout, np.concatenate(counts)[order], total, seal[0][0])
+                layout, counts, _ = gather_rows(blocks, np.int64, keep is not None)
+            return cls(layout, counts, total, seal[0][0])
 
         if keep is None:
             return read(None)
@@ -622,17 +611,20 @@ _BLOCK_LINES = 2048
 
 
 class _Block(NamedTuple):
-    """Checked rows: ``lines[i]`` is feature ``fs[i]``, word ``ws[i]`` and ``counts[i]``.
+    """Checked rows: ``lines[i]`` is feature ``fs[i]``, word ``ws[i]`` and ``values[i]``.
 
-    ``first[i]`` is whether row i begins a feature; `plain` is whether no
-    character is below the tab.
+    ``first[i]`` is whether row i begins a feature. Checked against a
+    vocabulary, `features` are those rows' features and `words` the word
+    ids, else both are None. `plain` is whether no character is below the tab.
     """
 
     lines: list[str]
     fs: list[str]
     ws: list[str]
-    counts: np.ndarray
+    values: np.ndarray
     first: np.ndarray
+    features: list[Feature] | None
+    words: np.ndarray | None
     plain: bool
 
 
@@ -714,24 +706,12 @@ def _pick(lines: list[str], keep: list[str]) -> list[str]:
 
 def _blocks(path, index=None, parse=None, vocab: str | None = None,
             keep: list[str] | None = None, seal: list | None = None) -> Iterator:
-    """The event total of a count file, then its rows as checked `_Block`s of `_BLOCK_LINES` lines.
+    """The event total of a count file, at most 2^63-1, then its rows (`row_blocks`).
 
-    Line 2 holds the total, at most 2^63-1. Each later line is a row of
-    feature, word and an ASCII count of at least 1; rows strictly increase
-    by (feature, word), and a feature's counts sum to at most the total,
-    as an event counts a feature once. Given the vocabulary `index` and a
-    feature `parse`r, words and feature strings are checked too. Only
-    when a block fails its check (`_check`) are its lines checked one by
-    one (`_first_error`). Lines are read as written, with no line ending
-    translated, and hashed. The rows end at the first line that starts
-    with ``#``: the trailer (`_read_seal`), which must seal them, under
-    the vocabulary digest `vocab` if given; what `_read_seal` returns is
-    appended to `seal`. The file is opened on the first `next`.
-
-    With `keep`, sorted feature strings, only the rows of those features
-    are split and checked (`_pick`), and a kept row that fails its check
-    raises its reason: only the check of every row names the first bad
-    line.
+    Lines are read as written, with no line ending translated, and hashed.
+    After the rows comes the trailer (`_read_seal`), which must seal them,
+    under the vocabulary digest `vocab` if given; what `_read_seal`
+    returns is appended to `seal`. The file is opened on the first `next`.
     """
     with open_text(path, newline="\n") as fh:
         head = [fh.readline(), fh.readline()]
@@ -746,112 +726,189 @@ def _blocks(path, index=None, parse=None, vocab: str | None = None,
             raise DataError(f"{path}:2: event total {text} is more than 2^63-1")
         yield total
         sha = hashlib.sha256("".join(head).encode())
-        lineno, prev, carry = 3, None, 0
-        while lines := list(islice(fh, _BLOCK_LINES)):
-            text = "".join(lines)
-            cut = 0 if text[0] == "#" else text.find("\n#") + 1 or len(text)
-            sha.update(text[:cut].encode())
-            rows = lines if cut == len(text) else lines[:text.count("\n", 0, cut)]
-            block = _pick(rows, keep) if keep is not None and rows else rows
-            if block:
-                if isinstance(checked := _check(block, prev, carry, total, index, parse), str):
-                    if keep is not None:
-                        raise DataError(checked)
-                    raise _first_error(path, lineno, block, prev, carry, total, index, parse)
-                b, carry = checked
-                yield b
-                prev = (b.fs[-1], b.ws[-1])
-            if rows is not lines:
-                found = _read_seal(path, lineno + len(rows), chain(lines[len(rows):], fh), sha,
-                                   vocab)
-                break
-            lineno += len(lines)
-        else:
+        lineno, rest = yield from row_blocks(path, fh, total, index, parse, keep, sha)
+        if not rest:
             raise DataError(f"{path}:{lineno}: no trailer: the file ends after its rows")
+        found = _read_seal(path, lineno, chain(rest, fh), sha, vocab)
     if seal is not None:
         seal.append(found)
 
 
-def _check(lines: list[str], prev, carry: int, total: int, index, parse):
-    """The `_Block` of `lines` and the count sum of its last feature, or why a row is bad.
+def row_blocks(path, fh, total: int | None, index=None, parse=None,
+               keep: list[str] | None = None, sha=None) -> Iterator[_Block]:
+    """The rows of a count file of event total `total`, or of a model file if None, as `_Block`s.
 
-    The rows follow the row keyed `prev`, whose feature's counts sum to
-    `carry` so far. All rows are checked at once, with no per-row Python;
-    the reason is a line's error message when `lines` is that one line.
+    Rows start at line 3 and end at the first line that starts with ``#``;
+    their text is hashed into `sha` if given. They are checked
+    `_BLOCK_LINES` at a time (`_check`), and the lines of a block that
+    fails one by one (`_first_error`), to name its first bad line. With
+    `keep`, sorted feature strings, only the rows of those features are
+    checked (`_pick`), and a kept row that fails raises its reason.
+    Returns the number of the line after the rows and the lines read from
+    it on.
     """
-    n = len(lines)
+    lineno, prev, carry = 3, None, 0
+    while lines := list(islice(fh, _BLOCK_LINES)):
+        text = "".join(lines)
+        cut = 0 if text[0] == "#" else text.find("\n#") + 1 or len(text)
+        if sha is not None:
+            sha.update(text[:cut].encode())
+        rows = lines if cut == len(text) else lines[:text.count("\n", 0, cut)]
+        block = _pick(rows, keep) if keep is not None and rows else rows
+        if block:
+            if isinstance(checked := _check(block, prev, carry, total, index, parse), str):
+                if keep is not None:
+                    raise DataError(checked)
+                raise _first_error(path, lineno, block, prev, carry, total, index, parse)
+            b, carry = checked
+            yield b
+            prev = (b.fs[-1], b.ws[-1])
+        if rows is not lines:
+            return lineno + len(rows), lines[len(rows):]
+        lineno += len(lines)
+    return lineno, []
+
+
+def gather_rows(blocks: Iterator[_Block], dtype, named: bool):
+    """The `Rows` of checked blocks, their values, and what `blocks` returns.
+
+    Rows keep file order, and their strings if `named`; within a row,
+    links are put in word id order.
+    """
+    firsts, names, features = [], [], []
+    words, values = [np.zeros(0, np.int32)], [np.zeros(0, dtype)]
+    try:
+        while True:
+            b = next(blocks)
+            # A block's first row may go on with the last row of the block before.
+            firsts.append(b.first)
+            names += compress(b.fs, b.first.tolist())
+            features += b.features
+            words.append(b.words)
+            values.append(b.values)
+    except StopIteration as stop:
+        end = stop.value
+    offsets = np.flatnonzero(np.concatenate([*firsts, [True]]))
+    layout, order = Rows.sort_words(features, offsets, np.concatenate(words),
+                                    names if named else None)
+    return layout, np.concatenate(values)[order], end
+
+
+def split_rows(lines: list[str], width: int):
+    """The fields of `lines` in one list, and whether no character is below the tab.
+
+    None if a line does not hold `width` tab-separated fields.
+    """
     if lines[-1][-1] != "\n":  # a file's last line may end without one
         lines[-1] += "\n"
     text = "".join(lines)
-    # Line k holds tabs 2k and 2k+1: the last comes before line break k, and
-    # no tab follows it there, as line k's count is digits from there on.
     raw = np.frombuffer(text.encode(), np.uint8)
     tabs, breaks = np.flatnonzero(raw == 9), np.flatnonzero(raw == 10)
-    if len(tabs) != 2 * n or not (tabs[1::2] < breaks).all():
-        return "expected 3 tab-separated fields"
-    fields = text.replace("\n", "\t").split("\t")
-    fs, ws, cs = fields[0:-1:3], fields[1::3], fields[2::3]
-    # Line k's count is bytes at[k] to breaks[k]. Up to 18 digits fit int64.
-    at = tabs[1::2] + 1
-    width = breaks - at
-    start = np.cumsum(width) - width
-    digit = raw[np.arange(width.sum()) + np.repeat(at - start, width)] - ord("0")
+    # Line k holds tabs m*k to m*k+m-1: the last before line break k, the next after it.
+    m = width - 1
+    if len(tabs) != m * len(breaks) or not ((tabs[m - 1::m] < breaks).all()
+                                            and (tabs[m::m] > breaks[:-1]).all()):
+        return None
+    return text.replace("\n", "\t").split("\t"), raw.min() > 8
+
+
+def _counts(cs: list[str], total: int):
+    """Counts of ASCII digits, at least 1, in uint64, or why the first is bad.
+
+    A count past the event total `total` is read as ``total + 1``.
+    """
+    text = "".join(cs)
+    digit = np.frombuffer(text.encode(), np.uint8) - ord("0")
+    width = np.fromiter(map(len, cs), np.int64, len(cs))
     if width.min() < 1 or (digit > 9).any():
         return f"bad count {cs[0]!r}"
-    huge = False
-    if width.max() <= 18:
+    start = np.cumsum(width) - width
+    if width.max() <= 18:  # up to 18 digits fit int64
         power = np.repeat(start + width, width) - np.arange(len(digit)) - 1
-        counts = np.add.reduceat(digit * 10 ** power, start)
+        counts = np.add.reduceat(digit * 10 ** power, start).astype(np.uint64)
     else:
         try:
-            values = list(map(int, cs))
+            counts = np.fromiter((min(int(c), total + 1) for c in cs), np.uint64, len(cs))
         except ValueError:  # more digits than `int` reads
             return f"bad count {cs[0]!r}"
-        # A count past the total is read as the total, so that it fits int64.
-        huge = max(values) > total
-        counts = np.fromiter(map(min, values, repeat(total)), np.int64, n)
+    if counts.min() < 1:
+        return f"count must be positive, got {counts.min()}"
+    return counts
+
+
+def read_cells(cs: list[str]):
+    """Model cells as `float` reads them, finite and at least 0, or why the first is bad."""
+    text = "\n".join(cs)
+    try:
+        # float() also reads "1_0", " 1" and non-ASCII digits; no writer does.
+        if not text.isascii() or "_" in text or text.split() != cs:
+            raise ValueError(text)
+        cells = np.fromiter(map(float, cs), np.float64, len(cs))
+    except ValueError:
+        return f"bad value {cs[0]!r}"
+    if not ((cells >= 0.0) & (cells < np.inf)).all():
+        return f"value must be finite and non-negative, got {cs[0]}"
+    return cells
+
+
+def _check(lines: list[str], prev, carry: int, total: int | None, index, parse):
+    """The `_Block` of `lines` and the count sum of its last feature, or why a row is bad.
+
+    Values are counts under the event total `total` (`_counts`), or cells
+    if it is None (`read_cells`). Rows strictly increase by (feature, word)
+    from the row keyed `prev`, whose counts sum to `carry` so far, and no
+    feature's counts sum past the total, as an event counts a feature
+    once. Given the vocabulary `index`, words are looked up, and each new
+    feature string is parsed by `parse`. There is no per-row Python; the
+    reason is a line's error message when `lines` is that one line.
+    """
+    split = split_rows(lines, 3)
+    if split is None:
+        return "expected 3 tab-separated fields"
+    (fields, plain), n = split, len(lines)
+    fs, ws, cs = fields[0:-1:3], fields[1::3], fields[2::3]
+    values = read_cells(cs) if total is None else _counts(cs, total)
+    if isinstance(values, str):
+        return values
     # Whether each row has the feature of the row before. From the row keyed
     # `prev` on, features increase from run to run and words within a run.
     same = list(map(eq, fs, [prev and prev[0], *fs]))
     names = list(compress(fs, map(not_, same)))
     runs = [prev[0], *names] if prev else names
     words = [prev and prev[1], *ws]
-    ordered = all(map(lt, runs, runs[1:])) and all(map(lt, compress(words, same),
-                                                           compress(ws, same)))
-    same = np.array(same)
-    # Feature sums in uint64 wrap only past the first partial sum past the
-    # total, which is below 2^64 as no count is.
-    part = counts.astype(np.uint64)
-    part[0] += np.uint64(carry if same[0] else 0)
-    sums = np.cumsum(part)
-    sums -= (sums - part)[np.maximum.accumulate(np.where(same, 0, np.arange(n)))]
-    if counts.min() < 1:
-        return f"count must be positive, got {counts.min()}"
-    if not ordered:
+    if not (all(map(lt, runs, runs[1:]))
+            and all(map(lt, compress(words, same), compress(ws, same)))):
         return "rows out of order"
-    if huge or counts.max() > total or sums.max() > total:
-        what = f"count {cs[0]}" if huge or counts.max() > total else f"row sum of {fs[0]}"
-        return f"{what} is more than the event total {total}"
+    same = np.array(same)
+    if total is not None:
+        # Feature sums in uint64 wrap only past the first partial sum past the
+        # total, which is below 2^64 as no count is.
+        part = values.copy()
+        part[0] += np.uint64(carry if same[0] else 0)
+        sums = np.cumsum(part)
+        sums -= (sums - part)[np.maximum.accumulate(np.where(same, 0, np.arange(n)))]
+        if values.max() > total or sums.max() > total:
+            what = f"count {cs[0]}" if values.max() > total else f"row sum of {fs[0]}"
+            return f"{what} is more than the event total {total}"
+        carry, values = int(sums[-1]), values.astype(np.int64)
+        if "\t0" in "\t" + "\t".join(cs):  # leading zeros: rewrite as `write_rows` writes rows
+            lines = list(map("{}\t{}\t{}\n".format, fs, ws, values.tolist()))
+    features = ids = None
     if index is not None:
-        if not index.keys() >= set(ws):
+        ids = np.fromiter(map(index.get, ws, repeat(-1)), np.int32, n)
+        if ids.min() < 0:
             return f"unknown word {ws[0]!r}"
-        for name in compress(names, ~parse.fast(names)):
-            try:
-                parse(name)
-            except DataError as exc:
-                return str(exc)
-    if not digit[start].all():  # leading zeros: rewrite `lines` as `write_rows` writes rows
-        lines = list(map("{}\t{}\t{}\n".format, fs, ws, counts.tolist()))
-    return _Block(lines, fs, ws, counts, ~same, raw.min() > 8), int(sums[-1])
+        try:
+            features = list(map(parse, names))
+        except DataError as exc:
+            return str(exc)
+    return _Block(lines, fs, ws, values, ~same, features, ids, plain), carry
 
 
-def _first_error(path, lineno: int, lines: list[str], prev, carry: int, total: int,
+def _first_error(path, lineno: int, lines: list[str], prev, carry: int, total: int | None,
                  index, parse) -> DataError:
     """The error of the first bad line of a block that failed `_check`: each line is checked alone."""
     for lineno, line in enumerate(lines, lineno):
-        text = line.rstrip("\n")
-        if len(text.split("\t")) != 3:
-            return line_error(path, lineno, text, _TOTAL_PREFIX, 3)
         checked = _check([line], prev, carry, total, index, parse)
         if isinstance(checked, str):
             return DataError(f"{path}:{lineno}: {checked}")
@@ -894,7 +951,7 @@ def merge_files(paths, out_path) -> None:
                     lines += b.lines[start:end]
                     fs += b.fs[start:end]
                     ws += b.ws[start:end]
-                    counts.append(b.counts[start:end])
+                    counts.append(b.values[start:end])
                     plain &= b.plain
                 pending = [d for c in pending
                            if (d := c if c[3] < len(c[1].lines) else _cursor(c[0]))]

@@ -31,7 +31,6 @@ and no `Vocabulary` holds one, so feature strings read back as written.
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
@@ -488,9 +487,6 @@ def feature_parser(vocab: Vocabulary) -> Callable[[str], Feature]:
     table, with at most one marker and a word after it, needs nothing
     more. Any other string is walked token by token, which reads markers
     past ``skip-64`` (up to 18 digits), and raises the string's first error.
-
-    The parser's `fast` attribute runs that fast-path test over many
-    strings at once (`fast_path`).
     """
     tokens = {w: i for w, i in vocab.index.items() if w}
     tokens.update(_MARKERS)
@@ -551,43 +547,4 @@ def feature_parser(vocab: Vocabulary) -> Callable[[str], Feature]:
             raise DataError(f"skip marker without adjacent words in {s!r}")
         return new(Feature, (tuple(words), skip_pos, skip_len, tag))
 
-    table = _Table({**tokens, "\n": _BREAK})  # `fast_path` puts a "\n" token between strings
-    parse.fast = lambda strings: fast_path(strings, table)
     return parse
-
-
-# Table values past every word id, in the table of `fast_path`.
-_UNKNOWN, _BREAK = 1 << 62, 1 << 61
-
-
-class _Table(dict):
-    """A token table that looks a missing token up as `_UNKNOWN`, without storing it."""
-
-    def __missing__(self, token):
-        return _UNKNOWN
-
-
-def fast_path(strings: Sequence[str], table: dict) -> np.ndarray:
-    """Which of the sorted, distinct `strings` the fast path of `parse` reads.
-
-    Only strings with the first one's head (its text before ``[``, "" or a
-    tag and ``:``) may pass: their bodies are joined, split on spaces and
-    looked up at once, and unknown tokens and markers counted per string
-    with `np.add.reduceat`. The other strings must go through `parse`.
-    """
-    ok = np.zeros(len(strings), bool)
-    head, bracket, _ = strings[0].partition("[") if strings else ("", "", "")
-    if bracket and (not head or head[-1] == ":" and is_tag(head[:-1])):
-        j = bisect_left(strings, head + "\\")  # "\\" follows "["
-        text = "\n".join(strings[:j])
-        ids = text[len(head) + 1:-1].replace(f"]\n{head}[", " \n ").split(" ")
-        ids = np.fromiter(map(table.__getitem__, ids), np.int64, len(ids))
-        breaks = np.flatnonzero(ids == _BREAK)
-        if text[-1] == "]" and len(breaks) == j - 1:  # so each string ends with "]"
-            starts = np.append(0, breaks + 1)
-            unknown = np.add.reduceat(ids == _UNKNOWN, starts, dtype=np.int64)
-            markers = np.add.reduceat(ids < 0, starts, dtype=np.int64)
-            last = ids[np.append(breaks, len(ids)) - 1]
-            # No unknown token, and one marker at most, with a word after it.
-            ok[:j] = (unknown == 0) & (markers <= 1) & (last >= 0)
-    return ok

@@ -24,14 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import UNK_ID, Vocabulary
-from .counts import HeldOut, Rows, line_error, read_preamble, write_rows
+from .counts import (HeldOut, Rows, gather_rows, line_error, read_cells, read_preamble,
+                     row_blocks, split_rows, write_rows)
 from .errors import DataError
 from .extraction import Event, Feature, feature_parser, render_feature
 from .files import atomic_write, open_text
@@ -264,95 +265,69 @@ def save_model(model: SnmModel, path, vocab: Vocabulary) -> None:
 
 
 def load_model(path, vocab: Vocabulary) -> SnmModel:
-    """Read a model file as `save_model` writes it.
+    """Read a model file as `save_model` writes it, a block of rows at a time.
 
     Line 1 is the header and line 2 the `#vocab-size` line, naming the size
-    of `vocab`. Link rows follow, strictly increasing by (feature, word),
-    then one `#normalizers` line and the normalizers, one per row in row
-    order: the i-th names the i-th row's feature and is the `math.fsum` of
-    that row within `_NORM_RTOL`. Any other line, a blank one included, is
-    rejected with the file and line. Rows keep file order; within a row,
-    links are put in word id order.
+    of `vocab`. Link rows follow, checked as count rows are (`row_blocks`),
+    then one `#normalizers` line and the normalizers (`_normalizers`). Any
+    other line, a blank one included, is rejected with the file and line.
+    Lines are read as written, with no line ending translated. Rows keep
+    file order; within a row, links are put in word id order.
     """
-    # Each row's feature string, feature and first link, in row order.
-    names: list[str] = []
-    features: list[Feature] = []
-    starts: list[int] = []
-    words: list[int] = []
-    cells: list[float] = []
-    norms: list[float] = []
-    parse = feature_parser(vocab)
-    in_norms = False
-    last_link: tuple[str, str] | None = None
-    inf = math.inf
-    with open_text(path) as fh:
+    with open_text(path, newline="\n") as fh:
         size = read_preamble([fh.readline(), fh.readline()], path, "model", MODEL_HEADER,
                              _SIZE_PREFIX)
         if size != str(len(vocab)):
             raise DataError(f"{path}:2: model was built with {size} words, vocab has {len(vocab)}")
-        for lineno, line in enumerate(fh, start=3):
-            line = line.rstrip("\n")
-            if line == _NORM_SECTION:
-                if in_norms:
-                    raise DataError(f"{path}:{lineno}: {_NORM_SECTION} must come once")
-                in_norms = True
-                starts.append(len(cells))
-                continue
-            parts = line.split("\t")
-            fields = 2 if in_norms else 3
-            if len(parts) != fields or line[0] == "#":
-                raise line_error(path, lineno, line, _SIZE_PREFIX, fields)
-            text = parts[-1]
-            try:
-                # float() also reads "1_0", " 1" and non-ASCII digits; no writer does.
-                if not text.isascii() or "_" in text or text.strip() != text:
-                    raise ValueError(text)
-                value = float(text)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad value {text!r}") from None
-            if not 0.0 <= value < inf:
-                raise DataError(
-                    f"{path}:{lineno}: value must be finite and non-negative, got {text}"
-                )
-            fs = parts[0]
-            if in_norms:
-                i = len(norms)
-                if i == len(names) or names[i] != fs:
-                    expected = repr(names[i]) if i < len(names) else "no more"
-                    raise DataError(f"{path}:{lineno}: normalizers come one per row, in row "
-                                    f"order: expected {expected}, got {fs!r}")
-                try:
-                    row_sum = math.fsum(cells[starts[i] : starts[i + 1]])
-                except OverflowError:  # the cells sum past the largest float
-                    row_sum = inf
-                if not math.isclose(value, row_sum, rel_tol=_NORM_RTOL):
-                    raise DataError(
-                        f"{path}:{lineno}: normalizer {text} of {fs!r} is not its row's sum "
-                        f"{row_sum!r}"
-                    )
-                norms.append(value)
-                continue
-            key = (fs, parts[1])
-            if last_link is not None and key <= last_link:
-                raise DataError(f"{path}:{lineno}: rows out of order")
-            wid = vocab.index.get(parts[1])
-            if wid is None:
-                raise DataError(f"{path}:{lineno}: unknown word {parts[1]!r}")
-            if last_link is None or fs != last_link[0]:
-                # Rows are sorted and parsing is one-to-one, so a new string
-                # is a new feature.
-                try:
-                    features.append(parse(fs))
-                except DataError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from None
-                names.append(fs)
-                starts.append(len(cells))
-            last_link = key
-            words.append(wid)
-            cells.append(value)
-    if len(norms) < len(names):
-        raise DataError(f"{path}: {len(names) - len(norms)} rows lack a normalizer entry")
-    offsets = np.array([*starts[: len(names)], len(cells)], dtype=np.int64)
-    layout, order = Rows.sort_words(features, offsets, np.array(words, dtype=np.int32))
-    return SnmModel(layout, np.array(cells, dtype=np.float64)[order],
-                    np.array(norms, dtype=np.float64))
+        rows = row_blocks(path, fh, None, vocab.index, feature_parser(vocab))
+        layout, cells, (lineno, rest) = gather_rows(rows, np.float64, True)
+        if rest and rest[0].rstrip("\n") != _NORM_SECTION:
+            raise line_error(path, lineno, rest[0].rstrip("\n"), _SIZE_PREFIX, 3)
+        lines = [*rest[1:], *fh]
+    off, values = layout.offsets.tolist(), cells.tolist()
+    sums = [_fsum(values[a:b]) for a, b in zip(off, off[1:])]
+    norms = _normalizers(path, lineno + 1, lines, layout.names, sums) if lines else np.zeros(0)
+    if len(norms) < len(layout):
+        raise DataError(f"{path}: {len(layout) - len(norms)} rows lack a normalizer entry")
+    return SnmModel(layout, cells, norms)
+
+
+def _fsum(cells: list[float]) -> float:
+    """`math.fsum` of the cells, or inf where it passes the largest float."""
+    try:
+        return math.fsum(cells)
+    except OverflowError:
+        return math.inf
+
+
+def _normalizers(path, lineno: int, lines: list[str], names: list[str],
+                 sums: list[float]) -> np.ndarray:
+    """The normalizers on `lines`, which start at line `lineno`, of rows `names` that sum to `sums`.
+
+    Line i names row i, ``names[i]``, and its value, read as a cell, is
+    within `_NORM_RTOL` of ``sums[i]``, the `math.fsum` of the row. The
+    lines are checked at once; only if they fail is each checked alone,
+    which raises the error of the first bad line.
+    """
+    split, n = split_rows(lines, 2), len(lines)
+    if split is not None:
+        fs, vs = split[0][0:-1:2], split[0][1::2]
+        if isinstance(norms := read_cells(vs), str):
+            why = norms
+        elif fs != names[:n]:
+            expected = repr(names[0]) if names else "no more"
+            why = f"normalizers come one per row, in row order: expected {expected}, got {fs[0]!r}"
+        elif all(map(partial(math.isclose, rel_tol=_NORM_RTOL), norms.tolist(), sums)):
+            return norms
+        else:
+            why = f"normalizer {vs[0]} of {fs[0]!r} is not its row's sum {sums[0]!r}"
+    if n > 1:
+        for i in range(n):
+            _normalizers(path, lineno + i, lines[i:i + 1], names[i:], sums[i:])
+        raise AssertionError(f"{path}:{lineno}: each line passes the check its lines failed")
+    text = lines[0].rstrip("\n")
+    if text == _NORM_SECTION:
+        raise DataError(f"{path}:{lineno}: {_NORM_SECTION} must come once")
+    if split is None or text[:1] == "#":
+        raise line_error(path, lineno, text, _SIZE_PREFIX, 2)
+    raise DataError(f"{path}:{lineno}: {why}")

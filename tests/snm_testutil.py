@@ -18,12 +18,15 @@ extraction and the per-occurrence count of events into a store.
 reader and heap merge that the block reader of `snmlm.counts` replaced;
 `oracle_trailer` reads a count file's trailer line by line, and `seal`
 ends a hand-written count file with the trailer a writer would add.
+`oracle_load_model` is the per-line model-file reader that the same block
+reader replaced.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
 import re
 from contextlib import closing
@@ -43,7 +46,7 @@ from snmlm.files import atomic_write, open_text
 from snmlm.metafeatures import (
     LinkDesign, Mode, _bucket_hash, buckets, combine, feature_type, fingerprint,
 )
-from snmlm.model import SnmModel, adjusted_cells, materialize
+from snmlm.model import MODEL_HEADER, SnmModel, adjusted_cells, materialize
 
 FIVE_GRAM_CONFIG = """
 // straight 5-gram features
@@ -733,3 +736,97 @@ def oracle_merge_counts(paths, out_path) -> None:
     finally:
         for s in streams:
             s.close()
+
+
+_NORM_SECTION = "#normalizers"
+_SIZE_PREFIX = "#vocab-size "
+
+
+def oracle_load_model(path, vocab: Vocabulary) -> SnmModel:
+    """`load_model` as one pass over the lines, checking each line before the next.
+
+    Lines are read as written, with no line ending translated. Each feature
+    string is parsed once, at its first row; a normalizer is matched to its
+    row by its string and is the row's `math.fsum` within 1e-9 relative.
+    """
+    names: list[str] = []
+    features: list[Feature] = []
+    starts: list[int] = []
+    words: list[int] = []
+    cells: list[float] = []
+    norms: list[float] = []
+    parse = feature_parser(vocab)
+    in_norms = False
+    last_link: tuple[str, str] | None = None
+    inf = math.inf
+    with open_text(path, newline="\n") as fh:
+        size = read_preamble([fh.readline(), fh.readline()], path, "model", MODEL_HEADER,
+                             _SIZE_PREFIX)
+        if size != str(len(vocab)):
+            raise DataError(f"{path}:2: model was built with {size} words, vocab has {len(vocab)}")
+        for lineno, line in enumerate(fh, start=3):
+            line = line.rstrip("\n")
+            if line == _NORM_SECTION:
+                if in_norms:
+                    raise DataError(f"{path}:{lineno}: {_NORM_SECTION} must come once")
+                in_norms = True
+                starts.append(len(cells))
+                continue
+            parts = line.split("\t")
+            fields = 2 if in_norms else 3
+            if len(parts) != fields or line[0] == "#":
+                raise line_error(path, lineno, line, _SIZE_PREFIX, fields)
+            text = parts[-1]
+            try:
+                # float() also reads "1_0", " 1" and non-ASCII digits; no writer does.
+                if not text.isascii() or "_" in text or text.strip() != text:
+                    raise ValueError(text)
+                value = float(text)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad value {text!r}") from None
+            if not 0.0 <= value < inf:
+                raise DataError(
+                    f"{path}:{lineno}: value must be finite and non-negative, got {text}"
+                )
+            fs = parts[0]
+            if in_norms:
+                i = len(norms)
+                if i == len(names) or names[i] != fs:
+                    expected = repr(names[i]) if i < len(names) else "no more"
+                    raise DataError(f"{path}:{lineno}: normalizers come one per row, in row "
+                                    f"order: expected {expected}, got {fs!r}")
+                try:
+                    row_sum = math.fsum(cells[starts[i] : starts[i + 1]])
+                except OverflowError:  # the cells sum past the largest float
+                    row_sum = inf
+                if not math.isclose(value, row_sum, rel_tol=1e-9):
+                    raise DataError(
+                        f"{path}:{lineno}: normalizer {text} of {fs!r} is not its row's sum "
+                        f"{row_sum!r}"
+                    )
+                norms.append(value)
+                continue
+            key = (fs, parts[1])
+            if last_link is not None and key <= last_link:
+                raise DataError(f"{path}:{lineno}: rows out of order")
+            wid = vocab.index.get(parts[1])
+            if wid is None:
+                raise DataError(f"{path}:{lineno}: unknown word {parts[1]!r}")
+            if last_link is None or fs != last_link[0]:
+                # Rows are sorted and parsing is one-to-one, so a new string
+                # is a new feature.
+                try:
+                    features.append(parse(fs))
+                except DataError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                names.append(fs)
+                starts.append(len(cells))
+            last_link = key
+            words.append(wid)
+            cells.append(value)
+    if len(norms) < len(names):
+        raise DataError(f"{path}: {len(names) - len(norms)} rows lack a normalizer entry")
+    offsets = np.array([*starts[: len(names)], len(cells)], dtype=np.int64)
+    layout, order = Rows.sort_words(features, offsets, np.array(words, dtype=np.int32))
+    return SnmModel(layout, np.array(cells, dtype=np.float64)[order],
+                    np.array(norms, dtype=np.float64))

@@ -727,11 +727,13 @@ def test_inspect_names_the_line_of_an_unparsable_feature(workdir, capsys):
     assert "bad.tsv:3: unknown token 'zz'" in err
 
 
-def _eval_bad_model(workdir, capsys, body: str, size_line: bool = True) -> str:
+def _eval_bad_model(workdir, capsys, body: str, how: str = "") -> str:
+    """Run `eval` on a model file of `body` after the preamble; `how` is a fourth table item."""
     vocab = _w_vocab(workdir)
     bad = workdir / "bad-model.tsv"
-    size = f"#vocab-size {len(Vocabulary.load(vocab))}\n" if size_line else ""
-    bad.write_text(f"#snm-model v1\n{size}{body}", encoding="utf-8")
+    size = "" if how == "no size line" else f"#vocab-size {len(Vocabulary.load(vocab))}\n"
+    newline = {"CRLF": "\r\n", "CR": "\r"}.get(how)
+    bad.write_text(f"#snm-model v1\n{size}{body}", encoding="utf-8", newline=newline)
     capsys.readouterr()
     assert main([
         "eval", "--model", _p(bad), "--test", _p(workdir / "tiny.txt"),
@@ -760,6 +762,8 @@ def test_eval_names_the_line_of_an_unparsable_normalizer(workdir, capsys):
 # header alone when a fourth item says so) and the line and message each is
 # rejected with. Values are what `float` reads, less `_`,
 # surrounding whitespace and non-ASCII text; a link or normalizer comes once.
+# A model file is read as written: one whose lines end in CRLF or CR, as a
+# fourth item writes it, has no header line.
 _BAD_MODEL_LINES = {
     "underscore value": ("[]\tw\t1_0.5\n#normalizers\n[]\t1.0\n", 3, "bad value '1_0.5'"),
     "spaced value": ("[]\tw\t 1.0\n#normalizers\n[]\t1.0\n", 3, "bad value ' 1.0'"),
@@ -800,13 +804,30 @@ _BAD_MODEL_LINES = {
                                      "normalizer 1.0 of '[]' is not its row's sum 1.5"),
     "blank normalizer line": ("[]\tw\t1.0\n#normalizers\n\n[]\t1.0\n", 5,
                               "expected 2 tab-separated fields"),
+    "CRLF line endings": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\n", 1,
+                          "not a model file (bad header)", "CRLF"),
+    "CR line endings": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\n", 1,
+                        "not a model file (bad header)", "CR"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_BAD_MODEL_LINES))
 def test_eval_rejects_bad_model_lines(workdir, capsys, kind):
-    body, lineno, message, *no_size_line = _BAD_MODEL_LINES[kind]
-    err = _eval_bad_model(workdir, capsys, body, size_line=not no_size_line)
+    body, lineno, message, *how = _BAD_MODEL_LINES[kind]
+    err = _eval_bad_model(workdir, capsys, body, *how)
+    assert f"bad-model.tsv:{lineno}: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("block_lines", [1, 2])
+@pytest.mark.parametrize("kind", sorted(_BAD_MODEL_LINES))
+def test_bad_model_lines_are_named_alike_after_a_block_boundary(workdir, capsys, monkeypatch,
+                                                                kind, block_lines):
+    # Link rows are read a block at a time: the line each case names comes
+    # after a block boundary when it is a row.
+    monkeypatch.setattr(snmlm.counts, "_BLOCK_LINES", block_lines)
+    body, lineno, message, *how = _BAD_MODEL_LINES[kind]
+    err = _eval_bad_model(workdir, capsys, body, *how)
     assert f"bad-model.tsv:{lineno}: {message}" in err
     assert "Traceback" not in err
 

@@ -23,6 +23,11 @@ it may raise only a `DataError` naming the file.
 A model file may still exit 0 after a mutation that leaves a file the
 writer could have written. It cannot lose a cell that way, though: its
 normalizer is no longer the row's sum.
+
+Written and mutated model files of tagged n-gram and skip features are also
+read by `load_model` at several block sizes, which must give what the
+per-line reader `oracle_load_model` gives: the same rows and cells bit for
+bit, or the same error.
 """
 
 import io
@@ -35,10 +40,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import snmlm.counts
 from snmlm.adjustment import _ADJ_HEADER, _ADJ_MAGIC, AdjustmentModel
 from snmlm.cli import main
+from snmlm.corpus import build_vocab
 from snmlm.counts import merge_files
 from snmlm.errors import DataError
+from snmlm.extraction import Feature, render_feature
+from snmlm.model import load_model
+
+from snm_testutil import oracle_load_model, outcome
 
 _SKIP_CONFIG = """\
 ngram_extractor { min_n: 0 max_n: 2 }
@@ -273,6 +284,64 @@ def test_mutated_corpus_text_exits_0_or_names_its_file(written, command, data):
     path = wd / "mutated-text.txt"
     path.write_bytes(mutated)
     _exits_0_or_names(argv(wd, path), path, expected)
+
+
+# Words that start like a skip marker and are none, a "]" and a character below the tab.
+_ODD_VOCAB = build_vocab(["a", "b", "c", "skip-x", "skip-", "skip-07", "a]\x01", "b]"],
+                         min_count=1)
+# Cells that must read back bit for bit: a sum past the largest float, 0.1 + 0.2
+# and subnormals among them.
+_CELLS = [1e308, 0.1 + 0.2, 5e-324, 2.5e-310, 1 / 3, 1.0, 0.0]
+
+
+@st.composite
+def _model_file(draw, vocab) -> bytes:
+    """A model file of tagged n-gram and skip features over `vocab`, as `save_model` writes one.
+
+    A row whose cells sum past the largest float gets the normalizer 1e308.
+    """
+    names = set()
+    for _ in range(draw(st.integers(1, 6))):
+        words = tuple(draw(st.lists(st.integers(0, len(vocab) - 1), max_size=3)))
+        skip_pos = draw(st.none() | st.integers(0, len(words) - 1)) if words else None
+        skip_len = draw(st.none() | st.integers(1, 70)) if skip_pos is not None else None
+        tag = draw(st.sampled_from([None, "a", "web"]))
+        names.add(render_feature(Feature(words, skip_pos, skip_len, tag), vocab))
+    rows, norms = [], []
+    for name in sorted(names):
+        links = draw(st.dictionaries(st.sampled_from(vocab.words), st.sampled_from(_CELLS),
+                                     min_size=1, max_size=3))
+        rows += [f"{name}\t{w}\t{c!r}\n" for w, c in sorted(links.items())]
+        try:
+            norms.append(f"{name}\t{math.fsum(links.values())!r}\n")
+        except OverflowError:
+            norms.append(f"{name}\t1e308\n")
+    return (f"#snm-model v1\n#vocab-size {len(vocab)}\n{''.join(rows)}"
+            f"#normalizers\n{''.join(norms)}").encode("utf-8")
+
+
+def _model_items(model):
+    """A loaded model's rows, in order, with its cells and row sums as bytes; or its error."""
+    if isinstance(model, str):
+        return model
+    layout = model.layout
+    return (layout.features, layout.offsets.tolist(), layout.words.tolist(),
+            model.cells.tobytes(), model.row_sums.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_model_reader_equals_the_line_reader(tmp_path_factory, data):
+    written = data.draw(_model_file(_ODD_VOCAB))
+    text = data.draw(st.one_of(st.just(written),
+                               _mutation("model", written).map(lambda m: m[0])))
+    path = tmp_path_factory.mktemp("model") / "model.tsv"
+    path.write_bytes(text)
+    expected = _model_items(outcome(lambda: oracle_load_model(path, _ODD_VOCAB)))
+    for block_lines in (1, 2, 3, snmlm.counts._BLOCK_LINES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(snmlm.counts, "_BLOCK_LINES", block_lines)
+            assert _model_items(outcome(lambda: load_model(path, _ODD_VOCAB))) == expected
 
 
 # Values for each header field: table size, gamma, delta0, mode, hash scheme.
