@@ -235,6 +235,10 @@ class CountStore:
         row, a non-canonical one included, keeps nothing. Kept rows keep
         their strings as `names`.
 
+        The strings of `keep` are sorted and screened once (`_screen`), and
+        each block's kept rows found by bisection (`_pick`), with no key
+        function for a printable string.
+
         With `keep`, only the kept rows are split and checked (`row_blocks`):
         every other row is trusted for the trailer's digest, which the
         whole file is hashed against, with the trailer's row count and
@@ -255,7 +259,7 @@ class CountStore:
         if keep is None:
             return read(None)
         with suppress(DataError):
-            return read(sorted(set(keep)))
+            return read(_screen(keep))
         read(None)  # raises the error of the first bad line, or of the trailer
         raise AssertionError(f"{path}: the full check passes where the kept rows failed theirs")
 
@@ -351,25 +355,49 @@ def _rank_key(columns: Sequence[np.ndarray], base: int) -> np.ndarray:
     return key
 
 
+def rendered(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """``f"{value}"`` of each distinct value, once, and the index of each value's string.
+
+    Values are told apart by their 64-bit patterns, so ``-0.0`` and ``0.0``
+    (and NaN payloads) each keep their own string. A sort and a search, not
+    `np.unique`, which holds more arrays of every value at once with
+    `return_inverse` and builds a hash table without: either raised the peak
+    RSS of `snmlm count` runs in one process by about 2 MB.
+    """
+    bits = values.view(np.int64)
+    distinct = np.sort(bits)
+    new = np.ones(len(distinct), bool)
+    np.not_equal(distinct[1:], distinct[:-1], out=new[1:])
+    distinct = distinct[new]
+    return [f"{v}" for v in distinct.view(values.dtype).tolist()], np.searchsorted(distinct, bits)
+
+
 def write_rows(fh, names: list[str], row: np.ndarray, word: np.ndarray, value: np.ndarray,
                vocab: Vocabulary) -> np.ndarray:
     """Write link i as ``names[row[i]]<TAB>word<TAB>value[i]``, sorted by (feature, word) string.
 
     The one writer of count and model rows: ``f"{value}"`` renders a count
-    as `str(int)` and a model cell as `repr(float)`. Feature names and
-    vocabulary words are ranked once each, and the links ordered on one key
-    of the two ranks; rows are written `_BLOCK_LINES` at a time. Returns
-    the rank of each feature's name.
+    as `str(int)` and a model cell as `repr(float)`, once per distinct
+    value (`rendered`). Feature names and vocabulary words are ranked once
+    each, and the links ordered on one key of the two ranks. Returns the
+    rank of each feature's name.
     """
     rank = _ranks(names)
-    key = _rank_key([rank[row], _ranks(vocab.words)[word]], max(len(names), len(vocab)))
-    order = np.argsort(key)
+    order = np.argsort(_rank_key([rank[row], _ranks(vocab.words)[word]],
+                                 max(len(names), len(vocab))))
+    write_lines(fh, order, [(names, row), (vocab.words, word), rendered(value)])
+    return rank
+
+
+def write_lines(fh, order: np.ndarray, columns: Sequence[tuple[Sequence[str], np.ndarray]]) -> None:
+    """Write a line per entry i of `order`: each column's ``strings[index[i]]``, tab-separated.
+
+    Lines are joined and written `_BLOCK_LINES` at a time.
+    """
     for lo in range(0, len(order), _BLOCK_LINES):
         at = order[lo : lo + _BLOCK_LINES]
-        fs = map(names.__getitem__, row[at].tolist())
-        ws = map(vocab.words.__getitem__, word[at].tolist())
-        fh.write("".join([f"{f}\t{w}\t{v}\n" for f, w, v in zip(fs, ws, value[at].tolist())]))
-    return rank
+        fields = [map(strings.__getitem__, index[at].tolist()) for strings, index in columns]
+        fh.write("\n".join(map("\t".join, zip(*fields))) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -685,17 +713,35 @@ def _feature(line: str) -> str:
     return line[:line.find("\t")]
 
 
-def _pick(lines: list[str], keep: list[str]) -> list[str]:
-    """The lines, rows sorted by feature, whose feature is one of the sorted strings `keep`.
+def _screen(keep: Iterable[str]) -> tuple[list[str], set[str]]:
+    """The sorted distinct strings of `keep`, and those `_pick` bisects for with a key.
 
-    Each kept feature's first row is bisected for on the feature field
-    alone, as a character below the tab sorts a whole line apart from its
-    feature; its other rows follow it.
+    Those are the strings that are not printable: every string with a
+    character at or below the tab (the tab and the newline, which name no
+    row, included), and the rare one with another control or format
+    character, for which the key is exact too.
     """
+    names = sorted(set(keep))
+    return names, {s for s in names if not s.isprintable()}
+
+
+def _pick(lines: list[str], keep: tuple[list[str], set[str]]) -> list[str]:
+    """The lines, rows sorted by feature, whose feature is one of the strings `keep` screened.
+
+    `keep` is what `_screen` gives. Each kept feature's first row is
+    bisected for, and its other rows follow it. A printable string holds
+    no character at or below the tab, and is bisected for among whole
+    lines, with no key: a row's feature ends in a tab, which sorts below
+    every character of the string, so a line sorts before the string
+    exactly when its feature does. Any other string is bisected for on the
+    feature field alone (`_feature`), as a character below the tab sorts a
+    whole line apart from its feature.
+    """
+    names, keyed = keep
     picked, at = [], 0
-    for name in keep[bisect_left(keep, _feature(lines[0])) :
-                     bisect_right(keep, _feature(lines[-1]))]:
-        end = at = bisect_left(lines, name, at, key=_feature)
+    for name in names[bisect_left(names, _feature(lines[0])) :
+                      bisect_right(names, _feature(lines[-1]))]:
+        end = at = bisect_left(lines, name, at, key=_feature if name in keyed else None)
         head = name + "\t"
         while end < len(lines) and lines[end].startswith(head):
             end += 1
@@ -705,7 +751,7 @@ def _pick(lines: list[str], keep: list[str]) -> list[str]:
 
 
 def _blocks(path, index=None, parse=None, vocab: str | None = None,
-            keep: list[str] | None = None, seal: list | None = None) -> Iterator:
+            keep: tuple[list[str], set[str]] | None = None, seal: list | None = None) -> Iterator:
     """The event total of a count file, at most 2^63-1, then its rows (`row_blocks`).
 
     Lines are read as written, with no line ending translated, and hashed.
@@ -735,15 +781,15 @@ def _blocks(path, index=None, parse=None, vocab: str | None = None,
 
 
 def row_blocks(path, fh, total: int | None, index=None, parse=None,
-               keep: list[str] | None = None, sha=None) -> Iterator[_Block]:
+               keep: tuple[list[str], set[str]] | None = None, sha=None) -> Iterator[_Block]:
     """The rows of a count file of event total `total`, or of a model file if None, as `_Block`s.
 
     Rows start at line 3 and end at the first line that starts with ``#``;
     their text is hashed into `sha` if given. They are checked
     `_BLOCK_LINES` at a time (`_check`), and the lines of a block that
     fails one by one (`_first_error`), to name its first bad line. With
-    `keep`, sorted feature strings, only the rows of those features are
-    checked (`_pick`), and a kept row that fails raises its reason.
+    `keep`, feature strings as `_screen` gives them, only the rows of those
+    features are checked (`_pick`), and a kept row that fails raises its reason.
     Returns the number of the line after the rows and the lines read from
     it on.
     """

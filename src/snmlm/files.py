@@ -21,16 +21,18 @@ def open_text(path, newline=None):
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
+            raise _not_utf8(path, exc, newline) from None
 
 
-def _not_utf8(path, exc: UnicodeDecodeError) -> DataError:
+def _not_utf8(path, exc: UnicodeDecodeError, newline=None) -> DataError:
     """The error naming the first line of `path` that is not UTF-8.
 
-    Lines end at ``\n``, ``\r\n`` or ``\r``, as text readers count them.
+    Lines are counted as the reader opened with `newline` counts them: at
+    ``\n`` alone for ``"\n"``, else at ``\n``, ``\r\n`` or ``\r``.
     """
     with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
+        data = fh.read()
+    lines = data.split(b"\n") if newline == "\n" else data.splitlines()
     for lineno, line in enumerate(lines, start=1):
         try:
             line.decode("utf-8")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .corpus import UNK_ID, Vocabulary
 from .counts import (HeldOut, Rows, gather_rows, line_error, read_cells, read_preamble,
-                     row_blocks, split_rows, write_rows)
+                     rendered, row_blocks, split_rows, write_lines, write_rows)
 from .errors import DataError
 from .extraction import Event, Feature, feature_parser, render_feature
 from .files import atomic_write, open_text
@@ -255,13 +255,12 @@ def perplexity(model: SnmModel, events: HeldOut | Iterable[Event]) -> EvalReport
 
 def save_model(model: SnmModel, path, vocab: Vocabulary) -> None:
     names = model.layout.strings(vocab)
-    norms = model.row_sums.tolist()
     with atomic_write(path) as fh:
         fh.write(f"{MODEL_HEADER}\n{_SIZE_PREFIX}{len(vocab)}\n")
         rank = write_rows(fh, names, model.layout.row, model.layout.words, model.cells, vocab)
         fh.write(_NORM_SECTION + "\n")
-        for i in np.argsort(rank).tolist():
-            fh.write(f"{names[i]}\t{norms[i]}\n")
+        write_lines(fh, np.argsort(rank), [(names, np.arange(len(names))),
+                                           rendered(model.row_sums)])
 
 
 def load_model(path, vocab: Vocabulary) -> SnmModel:

@@ -20,15 +20,21 @@ reader and heap merge that the block reader of `snmlm.counts` replaced;
 ends a hand-written count file with the trailer a writer would add.
 `oracle_load_model` is the per-line model-file reader that the same block
 reader replaced.
+`oracle_write_rows` is the row writer that renders every value where it
+writes it, and `oracle_save_counts` and `oracle_save_model` write whole
+files with it; `oracle_pick` finds a block's kept rows by bisecting on the
+feature field of every row.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import io
 import math
 import random
 import re
+from bisect import bisect_left, bisect_right
 from contextlib import closing
 from itertools import chain
 from typing import Iterator, NamedTuple
@@ -830,3 +836,62 @@ def oracle_load_model(path, vocab: Vocabulary) -> SnmModel:
     layout, order = Rows.sort_words(features, offsets, np.array(words, dtype=np.int32))
     return SnmModel(layout, np.array(cells, dtype=np.float64)[order],
                     np.array(norms, dtype=np.float64))
+
+
+# ---------------------------------------------------------------------------
+# The per-row writer and the keyed pick
+
+def oracle_write_rows(fh, names: list[str], row: np.ndarray, word: np.ndarray, value: np.ndarray,
+                      vocab: Vocabulary) -> None:
+    """`write_rows` one row at a time, each value rendered as ``f"{value}"`` where it is written.
+
+    Rows go in (feature string, word string) order.
+    """
+    fs, ws = [names[r] for r in row.tolist()], [vocab.words[w] for w in word.tolist()]
+    order = sorted(range(len(fs)), key=lambda i: (fs[i], ws[i]))
+    vs = value.tolist()
+    fh.write("".join([f"{fs[i]}\t{ws[i]}\t{vs[i]}\n" for i in order]))
+
+
+def oracle_save_counts(store: CountStore, path, vocab: Vocabulary) -> None:
+    """`CountStore.save` through `oracle_write_rows`, sealed by `seal`."""
+    text = io.StringIO()
+    text.write(f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{store.total_events}\n")
+    oracle_write_rows(text, store.layout.strings(vocab), store.layout.row, store.layout.words,
+                      store.counts, vocab)
+    with atomic_write(path) as fh:
+        fh.write(seal(text.getvalue(), vocab))
+
+
+def oracle_save_model(model: SnmModel, path, vocab: Vocabulary) -> None:
+    """`save_model` through `oracle_write_rows`, then one normalizer line written at a time."""
+    names = model.layout.strings(vocab)
+    norms = model.row_sums.tolist()
+    with atomic_write(path) as fh:
+        fh.write(f"{MODEL_HEADER}\n{_SIZE_PREFIX}{len(vocab)}\n")
+        oracle_write_rows(fh, names, model.layout.row, model.layout.words, model.cells, vocab)
+        fh.write(_NORM_SECTION + "\n")
+        for i in sorted(range(len(names)), key=names.__getitem__):
+            fh.write(f"{names[i]}\t{norms[i]}\n")
+
+
+def _feature(line: str) -> str:
+    return line[:line.find("\t")]
+
+
+def oracle_pick(lines: list[str], keep: list[str]) -> list[str]:
+    """The lines, rows sorted by feature, whose feature is one of the sorted strings `keep`.
+
+    Each kept feature's first row is bisected for on the feature field
+    alone; its other rows follow it.
+    """
+    picked, at = [], 0
+    for name in keep[bisect_left(keep, _feature(lines[0])) :
+                     bisect_right(keep, _feature(lines[-1]))]:
+        end = at = bisect_left(lines, name, at, key=_feature)
+        head = name + "\t"
+        while end < len(lines) and lines[end].startswith(head):
+            end += 1
+        picked += lines[at:end]
+        at = end
+    return picked

@@ -535,6 +535,30 @@ def test_a_byte_that_is_not_utf8_is_reported_with_its_file_and_line(pipeline, ca
             merge_files([path, path], wd / "merged.tsv")
 
 
+# Per text input, the line given a lone CR, and the line a 0xff on the line
+# after it is named at: count and model files are read as written, so a CR
+# ends no line there; every other text input is read with universal newlines.
+_LONE_CR = {"counts": (5, 6), "model": (5, 6), "vocabulary": (2, 4), "corpus": (2, 4),
+            "config": (2, 4)}
+
+
+@pytest.mark.parametrize("kind", sorted(_TEXT_INPUTS))
+def test_a_byte_that_is_not_utf8_is_named_at_the_line_its_reader_counts(pipeline, capsys, kind):
+    wd = pipeline
+    _trained_model_lines(wd)
+    name, argv = _TEXT_INPUTS[kind]
+    path = wd / name
+    cr, lineno = _LONE_CR[kind]
+    lines = path.read_bytes().split(b"\n")
+    lines[cr - 1] = lines[cr - 1][:1] + b"\r" + lines[cr - 1][1:]
+    lines[cr] = lines[cr][:1] + b"\xff" + lines[cr][1:]
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(argv(wd)) == 2
+    assert capsys.readouterr().err == (f"snmlm: {path}:{lineno}: byte 0xff at column 2 "
+                                       "is not UTF-8 (invalid start byte)\n")
+
+
 def test_eval_rejects_vocab_of_another_size(pipeline, capsys):
     wd = pipeline
     _trained_model_lines(wd)

@@ -15,6 +15,7 @@ from snmlm.corpus import E_ID, S_ID, build_vocab, map_tokens
 from snmlm.counts import COUNTS_HEADER, CountStore, accumulate, merge_files
 from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature, extract_events, parse_config, render_feature
+from snmlm.model import SnmModel, save_model
 
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
@@ -24,6 +25,9 @@ from snm_testutil import (
     extract_corpus_events,
     oracle_load_counts,
     oracle_merge_counts,
+    oracle_pick,
+    oracle_save_counts,
+    oracle_save_model,
     outcome,
     seal,
     strip_tags,
@@ -666,6 +670,16 @@ _NOT_CANONICAL = (lambda s: s.replace("[", "[ ", 1), lambda s: s[:-1] + " ]",
                   lambda s: f" {s}", lambda s: f"{s} ")
 
 
+def _near_names(rows, named, names) -> list[str]:
+    """Strings near the row strings `named` that name no row of `names`.
+
+    A row's ``feature<TAB>word``, a name and a newline or a NUL, and the
+    prefixes of a name that are not names.
+    """
+    return [*(f"{f}\t{w}" for f, w, *_ in rows), *(s + end for s in named for end in "\n\x00"),
+            *(s[:k] for s in named for k in range(len(s)) if s[:k] not in names)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_load_keeps_exactly_the_rows_its_strings_name(tmp_path_factory, odd_vocab, data):
@@ -679,7 +693,8 @@ def test_load_keeps_exactly_the_rows_its_strings_name(tmp_path_factory, odd_voca
     assert len(names) == len(whole)
     named = data.draw(st.lists(st.sampled_from(names), max_size=len(names)))
     absent = [s for s in data.draw(_features(odd_vocab))[1] if s not in names]
-    odd = ["[a  b]", *(variant(s) for s in named for variant in _NOT_CANONICAL)]
+    odd = ["[a  b]", *(variant(s) for s in named for variant in _NOT_CANONICAL),
+           *_near_names(rows, named, names)]
     keep = data.draw(st.permutations(named + absent + odd))
     for block_lines in (1, 3, snmlm.counts._BLOCK_LINES):
         with pytest.MonkeyPatch.context() as mp:
@@ -731,6 +746,91 @@ def test_a_keyed_read_checks_only_the_kept_rows(tmp_path_factory, odd_vocab, dat
             full = outcome(lambda: CountStore.load(changed, odd_vocab))
             assert full.startswith(f"DataError: {changed}:")
             assert outcome(lambda: CountStore.load(changed, odd_vocab, keep)) == full
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_pick_keeps_the_rows_the_keyed_bisection_kept(odd_vocab, data):
+    # Blocks of sorted rows whose features may hold a character below the
+    # tab (the word "a]\x01", or a feature's string and "\x01"), and keep
+    # strings near the rows' own.
+    rows, _, _ = data.draw(_count_files(odd_vocab))
+    below = data.draw(st.sets(st.sampled_from(sorted({f for f, *_ in rows})), max_size=3))
+    rows += [(f + "\x01", "a", 1, 0) for f in below]
+    lines = [f"{f}\t{w}\t{'0' * pad}{c}\n" for f, w, c, pad in sorted(rows)]
+    names = sorted({name for name, *_ in rows})
+    keep = (data.draw(st.lists(st.sampled_from(names), max_size=len(names)))
+            + data.draw(st.lists(st.sampled_from(_near_names(rows, names, names)), max_size=20)))
+    screened = snmlm.counts._screen(keep)
+    for block_lines in (1, 2, 3, snmlm.counts._BLOCK_LINES):
+        for lo in range(0, len(lines), block_lines):
+            block = lines[lo : lo + block_lines]
+            assert snmlm.counts._pick(block, screened) == oracle_pick(block, sorted(set(keep)))
+
+
+def test_a_keyed_read_calls_no_key_function_per_printable_name(tmp_path, monkeypatch):
+    # A timing-free guard of the keyed read: with no character below the tab
+    # in the file or the keep strings, rows are bisected for with no key
+    # function, and `_feature` reads only each block's two range bounds.
+    vocab = build_vocab([f"w{i}" for i in range(12)], min_count=1)
+    words = range(3, len(vocab))
+    rows = {Feature((a, b)): {c: 1 for c in words if (a + b + c) % 3} for a in words for b in words}
+    store = CountStore.from_rows(rows, 100)
+    path = tmp_path / "counts.tsv"
+    store.save(path, vocab)
+    names = sorted(render_feature(f, vocab) for f in rows)
+    keep = names[::2] + [s + "x" for s in names[1::4]]
+    block_lines = 16
+    monkeypatch.setattr(snmlm.counts, "_BLOCK_LINES", block_lines)
+    calls = []
+    feature = snmlm.counts._feature
+
+    def spy(line):
+        calls.append(line)
+        return feature(line)
+
+    monkeypatch.setattr(snmlm.counts, "_feature", spy)
+    kept = CountStore.load(path, vocab, keep)
+    assert kept.layout.names == names[::2]
+    assert 0 < len(calls) <= 2 * -(-store.num_links // block_lines)
+
+
+# Values whose strings are easy to mix up: signed zeros, subnormals, the
+# largest floats, neighbours one step apart, and 0.1 + 0.2 beside 0.3.
+_CELLS = [0.0, -0.0, 5e-324, float(np.nextafter(2.2250738585072014e-308, 0.0)),
+          2.2250738585072014e-308, 1e308, float(np.nextafter(1e308, np.inf)),
+          1.7976931348623157e308, 0.1 + 0.2, 0.3, float(np.nextafter(0.3, 1.0)), 1.0,
+          float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0))]
+_COUNTS = [1, 2, 10, _INT64_MAX - 1, _INT64_MAX]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_row_writer_writes_what_the_per_row_writer_wrote(tmp_path_factory, odd_vocab, data):
+    features = list(dict.fromkeys(data.draw(_features(odd_vocab))[0]))
+    features = features[:data.draw(st.integers(0, len(features)))]  # no rows at all, too
+    links = [sorted(data.draw(st.sets(st.integers(0, len(odd_vocab) - 1), min_size=1)))
+             for _ in features]
+    n = sum(map(len, links))
+    cell = st.sampled_from(_CELLS) | st.floats()
+    counts = data.draw(st.lists(st.sampled_from(_COUNTS) | st.integers(1, _INT64_MAX),
+                                min_size=n, max_size=n))
+    cells = data.draw(st.lists(cell, min_size=n, max_size=n))
+    norms = data.draw(st.lists(cell, min_size=len(features), max_size=len(features)))
+    layout = snmlm.counts.Rows(features, np.cumsum([0, *map(len, links)]),
+                               np.array([w for ws in links for w in ws], np.int32))
+    store = CountStore(layout, np.array(counts, np.int64), _INT64_MAX)
+    model = SnmModel(layout, np.array(cells), np.array(norms))
+    wd = tmp_path_factory.mktemp("writer")
+    oracle_save_counts(store, wd / "counts.oracle", odd_vocab)
+    oracle_save_model(model, wd / "model.oracle", odd_vocab)
+    for block_lines in (1, 2, 3, snmlm.counts._BLOCK_LINES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(snmlm.counts, "_BLOCK_LINES", block_lines)
+            store.save(wd / "counts.tsv", odd_vocab)
+            save_model(model, wd / "model.tsv", odd_vocab)
+        assert (wd / "counts.tsv").read_bytes() == (wd / "counts.oracle").read_bytes()
+        assert (wd / "model.tsv").read_bytes() == (wd / "model.oracle").read_bytes()
 
 
 def _sealed_pair(tmp_path, vocab):
