@@ -25,7 +25,7 @@ from .extraction import (  # noqa: F401
     expand_tags, extract_events, is_tag, load_config, parse_feature, render_feature,
 )
 from .metafeatures import Mode, explain
-from .model import load_model, materialize, perplexity, save_model  # noqa: F401
+from .model import SnmModel, load_model, materialize, perplexity, save_model  # noqa: F401
 
 _MODES = {m.value: m for m in Mode}
 _SUFFIXES = {"k": 1 << 10, "K": 1 << 10, "m": 1 << 20, "M": 1 << 20}
@@ -249,28 +249,21 @@ def cmd_inspect(args) -> int:
     if args.target is not None and not args.counts:
         raise UsageError("--target needs --counts: a link's meta-features come from its counts")
     vocab = Vocabulary.load(args.vocab)
-    if args.counts:
-        try:
-            feature = parse_feature(args.feature, vocab)
-        except DataError:
-            # A bad count file is reported ahead of a bad feature argument.
-            CountStore.load(args.counts, vocab, keep=())
-            raise
-        # Every line is still validated; only the asked row is stored.
-        store = CountStore.load(args.counts, vocab, keep={render_feature(feature, vocab)})
-        source, row, total_name = args.counts, store.rows.get(feature), "C_f*"
-        total = store.feature_counts.get(feature)
-    else:
-        model = load_model(args.model, vocab)
+    source, load = (args.counts, CountStore.load) if args.counts else (args.model, SnmModel.load)
+    try:
         feature = parse_feature(args.feature, vocab)
-        source, row, total_name = args.model, None, "M_f*"
-        if (r := model.layout.row_index.get(feature)) is not None:
-            lo, hi = model.layout.offsets[r : r + 2].tolist()
-            row = dict(zip(model.layout.words[lo:hi].tolist(), model.cells[lo:hi].tolist()))
-            total = model.row_sums[r].item()
-    if row is None:
+    except DataError:
+        # A bad count or model file is reported ahead of a bad feature argument.
+        load(source, vocab, keep=())
+        raise
+    # Only the asked row is checked and stored; the trailer vouches for the rest.
+    kept = load(source, vocab, keep={render_feature(feature, vocab)})
+    if not len(kept.layout):
         print(f"feature {args.feature!r} not found in {source}")
         return 0
+    values = kept.counts if args.counts else kept.cells
+    row = dict(zip(kept.layout.words.tolist(), values.tolist()))
+    total, total_name = kept.row_sums[0].item(), "C_f*" if args.counts else "M_f*"
     print(f"feature {args.feature}  {total_name}={total!r}")
     for w, v in sorted(row.items(), key=lambda kv: (-kv[1], vocab.words[kv[0]])):
         # A count also shows its share of the row.

@@ -3,18 +3,20 @@
 Counts are exact integers; the link design (`snmlm.metafeatures`) turns them
 into relative frequencies once per training run. Count tables persist as
 sorted TSV so that independently produced shards can be combined with a
-sequential merge join. Every writer seals a count file with a trailer
-(`_Sealer`): the row count, the features per corpus tag, the vocabulary's
-digest and a SHA-256 of all text before it. A read that keeps a few rows
-(`CountStore.load(keep=)`) checks only those and trusts the rest for the
-digest; any other read checks every row, and the trailer too.
+sequential merge join. Count and model files are both sealed row files
+(`RowFile`), written by `save_rows` and read by `read_rows`: a two-line
+preamble, a row per link, and a trailer (`_Sealer`) of the row count, the
+features per corpus tag, the vocabulary's digest and a SHA-256 of all text
+before it. A read that keeps a few rows (`keep=`) checks only those and
+trusts the rest for the digest; any other read checks every row, and the
+trailer too.
 
 Training text is counted on integer arrays (`count_files`, which `snmlm
 count` runs): no `Event` or `Feature` object is built, and a feature's
 string is rendered only to write it. `accumulate` counts `Event`s per
 shared features tuple, on arrays too (`_links`). Both give a `CountStore`,
 counts on a `Rows` layout that `CountStore.load` also fills, the link
-design and the model share, and `save` hands to `write_rows`; its dict
+design and the model share, and `save` hands to `save_rows`; its dict
 rows are views built only when read.
 
 Held-out text takes the same occurrence step (`_occurrences`) into
@@ -34,7 +36,7 @@ from contextlib import closing, suppress
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import eq, itemgetter, lt, ne, not_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -216,52 +218,17 @@ class CountStore:
     # -- persistence ------------------------------------------------------
 
     def save(self, path, vocab: Vocabulary) -> None:
-        names = self.layout.strings(vocab)
-        with atomic_write(path) as fh:
-            out = _Sealer(fh, self.total_events)
-            rank = write_rows(out, names, self.layout.row, self.layout.words, self.counts, vocab)
-            ordered = np.empty(len(rank), object)
-            ordered[rank] = names
-            out.seal(self.num_links, _features_per_tag(ordered.tolist()), vocab.digest)
+        save_rows(path, COUNT_FILE.preamble(self.total_events), self.layout, self.counts, vocab)
 
     @classmethod
     def load(cls, path, vocab: Vocabulary, keep: Iterable[str] | None = None) -> "CountStore":
-        """Read a count file a block at a time, storing only the rows `keep` names when it is given.
+        """Read a count file (`read_rows`), storing only the rows `keep` names when it is given.
 
-        `keep` holds canonical feature strings, as `render_feature` and
-        `HeldText.names` give them. A row is kept if its string is one of
-        them: the store equals ``load(path, vocab)`` intersected with the
-        rows so named, rows in the same order, and a string that names no
-        row, a non-canonical one included, keeps nothing. Kept rows keep
-        their strings as `names`.
-
-        The strings of `keep` are sorted and screened once (`_screen`), and
-        each block's kept rows found by bisection (`_pick`), with no key
-        function for a printable string.
-
-        With `keep`, only the kept rows are split and checked (`row_blocks`):
-        every other row is trusted for the trailer's digest, which the
-        whole file is hashed against, with the trailer's row count and
-        vocabulary digest. If one of them does not match, or a kept row
-        fails its check, the file is read again with every row checked, as
-        it is without `keep`, which names its first bad line, or else the
-        trailer line. `file_features` comes from the trailer.
+        Kept rows keep their strings as `names`; `file_features` comes from
+        the trailer.
         """
-        parse = feature_parser(vocab)
-
-        def read(keep):
-            seal: list[tuple] = []
-            with closing(_blocks(path, vocab.index, parse, vocab.digest, keep, seal)) as blocks:
-                total = next(blocks)
-                layout, counts, _ = gather_rows(blocks, np.int64, keep is not None)
-            return cls(layout, counts, total, seal[0][0])
-
-        if keep is None:
-            return read(None)
-        with suppress(DataError):
-            return read(_screen(keep))
-        read(None)  # raises the error of the first bad line, or of the trailer
-        raise AssertionError(f"{path}: the full check passes where the kept rows failed theirs")
+        total, layout, counts, _, tags = read_rows(path, COUNT_FILE, vocab, keep)
+        return cls(layout, counts, total, tags)
 
 
 def accumulate(events: Iterable[Event]) -> CountStore:
@@ -311,11 +278,11 @@ def _features_per_tag(names: Sequence[str]) -> dict[str | None, int]:
 
 
 class _Sealer:
-    """A count file as written: preamble and rows, hashed as they are written, then the trailer."""
+    """A row file as written: its text, hashed as it is written, then the trailer."""
 
-    def __init__(self, fh, total: int):
+    def __init__(self, fh, preamble: str):
         self.fh, self.sha = fh, hashlib.sha256()
-        self.write(f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{total}\n")
+        self.write(preamble)
 
     def write(self, text: str) -> None:
         self.sha.update(text.encode())
@@ -372,32 +339,31 @@ def rendered(values: np.ndarray) -> tuple[list[str], np.ndarray]:
     return [f"{v}" for v in distinct.view(values.dtype).tolist()], np.searchsorted(distinct, bits)
 
 
-def write_rows(fh, names: list[str], row: np.ndarray, word: np.ndarray, value: np.ndarray,
-               vocab: Vocabulary) -> np.ndarray:
-    """Write link i as ``names[row[i]]<TAB>word<TAB>value[i]``, sorted by (feature, word) string.
+def save_rows(path, preamble: str, layout: Rows, values: np.ndarray, vocab: Vocabulary) -> None:
+    """Write a sealed row file: `preamble`, a row per link of `layout`, then the trailer.
 
-    The one writer of count and model rows: ``f"{value}"`` renders a count
-    as `str(int)` and a model cell as `repr(float)`, once per distinct
-    value (`rendered`). Feature names and vocabulary words are ranked once
-    each, and the links ordered on one key of the two ranks. Returns the
-    rank of each feature's name.
+    The one writer of count and model files. Link i is written as
+    ``name<TAB>word<TAB>values[i]``, sorted by (feature, word) string:
+    feature names and vocabulary words are ranked once each, and the links
+    ordered on one key of the two ranks. ``f"{value}"`` renders a count as
+    `str(int)` and a model cell as `repr(float)`, once per distinct value
+    (`rendered`). Lines are joined and written `_BLOCK_LINES` at a time,
+    and the trailer (`_Sealer.seal`) counts each tag's features.
     """
+    names = layout.strings(vocab)
     rank = _ranks(names)
-    order = np.argsort(_rank_key([rank[row], _ranks(vocab.words)[word]],
+    order = np.argsort(_rank_key([rank[layout.row], _ranks(vocab.words)[layout.words]],
                                  max(len(names), len(vocab))))
-    write_lines(fh, order, [(names, row), (vocab.words, word), rendered(value)])
-    return rank
-
-
-def write_lines(fh, order: np.ndarray, columns: Sequence[tuple[Sequence[str], np.ndarray]]) -> None:
-    """Write a line per entry i of `order`: each column's ``strings[index[i]]``, tab-separated.
-
-    Lines are joined and written `_BLOCK_LINES` at a time.
-    """
-    for lo in range(0, len(order), _BLOCK_LINES):
-        at = order[lo : lo + _BLOCK_LINES]
-        fields = [map(strings.__getitem__, index[at].tolist()) for strings, index in columns]
-        fh.write("\n".join(map("\t".join, zip(*fields))) + "\n")
+    columns = [(names, layout.row), (vocab.words, layout.words), rendered(values)]
+    ordered = np.empty(len(rank), object)
+    ordered[rank] = names
+    with atomic_write(path) as fh:
+        out = _Sealer(fh, preamble)
+        for lo in range(0, len(order), _BLOCK_LINES):
+            at = order[lo : lo + _BLOCK_LINES]
+            fields = [map(strings.__getitem__, index[at].tolist()) for strings, index in columns]
+            out.write("\n".join(map("\t".join, zip(*fields))) + "\n")
+        out.seal(len(values), _features_per_tag(ordered.tolist()), vocab.digest)
 
 
 # ---------------------------------------------------------------------------
@@ -613,25 +579,118 @@ class HeldText(NamedTuple):
                        np.concatenate(rows)[order], self.target, self.line)
 
 
-def line_error(path, lineno: int, line: str, directive: str, fields: int) -> DataError:
-    """The error for a line that is neither `directive` on line 2 nor a row of `fields` fields."""
+def line_error(path, lineno: int, line: str, directive: str) -> DataError:
+    """The error for a line that is neither `directive` on line 2 nor a row of 3 fields."""
     if lineno == 2 or line.startswith(directive):
         what = f"{directive.strip()} must come once, before the first row"
     elif line.startswith("#"):
         what = f"unknown directive {line!r}"
     else:
-        what = f"expected {fields} tab-separated fields"
+        what = "expected 3 tab-separated fields"
     return DataError(f"{path}:{lineno}: {what}")
 
 
-def read_preamble(head: list[str], path, kind: str, header: str, directive: str) -> str:
-    """Check lines 1 and 2 of a count or model file, `header` and `directive`; return its value."""
-    if head[0].rstrip("\n") != header:
-        raise DataError(f"{path}:1: not a {kind} file (bad header)")
+class RowFile(NamedTuple):
+    """A kind of sealed row file: line 1 is `header`, line 2 `directive` and a value.
+
+    ``value(path, text, vocab)`` reads the value: a count file's event
+    total, or None for a model file, whose rows hold cells. A version 1
+    file has no trailer, and is rejected with what to do, `redo`.
+    """
+
+    name: str
+    header: str
+    directive: str
+    value: Callable
+    redo: str
+
+    def preamble(self, value) -> str:
+        """Lines 1 and 2 of a file whose line 2 holds `value`."""
+        return f"{self.header}\n{self.directive}{value}\n"
+
+
+def _event_total(path, text: str, vocab) -> int:
+    """A count file's event total, at most 2^63-1."""
+    try:
+        total = natural(text)
+    except ValueError:
+        raise DataError(f"{path}:2: bad event total {text!r}") from None
+    if total > _INT64_MAX:
+        raise DataError(f"{path}:2: event total {text} is more than 2^63-1")
+    return total
+
+
+COUNT_FILE = RowFile("count", COUNTS_HEADER, _TOTAL_PREFIX, _event_total, "count it again")
+
+
+def read_preamble(head: list[str], path, kind: RowFile, vocab: Vocabulary | None):
+    """Check lines 1 and 2 of a `kind` file; return line 2's value as `kind` reads it."""
+    if head[0] == kind.header[:-1] + "1\n":
+        raise DataError(f"{path}:1: a v1 {kind.name} file has no trailer; {kind.redo}")
+    if head[0].rstrip("\n") != kind.header:
+        raise DataError(f"{path}:1: not a {kind.name} file (bad header)")
     line = head[1].rstrip("\n")
-    if not line.startswith(directive):
-        raise line_error(path, 2, line, directive, 3)
-    return line[len(directive):]
+    if not line.startswith(kind.directive):
+        raise line_error(path, 2, line, kind.directive)
+    return kind.value(path, line[len(kind.directive):], vocab)
+
+
+def read_rows(path, kind: RowFile, vocab: Vocabulary, keep: Iterable[str] | None = None):
+    """Read a `kind` file a block at a time, storing only the rows `keep` names when it is given.
+
+    The one reader of count and model files. Returns line 2's value, the
+    `Rows` in file order, their values, each row's sum for a file of cells
+    (else None), and the trailer's features per tag. Within a row, links
+    are put in word id order.
+
+    `keep` holds canonical feature strings, as `render_feature` and
+    `HeldText.names` give them. A row is kept if its string is one of them:
+    the rows equal those of the whole file so named, and a string that
+    names no row, a non-canonical one included, keeps nothing. Kept rows
+    keep their strings as `names`. The strings are sorted and screened once
+    (`_screen`), and each block's kept rows bisected for (`_pick`).
+
+    With `keep`, only the kept rows are split and checked (`row_blocks`):
+    every other row is trusted for the trailer's digest, which the whole
+    file is hashed against, with the trailer's row count and vocabulary
+    digest. If one of them does not match, or a kept row fails its check,
+    the file is read again with every row checked, as it is without
+    `keep`, which names its first bad line, or else the trailer line. A row
+    of cells must sum, in word id order as training sums it, to a finite
+    float: else its first line is named.
+    """
+    parse = feature_parser(vocab)
+
+    def read(keep):
+        seal: list[tuple] = []
+        firsts, names, features, words = [], [], [], [np.zeros(0, np.int32)]
+        with closing(_blocks(path, kind, vocab, parse, keep, seal)) as blocks:
+            total = next(blocks)
+            values = [np.zeros(0, np.float64 if total is None else np.int64)]
+            for b in blocks:
+                # A block's first row may go on with the last row of the block before.
+                firsts.append(b.first)
+                names += compress(b.fs, b.first.tolist())
+                features += b.features
+                words.append(b.words)
+                values.append(b.values)
+        layout, order = Rows.sort_words(features, np.flatnonzero(np.concatenate([*firsts, [True]])),
+                                        np.concatenate(words), None if keep is None else names)
+        values = np.concatenate(values)[order]
+        sums = None
+        if total is None:
+            sums = np.bincount(layout.row, values, minlength=len(layout))
+            if not np.isfinite(sums).all():
+                lineno = 3 + layout.offsets[np.argmin(np.isfinite(sums))]
+                raise DataError(f"{path}:{lineno}: the cells of this row sum past the largest float")
+        return total, layout, values, sums, seal[0][0]
+
+    if keep is None:
+        return read(None)
+    with suppress(DataError):
+        return read(_screen(keep))
+    read(None)  # raises the error of the first bad line, or of the trailer
+    raise AssertionError(f"{path}: the full check passes where the kept rows failed theirs")
 
 
 # Rows are read and checked this many lines at a time: about 64 KiB of count rows.
@@ -662,7 +721,7 @@ _SEAL_LINE = re.compile(r"#(?:rows (?P<rows>\d+)|features (?:(?P<tag>[^ ]+) )?(?
                         re.ASCII)
 
 
-def _read_seal(path, lineno: int, lines: Iterable[str], sha, vocab: str | None):
+def _read_seal(path, lineno: int, lines: Iterable[str], sha, directive: str, vocab: str | None):
     """The features per tag, vocabulary digest and its line of the trailer at line `lineno`.
 
     The trailer is `lines`, to the end of the file: ``#rows R``,
@@ -672,7 +731,8 @@ def _read_seal(path, lineno: int, lines: Iterable[str], sha, vocab: str | None):
     before the last one, raises `DataError` naming it. So does a trailer
     that does not seal the rows before it: the last line must be the
     SHA-256 of all text before it, which `sha` has hashed up to `lines`,
-    R the number of rows, and HEX `vocab` if it is given.
+    R the number of rows, and HEX `vocab` if it is given. A misplaced
+    line-2 `directive` is named as such.
     """
     rows, tags, digest = None, {}, None
     it = chain(lines, [""])
@@ -685,7 +745,7 @@ def _read_seal(path, lineno: int, lines: Iterable[str], sha, vocab: str | None):
             if not line:
                 raise DataError(f"{path}:{n}: no trailer: the file ends before its #sha256 line")
             if text[:1] == "#" and text.split(" ")[0] not in _SEAL_KEYS.values():
-                raise line_error(path, n, text, _TOTAL_PREFIX, 3)
+                raise line_error(path, n, text, directive)
             want = " or ".join(_SEAL_KEYS[k] for k in want)
             raise DataError(f"{path}:{n}: expected a {want} line of the trailer, got {text!r}")
         if kind == "sha256":
@@ -750,42 +810,35 @@ def _pick(lines: list[str], keep: tuple[list[str], set[str]]) -> list[str]:
     return picked
 
 
-def _blocks(path, index=None, parse=None, vocab: str | None = None,
+def _blocks(path, kind: RowFile, vocab: Vocabulary | None = None, parse=None,
             keep: tuple[list[str], set[str]] | None = None, seal: list | None = None) -> Iterator:
-    """The event total of a count file, at most 2^63-1, then its rows (`row_blocks`).
+    """Line 2's value of a `kind` file (`read_preamble`), then its rows (`row_blocks`).
 
     Lines are read as written, with no line ending translated, and hashed.
     After the rows comes the trailer (`_read_seal`), which must seal them,
-    under the vocabulary digest `vocab` if given; what `_read_seal`
-    returns is appended to `seal`. The file is opened on the first `next`.
+    under the digest of `vocab` if given; what `_read_seal` returns is
+    appended to `seal`. The file is opened on the first `next`.
     """
+    index, digest = (None, None) if vocab is None else (vocab.index, vocab.digest)
     with open_text(path, newline="\n") as fh:
         head = [fh.readline(), fh.readline()]
-        if head[0] == "#snm-counts v1\n":
-            raise DataError(f"{path}:1: a v1 count file has no trailer; count it again")
-        text = read_preamble(head, path, "count", COUNTS_HEADER, _TOTAL_PREFIX)
-        try:
-            total = natural(text)
-        except ValueError:
-            raise DataError(f"{path}:2: bad event total {text!r}") from None
-        if total > _INT64_MAX:
-            raise DataError(f"{path}:2: event total {text} is more than 2^63-1")
+        total = read_preamble(head, path, kind, vocab)
         yield total
         sha = hashlib.sha256("".join(head).encode())
         lineno, rest = yield from row_blocks(path, fh, total, index, parse, keep, sha)
         if not rest:
             raise DataError(f"{path}:{lineno}: no trailer: the file ends after its rows")
-        found = _read_seal(path, lineno, chain(rest, fh), sha, vocab)
+        found = _read_seal(path, lineno, chain(rest, fh), sha, kind.directive, digest)
     if seal is not None:
         seal.append(found)
 
 
-def row_blocks(path, fh, total: int | None, index=None, parse=None,
-               keep: tuple[list[str], set[str]] | None = None, sha=None) -> Iterator[_Block]:
+def row_blocks(path, fh, total: int | None, index, parse,
+               keep: tuple[list[str], set[str]] | None, sha) -> Iterator[_Block]:
     """The rows of a count file of event total `total`, or of a model file if None, as `_Block`s.
 
     Rows start at line 3 and end at the first line that starts with ``#``;
-    their text is hashed into `sha` if given. They are checked
+    their text is hashed into `sha`. They are checked
     `_BLOCK_LINES` at a time (`_check`), and the lines of a block that
     fails one by one (`_first_error`), to name its first bad line. With
     `keep`, feature strings as `_screen` gives them, only the rows of those
@@ -797,8 +850,7 @@ def row_blocks(path, fh, total: int | None, index=None, parse=None,
     while lines := list(islice(fh, _BLOCK_LINES)):
         text = "".join(lines)
         cut = 0 if text[0] == "#" else text.find("\n#") + 1 or len(text)
-        if sha is not None:
-            sha.update(text[:cut].encode())
+        sha.update(text[:cut].encode())
         rows = lines if cut == len(text) else lines[:text.count("\n", 0, cut)]
         block = _pick(rows, keep) if keep is not None and rows else rows
         if block:
@@ -813,49 +865,6 @@ def row_blocks(path, fh, total: int | None, index=None, parse=None,
             return lineno + len(rows), lines[len(rows):]
         lineno += len(lines)
     return lineno, []
-
-
-def gather_rows(blocks: Iterator[_Block], dtype, named: bool):
-    """The `Rows` of checked blocks, their values, and what `blocks` returns.
-
-    Rows keep file order, and their strings if `named`; within a row,
-    links are put in word id order.
-    """
-    firsts, names, features = [], [], []
-    words, values = [np.zeros(0, np.int32)], [np.zeros(0, dtype)]
-    try:
-        while True:
-            b = next(blocks)
-            # A block's first row may go on with the last row of the block before.
-            firsts.append(b.first)
-            names += compress(b.fs, b.first.tolist())
-            features += b.features
-            words.append(b.words)
-            values.append(b.values)
-    except StopIteration as stop:
-        end = stop.value
-    offsets = np.flatnonzero(np.concatenate([*firsts, [True]]))
-    layout, order = Rows.sort_words(features, offsets, np.concatenate(words),
-                                    names if named else None)
-    return layout, np.concatenate(values)[order], end
-
-
-def split_rows(lines: list[str], width: int):
-    """The fields of `lines` in one list, and whether no character is below the tab.
-
-    None if a line does not hold `width` tab-separated fields.
-    """
-    if lines[-1][-1] != "\n":  # a file's last line may end without one
-        lines[-1] += "\n"
-    text = "".join(lines)
-    raw = np.frombuffer(text.encode(), np.uint8)
-    tabs, breaks = np.flatnonzero(raw == 9), np.flatnonzero(raw == 10)
-    # Line k holds tabs m*k to m*k+m-1: the last before line break k, the next after it.
-    m = width - 1
-    if len(tabs) != m * len(breaks) or not ((tabs[m - 1::m] < breaks).all()
-                                            and (tabs[m::m] > breaks[:-1]).all()):
-        return None
-    return text.replace("\n", "\t").split("\t"), raw.min() > 8
 
 
 def _counts(cs: list[str], total: int):
@@ -900,6 +909,7 @@ def read_cells(cs: list[str]):
 def _check(lines: list[str], prev, carry: int, total: int | None, index, parse):
     """The `_Block` of `lines` and the count sum of its last feature, or why a row is bad.
 
+    Each line holds 3 tab-separated fields: feature, word and value.
     Values are counts under the event total `total` (`_counts`), or cells
     if it is None (`read_cells`). Rows strictly increase by (feature, word)
     from the row keyed `prev`, whose counts sum to `carry` so far, and no
@@ -908,10 +918,16 @@ def _check(lines: list[str], prev, carry: int, total: int | None, index, parse):
     feature string is parsed by `parse`. There is no per-row Python; the
     reason is a line's error message when `lines` is that one line.
     """
-    split = split_rows(lines, 3)
-    if split is None:
+    if lines[-1][-1] != "\n":  # a file's last line may end without one
+        lines[-1] += "\n"
+    text = "".join(lines)
+    raw = np.frombuffer(text.encode(), np.uint8)
+    tabs, breaks = np.flatnonzero(raw == 9), np.flatnonzero(raw == 10)
+    # Line k holds tabs 2k and 2k+1: the last before line break k, the next after it.
+    if len(tabs) != 2 * len(breaks) or not ((tabs[1::2] < breaks).all()
+                                            and (tabs[2::2] > breaks[:-1]).all()):
         return "expected 3 tab-separated fields"
-    (fields, plain), n = split, len(lines)
+    fields, n = text.replace("\n", "\t").split("\t"), len(lines)
     fs, ws, cs = fields[0:-1:3], fields[1::3], fields[2::3]
     values = read_cells(cs) if total is None else _counts(cs, total)
     if isinstance(values, str):
@@ -937,7 +953,7 @@ def _check(lines: list[str], prev, carry: int, total: int | None, index, parse):
             what = f"count {cs[0]}" if values.max() > total else f"row sum of {fs[0]}"
             return f"{what} is more than the event total {total}"
         carry, values = int(sums[-1]), values.astype(np.int64)
-        if "\t0" in "\t" + "\t".join(cs):  # leading zeros: rewrite as `write_rows` writes rows
+        if "\t0" in "\t" + "\t".join(cs):  # leading zeros: rewrite as `save_rows` writes rows
             lines = list(map("{}\t{}\t{}\n".format, fs, ws, values.tolist()))
     features = ids = None
     if index is not None:
@@ -948,7 +964,7 @@ def _check(lines: list[str], prev, carry: int, total: int | None, index, parse):
             features = list(map(parse, names))
         except DataError as exc:
             return str(exc)
-    return _Block(lines, fs, ws, values, ~same, features, ids, plain), carry
+    return _Block(lines, fs, ws, values, ~same, features, ids, raw.min() > 8), carry
 
 
 def _first_error(path, lineno: int, lines: list[str], prev, carry: int, total: int | None,
@@ -978,14 +994,14 @@ def merge_files(paths, out_path) -> None:
     if not paths:
         raise ValueError("merge_files needs at least one input")
     seals: list[list[tuple]] = [[] for _ in paths]
-    streams = [_blocks(path, seal=seal) for path, seal in zip(paths, seals)]
+    streams = [_blocks(path, COUNT_FILE, seal=seal) for path, seal in zip(paths, seals)]
     try:
         total = sum(next(s) for s in streams)
         if total > _INT64_MAX:
             raise DataError(f"merging {', '.join(map(str, paths))}: "
                             "#total-events is more than 2^63-1")
         with atomic_write(out_path) as fh:
-            out = _Sealer(fh, total)
+            out = _Sealer(fh, COUNT_FILE.preamble(total))
             written, tags, last = 0, Counter(), None
             pending = [c for s in streams if (c := _cursor(s))]
             while pending:

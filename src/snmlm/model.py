@@ -9,7 +9,9 @@ vocabulary.
 `adjusted_cells` computes the cells and row sums as arrays in the order of
 a `LinkDesign`, and `materialize` puts them on the design's `Rows` as an
 `SnmModel`, the one model shape that is scored, saved and loaded. Its row
-dicts are built only when something reads them.
+dicts are built only when something reads them. A model file is a sealed
+row file of cells, written and read as count files are (`save_rows`,
+`read_rows`); its normalizers are not stored but summed on load.
 
 Held-out events (`HeldOut`, from `HeldText.held_out` over the rows that
 score them) are scored on arrays: `compile_events` finds each feature
@@ -24,26 +26,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import UNK_ID, Vocabulary
-from .counts import (HeldOut, Rows, gather_rows, line_error, read_cells, read_preamble,
-                     rendered, row_blocks, split_rows, write_lines, write_rows)
+from .counts import HeldOut, RowFile, Rows, read_rows, save_rows
 from .errors import DataError
-from .extraction import Event, Feature, feature_parser, render_feature
-from .files import atomic_write, open_text
+from .extraction import Event, Feature, render_feature
 from .metafeatures import LinkDesign
-
-MODEL_HEADER = "#snm-model v1"
-_NORM_SECTION = "#normalizers"
-_SIZE_PREFIX = "#vocab-size "
-# A normalizer read from a file is its row's sum within this relative
-# tolerance, the one that normalization is checked at.
-_NORM_RTOL = 1e-9
 
 # Events whose target is unreachable are floored at this probability.
 PROB_FLOOR = 1e-10
@@ -64,6 +57,17 @@ class SnmModel:
 
     def __init__(self, layout: Rows, cells: np.ndarray, row_sums: np.ndarray):
         self.layout, self.cells, self.row_sums = layout, cells, row_sums
+
+    @classmethod
+    def load(cls, path, vocab: Vocabulary, keep: Iterable[str] | None = None) -> "SnmModel":
+        """Read a model file (`read_rows`), storing only the rows `keep` names when it is given.
+
+        Each row's normalizer is its cells' sum in word id order, which
+        for a model that `save_model` wrote is the row sum that training
+        computed, bit for bit.
+        """
+        _, layout, cells, row_sums, _ = read_rows(path, MODEL_FILE, vocab, keep)
+        return cls(layout, cells, row_sums)
 
     @cached_property
     def rows(self) -> dict[Feature, dict[int, float]]:
@@ -253,80 +257,20 @@ def perplexity(model: SnmModel, events: HeldOut | Iterable[Event]) -> EvalReport
 # ---------------------------------------------------------------------------
 # Persistence
 
+def _vocab_size(path, text: str, vocab: Vocabulary) -> None:
+    if text != str(len(vocab)):
+        raise DataError(f"{path}:2: model was built with {text} words, vocab has {len(vocab)}")
+
+
+# A model file is a sealed row file of cells; the vocabulary's size on line 2
+# is checked before any row is read.
+MODEL_FILE = RowFile("model", "#snm-model v2", "#vocab-size ", _vocab_size, "train it again")
+
+
 def save_model(model: SnmModel, path, vocab: Vocabulary) -> None:
-    names = model.layout.strings(vocab)
-    with atomic_write(path) as fh:
-        fh.write(f"{MODEL_HEADER}\n{_SIZE_PREFIX}{len(vocab)}\n")
-        rank = write_rows(fh, names, model.layout.row, model.layout.words, model.cells, vocab)
-        fh.write(_NORM_SECTION + "\n")
-        write_lines(fh, np.argsort(rank), [(names, np.arange(len(names))),
-                                           rendered(model.row_sums)])
+    save_rows(path, MODEL_FILE.preamble(len(vocab)), model.layout, model.cells, vocab)
 
 
 def load_model(path, vocab: Vocabulary) -> SnmModel:
-    """Read a model file as `save_model` writes it, a block of rows at a time.
-
-    Line 1 is the header and line 2 the `#vocab-size` line, naming the size
-    of `vocab`. Link rows follow, checked as count rows are (`row_blocks`),
-    then one `#normalizers` line and the normalizers (`_normalizers`). Any
-    other line, a blank one included, is rejected with the file and line.
-    Lines are read as written, with no line ending translated. Rows keep
-    file order; within a row, links are put in word id order.
-    """
-    with open_text(path, newline="\n") as fh:
-        size = read_preamble([fh.readline(), fh.readline()], path, "model", MODEL_HEADER,
-                             _SIZE_PREFIX)
-        if size != str(len(vocab)):
-            raise DataError(f"{path}:2: model was built with {size} words, vocab has {len(vocab)}")
-        rows = row_blocks(path, fh, None, vocab.index, feature_parser(vocab))
-        layout, cells, (lineno, rest) = gather_rows(rows, np.float64, True)
-        if rest and rest[0].rstrip("\n") != _NORM_SECTION:
-            raise line_error(path, lineno, rest[0].rstrip("\n"), _SIZE_PREFIX, 3)
-        lines = [*rest[1:], *fh]
-    off, values = layout.offsets.tolist(), cells.tolist()
-    sums = [_fsum(values[a:b]) for a, b in zip(off, off[1:])]
-    norms = _normalizers(path, lineno + 1, lines, layout.names, sums) if lines else np.zeros(0)
-    if len(norms) < len(layout):
-        raise DataError(f"{path}: {len(layout) - len(norms)} rows lack a normalizer entry")
-    return SnmModel(layout, cells, norms)
-
-
-def _fsum(cells: list[float]) -> float:
-    """`math.fsum` of the cells, or inf where it passes the largest float."""
-    try:
-        return math.fsum(cells)
-    except OverflowError:
-        return math.inf
-
-
-def _normalizers(path, lineno: int, lines: list[str], names: list[str],
-                 sums: list[float]) -> np.ndarray:
-    """The normalizers on `lines`, which start at line `lineno`, of rows `names` that sum to `sums`.
-
-    Line i names row i, ``names[i]``, and its value, read as a cell, is
-    within `_NORM_RTOL` of ``sums[i]``, the `math.fsum` of the row. The
-    lines are checked at once; only if they fail is each checked alone,
-    which raises the error of the first bad line.
-    """
-    split, n = split_rows(lines, 2), len(lines)
-    if split is not None:
-        fs, vs = split[0][0:-1:2], split[0][1::2]
-        if isinstance(norms := read_cells(vs), str):
-            why = norms
-        elif fs != names[:n]:
-            expected = repr(names[0]) if names else "no more"
-            why = f"normalizers come one per row, in row order: expected {expected}, got {fs[0]!r}"
-        elif all(map(partial(math.isclose, rel_tol=_NORM_RTOL), norms.tolist(), sums)):
-            return norms
-        else:
-            why = f"normalizer {vs[0]} of {fs[0]!r} is not its row's sum {sums[0]!r}"
-    if n > 1:
-        for i in range(n):
-            _normalizers(path, lineno + i, lines[i:i + 1], names[i:], sums[i:])
-        raise AssertionError(f"{path}:{lineno}: each line passes the check its lines failed")
-    text = lines[0].rstrip("\n")
-    if text == _NORM_SECTION:
-        raise DataError(f"{path}:{lineno}: {_NORM_SECTION} must come once")
-    if split is None or text[:1] == "#":
-        raise line_error(path, lineno, text, _SIZE_PREFIX, 2)
-    raise DataError(f"{path}:{lineno}: {why}")
+    """Read a model file as `save_model` writes it, checking every row (`SnmModel.load`)."""
+    return SnmModel.load(path, vocab)

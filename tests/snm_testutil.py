@@ -14,16 +14,16 @@ reproduce column by column.
 `parse_feature_oracle` is the reference of the feature-string grammar.
 `oracle_extract_events` and `oracle_accumulate` are the nested-loop
 extraction and the per-occurrence count of events into a store.
-`oracle_load_counts` and `oracle_merge_counts` are the per-line count-file
-reader and heap merge that the block reader of `snmlm.counts` replaced;
-`oracle_trailer` reads a count file's trailer line by line, and `seal`
-ends a hand-written count file with the trailer a writer would add.
-`oracle_load_model` is the per-line model-file reader that the same block
-reader replaced.
+`oracle_rows` reads a count or model file line by line, and
+`oracle_load_counts`, `oracle_load_model` and `oracle_merge_counts` are the
+per-line readers and heap merge that the block reader of `snmlm.counts`
+replaced; `oracle_trailer` reads a row file's trailer line by line, and
+`seal` ends a hand-written count or model file with the trailer a writer
+would add.
 `oracle_write_rows` is the row writer that renders every value where it
-writes it, and `oracle_save_counts` and `oracle_save_model` write whole
-files with it; `oracle_pick` finds a block's kept rows by bisecting on the
-feature field of every row.
+writes it, and `oracle_save_rows` writes whole sealed files with it;
+`oracle_pick` finds a block's kept rows by bisecting on the feature field
+of every row.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 
 from snmlm.adjustment import AdjustmentModel, compile_events, theta_gradient
 from snmlm.corpus import E_ID, S_ID, Vocabulary, build_vocab, map_tokens, natural
-from snmlm.counts import COUNTS_HEADER, CountStore, Rows, line_error, read_preamble
+from snmlm.counts import COUNT_FILE, CountStore, RowFile, Rows, line_error, read_preamble
 from snmlm.errors import DataError
 from snmlm.extraction import (
     Event, Feature, extract_events, feature_parser, parse_config, render_feature,
@@ -52,7 +52,7 @@ from snmlm.files import atomic_write, open_text
 from snmlm.metafeatures import (
     LinkDesign, Mode, _bucket_hash, buckets, combine, feature_type, fingerprint,
 )
-from snmlm.model import MODEL_HEADER, SnmModel, adjusted_cells, materialize
+from snmlm.model import MODEL_FILE, SnmModel, adjusted_cells, materialize
 
 FIVE_GRAM_CONFIG = """
 // straight 5-gram features
@@ -543,9 +543,8 @@ def oracle_accumulate(events) -> CountStore:
 
 
 # ---------------------------------------------------------------------------
-# The per-line count-file reader
+# The per-line count- and model-file readers
 
-_TOTAL_PREFIX = "#total-events "
 _INT64_MAX = (1 << 63) - 1
 # Each trailer line's key and the pattern of its value, in file order.
 _TRAILER = {"#rows ": "[0-9]+", "#features ": "(?:[^ ]+ )?[0-9]+",
@@ -553,9 +552,9 @@ _TRAILER = {"#rows ": "[0-9]+", "#features ": "(?:[^ ]+ )?[0-9]+",
 
 
 def seal(text: str, vocab: Vocabulary | str) -> str:
-    """A count file's `text`, header to last row, with the trailer a writer ends it with.
+    """A count or model file's `text`, header to last row, with the trailer a writer ends it with.
 
-    `vocab` is the vocabulary the rows were counted with, or its digest.
+    `vocab` is the vocabulary of the rows, or its digest.
     The trailer counts the rows and each tag's features, names the
     vocabulary's SHA-256 and ends with the SHA-256 of all text before it.
     """
@@ -575,12 +574,14 @@ def seal(text: str, vocab: Vocabulary | str) -> str:
     return text + f"#sha256 {hashlib.sha256(text.encode()).hexdigest()}\n"
 
 
-def oracle_trailer(path, lineno: int, lines: list[str]) -> tuple[int, dict, str, str]:
+def oracle_trailer(path, lineno: int, lines: list[str], directive: str
+                   ) -> tuple[int, dict, str, str]:
     """The row count, features per tag, vocabulary digest and digest of the trailer `lines`.
 
     `lines` run from line `lineno`, the first after the rows, to the end of
     the file, with their line breaks. The first line that is not the one
-    the trailer format expects raises its `DataError`.
+    the trailer format expects raises its `DataError`; a misplaced line-2
+    `directive` is named as such.
     """
     values: list[tuple[str, str]] = []
     for n, line in enumerate(lines, lineno):
@@ -594,7 +595,7 @@ def oracle_trailer(path, lineno: int, lines: list[str]) -> tuple[int, dict, str,
         if key is None or not line.endswith("\n") or not re.fullmatch(_TRAILER[key],
                                                                      text[len(key):]):
             if text.startswith("#") and text.split(" ")[0] not in [k.strip() for k in _TRAILER]:
-                raise line_error(path, n, text, _TOTAL_PREFIX, 3)
+                raise line_error(path, n, text, directive)
             raise DataError(f"{path}:{n}: expected a {' or '.join(k.strip() for k in keys)} "
                             f"line of the trailer, got {text!r}")
         values.append((key, text[len(key):]))
@@ -608,26 +609,19 @@ def oracle_trailer(path, lineno: int, lines: list[str]) -> tuple[int, dict, str,
     return int(values[0][1]), tags, values[-2][1], values[-1][1]
 
 
-def oracle_count_rows(path, vocab_digest: str | None = None, seal_out: list | None = None
-                      ) -> Iterator:
-    """A count file's event total, then its rows as (feature, word, count, line), read line by line.
+def oracle_rows(path, kind: RowFile = COUNT_FILE, vocab: Vocabulary | None = None,
+                seal_out: list | None = None) -> Iterator:
+    """A `kind` file's line-2 value, then its rows as (feature, word, value, line), read line by line.
 
-    Raises the `DataError` of the first bad line when the stream reaches
-    it. After the rows, the trailer must hold the SHA-256 of the file's
-    bytes before its last line, the number of rows, and `vocab_digest` if
-    given; its features per tag and vocabulary digest go to `seal_out`.
+    Values are counts under the event total of a count file, or the cells
+    of a model file. Raises the `DataError` of the first bad line when the
+    stream reaches it. After the rows, the trailer must hold the SHA-256
+    of the file's bytes before its last line, the number of rows, and the
+    digest of `vocab` if given; its features per tag, vocabulary digest and
+    that digest's line go to `seal_out`.
     """
     with open_text(path, newline="\n") as fh:
-        head = [fh.readline(), fh.readline()]
-        if head[0] == "#snm-counts v1\n":
-            raise DataError(f"{path}:1: a v1 count file has no trailer; count it again")
-        text = read_preamble(head, path, "count", COUNTS_HEADER, _TOTAL_PREFIX)
-        try:
-            total = natural(text)
-        except ValueError:
-            raise DataError(f"{path}:2: bad event total {text!r}") from None
-        if total > _INT64_MAX:
-            raise DataError(f"{path}:2: event total {text} is more than 2^63-1")
+        total = read_preamble([fh.readline(), fh.readline()], path, kind, vocab)
         yield total
         prev: tuple[str, str] | None = None
         row_fs, row_sum = None, 0
@@ -639,41 +633,57 @@ def oracle_count_rows(path, vocab_digest: str | None = None, seal_out: list | No
             line = line.rstrip("\n")
             parts = line.split("\t")
             if len(parts) != 3:
-                raise line_error(path, lineno, line, _TOTAL_PREFIX, 3)
-            fs, ws, cs = parts
-            try:
-                c = natural(cs)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad count {cs!r}") from None
-            if c < 1:
-                raise DataError(f"{path}:{lineno}: count must be positive, got {c}")
+                raise line_error(path, lineno, line, kind.directive)
+            fs, ws, text = parts
+            value = _oracle_value(path, lineno, text, total)
             key = (fs, ws)
             if prev is not None and key <= prev:
                 raise DataError(f"{path}:{lineno}: rows out of order")
             prev = key
-            if fs == row_fs:
-                row_sum += c
-            else:
-                row_fs, row_sum = fs, c
-            if row_sum > total:
-                what = f"count {cs}" if c > total else f"row sum of {fs}"
-                raise DataError(f"{path}:{lineno}: {what} is more than the event total {total}")
-            yield fs, ws, c, lineno
+            if total is not None:
+                row_sum = row_sum + value if fs == row_fs else value
+                row_fs = fs
+                if row_sum > total:
+                    what = f"count {text}" if value > total else f"row sum of {fs}"
+                    raise DataError(f"{path}:{lineno}: {what} is more than the event total {total}")
+            yield fs, ws, value, lineno
         else:
             raise DataError(f"{path}:{lineno + 1}: no trailer: the file ends after its rows")
-    rows, tags, vocab, digest = oracle_trailer(path, lineno, trailer)
+    rows, tags, digest_of_vocab, digest = oracle_trailer(path, lineno, trailer, kind.directive)
     with open(path, "rb") as fh:
         data = fh.read()
-    at = lineno + len(tags) + 1  # the vocabulary line
+    at = lineno + len(trailer) - 2  # the vocabulary line
     if hashlib.sha256(data[:data.rindex(b"#sha256 ")]).hexdigest() != digest:
         raise DataError(f"{path}:{at + 1}: changed after it was written: "
                         "the lines before this one do not have this SHA-256")
     if rows != lineno - 3:
         raise DataError(f"{path}:{lineno}: the file has {lineno - 3} rows, not {rows}")
-    if vocab_digest is not None and vocab != vocab_digest:
+    if vocab is not None and digest_of_vocab != vocab.digest:
         raise DataError(f"{path}:{at}: written with another vocabulary")
     if seal_out is not None:
-        seal_out.append((tags, vocab, at))
+        seal_out.append((tags, digest_of_vocab, at))
+
+
+def _oracle_value(path, lineno: int, text: str, total: int | None):
+    """The count (under event total `total`) or, if `total` is None, the cell on a line."""
+    if total is not None:
+        try:
+            count = natural(text)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad count {text!r}") from None
+        if count < 1:
+            raise DataError(f"{path}:{lineno}: count must be positive, got {count}")
+        return count
+    try:
+        # float() also reads "1_0", " 1" and non-ASCII digits; no writer does.
+        if not text.isascii() or "_" in text or text.strip() != text:
+            raise ValueError(text)
+        cell = float(text)
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: bad value {text!r}") from None
+    if not 0.0 <= cell < math.inf:
+        raise DataError(f"{path}:{lineno}: value must be finite and non-negative, got {text}")
+    return cell
 
 
 def outcome(read):
@@ -685,13 +695,13 @@ def outcome(read):
 
 
 def oracle_load_counts(path, vocab: Vocabulary, keep=None) -> CountStore:
-    """`CountStore.load` as one pass over `oracle_count_rows`, parsing every feature string."""
+    """`CountStore.load` as one pass over `oracle_rows`, parsing every feature string."""
     keep = None if keep is None else set(keep)
     rows: dict[Feature, dict[int, int]] = {}
     file_features: dict[str | None, int] = {}
     parse = feature_parser(vocab)
     last_fs = row = None
-    with closing(oracle_count_rows(path, vocab.digest)) as entries:
+    with closing(oracle_rows(path, COUNT_FILE, vocab)) as entries:
         total = next(entries)
         for fs, ws, c, lineno in entries:
             wid = vocab.index.get(ws)
@@ -715,15 +725,15 @@ def oracle_load_counts(path, vocab: Vocabulary, keep=None) -> CountStore:
 
 
 def oracle_merge_counts(paths, out_path) -> None:
-    """`merge_files` as a heap merge of `oracle_count_rows`, one link at a time."""
+    """`merge_files` as a heap merge of `oracle_rows`, one link at a time."""
     seals: list[list] = [[] for _ in paths]
-    streams = [oracle_count_rows(path, seal_out=out) for path, out in zip(paths, seals)]
+    streams = [oracle_rows(path, seal_out=out) for path, out in zip(paths, seals)]
     try:
         total = sum(next(s) for s in streams)
         if total > _INT64_MAX:
             raise DataError(f"merging {', '.join(map(str, paths))}: "
                             "#total-events is more than 2^63-1")
-        text = [f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{total}\n"]
+        text = [COUNT_FILE.preamble(total)]
         current_fs = current_ws = None
         current = 0
         for fs, ws, c, _ in chain(heapq.merge(*streams), [(None, None, 0, 0)]):
@@ -744,98 +754,50 @@ def oracle_merge_counts(paths, out_path) -> None:
             s.close()
 
 
-_NORM_SECTION = "#normalizers"
-_SIZE_PREFIX = "#vocab-size "
-
-
 def oracle_load_model(path, vocab: Vocabulary) -> SnmModel:
-    """`load_model` as one pass over the lines, checking each line before the next.
+    """`load_model` as one pass over `oracle_rows`, checking each line before the next.
 
-    Lines are read as written, with no line ending translated. Each feature
-    string is parsed once, at its first row; a normalizer is matched to its
-    row by its string and is the row's `math.fsum` within 1e-9 relative.
+    Each feature string is parsed once, at its first row. A row's
+    normalizer is its cells added one at a time in word id order; a row
+    whose sum passes the largest float is named at its first line.
     """
-    names: list[str] = []
     features: list[Feature] = []
     starts: list[int] = []
+    lines: list[int] = []
     words: list[int] = []
     cells: list[float] = []
-    norms: list[float] = []
     parse = feature_parser(vocab)
-    in_norms = False
-    last_link: tuple[str, str] | None = None
-    inf = math.inf
-    with open_text(path, newline="\n") as fh:
-        size = read_preamble([fh.readline(), fh.readline()], path, "model", MODEL_HEADER,
-                             _SIZE_PREFIX)
-        if size != str(len(vocab)):
-            raise DataError(f"{path}:2: model was built with {size} words, vocab has {len(vocab)}")
-        for lineno, line in enumerate(fh, start=3):
-            line = line.rstrip("\n")
-            if line == _NORM_SECTION:
-                if in_norms:
-                    raise DataError(f"{path}:{lineno}: {_NORM_SECTION} must come once")
-                in_norms = True
-                starts.append(len(cells))
-                continue
-            parts = line.split("\t")
-            fields = 2 if in_norms else 3
-            if len(parts) != fields or line[0] == "#":
-                raise line_error(path, lineno, line, _SIZE_PREFIX, fields)
-            text = parts[-1]
-            try:
-                # float() also reads "1_0", " 1" and non-ASCII digits; no writer does.
-                if not text.isascii() or "_" in text or text.strip() != text:
-                    raise ValueError(text)
-                value = float(text)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad value {text!r}") from None
-            if not 0.0 <= value < inf:
-                raise DataError(
-                    f"{path}:{lineno}: value must be finite and non-negative, got {text}"
-                )
-            fs = parts[0]
-            if in_norms:
-                i = len(norms)
-                if i == len(names) or names[i] != fs:
-                    expected = repr(names[i]) if i < len(names) else "no more"
-                    raise DataError(f"{path}:{lineno}: normalizers come one per row, in row "
-                                    f"order: expected {expected}, got {fs!r}")
-                try:
-                    row_sum = math.fsum(cells[starts[i] : starts[i + 1]])
-                except OverflowError:  # the cells sum past the largest float
-                    row_sum = inf
-                if not math.isclose(value, row_sum, rel_tol=1e-9):
-                    raise DataError(
-                        f"{path}:{lineno}: normalizer {text} of {fs!r} is not its row's sum "
-                        f"{row_sum!r}"
-                    )
-                norms.append(value)
-                continue
-            key = (fs, parts[1])
-            if last_link is not None and key <= last_link:
-                raise DataError(f"{path}:{lineno}: rows out of order")
-            wid = vocab.index.get(parts[1])
+    last_fs = None
+    with closing(oracle_rows(path, MODEL_FILE, vocab)) as entries:
+        next(entries)
+        for fs, ws, cell, lineno in entries:
+            wid = vocab.index.get(ws)
             if wid is None:
-                raise DataError(f"{path}:{lineno}: unknown word {parts[1]!r}")
-            if last_link is None or fs != last_link[0]:
+                raise DataError(f"{path}:{lineno}: unknown word {ws!r}")
+            if fs != last_fs:
                 # Rows are sorted and parsing is one-to-one, so a new string
                 # is a new feature.
                 try:
                     features.append(parse(fs))
                 except DataError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
-                names.append(fs)
+                last_fs = fs
                 starts.append(len(cells))
-            last_link = key
+                lines.append(lineno)
             words.append(wid)
-            cells.append(value)
-    if len(norms) < len(names):
-        raise DataError(f"{path}: {len(names) - len(norms)} rows lack a normalizer entry")
-    offsets = np.array([*starts[: len(names)], len(cells)], dtype=np.int64)
+            cells.append(cell)
+    offsets = np.array([*starts, len(cells)], dtype=np.int64)
     layout, order = Rows.sort_words(features, offsets, np.array(words, dtype=np.int32))
-    return SnmModel(layout, np.array(cells, dtype=np.float64)[order],
-                    np.array(norms, dtype=np.float64))
+    cells = np.array(cells, dtype=np.float64)[order].tolist()
+    norms = []
+    for r, (a, b) in enumerate(zip(offsets.tolist(), offsets[1:].tolist())):
+        norm = 0.0
+        for cell in cells[a:b]:
+            norm += cell
+        if norm == math.inf:
+            raise DataError(f"{path}:{lines[r]}: the cells of this row sum past the largest float")
+        norms.append(norm)
+    return SnmModel(layout, np.array(cells, dtype=np.float64), np.array(norms, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +805,7 @@ def oracle_load_model(path, vocab: Vocabulary) -> SnmModel:
 
 def oracle_write_rows(fh, names: list[str], row: np.ndarray, word: np.ndarray, value: np.ndarray,
                       vocab: Vocabulary) -> None:
-    """`write_rows` one row at a time, each value rendered as ``f"{value}"`` where it is written.
+    """The rows of `save_rows` one at a time, each value rendered as ``f"{value}"`` where it is written.
 
     Rows go in (feature string, word string) order.
     """
@@ -853,26 +815,14 @@ def oracle_write_rows(fh, names: list[str], row: np.ndarray, word: np.ndarray, v
     fh.write("".join([f"{fs[i]}\t{ws[i]}\t{vs[i]}\n" for i in order]))
 
 
-def oracle_save_counts(store: CountStore, path, vocab: Vocabulary) -> None:
-    """`CountStore.save` through `oracle_write_rows`, sealed by `seal`."""
+def oracle_save_rows(path, preamble: str, layout: Rows, values: np.ndarray,
+                     vocab: Vocabulary) -> None:
+    """`save_rows` through `oracle_write_rows`, sealed by `seal`."""
     text = io.StringIO()
-    text.write(f"{COUNTS_HEADER}\n{_TOTAL_PREFIX}{store.total_events}\n")
-    oracle_write_rows(text, store.layout.strings(vocab), store.layout.row, store.layout.words,
-                      store.counts, vocab)
+    text.write(preamble)
+    oracle_write_rows(text, layout.strings(vocab), layout.row, layout.words, values, vocab)
     with atomic_write(path) as fh:
         fh.write(seal(text.getvalue(), vocab))
-
-
-def oracle_save_model(model: SnmModel, path, vocab: Vocabulary) -> None:
-    """`save_model` through `oracle_write_rows`, then one normalizer line written at a time."""
-    names = model.layout.strings(vocab)
-    norms = model.row_sums.tolist()
-    with atomic_write(path) as fh:
-        fh.write(f"{MODEL_HEADER}\n{_SIZE_PREFIX}{len(vocab)}\n")
-        oracle_write_rows(fh, names, model.layout.row, model.layout.words, model.cells, vocab)
-        fh.write(_NORM_SECTION + "\n")
-        for i in sorted(range(len(names)), key=names.__getitem__):
-            fh.write(f"{names[i]}\t{norms[i]}\n")
 
 
 def _feature(line: str) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -361,8 +362,8 @@ def test_an_event_with_no_known_feature_is_named_at_its_line(pipeline, capsys):
     (wd / "few.tsv").write_text(seal("#snm-counts v2\n#total-events 3\n[tea]\tis\t3\n",
                                      Vocabulary.load(wd / "vocab.txt")), encoding="utf-8")
     size = len(Vocabulary.load(wd / "vocab.txt"))
-    (wd / "few.model").write_text(f"#snm-model v1\n#vocab-size {size}\n[tea]\tis\t1.0\n"
-                                  "#normalizers\n[tea]\t1.0\n", encoding="utf-8")
+    (wd / "few.model").write_text(seal(f"#snm-model v2\n#vocab-size {size}\n[tea]\tis\t1.0\n",
+                                       Vocabulary.load(wd / "vocab.txt")), encoding="utf-8")
     (wd / "text.txt").write_text("\nhot cold\nred\n", encoding="utf-8")
     error = f"snmlm: {wd / 'text.txt'}:2: {message}\n"
     train[train.index("--counts") + 1], train[train.index("--dev") + 1] = (
@@ -445,56 +446,92 @@ def _eval_model(wd) -> int:
     ])
 
 
+def _trailer_start(lines: list[str]) -> int:
+    """The index of a model file's first trailer line, the one after its rows."""
+    return next(i for i, line in enumerate(lines) if line.startswith("#rows "))
+
+
 def test_eval_rejects_nan_normalizer(pipeline, capsys):
+    # A normalizer is its row's sum, so a NaN one can come only from a NaN
+    # cell, which is named at its line.
     wd = pipeline
     lines = _trained_model_lines(wd)
-    lineno = lines.index("#normalizers") + 2
-    feature = lines[lineno - 1].split("\t")[0]
-    lines[lineno - 1] = f"{feature}\tnan"
+    feature, word, _ = lines[3].split("\t")
+    lines[3] = f"{feature}\t{word}\tnan"
     (wd / "model.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert _eval_model(wd) == 2
     captured = capsys.readouterr()
-    assert f"model.tsv:{lineno}:" in captured.err
+    assert "model.tsv:4: value must be finite and non-negative, got nan" in captured.err
     assert "ppl" not in captured.out
 
 
 def test_eval_rejects_normalizer_without_link_rows(pipeline, capsys):
+    # A normalizer line of the old format, in row order: it is no row.
     wd = pipeline
     lines = _trained_model_lines(wd)
-    # In feature order, as `save_model` writes normalizers.
-    norms = lines.index("#normalizers") + 1
-    lines[norms:] = sorted(lines[norms:] + ["[hot tea]\t1.0"])
+    end = _trailer_start(lines)
+    lines[2:end] = sorted(lines[2:end] + ["[hot tea]\t1.0"])
     (wd / "model.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert _eval_model(wd) == 2
-    err = capsys.readouterr().err
     lineno = lines.index("[hot tea]\t1.0") + 1
-    assert f"model.tsv:{lineno}: normalizers come one per row, in row order: expected " in err
-    assert err.endswith(", got '[hot tea]'\n")
+    assert capsys.readouterr().err == (f"snmlm: {wd / 'model.tsv'}:{lineno}: "
+                                       "expected 3 tab-separated fields\n")
 
 
-@pytest.mark.parametrize("edit", ["no vocab size", "rows reversed", "normalizers reversed"])
+@pytest.mark.parametrize("edit", ["no vocab size", "rows reversed", "trailer reversed"])
 def test_eval_rejects_a_model_file_that_save_model_never_writes(pipeline, capsys, edit):
     wd = pipeline
     lines = _trained_model_lines(wd)
-    norms = lines.index("#normalizers")
-    assert lines[1].startswith("#vocab-size ") and norms > 4 and len(lines) - norms > 2
+    end = _trailer_start(lines)
+    assert lines[1].startswith("#vocab-size ") and end > 4 and lines[-1].startswith("#sha256 ")
     if edit == "no vocab size":
         del lines[1]
         lineno, message = 2, "#vocab-size must come once, before the first row"
     elif edit == "rows reversed":
-        lines[2:norms] = reversed(lines[2:norms])
+        lines[2:end] = reversed(lines[2:end])
         lineno, message = 4, "rows out of order"
     else:
-        lines[norms + 1 :] = reversed(lines[norms + 1 :])
-        lineno, message = norms + 2, "normalizers come one per row, in row order"
+        lines[end:] = reversed(lines[end:])
+        lineno, message = end + 1, "expected a #rows line of the trailer, got '#sha256 "
     (wd / "model.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert _eval_model(wd) == 2
     captured = capsys.readouterr()
     assert f"model.tsv:{lineno}: {message}" in captured.err
     assert "ppl" not in captured.out
+
+
+def test_eval_rejects_a_trained_model_with_two_cells_of_a_row_swapped(pipeline, capsys):
+    # The row's sum, and so every check of its normalizer, is unchanged:
+    # only the digest of the trailer sees the swap.
+    wd = pipeline
+    lines = _trained_model_lines(wd)
+    assert _eval_model(wd) == 0
+    i = next(i for i in range(2, _trailer_start(lines) - 1)
+             if lines[i].split("\t")[0] == lines[i + 1].split("\t")[0]
+             and lines[i].split("\t")[2] != lines[i + 1].split("\t")[2])
+    (f, w, a), (_, v, b) = lines[i].split("\t"), lines[i + 1].split("\t")
+    lines[i : i + 2] = [f"{f}\t{w}\t{b}", f"{f}\t{v}\t{a}"]
+    (wd / "model.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert _eval_model(wd) == 2
+    assert capsys.readouterr() == ("", f"snmlm: {wd / 'model.tsv'}:{len(lines)}: changed after "
+                                       "it was written: the lines before this one do not have "
+                                       "this SHA-256\n")
+
+
+def test_eval_rejects_a_model_read_with_another_vocabulary_of_its_size(pipeline, capsys):
+    # The same words in another order: every row reads, under other word ids.
+    wd = pipeline
+    lines = _trained_model_lines(wd)
+    words = GOLDEN_VOCAB.splitlines()
+    (wd / "vocab.txt").write_text("\n".join(words[:3] + words[:2:-1]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert _eval_model(wd) == 2
+    assert capsys.readouterr() == ("", f"snmlm: {wd / 'model.tsv'}:{len(lines) - 1}: "
+                                       "written with another vocabulary\n")
 
 
 # Each text input, by the file it is read from, and a command that reads it.
@@ -751,13 +788,13 @@ def test_inspect_names_the_line_of_an_unparsable_feature(workdir, capsys):
     assert "bad.tsv:3: unknown token 'zz'" in err
 
 
-def _eval_bad_model(workdir, capsys, body: str, how: str = "") -> str:
-    """Run `eval` on a model file of `body` after the preamble; `how` is a fourth table item."""
+def _eval_bad_model(workdir, capsys, body: str, edit=None) -> str:
+    """Run `eval` on a model file of `body` after the preamble, as `edit(text, vocab)` changes it."""
     vocab = _w_vocab(workdir)
+    words = Vocabulary.load(vocab)
     bad = workdir / "bad-model.tsv"
-    size = "" if how == "no size line" else f"#vocab-size {len(Vocabulary.load(vocab))}\n"
-    newline = {"CRLF": "\r\n", "CR": "\r"}.get(how)
-    bad.write_text(f"#snm-model v1\n{size}{body}", encoding="utf-8", newline=newline)
+    text = f"#snm-model v2\n#vocab-size {len(words)}\n{body}"
+    bad.write_bytes((edit(text, words) if edit else text).encode("utf-8"))
     capsys.readouterr()
     assert main([
         "eval", "--model", _p(bad), "--test", _p(workdir / "tiny.txt"),
@@ -769,76 +806,88 @@ def _eval_bad_model(workdir, capsys, body: str, how: str = "") -> str:
 
 
 def test_eval_names_the_line_of_an_unparsable_feature(workdir, capsys):
-    err = _eval_bad_model(workdir, capsys, "[zz]\tw\t1.0\n#normalizers\n[zz]\t1.0\n")
+    err = _eval_bad_model(workdir, capsys, "[zz]\tw\t1.0\n")
     assert "bad-model.tsv:3: unknown token 'zz'" in err
 
 
 def test_eval_names_the_line_of_an_unparsable_normalizer(workdir, capsys):
-    # A normalizer is matched to its row by its string, unparsed: one that
-    # does not parse has no row.
-    body = "[]\tw\t1.0\n#normalizers\n[]\t1.0\n[zz]\t1.0\n"
-    err = _eval_bad_model(workdir, capsys, body)
-    assert "bad-model.tsv:6: normalizers come one per row, in row order: expected no more, " \
-        "got '[zz]'" in err
+    # A normalizer line of the old format is no row, whatever it names.
+    err = _eval_bad_model(workdir, capsys, "[]\tw\t1.0\n[zz]\t1.0\n")
+    assert "bad-model.tsv:4: expected 3 tab-separated fields" in err
 
 
-# Bad model bodies (after the header and #vocab-size lines, or after the
-# header alone when a fourth item says so) and the line and message each is
-# rejected with. Values are what `float` reads, less `_`,
-# surrounding whitespace and non-ASCII text; a link or normalizer comes once.
-# A model file is read as written: one whose lines end in CRLF or CR, as a
-# fourth item writes it, has no header line.
+def _resealed(text: str) -> str:
+    """A sealed `text` with its #sha256 line made anew for the lines before it."""
+    body = text[:text.rindex("#sha256 ")]
+    return body + f"#sha256 {hashlib.sha256(body.encode()).hexdigest()}\n"
+
+
+def _without_line_2(text: str, vocab) -> str:
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:1] + lines[2:])
+
+
+# Bad model bodies (after the header and #vocab-size lines) and the line and
+# message each is rejected with; a fourth item edits the whole text, the
+# vocabulary given. Values are what `float` reads, less `_`, surrounding
+# whitespace and non-ASCII text; a link comes once. A bad row is named
+# before the trailer is read, so those bodies are not sealed. The old
+# `#normalizers` section, whatever it holds, is named at its first line. A
+# model file is read as written: one whose lines end in CRLF or CR has no
+# header line.
 _BAD_MODEL_LINES = {
-    "underscore value": ("[]\tw\t1_0.5\n#normalizers\n[]\t1.0\n", 3, "bad value '1_0.5'"),
-    "spaced value": ("[]\tw\t 1.0\n#normalizers\n[]\t1.0\n", 3, "bad value ' 1.0'"),
-    "non-ASCII value": ("[]\tw\t\u0661.5\n#normalizers\n[]\t1.0\n", 3,
-                        "bad value '\u0661.5'"),
-    "underscore normalizer": ("[]\tw\t1.0\n#normalizers\n[]\t1_0\n", 5, "bad value '1_0'"),
-    "spaced normalizer": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\x0c\n", 5,
-                          "bad value '1.0\\x0c'"),
-    "repeated link": ("[]\t</S>\t1.0\n[]\tw\t1.0\n[]\tw\t2.0\n#normalizers\n[]\t4.0\n", 5,
-                      "rows out of order"),
-    "repeated normalizer": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\n[]\t1.0\n", 6,
-                            "normalizers come one per row, in row order: expected no more, "
-                            "got '[]'"),
-    "unsorted links": ("[]\tw\t1.0\n[]\t</S>\t1.0\n#normalizers\n[]\t2.0\n", 4,
-                       "rows out of order"),
-    "unsorted rows": ("[w]\tw\t1.0\n[]\tw\t1.0\n#normalizers\n[]\t1.0\n[w]\t1.0\n", 4,
-                      "rows out of order"),
-    "unsorted normalizers": ("[]\tw\t1.0\n[w]\tw\t1.0\n#normalizers\n[w]\t1.0\n[]\t1.0\n", 6,
-                             "normalizers come one per row, in row order: expected '[]', "
-                             "got '[w]'"),
-    "repeated vocab size": ("#vocab-size 4\n[]\tw\t1.0\n#normalizers\n[]\t1.0\n", 3,
+    "underscore value": ("[]\tw\t1_0.5\n", 3, "bad value '1_0.5'"),
+    "spaced value": ("[]\tw\t 1.0\n", 3, "bad value ' 1.0'"),
+    "non-ASCII value": ("[]\tw\t\u0661.5\n", 3, "bad value '\u0661.5'"),
+    "underscore normalizer": ("[]\tw\t1.0\n#normalizers\n[]\t1_0\n", 4,
+                              "unknown directive '#normalizers'"),
+    "spaced normalizer": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\x0c\n", 4,
+                          "unknown directive '#normalizers'"),
+    "repeated link": ("[]\t</S>\t1.0\n[]\tw\t1.0\n[]\tw\t2.0\n", 5, "rows out of order"),
+    "repeated normalizer": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\n[]\t1.0\n", 4,
+                            "unknown directive '#normalizers'"),
+    "unsorted links": ("[]\tw\t1.0\n[]\t</S>\t1.0\n", 4, "rows out of order"),
+    "unsorted rows": ("[w]\tw\t1.0\n[]\tw\t1.0\n", 4, "rows out of order"),
+    "unsorted normalizers": ("[]\tw\t1.0\n[w]\tw\t1.0\n#normalizers\n[w]\t1.0\n[]\t1.0\n", 5,
+                             "unknown directive '#normalizers'"),
+    "repeated vocab size": ("#vocab-size 4\n[]\tw\t1.0\n", 3,
                             "#vocab-size must come once, before the first row"),
-    "late vocab size": ("[]\tw\t1.0\n#vocab-size 4\n#normalizers\n[]\t1.0\n", 4,
+    "late vocab size": ("[]\tw\t1.0\n#vocab-size 4\n", 4,
                         "#vocab-size must come once, before the first row"),
-    "spaced tag": ("t x:[]\tw\t1.0\n#normalizers\nt x:[]\t1.0\n", 3,
-                   "bad corpus tag 't x' in feature 't x:[]'"),
-    "unknown directive": ("[]\tw\t1.0\n#anything at all\n#normalizers\n[]\t1.0\n", 4,
+    "spaced tag": ("t x:[]\tw\t1.0\n", 3, "bad corpus tag 't x' in feature 't x:[]'"),
+    "unknown directive": ("[]\tw\t1.0\n#anything at all\n", 4,
                           "unknown directive '#anything at all'"),
     "misspelt normalizers": ("[]\tw\t1.0\n#normalizer\n[]\t1.0\n", 4,
                              "unknown directive '#normalizer'"),
-    "second normalizers": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\n#normalizers\n", 6,
-                           "#normalizers must come once"),
-    "no directive line": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\n", 2,
-                          "#vocab-size must come once, before the first row", "no size line"),
-    "blank line": ("[]\tw\t1.0\n\n#normalizers\n[]\t1.0\n", 4,
-                   "expected 3 tab-separated fields"),
-    "normalizer not its row's sum": ("[]\t</S>\t0.5\n[]\tw\t1.0\n#normalizers\n[]\t1.0\n", 6,
-                                     "normalizer 1.0 of '[]' is not its row's sum 1.5"),
-    "blank normalizer line": ("[]\tw\t1.0\n#normalizers\n\n[]\t1.0\n", 5,
-                              "expected 2 tab-separated fields"),
-    "CRLF line endings": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\n", 1,
-                          "not a model file (bad header)", "CRLF"),
-    "CR line endings": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\n", 1,
-                        "not a model file (bad header)", "CR"),
+    "second normalizers": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\n#normalizers\n", 4,
+                           "unknown directive '#normalizers'"),
+    "no directive line": ("[]\tw\t1.0\n", 2, "#vocab-size must come once, before the first row",
+                          _without_line_2),
+    "blank line": ("[]\tw\t1.0\n\n", 4, "expected 3 tab-separated fields"),
+    "normalizer not its row's sum": ("[]\t</S>\t0.5\n[]\tw\t1.0\n#normalizers\n[]\t1.0\n", 5,
+                                     "unknown directive '#normalizers'"),
+    "blank normalizer line": ("[]\tw\t1.0\n#normalizers\n\n[]\t1.0\n", 4,
+                              "unknown directive '#normalizers'"),
+    "CRLF line endings": ("[]\tw\t1.0\n", 1, "not a model file (bad header)",
+                          lambda text, vocab: seal(text, vocab).replace("\n", "\r\n")),
+    "CR line endings": ("[]\tw\t1.0\n", 1, "not a model file (bad header)",
+                        lambda text, vocab: seal(text, vocab).replace("\n", "\r")),
+    "v1 header": ("[]\tw\t1.0\n#normalizers\n[]\t1.0\n", 1,
+                  "a v1 model file has no trailer; train it again",
+                  lambda text, vocab: text.replace(" v2\n", " v1\n", 1)),
+    "no trailer": ("[]\tw\t1.0\n", 4, "no trailer: the file ends after its rows"),
+    "digest mismatch": ("[]\t</S>\t0.5\n[]\tw\t1.0\n", 8, "changed after it was written",
+                        lambda text, vocab: seal(text, vocab).replace("\t1.0\n", "\t2.0\n")),
+    "wrong #rows": ("[]\tw\t1.0\n", 4, "the file has 1 rows, not 2",
+                    lambda text, vocab: _resealed(seal(text, vocab).replace("#rows 1\n",
+                                                                            "#rows 2\n"))),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_BAD_MODEL_LINES))
 def test_eval_rejects_bad_model_lines(workdir, capsys, kind):
-    body, lineno, message, *how = _BAD_MODEL_LINES[kind]
-    err = _eval_bad_model(workdir, capsys, body, *how)
+    body, lineno, message, *edit = _BAD_MODEL_LINES[kind]
+    err = _eval_bad_model(workdir, capsys, body, *edit)
     assert f"bad-model.tsv:{lineno}: {message}" in err
     assert "Traceback" not in err
 
@@ -850,8 +899,8 @@ def test_bad_model_lines_are_named_alike_after_a_block_boundary(workdir, capsys,
     # Link rows are read a block at a time: the line each case names comes
     # after a block boundary when it is a row.
     monkeypatch.setattr(snmlm.counts, "_BLOCK_LINES", block_lines)
-    body, lineno, message, *how = _BAD_MODEL_LINES[kind]
-    err = _eval_bad_model(workdir, capsys, body, *how)
+    body, lineno, message, *edit = _BAD_MODEL_LINES[kind]
+    err = _eval_bad_model(workdir, capsys, body, *edit)
     assert f"bad-model.tsv:{lineno}: {message}" in err
     assert "Traceback" not in err
 

@@ -12,10 +12,10 @@ import snmlm.files
 
 from snmlm.adjustment import AdjustmentModel
 from snmlm.corpus import E_ID, S_ID, build_vocab, map_tokens
-from snmlm.counts import COUNTS_HEADER, CountStore, accumulate, merge_files
+from snmlm.counts import COUNT_FILE, COUNTS_HEADER, CountStore, accumulate, merge_files
 from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature, extract_events, parse_config, render_feature
-from snmlm.model import SnmModel, save_model
+from snmlm.model import MODEL_FILE, SnmModel, save_model
 
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
@@ -26,8 +26,7 @@ from snm_testutil import (
     oracle_load_counts,
     oracle_merge_counts,
     oracle_pick,
-    oracle_save_counts,
-    oracle_save_model,
+    oracle_save_rows,
     outcome,
     seal,
     strip_tags,
@@ -665,7 +664,7 @@ def test_every_store_keeps_the_array_invariants(tmp_path_factory, odd_vocab, dat
         _assert_store_invariants(store)
 
 
-# Strings no count file holds a row as: `write_rows` writes canonical strings.
+# Strings no count file holds a row as: `save_rows` writes canonical strings.
 _NOT_CANONICAL = (lambda s: s.replace("[", "[ ", 1), lambda s: s[:-1] + " ]",
                   lambda s: f" {s}", lambda s: f"{s} ")
 
@@ -816,14 +815,15 @@ def test_the_row_writer_writes_what_the_per_row_writer_wrote(tmp_path_factory, o
     counts = data.draw(st.lists(st.sampled_from(_COUNTS) | st.integers(1, _INT64_MAX),
                                 min_size=n, max_size=n))
     cells = data.draw(st.lists(cell, min_size=n, max_size=n))
-    norms = data.draw(st.lists(cell, min_size=len(features), max_size=len(features)))
     layout = snmlm.counts.Rows(features, np.cumsum([0, *map(len, links)]),
                                np.array([w for ws in links for w in ws], np.int32))
     store = CountStore(layout, np.array(counts, np.int64), _INT64_MAX)
-    model = SnmModel(layout, np.array(cells), np.array(norms))
+    model = SnmModel(layout, np.array(cells), np.zeros(len(features)))  # normalizers go unwritten
     wd = tmp_path_factory.mktemp("writer")
-    oracle_save_counts(store, wd / "counts.oracle", odd_vocab)
-    oracle_save_model(model, wd / "model.oracle", odd_vocab)
+    oracle_save_rows(wd / "counts.oracle", COUNT_FILE.preamble(_INT64_MAX), layout, store.counts,
+                     odd_vocab)
+    oracle_save_rows(wd / "model.oracle", MODEL_FILE.preamble(len(odd_vocab)), layout, model.cells,
+                     odd_vocab)
     for block_lines in (1, 2, 3, snmlm.counts._BLOCK_LINES):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(snmlm.counts, "_BLOCK_LINES", block_lines)

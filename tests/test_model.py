@@ -4,8 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from snmlm.adjustment import AdjustmentModel
+from snmlm.adjustment import AdjustmentModel, train
 from snmlm.corpus import build_vocab
 from snmlm.counts import accumulate
 from snmlm.errors import DataError
@@ -30,6 +31,7 @@ from snm_testutil import (
     random_events,
     random_store,
     random_theta,
+    seal,
 )
 
 
@@ -321,20 +323,19 @@ def test_model_file_golden_bytes(tmp_path):
     empty = Feature((), tag="web")
     # 0.1 + 0.2 needs all 17 significant digits to read back.
     rows = {skip: {c: 0.1 + 0.2, b: 1 / 3}, empty: {a: 2.0, 1: 1e-05}}
-    model = model_of(rows, {empty: 2.00001, skip: 0.6333333333333333})
+    model = model_of(rows, {empty: 1e-05 + 2.0, skip: 1 / 3 + (0.1 + 0.2)})
     path = tmp_path / "model.tsv"
     save_model(model, path, vocab)
-    assert path.read_bytes() == (
-        b"#snm-model v1\n"
-        b"#vocab-size 6\n"
-        b"web:[]\t</S>\t1e-05\n"
-        b"web:[]\ta\t2.0\n"
-        b"web:[a skip-3 b]\tb\t0.3333333333333333\n"
-        b"web:[a skip-3 b]\tc\t0.30000000000000004\n"
-        b"#normalizers\n"
-        b"web:[]\t2.00001\n"
-        b"web:[a skip-3 b]\t0.6333333333333333\n"
+    rows_text = (
+        "#snm-model v2\n"
+        "#vocab-size 6\n"
+        "web:[]\t</S>\t1e-05\n"
+        "web:[]\ta\t2.0\n"
+        "web:[a skip-3 b]\tb\t0.3333333333333333\n"
+        "web:[a skip-3 b]\tc\t0.30000000000000004\n"
     )
+    assert path.read_bytes() == seal(rows_text, vocab).encode()
+    assert path.read_bytes().startswith(rows_text.encode() + b"#rows 4\n#features web 2\n")
     loaded = load_model(path, vocab)
     assert loaded.rows == rows
     assert loaded.normalizers == model.normalizers
@@ -351,31 +352,63 @@ def test_model_file_rejects_bad_header(tmp_path):
         load_model(path, vocab)
 
 
-@pytest.mark.parametrize("scale, loads", [
-    (1 + 1e-10, True), (1 - 1e-10, True), (1 + 1e-8, False), (1 - 1e-8, False), (0.5, False),
-])
-def test_model_file_normalizer_is_its_row_sum_within_1e_9(tmp_path, scale, loads):
-    vocab = build_vocab(["a", "b"], min_count=1)
-    path = tmp_path / "model.tsv"
-    norm = (0.1 + 0.2 + 1 / 3) * scale
-    path.write_text(
-        f"#snm-model v1\n#vocab-size {len(vocab)}\n"
-        f"[]\ta\t{0.1 + 0.2!r}\n[]\tb\t{1 / 3!r}\n#normalizers\n[]\t{norm!r}\n",
-        encoding="utf-8",
-    )
-    if loads:
-        assert load_model(path, vocab).normalizers == {Feature(()): norm}
-    else:
-        with pytest.raises(DataError, match=re.escape(f"{path}:6: normalizer {norm!r} of '[]' "
-                                                      "is not its row's sum")):
-            load_model(path, vocab)
-
-
 def test_model_file_rejects_a_row_summing_past_the_largest_float(tmp_path):
+    # The file is sealed: only the sum of its cells is wrong.
     vocab = build_vocab(["a", "b"], min_count=1)
     path = tmp_path / "model.tsv"
-    path.write_text(f"#snm-model v1\n#vocab-size {len(vocab)}\n"
-                    "[]\ta\t1e308\n[]\tb\t1e308\n#normalizers\n[]\t1e308\n", encoding="utf-8")
-    with pytest.raises(DataError, match=re.escape(f"{path}:6: normalizer 1e308 of '[]' "
-                                                  "is not its row's sum inf")):
+    path.write_text(seal(f"#snm-model v2\n#vocab-size {len(vocab)}\n[]\ta\t1.0\n"
+                         "[a]\ta\t1e308\n[a]\tb\t1e308\n", vocab), encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}:4: the cells of this row sum past "
+                                                  "the largest float")):
         load_model(path, vocab)
+
+
+# Cells that must read back bit for bit: subnormals, 0.1 + 0.2 beside 0.3,
+# and neighbours one step apart.
+_CELLS = [0.0, 5e-324, 2.5e-310, float(np.nextafter(2.2250738585072014e-308, 0.0)),
+          0.1 + 0.2, 0.3, float(np.nextafter(0.3, 1.0)), 1 / 3, 1.0,
+          float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0)), 1e300]
+
+
+@st.composite
+def _models(draw, vocab):
+    """A model `train` returns on a random store, or one of drawn dict rows (`model_of`).
+
+    A drawn row's normalizer is its cells added in word id order, as
+    training sums a row.
+    """
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        store, feats = random_store(rng, vocab, draw(st.integers(1, 8)))
+        adj = AdjustmentModel(1024, batch_size=draw(st.integers(1, 8)))
+        return train(random_events(rng, store, feats, 12), store, adj, 1, vocab)[1]
+    words = st.integers(3, len(vocab) - 1)
+    features = draw(st.lists(st.tuples(words, words).map(Feature) | st.just(Feature(())),
+                             min_size=1, max_size=6, unique=True))
+    rows = {f: draw(st.dictionaries(st.integers(0, len(vocab) - 1), st.sampled_from(_CELLS),
+                                    min_size=1, max_size=5)) for f in features}
+    norms = {}
+    for f, row in rows.items():
+        norms[f] = 0.0
+        for _, cell in sorted(row.items()):
+            norms[f] += cell
+    return model_of(rows, norms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_saved_model_loads_bit_for_bit(tmp_path_factory, data):
+    vocab = make_vocab(12)
+    model = data.draw(_models(vocab))
+    path = tmp_path_factory.mktemp("model") / "model.tsv"
+    save_model(model, path, vocab)
+    loaded = load_model(path, vocab)
+    # Rows come back in file order, which is string order.
+    names = model.layout.strings(vocab)
+    order = sorted(range(len(names)), key=names.__getitem__)
+    assert loaded.layout.features == [model.layout.features[r] for r in order]
+    assert loaded.row_sums.tobytes() == model.row_sums[order].tobytes()
+    for r, (f, row) in enumerate(loaded.rows.items()):
+        lo, hi = model.layout.offsets[order[r] : order[r] + 2]
+        assert list(row) == model.layout.words[lo:hi].tolist()
+        assert np.array(list(row.values())).tobytes() == model.cells[lo:hi].tobytes()

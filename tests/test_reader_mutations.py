@@ -3,13 +3,13 @@
 Each example starts from a file a writer produced (`snmlm count`,
 `merge_files`, or `save_model` through `snmlm train`) and applies one
 mutation: delete, duplicate or swap lines, insert a blank line, replace a
-field with any text, overwrite or insert a byte, cut the file short, or
-scale one normalizer. Reading it with `snmlm inspect` must then exit 0, or
-exit 2 with a message that starts with ``<file>:<line>:``; only rows that
-lack a normalizer are named by the file alone. It must never raise. A count
-file is also read by `snmlm train --dev`, which checks only the dev rows
-when the trailer seals the file, and both commands must exit 2 on any
-mutation that changed its bytes: the trailer's digest covers every row.
+field with any text, overwrite or insert a byte, or cut the file short.
+Reading it with `snmlm inspect` must then exit 0, or exit 2 with a message
+that starts with ``<file>:<line>:``. It must never raise. A count file is
+also read by `snmlm train --dev`, which checks only the dev rows when the
+trailer seals the file, and a model file by `snmlm eval`, which checks
+every row. Each command must exit 2 on any mutation that changed the
+file's bytes: the trailer's digest covers every row of both kinds.
 
 The vocabulary and the extractor config that `snmlm count` reads are
 mutated the same way, and a config also has a word replaced by any text or
@@ -20,14 +20,10 @@ or a cut. No command reads an adjustment file, so `AdjustmentModel.load`
 reads a mutated one, with a byte or a header field replaced, or cut short;
 it may raise only a `DataError` naming the file.
 
-A model file may still exit 0 after a mutation that leaves a file the
-writer could have written. It cannot lose a cell that way, though: its
-normalizer is no longer the row's sum.
-
 Written and mutated model files of tagged n-gram and skip features are also
 read by `load_model` at several block sizes, which must give what the
-per-line reader `oracle_load_model` gives: the same rows and cells bit for
-bit, or the same error.
+per-line reader `oracle_load_model` gives: the same rows, cells and
+normalizers bit for bit, or the same error.
 """
 
 import io
@@ -49,7 +45,7 @@ from snmlm.errors import DataError
 from snmlm.extraction import Feature, render_feature
 from snmlm.model import load_model
 
-from snm_testutil import oracle_load_model, outcome
+from snm_testutil import oracle_load_model, outcome, seal
 
 _SKIP_CONFIG = """\
 ngram_extractor { min_n: 0 max_n: 2 }
@@ -160,11 +156,6 @@ def _mutation(name: str, data: bytes):
         expected = (i + 1, "<S> inside a sentence") if k else None
         return joined(lines[:i] + [line] + lines[i + 1:]), expected
 
-    def scale(i, factor):
-        fs, value = lines[i].split("\t")
-        new = f"{fs}\t{float(value) * factor!r}"
-        return joined(lines[:i] + [new] + lines[i + 1:]), (i + 1, "is not its row's sum")
-
     index = st.integers(0, n - 1)
     if name == "text":
         return st.one_of(
@@ -188,10 +179,6 @@ def _mutation(name: str, data: bytes):
         kinds.append(st.builds(word, st.sampled_from([i for i in range(n) if lines[i].split()]),
                                st.integers(0, 2),
                                st.one_of(st.text(max_size=12), st.integers(0, 10**6).map(str))))
-    if name == "model":
-        first = lines.index("#normalizers") + 1
-        kinds.append(st.builds(scale, st.integers(first, n - 1),
-                               st.sampled_from([0.0, 0.5, 1 - 1e-6, 1 + 1e-6, 2.0])))
     return st.one_of(kinds)
 
 
@@ -205,13 +192,15 @@ def test_a_mutated_file_exits_0_or_names_its_line(written, name, data):
     path = wd / f"mutated-{name}.tsv"
     path.write_bytes(mutated)
     readers = [["inspect", "[]", f"--{source}", path, "--vocab", wd / "vocab.txt"]]
+    common = ["--config", wd / "snm.cfg", "--vocab", wd / "vocab.txt"]
+    tags = [] if name == "merged" else ["--tag", "web", "--tag", "news"]
     if source == "counts":
-        tags = ["--tag", "web", "--tag", "news"] if name == "tagged" else []
-        readers.append(["train", "--counts", path, "--dev", wd / "dev.txt",
-                        "--config", wd / "snm.cfg", "--vocab", wd / "vocab.txt", *tags,
+        readers.append(["train", "--counts", path, "--dev", wd / "dev.txt", *common, *tags,
                         "--table-size", "1024", "--adjustment-out", wd / "mutated-adj.bin",
                         "--model-out", wd / "mutated-model.tsv"])
-    named = re.escape(f"snmlm: {path}:") + r"(\d+: | \d+ rows lack a normalizer)"
+    else:
+        readers.append(["eval", "--model", path, "--test", wd / "dev.txt", *common, *tags])
+    named = re.escape(f"snmlm: {path}:") + r"\d+: "
     for argv in readers:
         code, err = _run(argv)
         assert code in (0, 2), err
@@ -220,8 +209,8 @@ def test_a_mutated_file_exits_0_or_names_its_line(written, name, data):
             assert err.count("\n") == 1 and "Traceback" not in err
         else:
             assert err == ""
-        if source == "counts" and mutated != original:
-            assert code == 2, f"{argv[0]} read a changed count file"
+        if mutated != original:
+            assert code == 2, f"{argv[0]} read a changed {source} file"
         if expected is not None:
             lineno, fragment = expected
             assert code == 2, f"line {lineno} should have been rejected"
@@ -298,7 +287,7 @@ _CELLS = [1e308, 0.1 + 0.2, 5e-324, 2.5e-310, 1 / 3, 1.0, 0.0]
 def _model_file(draw, vocab) -> bytes:
     """A model file of tagged n-gram and skip features over `vocab`, as `save_model` writes one.
 
-    A row whose cells sum past the largest float gets the normalizer 1e308.
+    A row whose cells sum past the largest float is rejected at its first line.
     """
     names = set()
     for _ in range(draw(st.integers(1, 6))):
@@ -307,17 +296,12 @@ def _model_file(draw, vocab) -> bytes:
         skip_len = draw(st.none() | st.integers(1, 70)) if skip_pos is not None else None
         tag = draw(st.sampled_from([None, "a", "web"]))
         names.add(render_feature(Feature(words, skip_pos, skip_len, tag), vocab))
-    rows, norms = [], []
+    rows = []
     for name in sorted(names):
         links = draw(st.dictionaries(st.sampled_from(vocab.words), st.sampled_from(_CELLS),
                                      min_size=1, max_size=3))
         rows += [f"{name}\t{w}\t{c!r}\n" for w, c in sorted(links.items())]
-        try:
-            norms.append(f"{name}\t{math.fsum(links.values())!r}\n")
-        except OverflowError:
-            norms.append(f"{name}\t1e308\n")
-    return (f"#snm-model v1\n#vocab-size {len(vocab)}\n{''.join(rows)}"
-            f"#normalizers\n{''.join(norms)}").encode("utf-8")
+    return seal(f"#snm-model v2\n#vocab-size {len(vocab)}\n{''.join(rows)}", vocab).encode("utf-8")
 
 
 def _model_items(model):
