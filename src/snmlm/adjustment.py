@@ -5,11 +5,12 @@ of each link. Its weights are fit by maximizing the multinomial
 log-likelihood of held-out events with mini-batch updates and per-weight
 AdaGrad learning rates.
 
-The dev events (`HeldOut`) and the link design are fixed for a run, so
-`train` compiles the events once into flat arrays (`compile_events`): each
-feature occurrence the design knows, in event order, with its event, its
-row and its link to the event's target. A batch is a contiguous slice of
-them. The batch gradient then never touches every vocabulary word per event:
+The dev events and the link design are fixed for a run. The events come
+compiled against the design's rows, as a `HeldOut` (`HeldText.held_out`),
+or `train` compiles them once (`compile_events`): each feature occurrence
+the design knows, in event order, with its event, its row and its link to
+the event's target. A batch is a contiguous slice of them. The batch
+gradient then never touches every vocabulary word per event:
 `np.bincount` over the slice sums each event's y and y_t, the first term
 M_ft / y_t(e) of each occurring target link, and alpha_f, the sum of
 1/y(e) over the occurrences of f. The gradient of every stored link of
@@ -50,7 +51,7 @@ from .metafeatures import LinkDesign, Mode
 # looks them up in this module until ROADMAP item 1 removes the pins. Nothing
 # may call `renormalize`: the tracer's hook on it reads the rows of its result.
 from .model import (  # noqa: F401
-    DevEvents, SnmModel, _event_sums, adjusted_cells, compile_events, evaluate, materialize,
+    SnmModel, _event_sums, adjusted_cells, compile_events, evaluate, materialize,
     perplexity, score_event,
 )
 renormalize = materialize
@@ -202,18 +203,21 @@ def batch_theta_gradient(
     alpha = acc.alpha
     if not alpha:
         return {}
-    rows = design.row_ids(alpha, len(alpha))
+    index = design.layout.row_index.__getitem__
+    rows = np.fromiter(map(index, alpha), np.int64, len(alpha))
     order = np.argsort(rows)
     links, lens = design.layout.links_of(rows[order])
     alpha_f = np.fromiter(alpha.values(), dtype=np.float64, count=len(alpha))[order]
     g_link = np.zeros(len(links))
     first = acc.link_grads
     if first:
-        pos = design.find(
-            links,
-            design.row_ids((f for f, _ in first), len(first)),
-            np.fromiter((w for _, w in first), dtype=np.int64, count=len(first)),
+        found = design.layout.find(
+            np.fromiter((index(f) for f, _ in first), np.int64, len(first)),
+            np.fromiter((w for _, w in first), np.int64, len(first)),
         )
+        pos = np.minimum(np.searchsorted(links, found), len(links) - 1)
+        if not np.array_equal(links[pos], found):
+            raise ValueError("link not among the given links")
         g_link[pos] = np.fromiter(first.values(), dtype=np.float64, count=len(first))
     g_link -= cells[links] * np.repeat(alpha_f, lens)
     grads = design.push(links, g_link)
@@ -230,7 +234,7 @@ class BatchGradient(NamedTuple):
 
 
 def theta_gradient(
-    batch: DevEvents, design: LinkDesign, cells: np.ndarray, row_sums: np.ndarray
+    batch: HeldOut, design: LinkDesign, cells: np.ndarray, row_sums: np.ndarray
 ) -> BatchGradient:
     """Ascent gradient of the batch log-likelihood w.r.t. the weight table.
 
@@ -242,7 +246,7 @@ def theta_gradient(
     weights. An event whose target is unreachable (y_t = 0) is scored at
     the probability floor, a constant, and contributes nothing. The cells
     and row sums are `adjusted_cells` of `design`, and the batch comes from
-    `compile_events` on it.
+    events compiled against its rows.
     """
     y, y_t = _event_sums(batch, cells, row_sums)
     scored = y_t != 0.0
@@ -282,7 +286,7 @@ def apply_adagrad(adj: AdjustmentModel, slots: np.ndarray, grads: np.ndarray) ->
 
 
 def process_batch(
-    batch: DevEvents, design: LinkDesign, cells: np.ndarray, row_sums: np.ndarray,
+    batch: HeldOut, design: LinkDesign, cells: np.ndarray, row_sums: np.ndarray,
     adj: AdjustmentModel,
 ) -> BatchGradient:
     """Compute one mini-batch's gradient and apply its weight update.
@@ -327,28 +331,28 @@ def train(
     Batches follow corpus order with no shuffling; a short final batch is
     processed normally. Epoch 0 statistics describe the unadjusted model.
     With no dev events or no epochs the weights are left as they are and
-    the history is empty. The design is built once and hashed at most
-    once, when the first batch pushes its gradient or the weights it
-    starts from are not all zero. Returns the history and the model of
-    the final weights.
+    the history is empty, and no target link is searched. Events compiled
+    as a `HeldOut` must be compiled against the rows of `counts`
+    (ValueError). The design is built once and hashed at most once, when
+    the first batch pushes its gradient or the weights it starts from are
+    not all zero. Returns the history and the model of the final weights.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
-    held = dev_events if isinstance(dev_events, HeldOut) else HeldOut.from_events(list(dev_events))
     design = LinkDesign.build(counts, adj.mode, adj.table_size, vocab)
+    dev = compile_events(dev_events, design.layout)
     cells, row_sums = adjusted_cells(design, adj.theta)
     history: list[EpochStats] = []
-    if not (held.num_events and epochs):
-        return history, materialize(design, cells, row_sums)
-    dev = compile_events(held, design.layout)
     n = dev.num_events
+    if not (n and epochs):
+        return history, materialize(design, cells, row_sums)
     batch_size = adj.batch_size
     for epoch in range(epochs + 1):
         if epoch:
             for i in range(0, n, batch_size):
                 process_batch(dev.batch(i, min(i + batch_size, n)), design, cells, row_sums, adj)
             cells, row_sums = adjusted_cells(design, adj.theta)
-        report = evaluate(dev, cells, row_sums, held.target)
+        report = evaluate(dev, cells, row_sums)
         history.append(EpochStats(epoch, report.log_prob_sum, report.ppl, adj.nonzero_params))
         if log:
             log(history[-1].format())

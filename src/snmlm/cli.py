@@ -69,10 +69,10 @@ def _tags(args, files=None) -> tuple[str, ...]:
 def _at_line(exc: DataError, path, held: HeldOut, sums: np.ndarray) -> DataError:
     """`exc` named at the line of `path` holding the first event with no feature of positive `sums`.
 
-    ``sums[r]`` is the count or normalizer of the row ``held.features[r]``.
+    ``sums[r]`` is the count or normalizer of row r of ``held.layout``.
     With no such event, `exc` is returned as it is.
     """
-    first = np.flatnonzero(np.bincount(held.event[sums[held.feature] > 0],
+    first = np.flatnonzero(np.bincount(held.event[sums[held.row] > 0],
                                        minlength=held.num_events) == 0)
     return DataError(f"{path}:{held.line[first[0]]}: {exc}") if len(first) else exc
 
@@ -193,14 +193,14 @@ def cmd_train(args) -> int:
     _check_outputs(args, "--adjustment-out", "--model-out")
     # Only the dev rows are trained on and saved, so only they are stored.
     vocab, text, store = _dev_rows(args, tags)
-    dev = text.held_out(store.layout.features)
+    dev = text.held_out(store.layout)
     # Freed before training: held on through it, the dev text's arrays made
     # the benchmark's tagged-wide-train fit 13-20% slower (stages in one process).
     del text
     if not dev.num_events:
         raise SnmError(f"{args.dev}: empty development set")
-    # A copy of `store`: perfbench/tracing.py captures the training store from
-    # this call. ROADMAP item 1 removes the pin.
+    # A new store on the same rows: perfbench/tracing.py captures the training
+    # store from this call. ROADMAP item 1 removes the pin.
     intersected = store.intersect(store.layout.features)
     del store
 
@@ -231,7 +231,7 @@ def cmd_eval(args) -> int:
     config = load_config(args.config)
     model = load_model(args.model, vocab)
     _check_tags_cover({f.tag for f in model.layout.features}, tags, args.model)
-    test = HeldText.read(args.test, vocab, config, tags).held_out(model.layout.features)
+    test = HeldText.read(args.test, vocab, config, tags).held_out(model.layout)
     if not test.num_events:
         raise SnmError(f"{args.test}: empty test set")
     try:

@@ -21,9 +21,10 @@ rows are views built only when read.
 
 Held-out text takes the same occurrence step (`_occurrences`) into
 `HeldText`, word-id columns that build no `Feature`: its `names` are the
-row strings that `CountStore.load(keep=)` keeps, and `held_out` matches
-its contexts against the rows that score them, into `HeldOut`, the arrays
-that training and evaluation score. A `Feature` is only ever a row.
+row strings that `CountStore.load(keep=)` keeps, and `held_out` compiles
+its events against the rows that score them, into `HeldOut`: the one
+held-out type that training and evaluation score, the row of each known
+feature occurrence in event order. A `Feature` is only ever a row.
 """
 
 from __future__ import annotations
@@ -108,6 +109,16 @@ class Rows:
         """Each row's canonical string: `names`, or else each feature rendered."""
         return (self.names if self.names is not None
                 else [render_feature(f, vocab) for f in self.features])
+
+    def find(self, rows: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """The link (rows[i], words[i]) of each i, or -1 where that row has no link to that word."""
+        # Links ascend by (row, word), so by this key. `v` exceeds every word and
+        # target id, so a target past the vocabulary cannot alias another row.
+        v = int(max(self.words.max(initial=0), words.max(initial=0))) + 1
+        have = self.row.astype(np.int64) * v + self.words
+        want = rows * v + words
+        pos = np.minimum(np.searchsorted(have, want), len(have) - 1)
+        return np.where(have[pos] == want, pos, -1)
 
     def links_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ids of every link of the given rows, concatenated, and each row's length.
@@ -203,11 +214,14 @@ class CountStore:
         """Sub-store with the full rows of the given features, in row order.
 
         Features never seen in training simply contribute no row. Feature
-        counts keep their full training-data values.
+        counts keep their full training-data values. Kept whole, the store
+        is a new one on the same `Rows` and counts.
         """
         keep = set(keep)
         rows = self.layout
         kept = np.fromiter(map(keep.__contains__, rows.features), bool, len(self))
+        if kept.all():
+            return CountStore(rows, self.counts, self.total_events)
         lens = np.diff(rows.offsets)
         links = np.repeat(kept, lens)
         return CountStore(Rows(list(compress(rows.features, kept)),
@@ -470,36 +484,41 @@ def count_files(paths, tags: Sequence[str | None], vocab: Vocabulary,
                       total)
 
 
-class HeldOut(NamedTuple):
-    """Held-out events as arrays, in the order `score_event` visits their features.
+class HeldOut:
+    """Held-out events compiled against one `Rows` layout: an entry per known feature occurrence.
 
-    Occurrence i is feature ``features[feature[i]]`` of event ``event[i]``;
-    event j predicts word ``target[j]``. Occurrences follow events and,
-    within an event, its features as `extract_events` and `expand_tags`
-    give them. `features` are distinct. From `HeldText.held_out` they are
-    the rows that score the events, the same objects, and only their
-    occurrences are held; event j comes from line ``line[j]``.
+    Entries are in event order and, within an event, in the order
+    `score_event` visits its features: ``event`` is the entry's event and
+    ``row`` its feature's row of `layout`. ``starts`` holds each event's
+    first entry, then the number of entries. Event j predicts word
+    ``target[j]`` and, when read from text, comes from line ``line[j]``.
+    ``link``, the link (row, target) of each entry or -1 where the row has
+    none, is searched the first time it is read, so a run that scores
+    nothing searches nothing.
     """
 
-    features: list[Feature]
-    event: np.ndarray
-    feature: np.ndarray
-    target: np.ndarray
-    line: np.ndarray | None = None
+    def __init__(self, layout: Rows, event: np.ndarray, row: np.ndarray, target: np.ndarray,
+                 line: np.ndarray | None = None):
+        self.layout, self.event, self.row, self.target, self.line = layout, event, row, target, line
+        self.starts = np.zeros(len(target) + 1, np.int64)
+        np.cumsum(np.bincount(event, minlength=len(target)), out=self.starts[1:])
 
     @property
     def num_events(self) -> int:
         return len(self.target)
 
-    @classmethod
-    def from_events(cls, events: Sequence[Event]) -> "HeldOut":
-        index: dict[Feature, int] = {}
-        lens = np.fromiter(map(len, (e.features for e in events)), np.int64, len(events))
-        # A feature is numbered when first seen.
-        feature = [index.setdefault(f, len(index)) for e in events for f in e.features]
-        return cls(list(index), np.repeat(np.arange(len(events)), lens),
-                   np.array(feature, np.int64),
-                   np.fromiter((e.target for e in events), np.int64, len(events)))
+    @cached_property
+    def link(self) -> np.ndarray:
+        """The link (row, target) of each entry, or -1 where the row has none."""
+        return self.layout.find(self.row, self.target[self.event])
+
+    def batch(self, lo: int, hi: int) -> "HeldOut":
+        """Events lo..hi-1, numbered from 0, with their slice of `link`."""
+        a, b = int(self.starts[lo]), int(self.starts[hi])
+        part = HeldOut(self.layout, self.event[a:b] - lo, self.row[a:b], self.target[lo:hi],
+                       None if self.line is None else self.line[lo:hi])
+        part.link = self.link[a:b]
+        return part
 
 
 class HeldText(NamedTuple):
@@ -510,7 +529,7 @@ class HeldText(NamedTuple):
     tag of `tags`, which is ``(None,)`` for untagged text; `ranks` bounds
     the emission ranks. Event j predicts word ``target[j]`` and comes from
     line ``line[j]``. No `Feature` is built: `names` gives the contexts'
-    strings, and `held_out` matches the contexts against row `Feature`s.
+    strings, and `held_out` compiles the events against a `Rows` layout.
     """
 
     shapes: list[tuple]
@@ -545,11 +564,10 @@ class HeldText(NamedTuple):
                 names += render_rows(columns, shape, tag, vocab)
         return names
 
-    def held_out(self, features: list[Feature]) -> HeldOut:
-        """The `HeldOut` over the rows `features`, with the occurrences of their contexts.
+    def held_out(self, layout: Rows) -> HeldOut:
+        """The events compiled against `layout`, with the occurrences of its rows' contexts.
 
-        Equal, once compiled (`compile_events`) against the rows, to
-        `from_events` of `extract_events` of every sentence of
+        Equal to `compile_events` of `extract_events` of every sentence of
         `TaggedCorpus.from_file`, through `expand_tags` when the text is
         tagged: occurrences of contexts that no row has are dropped, and
         the rest are sorted by event, emission rank and tag. Per shape and
@@ -557,7 +575,7 @@ class HeldText(NamedTuple):
         `_rank_key`, as re-ranked keys compare only within one call, and
         the rows' keys are searched for the occurrences' keys.
         """
-        groups = shape_groups(features)
+        groups = shape_groups(layout.features)
         keys, rows = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
         for shape, columns, event, rank in self.shapes:
             for t, tag in enumerate(self.tags):
@@ -575,7 +593,7 @@ class HeldText(NamedTuple):
                 rows.append(row[order[pos[found]]])
         key = np.concatenate(keys)
         order = np.argsort(key)
-        return HeldOut(features, key[order] // (self.ranks * len(self.tags)),
+        return HeldOut(layout, key[order] // (self.ranks * len(self.tags)),
                        np.concatenate(rows)[order], self.target, self.line)
 
 

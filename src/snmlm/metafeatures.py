@@ -41,7 +41,6 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from typing import Iterable
 
 import numpy as np
 
@@ -439,16 +438,3 @@ class LinkDesign:
 
     def link(self, i: int) -> tuple[Feature, int]:
         return self.layout.features[self.layout.row[i]], int(self.layout.words[i])
-
-    def row_ids(self, features: Iterable[Feature], count: int) -> np.ndarray:
-        return np.fromiter(map(self.layout.row_index.__getitem__, features), np.int64, count)
-
-    def find(self, links: np.ndarray, rows: np.ndarray, words: np.ndarray) -> np.ndarray:
-        """Positions in the ascending `links` of the links (rows[i], words[i])."""
-        v = len(self.vocab)
-        have = self.layout.row[links].astype(np.int64) * v + self.layout.words[links]
-        want = rows * v + words
-        pos = np.searchsorted(have, want)
-        if len(want) and (pos.max() >= len(have) or not np.array_equal(have[pos], want)):
-            raise ValueError("link not among the given links")
-        return pos

@@ -13,13 +13,14 @@ dicts are built only when something reads them. A model file is a sealed
 row file of cells, written and read as count files are (`save_rows`,
 `read_rows`); its normalizers are not stored but summed on load.
 
-Held-out events (`HeldOut`, from `HeldText.held_out` over the rows that
-score them) are scored on arrays: `compile_events` finds each feature
-occurrence's row and target link, `_event_sums` adds each event's
-normalizers and target cells in feature order, and `evaluate` takes each
-`math.log` and their `math.fsum`. `perplexity` and the epoch
-statistics of `train` both go this way, and equal a `score_event` loop
-bit for bit.
+Held-out events are scored on arrays, as a `HeldOut` compiled against the
+rows that score them: `HeldText.held_out` compiles text, and
+`compile_events` a list of `Event`s, into each known feature occurrence's
+event and row; the occurrence's target link is searched when first read.
+`_event_sums` adds each event's normalizers and target cells in feature
+order, and `evaluate` takes each `math.log` and their `math.fsum`.
+`perplexity` and the epoch statistics of `train` both go this way, and
+equal a `score_event` loop bit for bit.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -160,98 +160,64 @@ def score_event(model: SnmModel, event: Event) -> EventScore:
     return EventScore(y_t, y, log_prob)
 
 
-class DevEvents(NamedTuple):
-    """Events compiled against the rows of a design or model, an entry per known feature occurrence.
+def compile_events(events: HeldOut | Iterable[Event], layout: Rows) -> HeldOut:
+    """Held-out events compiled against the rows of a design or model.
 
-    Entries are in event order and, within an event, in feature order:
-    ``event`` is the entry's event id, ``row`` its feature's row, and
-    ``link`` the link (row, target), or -1 when the row has none. ``starts``
-    holds each event's first entry, then the number of entries.
+    Each feature occurrence is looked up once in `layout`; features the
+    rows lack are dropped, as `score_event` drops them. A `HeldOut` is
+    returned as it is, and raises ValueError when compiled against other
+    rows.
     """
-
-    event: np.ndarray
-    row: np.ndarray
-    link: np.ndarray
-    starts: np.ndarray
-
-    @property
-    def num_events(self) -> int:
-        return len(self.starts) - 1
-
-    def batch(self, lo: int, hi: int) -> "DevEvents":
-        """Events lo..hi-1, numbered from 0."""
-        a, b = int(self.starts[lo]), int(self.starts[hi])
-        return DevEvents(
-            self.event[a:b] - lo, self.row[a:b], self.link[a:b], self.starts[lo : hi + 1] - a
-        )
-
-
-def compile_events(held: HeldOut | Sequence[Event], layout: Rows) -> DevEvents:
-    """Where each feature occurrence of held-out events lands in the rows of a design or model.
-
-    Each distinct feature is looked up once. Features the rows lack are
-    dropped, as `score_event` drops them; an event left with none raises
-    its `DataError`. From `HeldText.held_out` over these rows, the
-    features are those rows and nothing is left to drop.
-    """
-    if not isinstance(held, HeldOut):
-        held = HeldOut.from_events(held)
-    rows = np.fromiter(map(layout.row_index.get, held.features, repeat(-1)), np.int64,
-                       len(held.features))
-    row = rows[held.feature]
+    if isinstance(events, HeldOut):
+        if events.layout is not layout:
+            raise ValueError("held-out events were compiled against other rows")
+        return events
+    events = list(events)
+    lens = np.fromiter(map(len, (e.features for e in events)), np.int64, len(events))
+    get = layout.row_index.get
+    row = np.fromiter((get(f, -1) for e in events for f in e.features), np.int64, int(lens.sum()))
+    event = np.repeat(np.arange(len(events)), lens)
     known = row >= 0
-    event, row = held.event[known], row[known]
-    per_event = np.bincount(event, minlength=held.num_events)
-    if not per_event.all():
-        raise DataError("event has no features known to the model")
-    starts = np.zeros(held.num_events + 1, dtype=np.int64)
-    np.cumsum(per_event, out=starts[1:])
-    target = held.target[event]
-    # Links ascend by (row, word), so by this key. `v` exceeds every word and
-    # target id, so a target past the vocabulary cannot alias another row.
-    words = layout.words
-    v = int(max(words.max(initial=0), target.max(initial=0))) + 1
-    have = layout.row.astype(np.int64) * v + words
-    want = row * v + target
-    pos = np.minimum(np.searchsorted(have, want), len(have) - 1)
-    return DevEvents(event, row, np.where(have[pos] == want, pos, -1), starts)
+    return HeldOut(layout, event[known], row[known],
+                   np.fromiter((e.target for e in events), np.int64, len(events)))
 
 
-def _event_sums(dev: DevEvents, cells: np.ndarray, row_sums: np.ndarray) -> tuple[np.ndarray, ...]:
+def _event_sums(held: HeldOut, cells: np.ndarray, row_sums: np.ndarray) -> tuple[np.ndarray, ...]:
     """y and y_t of each event: its features' normalizers and target cells, summed.
 
     `np.bincount` adds in entry order, so each sum equals `score_event`'s
     bit for bit.
     """
-    n = dev.num_events
-    y = np.bincount(dev.event, row_sums[dev.row], minlength=n)
+    n = held.num_events
+    y = np.bincount(held.event, row_sums[held.row], minlength=n)
     # Link -1 reads the last cell, which `np.where` then replaces by 0.0.
-    y_t = np.bincount(dev.event, np.where(dev.link >= 0, cells[dev.link], 0.0), minlength=n)
+    y_t = np.bincount(held.event, np.where(held.link >= 0, cells[held.link], 0.0), minlength=n)
     return y, y_t
 
 
-def evaluate(dev: DevEvents, cells: np.ndarray, row_sums: np.ndarray,
-             target: np.ndarray) -> EvalReport:
-    """The report of compiled events that predict `target`, equal to a `score_event` loop's.
+def evaluate(held: HeldOut, cells: np.ndarray, row_sums: np.ndarray) -> EvalReport:
+    """The report of compiled events, equal to a `score_event` loop's.
 
-    `_event_sums` adds as `score_event` does, and each log-probability is
-    its `math.log`, added by `math.fsum`: np.log may differ in the last bit.
+    An event with no known feature, or whose known rows all sum to zero,
+    raises `score_event`'s `DataError`. `_event_sums` adds as `score_event`
+    does, and each log-probability is its `math.log`, added by
+    `math.fsum`: np.log may differ in the last bit.
     """
-    y, y_t = _event_sums(dev, cells, row_sums)
-    if not (y > 0.0).all():  # every known row of an event has a zero sum
+    y, y_t = _event_sums(held, cells, row_sums)
+    if not (y > 0.0).all():
         raise DataError("event has no features known to the model")
     total = math.fsum([math.log(r) if r > 0.0 else _LOG_FLOOR for r in (y_t / y).tolist()])
-    n = dev.num_events
-    return EvalReport(n, total, math.exp(-total / n), int(np.count_nonzero(target == UNK_ID)),
+    n = held.num_events
+    return EvalReport(n, total, math.exp(-total / n), int(np.count_nonzero(held.target == UNK_ID)),
                       int(np.count_nonzero(y_t == 0.0)))
 
 
 def perplexity(model: SnmModel, events: HeldOut | Iterable[Event]) -> EvalReport:
     """exp of the average negative log-probability over the events."""
-    held = events if isinstance(events, HeldOut) else HeldOut.from_events(list(events))
+    held = compile_events(events, model.layout)
     if not held.num_events:
         raise DataError("perplexity undefined on an empty event stream")
-    return evaluate(compile_events(held, model.layout), model.cells, model.row_sums, held.target)
+    return evaluate(held, model.cells, model.row_sums)
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,25 @@ def test_batch_accumulator_keys_are_batch_local():
     assert set(acc.link_grads) <= seen_links
 
 
+def test_dict_gradient_rejects_a_first_term_off_the_batch_rows():
+    # A first-term pair must be a link of a row the batch scored: (f, c) is
+    # no link at all, and (g, c) a link of a row the batch did not touch.
+    vocab = build_vocab(["a", "b", "c"], min_count=1)
+    a, b, c = (vocab.index[w] for w in "abc")
+    f, g = Feature((a,)), Feature((b,))
+    store = accumulate([_ev([f], b), _ev([g], c)])
+    design, cells, _ = build_matrix(store, AdjustmentModel(64), vocab)
+    for pair, fails in (((f, b), False), ((f, c), True), ((g, c), True)):
+        acc = BatchAccumulator()
+        acc.alpha[f] = 0.5
+        acc.link_grads[pair] = 1.0
+        if fails:
+            with pytest.raises(ValueError, match="link not among the given links"):
+                batch_theta_gradient(acc, design, cells)
+        else:
+            assert batch_theta_gradient(acc, design, cells)
+
+
 def test_unreachable_target_event_contributes_no_gradient():
     vocab = build_vocab(["a", "b"], min_count=1)
     a, b = vocab.index["a"], vocab.index["b"]

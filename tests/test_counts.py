@@ -111,6 +111,19 @@ def test_intersect_empty_and_superset(abc_vocab):
     assert sup.feature_counts == store.feature_counts
 
 
+def test_intersect_of_every_row_shares_the_layout(abc_vocab):
+    # Keeping every row copies nothing: the new store holds the same rows and
+    # counts, so each `Rows` array is built once.
+    fa, fe = Feature((abc_vocab.index["a"],)), Feature(())
+    store = accumulate([_ev([fa, fe], 4), _ev([fe], 5)])
+    row = store.layout.row
+    for keep in (store.layout.features, [fe, Feature((5,)), fa]):
+        sub = store.intersect(keep)
+        assert sub is not store and sub.total_events == store.total_events
+        assert sub.layout is store.layout and sub.counts is store.counts
+        assert sub.layout.row is row and sub.rows == store.rows
+
+
 def test_intersect_matches_filter_oracle():
     rng = random.Random(42)
     feats = [Feature(())] + [Feature((rng.randint(3, 20),)) for _ in range(30)]

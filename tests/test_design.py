@@ -249,8 +249,14 @@ def test_compiled_events_locate_every_known_occurrence():
     assert part.num_events == 15 and part.starts[0] == 0
     assert part.event.tolist() == (dev.event[lo:hi] - 10).tolist()
     assert part.link.tolist() == dev.link[lo:hi].tolist()
+    # An event left with no known feature is compiled, and raises where it is scored.
+    lost = events + [Event((unknown,), 3)]
+    assert compile_events(lost, layout).num_events == len(lost)
+    model = materialize(design, *adjusted_cells(design, np.zeros(512)))
     with pytest.raises(DataError, match="event has no features known to the model"):
-        compile_events(events + [Event((unknown,), 3)], layout)
+        perplexity(model, lost)
+    with pytest.raises(DataError, match="event has no features known to the model"):
+        train(lost, store, AdjustmentModel(512), 1, vocab)
 
 
 @pytest.mark.parametrize("mode", list(Mode))

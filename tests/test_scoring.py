@@ -23,11 +23,13 @@ import snmlm.model
 from snmlm.adjustment import AdjustmentModel, train
 from snmlm.cli import main
 from snmlm.corpus import UNK_ID, TaggedCorpus, Vocabulary
-from snmlm.counts import CountStore, HeldOut, HeldText
+from snmlm.counts import CountStore, HeldOut, HeldText, Rows
 from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature, expand_tags, extract_events, load_config
 from snmlm.metafeatures import LinkDesign, Mode
-from snmlm.model import EvalReport, adjusted_cells, load_model, perplexity, score_event
+from snmlm.model import (
+    EvalReport, adjusted_cells, compile_events, load_model, perplexity, score_event,
+)
 
 from snm_testutil import (
     FIVE_GRAM_CONFIG,
@@ -85,7 +87,7 @@ def test_perplexity_equals_a_score_event_loop():
     model = build_model(store, adj, vocab)
     report = perplexity(model, events)
     assert report == _loop_report(model, events)
-    assert perplexity(model, HeldOut.from_events(events)) == report
+    assert perplexity(model, compile_events(events, model.layout)) == report
     assert 0 < report.floored_events < report.num_events and 0 < report.oov_targets
     # An event with no known feature, and an empty stream.
     lost = Event((Feature((4, 4)),), 3)
@@ -105,6 +107,28 @@ def test_a_row_summing_to_zero_is_no_known_feature():
     for zero in ([Event((a,), 3)], [Event((b, a), 5)]):
         assert _outcome(lambda: _loop_report(model, scored + zero)) == expected
         assert _outcome(lambda: perplexity(model, scored + zero)) == expected
+
+
+def test_events_compiled_against_other_rows_are_rejected():
+    vocab, store, events = _store_and_events(45)
+    layout = store.layout
+    other = Rows(layout.features, layout.offsets, layout.words)
+    _, model = train(events, store, AdjustmentModel(2048), 1, vocab)
+    assert model.layout is layout
+    assert perplexity(model, compile_events(events, layout)) == perplexity(model, events)
+    for run in (lambda held: train(held, store, AdjustmentModel(2048), 1, vocab),
+                lambda held: perplexity(model, held)):
+        with pytest.raises(ValueError, match="compiled against other rows"):
+            run(compile_events(events, other))
+
+
+def test_training_no_epoch_searches_no_target_link():
+    vocab, store, events = _store_and_events(47)
+    held = compile_events(events, store.layout)
+    history, model = train(held, store, AdjustmentModel(2048), 0, vocab)
+    assert history == [] and "link" not in held.__dict__
+    assert perplexity(model, held) == _loop_report(model, events)
+    assert "link" in held.__dict__
 
 
 def test_epoch_statistics_equal_a_score_event_loop():
@@ -244,8 +268,8 @@ def test_train_reuses_the_row_strings_it_loaded(tmp_path, monkeypatch, tags):
 
 @pytest.mark.parametrize("tags", [(), ("a", "b")])
 def test_train_and_eval_score_the_rows_own_features(tmp_path, monkeypatch, tags):
-    # Held-out text is matched against the rows that score it: no other
-    # `Feature` is built for it.
+    # Held-out text is compiled against the very rows that score it: the
+    # dev text against the training store's, the test text against the model's.
     scored = []
 
     def spy(name):
@@ -262,7 +286,5 @@ def test_train_and_eval_score_the_rows_own_features(tmp_path, monkeypatch, tags)
     _cli(*_pipeline(tmp_path, tags))
     assert len(scored) == 2
     for held, rows in scored:
-        assert isinstance(held, HeldOut) and held.num_events > 0 and len(held.feature) > 0
-        assert len(held.features) <= len(rows.layout.features)
-        own = set(map(id, rows.layout.features))
-        assert all(id(f) in own for f in held.features)
+        assert isinstance(held, HeldOut) and held.num_events > 0 and len(held.row) > 0
+        assert held.layout is rows.layout
