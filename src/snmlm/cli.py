@@ -25,7 +25,7 @@ from .extraction import (  # noqa: F401
     expand_tags, extract_events, is_tag, load_config, parse_feature, render_feature,
 )
 from .metafeatures import Mode, explain
-from .model import SnmModel, load_model, materialize, perplexity, save_model  # noqa: F401
+from .model import load_model, materialize, perplexity, save_model  # noqa: F401
 
 _MODES = {m.value: m for m in Mode}
 _SUFFIXES = {"k": 1 << 10, "K": 1 << 10, "m": 1 << 20, "M": 1 << 20}
@@ -230,7 +230,7 @@ def cmd_eval(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     config = load_config(args.config)
     model = load_model(args.model, vocab)
-    _check_tags_cover({f.tag for f in model.layout.features}, tags, args.model)
+    _check_tags_cover({tag for _, tag in model.layout.groups}, tags, args.model)
     test = HeldText.read(args.test, vocab, config, tags).held_out(model.layout)
     if not test.num_events:
         raise SnmError(f"{args.test}: empty test set")
@@ -249,7 +249,7 @@ def cmd_inspect(args) -> int:
     if args.target is not None and not args.counts:
         raise UsageError("--target needs --counts: a link's meta-features come from its counts")
     vocab = Vocabulary.load(args.vocab)
-    source, load = (args.counts, CountStore.load) if args.counts else (args.model, SnmModel.load)
+    source, load = (args.counts, CountStore.load) if args.counts else (args.model, load_model)
     try:
         feature = parse_feature(args.feature, vocab)
     except DataError:

@@ -17,7 +17,9 @@ string is rendered only to write it. `accumulate` counts `Event`s per
 shared features tuple, on arrays too (`_links`). Both give a `CountStore`,
 counts on a `Rows` layout that `CountStore.load` also fills, the link
 design and the model share, and `save` hands to `save_rows`; its dict
-rows are views built only when read.
+rows are views built only when read. `Rows.groups` is the one grouping
+of rows by feature shape and tag, and `Rows.strings` the one renderer of
+row strings.
 
 Held-out text takes the same occurrence step (`_occurrences`) into
 `HeldText`, word-id columns that build no `Feature`: its `names` are the
@@ -44,14 +46,7 @@ import numpy as np
 from .corpus import Vocabulary, framed_ids, natural
 from .errors import DataError
 from .extraction import (
-    Event,
-    ExtractorConfig,
-    Feature,
-    feature_parser,
-    feature_shapes,
-    render_feature,
-    render_rows,
-    shape_groups,
+    Event, ExtractorConfig, Feature, feature_parser, feature_shapes, render_rows,
 )
 from .files import atomic_write, open_text
 
@@ -73,10 +68,11 @@ class Rows:
     Row r is feature ``features[r]``: links ``offsets[r]`` to ``offsets[r + 1]``
     to the ascending word ids `words`. No row is empty. ``names[r]`` is row
     r's canonical string when it is known, else `names` is None. `row`, the
-    row of each link, and `row_index`, the row of each feature, are built
-    the first time each is read, once for every store, design and model
-    that holds these rows. The rows of `count_files` have names but no
-    `Feature`s (`features` is None): they are only saved.
+    row of each link, `row_index`, the row of each feature, and `groups`,
+    the rows of each feature shape and tag, are built the first time each
+    is read, once for every store, design and model that holds these rows.
+    The rows of `count_files` have names but no `Feature`s (`features` is
+    None): they are only saved.
     """
 
     def __init__(self, features: list[Feature] | None, offsets: np.ndarray, words: np.ndarray,
@@ -105,10 +101,28 @@ class Rows:
         """The row of each feature."""
         return {f: r for r, f in enumerate(self.features)}
 
+    @cached_property
+    def groups(self) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
+        """Per (shape, tag) of the features, first seen first: their rows and context words.
+
+        A shape is as in `feature_shapes`. Row k of the words matrix holds
+        the words of row ``rows[k]``; its columns are what `render_rows` takes.
+        """
+        index: dict[tuple, list[int]] = {}
+        for r, (words, skip_pos, skip_len, tag) in enumerate(self.features):
+            index.setdefault(((skip_pos, skip_len, len(words)), tag), []).append(r)
+        return {key: (np.array(rows, np.int64),
+                      np.array([self.features[r].words for r in rows], np.int64))
+                for key, rows in index.items()}
+
     def strings(self, vocab: Vocabulary) -> list[str]:
-        """Each row's canonical string: `names`, or else each feature rendered."""
-        return (self.names if self.names is not None
-                else [render_feature(f, vocab) for f in self.features])
+        """Each row's canonical string: `names`, or else rendered one group at a time."""
+        if self.names is not None:
+            return self.names
+        names = np.empty(len(self), object)
+        for (shape, tag), (rows, words) in self.groups.items():
+            names[rows] = render_rows(list(words.T), shape, tag, vocab)
+        return names.tolist()
 
     def find(self, rows: np.ndarray, words: np.ndarray) -> np.ndarray:
         """The link (rows[i], words[i]) of each i, or -1 where that row has no link to that word."""
@@ -570,12 +584,12 @@ class HeldText(NamedTuple):
         Equal to `compile_events` of `extract_events` of every sentence of
         `TaggedCorpus.from_file`, through `expand_tags` when the text is
         tagged: occurrences of contexts that no row has are dropped, and
-        the rest are sorted by event, emission rank and tag. Per shape and
-        tag, the rows' and the occurrences' columns get one joint
+        the rest are sorted by event, emission rank and tag. Per group of
+        `layout.groups`, the rows' and the occurrences' columns get one joint
         `_rank_key`, as re-ranked keys compare only within one call, and
         the rows' keys are searched for the occurrences' keys.
         """
-        groups = shape_groups(layout.features)
+        groups = layout.groups
         keys, rows = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
         for shape, columns, event, rank in self.shapes:
             for t, tag in enumerate(self.tags):

@@ -26,6 +26,9 @@ Canonical feature strings look like ``[]``, ``[the quick brown]``,
 tied), optionally prefixed with a corpus tag as in ``web:[the quick]``.
 Tokens of the form ``skip-<n>``/``skip-*`` are reserved by this grammar,
 and no `Vocabulary` holds one, so feature strings read back as written.
+`render_rows` renders the features of one shape and tag from word-id
+columns, as `snmlm.counts` holds them: counted text, held-out text and a
+layout's `Rows.groups`.
 """
 
 from __future__ import annotations
@@ -458,19 +461,6 @@ def render_rows(
         marker = "skip-*" if skip_len is None else f"skip-{skip_len}"
         parts.insert(skip_pos, repeat(marker))
     return [f"{head}{body}]" for body in map(" ".join, zip(*parts))]
-
-
-def shape_groups(features: Sequence[Feature]) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
-    """Per (shape, tag) of `features`, first seen first: their indices and context words.
-
-    A shape is as in `feature_shapes`. Row k of the words matrix holds the
-    words of feature ``indices[k]``; its columns are what `render_rows` takes.
-    """
-    index: dict[tuple, list[int]] = {}
-    for i, (words, skip_pos, skip_len, tag) in enumerate(features):
-        index.setdefault(((skip_pos, skip_len, len(words)), tag), []).append(i)
-    return {key: (np.array(rows, np.int64), np.array([features[i].words for i in rows], np.int64))
-            for key, rows in index.items()}
 
 
 def parse_feature(s: str, vocab: Vocabulary) -> Feature:

@@ -31,9 +31,10 @@ that depends on the row, the word or the link-count class alone comes
 from a table over that key. Weights are not stored: a column weighs one
 of the row's feature-count bucket weights times one of the link's
 link-count bucket weights, looked up per block in small per-count tables.
-Rows are typed, and rendered when the rows have no names, once per
-feature shape and tag; each distinct type string is fingerprinted once,
-and the feature strings and words all at once by `fingerprints`.
+The design reads its layout's groups and strings: rows are typed once per
+feature shape and tag (`Rows.groups`), each distinct type string is
+fingerprinted once, and the row strings (`Rows.strings`) and words all at
+once by `fingerprints`.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ import struct
 import numpy as np
 
 from .corpus import Vocabulary
-from .counts import CountStore
-from .extraction import Feature, render_feature, render_rows, shape_groups
+from .counts import CountStore, Rows
+from .extraction import Feature
 
 _M64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -196,35 +197,30 @@ _KEYS = {"feature": "row", "type": "row", "count0": "row", "count1": "row",
          "word": "word", "link0": "class", "link1": "class"}
 
 
-def _descriptors(features, feature_counts, words, link_counts, mode: Mode, vocab: Vocabulary,
-                 names: list[str] | None = None):
+def _descriptors(layout: Rows, feature_counts, link_counts, mode: Mode, vocab: Vocabulary):
     """({descriptor: hash table over its key}, then class and factors of each count bucket table.
 
-    The word table holds the given words' fingerprints in FULL mode only; the
-    feature identity table is left out in UNLEXICALIZED mode. Each feature's
-    identity is ``names[r]``, or rendered per shape and tag when `names` is
-    None.
+    Rows are typed per shape and tag (`Rows.groups`), and identified by
+    their strings (`Rows.strings`). The word table holds the fingerprints
+    of the layout's words in FULL mode only; the feature identity table is
+    left out in UNLEXICALIZED mode.
     """
     fcls, fhash, fw = _bucket_table(feature_counts)
     lcls, lhash, lw = _bucket_table(link_counts)
     tables = {
-        "type": np.zeros(len(features), dtype=np.uint64),
+        "type": np.zeros(len(layout), dtype=np.uint64),
         "count0": fhash[fcls, 0],
         "count1": fhash[fcls, 1],
         "word": np.zeros(len(vocab), dtype=np.uint64),
         "link0": lhash[:, 0],
         "link1": lhash[:, 1],
     }
-    lexical = mode is not Mode.UNLEXICALIZED
-    rendered = np.empty(len(features), dtype=object)
-    for (shape, tag), (rows, context) in shape_groups(features).items():
-        tables["type"][rows] = fingerprint(feature_type(features[rows[0]]))
-        if lexical and names is None:
-            rendered[rows] = render_rows(list(context.T), shape, tag, vocab)
-    if lexical:
-        tables["feature"] = fingerprints(rendered.tolist() if names is None else names)
+    for rows, _ in layout.groups.values():
+        tables["type"][rows] = fingerprint(feature_type(layout.features[rows[0]]))
+    if mode is not Mode.UNLEXICALIZED:
+        tables["feature"] = fingerprints(layout.strings(vocab))
     if mode is Mode.FULL:
-        used = np.flatnonzero(np.bincount(words, minlength=len(vocab)))
+        used = np.flatnonzero(np.bincount(layout.words, minlength=len(vocab)))
         tables["word"][used] = fingerprints([vocab.words[w] for w in used.tolist()])
     return tables, fcls, fw, lcls, lw
 
@@ -268,14 +264,14 @@ def explain(
     bucket, the target word, and ``a & b`` for a conjunction. The padding
     column of a count with a single bucket weighs 0 and is left out.
     """
-    words = np.array([w])
+    layout = Rows([f], np.array([0, 1]), np.array([w]))
     tables, fcls, fw, lcls, lw = _descriptors(
-        [f], np.array([feature_count]), words, np.array([link_count]), mode, vocab
+        layout, np.array([feature_count]), np.array([link_count]), mode, vocab
     )
-    keys = {"row": np.zeros(1, dtype=np.intp), "word": words, "class": lcls}
+    keys = {"row": np.zeros(1, dtype=np.intp), "word": layout.words, "class": lcls}
     hashes = _columns(mode, {k: t[keys[_KEYS[k]]] for k, t in tables.items()})
     fb, lb = ([f"count:2^{b}" for b, _ in buckets(c)] for c in (feature_count, link_count))
-    labels = {"feature": render_feature(f, vocab), "type": feature_type(f), "word": vocab.words[w],
+    labels = {"feature": layout.strings(vocab)[0], "type": feature_type(f), "word": vocab.words[w],
               "count0": fb[0], "count1": fb[-1], "link0": lb[0], "link1": lb[-1]}
     labeled = _columns(mode, labels, lambda a, b: f"{a} & {b}")
     out = []
@@ -353,7 +349,7 @@ class LinkDesign:
         mode, layout, store, n = self.mode, self.layout, self.store, self.num_links
         row, words = layout.row, layout.words
         tables, self._fcls, self._fw, self._lcls, self._lw = _descriptors(
-            layout.features, store.row_sums, words, store.counts, mode, self.vocab, layout.names
+            layout, store.row_sums, store.counts, mode, self.vocab
         )
 
         def columns(part):

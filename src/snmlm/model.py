@@ -58,17 +58,6 @@ class SnmModel:
     def __init__(self, layout: Rows, cells: np.ndarray, row_sums: np.ndarray):
         self.layout, self.cells, self.row_sums = layout, cells, row_sums
 
-    @classmethod
-    def load(cls, path, vocab: Vocabulary, keep: Iterable[str] | None = None) -> "SnmModel":
-        """Read a model file (`read_rows`), storing only the rows `keep` names when it is given.
-
-        Each row's normalizer is its cells' sum in word id order, which
-        for a model that `save_model` wrote is the row sum that training
-        computed, bit for bit.
-        """
-        _, layout, cells, row_sums, _ = read_rows(path, MODEL_FILE, vocab, keep)
-        return cls(layout, cells, row_sums)
-
     @cached_property
     def rows(self) -> dict[Feature, dict[int, float]]:
         """Each feature's row as a dict from word id to cell, in row order."""
@@ -237,6 +226,12 @@ def save_model(model: SnmModel, path, vocab: Vocabulary) -> None:
     save_rows(path, MODEL_FILE.preamble(len(vocab)), model.layout, model.cells, vocab)
 
 
-def load_model(path, vocab: Vocabulary) -> SnmModel:
-    """Read a model file as `save_model` writes it, checking every row (`SnmModel.load`)."""
-    return SnmModel.load(path, vocab)
+def load_model(path, vocab: Vocabulary, keep: Iterable[str] | None = None) -> SnmModel:
+    """Read a model file (`read_rows`), storing only the rows `keep` names when it is given.
+
+    Each row's normalizer is its cells' sum in word id order, which for a
+    model that `save_model` wrote is the row sum that training computed,
+    bit for bit.
+    """
+    _, layout, cells, row_sums, _ = read_rows(path, MODEL_FILE, vocab, keep)
+    return SnmModel(layout, cells, row_sums)

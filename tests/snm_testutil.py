@@ -24,6 +24,7 @@ would add.
 writes it, and `oracle_save_rows` writes whole sealed files with it;
 `oracle_pick` finds a block's kept rows by bisecting on the feature field
 of every row.
+`count_row_builds` counts the builds of each `Rows` array built on first read.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import random
 import re
 from bisect import bisect_left, bisect_right
 from contextlib import closing
+from functools import cached_property
 from itertools import chain
 from typing import Iterator, NamedTuple
 
@@ -61,6 +63,19 @@ ngram_extractor {
   max_n: 4
 }
 """
+
+
+def count_row_builds(monkeypatch) -> dict[str, int]:
+    """How many times each `Rows` array built on first read is built, from now on."""
+    built = {"row": 0, "row_index": 0, "groups": 0}
+    for name in built:
+        def counted(rows, _build=vars(Rows)[name].func, _name=name):
+            built[_name] += 1
+            return _build(rows)
+        spy = cached_property(counted)
+        spy.__set_name__(Rows, name)
+        monkeypatch.setattr(Rows, name, spy)
+    return built
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ an all-zero weight table is never hashed.
 """
 
 import random
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from snmlm.adjustment import (
 )
 from snmlm.cli import main
 from snmlm.corpus import SPECIAL_TOKENS, Vocabulary, build_vocab
-from snmlm.counts import CountStore, Rows, accumulate
+from snmlm.counts import CountStore, accumulate
 from snmlm.errors import DataError
 from snmlm.extraction import Event, Feature, parse_config, render_feature
 from snmlm.metafeatures import LinkDesign, Mode, explain, feature_type, fingerprint
@@ -33,6 +32,7 @@ from snm_testutil import (
     array_theta_gradient,
     build_matrix,
     compute_metafeatures,
+    count_row_builds,
     explain_metafeatures,
     extract_corpus_events,
     make_vocab,
@@ -342,26 +342,13 @@ def test_train_builds_the_design_once(monkeypatch, tmp_path):
     assert len(hashes) == 3
 
 
-def _count_row_builds(monkeypatch) -> dict[str, int]:
-    """How many times each `Rows` array built on first read is built, from now on."""
-    built = {"row": 0, "row_index": 0}
-    for name in built:
-        def counted(rows, _build=vars(Rows)[name].func, _name=name):
-            built[_name] += 1
-            return _build(rows)
-        spy = cached_property(counted)
-        spy.__set_name__(Rows, name)
-        monkeypatch.setattr(Rows, name, spy)
-    return built
-
-
 def test_a_run_shares_one_layout_and_builds_each_row_array_once(monkeypatch, tmp_path):
     # The count store, its design and the trained model hold one `Rows`, so
-    # the rows of the links and of the features are each built once in a
-    # run, and once for a model read back from its file.
+    # the rows of the links, of the features and of each shape and tag are
+    # each built once in a run, and once for a model read back from its file.
     rng = random.Random(41)
     vocab = make_vocab(15)
-    built = _count_row_builds(monkeypatch)
+    built = count_row_builds(monkeypatch)
     store, feats = random_store(rng, vocab, 8)
     events = random_events(rng, store, feats, 12)
     adj = AdjustmentModel(1024, batch_size=4)
@@ -369,13 +356,13 @@ def test_a_run_shares_one_layout_and_builds_each_row_array_once(monkeypatch, tmp
     _, model = train(events, store, adj, 1, vocab)
     assert model.layout is store.layout
     save_model(model, tmp_path / "model.tsv", vocab)
-    assert built == {"row": 1, "row_index": 1}
+    assert built == {"row": 1, "row_index": 1, "groups": 1}
 
-    built.update(row=0, row_index=0)
+    built.update(row=0, row_index=0, groups=0)
     loaded = load_model(tmp_path / "model.tsv", vocab)
     assert perplexity(loaded, events).ppl == perplexity(model, events).ppl
     save_model(loaded, tmp_path / "again.tsv", vocab)
-    assert built == {"row": 1, "row_index": 1}
+    assert built == {"row": 1, "row_index": 1, "groups": 1}
     assert (tmp_path / "again.tsv").read_bytes() == (tmp_path / "model.tsv").read_bytes()
 
 

@@ -1,8 +1,9 @@
 """What holds in a fresh interpreter.
 
 Every import of the package sits at module level, so the module graph is the
-one the import lines show; each module imports first on its own; and a whole
-CLI pipeline writes the same bytes under any string-hash seed.
+one the import lines show; every name imported is read, or marked as a pin;
+each module imports first on its own; and a whole CLI pipeline writes the same
+bytes under any string-hash seed.
 """
 
 import ast
@@ -40,6 +41,30 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 )
     assert sorted(found) == []
+
+
+def test_every_imported_name_is_used():
+    # A name imported at module level is read in that module, unless its
+    # import statement says `# noqa: F401`: the names the benchmark tracer
+    # looks up in a module that no longer calls them.
+    unused = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text, filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for stmt in tree.body:
+            if (not isinstance(stmt, (ast.Import, ast.ImportFrom))
+                    or getattr(stmt, "module", None) == "__future__"
+                    or any("# noqa: F401" in line
+                           for line in lines[stmt.lineno - 1 : stmt.end_lineno])):
+                continue
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}:{stmt.lineno}: {name}")
+    assert unused == []
 
 
 @pytest.mark.parametrize("module", _MODULES)

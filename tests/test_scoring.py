@@ -16,7 +16,6 @@ import random
 import pytest
 
 import snmlm.cli
-import snmlm.counts
 import snmlm.extraction
 import snmlm.metafeatures
 import snmlm.model
@@ -35,6 +34,7 @@ from snm_testutil import (
     FIVE_GRAM_CONFIG,
     MarkovChain,
     build_model,
+    count_row_builds,
     make_vocab,
     materialized_dicts,
     model_of,
@@ -249,21 +249,33 @@ def test_train_and_eval_build_no_dict_views(tmp_path, monkeypatch, tags):
 @pytest.mark.parametrize("tags", [(), ("a", "b")])
 def test_train_reuses_the_row_strings_it_loaded(tmp_path, monkeypatch, tags):
     # `snmlm train` hashes and saves the strings `CountStore.load(keep=)`
-    # kept; it renders no feature.
-    rendered, hashed = [], []
+    # kept; it renders no row string, and groups its rows once.
+    rendered, strings, hashed = [], [], []
     render = snmlm.extraction.render_feature
-    for module in (snmlm.extraction, snmlm.counts, snmlm.metafeatures, snmlm.model, snmlm.cli):
+    for module in (snmlm.extraction, snmlm.model, snmlm.cli):
         monkeypatch.setattr(module, "render_feature",
                             lambda f, vocab: rendered.append(f) or render(f, vocab))
+    row_strings = Rows.strings
+
+    def spy(rows, vocab):
+        strings.append((rows, row_strings(rows, vocab)))
+        return strings[-1][1]
+
+    monkeypatch.setattr(Rows, "strings", spy)
     descriptors = snmlm.metafeatures._descriptors
     monkeypatch.setattr(snmlm.metafeatures, "_descriptors",
-                        lambda *args: hashed.append(args) or descriptors(*args))
+                        lambda layout, *args: hashed.append(layout) or descriptors(layout, *args))
+    built = count_row_builds(monkeypatch)
     _pipeline(tmp_path, tags)
     assert rendered == []
-    [(features, *_, names)] = hashed  # it trained, so it hashed once
+    [layout] = hashed  # it trained, so it hashed once
+    assert built["groups"] == 1 and "groups" in vars(layout)
+    # The counted rows saved, then the trained rows hashed and saved: each time, their names.
+    assert [out is rows.names for rows, out in strings] == [True, True, True]
+    assert all(rows is layout for rows, _ in strings[1:])
     vocab = Vocabulary.load(tmp_path / "vocab.txt")
-    assert names == [render(f, vocab) for f in features]
-    assert load_model(tmp_path / "model.tsv", vocab).layout.features == features
+    assert layout.names == [render(f, vocab) for f in layout.features]
+    assert load_model(tmp_path / "model.tsv", vocab).layout.features == layout.features
 
 
 @pytest.mark.parametrize("tags", [(), ("a", "b")])
